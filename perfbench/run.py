@@ -39,7 +39,6 @@ import speed
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 HERE = Path(__file__).resolve().parent
-WORKLOAD_NAMES = ("sim_mech2", "balance_cli_80k", "balance_exact_80k")
 # BLAS is pinned to one thread: the workloads' matrices are thin (N x 4) and a
 # second thread only adds contention on a shared 2-CPU machine.
 BLAS_THREADS = "1"
@@ -51,6 +50,11 @@ IMPORT_PROBE = (
     "t = time.perf_counter(); import csps; print(time.perf_counter() - t)"
 )
 REFERENCE_SEED = 0
+
+
+def load_benchmark() -> dict:
+    """The parsed ``BENCHMARK.json`` at the repository root."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _import_seconds() -> float:
@@ -115,7 +119,7 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str = "full") -
     units = {
         metric["name"]: metric["unit"]
         for kind in ("end_to_end", "per_layer")
-        for metric in json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
+        for metric in load_benchmark()[kind]
     }
     references = json.loads((HERE / "reference.json").read_text())
     reference = references["digests"].get(name) if (
@@ -208,7 +212,8 @@ def run(name: str, seed: int, seconds: float, trace: bool, size: str = "full") -
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
+    names = [w["name"] for w in load_benchmark()["workloads"]]
+    parser.add_argument("--workload", required=True, choices=names)
     parser.add_argument("--seed", type=int, default=REFERENCE_SEED)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

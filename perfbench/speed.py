@@ -3,14 +3,13 @@
 The benchmark's machine is shared: its CPU speed drifts by up to 2x within
 minutes, so raw pass times of identical work spread far wider than any useful
 regression bound.  While sampling is on, a SIGALRM every ``INTERVAL_S`` runs
-a fixed pure-Python loop and records how long it took.  The median of those
-times says how fast the CPU ran during the pass; a time scaled by
-``REFERENCE_S / median`` is the time the pass would take at the speed where
-the probe reads ``REFERENCE_S``.  On a 2-CPU machine, 21 passes of
-``balance_exact_80k`` ranged over 1.64x raw and 1.27x scaled, with quartile
-spreads of 0.20 and 0.05 of the median.
+a fixed pure-Python loop twice and records how long the second run took.  The
+median of those times says how fast the CPU ran during the pass; a time
+scaled by ``REFERENCE_S / median`` is the time the pass would take at the
+speed where the probe reads ``REFERENCE_S``.  ``scaling_check.py`` measures how
+much of the work added to a pass the scaled time reports.
 
-The probe costs about 0.3% of a pass and touches no state of the program.
+The probe costs about 0.5% of a pass and touches no state of the program.
 """
 
 from __future__ import annotations
@@ -21,18 +20,27 @@ import statistics
 import time
 
 INTERVAL_S = 0.02
-# The probe's time on the 2-CPU machine of the first history entry when that
-# machine ran fastest; scaled times are seconds at that speed.
-REFERENCE_S = 50e-6
+# A probe time typical of the 2-CPU machine of the first history entry;
+# scaled times are seconds at the speed where the probe reads this.
+REFERENCE_S = 43e-6
 
 
-def _probe() -> float:
-    start = time.perf_counter()
+def _loop() -> None:
     table = {}
     x = 0
     for i in range(300):
         table[i & 15] = x
         x = (x * 31 + i) % 1000003
+
+
+def probe() -> float:
+    """Seconds that one run of a fixed loop takes, right after an untimed run."""
+    # The untimed first run refills the caches and branch predictors that the
+    # pass has just used: timed cold, the probe read 15% slower inside a pass
+    # than outside it, and more so the more memory the pass touched.
+    _loop()
+    start = time.perf_counter()
+    _loop()
     return time.perf_counter() - start
 
 
@@ -43,15 +51,15 @@ def sampling():
     There is always one sample from just before and one from just after the
     block, so a block spent inside one long native call still gets a reading.
     """
-    samples = [_probe()]
-    previous = signal.signal(signal.SIGALRM, lambda signum, frame: samples.append(_probe()))
+    samples = [probe()]
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: samples.append(probe()))
     signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
     try:
         yield samples
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-        samples.append(_probe())
+        samples.append(probe())
 
 
 def scale(samples) -> float:

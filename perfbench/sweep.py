@@ -3,11 +3,14 @@
     python3 perfbench/sweep.py --workloads sim_mech2 balance_exact_80k --seeds 1-10
     python3 perfbench/sweep.py --seeds 1-10 --append-history "what changed"
 
-Each run is its own process, one after another, with the run length from
-BENCHMARK.json.  For every metric the summary gives the median, the
-quartiles and the quartile spread as a share of the median, the figure each
-end-to-end bound in BENCHMARK.json is set against.  ``--append-history``
-adds the summary, with the machine stamp, to ``perfbench/history.json``.
+Each run is its own untraced process, one after another, with the run length
+from BENCHMARK.json.  For every end-to-end metric the summary gives the
+median, the quartiles and the quartile spread as a share of the median, the
+figure each bound in BENCHMARK.json is set against, and how much worse the
+median is than in the last entry of ``perfbench/history.json``.  The exit
+code is 1 when a run fails or is incorrect, or a median is worse than that
+entry's by more than the metric's bound.  ``--append-history`` adds the
+summary, with the machine stamp, to ``perfbench/history.json``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -47,13 +51,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"),
                         help="inclusive range such as 1-10")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--append-history", metavar="LABEL")
     args = parser.parse_args(argv)
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower" for m in benchmark["end_to_end"]}
+    path = HERE / "history.json"
+    history = json.loads(path.read_text()) if path.exists() else []
+    last = history[-1]["workloads"] if history else {}
 
     entry = {"label": args.append_history, "seeds": args.seeds,
-             "run_seconds": benchmark["run_seconds"], "trace": args.trace,
+             "run_seconds": benchmark["run_seconds"],
              "stamp": None, "workloads": {}}
     ok = True
     for name in args.workloads:
@@ -61,9 +68,11 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             command = [sys.executable, str(HERE / "run.py"), "--workload", name,
                        "--seed", str(seed), "--seconds", str(benchmark["run_seconds"]),
-                       "--trace", str(args.trace)]
+                       "--trace", "0"]
+            start = time.monotonic()
             proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
                                   timeout=900)
+            elapsed = time.monotonic() - start
             lines = proc.stdout.splitlines()
             if proc.returncode != 0 or not lines:
                 print(f"{name} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
@@ -76,20 +85,24 @@ def main(argv=None) -> int:
             ok = ok and result["correct"]
             for key, metric in result["metrics"].items():
                 values.setdefault(key, []).append(metric["value"])
-            shown = " ".join(f"{k}={m['value']:.5g}" for k, m in result["metrics"].items()
-                             if k in bounds)
+            shown = " ".join(f"{k}={m['value']:.5g}" for k, m in result["metrics"].items())
             print(f"{name} seed {seed}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
+                  f"failed={result['failed']}/{result['attempted']} {shown} "
+                  f"({elapsed:.0f} s)", flush=True)
         entry["workloads"][name] = {k: summary(v) for k, v in values.items()}
         for key, s in entry["workloads"][name].items():
             spread = "-" if s["spread"] is None else f"{s['spread']:.4f}"
-            bound = f" (bound {bounds[key]})" if key in bounds else ""
+            worse = ""
+            if key in last.get(name, {}):
+                before = last[name][key]["median"]
+                change = (s["median"] - before) / before
+                worse_by = change if lower[key] else -change
+                ok = ok and worse_by <= bounds[key]
+                worse = f", worse than the last history entry by {worse_by:+.4f}"
             print(f"  {name} {key}: median {s['median']:.6g} q1 {s['q1']:.6g} "
-                  f"q3 {s['q3']:.6g} spread {spread}{bound}")
+                  f"q3 {s['q3']:.6g} spread {spread} (bound {bounds[key]}){worse}")
 
     if args.append_history:
-        path = HERE / "history.json"
-        history = json.loads(path.read_text()) if path.exists() else []
         history.append(entry)
         path.write_text(json.dumps(history, indent=1) + "\n")
     return 0 if ok else 1
