@@ -29,7 +29,6 @@ from .contrasts import (
     parse_contrast,
     read_contrast_file,
     sgn_bifurcate,
-    validate_contrast,
 )
 from .data import CellIndex, Dataset, build_cell_index, load_dataset, write_dataset_csv
 from .estimation import (
@@ -104,6 +103,5 @@ __all__ = [
     "sgn_bifurcate",
     "simulation_contrasts",
     "subclassify",
-    "validate_contrast",
     "write_dataset_csv",
 ]

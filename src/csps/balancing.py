@@ -5,14 +5,17 @@ scores as covariates in an ordinary propensity analysis for a target
 bifurcation, subclassifies on the chained score, and reports covariate mean
 differences between the target's two groups before and after subclassing.
 
-Group means are accumulated in exact rational arithmetic (float64 covariates
-are dyadic rationals), so reported differences are invariant to the unit
-order and identities between them hold exactly, not merely to rounding.
+Group means are exact rationals (float64 covariates are dyadic rationals),
+so reported differences are invariant to the unit order and identities
+between them hold exactly, not merely to rounding.  The sums behind them are
+integer array reductions (:func:`_exact_group_sums`), and scores stay in the
+array form of :class:`~csps.estimation.ScoreVector`; no per-unit Python
+object is made on the way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,9 +32,9 @@ from .errors import (
 )
 from .estimation import (
     ScoreVector,
-    _predict_binary_matrix,
+    _dense_ids,
+    _logistic_scores,
     empirical_csps,
-    fit_binary_logistic,
     model_csps,
 )
 
@@ -48,15 +51,70 @@ __all__ = [
 ]
 
 
-def _exact_mean(values) -> Fraction:
-    """Exact mean of float64 values (each float is a dyadic rational)."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("mean of empty group")
-    ratios = [v.as_integer_ratio() for v in vals]
-    common = max(d for _, d in ratios)  # denominators are powers of two
-    total = sum(n * (common // d) for n, d in ratios)
-    return Fraction(total, common * len(vals))
+_MANTISSA_BITS = 53  # float64 significand, hidden bit included
+_LIMB_BITS = 26
+# A high limb is below 2**27 in magnitude and a low limb below 2**26, so one
+# float64 bincount over at most this many units adds integers below 2**53,
+# which it does exactly.
+_UNITS_PER_SUM = 2 ** 26
+
+
+def _exact_group_sums(
+    values: np.ndarray, groups: np.ndarray, num_groups: int
+) -> tuple[list[int], int]:
+    """Exact sums of float64 ``values`` per group label in ``0..num_groups-1``.
+
+    Returns ``(totals, exponent)``: the sum over group ``g`` is exactly
+    ``totals[g] * 2**exponent``.  Each float is ``m * 2**(e - 53)`` with an
+    integer ``m`` below ``2**53`` in magnitude (``np.frexp``).  ``m`` is split
+    into a high limb (below ``2**27`` in magnitude) and a low 26-bit limb,
+    and each limb is summed with one ``np.bincount`` keyed by (group, ``e``).
+    Only the nonzero buckets are then combined, as Python ints.
+    """
+    if values.size == 0:
+        return [0] * num_groups, 0
+    # the limbs stay float64: scaling by powers of two, floor and the
+    # subtraction are exact, and no int64 copy of the mantissas is made
+    mantissa, exponent = np.frexp(values)
+    mantissa *= float(1 << (_MANTISSA_BITS - _LIMB_BITS))
+    high = np.floor(mantissa)
+    low = mantissa
+    low -= high
+    low *= float(1 << _LIMB_BITS)
+    e_min = int(exponent.min())
+    width = int(exponent.max()) - e_min + 1
+    key = groups * width
+    key += exponent
+    key -= e_min
+    buckets = None
+    nbins = num_groups * width
+    if nbins > 2 * values.size + 256:
+        # few (group, exponent) pairs occur: number only those
+        buckets, key = np.unique(key, return_inverse=True)
+        nbins = len(buckets)
+    high_sum = np.zeros(nbins, dtype=np.int64)
+    low_sum = np.zeros(nbins, dtype=np.int64)
+    for start in range(0, values.size, _UNITS_PER_SUM):
+        part = slice(start, start + _UNITS_PER_SUM)
+        for limb, limb_sum in ((high, high_sum), (low, low_sum)):
+            sums = np.bincount(key[part], weights=limb[part], minlength=nbins)
+            limb_sum += sums.astype(np.int64)
+    used = np.flatnonzero(high_sum | low_sum)
+    code = used if buckets is None else buckets[used]
+    totals = [0] * num_groups
+    for g, shift, h, lo in zip(
+        (code // width).tolist(), (code % width).tolist(),
+        high_sum[used].tolist(), low_sum[used].tolist(),
+    ):
+        totals[g] += ((h << _LIMB_BITS) + lo) << shift
+    return totals, e_min - _MANTISSA_BITS
+
+
+def _scaled_fraction(total: int, count: int, exponent: int) -> Fraction:
+    """``total * 2**exponent / count`` as an exact Fraction."""
+    if exponent >= 0:
+        return Fraction(total << exponent, count)
+    return Fraction(total, count << -exponent)
 
 
 @dataclass(frozen=True)
@@ -92,13 +150,19 @@ class SubclassAssignment:
 
     ``labels[i]`` is a 1-based subclass id for units assigned to either
     group and 0 for everyone else.  After construction every subclass
-    contains at least one unit from each group.
+    contains at least one unit from each group.  The labels are held in the
+    narrowest unsigned integer type that fits them (usually one byte), since
+    reports keep them.
     """
 
     __slots__ = ("labels", "num_subclasses", "method")
 
     def __init__(self, labels, num_subclasses: int, method: str):
-        lab = np.array(labels, dtype=int)
+        lab = np.asarray(labels)
+        if lab.size and int(lab.min()) < 0:
+            raise ValueError("subclass labels must be nonnegative")
+        top = max(int(lab.max(initial=0)), int(num_subclasses))
+        lab = lab.astype(np.min_scalar_type(top))
         lab.setflags(write=False)
         self.labels = lab
         self.num_subclasses = int(num_subclasses)
@@ -162,17 +226,15 @@ def subclassify(
         )
 
     if method == "exact":
-        distinct = sorted({scores.values[i] for i in eligible})
-        groups = [
-            np.array([i for i in eligible if scores.values[i] == v], dtype=int)
-            for v in distinct
-        ]
+        ranks = scores.dense_ranks(eligible)
+        order = np.argsort(ranks, kind="stable")
+        groups = np.split(eligible[order], np.flatnonzero(np.diff(ranks[order])) + 1)
         tag = "exact-values"
     elif method == "quantile":
         S = int(num_subclasses)
         if S < 1:
             raise ValueError("num_subclasses must be at least 1")
-        vals = np.array([float(scores.values[i]) for i in eligible])
+        vals = scores.as_floats()[eligible]
         if S == 1:
             groups = [eligible.copy()]
         else:
@@ -186,7 +248,7 @@ def subclassify(
         raise ValueError(f"unknown subclass method {method!r}")
 
     groups = _merge_one_class_groups(groups, d)
-    labels = np.zeros(len(scores), dtype=int)
+    labels = np.zeros(len(scores), dtype=np.intp)
     for sid, g in enumerate(groups, start=1):
         labels[g] = sid
     return SubclassAssignment(labels, len(groups), tag)
@@ -219,7 +281,11 @@ class SubclassBalanceRow:
 
 @dataclass(frozen=True, eq=False)
 class ContrastBalance:
-    """Balance diagnostics for one target contrast."""
+    """Balance diagnostics for one target contrast.
+
+    ``scores`` and ``assignment`` are the chained score and the subclasses
+    the diagnostics were computed from, when a pass built them.
+    """
 
     contrast: Contrast
     n_positive: int = 0
@@ -228,6 +294,8 @@ class ContrastBalance:
     after_exact: tuple[Fraction, ...] | None = None
     subclass_rows: tuple[SubclassBalanceRow, ...] | None = None
     error: str | None = None
+    scores: ScoreVector | None = None
+    assignment: SubclassAssignment | None = None
 
     @property
     def before(self) -> np.ndarray | None:
@@ -260,16 +328,6 @@ class BalanceReport:
         return len(self.entries)
 
 
-def _group_stats(X: np.ndarray, pos_idx, neg_idx):
-    """Exact per-covariate means of the two groups and their difference."""
-    if len(pos_idx) == 0 or len(neg_idx) == 0:
-        raise EmptyGroup("a comparison group is empty")
-    mean_pos = tuple(_exact_mean(X[pos_idx, k]) for k in range(X.shape[1]))
-    mean_neg = tuple(_exact_mean(X[neg_idx, k]) for k in range(X.shape[1]))
-    diff = tuple(a - b for a, b in zip(mean_pos, mean_neg))
-    return mean_pos, mean_neg, diff
-
-
 def covariate_mean_difference(
     dataset: Dataset,
     target: Contrast,
@@ -279,50 +337,76 @@ def covariate_mean_difference(
 
     Pooled (positive-group mean minus negative-group mean) always; when a
     subclass assignment is supplied, also the within-subclass differences and
-    their average weighted by each subclass's share of eligible units.
+    their average weighted by each subclass's share of eligible units.  One
+    exact group sum per covariate serves the pooled pair and every subclass
+    pair.
     """
     d = assignment_indicators(target, dataset.treatments)
-    X = dataset.covariates
-    pos = np.flatnonzero(d == 1)
-    neg = np.flatnonzero(d == -1)
-    _, _, before = _group_stats(X, pos, neg)
+    eligible = np.flatnonzero(d)
+    # group 2s holds subclass s's positive units and 2s + 1 its negative
+    # ones; s = 0 collects the eligible units outside every subclass, so the
+    # groups of one sign add up to the pooled group
+    groups = (d[eligible] == -1).astype(np.intp)
+    S = 0
+    if subclasses is not None:
+        S = subclasses.num_subclasses
+        groups += 2 * subclasses.labels[eligible].astype(np.intp)
+    counts = np.bincount(groups, minlength=2 * (S + 1)).tolist()
+    n_pos, n_neg = sum(counts[0::2]), sum(counts[1::2])
+    if n_pos == 0 or n_neg == 0 or 0 in counts[2:]:
+        raise EmptyGroup("a comparison group is empty")
+    sums = [
+        _exact_group_sums(dataset.covariates[eligible, k], groups, len(counts))
+        for k in range(dataset.num_covariates)
+    ]
+
+    def means(group: int) -> tuple[Fraction, ...]:
+        return tuple(
+            _scaled_fraction(totals[group], counts[group], exponent)
+            for totals, exponent in sums
+        )
+
+    before = tuple(
+        _scaled_fraction(sum(totals[0::2]), n_pos, exponent)
+        - _scaled_fraction(sum(totals[1::2]), n_neg, exponent)
+        for totals, exponent in sums
+    )
 
     after = None
     rows = None
     if subclasses is not None:
-        n_eligible = int(np.sum(subclasses.labels > 0))
+        sizes = np.bincount(subclasses.labels, minlength=S + 1).tolist()
+        n_assigned = sum(sizes[1:])
         row_list = []
-        K = dataset.num_covariates
-        total = [Fraction(0)] * K
-        for sid in range(1, subclasses.num_subclasses + 1):
-            members = subclasses.members(sid)
-            p = members[d[members] == 1]
-            n = members[d[members] == -1]
-            mean_p, mean_n, diff = _group_stats(X, p, n)
-            weight = Fraction(len(members), n_eligible)
+        total = [Fraction(0)] * dataset.num_covariates
+        for sid in range(1, S + 1):
+            mean_p = means(2 * sid)
+            mean_n = means(2 * sid + 1)
+            diff = tuple(a - b for a, b in zip(mean_p, mean_n))
+            weight = Fraction(sizes[sid], n_assigned)
             row_list.append(
                 SubclassBalanceRow(
                     subclass_id=sid,
-                    n_positive=len(p),
-                    n_negative=len(n),
+                    n_positive=counts[2 * sid],
+                    n_negative=counts[2 * sid + 1],
                     weight=weight,
                     mean_positive_exact=mean_p,
                     mean_negative_exact=mean_n,
                     difference_exact=diff,
                 )
             )
-            for k in range(K):
-                total[k] += weight * diff[k]
+            total = [t + weight * v for t, v in zip(total, diff)]
         after = tuple(total)
         rows = tuple(row_list)
 
     return ContrastBalance(
         contrast=target,
-        n_positive=len(pos),
-        n_negative=len(neg),
+        n_positive=n_pos,
+        n_negative=n_neg,
         before_exact=before,
         after_exact=after,
         subclass_rows=rows,
+        assignment=subclasses,
     )
 
 
@@ -369,34 +453,16 @@ def chained_propensity(
             )
 
     if estimator == "empirical":
-        values: list = [None] * dataset.n_units
-        cells: dict[tuple, list[int]] = {}
-        for i in range(dataset.n_units):
-            if not all(sv.defined_mask[i] for sv in base):
-                continue
-            key = tuple(sv.values[i] for sv in base)
-            cells.setdefault(key, []).append(i)
-        for key, idx in cells.items():
-            di = d[np.array(idx)]
-            n_pos = int(np.sum(di == 1))
-            n_neg = int(np.sum(di == -1))
-            if n_pos + n_neg == 0:
-                continue
-            value = Fraction(n_pos, n_pos + n_neg)
-            for i in idx:
-                values[i] = value
-        return ScoreVector(values)
+        # cells of equal balancing-score tuples; a tuple with an undefined
+        # score holds no eligible unit, so its cell stays undefined
+        cell, num_cells = _dense_ids([sv.dense_ranks() for sv in base])
+        cell.setflags(write=False)
+        n_pos = np.bincount(cell[d == 1], minlength=num_cells)
+        n_either = np.bincount(cell[eligible], minlength=num_cells)
+        return ScoreVector.from_ratios(n_pos, n_either, index=cell)
 
     features = np.column_stack([sv.as_floats() for sv in base])
-    model = fit_binary_logistic(
-        features[eligible],
-        (d[eligible] == 1),
-        ridge=ridge,
-        max_iter=max_iter,
-        tol=tol,
-    )
-    scores = _predict_binary_matrix(model, features)
-    return ScoreVector([float(s) for s in scores])
+    return _logistic_scores(features, d, ridge=ridge, max_iter=max_iter, tol=tol)
 
 
 def run_algorithm(
@@ -408,8 +474,10 @@ def run_algorithm(
     """Full chained-balancing pass over a list of target contrasts.
 
     For each target: chained propensity score, subclassification, and
-    before/after covariate mean differences.  A failure for one target is
-    recorded in its report entry without aborting the others.
+    before/after covariate mean differences; each entry keeps the score and
+    the subclasses it was computed from.  A failure for one target
+    (including a Newton fit that did not converge) is recorded in its report
+    entry without aborting the others.
     """
     entries = []
     for target in targets:
@@ -428,7 +496,8 @@ def run_algorithm(
                 scores, d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,
             )
-            entries.append(covariate_mean_difference(dataset, target, assignment))
+            entry = covariate_mean_difference(dataset, target, assignment)
+            entries.append(replace(entry, scores=scores))
         except CspsError as exc:
             entries.append(
                 ContrastBalance(

@@ -23,7 +23,7 @@ import numpy as np
 from . import example_data
 from .balancing import AlgorithmConfig, chained_propensity, run_algorithm, subclassify
 from .contrasts import assignment_indicators, read_contrast_file
-from .data import build_cell_index, load_dataset, write_dataset_csv
+from .data import load_dataset, write_dataset_csv
 from .errors import (
     AllZero,
     CspsError,
@@ -101,10 +101,6 @@ def _out_path(args, config, filename: str) -> Path:
     return outdir / filename
 
 
-def _score_text(value) -> str:
-    return "" if value is None else format(float(value), ".17g")
-
-
 def cmd_example(args, config) -> int:
     dataset = example_data.worked_example_dataset()
     first = empirical_csps(dataset, example_data.FIRST_CONTRAST)
@@ -122,7 +118,7 @@ def cmd_example(args, config) -> int:
 
     print("worked example: 24 units, 3 treatments, 4 covariate cells")
     print("cell            units  score1  score2  chained  subclass")
-    for key, idx in build_cell_index(dataset):
+    for key, idx in dataset.cell_index:
         cell = "(" + ", ".join(str(int(v)) for v in key) + ")"
         sub = {int(assignment.labels[i]) for i in idx if assignment.labels[i] > 0}
         print(
@@ -162,10 +158,10 @@ def cmd_estimate(args, config) -> int:
             scores = empirical_csps(dataset, c)
         else:
             scores = model_csps(dataset, c, ridge=ridge)
-        columns[f"d[{tag}]"] = [int(v) for v in d]
+        columns[f"d[{tag}]"] = d.tolist()
         columns[f"csps[{tag}]"] = [
-            _score_text(v) if ok else ""
-            for v, ok in zip(scores.values, scores.defined_mask)
+            format(v, ".17g") if ok else ""
+            for v, ok in zip(scores.as_floats().tolist(), scores.defined_mask.tolist())
         ]
 
     path = _out_path(args, config, "scores.csv")
@@ -207,37 +203,38 @@ def cmd_balance(args, config) -> int:
         print(f"wrote {path}")
     per_unit = _resolve(args, config, "per_unit", None, str)
     if per_unit:
-        _write_per_unit_csv(dataset, balancing, report, algo, per_unit)
+        _write_per_unit_csv(dataset, report, per_unit)
         print(f"wrote {per_unit}")
     if any(e.error for e in report.entries):
         return 3
     return 0
 
 
-def _write_per_unit_csv(dataset, balancing, report, algo, path) -> None:
-    """Mirror the dataset plus chained score and subclass columns per target."""
+def _blank_where(values: np.ndarray, blank: np.ndarray) -> list:
+    """``values`` as a list of Python numbers, ``None`` where ``blank``."""
+    column = values.astype(object)
+    column[blank] = None
+    return column.tolist()
+
+
+def _write_per_unit_csv(dataset, report, path) -> None:
+    """Mirror the dataset plus chained score and subclass columns per target.
+
+    The columns come from the scores and subclasses the report kept.
+    """
     extras: dict[str, list] = {}
     for entry in report.entries:
         if entry.error is not None:
             continue
-        target = entry.contrast
-        scores = chained_propensity(
-            dataset, balancing, target, estimator=algo.estimator,
-            ridge=algo.ridge, max_iter=algo.max_iter, tol=algo.tol,
+        tag = entry.contrast.describe()
+        labels = entry.assignment.labels
+        extras[f"d[{tag}]"] = assignment_indicators(
+            entry.contrast, dataset.treatments
+        ).tolist()
+        extras[f"score[{tag}]"] = _blank_where(
+            entry.scores.as_floats(), ~entry.scores.defined_mask
         )
-        d = assignment_indicators(target, dataset.treatments)
-        assignment = subclassify(
-            scores, d, method=algo.subclass_method,
-            num_subclasses=algo.num_subclasses,
-        )
-        tag = target.describe()
-        extras[f"d[{tag}]"] = [int(v) for v in d]
-        extras[f"score[{tag}]"] = [
-            v if ok else None for v, ok in zip(scores.values, scores.defined_mask)
-        ]
-        extras[f"subclass[{tag}]"] = [
-            int(s) if s > 0 else None for s in assignment.labels
-        ]
+        extras[f"subclass[{tag}]"] = _blank_where(labels, labels == 0)
     write_dataset_csv(dataset, path, extras)
 
 

@@ -33,7 +33,6 @@ from .errors import (
 __all__ = [
     "Contrast",
     "Bifurcation",
-    "validate_contrast",
     "sgn_bifurcate",
     "bounded_bifurcate",
     "is_orthogonal",
@@ -145,11 +144,6 @@ class Contrast:
     def __repr__(self):
         lab = f", label={self.label!r}" if self.label else ""
         return f"Contrast(({', '.join(str(v) for v in self.coefficients)}){lab})"
-
-
-def validate_contrast(coefficients: Iterable, label: str | None = None) -> Contrast:
-    """Build a :class:`Contrast`, raising on any invariant violation."""
-    return Contrast(coefficients, label)
 
 
 class Bifurcation:

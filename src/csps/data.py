@@ -60,6 +60,7 @@ class Dataset:
         self.num_treatments = int(num_treatments)
         self.covariate_names = covariate_names
         self.treatment_name = treatment_name
+        self._cell_index = None
         present = set(np.unique(w).tolist())
         absent = tuple(t for t in range(1, num_treatments + 1) if t not in present)
         self.absent_treatments = absent
@@ -76,6 +77,13 @@ class Dataset:
     def num_covariates(self) -> int:
         return self.covariates.shape[1]
 
+    @property
+    def cell_index(self) -> "CellIndex":
+        """The exact-cell index of the covariate rows, built on first use."""
+        if self._cell_index is None:
+            self._cell_index = build_cell_index(self)
+        return self._cell_index
+
     def __len__(self) -> int:
         return self.n_units
 
@@ -86,21 +94,39 @@ class Dataset:
         )
 
 
+def _index_dtype(n: int):
+    """int32 when it can index ``n`` entries (halving per-unit index arrays), else intp."""
+    return np.int32 if n < 2 ** 31 else np.intp
+
+
 class CellIndex:
     """Partition of units into cells of byte-identical covariate rows.
 
     Cells are ordered canonically (ascending covariate values), so everything
     derived from the index is invariant to the unit order in the dataset.
+    ``rows[c]`` is the covariate row of cell ``c`` and ``cell_of_unit[i]`` the
+    cell of unit ``i``; ``keys`` and ``groups`` spell the same partition out
+    as one tuple and one index array per cell.
     """
 
-    def __init__(self, keys, groups, cell_of_unit):
-        self.keys = keys  # list of covariate-row tuples, one per cell
-        self.groups = groups  # list of index arrays, aligned with keys
+    def __init__(self, rows: np.ndarray, cell_of_unit: np.ndarray):
+        self.rows = rows  # (num_cells, K) covariate rows, one per cell
         self.cell_of_unit = cell_of_unit  # (N,) int array
 
     @property
     def num_cells(self) -> int:
-        return len(self.keys)
+        return self.rows.shape[0]
+
+    @property
+    def keys(self) -> list[tuple]:
+        """Covariate rows as tuples, one per cell."""
+        return [tuple(row) for row in self.rows.tolist()]
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """Ascending unit indices of each cell, aligned with ``keys``."""
+        order = np.argsort(self.cell_of_unit, kind="stable")
+        return np.split(order, np.cumsum(self.sizes()))[:-1]
 
     def __len__(self) -> int:
         return self.num_cells
@@ -109,26 +135,28 @@ class CellIndex:
         return iter(zip(self.keys, self.groups))
 
     def sizes(self) -> list[int]:
-        return [len(g) for g in self.groups]
+        return np.bincount(self.cell_of_unit, minlength=self.num_cells).tolist()
 
 
 def build_cell_index(dataset: Dataset) -> CellIndex:
-    """Group units by exact (byte-level) equality of their covariate rows."""
-    by_key: dict[bytes, list[int]] = {}
-    rows: dict[bytes, tuple] = {}
-    X = dataset.covariates
-    for i in range(dataset.n_units):
-        key = X[i].tobytes()
-        by_key.setdefault(key, []).append(i)
-        if key not in rows:
-            rows[key] = tuple(X[i].tolist())
-    order = sorted(by_key, key=lambda k: (rows[k], k))
-    keys = [rows[k] for k in order]
-    groups = [np.array(by_key[k], dtype=int) for k in order]
-    cell_of_unit = np.empty(dataset.n_units, dtype=int)
-    for c, g in enumerate(groups):
-        cell_of_unit[g] = c
-    return CellIndex(keys, groups, cell_of_unit)
+    """Group units by exact (byte-level) equality of their covariate rows.
+
+    Rows that differ only in the sign of a zero are separate cells.  Cells
+    are ordered by their covariate values, first column first; cells with
+    equal values (such rows) follow the order of their bytes.
+    """
+    X = np.ascontiguousarray(dataset.covariates)
+    as_bytes = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    # np.unique orders the distinct rows by their bytes; the stable sort by
+    # value keeps that order among rows of equal value
+    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+    rows = X[first]
+    order = np.lexsort(rows.T[::-1])
+    rank = np.empty(len(order), dtype=_index_dtype(len(order)))
+    rank[order] = np.arange(len(order))
+    cell_of_unit = rank[inverse]
+    cell_of_unit.setflags(write=False)
+    return CellIndex(rows[order], cell_of_unit)
 
 
 def _parse_float(token: str, where: str) -> float:

@@ -77,6 +77,10 @@ class SingularHessian(CspsError):
     """Newton update failed and step-halving could not rescue it."""
 
 
+class NotConverged(CspsError):
+    """A Newton fit reached its iteration limit with the gradient above tolerance."""
+
+
 class ZeroDenominator(CspsError):
     """No probability mass on the treatments the contrast actually uses."""
 

@@ -3,8 +3,10 @@
 The score of a bifurcation is the conditional probability, given covariates,
 of landing in its positive group among units assigned to either group.  Two
 estimators are provided: empirical frequencies over exact covariate cells
-(kept as exact rationals), and Newton maximum likelihood for binary or
-multinomial logistic models.
+(kept exactly, as reduced integer numerator and denominator arrays), and
+Newton maximum likelihood for binary or multinomial logistic models.  Both
+return a :class:`ScoreVector`, which holds arrays rather than per-unit
+Python objects.
 
 Scores are predicted for every unit, including units outside the bifurcation:
 the score is a function of the covariates alone, and downstream chaining uses
@@ -21,10 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, build_cell_index
+from .data import Dataset, _index_dtype
 from .errors import (
     DimensionMismatch,
     MissingClass,
+    NotConverged,
     OneClassOnly,
     SeparationDetected,
     SingularHessian,
@@ -449,47 +452,233 @@ def predict_multinomial(model: MultinomialLogisticModel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # score vectors
 
+# below this every int64 converts to float64 exactly, so a quotient of two
+# converted ints is the correctly rounded value of the fraction
+_EXACT_FLOAT_INT = 2 ** 53
+# packed group keys stay below this, so one more multiply-add cannot
+# overflow int64
+_KEY_LIMIT = 2 ** 62
+
+
+def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Ids ``0..n-1`` of the distinct values of ``key`` (all below ``span``), and n.
+
+    Ids ascend with the value.  A span up to about twice the key length is
+    renumbered through a lookup table, without sorting: its int32 table then
+    takes less memory than the sort temporaries of ``np.unique``, which
+    renumbers larger spans.
+    """
+    if span > 2 * len(key) + 1024:
+        distinct, ids = np.unique(key, return_inverse=True)
+        return ids.astype(_index_dtype(len(distinct)), copy=False), len(distinct)
+    table = np.zeros(span, dtype=_index_dtype(span))
+    table[key] = 1
+    np.cumsum(table, out=table)
+    ids = table[key]
+    ids -= 1
+    return ids, int(table[-1])
+
+
+def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Ids ``0..n-1`` of the distinct rows of equal-length nonnegative int columns.
+
+    Equal rows share an id.  The columns are packed into one int64 key, and
+    the key is renumbered before it could overflow and once at the end.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    span = 1
+    for col in columns:
+        width = int(col.max(initial=0)) + 1
+        if span * width >= _KEY_LIMIT:
+            key, span = _renumber(key, span)
+            if span * width >= _KEY_LIMIT:
+                col, width = _renumber(col, width)
+        key = key * np.int64(width) + col
+        span *= width
+    return _renumber(key, span)
+
 
 class ScoreVector:
     """Per-unit scores in [0, 1] with an explicit defined/undefined mask.
 
-    Values are exact :class:`~fractions.Fraction` objects when produced by
-    the empirical estimator and floats when produced by a model.  Undefined
-    entries (cells without any group member) hold ``None``.
+    Scores are held as arrays, never as per-unit objects.  Model scores are
+    one float64 per unit.  Exact scores (empirical cell frequencies) are
+    reduced int64 numerator and denominator arrays with one entry per
+    source of values, typically a cell, plus the entry of every unit; a zero
+    denominator marks an undefined entry (a cell without group members).
+    ``values`` spells the scores out as a tuple of floats,
+    :class:`~fractions.Fraction` objects and ``None``; it is built on first
+    access, and the pipeline never reads it.
+
+    The constructor takes such a per-unit sequence: when every defined item
+    is an int or a Fraction the scores are exact, otherwise floats.  A mix
+    of Fractions and floats is therefore held as floats: each Fraction is
+    rounded to the nearest float, ``values`` returns floats, and exact
+    subclassing groups by the rounded values.
+    :meth:`from_floats` and :meth:`from_ratios` wrap arrays directly.
     """
 
-    __slots__ = ("values", "defined_mask")
+    __slots__ = (
+        "defined_mask", "_floats", "_numerators", "_denominators", "_index", "_values",
+    )
 
     def __init__(self, values: Sequence, defined_mask=None):
         vals = tuple(values)
         if defined_mask is None:
-            mask = np.array([v is not None for v in vals], dtype=bool)
+            mask = [v is not None for v in vals]
         else:
             mask = np.array(defined_mask, dtype=bool)
             if mask.shape != (len(vals),):
                 raise ValueError("defined_mask length must match values")
-        for v, ok in zip(vals, mask):
-            if not ok:
-                continue
-            if v is None or not 0 <= v <= 1:
-                raise ValueError(f"defined score {v!r} outside [0, 1]")
-        self.values = vals
+            mask = mask.tolist()
+        defined = [v for v, ok in zip(vals, mask) if ok]
+        if any(v is None for v in defined):
+            raise ValueError("a defined score is None")
+        if all(isinstance(v, (Fraction, int, np.integer)) for v in defined):
+            # one entry per distinct value; entry 0 stands for undefined
+            entries: dict = {None: 0}
+            index = [
+                entries.setdefault(Fraction(v) if ok else None, len(entries))
+                for v, ok in zip(vals, mask)
+            ]
+            fractions = list(entries)[1:]
+            try:
+                num = np.array([0] + [f.numerator for f in fractions], dtype=np.int64)
+                den = np.array([0] + [f.denominator for f in fractions], dtype=np.int64)
+            except OverflowError:
+                raise ValueError(
+                    "exact scores need numerators and denominators that fit in int64"
+                ) from None
+            self._set(numerators=num, denominators=den, index=np.array(index, dtype=np.intp))
+        else:
+            floats = [float(v) if ok else np.nan for v, ok in zip(vals, mask)]
+            self._set(floats=np.array(floats, dtype=float), mask=np.array(mask, dtype=bool))
+
+    @classmethod
+    def from_floats(cls, scores) -> "ScoreVector":
+        """Float scores, all defined, from an array (copied)."""
+        floats = np.array(scores, dtype=float)
+        if floats.ndim != 1:
+            raise ValueError("scores must be a vector")
+        self = cls.__new__(cls)
+        self._set(floats=floats, mask=np.ones(floats.shape, dtype=bool))
+        return self
+
+    @classmethod
+    def from_ratios(cls, numerators, denominators, index) -> "ScoreVector":
+        """Exact scores: unit ``i`` scores ``numerators[j] / denominators[j]``, j = index[i].
+
+        The entries are nonnegative ints, typically one per cell, so the
+        fractions are reduced per entry rather than per unit.  A zero
+        denominator marks an undefined score.  A read-only ``index`` is kept
+        without a copy.
+        """
+        num = np.array(numerators, dtype=np.int64)
+        den = np.array(denominators, dtype=np.int64)
+        if num.ndim != 1 or num.shape != den.shape:
+            raise ValueError("numerators and denominators must be vectors of one length")
+        divisor = np.gcd(num, den)
+        divisor[divisor == 0] = 1
+        num //= divisor
+        den //= divisor
+        index = np.asarray(index)
+        if index.flags.writeable:
+            index = index.copy()
+        self = cls.__new__(cls)
+        self._set(numerators=num, denominators=den, index=index)
+        return self
+
+    def _set(self, floats=None, mask=None, numerators=None, denominators=None, index=None):
+        if floats is not None:
+            bad = np.flatnonzero(mask & ~((floats >= 0) & (floats <= 1)))
+            if bad.size:
+                raise ValueError(
+                    f"defined score {floats[bad[0]]!r} of unit {int(bad[0])} outside [0, 1]"
+                )
+        else:
+            valid = (denominators == 0) | (
+                (denominators > 0) & (numerators >= 0) & (numerators <= denominators)
+            )
+            bad = np.flatnonzero(~valid)
+            if bad.size:
+                j = int(bad[0])
+                raise ValueError(
+                    f"score {numerators[j]}/{denominators[j]} outside [0, 1]"
+                )
+            mask = (denominators > 0)[index]
+        for array in (floats, mask, numerators, denominators, index):
+            if array is not None:
+                array.setflags(write=False)
         self.defined_mask = mask
-        self.defined_mask.setflags(write=False)
+        self._floats = floats
+        self._numerators = numerators
+        self._denominators = denominators
+        self._index = index
+        self._values = None
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.defined_mask)
 
     @property
     def is_exact(self) -> bool:
-        return all(
-            isinstance(v, (Fraction, int)) for v, ok in zip(self.values, self.defined_mask) if ok
-        )
+        return self._floats is None
+
+    @property
+    def values(self) -> tuple:
+        """Per-unit scores: floats or Fractions, ``None`` where undefined."""
+        if self._values is None:
+            if self._floats is not None:
+                self._values = tuple(
+                    v if ok else None
+                    for v, ok in zip(self._floats.tolist(), self.defined_mask.tolist())
+                )
+            else:
+                entries = [
+                    Fraction(n, d) if d else None
+                    for n, d in zip(self._numerators.tolist(), self._denominators.tolist())
+                ]
+                self._values = tuple(entries[j] for j in self._index.tolist())
+        return self._values
 
     def as_floats(self, fill: float = np.nan) -> np.ndarray:
-        return np.array(
-            [float(v) if ok else fill for v, ok in zip(self.values, self.defined_mask)]
+        """Scores as float64 (exact ones correctly rounded), ``fill`` where undefined."""
+        if self._floats is not None:
+            return np.where(self.defined_mask, self._floats, fill)
+        num, den = self._numerators, self._denominators
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entry = num / den
+        wide = np.flatnonzero(den > _EXACT_FLOAT_INT)
+        if wide.size:
+            entry[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
+        entry[den == 0] = fill
+        return entry[self._index]
+
+    def dense_ranks(self, units=None) -> np.ndarray:
+        """Small nonnegative ranks of the scores of ``units`` (default: all).
+
+        Ranks ascend with the score and are equal exactly for equal scores;
+        undefined scores share one rank above all others.  Ranks need not be
+        consecutive.  Exact scores are ranked per entry, where equal reduced
+        numerators and denominators mean equal values, and Fractions are made
+        only to order the few distinct values.
+        """
+        pick = slice(None) if units is None else units
+        if self._floats is not None:
+            scores = np.where(self.defined_mask[pick], self._floats[pick], np.inf)
+            return np.unique(scores, return_inverse=True)[1]
+        num, den = self._numerators, self._denominators
+        ids, n = _dense_ids([num, den])
+        # equal ids carry equal values, so these writes agree
+        nums = np.zeros(n, dtype=np.int64)
+        dens = np.zeros(n, dtype=np.int64)
+        nums[ids], dens[ids] = num, den
+        nums, dens = nums.tolist(), dens.tolist()
+        order = sorted(
+            (j for j in range(n) if dens[j]), key=lambda j: Fraction(nums[j], dens[j])
         )
+        rank = np.full(n, len(order), dtype=_index_dtype(n + 1))
+        rank[order] = np.arange(len(order))
+        return rank[ids][self._index[pick]]
 
 
 def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
@@ -506,16 +695,37 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
             f"dataset has {dataset.num_treatments}"
         )
     d = assignment_indicators(contrast, dataset.treatments)
-    values: list = [None] * dataset.n_units
-    for _, idx in build_cell_index(dataset):
-        n_pos = int(np.sum(d[idx] == 1))
-        n_neg = int(np.sum(d[idx] == -1))
-        if n_pos + n_neg == 0:
-            continue
-        value = Fraction(n_pos, n_pos + n_neg)
-        for i in idx:
-            values[i] = value
-    return ScoreVector(values)
+    cells = dataset.cell_index
+    n_pos = np.bincount(cells.cell_of_unit[d == 1], minlength=cells.num_cells)
+    n_either = np.bincount(cells.cell_of_unit[d != 0], minlength=cells.num_cells)
+    return ScoreVector.from_ratios(n_pos, n_either, index=cells.cell_of_unit)
+
+
+def _logistic_scores(
+    features, d, ridge: float = 0.0, max_iter: int = 100, tol: float = 1e-8,
+    standardize: bool = False,
+) -> ScoreVector:
+    """Fit a binary logistic model on the units with ``d != 0``, score every unit.
+
+    ``d`` holds +1/-1/0 group indicators.  Raises :class:`NotConverged` when
+    the Newton fit stops at ``max_iter`` without reaching ``tol``.
+    """
+    F = _as_feature_matrix(features)
+    eligible = np.asarray(d) != 0
+    model = fit_binary_logistic(
+        F[eligible],
+        (np.asarray(d)[eligible] == 1),
+        ridge=ridge,
+        max_iter=max_iter,
+        tol=tol,
+        standardize=standardize,
+    )
+    if not model.converged:
+        raise NotConverged(
+            f"Newton fit stopped after {model.iterations} iterations with "
+            f"gradient norm {model.final_gradient_norm:.3g} (tol {tol:g})"
+        )
+    return ScoreVector.from_floats(_predict_binary_matrix(model, F))
 
 
 def model_csps(
@@ -537,17 +747,10 @@ def model_csps(
             f"dataset has {dataset.num_treatments}"
         )
     d = assignment_indicators(contrast, dataset.treatments)
-    eligible = d != 0
-    model = fit_binary_logistic(
-        dataset.covariates[eligible],
-        (d[eligible] == 1),
-        ridge=ridge,
-        max_iter=max_iter,
-        tol=tol,
+    return _logistic_scores(
+        dataset.covariates, d, ridge=ridge, max_iter=max_iter, tol=tol,
         standardize=standardize,
     )
-    scores = _predict_binary_matrix(model, dataset.covariates)
-    return ScoreVector([float(s) for s in scores])
 
 
 def csps_from_treatment_probs(probs, contrast: Contrast):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from csps.example_data import worked_example_dataset
+
+# Property tests draw the same examples on every run (derandomize), and no
+# per-example deadline applies, since timing on a loaded machine varies.
+settings.register_profile("csps", derandomize=True, deadline=None)
+settings.load_profile("csps")
 
 
 @pytest.fixture

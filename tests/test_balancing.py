@@ -257,6 +257,32 @@ class TestRunAlgorithm:
         report = run_algorithm(example, [FIRST_CONTRAST], [])
         assert len(report) == 0
 
+    def test_entries_keep_scores_and_subclasses(self, example):
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        report = run_algorithm(
+            example, [FIRST_CONTRAST, SECOND_CONTRAST], [TARGET_CONTRAST], config
+        )
+        entry = report.entries[0]
+        chained = chained_propensity(
+            example, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
+            estimator="empirical",
+        )
+        assert entry.scores.values == chained.values
+        assert entry.assignment.num_subclasses == entry.num_subclasses
+        assert np.array_equal(
+            entry.assignment.labels,
+            subclassify(chained, indicators(TARGET_CONTRAST, example), method="exact").labels,
+        )
+
+    def test_unconverged_fit_recorded_per_target(self):
+        dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
+        report = run_algorithm(
+            dataset, simulation_contrasts()[:2], simulation_contrasts(),
+            AlgorithmConfig(max_iter=1),
+        )
+        assert all(e.error.startswith("NotConverged:") for e in report.entries)
+        assert all(e.scores is None for e in report.entries)
+
     def test_per_target_errors_recorded(self):
         import warnings
 

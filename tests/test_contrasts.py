@@ -15,7 +15,6 @@ from csps.contrasts import (
     parse_contrast,
     read_contrast_file,
     sgn_bifurcate,
-    validate_contrast,
 )
 from csps.errors import (
     AllZero,
@@ -47,39 +46,39 @@ def random_contrast(rng, T=3, exact=False):
 
 class TestValidateContrast:
     def test_two_treatment_convention(self):
-        c = validate_contrast((1, -1))
+        c = Contrast((1, -1))
         assert c.coefficients == (Fraction(1), Fraction(-1))
 
     def test_one_active_two_controls(self):
-        c = validate_contrast(("1", "-1/2", "-1/2"))
+        c = Contrast(("1", "-1/2", "-1/2"))
         assert c.is_exact
         assert sum(c.coefficients) == 0
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(NotAContrast):
-            validate_contrast((1, 1, -1))
+            Contrast((1, 1, -1))
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZero):
-            validate_contrast((0, 0, 0))
+            Contrast((0, 0, 0))
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            validate_contrast((0,))
+            Contrast((0,))
         with pytest.raises(TooShort):
-            validate_contrast(())
+            Contrast(())
 
     def test_float_mode_tolerance(self):
-        validate_contrast((0.5 + 4e-13, 0.5, -1.0))
+        Contrast((0.5 + 4e-13, 0.5, -1.0))
         with pytest.raises(NotAContrast):
-            validate_contrast((0.5 + 1e-9, 0.5, -1.0))
+            Contrast((0.5 + 1e-9, 0.5, -1.0))
 
     def test_mixed_entries_fall_back_to_float(self):
-        c = validate_contrast((Fraction(1, 2), 0.5, -1.0))
+        c = Contrast((Fraction(1, 2), 0.5, -1.0))
         assert not c.is_exact
 
     def test_immutable(self):
-        c = validate_contrast((1, -1))
+        c = Contrast((1, -1))
         with pytest.raises(AttributeError):
             c.label = "x"
 

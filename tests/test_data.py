@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,39 @@ class TestCellIndex:
             warnings.simplefilter("ignore")
             d = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), num_treatments=2)
         assert build_cell_index(d).num_cells == 0
+
+    def test_signed_zeros_stay_separate_cells(self):
+        # rows equal in value but not in bytes are distinct cells; equal-valued
+        # cells follow the order of their bytes, which puts +0.0 before -0.0
+        X = [[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]
+        index = build_cell_index(Dataset(X, [1, 2, 1, 2]))
+        signs = [tuple(math.copysign(1.0, v) for v in key) for key in index.keys]
+        assert index.keys == [(0.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+        assert signs == [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+        assert index.cell_of_unit.tolist() == [2, 1, 2, 0]
+        assert [g.tolist() for g in index.groups] == [[3], [1], [0, 2]]
+
+    def test_single_cell(self):
+        d = Dataset([[2.5, -1.0]] * 7, [1, 2, 1, 2, 2, 1, 1])
+        index = build_cell_index(d)
+        assert index.num_cells == 1
+        assert index.keys == [(2.5, -1.0)]
+        assert index.sizes() == [7]
+        assert index.cell_of_unit.tolist() == [0] * 7
+        assert [g.tolist() for g in index.groups] == [list(range(7))]
+
+    def test_all_distinct_rows_in_value_order(self, rng):
+        X = rng.permutation(np.arange(25.0))[:, None] * np.array([[1.0, -1.0]])
+        d = Dataset(X, rng.integers(1, 3, size=25), num_treatments=2)
+        index = build_cell_index(d)
+        assert index.num_cells == 25
+        assert index.keys == sorted(tuple(row) for row in X.tolist())
+        for c, g in enumerate(index.groups):
+            assert g.tolist() == [int(np.flatnonzero(X[:, 0] == index.keys[c][0])[0])]
+
+    def test_built_once_per_dataset(self, example):
+        assert example.cell_index is example.cell_index
+        assert example.cell_index.keys == build_cell_index(example).keys
 
     def test_partition(self, rng):
         X = rng.integers(0, 2, size=(40, 3)).astype(float)

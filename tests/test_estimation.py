@@ -9,6 +9,7 @@ from csps.data import Dataset, build_cell_index
 from csps.errors import (
     DimensionMismatch,
     MissingClass,
+    NotConverged,
     OneClassOnly,
     SeparationDetected,
     ZeroDenominator,
@@ -332,6 +333,12 @@ class TestModelScores:
         values = scores.as_floats()
         assert np.abs(values - frequency).max() < 0.05
 
+    def test_unconverged_fit_raises(self):
+        dataset = sample_dataset(mechanism_ii(num_units=300, seed=2), 0)
+        with pytest.raises(NotConverged, match="after 1 iterations"):
+            model_csps(dataset, Contrast((1, -1, 0)), max_iter=1)
+        assert model_csps(dataset, Contrast((1, -1, 0)), max_iter=25).defined_mask.all()
+
     def test_separation_propagates(self, rng):
         x = np.concatenate([rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, -0.5, 30)])
         w = np.where(x > 0, 1, 2)
@@ -386,6 +393,32 @@ class TestScoreVector:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             ScoreVector([1.5, 0.5])
+        with pytest.raises(ValueError):
+            ScoreVector.from_floats([0.5, np.nan])
+        with pytest.raises(ValueError):
+            ScoreVector.from_ratios([3, 1], [2, 2], index=[0, 1])
+
+    def test_from_floats_wraps_a_copy(self):
+        raw = np.array([0.25, 0.75])
+        sv = ScoreVector.from_floats(raw)
+        raw[0] = 0.5
+        assert not sv.is_exact
+        assert sv.values == (0.25, 0.75)
+        assert sv.defined_mask.all()
+
+    def test_from_ratios_reduces_per_entry(self):
+        index = np.array([2, 0, 0, 1])
+        index.setflags(write=False)
+        sv = ScoreVector.from_ratios([2, 0, 3], [4, 0, 9], index=index)
+        assert sv.is_exact
+        assert sv.values == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), None)
+        assert sv.defined_mask.tolist() == [True, True, True, False]
+        assert sv.dense_ranks([0, 1, 2]).tolist() == [0, 1, 1]
+
+    def test_dense_ranks_order_exact_values(self):
+        sv = ScoreVector([Fraction(2, 3), Fraction(1, 3), None, Fraction(2, 3), 0])
+        ranks = sv.dense_ranks().tolist()
+        assert ranks[4] < ranks[1] < ranks[0] == ranks[3] < ranks[2]
 
     def test_mask_matches_none_entries(self):
         sv = ScoreVector([0.5, None, Fraction(1, 3)])
@@ -393,3 +426,11 @@ class TestScoreVector:
         floats = sv.as_floats()
         assert np.isnan(floats[1])
         assert floats[2] == pytest.approx(1 / 3)
+
+    def test_fractions_mixed_with_floats_are_rounded(self):
+        close = Fraction(1, 3) + Fraction(1, 2 ** 80)
+        sv = ScoreVector([0.5, Fraction(1, 3), close])
+        assert not sv.is_exact
+        assert sv.values == (0.5, 1 / 3, 1 / 3)
+        ranks = sv.dense_ranks().tolist()
+        assert ranks[1] == ranks[2] < ranks[0]

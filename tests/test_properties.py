@@ -1,0 +1,418 @@
+"""Property tests: the array arithmetic against per-unit Fraction references.
+
+Each reference below is the plain per-unit computation in exact rationals.
+The library must give the same Fractions and the same groupings, whatever
+the data and whatever the unit order.
+"""
+
+import warnings
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from csps import balancing
+from csps.balancing import (
+    AlgorithmConfig,
+    SubclassAssignment,
+    _exact_group_sums,
+    _merge_one_class_groups,
+    chained_propensity,
+    covariate_mean_difference,
+    run_algorithm,
+    subclassify,
+)
+from csps.contrasts import Contrast, assignment_indicators
+from csps.data import Dataset
+from csps.errors import CspsError
+from csps.estimation import ScoreVector, _dense_ids, empirical_csps
+from csps.simulation import simulation_contrasts
+
+EXTREMES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+    1.7976931348623157e308, 0.1, -2.5, 1.0,
+)
+FLOATS = st.one_of(
+    st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)
+)
+DISCRETE = st.sampled_from((0.0, -0.0, 1.0, 2.0))
+CONTRASTS = simulation_contrasts() + (Contrast((1, 1, -2), label="12-vs-3"),)
+
+
+def make_dataset(X, w) -> Dataset:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # absent treatments only warn
+        return Dataset(X, w, num_treatments=3)
+
+
+@st.composite
+def grouped_columns(draw, max_size=60):
+    """A float column, group labels 0..G-1 and G, with G from 1 to the size."""
+    n = draw(st.integers(1, max_size))
+    values = draw(st.lists(FLOATS, min_size=n, max_size=n))
+    num_groups = draw(st.integers(1, n))
+    groups = draw(st.lists(st.integers(0, num_groups - 1), min_size=n, max_size=n))
+    return np.array(values, dtype=float), np.array(groups, dtype=np.intp), num_groups
+
+
+@st.composite
+def datasets(draw, values=FLOATS, min_units=1, max_units=40):
+    n = draw(st.integers(min_units, max_units))
+    k = draw(st.integers(1, 3))
+    X = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
+    w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return np.array(X, dtype=float).reshape(n, k), np.array(w)
+
+
+def indicators(n: int):
+    return st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def reference_means(values, groups, num_groups) -> dict:
+    out = {}
+    for g in range(num_groups):
+        col = values[groups == g].tolist()
+        if col:
+            out[g] = sum(map(Fraction, col)) / len(col)
+    return out
+
+
+def library_means(values, groups, num_groups) -> dict:
+    totals, exponent = _exact_group_sums(values, groups, num_groups)
+    counts = np.bincount(groups, minlength=num_groups)
+    return {
+        g: Fraction(totals[g]) * Fraction(2) ** exponent / int(counts[g])
+        for g in range(num_groups)
+        if counts[g]
+    }
+
+
+def reference_balance(X, d, labels=None):
+    """Before/after differences and subclass rows, mean by mean in Fractions."""
+
+    def means(units):
+        if not units:
+            raise CspsError("empty group")
+        return tuple(
+            sum(Fraction(X[i, k]) for i in units) / len(units) for k in range(X.shape[1])
+        )
+
+    def diff(pos, neg):
+        return tuple(a - b for a, b in zip(means(pos), means(neg)))
+
+    before = diff(
+        [i for i in range(len(d)) if d[i] == 1], [i for i in range(len(d)) if d[i] == -1]
+    )
+    if labels is None:
+        return before, None, None
+    n_assigned = sum(1 for s in labels if s > 0)
+    rows, after = [], [Fraction(0)] * X.shape[1]
+    for sid in range(1, max(labels, default=0) + 1):
+        members = [i for i in range(len(d)) if labels[i] == sid]
+        pos = [i for i in members if d[i] == 1]
+        neg = [i for i in members if d[i] == -1]
+        delta = diff(pos, neg)
+        weight = Fraction(len(members), n_assigned)
+        rows.append((len(pos), len(neg), weight, means(pos), means(neg), delta))
+        after = [a + weight * v for a, v in zip(after, delta)]
+    return before, tuple(after), rows
+
+
+def reference_empirical(X, w, contrast) -> tuple:
+    d = assignment_indicators(contrast, w)
+    cells: dict[bytes, list[int]] = {}
+    for i, row in enumerate(X):
+        cells.setdefault(row.tobytes(), []).append(i)
+    values = [None] * len(w)
+    for units in cells.values():
+        n_pos = sum(1 for i in units if d[i] == 1)
+        n_either = sum(1 for i in units if d[i] != 0)
+        if n_either:
+            for i in units:
+                values[i] = Fraction(n_pos, n_either)
+    return tuple(values)
+
+
+def reference_chained(base: list[tuple], d) -> tuple:
+    cells: dict[tuple, list[int]] = {}
+    for i in range(len(d)):
+        key = tuple(values[i] for values in base)
+        if None not in key:
+            cells.setdefault(key, []).append(i)
+    values = [None] * len(d)
+    for units in cells.values():
+        n_pos = sum(1 for i in units if d[i] == 1)
+        n_either = sum(1 for i in units if d[i] != 0)
+        if n_either:
+            for i in units:
+                values[i] = Fraction(n_pos, n_either)
+    return tuple(values)
+
+
+def reference_exact_labels(values, d) -> list[int]:
+    eligible = [i for i in range(len(d)) if d[i] != 0]
+    distinct = sorted({values[i] for i in eligible})
+    groups = [np.array([i for i in eligible if values[i] == v]) for v in distinct]
+    labels = [0] * len(d)
+    for sid, g in enumerate(_merge_one_class_groups(groups, np.asarray(d)), start=1):
+        for i in g:
+            labels[i] = sid
+    return labels
+
+
+def can_subclass(values, d) -> bool:
+    eligible = [i for i in range(len(d)) if d[i] != 0]
+    return (
+        any(d[i] == 1 for i in eligible)
+        and any(d[i] == -1 for i in eligible)
+        and all(values[i] is not None for i in eligible)
+    )
+
+
+def report_numbers(report):
+    out = []
+    for e in report.entries:
+        rows = [
+            (r.n_positive, r.n_negative, r.weight, r.difference_exact)
+            for r in e.subclass_rows or ()
+        ]
+        out.append((e.error, e.n_positive, e.n_negative, e.before_exact, e.after_exact, rows))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact group sums
+
+
+@given(grouped_columns())
+def test_group_sums_equal_fraction_reference(case):
+    assert library_means(*case) == reference_means(*case)
+
+
+@given(grouped_columns(max_size=30))
+def test_group_sums_split_into_passes_agree(case):
+    with mock.patch.object(balancing, "_UNITS_PER_SUM", 4):
+        assert library_means(*case) == reference_means(*case)
+
+
+@given(grouped_columns(), st.randoms(use_true_random=False))
+def test_group_sums_ignore_unit_order(case, random):
+    values, groups, num_groups = case
+    order = list(range(len(values)))
+    random.shuffle(order)
+    assert _exact_group_sums(values[order], groups[order], num_groups) == _exact_group_sums(
+        values, groups, num_groups
+    )
+
+
+@given(datasets(min_units=2), st.sampled_from(CONTRASTS), st.data())
+def test_mean_differences_equal_fraction_reference(data_case, target, data):
+    X, w = data_case
+    dataset = make_dataset(X, w)
+    d = assignment_indicators(target, w)
+    S = data.draw(st.integers(1, 4))
+    labels = [data.draw(st.integers(0, S)) if v != 0 else 0 for v in d]
+    assignment = SubclassAssignment(labels, max(labels), "drawn")
+    try:
+        want = reference_balance(X, d, labels)
+    except CspsError:
+        with pytest.raises(CspsError):
+            covariate_mean_difference(dataset, target, assignment)
+        return
+    got = covariate_mean_difference(dataset, target, assignment)
+    before, after, rows = want
+    assert got.before_exact == before
+    assert got.after_exact == after
+    assert [
+        (r.n_positive, r.n_negative, r.weight, r.mean_positive_exact,
+         r.mean_negative_exact, r.difference_exact)
+        for r in got.subclass_rows
+    ] == rows
+
+
+@given(datasets(min_units=3))
+def test_telescoping_identity_is_exact(data_case):
+    X, w = data_case
+    dataset = make_dataset(X, w)
+    try:
+        d12, d23, d13 = (
+            covariate_mean_difference(dataset, Contrast(c)).before_exact
+            for c in ((1, -1, 0), (0, 1, -1), (1, 0, -1))
+        )
+    except CspsError:
+        return  # some treatment is absent
+    assert all(a == b + c for a, b, c in zip(d13, d12, d23))
+
+
+@given(datasets(values=st.sampled_from(EXTREMES), min_units=2), st.sampled_from(CONTRASTS))
+def test_subclasses_of_identical_rows_balance_exactly(data_case, target):
+    # saturated cells: a subclass of byte-identical rows has equal group means
+    X, w = data_case
+    dataset = make_dataset(X, w)
+    d = assignment_indicators(target, w)
+    cells = dataset.cell_index.cell_of_unit
+    both = [
+        c for c in range(dataset.cell_index.num_cells)
+        if (d[cells == c] == 1).any() and (d[cells == c] == -1).any()
+    ]
+    if not both:
+        return
+    labels = np.zeros(len(w), dtype=int)
+    for sid, c in enumerate(both, start=1):
+        labels[(cells == c) & (d != 0)] = sid
+    balance = covariate_mean_difference(
+        dataset, target, SubclassAssignment(labels, len(both), "cells")
+    )
+    assert all(v == 0 for row in balance.subclass_rows for v in row.difference_exact)
+    assert all(v == 0 for v in balance.after_exact)
+
+
+# ---------------------------------------------------------------------------
+# exact scores and exact subclasses
+
+
+@given(datasets(values=DISCRETE), st.sampled_from(CONTRASTS))
+def test_empirical_scores_equal_fraction_reference(data_case, contrast):
+    X, w = data_case
+    scores = empirical_csps(make_dataset(X, w), contrast)
+    want = reference_empirical(X, w, contrast)
+    assert scores.is_exact
+    assert scores.values == want
+    assert scores.defined_mask.tolist() == [v is not None for v in want]
+
+
+@given(
+    datasets(values=DISCRETE),
+    st.lists(st.sampled_from(CONTRASTS), min_size=1, max_size=3),
+    st.sampled_from(CONTRASTS),
+)
+def test_empirical_chained_scores_equal_fraction_reference(data_case, balancing_set, target):
+    X, w = data_case
+    dataset = make_dataset(X, w)
+    d = assignment_indicators(target, w)
+    base = [reference_empirical(X, w, c) for c in balancing_set]
+    eligible = [i for i in range(len(w)) if d[i] != 0]
+    if not (any(d == 1) and any(d == -1)) or any(
+        values[i] is None for values in base for i in eligible
+    ):
+        with pytest.raises(CspsError):
+            chained_propensity(dataset, balancing_set, target, estimator="empirical")
+        return
+    chained = chained_propensity(dataset, balancing_set, target, estimator="empirical")
+    assert chained.values == reference_chained(base, d)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            st.sampled_from((0, 1)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.data(),
+)
+def test_exact_subclasses_equal_fraction_reference(values, data):
+    d = np.array(data.draw(indicators(len(values))))
+    scores = ScoreVector(values)
+    if not can_subclass(values, d):
+        with pytest.raises(CspsError):
+            subclassify(scores, d, method="exact")
+        return
+    assignment = subclassify(scores, d, method="exact")
+    want = reference_exact_labels(values, d)
+    assert assignment.labels.tolist() == want
+    assert assignment.num_subclasses == max(want)
+
+
+@given(
+    st.lists(st.sampled_from((0.0, -0.0, 0.25, 0.5, 1.0, 1e-300)), min_size=2, max_size=40),
+    st.data(),
+)
+def test_exact_subclasses_of_float_scores_equal_reference(values, data):
+    d = np.array(data.draw(indicators(len(values))))
+    if not can_subclass(values, d):
+        return
+    assignment = subclassify(ScoreVector(values), d, method="exact")
+    assert assignment.labels.tolist() == reference_exact_labels(values, d)
+
+
+# ---------------------------------------------------------------------------
+# unit order
+
+
+@given(
+    datasets(values=DISCRETE, min_units=2),
+    st.sampled_from(["empirical", "logistic"]),
+    st.randoms(use_true_random=False),
+)
+def test_reports_do_not_depend_on_unit_order(data_case, estimator, random):
+    X, w = data_case
+    order = list(range(len(w)))
+    random.shuffle(order)
+    config = AlgorithmConfig(
+        estimator=estimator,
+        subclass_method="exact" if estimator == "empirical" else "quantile",
+        num_subclasses=3,
+    )
+    balancing_set = CONTRASTS[:2]
+    base = run_algorithm(make_dataset(X, w), balancing_set, CONTRASTS, config)
+    other = run_algorithm(make_dataset(X[order], w[order]), balancing_set, CONTRASTS, config)
+    assert report_numbers(other) == report_numbers(base)
+    for a, b in zip(base.entries, other.entries):
+        if a.error is None:
+            assert np.array_equal(
+                b.scores.as_floats(), a.scores.as_floats()[order], equal_nan=True
+            )
+            assert np.array_equal(b.assignment.labels, a.assignment.labels[order])
+
+
+# ---------------------------------------------------------------------------
+# building blocks
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((0, 7, 2 ** 40, 2 ** 62)), st.integers(0, 3)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_dense_ids_group_equal_rows(rows):
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    ids, n = _dense_ids([a, b])
+    assert n == len(set(rows))
+    assert sorted(set(ids.tolist())) == list(range(n))
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert (ids[i] == ids[j]) == (rows[i] == rows[j])
+            assert (ids[i] < ids[j]) == (rows[i] < rows[j])
+
+
+@given(
+    st.lists(
+        st.one_of(st.none(), st.fractions(min_value=0, max_value=1, max_denominator=2 ** 62)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_exact_scores_round_like_fractions(values):
+    scores = ScoreVector(values)
+    want = [float(v) if v is not None else None for v in values]
+    got = scores.as_floats().tolist()
+    assert [None if v is None else g for v, g in zip(values, got)] == want
+    assert scores.values == tuple(values)
+
+
+def test_exact_scores_must_fit_int64():
+    with pytest.raises(ValueError, match="int64"):
+        ScoreVector([Fraction(1, 2 ** 63)])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csps.balancing import run_algorithm
+from csps.balancing import AlgorithmConfig, run_algorithm
 from csps.contrasts import Contrast
 from csps.simulation import (
     SimulationConfig,
@@ -80,6 +80,16 @@ class TestRunExperiment:
         assert np.array_equal(a.before, b.before, equal_nan=True)
         assert np.array_equal(a.after, b.after, equal_nan=True)
         assert a.errors == b.errors
+
+    def test_unconverged_fits_are_counted_as_errors(self):
+        cfg = mechanism_ii(
+            num_units=200, replications=3, seed=4, algorithm=AlgorithmConfig(max_iter=1)
+        )
+        result = run_experiment(cfg)
+        assert len(result.errors) == 3 * len(cfg.targets)
+        assert all(message.startswith("NotConverged:") for _, _, message in result.errors)
+        assert np.isnan(result.before).all()
+        assert result.excluded_counts().tolist() == [3] * len(cfg.targets)
 
     def test_linearity_identity_per_replication(self):
         # group means telescope exactly: the 1-vs-3 difference equals the
