@@ -1,9 +1,10 @@
 """Chained balancing: scores as covariates, subclassification, diagnostics.
 
-The core routine estimates one score per balancing contrast, treats those J
-scores as covariates in an ordinary propensity analysis for a target
-bifurcation, subclassifies on the chained score, and reports covariate mean
-differences between the target's two groups before and after subclassing.
+The core routine estimates one score per balancing contrast, once per
+dataset, treats those J scores as covariates in an ordinary propensity
+analysis for each target bifurcation, subclassifies on the chained score,
+and reports covariate mean differences between the target's two groups
+before and after subclassing.
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -172,27 +173,46 @@ class SubclassAssignment:
         return np.flatnonzero(self.labels == subclass_id)
 
 
-def _merge_one_class_groups(groups: list[np.ndarray], d: np.ndarray) -> list[np.ndarray]:
-    """Merge groups lacking a +1 or a -1 unit into a neighbour toward the median."""
-    groups = [g for g in groups if len(g)]
-    while True:
-        bad = next(
-            (
-                k
-                for k, g in enumerate(groups)
-                if not ((d[g] == 1).any() and (d[g] == -1).any())
-            ),
-            None,
-        )
-        if bad is None:
-            return groups
-        if len(groups) == 1:
+def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
+    """Merge groups lacking a +1 or a -1 unit into a neighbour toward the median.
+
+    ``positive[g]`` and ``negative[g]`` count the units of either sign in
+    group g, groups in score order.  Empty groups are dropped.  Returns the
+    0-based merged subclass of every group and the number of subclasses.
+
+    The first group lacking a sign merges into the next group when it lies
+    below the middle of the groups left, else into the previous one, until
+    no group lacks a sign.  Groups before the first such group keep both
+    signs, and a merge only adds units, so one left-to-right pass that
+    resumes at the merge point makes the same merges as rescanning.
+    """
+    groups = [g for g in range(len(positive)) if positive[g] or negative[g]]
+    subclass = np.zeros(len(positive), dtype=np.intp)
+    left = len(groups)  # groups (merged or not) still apart
+    done = 0  # subclasses closed, each with both signs
+    members = []  # groups merged into the current one
+    pos = neg = 0
+    for g in groups:
+        members.append(g)
+        pos += positive[g]
+        neg += negative[g]
+        if pos and neg:
+            subclass[members] = done
+            done += 1
+            members, pos, neg = [], 0, 0
+        elif left == 1:
             raise TooFewUnits(
                 "subclasses cannot all contain both groups, even after merging"
             )
-        target = bad + 1 if bad < (len(groups) - 1) / 2 else bad - 1
-        groups[target] = np.concatenate([groups[target], groups[bad]])
-        del groups[bad]
+        elif done >= (left - 1) / 2:
+            # into the previous subclass, which keeps both signs
+            subclass[members] = done - 1
+            members, pos, neg = [], 0, 0
+            left -= 1
+        else:
+            # into the next group: carry on accumulating
+            left -= 1
+    return subclass, done
 
 
 def subclassify(
@@ -225,10 +245,9 @@ def subclassify(
             "undefined scores"
         )
 
+    # group[i]: the score-ordered group of eligible unit i before merging
     if method == "exact":
-        ranks = scores.dense_ranks(eligible)
-        order = np.argsort(ranks, kind="stable")
-        groups = np.split(eligible[order], np.flatnonzero(np.diff(ranks[order])) + 1)
+        group = scores.dense_ranks(eligible)
         tag = "exact-values"
     elif method == "quantile":
         S = int(num_subclasses)
@@ -236,22 +255,25 @@ def subclassify(
             raise ValueError("num_subclasses must be at least 1")
         vals = scores.as_floats()[eligible]
         if S == 1:
-            groups = [eligible.copy()]
+            group = np.zeros(eligible.size, dtype=np.intp)
         else:
             bounds = np.quantile(vals, np.arange(1, S) / S)
-            # label = number of boundaries strictly below the value, so ties
+            # group = number of boundaries strictly below the value, so ties
             # fall into the lower subclass
-            which = np.searchsorted(bounds, vals, side="left")
-            groups = [eligible[which == s] for s in range(S)]
+            group = np.searchsorted(bounds, vals, side="left")
         tag = f"quantile({S})"
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 
-    groups = _merge_one_class_groups(groups, d)
+    sign = d[eligible]
+    num_groups = int(group.max()) + 1
+    subclass, num_merged = _merge_one_class_groups(
+        np.bincount(group[sign == 1], minlength=num_groups).tolist(),
+        np.bincount(group[sign == -1], minlength=num_groups).tolist(),
+    )
     labels = np.zeros(len(scores), dtype=np.intp)
-    for sid, g in enumerate(groups, start=1):
-        labels[g] = sid
-    return SubclassAssignment(labels, len(groups), tag)
+    labels[eligible] = subclass[group] + 1
+    return SubclassAssignment(labels, num_merged, tag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,6 +432,78 @@ def covariate_mean_difference(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _BalancingDesign:
+    """The J balancing scores of one dataset, in the form the chained fit reads.
+
+    The scores depend on the dataset and the balancing set only, so one
+    design serves every target.  ``defined[j]`` marks the units where score
+    j is defined.  The logistic design is the N x J float matrix of scores;
+    the empirical one is the read-only cell of every unit's score tuple,
+    which every target's chained scores share as their index.
+    """
+
+    contrasts: tuple[Contrast, ...]
+    defined: np.ndarray
+    features: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    num_cells: int = 0
+
+
+def _balancing_design(
+    dataset: Dataset,
+    balancing: Sequence[Contrast],
+    estimator: str,
+    ridge: float,
+    max_iter: int,
+    tol: float,
+) -> _BalancingDesign:
+    """Fit the J balancing scores once and build the chained design from them."""
+    balancing = tuple(balancing)
+    if not balancing:
+        raise ValueError("at least one balancing contrast is required")
+    if estimator not in ("empirical", "logistic"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+
+    if estimator == "empirical":
+        base = [empirical_csps(dataset, c) for c in balancing]
+    else:
+        base = [
+            model_csps(dataset, c, ridge=ridge, max_iter=max_iter, tol=tol)
+            for c in balancing
+        ]
+    defined = np.stack([sv.defined_mask for sv in base])
+    if estimator == "logistic":
+        features = np.column_stack([sv.as_floats() for sv in base])
+        return _BalancingDesign(balancing, defined, features=features)
+    # cells of equal balancing-score tuples; a tuple with an undefined score
+    # holds no eligible unit of any target that passes the checks, so its
+    # cell stays undefined
+    cells, num_cells = _dense_ids([sv.dense_ranks() for sv in base])
+    cells.setflags(write=False)
+    return _BalancingDesign(balancing, defined, cells=cells, num_cells=num_cells)
+
+
+def _chained_scores(
+    design: _BalancingDesign, d: np.ndarray, ridge: float, max_iter: int, tol: float
+) -> ScoreVector:
+    """The target's chained score from a balancing design; ``d`` is its indicator."""
+    eligible = np.flatnonzero(d != 0)
+    if not (d == 1).any() or not (d == -1).any():
+        raise OneClassOnly("target bifurcation has an empty group")
+    undefined = ~design.defined[:, eligible].all(axis=1)
+    if undefined.any():
+        raise UndefinedScores(
+            f"balancing score {design.contrasts[int(undefined.argmax())].describe()} "
+            "is undefined on units of the target bifurcation"
+        )
+    if design.cells is not None:
+        n_pos = np.bincount(design.cells[d == 1], minlength=design.num_cells)
+        n_either = np.bincount(design.cells[eligible], minlength=design.num_cells)
+        return ScoreVector.from_ratios(n_pos, n_either, index=design.cells)
+    return _logistic_scores(design.features, d, ridge=ridge, max_iter=max_iter, tol=tol)
+
+
 def chained_propensity(
     dataset: Dataset,
     balancing: Sequence[Contrast],
@@ -425,44 +519,16 @@ def chained_propensity(
     probability of the target's positive group given those J scores, using
     exact cells of the score tuple (``estimator="empirical"``) or a binary
     logistic fit (``estimator="logistic"``).  Scores are predicted for every
-    unit.
+    unit.  This is one target's share of :func:`run_algorithm`, which fits
+    the balancing scores once for all of its targets.
     """
-    balancing = list(balancing)
-    if not balancing:
-        raise ValueError("at least one balancing contrast is required")
-    if estimator not in ("empirical", "logistic"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-
-    if estimator == "empirical":
-        base = [empirical_csps(dataset, c) for c in balancing]
-    else:
-        base = [
-            model_csps(dataset, c, ridge=ridge, max_iter=max_iter, tol=tol)
-            for c in balancing
-        ]
-
+    design = _balancing_design(dataset, balancing, estimator, ridge, max_iter, tol)
     d = assignment_indicators(target, dataset.treatments)
-    eligible = np.flatnonzero(d != 0)
-    if not (d == 1).any() or not (d == -1).any():
-        raise OneClassOnly("target bifurcation has an empty group")
-    for j, sv in enumerate(base):
-        if not sv.defined_mask[eligible].all():
-            raise UndefinedScores(
-                f"balancing score {balancing[j].describe()} is undefined on "
-                "units of the target bifurcation"
-            )
+    return _chained_scores(design, d, ridge, max_iter, tol)
 
-    if estimator == "empirical":
-        # cells of equal balancing-score tuples; a tuple with an undefined
-        # score holds no eligible unit, so its cell stays undefined
-        cell, num_cells = _dense_ids([sv.dense_ranks() for sv in base])
-        cell.setflags(write=False)
-        n_pos = np.bincount(cell[d == 1], minlength=num_cells)
-        n_either = np.bincount(cell[eligible], minlength=num_cells)
-        return ScoreVector.from_ratios(n_pos, n_either, index=cell)
 
-    features = np.column_stack([sv.as_floats() for sv in base])
-    return _logistic_scores(features, d, ridge=ridge, max_iter=max_iter, tol=tol)
+def _error_text(exc: CspsError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_algorithm(
@@ -473,25 +539,32 @@ def run_algorithm(
 ) -> BalanceReport:
     """Full chained-balancing pass over a list of target contrasts.
 
-    For each target: chained propensity score, subclassification, and
-    before/after covariate mean differences; each entry keeps the score and
-    the subclasses it was computed from.  A failure for one target
-    (including a Newton fit that did not converge) is recorded in its report
-    entry without aborting the others.
+    The J balancing scores are fitted once per dataset, not per target; with
+    no targets nothing is fitted.  Then for each target: chained propensity
+    score, subclassification, and before/after covariate mean differences;
+    each entry keeps the score and the subclasses it was computed from.  A
+    failure for one target (including a Newton fit that did not converge) is
+    recorded in its report entry without aborting the others; a failed
+    balancing fit is recorded on every target.
     """
+    targets = tuple(targets)
+    design = failure = None
+    if targets:
+        try:
+            design = _balancing_design(
+                dataset, balancing, config.estimator,
+                config.ridge, config.max_iter, config.tol,
+            )
+        except CspsError as exc:
+            failure = _error_text(exc)
     entries = []
     for target in targets:
+        if failure is not None:
+            entries.append(ContrastBalance(contrast=target, error=failure))
+            continue
         try:
-            scores = chained_propensity(
-                dataset,
-                balancing,
-                target,
-                estimator=config.estimator,
-                ridge=config.ridge,
-                max_iter=config.max_iter,
-                tol=config.tol,
-            )
             d = assignment_indicators(target, dataset.treatments)
+            scores = _chained_scores(design, d, config.ridge, config.max_iter, config.tol)
             assignment = subclassify(
                 scores, d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,
@@ -499,12 +572,7 @@ def run_algorithm(
             entry = covariate_mean_difference(dataset, target, assignment)
             entries.append(replace(entry, scores=scores))
         except CspsError as exc:
-            entries.append(
-                ContrastBalance(
-                    contrast=target,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
     return BalanceReport(
         covariate_names=dataset.covariate_names, entries=tuple(entries)
     )

@@ -236,6 +236,19 @@ def load_dataset(
     )
 
 
+# rows are formatted a block at a time: only one block's Python floats and
+# strings exist at once
+_ROWS_PER_BLOCK = 2048
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
 def write_dataset_csv(
     dataset: Dataset,
     path,
@@ -247,25 +260,23 @@ def write_dataset_csv(
     digits, which round-trips float64 exactly.  ``None`` entries in extra
     columns become empty fields.
     """
-    extras = dict(extra_columns or {})
-    for name, col in extras.items():
-        extras[name] = list(col)
+    extras = {}
+    for name, col in (extra_columns or {}).items():
+        extras[name] = col if isinstance(col, (list, tuple)) else list(col)
         if len(extras[name]) != dataset.n_units:
             raise ValueError(f"extra column {name!r} has the wrong length")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
         )
-        for i in range(dataset.n_units):
-            row = [format(v, ".17g") for v in dataset.covariates[i]]
-            row.append(str(int(dataset.treatments[i])))
-            for col in extras.values():
-                v = col[i]
-                if v is None:
-                    row.append("")
-                elif isinstance(v, (int, np.integer)):
-                    row.append(str(int(v)))
-                else:
-                    row.append(format(float(v), ".17g"))
-            writer.writerow(row)
+        # numbers and empty fields hold no delimiter, quote or line break, so
+        # csv.writer would write them unquoted: the rows are joined directly
+        for start in range(0, dataset.n_units, _ROWS_PER_BLOCK):
+            block = slice(start, start + _ROWS_PER_BLOCK)
+            columns = [
+                [format(v, ".17g") for v in col]
+                for col in dataset.covariates[block].T.tolist()
+            ]
+            columns.append([str(w) for w in dataset.treatments[block].tolist()])
+            columns.extend([_csv_field(v) for v in col[block]] for col in extras.values())
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))

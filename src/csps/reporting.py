@@ -8,6 +8,7 @@ from the same in-memory report.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 import numpy as np
 
@@ -135,7 +136,11 @@ def write_balance_csv(report: BalanceReport, path) -> None:
 
 
 def format_experiment_table(result: ExperimentResult, decimals: int = 2) -> str:
-    """Per-target table of replication-averaged before/after differences."""
+    """Per-target table of replication-averaged before/after differences.
+
+    When some (replication, target) pairs failed, a last line counts them,
+    grouped by error type.
+    """
     cfg = result.config
     names = [f"x{k + 1}" for k in range(cfg.num_covariates)]
     header = (
@@ -155,7 +160,14 @@ def format_experiment_table(result: ExperimentResult, decimals: int = 2) -> str:
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
     if result.errors:
-        lines.append(f"excluded replications: {len(result.errors)}")
+        causes = Counter(message.split(":", 1)[0] for _, _, message in result.errors)
+        by_cause = ", ".join(
+            f"{name} {count}"
+            for name, count in sorted(causes.items(), key=lambda c: (-c[1], c[0]))
+        )
+        lines.append(
+            f"excluded (replication, target) pairs: {len(result.errors)} ({by_cause})"
+        )
     return "\n".join(lines)
 
 

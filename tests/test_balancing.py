@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from csps import balancing, estimation
 from csps.balancing import (
     AlgorithmConfig,
     chained_propensity,
@@ -12,7 +14,7 @@ from csps.balancing import (
 )
 from csps.contrasts import Contrast, assignment_indicators
 from csps.data import Dataset, build_cell_index
-from csps.errors import EmptyGroup, TooFewUnits, UndefinedScores
+from csps.errors import CspsError, EmptyGroup, TooFewUnits, UndefinedScores
 from csps.estimation import ScoreVector, empirical_csps, fit_binary_logistic
 from csps.example_data import (
     EXPECTED_CHAINED_SCORE,
@@ -25,6 +27,19 @@ from csps.simulation import mechanism_ii, sample_dataset, simulation_contrasts
 
 def indicators(contrast, dataset):
     return assignment_indicators(contrast, dataset.treatments)
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record one item per call of ``module.name`` while the test runs."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestChainedPropensity:
@@ -99,8 +114,9 @@ class TestSubclassify:
     def test_constant_scores_collapse_to_one_subclass(self):
         scores = ScoreVector([0.5] * 10)
         d = np.array([1, -1] * 5)
-        assignment = subclassify(scores, d, method="quantile", num_subclasses=5)
-        assert assignment.num_subclasses == 1
+        for method in ("quantile", "exact"):
+            assignment = subclassify(scores, d, method=method, num_subclasses=5)
+            assert assignment.num_subclasses == 1
 
     def test_hundred_distinct_scores_make_even_quintiles(self):
         scores = ScoreVector([i / 100 for i in range(100)])
@@ -137,6 +153,19 @@ class TestSubclassify:
         scores = ScoreVector([0.5, None])
         with pytest.raises(UndefinedScores):
             subclassify(scores, np.array([1, -1]))
+
+    def test_many_one_unit_groups_merge_in_one_pass(self):
+        # every distinct score is a one-unit group lacking a sign; rescanning
+        # from the first group after each merge took about 16 s here
+        n = 4000
+        scores = ScoreVector.from_floats(np.arange(n) / n)
+        d = np.array([1, -1] * (n // 2))
+        start = time.perf_counter()
+        assignment = subclassify(scores, d, method="exact")
+        assert time.perf_counter() - start < 0.5
+        for sid in range(1, assignment.num_subclasses + 1):
+            signs = set(d[assignment.members(sid)].tolist())
+            assert signs == {1, -1}
 
 
 class TestCovariateMeanDifference:
@@ -256,6 +285,109 @@ class TestRunAlgorithm:
     def test_empty_targets(self, example):
         report = run_algorithm(example, [FIRST_CONTRAST], [])
         assert len(report) == 0
+
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_no_targets_fit_nothing(self, example, monkeypatch, estimator):
+        fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
+        config = AlgorithmConfig(estimator=estimator)
+        assert len(run_algorithm(example, [FIRST_CONTRAST], [], config)) == 0
+        assert len(run_algorithm(example, [], [], config)) == 0
+        assert fits == [] and cells == []
+        # the counters do see the fits of a pass with a target
+        run_algorithm(example, [FIRST_CONTRAST], [TARGET_CONTRAST], config)
+        assert (len(fits), len(cells)) == ((2, 0) if estimator == "logistic" else (0, 1))
+
+    def test_empty_balancing_set_raises_with_targets(self, example):
+        with pytest.raises(ValueError, match="balancing contrast"):
+            run_algorithm(example, [], [TARGET_CONTRAST])
+
+    def test_balancing_scores_fitted_once_per_dataset(self, monkeypatch):
+        fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
+        dataset = sample_dataset(mechanism_ii(num_units=400, seed=3), 0)
+        balancing_set = simulation_contrasts()[:2]
+        report = run_algorithm(dataset, balancing_set, simulation_contrasts())
+        assert all(e.error is None for e in report.entries)
+        assert len(fits) == len(balancing_set) + 4
+
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_entries_equal_per_target_chained_scores(self, estimator):
+        cfg = mechanism_ii(num_units=500, seed=11)
+        dataset = sample_dataset(cfg, 0)
+        if estimator == "empirical":
+            dataset = Dataset(
+                (dataset.covariates > 0).astype(float), dataset.treatments,
+                num_treatments=3,
+            )
+        config = AlgorithmConfig(estimator=estimator, subclass_method="exact")
+        report = run_algorithm(dataset, cfg.balancing, cfg.targets, config)
+        for entry in report.entries:
+            assert entry.error is None
+            alone = chained_propensity(
+                dataset, cfg.balancing, entry.contrast, estimator=estimator
+            )
+            assert entry.scores.is_exact == alone.is_exact
+            assert entry.scores.as_floats().tobytes() == alone.as_floats().tobytes()
+            assert np.array_equal(entry.scores.defined_mask, alone.defined_mask)
+            if estimator == "empirical":
+                assert entry.scores.values == alone.values
+
+    def test_empirical_entries_share_one_index(self, example):
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        targets = [FIRST_CONTRAST, SECOND_CONTRAST, TARGET_CONTRAST]
+        report = run_algorithm(example, [FIRST_CONTRAST, SECOND_CONTRAST], targets, config)
+        indices = [e.scores._index for e in report.entries]
+        assert all(e.error is None for e in report.entries)
+        assert all(index is indices[0] for index in indices)
+        assert not indices[0].flags.writeable
+
+    def test_failed_balancing_fit_recorded_on_every_target(self):
+        dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
+        balancing_set = simulation_contrasts()[:2]
+        with pytest.raises(CspsError) as raised:
+            chained_propensity(dataset, balancing_set, simulation_contrasts()[2], max_iter=1)
+        report = run_algorithm(
+            dataset, balancing_set, simulation_contrasts(), AlgorithmConfig(max_iter=1)
+        )
+        want = f"{type(raised.value).__name__}: {raised.value}"
+        assert want.startswith("NotConverged:")
+        assert [e.error for e in report.entries] == [want] * 4
+
+    def test_identical_rows_tie_every_score(self):
+        # one covariate row for all units: every score is tied, so exact
+        # subclassing keeps one subclass and balancing changes nothing; the
+        # logistic fit has no identified slope and fails typed
+        rng = np.random.default_rng(8)
+        dataset = Dataset(np.ones((60, 2)), rng.integers(1, 4, 60), num_treatments=3)
+        balancing_set = simulation_contrasts()[:2]
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        for entry in run_algorithm(dataset, balancing_set, simulation_contrasts(), config):
+            assert entry.error is None
+            assert entry.num_subclasses == 1
+            assert entry.after_exact == entry.before_exact
+        report = run_algorithm(dataset, balancing_set, simulation_contrasts())
+        assert all(e.error.startswith("SingularHessian:") for e in report.entries)
+
+    def test_constant_covariate(self):
+        base = sample_dataset(mechanism_ii(num_units=400, seed=7), 0)
+        X = np.column_stack([base.covariates[:, :2], np.full(400, 2.5)])
+        targets = simulation_contrasts()
+        balancing_set = targets[:2]
+        # without a ridge the constant column duplicates the intercept
+        report = run_algorithm(Dataset(X, base.treatments, num_treatments=3), balancing_set, targets)
+        assert all(e.error.startswith("SingularHessian:") for e in report.entries)
+        cases = [
+            (X, AlgorithmConfig(ridge=1e-3)),
+            (
+                np.column_stack([X[:, :2] > 0, X[:, 2:]]).astype(float),
+                AlgorithmConfig(estimator="empirical", subclass_method="exact"),
+            ),
+        ]
+        for covariates, config in cases:
+            dataset = Dataset(covariates, base.treatments, num_treatments=3)
+            for entry in run_algorithm(dataset, balancing_set, targets, config):
+                assert entry.error is None
+                assert entry.before_exact[2] == 0 and entry.after_exact[2] == 0
 
     def test_entries_keep_scores_and_subclasses(self, example):
         config = AlgorithmConfig(estimator="empirical", subclass_method="exact")

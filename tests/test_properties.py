@@ -24,9 +24,14 @@ from csps.balancing import (
     run_algorithm,
     subclassify,
 )
-from csps.contrasts import Contrast, assignment_indicators
+from csps.contrasts import (
+    Bifurcation,
+    Contrast,
+    assignment_indicators,
+    bifurcation_span_contains,
+)
 from csps.data import Dataset
-from csps.errors import CspsError
+from csps.errors import CspsError, TooFewUnits
 from csps.estimation import ScoreVector, _dense_ids, empirical_csps
 from csps.simulation import simulation_contrasts
 
@@ -155,12 +160,35 @@ def reference_chained(base: list[tuple], d) -> tuple:
     return tuple(values)
 
 
+def reference_merge(groups: list[np.ndarray], d: np.ndarray) -> list[np.ndarray]:
+    """Merging as first written: rescan from group 0 after every merge."""
+    groups = [g for g in groups if len(g)]
+    while True:
+        bad = next(
+            (
+                k
+                for k, g in enumerate(groups)
+                if not ((d[g] == 1).any() and (d[g] == -1).any())
+            ),
+            None,
+        )
+        if bad is None:
+            return groups
+        if len(groups) == 1:
+            raise TooFewUnits(
+                "subclasses cannot all contain both groups, even after merging"
+            )
+        target = bad + 1 if bad < (len(groups) - 1) / 2 else bad - 1
+        groups[target] = np.concatenate([groups[target], groups[bad]])
+        del groups[bad]
+
+
 def reference_exact_labels(values, d) -> list[int]:
     eligible = [i for i in range(len(d)) if d[i] != 0]
     distinct = sorted({values[i] for i in eligible})
     groups = [np.array([i for i in eligible if values[i] == v]) for v in distinct]
     labels = [0] * len(d)
-    for sid, g in enumerate(_merge_one_class_groups(groups, np.asarray(d)), start=1):
+    for sid, g in enumerate(reference_merge(groups, np.asarray(d)), start=1):
         for i in g:
             labels[i] = sid
     return labels
@@ -343,6 +371,53 @@ def test_exact_subclasses_of_float_scores_equal_reference(values, data):
         return
     assignment = subclassify(ScoreVector(values), d, method="exact")
     assert assignment.labels.tolist() == reference_exact_labels(values, d)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 15), st.sampled_from((-1, 1))), min_size=1, max_size=60
+    )
+)
+def test_merging_equals_rescanning_reference(units):
+    group = np.array([g for g, _ in units])
+    sign = np.array([s for _, s in units])
+    num_groups = int(group.max()) + 1
+    positive = np.bincount(group[sign == 1], minlength=num_groups).tolist()
+    negative = np.bincount(group[sign == -1], minlength=num_groups).tolist()
+    try:
+        want = reference_merge([np.flatnonzero(group == g) for g in range(num_groups)], sign)
+    except TooFewUnits:
+        with pytest.raises(TooFewUnits):
+            _merge_one_class_groups(positive, negative)
+        return
+    subclass, num_subclasses = _merge_one_class_groups(positive, negative)
+    assert num_subclasses == len(want)
+    want_labels = np.empty(len(units), dtype=np.intp)
+    for sid, members in enumerate(want):
+        want_labels[members] = sid
+    assert subclass[group].tolist() == want_labels.tolist()
+
+
+@st.composite
+def bifurcations(draw, num_treatments):
+    """A bifurcation of ``num_treatments``: each treatment +, - or left out."""
+    signs = draw(
+        st.lists(st.sampled_from((1, -1, 0)), min_size=num_treatments, max_size=num_treatments)
+        .filter(lambda s: 1 in s and -1 in s)
+    )
+    return Bifurcation([int(v == 1) for v in signs], [-int(v == -1) for v in signs])
+
+
+@given(st.integers(2, 6).flatmap(
+    lambda T: st.tuples(st.lists(bifurcations(T), min_size=1, max_size=4), bifurcations(T))
+))
+def test_span_membership_equals_rank_oracle(case):
+    basis, target = case
+    rows = [part for b in basis for part in (b.positive_part, b.negative_part)]
+    extended = rows + [target.positive_part, target.negative_part]
+    # small 0/±1 matrices: the SVD rank is exact
+    rank = [np.linalg.matrix_rank(np.array(m, dtype=float)) for m in (rows, extended)]
+    assert bifurcation_span_contains(basis, target) == (rank[0] == rank[1])
 
 
 # ---------------------------------------------------------------------------

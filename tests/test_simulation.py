@@ -5,6 +5,7 @@ import pytest
 
 from csps.balancing import AlgorithmConfig, run_algorithm
 from csps.contrasts import Contrast
+from csps.reporting import format_experiment_table
 from csps.simulation import (
     SimulationConfig,
     mechanism_i,
@@ -130,6 +131,45 @@ class TestRunExperiment:
         for r, j in failed:
             assert np.isnan(result.before[r, j]).all()
         assert np.isfinite(result.mean_before).all()
+
+    @staticmethod
+    def twelve_unit_study():
+        # replication 0 separates in the balancing fit; replication 1 draws
+        # no unit of treatment 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = mechanism_ii(
+                num_units=12, replications=2, seed=3,
+                balancing=(simulation_contrasts()[1],),
+                algorithm=AlgorithmConfig(num_subclasses=2),
+            )
+            return cfg, sample_dataset(cfg, 1), run_experiment(cfg)
+
+    def test_absent_target_group_is_an_exclusion(self):
+        _, replication, result = self.twelve_unit_study()
+        assert 3 not in replication.treatments
+        failed = {j: message for r, j, message in result.errors if r == 1}
+        # the targets against treatment 3 are excluded, 1-vs-2 is kept
+        assert sorted(failed) == [0, 2, 3]
+        assert all(m.startswith("OneClassOnly:") for m in failed.values())
+        assert np.isfinite(result.before[1, 1]).all()
+        assert np.isfinite(result.after[1, 1]).all()
+
+    def test_table_counts_exclusions_by_cause(self):
+        _, _, result = self.twelve_unit_study()
+        causes = [message.split(":")[0] for _, _, message in result.errors]
+        assert set(causes) == {"SeparationDetected", "OneClassOnly"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # targets without a kept replication
+            last = format_experiment_table(result).splitlines()[-1]
+        assert last == (
+            f"excluded (replication, target) pairs: {len(causes)} "
+            f"(SeparationDetected {causes.count('SeparationDetected')}, "
+            f"OneClassOnly {causes.count('OneClassOnly')})"
+        )
+        clean = run_experiment(mechanism_ii(num_units=200, replications=1, seed=1))
+        assert not clean.errors
+        assert "excluded" not in format_experiment_table(clean)
 
     def test_means_equal_average_of_retained_values(self):
         with warnings.catch_warnings():
