@@ -13,7 +13,6 @@ explicit flags override the file.  The output directory defaults to the
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 from . import example_data
 from .balancing import AlgorithmConfig, chained_propensity, run_algorithm, subclassify
 from .contrasts import assignment_indicators, read_contrast_file
-from .data import load_dataset, write_dataset_csv
+from .data import _write_csv_columns, load_dataset, write_dataset_csv
 from .errors import (
     AllZero,
     CspsError,
@@ -150,7 +149,7 @@ def cmd_estimate(args, config) -> int:
     dataset = load_dataset(data_path)
     contrasts = read_contrast_file(contrasts_path)
 
-    columns: dict[str, list] = {}
+    columns: dict[str, np.ndarray] = {"unit": np.arange(1, dataset.n_units + 1)}
     for c in contrasts:
         tag = c.label or "-".join(str(v) for v in c.coefficients)
         d = assignment_indicators(c, dataset.treatments)
@@ -158,18 +157,13 @@ def cmd_estimate(args, config) -> int:
             scores = empirical_csps(dataset, c)
         else:
             scores = model_csps(dataset, c, ridge=ridge)
-        columns[f"d[{tag}]"] = d.tolist()
-        columns[f"csps[{tag}]"] = [
-            format(v, ".17g") if ok else ""
-            for v, ok in zip(scores.as_floats().tolist(), scores.defined_mask.tolist())
-        ]
+        columns[f"d[{tag}]"] = d
+        columns[f"csps[{tag}]"] = np.ma.masked_array(
+            scores.as_floats(), mask=~scores.defined_mask
+        )
 
     path = _out_path(args, config, "scores.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit"] + list(columns))
-        for i in range(dataset.n_units):
-            writer.writerow([i + 1] + [col[i] for col in columns.values()])
+    _write_csv_columns(path, list(columns), list(columns.values()), dataset.n_units)
     print(f"wrote {path}")
     return 0
 
@@ -210,31 +204,24 @@ def cmd_balance(args, config) -> int:
     return 0
 
 
-def _blank_where(values: np.ndarray, blank: np.ndarray) -> list:
-    """``values`` as a list of Python numbers, ``None`` where ``blank``."""
-    column = values.astype(object)
-    column[blank] = None
-    return column.tolist()
-
-
 def _write_per_unit_csv(dataset, report, path) -> None:
     """Mirror the dataset plus chained score and subclass columns per target.
 
-    The columns come from the scores and subclasses the report kept.
+    The columns come from the scores and subclasses the report kept.  A
+    unit in neither group of a target has no subclass, and one with an
+    undefined score no score: those fields are left blank.
     """
-    extras: dict[str, list] = {}
+    extras: dict[str, np.ndarray] = {}
     for entry in report.entries:
         if entry.error is not None:
             continue
         tag = entry.contrast.describe()
         labels = entry.assignment.labels
-        extras[f"d[{tag}]"] = assignment_indicators(
-            entry.contrast, dataset.treatments
-        ).tolist()
-        extras[f"score[{tag}]"] = _blank_where(
-            entry.scores.as_floats(), ~entry.scores.defined_mask
+        extras[f"d[{tag}]"] = assignment_indicators(entry.contrast, dataset.treatments)
+        extras[f"score[{tag}]"] = np.ma.masked_array(
+            entry.scores.as_floats(), mask=~entry.scores.defined_mask
         )
-        extras[f"subclass[{tag}]"] = _blank_where(labels, labels == 0)
+        extras[f"subclass[{tag}]"] = np.ma.masked_array(labels, mask=labels == 0)
     write_dataset_csv(dataset, path, extras)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -179,6 +180,59 @@ def _parse_treatment(token: str, where: str) -> int:
         raise ParseError(f"non-integer treatment {token!r} at {where}") from exc
 
 
+def _parse_body(fh, num_fields: int, cov_idx: list[int], trt_idx: int):
+    """Covariates and labels of a plain numeric CSV body, or None.
+
+    One ``np.loadtxt`` call parses every row, with a field per header
+    column, so a row with the wrong number of fields fails it.  None means
+    loadtxt refused the body or warned (a quoted field, a blank entry, an
+    empty body, ``1_000`` ...): the row parser then either accepts the body
+    or says which line is wrong.
+    """
+    if trt_idx in cov_idx:
+        return None  # one field parsed both as a float and as an integer
+    kinds = ["U1"] * num_fields  # columns that are not read: any text, cut short
+    for j in cov_idx:
+        kinds[j] = "f8"
+    kinds[trt_idx] = "i8"
+    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except (ValueError, Warning):
+        return None
+    # csv reads a field that starts with a quote as quoted, and a quoted field
+    # may hold commas and line breaks that loadtxt split; a covariate or label
+    # that starts with one already failed above
+    for j, kind in enumerate(kinds):
+        if kind == "U1" and (body[f"f{j}"] == '"').any():
+            return None
+    X = np.empty((len(body), len(cov_idx)))
+    for k, j in enumerate(cov_idx):
+        X[:, k] = body[f"f{j}"]
+    return X, body[f"f{trt_idx}"]
+
+
+def _parse_rows(reader, path, num_fields: int, cov_idx: list[int], trt_idx: int):
+    """Covariates and labels of the CSV rows after the header, row by row."""
+    X_rows: list[list[float]] = []
+    w_rows: list[int] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != num_fields:
+            raise ParseError(
+                f"{path}, line {lineno}: expected {num_fields} fields, got {len(row)}"
+            )
+        where = f"{path}, line {lineno}"
+        X_rows.append([_parse_float(row[j], where) for j in cov_idx])
+        w_rows.append(_parse_treatment(row[trt_idx], where))
+    if not X_rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return X_rows, w_rows
+
+
 def load_dataset(
     path,
     treatment_column: str | None = None,
@@ -190,6 +244,17 @@ def load_dataset(
     The header names the columns.  By default the treatment column is ``"w"``
     when present, otherwise the last column; every other column is a
     covariate.  ``num_treatments`` overrides the inferred T (max label).
+
+    Every row must have one field per header column.  Covariates are
+    decimals as Python's ``float`` reads them and treatments integers as
+    ``int`` reads them, with surrounding whitespace allowed.  Fields may be
+    quoted, blank lines and rows of blank fields are skipped, and ``#``
+    starts no comment.  Columns that are not read are not checked.  A plain
+    numeric body is parsed in one array pass; anything else, and any file
+    that cannot be read twice (a pipe), goes row by row, which also names
+    the line of the first bad entry.  Only the row parser is bound by
+    ``csv.field_size_limit()``: it refuses a longer field, the array pass
+    reads it.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -212,31 +277,27 @@ def load_dataset(
         cov_idx = [header.index(c) for c in covariate_columns]
         trt_idx = header.index(treatment_column)
 
-        X_rows: list[list[float]] = []
-        w_rows: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            where = f"{path}, line {lineno}"
-            X_rows.append([_parse_float(row[j], where) for j in cov_idx])
-            w_rows.append(_parse_treatment(row[trt_idx], where))
+        parsed = None
+        if fh.seekable():  # the row parser may have to read the body again
+            parsed = _parse_body(fh, len(header), cov_idx, trt_idx)
+            if parsed is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if parsed is None:
+            parsed = _parse_rows(reader, path, len(header), cov_idx, trt_idx)
 
-    if not X_rows:
-        raise EmptyFile(f"{path}: no data rows")
+    X, w = parsed
     return Dataset(
-        X_rows,
-        w_rows,
+        X,
+        w,
         num_treatments=num_treatments,
         covariate_names=covariate_columns,
         treatment_name=treatment_column,
     )
 
 
-# rows are formatted a block at a time: only one block's Python floats and
+# rows are formatted a block at a time: only one block's Python numbers and
 # strings exist at once
 _ROWS_PER_BLOCK = 2048
 
@@ -249,6 +310,59 @@ def _csv_field(value) -> str:
     return format(float(value), ".17g")
 
 
+def _format_floats(values: np.ndarray) -> list[str]:
+    return list(map(format, values.astype(float, copy=False).tolist(), repeat(".17g")))
+
+
+def _column_formatter(column):
+    """The function that formats the fields of ``column`` in a block of rows.
+
+    Arrays are formatted by dtype: floats with 17 significant digits,
+    integers as integers, and the masked entries of a masked array as empty
+    fields.  Lists, tuples and arrays of other dtypes (bool, object) go value
+    by value: ``None`` is an empty field, an integer is written as one and
+    anything else as a float (a bool as 0 or 1).
+    """
+    if not isinstance(column, np.ndarray):
+        return lambda block: list(map(_csv_field, column[block]))
+    values = np.ma.getdata(column)
+    blank = np.ma.getmaskarray(column) if np.ma.isMaskedArray(column) else None
+    if values.dtype.kind == "f":
+        format_block = _format_floats
+    elif values.dtype.kind in "iu":
+        def format_block(ints):
+            return list(map(str, ints.tolist()))
+    else:
+        def format_block(other):
+            return list(map(_csv_field, other))
+
+    def fields(block: slice) -> list[str]:
+        out = format_block(values[block])
+        if blank is not None:
+            for i in np.flatnonzero(blank[block]).tolist():
+                out[i] = ""
+        return out
+
+    return fields
+
+
+def _write_csv_columns(path, header: list[str], columns: list, num_rows: int) -> None:
+    """Write a header row and ``num_rows`` rows of ``columns`` as CSV.
+
+    Fields are formatted one block of rows at a time (see
+    ``_column_formatter``).  Numbers and empty fields hold no delimiter,
+    quote or line break, so ``csv.writer`` would write them unquoted: the
+    rows are joined directly, with its ``\\r\\n`` line ends.
+    """
+    formatters = [_column_formatter(col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, num_rows, _ROWS_PER_BLOCK):
+            block = slice(start, start + _ROWS_PER_BLOCK)
+            rows = zip(*[fields(block) for fields in formatters])
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
 def write_dataset_csv(
     dataset: Dataset,
     path,
@@ -256,27 +370,19 @@ def write_dataset_csv(
 ) -> None:
     """Write the dataset (plus optional appended columns) as CSV.
 
-    Covariates and any float extras are serialised with 17 significant
-    digits, which round-trips float64 exactly.  ``None`` entries in extra
-    columns become empty fields.
+    Covariates and float extras are written with 17 significant digits,
+    which round-trips float64 exactly; integer and bool extras as integers.
+    An extra column may be an array, a masked array (masked entries become
+    empty fields) or a sequence, where ``None`` entries become empty fields.
     """
     extras = {}
     for name, col in (extra_columns or {}).items():
-        extras[name] = col if isinstance(col, (list, tuple)) else list(col)
+        extras[name] = col if isinstance(col, (list, tuple, np.ndarray)) else list(col)
         if len(extras[name]) != dataset.n_units:
             raise ValueError(f"extra column {name!r} has the wrong length")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(
-            list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
-        )
-        # numbers and empty fields hold no delimiter, quote or line break, so
-        # csv.writer would write them unquoted: the rows are joined directly
-        for start in range(0, dataset.n_units, _ROWS_PER_BLOCK):
-            block = slice(start, start + _ROWS_PER_BLOCK)
-            columns = [
-                [format(v, ".17g") for v in col]
-                for col in dataset.covariates[block].T.tolist()
-            ]
-            columns.append([str(w) for w in dataset.treatments[block].tolist()])
-            columns.extend([_csv_field(v) for v in col[block]] for col in extras.values())
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
+    _write_csv_columns(
+        path,
+        list(dataset.covariate_names) + [dataset.treatment_name] + list(extras),
+        list(dataset.covariates.T) + [dataset.treatments] + list(extras.values()),
+        dataset.n_units,
+    )

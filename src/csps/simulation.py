@@ -132,6 +132,18 @@ def sample_dataset(cfg: SimulationConfig, replication_index: int) -> Dataset:
     return Dataset(X, W, num_treatments=cfg.num_treatments)
 
 
+def _mean_of_kept(values: np.ndarray) -> np.ndarray:
+    """Mean over replications of the non-NaN rows; NaN where none is kept.
+
+    The same sums and quotients as ``np.nanmean``, without its warning for
+    a target that every replication excluded.
+    """
+    kept = ~np.isnan(values)
+    total = np.where(kept, values, 0.0).sum(axis=0)
+    count = kept.sum(axis=0)
+    return np.divide(total, count, out=np.full(total.shape, np.nan), where=count > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Aggregated and per-replication balance summaries.
@@ -148,11 +160,11 @@ class ExperimentResult:
 
     @property
     def mean_before(self) -> np.ndarray:
-        return np.nanmean(self.before, axis=0)
+        return _mean_of_kept(self.before)
 
     @property
     def mean_after(self) -> np.ndarray:
-        return np.nanmean(self.after, axis=0)
+        return _mean_of_kept(self.after)
 
     def excluded_counts(self) -> np.ndarray:
         """Failed replications per target."""

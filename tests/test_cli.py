@@ -1,11 +1,18 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csps.cli import main
-from csps.data import write_dataset_csv
+from csps.contrasts import assignment_indicators, read_contrast_file
+from csps.data import Dataset, load_dataset, write_dataset_csv
+from csps.estimation import empirical_csps, model_csps
 from csps.example_data import worked_example_dataset
+
+DATA = Path(__file__).parent / "data"
+BALANCING = "1/3 2/3 -1  # both-vs-3\n1 -1 0  # 1-vs-2\n"
+TARGETS = BALANCING + "1 0 -1  # 1-vs-3\n0 1 -1  # 2-vs-3\n"
 
 
 @pytest.fixture
@@ -94,6 +101,85 @@ class TestEstimate:
         )
         assert code == 3
         assert "SeparationDetected" in capsys.readouterr().err
+
+
+def reference_scores_csv(data_path, contrasts_path, estimator, path):
+    """``csps estimate``'s scores.csv as the row-by-row writer made it."""
+    dataset = load_dataset(data_path)
+    columns = {}
+    for c in read_contrast_file(contrasts_path):
+        tag = c.label or "-".join(str(v) for v in c.coefficients)
+        d = assignment_indicators(c, dataset.treatments)
+        if estimator == "empirical":
+            scores = empirical_csps(dataset, c)
+        else:
+            scores = model_csps(dataset, c)
+        columns[f"d[{tag}]"] = d.tolist()
+        columns[f"csps[{tag}]"] = [
+            format(v, ".17g") if ok else ""
+            for v, ok in zip(scores.as_floats().tolist(), scores.defined_mask.tolist())
+        ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["unit"] + list(columns))
+        for i in range(dataset.n_units):
+            writer.writerow([i + 1] + [col[i] for col in columns.values()])
+
+
+@pytest.mark.parametrize("estimator", ["empirical", "logistic"])
+def test_scores_csv_equals_row_writer(estimator, tmp_path, capsys):
+    # x2 is continuous, so most empirical cells hold one unit and the scores
+    # of units outside a contrast's groups are undefined (blank fields)
+    rng = np.random.default_rng(500)
+    X = np.column_stack([rng.integers(0, 4, 500), rng.standard_normal(500)])
+    w = 1 + (rng.random(500) < 0.4) + (rng.random(500) < 0.3)
+    data = tmp_path / "units.csv"
+    write_dataset_csv(Dataset(X, w), data)
+    contrasts = tmp_path / "targets.txt"
+    contrasts.write_text(TARGETS + "1 -1 0\n")
+    out, expected = tmp_path / "scores.csv", tmp_path / "expected.csv"
+    code = main(
+        [
+            "estimate",
+            "--data", str(data),
+            "--contrasts", str(contrasts),
+            "--estimator", estimator,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    reference_scores_csv(data, contrasts, estimator, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    if estimator == "empirical":
+        assert b",," in out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "data, settings",
+    [
+        ("golden_units", ["--estimator", "logistic", "--method", "quantile"]),
+        ("golden_cells", ["--estimator", "empirical", "--method", "exact"]),
+    ],
+)
+def test_per_unit_csv_equals_golden_file(data, settings, tmp_path, capsys):
+    """``balance --per-unit`` writes the committed file byte for byte."""
+    balancing, targets = tmp_path / "balancing.txt", tmp_path / "targets.txt"
+    balancing.write_text(BALANCING)
+    targets.write_text(TARGETS)
+    per_unit = tmp_path / "per_unit.csv"
+    code = main(
+        [
+            "balance",
+            "--data", str(DATA / f"{data}.csv"),
+            "--contrasts", str(balancing),
+            "--targets", str(targets),
+            "--format", "text",
+            "--per-unit", str(per_unit),
+        ]
+        + settings
+    )
+    assert code == 0
+    assert per_unit.read_bytes() == (DATA / f"{data}_per_unit.csv").read_bytes()
 
 
 class TestBalance:

@@ -1,8 +1,13 @@
+import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import csps
 from csps.data import Dataset, build_cell_index, load_dataset, write_dataset_csv
 from csps.errors import EmptyFile, MissingValue, OutOfRangeTreatment, ParseError
 
@@ -100,6 +105,120 @@ class TestRoundTrip:
         text = path.read_text().splitlines()
         assert text[0] == "x1,x2,x3,w,score,sub"
         assert text[-1].endswith(",,23")
+
+    def test_masked_and_typed_extra_columns(self, tmp_path):
+        d = Dataset([[0.1], [-0.0], [1e300]], [1, 2, 3])
+        path = tmp_path / "typed.csv"
+        write_dataset_csv(
+            d,
+            path,
+            extra_columns={
+                "score": np.ma.masked_array([0.25, 0.5, 0.75], mask=[False, True, False]),
+                "sub": np.ma.masked_array(
+                    np.array([0, 2, 1], dtype=np.uint8), mask=[True, False, False]
+                ),
+                "flag": np.array([True, False, True]),
+                "d": np.array([-1, 0, 1], dtype=np.int8),
+                "big": np.array([2 ** 63 - 1, -(2 ** 63), 7]),
+            },
+        )
+        assert path.read_bytes().decode().split("\r\n") == [
+            "x1,w,score,sub,flag,d,big",
+            "0.10000000000000001,1,0.25,,1,-1,9223372036854775807",
+            "-0,2,,2,0,0,-9223372036854775808",
+            "1.0000000000000001e+300,3,0.75,1,1,1,7",
+            "",
+        ]
+
+    def test_wrong_length_extra_rejected(self, example, tmp_path):
+        with pytest.raises(ValueError, match="wrong length"):
+            write_dataset_csv(example, tmp_path / "x.csv", {"short": np.zeros(3)})
+
+
+class TestFastIngest:
+    def test_clean_file_skips_the_row_parser(self, tmp_path, monkeypatch):
+        from csps import data
+
+        path = tmp_path / "m.csv"
+        path.write_text("x1,note,w\n1.5,a long note,2\n-0.0,,1\n")
+
+        def refuse(*args):
+            raise AssertionError("the row parser ran on a clean file")
+
+        monkeypatch.setattr(data, "_parse_rows", refuse)
+        d = load_dataset(path, covariate_columns=["x1"])
+        assert d.covariates.tolist() == [[1.5], [-0.0]]
+        assert math.copysign(1.0, d.covariates[1, 0]) == -1.0
+        assert d.treatments.tolist() == [2, 1]
+
+    def test_row_parser_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("x1,w\n1,1\n\n2,2\n3,x\n")
+        with pytest.raises(ParseError, match=r"non-integer treatment 'x' at .*m.csv, line 5$"):
+            load_dataset(path)
+
+    def test_row_parser_accepts_what_the_array_parser_refuses(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text('x1,w\r\n"1_000",1\r\n,,\r\n\r\n 2.5 ,"2"\r\n')
+        d = load_dataset(path)
+        assert d.covariates.tolist() == [[1000.0], [2.5]]
+        assert d.treatments.tolist() == [1, 2]
+
+    def test_quoted_unread_field_across_lines(self, tmp_path):
+        # split at its commas and line break, the quoted field would read as
+        # two clean rows; csv reads one
+        path = tmp_path / "m.csv"
+        path.write_text('t,x,w\n"a,1,2\nb",2,1\n')
+        d = load_dataset(path, covariate_columns=["x"])
+        assert d.covariates.tolist() == [[2.0]]
+        assert d.treatments.tolist() == [1]
+
+    def test_field_longer_than_the_csv_limit(self, tmp_path, monkeypatch):
+        # csv.reader refuses such a field; a clean body is read without it
+        from csps import data
+
+        def refuse(*args):
+            raise AssertionError("the row parser ran on a clean file")
+
+        monkeypatch.setattr(data, "_parse_rows", refuse)
+        path = tmp_path / "m.csv"
+        long_note = "n" * (csv.field_size_limit() + 1)
+        path.write_text(f"x1,note,w\n1.5,{long_note},1\n")
+        d = load_dataset(path, covariate_columns=["x1"])
+        assert d.covariates.tolist() == [[1.5]]
+        assert d.treatments.tolist() == [1]
+
+    def test_file_that_cannot_be_reread(self):
+        # a pipe is read once: it goes to the row parser, which accepts quotes
+        out = run_python(
+            "from csps.data import load_dataset; "
+            "print(load_dataset('/dev/stdin').covariates.tolist())",
+            stdin='x1,w\n"1.5",1\n2,2\n',
+        )
+        assert out == "[[1.5], [2.0]]"
+
+    def test_treatment_column_also_a_covariate(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("w,x\n1,-0\n2,0\n")
+        d = load_dataset(path, covariate_columns=["w", "x"])
+        assert d.covariates.tolist() == [[1.0, -0.0], [2.0, 0.0]]
+        assert d.treatments.tolist() == [1, 2]
+
+
+def run_python(code: str, stdin: str = "") -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports this csps."""
+    src = os.path.dirname(os.path.dirname(csps.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin, capture_output=True, text=True, env=env, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_does_no_work():
+    """Importing csps loads no optional numpy module, such as numpy.ma."""
+    assert run_python("import sys, csps; print('numpy.ma' in sys.modules)") == "False"
 
 
 class TestDatasetType:

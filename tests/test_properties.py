@@ -5,15 +5,18 @@ The library must give the same Fractions and the same groupings, whatever
 the data and whatever the unit order.
 """
 
+import csv
+import os
+import tempfile
 import warnings
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from csps import balancing
+from csps import balancing, data
 from csps.balancing import (
     AlgorithmConfig,
     SubclassAssignment,
@@ -30,8 +33,8 @@ from csps.contrasts import (
     assignment_indicators,
     bifurcation_span_contains,
 )
-from csps.data import Dataset
-from csps.errors import CspsError, TooFewUnits
+from csps.data import Dataset, write_dataset_csv
+from csps.errors import CspsError, EmptyFile, MissingValue, ParseError, TooFewUnits
 from csps.estimation import ScoreVector, _dense_ids, empirical_csps
 from csps.simulation import simulation_contrasts
 
@@ -491,3 +494,270 @@ def test_exact_scores_round_like_fractions(values):
 def test_exact_scores_must_fit_int64():
     with pytest.raises(ValueError, match="int64"):
         ScoreVector([Fraction(1, 2 ** 63)])
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest and writing
+
+
+def reference_parse_float(token: str, where: str) -> float:
+    token = token.strip()
+    if token == "":
+        raise MissingValue(f"blank covariate entry at {where}")
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise ParseError(f"non-numeric covariate {token!r} at {where}") from exc
+
+
+def reference_parse_treatment(token: str, where: str) -> int:
+    token = token.strip()
+    if token == "":
+        raise MissingValue(f"blank treatment entry at {where}")
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise ParseError(f"non-integer treatment {token!r} at {where}") from exc
+
+
+def reference_load_dataset(path, treatment_column=None, covariate_columns=None):
+    """``load_dataset`` as first written: every row parsed into Python numbers."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"{path}: file is empty") from None
+        header = [h.strip() for h in header]
+        if treatment_column is None:
+            treatment_column = "w" if "w" in header else header[-1]
+        if treatment_column not in header:
+            raise ParseError(f"{path}: no column named {treatment_column!r}")
+        if covariate_columns is None:
+            covariate_columns = [h for h in header if h != treatment_column]
+        missing = [c for c in covariate_columns if c not in header]
+        if missing:
+            raise ParseError(f"{path}: unknown covariate columns {missing}")
+        if not covariate_columns:
+            raise ParseError(f"{path}: no covariate columns")
+        cov_idx = [header.index(c) for c in covariate_columns]
+        trt_idx = header.index(treatment_column)
+
+        X_rows, w_rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}, line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            where = f"{path}, line {lineno}"
+            X_rows.append([reference_parse_float(row[j], where) for j in cov_idx])
+            w_rows.append(reference_parse_treatment(row[trt_idx], where))
+
+    if not X_rows:
+        raise EmptyFile(f"{path}: no data rows")
+    return Dataset(
+        X_rows, w_rows, covariate_names=covariate_columns, treatment_name=treatment_column
+    )
+
+
+def reference_csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def reference_write_dataset_csv(dataset, path, extra_columns=None) -> None:
+    """``write_dataset_csv`` as first written: one field at a time."""
+    extras = {}
+    for name, col in (extra_columns or {}).items():
+        extras[name] = col if isinstance(col, (list, tuple)) else list(col)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
+        )
+        for i in range(dataset.n_units):
+            writer.writerow(
+                [format(float(v), ".17g") for v in dataset.covariates[i]]
+                + [str(int(dataset.treatments[i]))]
+                + [reference_csv_field(col[i]) for col in extras.values()]
+            )
+
+
+# Tokens loadtxt reads as Python reads them, and tokens only the row parser
+# reads or rejects (with its line number).
+CLEAN_FLOATS = st.one_of(
+    FLOATS.map(repr),
+    FLOATS.map(lambda v: format(v, ".17g")),
+    st.sampled_from((" 1.5 ", "+.5", "-0", "1E300", "\t3\t", "2.5\x0c")),
+)
+ODD_FLOATS = st.sampled_from(
+    ("1_0", '"2.5"', '" 7 "', "١٢", "", " ", "abc", "0x10", "inf", "-nan", "1e999", "#1")
+)
+CLEAN_LABELS = st.sampled_from(("1", "2", "3", " 2 ", "+1", "03"))
+ODD_LABELS = st.sampled_from(
+    ("2.0", "", "x", "1_0", '"3"', "٣", "0", "-1", "99999999999999999999", "1e0")
+)
+CLEAN_TEXT = st.sampled_from(("abc", "", "x y", "é", "#", "1", "-"))
+ODD_TEXT = st.sampled_from(('"a,b"', '"q"', "a,b", '"a,1\n2"', '"1,1\r\n1,1"'))
+ODD_LINES = ("", "   ", "#comment", "\t", " , ")
+
+
+@st.composite
+def csv_files(draw):
+    """A dataset CSV, the load_dataset keyword arguments, and whether it is clean.
+
+    A clean file has only tokens and rows that the one-pass parser reads.
+    An odd one is a clean one with one or two faults put in: a token only
+    the row parser reads or a bad token, a quoted field, a blank or comment
+    line, a row of blank fields, or a short or long row.
+    """
+    kind = draw(st.sampled_from(("clean", "odd", "odd", "empty", "header only")))
+    k = draw(st.integers(1, 3))
+    num_text = draw(st.integers(0, 2))
+    names = draw(st.permutations(
+        [f"x{j + 1}" for j in range(k)] + ["w"] + [f"t{j + 1}" for j in range(num_text)]
+    ))
+    kwargs = {"covariate_columns": [f"x{j + 1}" for j in range(k)]} if num_text else {}
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    if kind == "empty":
+        return "", kwargs, False
+    tokens = {"x": CLEAN_FLOATS, "w": CLEAN_LABELS, "t": CLEAN_TEXT}
+    num_rows = 0 if kind == "header only" else draw(st.integers(1, 8))
+    rows = [[draw(tokens[name[0]]) for name in names] for _ in range(num_rows)]
+    odd_tokens = {"x": ODD_FLOATS, "w": ODD_LABELS, "t": ODD_TEXT}
+    faults = draw(st.lists(
+        st.sampled_from(("token", "token", "line", "short", "long", "blank")),
+        min_size=1, max_size=2,
+    )) if kind == "odd" else []
+    for fault in sorted(faults, key=lambda f: f != "token"):  # tokens go in first
+        i = draw(st.integers(0, num_rows - 1))
+        if fault == "token":
+            j = draw(st.integers(0, len(names) - 1))
+            rows[i][j] = draw(odd_tokens[names[j][0]])
+        elif fault == "line":
+            rows.insert(i, [draw(st.sampled_from(ODD_LINES))])
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        elif fault == "long":
+            rows[i] = rows[i] + ["1"]
+        else:
+            rows.insert(i, [""] * draw(st.integers(1, len(names) + 1)))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    if kind == "header only":
+        lines += [""] * draw(st.integers(0, 2))
+    return end.join(lines) + draw(st.sampled_from((end, ""))), kwargs, kind == "clean"
+
+
+def load_outcome(load, path, kwargs):
+    """What a loader returns or raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            d = load(path, **kwargs)
+        except Exception as exc:  # the exception itself is the outcome
+            outcome = ("raised", type(exc), str(exc))
+        else:
+            outcome = (
+                "loaded", d.covariates.shape, d.covariates.tobytes(),
+                d.treatments.dtype, d.treatments.tobytes(),
+                d.covariate_names, d.treatment_name, d.num_treatments,
+            )
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300)
+@given(csv_files())
+@example(("x1,w\n1,99999999999999999999\n", {}, False))  # int64 overflow
+@example(("x1,w\n1,2.0\n", {}, False))
+@example(("x1,x2,w\r\n,,\r\n1,2,3\r\n", {}, False))
+@example(('x1,w\r\n"1.5",2\r\n\r\n1_000,1\r\n', {}, False))
+@example(("x1,w\n#1,2\n", {}, False))
+@example(("x1,w\n١,٢\n", {}, False))
+@example(("x1,w\n1\n", {}, False))
+@example(("x1,w\n1,2,3\n", {}, False))
+@example(("x1,w\n\n", {}, False))
+@example(("", {}, False))
+# a quoted unread field whose line break and commas leave well-formed lines
+@example(('t,x,w\n"a,1,1\nb",2,2\n', {"covariate_columns": ["x"]}, False))
+def test_load_dataset_equals_row_parser(case):
+    text, kwargs, clean = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "units.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        want = load_outcome(reference_load_dataset, path, kwargs)
+        with mock.patch.object(data, "_parse_rows", wraps=data._parse_rows) as rows:
+            got = load_outcome(data.load_dataset, path, kwargs)
+    assert got == want
+    if clean:
+        # no clean numeric body goes through the row parser
+        assert want[0][0] == "loaded"
+        assert not rows.called
+
+
+@st.composite
+def extra_columns(draw):
+    """A dataset, extra columns for write_dataset_csv and the same for the reference.
+
+    The reference writer gets each masked array as a list with None where
+    masked; every other column it gets as it is.
+    """
+    n = draw(st.sampled_from((0, 1, 2, 3, 17, 2047, 2048, 2049)))
+    pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 3))
+    dataset = make_dataset(pool[rng.integers(0, len(pool), (n, k))], rng.integers(1, 4, n))
+    floats = pool[rng.integers(0, len(pool), n)]
+    blank = rng.random(n) < 0.3
+    wide = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 12345678901234567], dtype=np.int64)
+    high = np.array([2 ** 64 - 1, 2 ** 63, 2 ** 63 + 2], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        as_float32 = floats.astype(np.float32)
+    columns = {
+        "float64": floats,
+        "float32": as_float32,
+        "bool": rng.random(n) < 0.5,
+        "int64": rng.integers(-3, 4, n),
+        "int64_wide": wide[rng.integers(0, len(wide), n)],
+        "int8": rng.integers(-128, 128, n).astype(np.int8),
+        "uint8": rng.integers(0, 256, n).astype(np.uint8),
+        "uint64_high": high[rng.integers(0, len(high), n)],
+        "uint64_narrow": high[1:][rng.integers(0, 2, n)],
+        "masked_float": np.ma.masked_array(floats, mask=blank),
+        "masked_uint8": np.ma.masked_array(rng.integers(0, 6, n).astype(np.uint8), mask=blank),
+        "list": [
+            [None, 3, -7, 2.5, True, 2 ** 70, -0.0][j] for j in rng.integers(0, 7, n).tolist()
+        ],
+        "numpy_scalars": [
+            [np.float64(0.1), np.int64(-5), np.uint8(200), np.bool_(True), np.float32(0.1),
+             np.int32(7)][j]
+            for j in rng.integers(0, 6, n).tolist()
+        ],
+        "tuple": tuple(floats.tolist()),
+        "object": np.array([None, 1, 0.5] * n, dtype=object)[:n],
+    }
+    names = draw(st.lists(st.sampled_from(sorted(columns)), unique=True, max_size=6))
+    extras = {name: columns[name] for name in names}
+    reference = {
+        name: [None if m else v for v, m in zip(col.data.tolist(), col.mask.tolist())]
+        if isinstance(col, np.ma.MaskedArray) else col
+        for name, col in extras.items()
+    }
+    return dataset, extras, reference
+
+
+@settings(max_examples=60)
+@given(extra_columns())
+def test_write_dataset_csv_equals_field_writer(case):
+    dataset, extras, reference = case
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_dataset_csv(dataset, got, extras)
+        reference_write_dataset_csv(dataset, want, reference)
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()

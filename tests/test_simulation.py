@@ -159,9 +159,7 @@ class TestRunExperiment:
         _, _, result = self.twelve_unit_study()
         causes = [message.split(":")[0] for _, _, message in result.errors]
         assert set(causes) == {"SeparationDetected", "OneClassOnly"}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # targets without a kept replication
-            last = format_experiment_table(result).splitlines()[-1]
+        last = format_experiment_table(result).splitlines()[-1]
         assert last == (
             f"excluded (replication, target) pairs: {len(causes)} "
             f"(SeparationDetected {causes.count('SeparationDetected')}, "
@@ -170,6 +168,34 @@ class TestRunExperiment:
         clean = run_experiment(mechanism_ii(num_units=200, replications=1, seed=1))
         assert not clean.errors
         assert "excluded" not in format_experiment_table(clean)
+
+    def test_targets_without_a_kept_replication_average_to_nan(self):
+        # only 1-vs-2 keeps a replication; the other targets lose both
+        _, _, result = self.twelve_unit_study()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            means = result.mean_before, result.mean_after
+            table = format_experiment_table(result)
+        assert result.excluded_counts().tolist() == [2, 1, 2, 2]
+        for mean in means:
+            assert np.isnan(mean[[0, 2, 3]]).all()
+            assert np.isfinite(mean[1]).all()
+        rows = table.splitlines()[1:5]
+        assert [row.split()[:2] for row in rows] == [
+            ["both-vs-3", "0"], ["1-vs-2", "1"], ["1-vs-3", "0"], ["2-vs-3", "0"]
+        ]
+        assert all(row.split()[2:] == ["nan"] * 6 for row in (rows[0], rows[2], rows[3]))
+
+    def test_means_equal_nanmean(self):
+        # the same sums and quotients as np.nanmean, where a replication is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = run_experiment(mechanism_i(num_units=20, replications=30, seed=2))
+            assert result.errors
+            for values, mean in [
+                (result.before, result.mean_before), (result.after, result.mean_after)
+            ]:
+                assert np.array_equal(mean, np.nanmean(values, axis=0), equal_nan=True)
 
     def test_means_equal_average_of_retained_values(self):
         with warnings.catch_warnings():
