@@ -33,15 +33,12 @@ from .contrasts import (
 from .data import CellIndex, Dataset, build_cell_index, load_dataset, write_dataset_csv
 from .estimation import (
     BinaryLogisticModel,
-    MultinomialLogisticModel,
     ScoreVector,
     csps_from_treatment_probs,
     empirical_csps,
     fit_binary_logistic,
-    fit_multinomial_logistic,
     model_csps,
     predict_binary,
-    predict_multinomial,
 )
 from .simulation import (
     ExperimentResult,
@@ -68,7 +65,6 @@ __all__ = [
     "ContrastBalance",
     "Dataset",
     "ExperimentResult",
-    "MultinomialLogisticModel",
     "ScoreVector",
     "SimulationConfig",
     "SubclassAssignment",
@@ -85,7 +81,6 @@ __all__ = [
     "empirical_csps",
     "errors",
     "fit_binary_logistic",
-    "fit_multinomial_logistic",
     "is_orthogonal",
     "linear_combination",
     "load_dataset",
@@ -95,7 +90,6 @@ __all__ = [
     "oracle_group_means",
     "parse_contrast",
     "predict_binary",
-    "predict_multinomial",
     "read_contrast_file",
     "run_algorithm",
     "run_experiment",

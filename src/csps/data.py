@@ -14,6 +14,10 @@ from .errors import EmptyFile, MissingValue, OutOfRangeTreatment, ParseError
 __all__ = ["Dataset", "CellIndex", "load_dataset", "build_cell_index", "write_dataset_csv"]
 
 
+# the absent-treatment warning names at most this many labels
+_NAMED_ABSENT = 5
+
+
 class Dataset:
     """Immutable container for N units with K covariates and a treatment label.
 
@@ -37,7 +41,10 @@ class Dataset:
             raise ValueError("at least one covariate column is required")
         if not np.all(np.isfinite(X)):
             raise MissingValue("covariates contain NaN or infinite entries")
-        w = np.array(treatments, dtype=int)
+        try:
+            w = np.array(treatments, dtype=int)
+        except OverflowError:
+            raise OutOfRangeTreatment("a treatment label lies beyond the int64 range") from None
         if w.ndim != 1 or w.shape[0] != X.shape[0]:
             raise ValueError("treatments must be a vector with one entry per unit")
         if num_treatments is None:
@@ -62,13 +69,26 @@ class Dataset:
         self.covariate_names = covariate_names
         self.treatment_name = treatment_name
         self._cell_index = None
-        present = set(np.unique(w).tolist())
-        absent = tuple(t for t in range(1, num_treatments + 1) if t not in present)
-        self.absent_treatments = absent
-        if absent:
+        # labels lie in 1..T, so the count and the first few absent labels
+        # take time bounded by N, not by T
+        present = np.unique(w)
+        num_absent = self.num_treatments - len(present)
+        if num_absent:
+            first = np.arange(1, min(self.num_treatments, len(present) + _NAMED_ABSENT) + 1)
+            absent = np.setdiff1d(first, present, assume_unique=True)
+            named = tuple(absent[:_NAMED_ABSENT].tolist())
+            total = f" ({num_absent} absent in all)" if num_absent > len(named) else ""
             warnings.warn(
-                f"treatments {absent} never occur in the data", stacklevel=2
+                f"treatments {named} never occur in the data{total}", stacklevel=2
             )
+
+    @property
+    def absent_treatments(self) -> tuple[int, ...]:
+        """The labels in 1..T that no unit has, built on each access."""
+        absent = np.ones(self.num_treatments + 1, dtype=bool)
+        absent[0] = False
+        absent[self.treatments] = False
+        return tuple(np.flatnonzero(absent).tolist())
 
     @property
     def n_units(self) -> int:
@@ -214,11 +234,22 @@ def _parse_body(fh, num_fields: int, cov_idx: list[int], trt_idx: int):
     return X, body[f"f{trt_idx}"]
 
 
+def _csv_rows(reader, path):
+    """The rows of ``reader``; text it cannot read fails as a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ParseError(f"{path}, line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # text is decoded a chunk ahead of the rows, so the line is not known
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_rows(reader, path, num_fields: int, cov_idx: list[int], trt_idx: int):
     """Covariates and labels of the CSV rows after the header, row by row."""
     X_rows: list[list[float]] = []
     w_rows: list[int] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(_csv_rows(reader, path), start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != num_fields:
@@ -252,16 +283,19 @@ def load_dataset(
     starts no comment.  Columns that are not read are not checked.  A plain
     numeric body is parsed in one array pass; anything else, and any file
     that cannot be read twice (a pipe), goes row by row, which also names
-    the line of the first bad entry.  Only the row parser is bound by
-    ``csv.field_size_limit()``: it refuses a longer field, the array pass
-    reads it.
+    the line of the first bad entry.  Only the header and the row parser
+    are bound by ``csv.field_size_limit()``: they refuse a longer field, the
+    array pass reads it.  The file must be UTF-8 text with a header on its
+    first line.  Every refusal is a :class:`~csps.errors.CspsError`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(_csv_rows(reader, path))
         except StopIteration:
             raise EmptyFile(f"{path}: file is empty") from None
+        if not header:
+            raise ParseError(f"{path}, line 1: blank header line")
         header = [h.strip() for h in header]
         if treatment_column is None:
             treatment_column = "w" if "w" in header else header[-1]

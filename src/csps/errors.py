@@ -65,10 +65,6 @@ class OneClassOnly(CspsError):
     """Binary fit requested but the labels contain a single class."""
 
 
-class MissingClass(CspsError):
-    """Multinomial fit requested but some class in 1..T never occurs."""
-
-
 class SeparationDetected(CspsError):
     """The logistic likelihood has no finite maximiser; retry with ridge > 0."""
 

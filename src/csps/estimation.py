@@ -4,8 +4,8 @@ The score of a bifurcation is the conditional probability, given covariates,
 of landing in its positive group among units assigned to either group.  Two
 estimators are provided: empirical frequencies over exact covariate cells
 (kept exactly, as reduced integer numerator and denominator arrays), and
-Newton maximum likelihood for binary or multinomial logistic models.  Both
-return a :class:`ScoreVector`, which holds arrays rather than per-unit
+Newton maximum likelihood for a binary logistic model of the bifurcation.
+Both return a :class:`ScoreVector`, which holds arrays rather than per-unit
 Python objects.
 
 Scores are predicted for every unit, including units outside the bifurcation:
@@ -26,7 +26,6 @@ from .contrasts import Contrast, _coerce, assignment_indicators
 from .data import Dataset, _index_dtype
 from .errors import (
     DimensionMismatch,
-    MissingClass,
     NotConverged,
     OneClassOnly,
     SeparationDetected,
@@ -36,12 +35,9 @@ from .errors import (
 
 __all__ = [
     "BinaryLogisticModel",
-    "MultinomialLogisticModel",
     "ScoreVector",
     "fit_binary_logistic",
-    "fit_multinomial_logistic",
     "predict_binary",
-    "predict_multinomial",
     "empirical_csps",
     "model_csps",
     "csps_from_treatment_probs",
@@ -123,51 +119,12 @@ class BinaryLogisticModel:
         return len(self.coefficients) - 1
 
 
-@dataclass(frozen=True, eq=False)
-class MultinomialLogisticModel:
-    """Fitted multinomial logistic coefficients, baseline class pinned at zero.
-
-    ``coefficients[t - 1]`` is the (P+1)-vector for class ``t`` (intercept
-    first); the baseline row is identically zero.
-    """
-
-    coefficients: np.ndarray  # (T, P+1)
-    baseline: int
-    converged: bool
-    iterations: int
-    final_gradient_norm: float
-    log_likelihood_path: tuple[float, ...]
-
-    @property
-    def num_classes(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def num_features(self) -> int:
-        return self.coefficients.shape[1] - 1
-
-
-def _standardise(F: np.ndarray):
-    mu = F.mean(axis=0) if F.shape[0] else np.zeros(F.shape[1])
-    sd = F.std(axis=0) if F.shape[0] else np.ones(F.shape[1])
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return (F - mu) / sd, mu, sd
-
-
-def _destandardise_row(w: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    out = w.copy()
-    out[1:] = w[1:] / sd
-    out[0] = w[0] - float((w[1:] * mu / sd).sum())
-    return out
-
-
 def fit_binary_logistic(
     features,
     labels,
     ridge: float = 0.0,
     max_iter: int = 100,
     tol: float = 1e-8,
-    standardize: bool = False,
 ) -> BinaryLogisticModel:
     """Maximise the Bernoulli log-likelihood by Newton steps with halving.
 
@@ -182,9 +139,6 @@ def fit_binary_logistic(
         perfectly separable dataset raises :class:`SeparationDetected`.
     tol:
         Convergence threshold on the (penalized) gradient norm.
-    standardize:
-        Fit on zero-mean unit-variance columns and map the coefficients back
-        to the raw scale.  Convergence diagnostics refer to the scaled fit.
     """
     F = _as_feature_matrix(features)
     y = np.asarray(labels).astype(float)
@@ -201,9 +155,6 @@ def fit_binary_logistic(
 
     order = _canonical_order(F, y)
     F, y = F[order], y[order]
-    mu = sd = None
-    if standardize:
-        F, mu, sd = _standardise(F)
 
     X = _design(F)
     p_dim = X.shape[1]
@@ -265,151 +216,8 @@ def fit_binary_logistic(
         grad_norm = float(np.linalg.norm(g))
         converged = grad_norm < tol
 
-    if standardize:
-        w = _destandardise_row(w, mu, sd)
     return BinaryLogisticModel(
         coefficients=w,
-        converged=converged,
-        iterations=iterations,
-        final_gradient_norm=grad_norm,
-        log_likelihood_path=tuple(ll_path),
-    )
-
-
-def fit_multinomial_logistic(
-    features,
-    labels,
-    baseline: int = 1,
-    ridge: float = 0.0,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    standardize: bool = False,
-) -> MultinomialLogisticModel:
-    """Multinomial logistic maximum likelihood with a pinned baseline class.
-
-    Labels are integers in 1..T with T inferred as the largest label; every
-    class must occur at least once.  The Newton loop shares the binary fit's
-    contract: monotone step-halving, gradient-norm convergence, separation
-    and singular-Hessian errors.
-    """
-    F = _as_feature_matrix(features)
-    y = np.asarray(labels, dtype=int)
-    if y.ndim != 1 or y.shape[0] != F.shape[0]:
-        raise ValueError("labels must be a vector matched to features")
-    if y.size == 0:
-        raise ValueError("empty dataset")
-    if y.min() < 1:
-        raise ValueError("labels must be 1-based")
-    T = int(y.max())
-    present = set(np.unique(y).tolist())
-    absent = [t for t in range(1, T + 1) if t not in present]
-    if T < 2:
-        raise MissingClass("labels contain a single class")
-    if absent:
-        raise MissingClass(f"classes {absent} never occur")
-    if not 1 <= baseline <= T:
-        raise ValueError(f"baseline must lie in 1..{T}")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-
-    order = _canonical_order(F, y.astype(float))
-    F, y = F[order], y[order]
-    mu = sd = None
-    if standardize:
-        F, mu, sd = _standardise(F)
-
-    X = _design(F)
-    M, p_dim = X.shape
-    free = [t for t in range(1, T + 1) if t != baseline]
-    n_free = len(free)
-    Y = np.zeros((M, T))
-    Y[np.arange(M), y - 1] = 1.0
-    pen_row = np.zeros(p_dim)
-    pen_row[1:] = ridge
-    pen = np.tile(pen_row, n_free)
-
-    def probabilities(theta):
-        B = np.zeros((T, p_dim))
-        B[[t - 1 for t in free]] = theta.reshape(n_free, p_dim)
-        Z = X @ B.T
-        Z -= Z.max(axis=1, keepdims=True)
-        E = np.exp(Z)
-        return E / E.sum(axis=1, keepdims=True)
-
-    def penalised_ll(theta):
-        P = probabilities(theta)
-        own = P[np.arange(M), y - 1]
-        ll = float(np.log(np.maximum(own, 1e-300)).sum())
-        return ll - 0.5 * float(pen @ (theta * theta))
-
-    def gradient(theta, P):
-        R = Y[:, [t - 1 for t in free]] - P[:, [t - 1 for t in free]]
-        g = (X.T @ R).T.reshape(-1)
-        return g - pen * theta
-
-    theta = np.zeros(n_free * p_dim)
-    ll_path = [penalised_ll(theta)]
-    grad_norm = np.inf
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        P = probabilities(theta)
-        own = P[np.arange(M), y - 1]
-        if ridge == 0.0 and np.min(own) > 1.0 - SEPARATION_RESIDUAL:
-            raise SeparationDetected(
-                "every unit's own class is fitted almost perfectly; no finite "
-                "maximiser (retry with ridge > 0)"
-            )
-        g = gradient(theta, P)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm < tol:
-            converged = True
-            iterations -= 1
-            break
-        H = np.empty((n_free * p_dim, n_free * p_dim))
-        for a, t in enumerate(free):
-            for b, u in enumerate(free):
-                pa = P[:, t - 1]
-                wab = pa * ((1.0 if t == u else 0.0) - P[:, u - 1])
-                block = (X * wab[:, None]).T @ X
-                H[a * p_dim:(a + 1) * p_dim, b * p_dim:(b + 1) * p_dim] = block
-        H += np.diag(pen)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("Newton system is singular") from exc
-        current = ll_path[-1]
-        for _ in range(MAX_HALVINGS + 1):
-            candidate = theta + step
-            new_ll = penalised_ll(candidate)
-            if new_ll >= current - _acceptance_slack(current):
-                break
-            step = 0.5 * step
-        else:
-            raise SingularHessian(
-                "step-halving exhausted without improving the log-likelihood"
-            )
-        theta = candidate
-        ll_path.append(new_ll)
-        if ridge == 0.0 and float(np.linalg.norm(theta)) > SEPARATION_NORM:
-            raise SeparationDetected(
-                "coefficient norm exceeded 1e6 while the likelihood keeps "
-                "improving (retry with ridge > 0)"
-            )
-    else:
-        P = probabilities(theta)
-        grad_norm = float(np.linalg.norm(gradient(theta, P)))
-        converged = grad_norm < tol
-
-    B = np.zeros((T, p_dim))
-    B[[t - 1 for t in free]] = theta.reshape(n_free, p_dim)
-    if standardize:
-        for t in free:
-            B[t - 1] = _destandardise_row(B[t - 1], mu, sd)
-    return MultinomialLogisticModel(
-        coefficients=B,
-        baseline=baseline,
         converged=converged,
         iterations=iterations,
         final_gradient_norm=grad_norm,
@@ -434,19 +242,6 @@ def _predict_binary_matrix(model: BinaryLogisticModel, F: np.ndarray) -> np.ndar
             f"expected {model.num_features} features, got {F.shape[1]}"
         )
     return _sigmoid(_design(F) @ model.coefficients)
-
-
-def predict_multinomial(model: MultinomialLogisticModel, x) -> np.ndarray:
-    """Softmax class probabilities at one covariate vector (sums to 1)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.num_features:
-        raise DimensionMismatch(
-            f"expected {model.num_features} features, got {x.shape[0]}"
-        )
-    z = model.coefficients @ np.concatenate([[1.0], x])
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +497,7 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
 
 
 def _logistic_scores(
-    features, d, ridge: float = 0.0, max_iter: int = 100, tol: float = 1e-8,
-    standardize: bool = False,
+    features, d, ridge: float = 0.0, max_iter: int = 100, tol: float = 1e-8
 ) -> ScoreVector:
     """Fit a binary logistic model on the units with ``d != 0``, score every unit.
 
@@ -718,7 +512,6 @@ def _logistic_scores(
         ridge=ridge,
         max_iter=max_iter,
         tol=tol,
-        standardize=standardize,
     )
     if not model.converged:
         raise NotConverged(
@@ -734,7 +527,6 @@ def model_csps(
     ridge: float = 0.0,
     max_iter: int = 100,
     tol: float = 1e-8,
-    standardize: bool = False,
 ) -> ScoreVector:
     """Score by a binary logistic model fitted on the bifurcation's units.
 
@@ -748,8 +540,7 @@ def model_csps(
         )
     d = assignment_indicators(contrast, dataset.treatments)
     return _logistic_scores(
-        dataset.covariates, d, ridge=ridge, max_iter=max_iter, tol=tol,
-        standardize=standardize,
+        dataset.covariates, d, ridge=ridge, max_iter=max_iter, tol=tol
     )
 
 

@@ -26,7 +26,6 @@ from csps.estimation import (
     bernoulli_log_likelihood,
     empirical_csps,
     fit_binary_logistic,
-    fit_multinomial_logistic,
     model_csps,
 )
 from csps.example_data import (
@@ -246,9 +245,6 @@ def test_06_numerical_optimization_suite():
     binary = fit_binary_logistic(draw.covariates, draw.treatments == 3)
     if not (binary.converged and binary.final_gradient_norm < 1e-8):
         failures.append("binary fit on a simulated draw did not converge below 1e-8")
-    multi = fit_multinomial_logistic(draw.covariates, draw.treatments)
-    if not (multi.converged and multi.final_gradient_norm < 1e-8):
-        failures.append("multinomial fit did not converge below 1e-8")
 
     # independent fixed-step gradient-ascent oracle
     design = np.column_stack([np.ones(8), x8])

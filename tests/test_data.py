@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import csps
+from csps.cli import main
 from csps.data import Dataset, build_cell_index, load_dataset, write_dataset_csv
 from csps.errors import EmptyFile, MissingValue, OutOfRangeTreatment, ParseError
 
@@ -205,6 +206,37 @@ class TestFastIngest:
         assert d.treatments.tolist() == [1, 2]
 
 
+LONG_FIELD = b"a" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "content, error, message",
+    [
+        (b"\nx1,w\n0.5,1\n", ParseError, "line 1: blank header line"),
+        (b"x1," + LONG_FIELD + b",w\n1,2,1\n", ParseError, "line 1: field larger"),
+        # the quoted field sends the body to the row parser
+        (b'x1,w\n"1",1\n' + LONG_FIELD + b",2\n", ParseError, "line 3: field larger"),
+        (b"x1,w\n0.5,1\n0.7,99999999999999999999999\n", OutOfRangeTreatment, "int64"),
+        (b"x1,w\n0.5,1\n0.7,2\xe9\n", ParseError, "not UTF-8"),
+    ],
+    ids=["blank_first_line", "long_header_field", "long_body_field",
+         "label_beyond_int64", "not_utf8"],
+)
+def test_unreadable_input_fails_typed(content, error, message, tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_bytes(content)
+    with pytest.raises(error, match=message):
+        load_dataset(path)
+    contrasts = tmp_path / "c.txt"
+    contrasts.write_text("1 -1\n")
+    code = main([
+        "balance", "--data", str(path), "--contrasts", str(contrasts),
+        "--output-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def run_python(code: str, stdin: str = "") -> str:
     """Standard output of ``code`` in a fresh interpreter that imports this csps."""
     src = os.path.dirname(os.path.dirname(csps.__file__))
@@ -233,6 +265,22 @@ class TestDatasetType:
     def test_absent_treatment_warns(self):
         with pytest.warns(UserWarning, match="never occur"):
             Dataset([[1.0], [1.0]], [1, 3])
+
+    def test_large_label_costs_no_more_than_its_rows(self, tmp_path):
+        # the warning names 5 absent labels and counts the rest; the tuple
+        # of all of them is built only when asked for
+        path = tmp_path / "m.csv"
+        path.write_text("x1,w\n0.5,1\n0.7,1000000\n")
+        with pytest.warns(UserWarning, match="never occur") as caught:
+            d = load_dataset(path)
+        text = str(caught[0].message)
+        assert len(text.encode()) < 1024
+        assert text == (
+            "treatments (2, 3, 4, 5, 6) never occur in the data (999998 absent in all)"
+        )
+        assert len(d.absent_treatments) == 999_998
+        assert d.absent_treatments[:2] == (2, 3)
+        assert d.absent_treatments[-1] == 999_999
 
     def test_arrays_read_only(self, example):
         with pytest.raises(ValueError):

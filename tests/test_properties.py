@@ -700,6 +700,41 @@ def test_load_dataset_equals_row_parser(case):
         assert not rows.called
 
 
+# Pieces of arbitrary file bytes: digits, commas, quotes, blanks, and stray
+# bytes (not UTF-8, NUL, a bare carriage return, an int64-overflowing label).
+FUZZ_PIECES = st.sampled_from((
+    b"0", b"1", b"2", b"3", b"9", b"1.5", b"-", b",", b",", b'"', b" ", b"\t",
+    b"e", b"x", b"w", b"\xff", b"\xe9", b"\x00", b"\r", b"99999999999999999999",
+))
+FUZZ_LINES = st.lists(FUZZ_PIECES, max_size=10).map(b"".join)
+
+
+@st.composite
+def fuzzed_files(draw):
+    """A header line (often a valid one) and up to 6 body lines of fuzz bytes."""
+    header = draw(st.one_of(st.sampled_from((b"x1,w", b"x1,x2,w", b"w,x1", b"")), FUZZ_LINES))
+    body = draw(st.lists(FUZZ_LINES, max_size=6))
+    end = draw(st.sampled_from((b"\n", b"\r\n")))
+    return end.join([header] + body) + draw(st.sampled_from((end, b"")))
+
+
+@settings(max_examples=200)
+@given(fuzzed_files())
+def test_load_dataset_returns_a_dataset_or_fails_typed(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "units.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # absent treatments only warn
+            try:
+                dataset = data.load_dataset(path)
+            except CspsError:
+                return
+    assert isinstance(dataset, Dataset)
+    assert dataset.n_units >= 1
+
+
 @st.composite
 def extra_columns(draw):
     """A dataset, extra columns for write_dataset_csv and the same for the reference.
