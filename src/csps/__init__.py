@@ -38,7 +38,6 @@ from .estimation import (
     empirical_csps,
     fit_binary_logistic,
     model_csps,
-    predict_binary,
 )
 from .simulation import (
     ExperimentResult,
@@ -89,7 +88,6 @@ __all__ = [
     "model_csps",
     "oracle_group_means",
     "parse_contrast",
-    "predict_binary",
     "read_contrast_file",
     "run_algorithm",
     "run_experiment",

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .estimation import (
     ScoreVector,
+    _check_width,
     _dense_ids,
     _logistic_scores,
     empirical_csps,
@@ -124,16 +125,17 @@ class AlgorithmConfig:
 
     ``estimator`` picks how the J balancing scores and the chained score are
     estimated: ``"empirical"`` uses exact cells (discrete covariates),
-    ``"logistic"`` fits binary logistic models.  Subclassification defaults
-    to quintiles; ``"exact"`` makes one subclass per distinct score value.
+    ``"logistic"`` fits binary logistic models, with an optional ``ridge``
+    penalty; their iteration limit and gradient tolerance are the fixed
+    constants :data:`~csps.estimation.MAX_ITER` and
+    :data:`~csps.estimation.TOL`.  Subclassification defaults to quintiles;
+    ``"exact"`` makes one subclass per distinct score value.
     """
 
     estimator: str = "logistic"
     subclass_method: str = "quantile"
     num_subclasses: int = 5
     ridge: float = 0.0
-    max_iter: int = 100
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.estimator not in ("empirical", "logistic"):
@@ -287,14 +289,6 @@ class SubclassBalanceRow:
     mean_positive_exact: tuple[Fraction, ...]
     mean_negative_exact: tuple[Fraction, ...]
     difference_exact: tuple[Fraction, ...]
-
-    @property
-    def mean_positive(self) -> np.ndarray:
-        return np.array([float(v) for v in self.mean_positive_exact])
-
-    @property
-    def mean_negative(self) -> np.ndarray:
-        return np.array([float(v) for v in self.mean_negative_exact])
 
     @property
     def difference(self) -> np.ndarray:
@@ -451,12 +445,7 @@ class _BalancingDesign:
 
 
 def _balancing_design(
-    dataset: Dataset,
-    balancing: Sequence[Contrast],
-    estimator: str,
-    ridge: float,
-    max_iter: int,
-    tol: float,
+    dataset: Dataset, balancing: Sequence[Contrast], estimator: str, ridge: float
 ) -> _BalancingDesign:
     """Fit the J balancing scores once and build the chained design from them."""
     balancing = tuple(balancing)
@@ -468,10 +457,7 @@ def _balancing_design(
     if estimator == "empirical":
         base = [empirical_csps(dataset, c) for c in balancing]
     else:
-        base = [
-            model_csps(dataset, c, ridge=ridge, max_iter=max_iter, tol=tol)
-            for c in balancing
-        ]
+        base = [model_csps(dataset, c, ridge=ridge) for c in balancing]
     defined = np.stack([sv.defined_mask for sv in base])
     if estimator == "logistic":
         features = np.column_stack([sv.as_floats() for sv in base])
@@ -484,9 +470,7 @@ def _balancing_design(
     return _BalancingDesign(balancing, defined, cells=cells, num_cells=num_cells)
 
 
-def _chained_scores(
-    design: _BalancingDesign, d: np.ndarray, ridge: float, max_iter: int, tol: float
-) -> ScoreVector:
+def _chained_scores(design: _BalancingDesign, d: np.ndarray, ridge: float) -> ScoreVector:
     """The target's chained score from a balancing design; ``d`` is its indicator."""
     eligible = np.flatnonzero(d != 0)
     if not (d == 1).any() or not (d == -1).any():
@@ -501,7 +485,7 @@ def _chained_scores(
         n_pos = np.bincount(design.cells[d == 1], minlength=design.num_cells)
         n_either = np.bincount(design.cells[eligible], minlength=design.num_cells)
         return ScoreVector.from_ratios(n_pos, n_either, index=design.cells)
-    return _logistic_scores(design.features, d, ridge=ridge, max_iter=max_iter, tol=tol)
+    return _logistic_scores(design.features, d, ridge=ridge)
 
 
 def chained_propensity(
@@ -510,8 +494,6 @@ def chained_propensity(
     target: Contrast,
     estimator: str = "logistic",
     ridge: float = 0.0,
-    max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> ScoreVector:
     """Propensity score for the target fitted on the J balancing scores.
 
@@ -520,11 +502,16 @@ def chained_propensity(
     exact cells of the score tuple (``estimator="empirical"``) or a binary
     logistic fit (``estimator="logistic"``).  Scores are predicted for every
     unit.  This is one target's share of :func:`run_algorithm`, which fits
-    the balancing scores once for all of its targets.
+    the balancing scores once for all of its targets.  A contrast whose width
+    is not the dataset's number of treatments raises
+    :class:`~csps.errors.DimensionMismatch` before any fit.
     """
-    design = _balancing_design(dataset, balancing, estimator, ridge, max_iter, tol)
+    balancing = tuple(balancing)
+    for contrast in (*balancing, target):
+        _check_width(dataset, contrast)
+    design = _balancing_design(dataset, balancing, estimator, ridge)
     d = assignment_indicators(target, dataset.treatments)
-    return _chained_scores(design, d, ridge, max_iter, tol)
+    return _chained_scores(design, d, ridge)
 
 
 def _error_text(exc: CspsError) -> str:
@@ -545,16 +532,18 @@ def run_algorithm(
     each entry keeps the score and the subclasses it was computed from.  A
     failure for one target (including a Newton fit that did not converge) is
     recorded in its report entry without aborting the others; a failed
-    balancing fit is recorded on every target.
+    balancing fit is recorded on every target.  A balancing or target
+    contrast whose width is not the dataset's number of treatments is an
+    input error, not a per-target failure: it raises
+    :class:`~csps.errors.DimensionMismatch` before any fit.
     """
-    targets = tuple(targets)
+    balancing, targets = tuple(balancing), tuple(targets)
+    for contrast in (*balancing, *targets):
+        _check_width(dataset, contrast)
     design = failure = None
     if targets:
         try:
-            design = _balancing_design(
-                dataset, balancing, config.estimator,
-                config.ridge, config.max_iter, config.tol,
-            )
+            design = _balancing_design(dataset, balancing, config.estimator, config.ridge)
         except CspsError as exc:
             failure = _error_text(exc)
     entries = []
@@ -564,7 +553,7 @@ def run_algorithm(
             continue
         try:
             d = assignment_indicators(target, dataset.treatments)
-            scores = _chained_scores(design, d, config.ridge, config.max_iter, config.tol)
+            scores = _chained_scores(design, d, config.ridge)
             assignment = subclassify(
                 scores, d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,

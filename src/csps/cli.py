@@ -190,7 +190,7 @@ def cmd_balance(args, config) -> int:
     if fmt not in ("text", "csv", "both"):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt in ("text", "both"):
-        print(format_balance_table(report, show_subclasses=True))
+        print(format_balance_table(report))
     if fmt in ("csv", "both"):
         path = _out_path(args, config, "balance.csv")
         write_balance_csv(report, path)

@@ -124,9 +124,6 @@ class Contrast:
         """Componentwise sign vector in {-1, 0, +1}."""
         return tuple(_sgn(v) for v in self.coefficients)
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.coefficients])
-
     def describe(self) -> str:
         """Label if present, else the coefficient tuple."""
         if self.label:

@@ -6,7 +6,9 @@ estimators are provided: empirical frequencies over exact covariate cells
 (kept exactly, as reduced integer numerator and denominator arrays), and
 Newton maximum likelihood for a binary logistic model of the bifurcation.
 Both return a :class:`ScoreVector`, which holds arrays rather than per-unit
-Python objects.
+Python objects.  The Newton fit's only setting is an optional ridge penalty:
+its iteration limit (:data:`MAX_ITER`) and gradient-norm tolerance
+(:data:`TOL`) are fixed constants.
 
 Scores are predicted for every unit, including units outside the bifurcation:
 the score is a function of the covariates alone, and downstream chaining uses
@@ -37,7 +39,6 @@ __all__ = [
     "BinaryLogisticModel",
     "ScoreVector",
     "fit_binary_logistic",
-    "predict_binary",
     "empirical_csps",
     "model_csps",
     "csps_from_treatment_probs",
@@ -45,6 +46,8 @@ __all__ = [
     "bernoulli_gradient",
 ]
 
+MAX_ITER = 100  # Newton iterations before a fit counts as not converged
+TOL = 1e-8  # convergence threshold on the (penalised) gradient norm
 MAX_HALVINGS = 30
 SEPARATION_RESIDUAL = 1e-6  # every unit fit this well means no finite optimum
 SEPARATION_NORM = 1e6
@@ -119,14 +122,12 @@ class BinaryLogisticModel:
         return len(self.coefficients) - 1
 
 
-def fit_binary_logistic(
-    features,
-    labels,
-    ridge: float = 0.0,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> BinaryLogisticModel:
+def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticModel:
     """Maximise the Bernoulli log-likelihood by Newton steps with halving.
+
+    The fit converges when the (penalised) gradient norm falls below the
+    fixed :data:`TOL`; it stops unconverged after :data:`MAX_ITER` Newton
+    iterations.
 
     Parameters
     ----------
@@ -137,8 +138,6 @@ def fit_binary_logistic(
     ridge:
         Optional penalty on non-intercept coefficients.  With ridge 0 a
         perfectly separable dataset raises :class:`SeparationDetected`.
-    tol:
-        Convergence threshold on the (penalized) gradient norm.
     """
     F = _as_feature_matrix(features)
     y = np.asarray(labels).astype(float)
@@ -172,7 +171,7 @@ def fit_binary_logistic(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         p = _sigmoid(X @ w)
         resid = y - p
         if ridge == 0.0 and np.max(np.abs(resid)) < SEPARATION_RESIDUAL:
@@ -182,7 +181,7 @@ def fit_binary_logistic(
             )
         g = X.T @ resid - pen * w
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm < tol:
+        if grad_norm < TOL:
             converged = True
             iterations -= 1
             break
@@ -214,7 +213,7 @@ def fit_binary_logistic(
         # final gradient at the returned point
         g = X.T @ (y - _sigmoid(X @ w)) - pen * w
         grad_norm = float(np.linalg.norm(g))
-        converged = grad_norm < tol
+        converged = grad_norm < TOL
 
     return BinaryLogisticModel(
         coefficients=w,
@@ -223,17 +222,6 @@ def fit_binary_logistic(
         final_gradient_norm=grad_norm,
         log_likelihood_path=tuple(ll_path),
     )
-
-
-def predict_binary(model: BinaryLogisticModel, x) -> float:
-    """Inverse-logit of the linear predictor at one covariate vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != model.num_features:
-        raise DimensionMismatch(
-            f"expected {model.num_features} features, got {x.shape[0]}"
-        )
-    z = model.coefficients[0] + float(model.coefficients[1:] @ x)
-    return float(_sigmoid(z))
 
 
 def _predict_binary_matrix(model: BinaryLogisticModel, F: np.ndarray) -> np.ndarray:
@@ -294,60 +282,24 @@ def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
 
 
 class ScoreVector:
-    """Per-unit scores in [0, 1] with an explicit defined/undefined mask.
+    """Per-unit scores in [0, 1], some of which may be undefined.
 
-    Scores are held as arrays, never as per-unit objects.  Model scores are
-    one float64 per unit.  Exact scores (empirical cell frequencies) are
-    reduced int64 numerator and denominator arrays with one entry per
-    source of values, typically a cell, plus the entry of every unit; a zero
-    denominator marks an undefined entry (a cell without group members).
-    ``values`` spells the scores out as a tuple of floats,
+    Scores are held as arrays, never as per-unit objects, and are built by
+    one of two class methods.  :meth:`from_floats` wraps model scores, one
+    float64 per unit, all defined.  :meth:`from_ratios` wraps exact scores
+    (empirical cell frequencies): reduced int64 numerator and denominator
+    arrays with one entry per source of values, typically a cell, plus the
+    entry of every unit; a zero denominator marks an undefined entry (a cell
+    without group members).  ``defined_mask`` is derived from these arrays
+    on access.  ``values`` spells the scores out as a tuple of floats,
     :class:`~fractions.Fraction` objects and ``None``; it is built on first
     access, and the pipeline never reads it.
-
-    The constructor takes such a per-unit sequence: when every defined item
-    is an int or a Fraction the scores are exact, otherwise floats.  A mix
-    of Fractions and floats is therefore held as floats: each Fraction is
-    rounded to the nearest float, ``values`` returns floats, and exact
-    subclassing groups by the rounded values.
-    :meth:`from_floats` and :meth:`from_ratios` wrap arrays directly.
     """
 
-    __slots__ = (
-        "defined_mask", "_floats", "_numerators", "_denominators", "_index", "_values",
-    )
+    __slots__ = ("_floats", "_numerators", "_denominators", "_index", "_values")
 
-    def __init__(self, values: Sequence, defined_mask=None):
-        vals = tuple(values)
-        if defined_mask is None:
-            mask = [v is not None for v in vals]
-        else:
-            mask = np.array(defined_mask, dtype=bool)
-            if mask.shape != (len(vals),):
-                raise ValueError("defined_mask length must match values")
-            mask = mask.tolist()
-        defined = [v for v, ok in zip(vals, mask) if ok]
-        if any(v is None for v in defined):
-            raise ValueError("a defined score is None")
-        if all(isinstance(v, (Fraction, int, np.integer)) for v in defined):
-            # one entry per distinct value; entry 0 stands for undefined
-            entries: dict = {None: 0}
-            index = [
-                entries.setdefault(Fraction(v) if ok else None, len(entries))
-                for v, ok in zip(vals, mask)
-            ]
-            fractions = list(entries)[1:]
-            try:
-                num = np.array([0] + [f.numerator for f in fractions], dtype=np.int64)
-                den = np.array([0] + [f.denominator for f in fractions], dtype=np.int64)
-            except OverflowError:
-                raise ValueError(
-                    "exact scores need numerators and denominators that fit in int64"
-                ) from None
-            self._set(numerators=num, denominators=den, index=np.array(index, dtype=np.intp))
-        else:
-            floats = [float(v) if ok else np.nan for v, ok in zip(vals, mask)]
-            self._set(floats=np.array(floats, dtype=float), mask=np.array(mask, dtype=bool))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build scores with ScoreVector.from_floats or .from_ratios")
 
     @classmethod
     def from_floats(cls, scores) -> "ScoreVector":
@@ -355,78 +307,79 @@ class ScoreVector:
         floats = np.array(scores, dtype=float)
         if floats.ndim != 1:
             raise ValueError("scores must be a vector")
-        self = cls.__new__(cls)
-        self._set(floats=floats, mask=np.ones(floats.shape, dtype=bool))
-        return self
+        bad = np.flatnonzero(~((floats >= 0) & (floats <= 1)))
+        if bad.size:
+            raise ValueError(
+                f"score {float(floats[bad[0]])!r} of unit {int(bad[0])} outside [0, 1]"
+            )
+        return cls._frozen(floats=floats)
 
     @classmethod
     def from_ratios(cls, numerators, denominators, index) -> "ScoreVector":
         """Exact scores: unit ``i`` scores ``numerators[j] / denominators[j]``, j = index[i].
 
-        The entries are nonnegative ints, typically one per cell, so the
-        fractions are reduced per entry rather than per unit.  A zero
+        The entries are nonnegative ints below 2**63, typically one per cell,
+        so the fractions are reduced per entry rather than per unit.  A zero
         denominator marks an undefined score.  A read-only ``index`` is kept
         without a copy.
         """
-        num = np.array(numerators, dtype=np.int64)
-        den = np.array(denominators, dtype=np.int64)
+        try:
+            num = np.array(numerators, dtype=np.int64)
+            den = np.array(denominators, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                "exact scores need numerators and denominators that fit in int64"
+            ) from None
         if num.ndim != 1 or num.shape != den.shape:
             raise ValueError("numerators and denominators must be vectors of one length")
         divisor = np.gcd(num, den)
         divisor[divisor == 0] = 1
         num //= divisor
         den //= divisor
+        valid = (den == 0) | ((den > 0) & (num >= 0) & (num <= den))
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"score {num[j]}/{den[j]} outside [0, 1]")
         index = np.asarray(index)
         if index.flags.writeable:
             index = index.copy()
-        self = cls.__new__(cls)
-        self._set(numerators=num, denominators=den, index=index)
-        return self
+        return cls._frozen(numerators=num, denominators=den, index=index)
 
-    def _set(self, floats=None, mask=None, numerators=None, denominators=None, index=None):
-        if floats is not None:
-            bad = np.flatnonzero(mask & ~((floats >= 0) & (floats <= 1)))
-            if bad.size:
-                raise ValueError(
-                    f"defined score {floats[bad[0]]!r} of unit {int(bad[0])} outside [0, 1]"
-                )
-        else:
-            valid = (denominators == 0) | (
-                (denominators > 0) & (numerators >= 0) & (numerators <= denominators)
-            )
-            bad = np.flatnonzero(~valid)
-            if bad.size:
-                j = int(bad[0])
-                raise ValueError(
-                    f"score {numerators[j]}/{denominators[j]} outside [0, 1]"
-                )
-            mask = (denominators > 0)[index]
-        for array in (floats, mask, numerators, denominators, index):
+    @classmethod
+    def _frozen(cls, floats=None, numerators=None, denominators=None, index=None):
+        """An instance over these arrays, which it makes read-only."""
+        for array in (floats, numerators, denominators, index):
             if array is not None:
                 array.setflags(write=False)
-        self.defined_mask = mask
+        self = cls.__new__(cls)
         self._floats = floats
         self._numerators = numerators
         self._denominators = denominators
         self._index = index
         self._values = None
+        return self
 
     def __len__(self) -> int:
-        return len(self.defined_mask)
+        return len(self._floats if self._floats is not None else self._index)
 
     @property
     def is_exact(self) -> bool:
         return self._floats is None
 
     @property
+    def defined_mask(self) -> np.ndarray:
+        """Per-unit flags, True where the score is defined (a new array)."""
+        if self._floats is not None:
+            return np.ones(self._floats.shape, dtype=bool)
+        return (self._denominators > 0)[self._index]
+
+    @property
     def values(self) -> tuple:
         """Per-unit scores: floats or Fractions, ``None`` where undefined."""
         if self._values is None:
             if self._floats is not None:
-                self._values = tuple(
-                    v if ok else None
-                    for v, ok in zip(self._floats.tolist(), self.defined_mask.tolist())
-                )
+                self._values = tuple(self._floats.tolist())
             else:
                 entries = [
                     Fraction(n, d) if d else None
@@ -435,17 +388,17 @@ class ScoreVector:
                 self._values = tuple(entries[j] for j in self._index.tolist())
         return self._values
 
-    def as_floats(self, fill: float = np.nan) -> np.ndarray:
-        """Scores as float64 (exact ones correctly rounded), ``fill`` where undefined."""
+    def as_floats(self) -> np.ndarray:
+        """Scores as a new float64 array (exact ones correctly rounded), NaN where undefined."""
         if self._floats is not None:
-            return np.where(self.defined_mask, self._floats, fill)
+            return self._floats.copy()
         num, den = self._numerators, self._denominators
         with np.errstate(divide="ignore", invalid="ignore"):
             entry = num / den
         wide = np.flatnonzero(den > _EXACT_FLOAT_INT)
         if wide.size:
             entry[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
-        entry[den == 0] = fill
+        entry[den == 0] = np.nan
         return entry[self._index]
 
     def dense_ranks(self, units=None) -> np.ndarray:
@@ -459,8 +412,7 @@ class ScoreVector:
         """
         pick = slice(None) if units is None else units
         if self._floats is not None:
-            scores = np.where(self.defined_mask[pick], self._floats[pick], np.inf)
-            return np.unique(scores, return_inverse=True)[1]
+            return np.unique(self._floats[pick], return_inverse=True)[1]
         num, den = self._numerators, self._denominators
         ids, n = _dense_ids([num, den])
         # equal ids carry equal values, so these writes agree
@@ -476,6 +428,14 @@ class ScoreVector:
         return rank[ids][self._index[pick]]
 
 
+def _check_width(dataset: Dataset, contrast: Contrast) -> None:
+    if contrast.num_treatments != dataset.num_treatments:
+        raise DimensionMismatch(
+            f"contrast {contrast.describe()} has {contrast.num_treatments} "
+            f"treatments, dataset has {dataset.num_treatments}"
+        )
+
+
 def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     """Score by exact-cell frequencies: share of the positive group per cell.
 
@@ -484,11 +444,7 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     """
     if dataset.n_units == 0:
         raise ValueError("dataset is empty")
-    if contrast.num_treatments != dataset.num_treatments:
-        raise DimensionMismatch(
-            f"contrast has {contrast.num_treatments} treatments, "
-            f"dataset has {dataset.num_treatments}"
-        )
+    _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
     cells = dataset.cell_index
     n_pos = np.bincount(cells.cell_of_unit[d == 1], minlength=cells.num_cells)
@@ -496,52 +452,33 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     return ScoreVector.from_ratios(n_pos, n_either, index=cells.cell_of_unit)
 
 
-def _logistic_scores(
-    features, d, ridge: float = 0.0, max_iter: int = 100, tol: float = 1e-8
-) -> ScoreVector:
+def _logistic_scores(features, d, ridge: float = 0.0) -> ScoreVector:
     """Fit a binary logistic model on the units with ``d != 0``, score every unit.
 
     ``d`` holds +1/-1/0 group indicators.  Raises :class:`NotConverged` when
-    the Newton fit stops at ``max_iter`` without reaching ``tol``.
+    the Newton fit stops at :data:`MAX_ITER` iterations without reaching
+    :data:`TOL`.
     """
     F = _as_feature_matrix(features)
     eligible = np.asarray(d) != 0
-    model = fit_binary_logistic(
-        F[eligible],
-        (np.asarray(d)[eligible] == 1),
-        ridge=ridge,
-        max_iter=max_iter,
-        tol=tol,
-    )
+    model = fit_binary_logistic(F[eligible], (np.asarray(d)[eligible] == 1), ridge=ridge)
     if not model.converged:
         raise NotConverged(
             f"Newton fit stopped after {model.iterations} iterations with "
-            f"gradient norm {model.final_gradient_norm:.3g} (tol {tol:g})"
+            f"gradient norm {model.final_gradient_norm:.3g} (tol {TOL:g})"
         )
     return ScoreVector.from_floats(_predict_binary_matrix(model, F))
 
 
-def model_csps(
-    dataset: Dataset,
-    contrast: Contrast,
-    ridge: float = 0.0,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> ScoreVector:
+def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> ScoreVector:
     """Score by a binary logistic model fitted on the bifurcation's units.
 
     The fit uses only units assigned to one of the two groups, but predicts
     for all units, so the result is always fully defined.
     """
-    if contrast.num_treatments != dataset.num_treatments:
-        raise DimensionMismatch(
-            f"contrast has {contrast.num_treatments} treatments, "
-            f"dataset has {dataset.num_treatments}"
-        )
+    _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
-    return _logistic_scores(
-        dataset.covariates, d, ridge=ridge, max_iter=max_iter, tol=tol
-    )
+    return _logistic_scores(dataset.covariates, d, ridge=ridge)
 
 
 def csps_from_treatment_probs(probs, contrast: Contrast):

@@ -23,18 +23,20 @@ __all__ = [
 ]
 
 
-def _fmt(value, decimals: int) -> str:
-    return f"{float(value):.{decimals}f}"
+def _fmt(value) -> str:
+    return f"{float(value):.2f}"
 
 
 def _full(value) -> str:
     return format(float(value), ".17g")
 
 
-def format_balance_table(
-    report: BalanceReport, decimals: int = 2, show_subclasses: bool = False
-) -> str:
-    """Aligned per-target table of before/after covariate mean differences."""
+def format_balance_table(report: BalanceReport) -> str:
+    """Aligned per-target table of before/after covariate mean differences.
+
+    The table is followed by each target's subclasses and then by one line
+    per failed target.
+    """
     names = list(report.covariate_names)
     header = (
         ["target", "n+", "n-", "S"]
@@ -50,9 +52,10 @@ def format_balance_table(
             continue
         row = [label, str(entry.n_positive), str(entry.n_negative)]
         row.append(str(entry.num_subclasses) if entry.subclass_rows else "-")
-        row += [_fmt(v, decimals) for v in entry.before]
-        if entry.after is not None:
-            row += [_fmt(v, decimals) for v in entry.after]
+        row += [_fmt(v) for v in entry.before]
+        after = entry.after
+        if after is not None:
+            row += [_fmt(v) for v in after]
         else:
             row += ["-"] * len(names)
         rows.append(row)
@@ -60,17 +63,16 @@ def format_balance_table(
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
 
-    if show_subclasses:
-        for entry in report.entries:
-            if not entry.subclass_rows:
-                continue
-            lines.append(f"subclasses for {entry.contrast.describe()}:")
-            for r in entry.subclass_rows:
-                diffs = "  ".join(_fmt(v, decimals) for v in r.difference)
-                lines.append(
-                    f"  subclass {r.subclass_id}: n+={r.n_positive} "
-                    f"n-={r.n_negative} weight={float(r.weight):.3f} diff: {diffs}"
-                )
+    for entry in report.entries:
+        if not entry.subclass_rows:
+            continue
+        lines.append(f"subclasses for {entry.contrast.describe()}:")
+        for r in entry.subclass_rows:
+            diffs = "  ".join(_fmt(v) for v in r.difference)
+            lines.append(
+                f"  subclass {r.subclass_id}: n+={r.n_positive} "
+                f"n-={r.n_negative} weight={float(r.weight):.3f} diff: {diffs}"
+            )
     lines.extend(notes)
     return "\n".join(lines)
 
@@ -99,7 +101,7 @@ def write_balance_csv(report: BalanceReport, path) -> None:
             if entry.error is not None:
                 writer.writerow([label, "error", "", "", "", "", "", "", "", "", entry.error])
                 continue
-            after = entry.after
+            before, after = entry.before, entry.after
             for k, name in enumerate(report.covariate_names):
                 writer.writerow(
                     [
@@ -110,7 +112,7 @@ def write_balance_csv(report: BalanceReport, path) -> None:
                         entry.n_positive,
                         entry.n_negative,
                         "",
-                        _full(entry.before[k]),
+                        _full(before[k]),
                         _full(after[k]) if after is not None else "",
                         "",
                         "",
@@ -135,7 +137,7 @@ def write_balance_csv(report: BalanceReport, path) -> None:
                     )
 
 
-def format_experiment_table(result: ExperimentResult, decimals: int = 2) -> str:
+def format_experiment_table(result: ExperimentResult) -> str:
     """Per-target table of replication-averaged before/after differences.
 
     When some (replication, target) pairs failed, a last line counts them,
@@ -154,8 +156,8 @@ def format_experiment_table(result: ExperimentResult, decimals: int = 2) -> str:
     for j, target in enumerate(cfg.targets):
         used = cfg.replications - int(excluded[j])
         row = [target.describe(), str(used)]
-        row += [_fmt(v, decimals) for v in mb[j]]
-        row += [_fmt(v, decimals) for v in ma[j]]
+        row += [_fmt(v) for v in mb[j]]
+        row += [_fmt(v) for v in ma[j]]
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]

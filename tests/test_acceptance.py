@@ -305,12 +305,15 @@ def test_07_property_suites():
         rows += [cell] * 12_500
         labels += list(rng.choice([1, 2, 3], size=12_500, p=probs))
     dataset = Dataset(rows, labels, num_treatments=3)
-    true_scores = ScoreVector(
-        [
-            Fraction(Fraction(str(cells[tuple(r)][0])),
-                     Fraction(str(cells[tuple(r)][0])) + Fraction(str(cells[tuple(r)][1])))
-            for r in dataset.covariates.tolist()
-        ]
+    index = dataset.cell_index
+    true_cell_scores = [
+        Fraction(str(cells[key][0])) / (Fraction(str(cells[key][0])) + Fraction(str(cells[key][1])))
+        for key in map(tuple, index.rows.tolist())
+    ]
+    true_scores = ScoreVector.from_ratios(
+        [v.numerator for v in true_cell_scores],
+        [v.denominator for v in true_cell_scores],
+        index=index.cell_of_unit,
     )
     d = assignment_indicators(contrast, dataset.treatments)
     assignment = subclassify(true_scores, d, method="exact")

@@ -14,7 +14,13 @@ from csps.balancing import (
 )
 from csps.contrasts import Contrast, assignment_indicators
 from csps.data import Dataset, build_cell_index
-from csps.errors import CspsError, EmptyGroup, TooFewUnits, UndefinedScores
+from csps.errors import (
+    CspsError,
+    DimensionMismatch,
+    EmptyGroup,
+    TooFewUnits,
+    UndefinedScores,
+)
 from csps.estimation import ScoreVector, empirical_csps, fit_binary_logistic
 from csps.example_data import (
     EXPECTED_CHAINED_SCORE,
@@ -112,14 +118,14 @@ class TestSubclassify:
         assert (assignment.labels[d == 0] == 0).all()
 
     def test_constant_scores_collapse_to_one_subclass(self):
-        scores = ScoreVector([0.5] * 10)
+        scores = ScoreVector.from_floats([0.5] * 10)
         d = np.array([1, -1] * 5)
         for method in ("quantile", "exact"):
             assignment = subclassify(scores, d, method=method, num_subclasses=5)
             assert assignment.num_subclasses == 1
 
     def test_hundred_distinct_scores_make_even_quintiles(self):
-        scores = ScoreVector([i / 100 for i in range(100)])
+        scores = ScoreVector.from_floats([i / 100 for i in range(100)])
         d = np.array([1, -1] * 50)
         assignment = subclassify(scores, d, method="quantile", num_subclasses=5)
         assert assignment.num_subclasses == 5
@@ -130,27 +136,27 @@ class TestSubclassify:
 
     def test_boundary_ties_go_to_lower_subclass(self):
         # the 0.5-quantile of these scores is 0.2, so both 0.2 units stay low
-        scores = ScoreVector([0.1, 0.2, 0.2, 0.4, 0.5])
+        scores = ScoreVector.from_floats([0.1, 0.2, 0.2, 0.4, 0.5])
         d = np.array([1, -1, 1, 1, -1])
         assignment = subclassify(scores, d, method="quantile", num_subclasses=2)
         assert assignment.labels.tolist() == [1, 1, 1, 2, 2]
 
     def test_one_class_subclass_merges_toward_median(self):
-        scores = ScoreVector([0.1, 0.1, 0.5, 0.5, 0.9, 0.9])
+        scores = ScoreVector.from_floats([0.1, 0.1, 0.5, 0.5, 0.9, 0.9])
         d = np.array([1, 1, 1, -1, 1, -1])  # leftmost group has no -1
         assignment = subclassify(scores, d, method="exact")
         assert assignment.num_subclasses == 2
         assert assignment.labels.tolist() == [1, 1, 1, 1, 2, 2]
 
     def test_single_group_raises(self):
-        scores = ScoreVector([0.5, 0.6])
+        scores = ScoreVector.from_floats([0.5, 0.6])
         with pytest.raises(TooFewUnits):
             subclassify(scores, np.array([1, 1]))
         with pytest.raises(TooFewUnits):
             subclassify(scores, np.array([0, 0]))
 
     def test_undefined_eligible_score_raises(self):
-        scores = ScoreVector([0.5, None])
+        scores = ScoreVector.from_ratios([1, 0], [2, 0], index=[0, 1])
         with pytest.raises(UndefinedScores):
             subclassify(scores, np.array([1, -1]))
 
@@ -298,6 +304,29 @@ class TestRunAlgorithm:
         run_algorithm(example, [FIRST_CONTRAST], [TARGET_CONTRAST], config)
         assert (len(fits), len(cells)) == ((2, 0) if estimator == "logistic" else (0, 1))
 
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_contrast_width_checked_before_any_fit(self, example, monkeypatch, estimator):
+        # unchecked, a target one treatment wider than the data would be
+        # balanced as the contrast of its first three coefficients
+        fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
+        config = AlgorithmConfig(estimator=estimator)
+        narrow, wide = Contrast((1, -1)), Contrast((0, 1, -1, 0))
+        cases = [
+            ([narrow], [TARGET_CONTRAST]),
+            ([FIRST_CONTRAST, wide], [TARGET_CONTRAST]),
+            ([FIRST_CONTRAST], [TARGET_CONTRAST, wide]),
+            ([FIRST_CONTRAST], [narrow]),
+        ]
+        for balancing_set, targets in cases:
+            with pytest.raises(DimensionMismatch, match="treatments, dataset has 3"):
+                run_algorithm(example, balancing_set, targets, config)
+            with pytest.raises(DimensionMismatch, match="treatments, dataset has 3"):
+                chained_propensity(example, balancing_set, targets[-1], estimator=estimator)
+        with pytest.raises(DimensionMismatch, match=r"contrast \(1, -1\) has 2"):
+            run_algorithm(example, [narrow], [], config)
+        assert fits == [] and cells == []
+
     def test_empty_balancing_set_raises_with_targets(self, example):
         with pytest.raises(ValueError, match="balancing contrast"):
             run_algorithm(example, [], [TARGET_CONTRAST])
@@ -341,14 +370,13 @@ class TestRunAlgorithm:
         assert all(index is indices[0] for index in indices)
         assert not indices[0].flags.writeable
 
-    def test_failed_balancing_fit_recorded_on_every_target(self):
+    def test_failed_balancing_fit_recorded_on_every_target(self, monkeypatch):
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
         balancing_set = simulation_contrasts()[:2]
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
         with pytest.raises(CspsError) as raised:
-            chained_propensity(dataset, balancing_set, simulation_contrasts()[2], max_iter=1)
-        report = run_algorithm(
-            dataset, balancing_set, simulation_contrasts(), AlgorithmConfig(max_iter=1)
-        )
+            chained_propensity(dataset, balancing_set, simulation_contrasts()[2])
+        report = run_algorithm(dataset, balancing_set, simulation_contrasts())
         want = f"{type(raised.value).__name__}: {raised.value}"
         assert want.startswith("NotConverged:")
         assert [e.error for e in report.entries] == [want] * 4
@@ -406,12 +434,10 @@ class TestRunAlgorithm:
             subclassify(chained, indicators(TARGET_CONTRAST, example), method="exact").labels,
         )
 
-    def test_unconverged_fit_recorded_per_target(self):
+    def test_unconverged_fit_recorded_per_target(self, monkeypatch):
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
-        report = run_algorithm(
-            dataset, simulation_contrasts()[:2], simulation_contrasts(),
-            AlgorithmConfig(max_iter=1),
-        )
+        monkeypatch.setattr(estimation, "MAX_ITER", 1)
+        report = run_algorithm(dataset, simulation_contrasts()[:2], simulation_contrasts())
         assert all(e.error.startswith("NotConverged:") for e in report.entries)
         assert all(e.scores is None for e in report.entries)
 
@@ -460,8 +486,11 @@ class TestTrueScoreStratification:
         dataset = Dataset(rows, labels, num_treatments=3)
         contrast = Contrast((1, -1, 0))
         d = assignment_indicators(contrast, dataset.treatments)
-        scores = ScoreVector(
-            [true_score[tuple(row)] for row in dataset.covariates.tolist()]
+        # one entry per cell; the rows were drawn cell by cell
+        scores = ScoreVector.from_ratios(
+            [s.numerator for s in true_score.values()],
+            [s.denominator for s in true_score.values()],
+            index=np.repeat(np.arange(len(cells)), n_per_cell),
         )
         assignment = subclassify(scores, d, method="exact")
         assert assignment.num_subclasses == 3

@@ -240,6 +240,32 @@ class TestBalance:
         scored = [r for r in rows if r["d[second-vs-third]"] != "0"]
         assert {r["subclass[second-vs-third]"] for r in scored} == {"1", "2", "3", "4"}
 
+    @pytest.mark.parametrize(
+        "balancing, targets, width",
+        [
+            ("1 -1\n", None, 2),
+            ("1 -1 0 0\n", "1 0 -1\n", 4),
+            (BALANCING, "0 1 -1 0\n", 4),
+            (BALANCING, "1 -1\n", 2),
+        ],
+        ids=["narrow_balancing", "wide_balancing", "wide_target", "narrow_target"],
+    )
+    def test_contrast_width_is_an_input_error(
+        self, example_csv, tmp_path, capsys, balancing, targets, width
+    ):
+        (tmp_path / "c.txt").write_text(balancing)
+        args = ["balance", "--data", str(example_csv), "--contrasts", str(tmp_path / "c.txt")]
+        if targets is not None:
+            (tmp_path / "t.txt").write_text(targets)
+            args += ["--targets", str(tmp_path / "t.txt")]
+        out = tmp_path / "balance.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: contrast ")
+        assert f"has {width} treatments, dataset has 3" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_text_and_csv_agree(self, example_csv, contrast_file, tmp_path, capsys):
         out = tmp_path / "balance.csv"
         code = main(

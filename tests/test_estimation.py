@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import csps.estimation
 from csps.contrasts import Contrast
 from csps.data import Dataset, build_cell_index
 from csps.errors import (
@@ -15,13 +16,13 @@ from csps.errors import (
 )
 from csps.estimation import (
     ScoreVector,
+    _predict_binary_matrix,
     bernoulli_gradient,
     bernoulli_log_likelihood,
     csps_from_treatment_probs,
     empirical_csps,
     fit_binary_logistic,
     model_csps,
-    predict_binary,
 )
 from csps.example_data import FIRST_CONTRAST, SECOND_CONTRAST
 from csps.simulation import SimulationConfig, mechanism_ii, sample_dataset
@@ -137,25 +138,31 @@ class TestBinaryFit:
 
 
 class TestPredictBinary:
-    def test_zero_coefficients_give_half(self):
-        model = fit_binary_logistic(POINTS_X, POINTS_Y, max_iter=0)
-        assert predict_binary(model, [123.0]) == 0.5
+    # the predictor behind every model score: one row of features per unit
+
+    def test_zero_coefficients_give_half(self, monkeypatch):
+        monkeypatch.setattr(csps.estimation, "MAX_ITER", 0)
+        model = fit_binary_logistic(POINTS_X, POINTS_Y)
+        assert model.iterations == 0 and not model.converged
+        assert _predict_binary_matrix(model, np.array([[123.0]])).tolist() == [0.5]
 
     def test_intercept_log3(self):
         model = fit_binary_logistic(np.empty((4, 0)), [1, 1, 1, 0])
-        assert predict_binary(model, []) == pytest.approx(0.75, abs=1e-9)
+        assert _predict_binary_matrix(model, np.empty((1, 0)))[0] == pytest.approx(
+            0.75, abs=1e-9
+        )
 
     def test_matches_oracle_predictions(self):
         oracle = gradient_ascent_oracle(POINTS_X, POINTS_Y)
         model = fit_binary_logistic(POINTS_X, POINTS_Y)
-        for x in POINTS_X:
-            want = 1.0 / (1.0 + np.exp(-(oracle[0] + oracle[1] * x)))
-            assert predict_binary(model, [x]) == pytest.approx(want, abs=1e-6)
+        want = 1.0 / (1.0 + np.exp(-(oracle[0] + oracle[1] * POINTS_X)))
+        got = _predict_binary_matrix(model, POINTS_X[:, None])
+        assert np.allclose(got, want, rtol=0, atol=1e-6)
 
     def test_dimension_mismatch(self):
         model = fit_binary_logistic(POINTS_X, POINTS_Y)
         with pytest.raises(DimensionMismatch):
-            predict_binary(model, [1.0, 2.0])
+            _predict_binary_matrix(model, np.array([[1.0, 2.0]]))
 
 
 class TestEmpiricalScores:
@@ -230,11 +237,20 @@ class TestModelScores:
         values = scores.as_floats()
         assert np.abs(values - frequency).max() < 0.05
 
-    def test_unconverged_fit_raises(self):
+    def test_unconverged_fit_raises(self, monkeypatch):
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=2), 0)
+        monkeypatch.setattr(csps.estimation, "MAX_ITER", 1)
         with pytest.raises(NotConverged, match="after 1 iterations"):
-            model_csps(dataset, Contrast((1, -1, 0)), max_iter=1)
-        assert model_csps(dataset, Contrast((1, -1, 0)), max_iter=25).defined_mask.all()
+            model_csps(dataset, Contrast((1, -1, 0)))
+        monkeypatch.setattr(csps.estimation, "MAX_ITER", 25)
+        assert model_csps(dataset, Contrast((1, -1, 0))).defined_mask.all()
+
+    def test_contrast_width_must_match(self, example):
+        for contrast in (Contrast((1, -1)), Contrast((1, -1, 0, 0))):
+            with pytest.raises(DimensionMismatch, match="dataset has 3"):
+                model_csps(example, contrast)
+            with pytest.raises(DimensionMismatch, match="dataset has 3"):
+                empirical_csps(example, contrast)
 
     def test_separation_propagates(self, rng):
         x = np.concatenate([rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, -0.5, 30)])
@@ -288,8 +304,8 @@ class TestScoreFromProbabilities:
 
 class TestScoreVector:
     def test_range_checked(self):
-        with pytest.raises(ValueError):
-            ScoreVector([1.5, 0.5])
+        with pytest.raises(ValueError, match="score 1.5 of unit 0"):
+            ScoreVector.from_floats([1.5, 0.5])
         with pytest.raises(ValueError):
             ScoreVector.from_floats([0.5, np.nan])
         with pytest.raises(ValueError):
@@ -301,7 +317,11 @@ class TestScoreVector:
         raw[0] = 0.5
         assert not sv.is_exact
         assert sv.values == (0.25, 0.75)
-        assert sv.defined_mask.all()
+        assert sv.defined_mask.tolist() == [True, True]
+
+    def test_built_only_from_arrays(self):
+        with pytest.raises(TypeError, match="from_floats"):
+            ScoreVector([0.5, 0.25])
 
     def test_from_ratios_reduces_per_entry(self):
         index = np.array([2, 0, 0, 1])
@@ -313,21 +333,15 @@ class TestScoreVector:
         assert sv.dense_ranks([0, 1, 2]).tolist() == [0, 1, 1]
 
     def test_dense_ranks_order_exact_values(self):
-        sv = ScoreVector([Fraction(2, 3), Fraction(1, 3), None, Fraction(2, 3), 0])
+        # 2/3, 1/3, undefined, 2/3 (unreduced), 0
+        sv = ScoreVector.from_ratios([2, 1, 0, 4, 0], [3, 3, 0, 6, 5], index=np.arange(5))
         ranks = sv.dense_ranks().tolist()
         assert ranks[4] < ranks[1] < ranks[0] == ranks[3] < ranks[2]
 
     def test_mask_matches_none_entries(self):
-        sv = ScoreVector([0.5, None, Fraction(1, 3)])
+        sv = ScoreVector.from_ratios([1, 0, 1], [2, 0, 3], index=[0, 1, 2])
+        assert sv.values == (Fraction(1, 2), None, Fraction(1, 3))
         assert sv.defined_mask.tolist() == [True, False, True]
         floats = sv.as_floats()
         assert np.isnan(floats[1])
-        assert floats[2] == pytest.approx(1 / 3)
-
-    def test_fractions_mixed_with_floats_are_rounded(self):
-        close = Fraction(1, 3) + Fraction(1, 2 ** 80)
-        sv = ScoreVector([0.5, Fraction(1, 3), close])
-        assert not sv.is_exact
-        assert sv.values == (0.5, 1 / 3, 1 / 3)
-        ranks = sv.dense_ranks().tolist()
-        assert ranks[1] == ranks[2] < ranks[0]
+        assert floats[2] == 1 / 3

@@ -78,6 +78,13 @@ def indicators(n: int):
     return st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
 
 
+def exact_scores(values) -> ScoreVector:
+    """Exact scores, one entry per unit, from rationals and ``None`` (undefined)."""
+    nums = [0 if v is None else v.numerator for v in values]
+    dens = [0 if v is None else v.denominator for v in values]
+    return ScoreVector.from_ratios(nums, dens, index=np.arange(len(values)))
+
+
 # ---------------------------------------------------------------------------
 # references
 
@@ -353,7 +360,7 @@ def test_empirical_chained_scores_equal_fraction_reference(data_case, balancing_
 )
 def test_exact_subclasses_equal_fraction_reference(values, data):
     d = np.array(data.draw(indicators(len(values))))
-    scores = ScoreVector(values)
+    scores = exact_scores(values)
     if not can_subclass(values, d):
         with pytest.raises(CspsError):
             subclassify(scores, d, method="exact")
@@ -372,7 +379,7 @@ def test_exact_subclasses_of_float_scores_equal_reference(values, data):
     d = np.array(data.draw(indicators(len(values))))
     if not can_subclass(values, d):
         return
-    assignment = subclassify(ScoreVector(values), d, method="exact")
+    assignment = subclassify(ScoreVector.from_floats(values), d, method="exact")
     assert assignment.labels.tolist() == reference_exact_labels(values, d)
 
 
@@ -484,7 +491,7 @@ def test_dense_ids_group_equal_rows(rows):
     )
 )
 def test_exact_scores_round_like_fractions(values):
-    scores = ScoreVector(values)
+    scores = exact_scores(values)
     want = [float(v) if v is not None else None for v in values]
     got = scores.as_floats().tolist()
     assert [None if v is None else g for v, g in zip(values, got)] == want
@@ -493,7 +500,7 @@ def test_exact_scores_round_like_fractions(values):
 
 def test_exact_scores_must_fit_int64():
     with pytest.raises(ValueError, match="int64"):
-        ScoreVector([Fraction(1, 2 ** 63)])
+        ScoreVector.from_ratios([1], [2 ** 63], index=[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import csps.estimation
 from csps.balancing import AlgorithmConfig, run_algorithm
 from csps.contrasts import Contrast
 from csps.reporting import format_experiment_table
@@ -82,10 +83,9 @@ class TestRunExperiment:
         assert np.array_equal(a.after, b.after, equal_nan=True)
         assert a.errors == b.errors
 
-    def test_unconverged_fits_are_counted_as_errors(self):
-        cfg = mechanism_ii(
-            num_units=200, replications=3, seed=4, algorithm=AlgorithmConfig(max_iter=1)
-        )
+    def test_unconverged_fits_are_counted_as_errors(self, monkeypatch):
+        monkeypatch.setattr(csps.estimation, "MAX_ITER", 1)
+        cfg = mechanism_ii(num_units=200, replications=3, seed=4)
         result = run_experiment(cfg)
         assert len(result.errors) == 3 * len(cfg.targets)
         assert all(message.startswith("NotConverged:") for _, _, message in result.errors)
