@@ -33,6 +33,7 @@ from .errors import (
 )
 from .estimation import (
     ScoreVector,
+    _check_ridge,
     _check_width,
     _dense_ids,
     _logistic_scores,
@@ -128,7 +129,8 @@ class AlgorithmConfig:
     ``"logistic"`` fits binary logistic models, with an optional ``ridge``
     penalty; their iteration limit and gradient tolerance are the fixed
     constants :data:`~csps.estimation.MAX_ITER` and
-    :data:`~csps.estimation.TOL`.  Subclassification defaults to quintiles;
+    :data:`~csps.estimation.TOL`.  The ridge must be finite and nonnegative
+    whichever estimator is picked.  Subclassification defaults to quintiles;
     ``"exact"`` makes one subclass per distinct score value.
     """
 
@@ -144,8 +146,7 @@ class AlgorithmConfig:
             raise ValueError(f"unknown subclass method {self.subclass_method!r}")
         if self.num_subclasses < 1:
             raise ValueError("num_subclasses must be at least 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+        _check_ridge(self.ridge)
 
 
 class SubclassAssignment:

@@ -142,10 +142,10 @@ def cmd_estimate(args, config) -> int:
     if data_path is None or contrasts_path is None:
         print("estimate: --data and --contrasts are required", file=sys.stderr)
         return 2
-    estimator = _resolve(args, config, "estimator", "logistic", str)
-    if estimator not in ("empirical", "logistic"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    ridge = _resolve(args, config, "ridge", 0.0, float)
+    algo = AlgorithmConfig(
+        estimator=_resolve(args, config, "estimator", "logistic", str),
+        ridge=_resolve(args, config, "ridge", 0.0, float),
+    )
     dataset = load_dataset(data_path)
     contrasts = read_contrast_file(contrasts_path)
 
@@ -153,10 +153,10 @@ def cmd_estimate(args, config) -> int:
     for c in contrasts:
         tag = c.label or "-".join(str(v) for v in c.coefficients)
         d = assignment_indicators(c, dataset.treatments)
-        if estimator == "empirical":
+        if algo.estimator == "empirical":
             scores = empirical_csps(dataset, c)
         else:
-            scores = model_csps(dataset, c, ridge=ridge)
+            scores = model_csps(dataset, c, ridge=algo.ridge)
         columns[f"d[{tag}]"] = d
         columns[f"csps[{tag}]"] = np.ma.masked_array(
             scores.as_floats(), mask=~scores.defined_mask
@@ -199,9 +199,13 @@ def cmd_balance(args, config) -> int:
     if per_unit:
         _write_per_unit_csv(dataset, report, per_unit)
         print(f"wrote {per_unit}")
-    if any(e.error for e in report.entries):
-        return 3
-    return 0
+    failed = [e for e in report.entries if e.error is not None]
+    for entry in failed:
+        print(
+            f"estimation error: target {entry.contrast.describe()}: {entry.error}",
+            file=sys.stderr,
+        )
+    return 3 if failed else 0
 
 
 def _write_per_unit_csv(dataset, report, path) -> None:

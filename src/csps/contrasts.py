@@ -46,7 +46,6 @@ __all__ = [
 
 ZERO_SUM_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-12
-RANK_PIVOT_TOL = 1e-10
 
 
 def _coerce(value):
@@ -301,9 +300,9 @@ def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
 # span membership
 
 
-def _rank_exact(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination over exact rationals."""
-    m = [list(r) for r in rows]
+def matrix_rank(rows) -> int:
+    """Rank of a stack of row vectors, by Gaussian elimination over exact rationals."""
+    m = [[Fraction(v) for v in r] for r in rows]
     if not m:
         return 0
     ncols = len(m[0])
@@ -323,44 +322,6 @@ def _rank_exact(rows: list[list[Fraction]]) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def _rank_float(rows, tol: float = RANK_PIVOT_TOL) -> int:
-    """Rank by partially pivoted elimination with an absolute pivot floor."""
-    a = np.array(rows, dtype=float)
-    if a.size == 0:
-        return 0
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[pivot, col]) <= tol:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] /= a[rank, col]
-        for r in range(nrows):
-            if r != rank:
-                a[r] -= a[r, col] * a[rank]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def matrix_rank(rows, exact: bool | None = None) -> int:
-    """Rank of a stack of row vectors.
-
-    Integer or Fraction entries are eliminated exactly; float entries use a
-    1e-10 pivot tolerance.  ``exact`` forces one of the two paths.
-    """
-    rows = [list(r) for r in rows]
-    if exact is None:
-        exact = all(
-            isinstance(v, (int, np.integer, Fraction)) for r in rows for v in r
-        )
-    if exact:
-        return _rank_exact([[Fraction(v) for v in r] for r in rows])
-    return _rank_float(rows)
 
 
 def bifurcation_span_contains(basis: Iterable[Bifurcation], target: Bifurcation) -> bool:

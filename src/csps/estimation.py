@@ -6,9 +6,13 @@ estimators are provided: empirical frequencies over exact covariate cells
 (kept exactly, as reduced integer numerator and denominator arrays), and
 Newton maximum likelihood for a binary logistic model of the bifurcation.
 Both return a :class:`ScoreVector`, which holds arrays rather than per-unit
-Python objects.  The Newton fit's only setting is an optional ridge penalty:
-its iteration limit (:data:`MAX_ITER`) and gradient-norm tolerance
-(:data:`TOL`) are fixed constants.
+Python objects.  The Newton fit's only setting is an optional ridge penalty,
+finite and nonnegative: its iteration limit (:data:`MAX_ITER`) and
+gradient-norm tolerance (:data:`TOL`) are fixed constants.  The penalised
+log-likelihood and its gradient are written once, as private kernels over
+the intercept design and the penalty vector; the fit calls them, and the
+public :func:`bernoulli_log_likelihood` and :func:`bernoulli_gradient` are
+thin wrappers around the same kernels, so they are the fit's own objective.
 
 Scores are predicted for every unit, including units outside the bifurcation:
 the score is a function of the covariates alone, and downstream chaining uses
@@ -18,6 +22,7 @@ where the estimand requires it, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -84,27 +89,50 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def bernoulli_log_likelihood(features, labels, coefficients, ridge: float = 0.0) -> float:
-    """Bernoulli log-likelihood, minus the ridge penalty on non-intercept terms."""
-    X = _design(_as_feature_matrix(features))
-    y = np.asarray(labels, dtype=float)
-    w = np.asarray(coefficients, dtype=float)
+def _check_ridge(ridge) -> None:
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+
+
+def _penalty(ridge, size: int) -> np.ndarray:
+    """Per-coefficient ridge weights: 0 for the intercept, ``ridge`` otherwise."""
+    _check_ridge(ridge)
+    pen = np.zeros(size)
+    pen[1:] = ridge
+    return pen
+
+
+def _penalised_ll(X: np.ndarray, y: np.ndarray, w: np.ndarray, pen: np.ndarray) -> float:
+    """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``."""
     z = X @ w
     ll = float(y @ z - np.logaddexp(0.0, z).sum())
-    if ridge:
-        ll -= 0.5 * ridge * float(w[1:] @ w[1:])
-    return ll
+    return ll - 0.5 * float(pen @ (w * w))
+
+
+def _penalised_gradient(X, y, w, pen) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of :func:`_penalised_ll` in ``w``, and the fitted probabilities."""
+    p = _sigmoid(X @ w)
+    return X.T @ (y - p) - pen * w, p
+
+
+def _objective_args(features, labels, coefficients, ridge):
+    X = _design(_as_feature_matrix(features))
+    w = np.asarray(coefficients, dtype=float)
+    return X, np.asarray(labels, dtype=float), w, _penalty(ridge, len(w))
+
+
+def bernoulli_log_likelihood(features, labels, coefficients, ridge: float = 0.0) -> float:
+    """The objective :func:`fit_binary_logistic` maximises, at ``coefficients``.
+
+    The Bernoulli log-likelihood minus the ridge penalty on non-intercept
+    terms; the fit evaluates this same kernel.
+    """
+    return _penalised_ll(*_objective_args(features, labels, coefficients, ridge))
 
 
 def bernoulli_gradient(features, labels, coefficients, ridge: float = 0.0) -> np.ndarray:
-    """Gradient of :func:`bernoulli_log_likelihood` in the coefficients."""
-    X = _design(_as_feature_matrix(features))
-    y = np.asarray(labels, dtype=float)
-    w = np.asarray(coefficients, dtype=float)
-    g = X.T @ (y - _sigmoid(X @ w))
-    if ridge:
-        g[1:] -= ridge * w[1:]
-    return g
+    """Gradient of :func:`bernoulli_log_likelihood`, the fit's own kernel."""
+    return _penalised_gradient(*_objective_args(features, labels, coefficients, ridge))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +145,9 @@ class BinaryLogisticModel:
     final_gradient_norm: float
     log_likelihood_path: tuple[float, ...]
 
-    @property
-    def num_features(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticModel:
-    """Maximise the Bernoulli log-likelihood by Newton steps with halving.
+    """Maximise :func:`bernoulli_log_likelihood` by Newton steps with halving.
 
     The fit converges when the (penalised) gradient norm falls below the
     fixed :data:`TOL`; it stops unconverged after :data:`MAX_ITER` Newton
@@ -136,8 +160,9 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     labels:
         M booleans or 0/1 values; both classes must occur.
     ridge:
-        Optional penalty on non-intercept coefficients.  With ridge 0 a
-        perfectly separable dataset raises :class:`SeparationDetected`.
+        Optional penalty on non-intercept coefficients, finite and
+        nonnegative.  With ridge 0 a perfectly separable dataset raises
+        :class:`SeparationDetected`.
     """
     F = _as_feature_matrix(features)
     y = np.asarray(labels).astype(float)
@@ -149,41 +174,31 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         raise OneClassOnly("labels contain a single class")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("labels must be boolean or 0/1")
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    pen = _penalty(ridge, F.shape[1] + 1)
 
     order = _canonical_order(F, y)
-    F, y = F[order], y[order]
+    X = _design(F[order])
+    y = y[order]
 
-    X = _design(F)
-    p_dim = X.shape[1]
-    pen = np.zeros(p_dim)
-    pen[1:] = ridge
+    w = np.zeros(X.shape[1])
+    ll_path = [_penalised_ll(X, y, w, pen)]
 
-    def penalised_ll(w):
-        z = X @ w
-        ll = float(y @ z - np.logaddexp(0.0, z).sum())
-        return ll - 0.5 * float(pen @ (w * w))
-
-    w = np.zeros(p_dim)
-    ll_path = [penalised_ll(w)]
-    grad_norm = np.inf
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, MAX_ITER + 1):
-        p = _sigmoid(X @ w)
-        resid = y - p
-        if ridge == 0.0 and np.max(np.abs(resid)) < SEPARATION_RESIDUAL:
+    # one pass per point w: the gradient there, then a Newton step from it
+    # unless w is the optimum or the MAX_ITER-th step's result
+    for iterations in range(MAX_ITER + 1):
+        g, p = _penalised_gradient(X, y, w, pen)
+        if (
+            ridge == 0.0
+            and iterations < MAX_ITER
+            and np.max(np.abs(y - p)) < SEPARATION_RESIDUAL
+        ):
             raise SeparationDetected(
                 "every unit is fitted almost perfectly; the likelihood has no "
                 "finite maximiser (retry with ridge > 0)"
             )
-        g = X.T @ resid - pen * w
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm < TOL:
-            converged = True
-            iterations -= 1
+        converged = grad_norm < TOL
+        if converged or iterations == MAX_ITER:
             break
         weights = p * (1.0 - p)
         H = (X * weights[:, None]).T @ X + np.diag(pen)
@@ -194,7 +209,7 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         current = ll_path[-1]
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
-            new_ll = penalised_ll(candidate)
+            new_ll = _penalised_ll(X, y, candidate, pen)
             if new_ll >= current - _acceptance_slack(current):
                 break
             step = 0.5 * step
@@ -209,11 +224,6 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
                 "coefficient norm exceeded 1e6 while the likelihood keeps "
                 "improving (retry with ridge > 0)"
             )
-    else:
-        # final gradient at the returned point
-        g = X.T @ (y - _sigmoid(X @ w)) - pen * w
-        grad_norm = float(np.linalg.norm(g))
-        converged = grad_norm < TOL
 
     return BinaryLogisticModel(
         coefficients=w,
@@ -222,14 +232,6 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         final_gradient_norm=grad_norm,
         log_likelihood_path=tuple(ll_path),
     )
-
-
-def _predict_binary_matrix(model: BinaryLogisticModel, F: np.ndarray) -> np.ndarray:
-    if F.shape[1] != model.num_features:
-        raise DimensionMismatch(
-            f"expected {model.num_features} features, got {F.shape[1]}"
-        )
-    return _sigmoid(_design(F) @ model.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,7 @@ _EXACT_FLOAT_INT = 2 ** 53
 # packed group keys stay below this, so one more multiply-add cannot
 # overflow int64
 _KEY_LIMIT = 2 ** 62
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
@@ -281,6 +284,18 @@ def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return _renumber(key, span)
 
 
+def _int64_entries(values) -> np.ndarray:
+    """``values`` as a new int64 array; ValueError unless all are int64 integers."""
+    raw = np.asarray(values)
+    if raw.size and (
+        raw.dtype.kind not in "biu" or (raw.dtype.kind == "u" and raw.max() > _INT64_MAX)
+    ):
+        raise ValueError(
+            "exact scores need integer numerators and denominators that fit in int64"
+        )
+    return raw.astype(np.int64)
+
+
 class ScoreVector:
     """Per-unit scores in [0, 1], some of which may be undefined.
 
@@ -318,18 +333,15 @@ class ScoreVector:
     def from_ratios(cls, numerators, denominators, index) -> "ScoreVector":
         """Exact scores: unit ``i`` scores ``numerators[j] / denominators[j]``, j = index[i].
 
-        The entries are nonnegative ints below 2**63, typically one per cell,
-        so the fractions are reduced per entry rather than per unit.  A zero
-        denominator marks an undefined score.  A read-only ``index`` is kept
-        without a copy.
+        The entries are nonnegative integers below 2**63, typically one per
+        cell, so the fractions are reduced per entry rather than per unit.  A
+        zero denominator marks an undefined score.  ``index`` holds integers
+        in ``[0, len(numerators))``; a read-only one is kept without a copy.
+        Anything else raises :class:`ValueError`, never a truncated or
+        wrapped value.
         """
-        try:
-            num = np.array(numerators, dtype=np.int64)
-            den = np.array(denominators, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(
-                "exact scores need numerators and denominators that fit in int64"
-            ) from None
+        num = _int64_entries(numerators)
+        den = _int64_entries(denominators)
         if num.ndim != 1 or num.shape != den.shape:
             raise ValueError("numerators and denominators must be vectors of one length")
         divisor = np.gcd(num, den)
@@ -342,6 +354,10 @@ class ScoreVector:
             j = int(bad[0])
             raise ValueError(f"score {num[j]}/{den[j]} outside [0, 1]")
         index = np.asarray(index)
+        if index.ndim != 1 or index.dtype.kind not in "iu" or (
+            index.size and (index.min() < 0 or index.max() >= len(num))
+        ):
+            raise ValueError(f"index must be a vector of integers in [0, {len(num)})")
         if index.flags.writeable:
             index = index.copy()
         return cls._frozen(numerators=num, denominators=den, index=index)
@@ -467,7 +483,7 @@ def _logistic_scores(features, d, ridge: float = 0.0) -> ScoreVector:
             f"Newton fit stopped after {model.iterations} iterations with "
             f"gradient norm {model.final_gradient_norm:.3g} (tol {TOL:g})"
         )
-    return ScoreVector.from_floats(_predict_binary_matrix(model, F))
+    return ScoreVector.from_floats(_sigmoid(_design(F) @ model.coefficients))
 
 
 def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> ScoreVector:

@@ -76,14 +76,15 @@ class TestChainedPropensity:
         values = chained.as_floats()
         assert ((values > 0) & (values < 1)).all()
         # reproduce the internal fit; scores must be its sigmoid exactly
-        from csps.estimation import model_csps, _predict_binary_matrix
+        from csps.estimation import model_csps
 
         features = np.column_stack(
             [model_csps(dataset, c).as_floats() for c in balancing]
         )
         d = indicators(target, dataset)
         model = fit_binary_logistic(features[d != 0], d[d != 0] == 1)
-        assert np.array_equal(values, _predict_binary_matrix(model, features))
+        z = np.column_stack([np.ones(len(features)), features]) @ model.coefficients
+        assert np.array_equal(values, 0.5 * (1.0 + np.tanh(0.5 * z)))
 
     def test_undefined_balancing_score_raises(self):
         # last cell holds only the balancing contrast's zero treatment, but
@@ -287,6 +288,12 @@ class TestRunAlgorithm:
         before = np.mean([np.abs(e.before).mean() for e in report.entries])
         after = np.mean([np.abs(e.after).mean() for e in report.entries])
         assert after < before
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_ridge_must_be_finite_and_nonnegative(self, estimator, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            AlgorithmConfig(estimator=estimator, ridge=ridge)
 
     def test_empty_targets(self, example):
         report = run_algorithm(example, [FIRST_CONTRAST], [])

@@ -82,6 +82,27 @@ class TestEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("estimator", ["empirical", "logistic"])
+    def test_bad_ridge_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys, estimator, ridge
+    ):
+        out = tmp_path / "scores.csv"
+        code = main(
+            [
+                "estimate",
+                "--data", str(example_csv),
+                "--contrasts", str(contrast_file),
+                "--estimator", estimator,
+                f"--ridge={ridge}",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ridge must be finite and nonnegative")
+        assert not out.exists()
+
     def test_separation_exits_three(self, tmp_path, capsys):
         data = tmp_path / "sep.csv"
         lines = ["x1,w"]
@@ -263,6 +284,24 @@ class TestBalance:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: contrast ")
         assert f"has {width} treatments, dataset has 3" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_ridge_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys, source, ridge
+    ):
+        args = ["balance", "--data", str(example_csv), "--contrasts", str(contrast_file)]
+        if source == "flag":
+            args.append(f"--ridge={ridge}")
+        else:
+            (tmp_path / "cfg.txt").write_text(f"ridge = {ridge}\n")
+            args += ["--config", str(tmp_path / "cfg.txt")]
+        out = tmp_path / "balance.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ridge must be finite and nonnegative")
         assert captured.out == ""
         assert not out.exists()
 

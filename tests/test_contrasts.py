@@ -251,17 +251,18 @@ class TestSpanMembership:
             c = random_contrast(rng, T=3, exact=bool(rng.integers(0, 2)))
             assert bifurcation_span_contains(basis, sgn_bifurcate(c))
 
+    def test_rank_is_exact(self):
+        # float entries are eliminated exactly too: no pivot tolerance
+        assert matrix_rank([[1, 0], [1, 1e-12]]) == 2
+        assert matrix_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
+        assert matrix_rank([]) == 0
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             bifurcation_span_contains(
                 [sgn_bifurcate(Contrast((1, -1)))],
                 sgn_bifurcate(Contrast((1, -1, 0))),
             )
-
-    def test_exact_and_float_rank_agree(self, rng):
-        for _ in range(50):
-            m = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), 4))
-            assert matrix_rank(m.tolist()) == matrix_rank(m.astype(float), exact=False)
 
 
 class TestBifurcationType:

@@ -16,7 +16,6 @@ from csps.errors import (
 )
 from csps.estimation import (
     ScoreVector,
-    _predict_binary_matrix,
     bernoulli_gradient,
     bernoulli_log_likelihood,
     csps_from_treatment_probs,
@@ -37,6 +36,11 @@ POINTS_Y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
 # driven under 1e-13); frozen so any drift in either route is caught
 ORACLE_INTERCEPT = -0.1771076215281622
 ORACLE_SLOPE = 0.84816504460281017
+
+
+def points_dataset():
+    """POINTS_X as one covariate; label 1 is treatment 1, label 0 treatment 2."""
+    return Dataset(POINTS_X[:, None], np.where(POINTS_Y == 1, 1, 2))
 
 
 def gradient_ascent_oracle(x, y, grad_tol=1e-13, max_steps=2_000_000):
@@ -114,6 +118,30 @@ class TestBinaryFit:
                 ) / 2e-6
                 assert analytic[j] == pytest.approx(fd, abs=1e-4)
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_public_objective_is_the_fits_own(self, ridge):
+        # POINTS_X ascends, so the fit's canonical row order is the given one
+        # and the public functions sum in the fit's order: equal bit for bit
+        model = fit_binary_logistic(POINTS_X, POINTS_Y, ridge=ridge)
+        w = model.coefficients
+        assert (
+            bernoulli_log_likelihood(POINTS_X, POINTS_Y, w, ridge=ridge)
+            == model.log_likelihood_path[-1]
+        )
+        gradient = bernoulli_gradient(POINTS_X, POINTS_Y, w, ridge=ridge)
+        assert float(np.linalg.norm(gradient)) == model.final_gradient_norm
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            fit_binary_logistic(POINTS_X, POINTS_Y, ridge=ridge)
+        with pytest.raises(ValueError, match="ridge"):
+            bernoulli_log_likelihood(POINTS_X, POINTS_Y, [0.0, 0.0], ridge=ridge)
+        with pytest.raises(ValueError, match="ridge"):
+            bernoulli_gradient(POINTS_X, POINTS_Y, [0.0, 0.0], ridge=ridge)
+        with pytest.raises(ValueError, match="ridge"):
+            model_csps(points_dataset(), Contrast((1, -1)), ridge=ridge)
+
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(120, 2))
         y = rng.random(120) < 0.4
@@ -138,31 +166,30 @@ class TestBinaryFit:
 
 
 class TestPredictBinary:
-    # the predictor behind every model score: one row of features per unit
+    # predictions of a fitted model, as model_csps makes them for every unit
 
     def test_zero_coefficients_give_half(self, monkeypatch):
         monkeypatch.setattr(csps.estimation, "MAX_ITER", 0)
         model = fit_binary_logistic(POINTS_X, POINTS_Y)
         assert model.iterations == 0 and not model.converged
-        assert _predict_binary_matrix(model, np.array([[123.0]])).tolist() == [0.5]
+        assert model.coefficients.tolist() == [0.0, 0.0]
+        # every unit predicted at 1/2
+        assert model.log_likelihood_path == pytest.approx((8 * math.log(0.5),))
+        with pytest.raises(NotConverged):
+            model_csps(points_dataset(), Contrast((1, -1)))
 
     def test_intercept_log3(self):
-        model = fit_binary_logistic(np.empty((4, 0)), [1, 1, 1, 0])
-        assert _predict_binary_matrix(model, np.empty((1, 0)))[0] == pytest.approx(
-            0.75, abs=1e-9
-        )
+        # the same 3:1 split at both covariate values: slope 0, p = 3/4
+        x = np.array([[-1.0], [1.0]] * 4)
+        treatments = [1, 1, 1, 1, 1, 1, 2, 2]
+        scores = model_csps(Dataset(x, treatments), Contrast((1, -1))).as_floats()
+        assert np.allclose(scores, 0.75, rtol=0, atol=1e-9)
 
     def test_matches_oracle_predictions(self):
         oracle = gradient_ascent_oracle(POINTS_X, POINTS_Y)
-        model = fit_binary_logistic(POINTS_X, POINTS_Y)
         want = 1.0 / (1.0 + np.exp(-(oracle[0] + oracle[1] * POINTS_X)))
-        got = _predict_binary_matrix(model, POINTS_X[:, None])
+        got = model_csps(points_dataset(), Contrast((1, -1))).as_floats()
         assert np.allclose(got, want, rtol=0, atol=1e-6)
-
-    def test_dimension_mismatch(self):
-        model = fit_binary_logistic(POINTS_X, POINTS_Y)
-        with pytest.raises(DimensionMismatch):
-            _predict_binary_matrix(model, np.array([[1.0, 2.0]]))
 
 
 class TestEmpiricalScores:
@@ -322,6 +349,23 @@ class TestScoreVector:
     def test_built_only_from_arrays(self):
         with pytest.raises(TypeError, match="from_floats"):
             ScoreVector([0.5, 0.25])
+
+    def test_from_ratios_rejects_non_integers(self):
+        with pytest.raises(ValueError, match="integer"):
+            ScoreVector.from_ratios([0.5], [1.7], index=[0])
+
+    def test_from_ratios_rejects_uint64_beyond_int64(self):
+        big = np.array([2 ** 63], dtype=np.uint64)
+        with pytest.raises(ValueError, match="fit in int64"):
+            ScoreVector.from_ratios(np.array([1], dtype=np.uint64), big, index=[0])
+
+    def test_from_ratios_rejects_index_past_the_entries(self):
+        with pytest.raises(ValueError, match="index"):
+            ScoreVector.from_ratios([1], [2], index=[5])
+
+    def test_from_ratios_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="index"):
+            ScoreVector.from_ratios([1, 0], [2, 1], index=[-1])
 
     def test_from_ratios_reduces_per_entry(self):
         index = np.array([2, 0, 0, 1])

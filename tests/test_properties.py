@@ -5,7 +5,9 @@ The library must give the same Fractions and the same groupings, whatever
 the data and whatever the unit order.
 """
 
+import contextlib
 import csv
+import io
 import os
 import tempfile
 import warnings
@@ -14,9 +16,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from csps import balancing, data
+from csps import balancing, cli, data
 from csps.balancing import (
     AlgorithmConfig,
     SubclassAssignment,
@@ -803,3 +805,129 @@ def test_write_dataset_csv_equals_field_writer(case):
         reference_write_dataset_csv(dataset, want, reference)
         with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
             assert fh_got.read() == fh_want.read()
+
+
+# ---------------------------------------------------------------------------
+# the CLI's typed-failure contract: exit 0, exit 2 with an "input error:"
+# line, or exit 3 with an "estimation error:" line; never an exception
+
+CLI_CONTRASTS = (
+    "1 -1 0\n0 1 -1\n",  # valid, 3 treatments
+    "1/2 1/2 -1  # both-vs-3\n1 -1 0\n",
+    "1 0 -1\n",
+    "1 -1\n",  # too narrow
+    "1 -1 0 0\n",  # too wide
+    "1 1 -1\n",  # does not sum to zero
+    "",  # empty
+    None,  # missing file
+)
+CLI_BAD_DATA = (
+    None,  # missing file
+    "",
+    "x1,w\n",
+    "x1,w\n1\n",
+    "x1,w\n1,2,3\n",
+    "x1,w\n,1\n2,2\n",
+    "x1,w\nabc,1\n2,2\n",
+    "x1,w\n1,9\n2,2\n",
+    "x1,w\n1,0\n2,2\n",
+    "x1,w\n1,99999999999999999999\n",
+    "w\n1\n2\n3\n",
+    b"x1,w\n\xff,1\n",
+)
+CLI_RIDGES = ("-1", "-1e-3", "0", "1e-3", "2.5", "nan", "inf", "-inf")
+# values a --config file can give that argparse's choices would refuse
+CLI_CONFIG_VALUES = {
+    "estimator": ("empirical", "logistic", "bogus", ""),
+    "method": ("exact", "quantile", "bogus"),
+    "subclasses": ("1", "3", "64", "0", "-2", "2.5", "abc"),
+    "ridge": CLI_RIDGES + ("abc",),
+    "format": ("text", "csv", "both", "bogus"),
+}
+
+
+@st.composite
+def cli_units(draw) -> str:
+    """A small 3-treatment dataset CSV: discrete or continuous covariates."""
+    n = draw(st.integers(4, 30))
+    k = draw(st.integers(1, 2))
+    mixed = st.one_of(DISCRETE, st.floats(-3, 3, allow_nan=False))
+    values = draw(st.sampled_from((DISCRETE, mixed)))
+    X = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=n, max_size=n))
+    w = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    header = ",".join([f"x{j + 1}" for j in range(k)] + ["w"])
+    rows = [",".join([repr(v) for v in x] + [str(t)]) for x, t in zip(X, w)]
+    return "\n".join([header] + rows) + "\n"
+
+
+@st.composite
+def cli_runs(draw):
+    """A balance or estimate run: files to write, argv and the effective ridge."""
+    command = draw(st.sampled_from(("balance", "estimate")))
+    # mostly runnable inputs, so that runs also get to fit and balance
+    units = st.sampled_from(CLI_BAD_DATA) if draw(st.integers(0, 3)) == 0 else cli_units()
+    files = {
+        "units.csv": draw(units),
+        "contrasts.txt": draw(st.sampled_from(CLI_CONTRASTS[:3] * 3 + CLI_CONTRASTS[3:])),
+    }
+    argv = [command, "--data", "units.csv", "--contrasts", "contrasts.txt"]
+    flags = {"estimator": st.sampled_from(("empirical", "logistic")),
+             "ridge": st.sampled_from(CLI_RIDGES),
+             "format": st.sampled_from(("text", "csv", "both"))}
+    if command == "balance":
+        flags.update(method=st.sampled_from(("exact", "quantile")),
+                     subclasses=st.sampled_from(("1", "2", "5", "64", "0", "-3")))
+        if draw(st.booleans()):
+            files["targets.txt"] = draw(st.sampled_from(CLI_CONTRASTS))
+            argv += ["--targets", "targets.txt"]
+        if draw(st.booleans()):
+            argv += ["--per-unit", "scored.csv"]
+    given_flags = {}
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        given_flags[name] = draw(flags[name])
+        argv.append(f"--{name}={given_flags[name]}")
+    config = {}
+    if draw(st.booleans()):
+        names = sorted(CLI_CONFIG_VALUES)
+        if command == "estimate":
+            names = ["estimator", "format", "ridge"]
+        for name in draw(st.lists(st.sampled_from(names), unique=True)):
+            config[name] = draw(st.sampled_from(CLI_CONFIG_VALUES[name]))
+        files["config.txt"] = "".join(f"{k} = {v}\n" for k, v in config.items())
+        argv += ["--config", "config.txt"]
+    ridge = given_flags.get("ridge", config.get("ridge", "0"))
+    return files, argv, ridge
+
+
+@settings(max_examples=200)
+@given(cli_runs())
+@example(({"units.csv": "x1,w\n0,1\n1,2\n0,3\n1,1\n", "contrasts.txt": "1 -1 0\n"},
+          ["balance", "--data", "units.csv", "--contrasts", "contrasts.txt",
+           "--ridge=nan"], "nan"))
+def test_cli_exits_typed(run):
+    files, argv, ridge = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            if content is not None:
+                mode = "wb" if isinstance(content, bytes) else "w"
+                with open(os.path.join(tmp, name), mode) as fh:
+                    fh.write(content)
+        argv = [os.path.join(tmp, a) if a in files or a == "scored.csv" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # absent treatments only warn
+            code = cli.main(argv + ["--output-dir", tmp])
+    lines = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert any(line.startswith("input error:") for line in lines)
+    if code == 3:
+        assert any(line.startswith("estimation error:") for line in lines)
+    try:
+        bad_ridge = not (float(ridge) >= 0 and np.isfinite(float(ridge)))
+    except ValueError:
+        bad_ridge = True
+    if bad_ridge:
+        assert code == 2
