@@ -11,13 +11,18 @@ so reported differences are invariant to the unit order and identities
 between them hold exactly, not merely to rounding.  The sums behind them are
 integer array reductions (:func:`_exact_group_sums`), and scores stay in the
 array form of :class:`~csps.estimation.ScoreVector`; no per-unit Python
-object is made on the way.
+object is made on the way.  Each difference is kept as one integer
+numerator over one integer denominator times a power of two; its float comes
+straight from those integers by Python's correctly rounded ``int / int``,
+and its ``Fraction`` is built from them only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -102,22 +107,146 @@ def _exact_group_sums(
         for limb, limb_sum in ((high, high_sum), (low, low_sum)):
             sums = np.bincount(key[part], weights=limb[part], minlength=nbins)
             limb_sum += sums.astype(np.int64)
-    used = np.flatnonzero(high_sum | low_sum)
+    used = (high_sum | low_sum).nonzero()[0]
     code = used if buckets is None else buckets[used]
+    group, shift = np.divmod(code, width)
     totals = [0] * num_groups
     for g, shift, h, lo in zip(
-        (code // width).tolist(), (code % width).tolist(),
-        high_sum[used].tolist(), low_sum[used].tolist(),
+        group.tolist(), shift.tolist(), high_sum[used].tolist(), low_sum[used].tolist()
     ):
         totals[g] += ((h << _LIMB_BITS) + lo) << shift
     return totals, e_min - _MANTISSA_BITS
 
 
-def _scaled_fraction(total: int, count: int, exponent: int) -> Fraction:
-    """``total * 2**exponent / count`` as an exact Fraction."""
+def _scaled_fraction(numerator: int, denominator: int, exponent: int) -> Fraction:
+    """``numerator * 2**exponent / denominator`` as an exact Fraction."""
     if exponent >= 0:
-        return Fraction(total << exponent, count)
-    return Fraction(total, count << -exponent)
+        return Fraction(numerator << exponent, denominator)
+    return Fraction(numerator, denominator << -exponent)
+
+
+def _scaled_float(numerator: int, denominator: int, exponent: int) -> float:
+    """``numerator * 2**exponent / denominator``, correctly rounded.
+
+    Python's ``int / int`` rounds the exact quotient once, as
+    ``float(Fraction)`` does, so the two give the same float.
+    """
+    if exponent >= 0:
+        return (numerator << exponent) / denominator
+    return numerator / (denominator << -exponent)
+
+
+def _fractions(ratios) -> tuple[Fraction, ...] | None:
+    return None if ratios is None else tuple(_scaled_fraction(*r) for r in ratios)
+
+
+def _difference(P: int, n_pos: int, N: int, n_neg: int, exponent: int):
+    """``P/n_pos - N/n_neg`` (totals scaled by ``2**exponent``) as one ratio."""
+    return P * n_neg - N * n_pos, n_pos * n_neg, exponent
+
+
+class _GroupTotals:
+    """The exact integers behind one entry's covariate mean differences.
+
+    Group 2s holds subclass s's positive units and 2s + 1 its negative ones;
+    s = 0 collects the eligible units outside every subclass, so the groups
+    of one sign add up to the pooled group.  ``counts[g]`` is group g's size
+    and ``sums[k]`` covariate k's ``(totals, exponent)``: group g's total is
+    ``totals[g] * 2**exponent``.  ``before`` and ``after`` hold one
+    ``(numerator, denominator, exponent)`` ratio per covariate.
+    """
+
+    __slots__ = ("counts", "sums", "sizes", "before", "after")
+
+    def __init__(self, counts: list[int], sums: list, sizes: list[int] | None):
+        self.counts = counts
+        self.sums = sums
+        self.sizes = sizes
+        n_pos, n_neg = sum(counts[0::2]), sum(counts[1::2])
+        self.before = tuple(
+            _difference(sum(totals[0::2]), n_pos, sum(totals[1::2]), n_neg, exponent)
+            for totals, exponent in sums
+        )
+        self.after = None
+        if sizes is None:
+            return
+        # the subclass differences P_s/n+_s - N_s/n-_s weighted by
+        # size_s / n_assigned, over one common denominator n_assigned * L,
+        # L the lcm of the n+_s * n-_s: the numerator is the sum over s of
+        # P_s * a_s - N_s * b_s
+        n_pos_s, n_neg_s = counts[2::2], counts[3::2]
+        products = list(map(mul, n_pos_s, n_neg_s))
+        common = math.lcm(*products)
+        scale = [size * (common // p) for size, p in zip(sizes[1:], products)]
+        a, b = list(map(mul, scale, n_neg_s)), list(map(mul, scale, n_pos_s))
+        # with no subclass the numerator is 0 and any denominator will do
+        denominator = max(sum(sizes[1:]), 1) * common
+        self.after = tuple(
+            (
+                sum(map(mul, a, totals[2::2])) - sum(map(mul, b, totals[3::2])),
+                denominator,
+                exponent,
+            )
+            for totals, exponent in sums
+        )
+
+    def means(self, group: int) -> tuple[Fraction, ...]:
+        return tuple(
+            _scaled_fraction(totals[group], self.counts[group], exponent)
+            for totals, exponent in self.sums
+        )
+
+    def subclass_difference(self, sid: int) -> tuple:
+        pos, neg = 2 * sid, 2 * sid + 1
+        return tuple(
+            _difference(totals[pos], self.counts[pos], totals[neg], self.counts[neg], exponent)
+            for totals, exponent in self.sums
+        )
+
+
+class _Unset:
+    def __repr__(self):
+        return "<built on access>"
+
+
+_UNSET = _Unset()
+
+
+class _OnAccess:
+    """A dataclass field that, when no value is passed, is built on first read.
+
+    The value comes from the instance's ``_build_<name>()`` and is kept.  A
+    value passed to the constructor (or to ``dataclasses.replace``) is kept
+    as given.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return _UNSET  # the field's default
+        value = obj.__dict__[self.name]
+        if value is _UNSET:
+            value = obj.__dict__[self.name] = getattr(obj, "_build_" + self.name)()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+def _floats(obj, name: str, ratios) -> np.ndarray | None:
+    """Field ``name`` of ``obj`` as floats.
+
+    Fractions that were passed or already built are converted; otherwise the
+    floats come straight from the integer ``ratios``, without a Fraction.
+    """
+    value = obj.__dict__[name]
+    if value is not _UNSET:
+        return None if value is None else np.array([float(v) for v in value])
+    if ratios is None:
+        return None
+    return np.array([_scaled_float(*r) for r in ratios])
 
 
 @dataclass(frozen=True)
@@ -156,21 +285,31 @@ class SubclassAssignment:
     group and 0 for everyone else.  After construction every subclass
     contains at least one unit from each group.  The labels are held in the
     narrowest unsigned integer type that fits them (usually one byte), since
-    reports keep them.
+    reports keep them.  An assignment made by :func:`subclassify` also keeps
+    what it was made from: the bifurcation's group ``indicator`` (+1, -1 or
+    0 per unit, one byte each) and the ``scores``; otherwise both are None.
     """
 
-    __slots__ = ("labels", "num_subclasses", "method")
+    __slots__ = ("labels", "num_subclasses", "method", "indicator", "scores")
 
-    def __init__(self, labels, num_subclasses: int, method: str):
+    def __init__(
+        self, labels, num_subclasses: int, method: str, indicator=None, scores=None
+    ):
         lab = np.asarray(labels)
         if lab.size and int(lab.min()) < 0:
             raise ValueError("subclass labels must be nonnegative")
-        top = max(int(lab.max(initial=0)), int(num_subclasses))
-        lab = lab.astype(np.min_scalar_type(top))
+        if int(lab.max(initial=0)) > num_subclasses:
+            raise ValueError("subclass labels must not exceed num_subclasses")
+        lab = lab.astype(np.min_scalar_type(int(num_subclasses)))
         lab.setflags(write=False)
         self.labels = lab
         self.num_subclasses = int(num_subclasses)
         self.method = method
+        if indicator is not None:
+            indicator = np.asarray(indicator).astype(np.int8)
+            indicator.setflags(write=False)
+        self.indicator = indicator
+        self.scores = scores
 
     def members(self, subclass_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == subclass_id)
@@ -240,7 +379,11 @@ def subclassify(
     eligible = np.flatnonzero(d != 0)
     if eligible.size == 0:
         raise TooFewUnits("no units are assigned to either group")
-    if not ((d[eligible] == 1).any() and (d[eligible] == -1).any()):
+    sign = d[eligible]
+    positive, negative = sign == 1, sign == -1
+    if not (positive | negative).all():
+        raise ValueError("group indicators must be 1, -1 or 0")
+    if not (positive.any() and negative.any()):
         raise TooFewUnits("all eligible units fall in a single group")
     if not scores.defined_mask[eligible].all():
         raise UndefinedScores(
@@ -268,63 +411,110 @@ def subclassify(
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 
-    sign = d[eligible]
     num_groups = int(group.max()) + 1
     subclass, num_merged = _merge_one_class_groups(
-        np.bincount(group[sign == 1], minlength=num_groups).tolist(),
-        np.bincount(group[sign == -1], minlength=num_groups).tolist(),
+        np.bincount(group[positive], minlength=num_groups).tolist(),
+        np.bincount(group[negative], minlength=num_groups).tolist(),
     )
     labels = np.zeros(len(scores), dtype=np.intp)
     labels[eligible] = subclass[group] + 1
-    return SubclassAssignment(labels, num_merged, tag)
+    return SubclassAssignment(labels, num_merged, tag, indicator=d, scores=scores)
 
 
 @dataclass(frozen=True, eq=False)
 class SubclassBalanceRow:
-    """Group sizes, group means, and mean difference within one subclass."""
+    """Group sizes, group means, and mean difference within one subclass.
+
+    ``difference`` holds the floats, computed from integer totals without a
+    Fraction; ``weight`` (the subclass's share of the assigned units) and the
+    exact means and difference are Fractions built on first access.
+    """
 
     subclass_id: int
     n_positive: int
     n_negative: int
-    weight: Fraction  # share of the eligible units
-    mean_positive_exact: tuple[Fraction, ...]
-    mean_negative_exact: tuple[Fraction, ...]
-    difference_exact: tuple[Fraction, ...]
+    weight: Fraction = _OnAccess()
+    mean_positive_exact: tuple[Fraction, ...] = _OnAccess()
+    mean_negative_exact: tuple[Fraction, ...] = _OnAccess()
+    difference_exact: tuple[Fraction, ...] = _OnAccess()
+    _totals: _GroupTotals | None = field(default=None, repr=False)
+
+    def _build_weight(self):
+        if self._totals is None:
+            return None
+        sizes = self._totals.sizes
+        return Fraction(sizes[self.subclass_id], sum(sizes[1:]))
+
+    def _build_mean_positive_exact(self):
+        return None if self._totals is None else self._totals.means(2 * self.subclass_id)
+
+    def _build_mean_negative_exact(self):
+        return None if self._totals is None else self._totals.means(2 * self.subclass_id + 1)
+
+    def _ratios(self):
+        if self._totals is None:
+            return None
+        return self._totals.subclass_difference(self.subclass_id)
+
+    def _build_difference_exact(self):
+        return _fractions(self._ratios())
 
     @property
     def difference(self) -> np.ndarray:
-        return np.array([float(v) for v in self.difference_exact])
+        return _floats(self, "difference_exact", self._ratios())
 
 
 @dataclass(frozen=True, eq=False)
 class ContrastBalance:
     """Balance diagnostics for one target contrast.
 
-    ``scores`` and ``assignment`` are the chained score and the subclasses
-    the diagnostics were computed from, when a pass built them.
+    ``before`` and ``after`` are the floats of the mean differences, each
+    computed from one integer numerator over one integer denominator, so no
+    Fraction is made for them.  ``before_exact``, ``after_exact`` and
+    ``subclass_rows`` are built from the same integers on first access and
+    then kept; a value passed to the constructor or to ``dataclasses.replace``
+    is kept instead, and the floats then come from it.  ``assignment`` is
+    the subclass assignment the diagnostics were computed from, and
+    ``scores`` the score it was made on, when a pass built them.
     """
 
     contrast: Contrast
     n_positive: int = 0
     n_negative: int = 0
-    before_exact: tuple[Fraction, ...] | None = None
-    after_exact: tuple[Fraction, ...] | None = None
-    subclass_rows: tuple[SubclassBalanceRow, ...] | None = None
+    before_exact: tuple[Fraction, ...] | None = _OnAccess()
+    after_exact: tuple[Fraction, ...] | None = _OnAccess()
+    subclass_rows: tuple[SubclassBalanceRow, ...] | None = _OnAccess()
     error: str | None = None
-    scores: ScoreVector | None = None
     assignment: SubclassAssignment | None = None
+    _totals: _GroupTotals | None = field(default=None, repr=False)
+
+    def _build_before_exact(self):
+        return _fractions(self._totals and self._totals.before)
+
+    def _build_after_exact(self):
+        return _fractions(self._totals and self._totals.after)
+
+    def _build_subclass_rows(self):
+        totals = self._totals
+        if totals is None or totals.sizes is None:
+            return None
+        counts = totals.counts
+        return tuple(
+            SubclassBalanceRow(sid, counts[2 * sid], counts[2 * sid + 1], _totals=totals)
+            for sid in range(1, len(totals.sizes))
+        )
 
     @property
     def before(self) -> np.ndarray | None:
-        if self.before_exact is None:
-            return None
-        return np.array([float(v) for v in self.before_exact])
+        return _floats(self, "before_exact", self._totals and self._totals.before)
 
     @property
     def after(self) -> np.ndarray | None:
-        if self.after_exact is None:
-            return None
-        return np.array([float(v) for v in self.after_exact])
+        return _floats(self, "after_exact", self._totals and self._totals.after)
+
+    @property
+    def scores(self) -> ScoreVector | None:
+        return None if self.assignment is None else self.assignment.scores
 
     @property
     def num_subclasses(self) -> int:
@@ -356,13 +546,18 @@ def covariate_mean_difference(
     subclass assignment is supplied, also the within-subclass differences and
     their average weighted by each subclass's share of eligible units.  One
     exact group sum per covariate serves the pooled pair and every subclass
-    pair.
+    pair.  An assignment made by :func:`subclassify` keeps the group
+    indicator it was made for, which then gives the target's groups; for
+    any other assignment they come from the target and the treatments.
     """
-    d = assignment_indicators(target, dataset.treatments)
+    if subclasses is not None and len(subclasses.labels) != dataset.n_units:
+        raise ValueError("subclass labels must cover every unit of the dataset")
+    if subclasses is not None and subclasses.indicator is not None:
+        d = subclasses.indicator
+    else:
+        d = assignment_indicators(target, dataset.treatments)
     eligible = np.flatnonzero(d)
-    # group 2s holds subclass s's positive units and 2s + 1 its negative
-    # ones; s = 0 collects the eligible units outside every subclass, so the
-    # groups of one sign add up to the pooled group
+    # group 2s holds subclass s's positive units and 2s + 1 its negative ones
     groups = (d[eligible] == -1).astype(np.intp)
     S = 0
     if subclasses is not None:
@@ -376,54 +571,15 @@ def covariate_mean_difference(
         _exact_group_sums(dataset.covariates[eligible, k], groups, len(counts))
         for k in range(dataset.num_covariates)
     ]
-
-    def means(group: int) -> tuple[Fraction, ...]:
-        return tuple(
-            _scaled_fraction(totals[group], counts[group], exponent)
-            for totals, exponent in sums
-        )
-
-    before = tuple(
-        _scaled_fraction(sum(totals[0::2]), n_pos, exponent)
-        - _scaled_fraction(sum(totals[1::2]), n_neg, exponent)
-        for totals, exponent in sums
-    )
-
-    after = None
-    rows = None
+    sizes = None
     if subclasses is not None:
         sizes = np.bincount(subclasses.labels, minlength=S + 1).tolist()
-        n_assigned = sum(sizes[1:])
-        row_list = []
-        total = [Fraction(0)] * dataset.num_covariates
-        for sid in range(1, S + 1):
-            mean_p = means(2 * sid)
-            mean_n = means(2 * sid + 1)
-            diff = tuple(a - b for a, b in zip(mean_p, mean_n))
-            weight = Fraction(sizes[sid], n_assigned)
-            row_list.append(
-                SubclassBalanceRow(
-                    subclass_id=sid,
-                    n_positive=counts[2 * sid],
-                    n_negative=counts[2 * sid + 1],
-                    weight=weight,
-                    mean_positive_exact=mean_p,
-                    mean_negative_exact=mean_n,
-                    difference_exact=diff,
-                )
-            )
-            total = [t + weight * v for t, v in zip(total, diff)]
-        after = tuple(total)
-        rows = tuple(row_list)
-
     return ContrastBalance(
         contrast=target,
         n_positive=n_pos,
         n_negative=n_neg,
-        before_exact=before,
-        after_exact=after,
-        subclass_rows=rows,
         assignment=subclasses,
+        _totals=_GroupTotals(counts, sums, sizes),
     )
 
 
@@ -559,8 +715,7 @@ def run_algorithm(
                 scores, d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,
             )
-            entry = covariate_mean_difference(dataset, target, assignment)
-            entries.append(replace(entry, scores=scores))
+            entries.append(covariate_mean_difference(dataset, target, assignment))
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
     return BalanceReport(

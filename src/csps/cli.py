@@ -140,8 +140,7 @@ def cmd_estimate(args, config) -> int:
     data_path = _resolve(args, config, "data", None, str)
     contrasts_path = _resolve(args, config, "contrasts", None, str)
     if data_path is None or contrasts_path is None:
-        print("estimate: --data and --contrasts are required", file=sys.stderr)
-        return 2
+        raise ValueError("estimate: --data and --contrasts are required")
     algo = AlgorithmConfig(
         estimator=_resolve(args, config, "estimator", "logistic", str),
         ridge=_resolve(args, config, "ridge", 0.0, float),
@@ -172,8 +171,7 @@ def cmd_balance(args, config) -> int:
     data_path = _resolve(args, config, "data", None, str)
     contrasts_path = _resolve(args, config, "contrasts", None, str)
     if data_path is None or contrasts_path is None:
-        print("balance: --data and --contrasts are required", file=sys.stderr)
-        return 2
+        raise ValueError("balance: --data and --contrasts are required")
     targets_path = _resolve(args, config, "targets", None, str)
     algo = AlgorithmConfig(
         estimator=_resolve(args, config, "estimator", "logistic", str),
@@ -211,7 +209,8 @@ def cmd_balance(args, config) -> int:
 def _write_per_unit_csv(dataset, report, path) -> None:
     """Mirror the dataset plus chained score and subclass columns per target.
 
-    The columns come from the scores and subclasses the report kept.  A
+    The columns come from the group indicators, scores and subclasses the
+    report kept.  A
     unit in neither group of a target has no subclass, and one with an
     undefined score no score: those fields are left blank.
     """
@@ -221,7 +220,7 @@ def _write_per_unit_csv(dataset, report, path) -> None:
             continue
         tag = entry.contrast.describe()
         labels = entry.assignment.labels
-        extras[f"d[{tag}]"] = assignment_indicators(entry.contrast, dataset.treatments)
+        extras[f"d[{tag}]"] = entry.assignment.indicator
         extras[f"score[{tag}]"] = np.ma.masked_array(
             entry.scores.as_floats(), mask=~entry.scores.defined_mask
         )

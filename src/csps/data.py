@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -344,38 +343,35 @@ def _csv_field(value) -> str:
     return format(float(value), ".17g")
 
 
-def _format_floats(values: np.ndarray) -> list[str]:
-    return list(map(format, values.astype(float, copy=False).tolist(), repeat(".17g")))
-
-
 def _column_formatter(column):
-    """The function that formats the fields of ``column`` in a block of rows.
+    """The function that gives ``(spec, values)`` for ``column`` in a block of rows.
 
-    Arrays are formatted by dtype: floats with 17 significant digits,
-    integers as integers, and the masked entries of a masked array as empty
-    fields.  Lists, tuples and arrays of other dtypes (bool, object) go value
-    by value: ``None`` is an empty field, an integer is written as one and
-    anything else as a float (a bool as 0 or 1).
+    ``spec`` is the ``%``-format that the row template applies to
+    ``values``: ``%.17g`` for a float array and ``%d`` for an integer array.
+    Where that cannot write a field, ``spec`` is ``%s`` and the fields come
+    formatted: in a block where a masked array has a masked entry (an empty
+    field), and for lists, tuples and arrays of other dtypes (bool, object),
+    which go value by value: ``None`` is an empty field, an integer is
+    written as one and anything else as a float (a bool as 0 or 1).
     """
     if not isinstance(column, np.ndarray):
-        return lambda block: list(map(_csv_field, column[block]))
+        return lambda block: ("%s", list(map(_csv_field, column[block])))
     values = np.ma.getdata(column)
     blank = np.ma.getmaskarray(column) if np.ma.isMaskedArray(column) else None
-    if values.dtype.kind == "f":
-        format_block = _format_floats
-    elif values.dtype.kind in "iu":
-        def format_block(ints):
-            return list(map(str, ints.tolist()))
-    else:
-        def format_block(other):
-            return list(map(_csv_field, other))
+    spec = {"f": "%.17g", "i": "%d", "u": "%d"}.get(values.dtype.kind)
 
-    def fields(block: slice) -> list[str]:
-        out = format_block(values[block])
-        if blank is not None:
-            for i in np.flatnonzero(blank[block]).tolist():
-                out[i] = ""
-        return out
+    def fields(block: slice) -> tuple[str, list]:
+        if spec is None:
+            return "%s", list(map(_csv_field, values[block]))
+        part = values[block]
+        out = (part.astype(float, copy=False) if spec == "%.17g" else part).tolist()
+        hidden = [] if blank is None else np.flatnonzero(blank[block]).tolist()
+        if not hidden:
+            return spec, out
+        out = list(map(spec.__mod__, out))
+        for i in hidden:
+            out[i] = ""
+        return "%s", out
 
     return fields
 
@@ -383,18 +379,20 @@ def _column_formatter(column):
 def _write_csv_columns(path, header: list[str], columns: list, num_rows: int) -> None:
     """Write a header row and ``num_rows`` rows of ``columns`` as CSV.
 
-    Fields are formatted one block of rows at a time (see
-    ``_column_formatter``).  Numbers and empty fields hold no delimiter,
-    quote or line break, so ``csv.writer`` would write them unquoted: the
-    rows are joined directly, with its ``\\r\\n`` line ends.
+    Each block of rows is written with one row template joined from the
+    columns' ``%``-formats (see ``_column_formatter``).  Numbers and empty
+    fields hold no delimiter, quote or line break, so ``csv.writer`` would
+    write them unquoted: the rows are formatted directly, with its ``\\r\\n``
+    line ends.
     """
     formatters = [_column_formatter(col) for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, num_rows, _ROWS_PER_BLOCK):
             block = slice(start, start + _ROWS_PER_BLOCK)
-            rows = zip(*[fields(block) for fields in formatters])
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            specs, values = zip(*[fields(block) for fields in formatters])
+            template = ",".join(specs) + "\r\n"
+            fh.write("".join(map(template.__mod__, zip(*values))))
 
 
 def write_dataset_csv(

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from csps import balancing, estimation
 from csps.balancing import (
     AlgorithmConfig,
+    SubclassAssignment,
     chained_propensity,
     covariate_mean_difference,
     run_algorithm,
@@ -28,7 +30,12 @@ from csps.example_data import (
     SECOND_CONTRAST,
     TARGET_CONTRAST,
 )
-from csps.simulation import mechanism_ii, sample_dataset, simulation_contrasts
+from csps.simulation import (
+    mechanism_ii,
+    run_experiment,
+    sample_dataset,
+    simulation_contrasts,
+)
 
 
 def indicators(contrast, dataset):
@@ -156,6 +163,24 @@ class TestSubclassify:
         with pytest.raises(TooFewUnits):
             subclassify(scores, np.array([0, 0]))
 
+    def test_keeps_what_it_was_made_from(self):
+        scores = ScoreVector.from_floats([0.2, 0.4, 0.6, 0.8, 0.5])
+        d = np.array([1, -1, 1, -1, 0])
+        assignment = subclassify(scores, d, method="quantile", num_subclasses=2)
+        assert assignment.scores is scores
+        assert assignment.indicator.tolist() == d.tolist()
+        assert not assignment.indicator.flags.writeable
+        assert SubclassAssignment([0, 1], 1, "by hand").indicator is None
+
+    def test_indicator_outside_signs_raises(self):
+        scores = ScoreVector.from_floats([0.5, 0.6, 0.7])
+        with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
+            subclassify(scores, np.array([1, -1, 2]))
+
+    def test_labels_beyond_num_subclasses_raise(self):
+        with pytest.raises(ValueError, match="must not exceed num_subclasses"):
+            SubclassAssignment([0, 1, 3], 2, "by hand")
+
     def test_undefined_eligible_score_raises(self):
         scores = ScoreVector.from_ratios([1, 0], [2, 0], index=[0, 1])
         with pytest.raises(UndefinedScores):
@@ -211,6 +236,11 @@ class TestCovariateMeanDifference:
         with pytest.raises(EmptyGroup):
             covariate_mean_difference(d, Contrast((1, -1, 0)))
 
+    def test_labels_must_cover_the_dataset(self, example):
+        labels = SubclassAssignment([1] * (example.n_units - 1), 1, "by hand")
+        with pytest.raises(ValueError, match="cover every unit"):
+            covariate_mean_difference(example, TARGET_CONTRAST, labels)
+
     def test_after_equals_weighted_subclass_average(self, rng):
         X = rng.integers(0, 3, size=(60, 2)).astype(float)
         w = rng.integers(1, 4, size=60)
@@ -241,6 +271,41 @@ class TestCovariateMeanDifference:
                     d13.before_exact[k]
                     == d12.before_exact[k] + d23.before_exact[k]
                 )
+
+    @pytest.mark.parametrize("name", ["before", "after"])
+    def test_replaced_fractions_win(self, example, name):
+        counter = chained_propensity(
+            example, [SECOND_CONTRAST], FIRST_CONTRAST, estimator="empirical"
+        )
+        assignment = subclassify(counter, indicators(FIRST_CONTRAST, example), method="exact")
+        entry = covariate_mean_difference(example, FIRST_CONTRAST, assignment)
+        built = getattr(entry, name + "_exact")
+        nudged = (built[0] + Fraction(1, 3),) + built[1:]
+        changed = replace(entry, **{name + "_exact": nudged})
+        assert getattr(changed, name + "_exact") == nudged
+        assert getattr(changed, name).tolist() == [float(v) for v in nudged]
+        assert getattr(entry, name).tolist() == [float(v) for v in built]
+        other = "after" if name == "before" else "before"
+        assert getattr(changed, other).tolist() == getattr(entry, other).tolist()
+        assert getattr(changed, other + "_exact") == getattr(entry, other + "_exact")
+
+    def test_target_indicator_computed_once(self, monkeypatch):
+        dataset = sample_dataset(mechanism_ii(num_units=300, seed=4), 0)
+        calls = count_calls(monkeypatch, balancing, "assignment_indicators")
+        targets = simulation_contrasts()
+        report = run_algorithm(dataset, targets[:2], targets)
+        assert all(e.error is None for e in report.entries)
+        assert len(calls) == len(targets)
+        # the public function, with an assignment made by hand, finds the
+        # groups itself
+        entry = report.entries[0]
+        by_hand = SubclassAssignment(
+            entry.assignment.labels, entry.assignment.num_subclasses, "by hand"
+        )
+        again = covariate_mean_difference(dataset, entry.contrast, by_hand)
+        assert len(calls) == len(targets) + 1
+        assert again.before.tobytes() == entry.before.tobytes()
+        assert again.after.tobytes() == entry.after.tobytes()
 
     def test_permutation_invariance(self, example, rng):
         config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
@@ -278,6 +343,19 @@ class TestRunAlgorithm:
         assert entry.num_subclasses == 4
         assert entry.after_exact == (Fraction(0),) * 3
         assert entry.n_positive == 7 and entry.n_negative == 9
+
+    def test_simulation_builds_no_fraction(self, monkeypatch):
+        # the simulation reads only the floats, which come from integers
+        def no_fraction(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(balancing, "Fraction", no_fraction)
+        result = run_experiment(mechanism_ii(num_units=300, replications=3, seed=3))
+        assert result.errors == () and np.isfinite(result.after).all()
+        dataset = sample_dataset(mechanism_ii(num_units=300, seed=3), 0)
+        report = run_algorithm(dataset, simulation_contrasts()[:2], simulation_contrasts()[:1])
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            report.entries[0].after_exact
 
     def test_balancing_shrinks_differences_on_average(self):
         cfg = mechanism_ii(num_units=800, seed=5)

@@ -82,6 +82,21 @@ class TestEstimate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("given", ["--data", "--contrasts", None])
+    def test_missing_flag_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys, given
+    ):
+        paths = {"--data": str(example_csv), "--contrasts": str(contrast_file)}
+        args = ["estimate"] + ([given, paths[given]] if given else [])
+        out = tmp_path / "scores.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "input error: estimate: --data and --contrasts are required\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("estimator", ["empirical", "logistic"])
     def test_bad_ridge_is_an_input_error(
@@ -284,6 +299,21 @@ class TestBalance:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: contrast ")
         assert f"has {width} treatments, dataset has 3" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--data", "--contrasts", None])
+    def test_missing_flag_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys, given
+    ):
+        paths = {"--data": str(example_csv), "--contrasts": str(contrast_file)}
+        args = ["balance"] + ([given, paths[given]] if given else [])
+        out = tmp_path / "balance.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "input error: balance: --data and --contrasts are required\n"
+        )
         assert captured.out == ""
         assert not out.exists()
 

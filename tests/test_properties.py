@@ -313,6 +313,52 @@ def test_subclasses_of_identical_rows_balance_exactly(data_case, target):
     assert all(v == 0 for v in balance.after_exact)
 
 
+# magnitudes from subnormal to 1e300, kept below the float range when
+# differenced, so that every difference has a float
+SPREAD = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 0.1, -2.5)
+
+
+@st.composite
+def wide_subclasses(draw):
+    """A target's groups over up to 400 subclasses, with very mixed covariates."""
+    S = draw(st.integers(1, 400))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # each subclass gets one unit of each group, then the rest fall anywhere
+    extra = draw(st.integers(0, 3 * S))
+    labels = np.concatenate([np.repeat(np.arange(1, S + 1), 2), rng.integers(0, S + 1, extra)])
+    d = np.concatenate([np.tile([1, -1], S), rng.choice([1, -1], extra)])
+    d[labels == 0] = 0
+    scale = 10.0 ** rng.choice([-300, -150, -20, 0, 20, 150, 300], size=(len(d), k))
+    X = rng.standard_normal((len(d), k)) * scale
+    special = rng.random((len(d), k)) < 0.1
+    X[special] = rng.choice(SPREAD, int(special.sum()))
+    w = np.select([d == 1, d == -1], [1, 2], 3)
+    return make_dataset(X, w), SubclassAssignment(labels, S, "drawn")
+
+
+@settings(max_examples=40)
+@given(wide_subclasses())
+def test_floats_are_the_fractions_rounded(case):
+    # the floats come from integers, before any Fraction is built; each must
+    # be float() of its Fraction, bit for bit
+    dataset, assignment = case
+    entry = covariate_mean_difference(dataset, Contrast((1, -1, 0)), assignment)
+    before, after = entry.before, entry.after
+    differences = [r.difference for r in entry.subclass_rows]
+    assert before.tobytes() == np.array([float(v) for v in entry.before_exact]).tobytes()
+    assert after.tobytes() == np.array([float(v) for v in entry.after_exact]).tobytes()
+    for diff, row in zip(differences, entry.subclass_rows):
+        assert diff.tobytes() == np.array([float(v) for v in row.difference_exact]).tobytes()
+        assert row.difference_exact == tuple(
+            p - n for p, n in zip(row.mean_positive_exact, row.mean_negative_exact)
+        )
+    assert entry.after_exact == tuple(
+        sum(r.weight * r.difference_exact[k] for r in entry.subclass_rows)
+        for k in range(dataset.num_covariates)
+    )
+
+
 # ---------------------------------------------------------------------------
 # exact scores and exact subclasses
 
@@ -870,7 +916,11 @@ def cli_runs(draw):
         "units.csv": draw(units),
         "contrasts.txt": draw(st.sampled_from(CLI_CONTRASTS[:3] * 3 + CLI_CONTRASTS[3:])),
     }
-    argv = [command, "--data", "units.csv", "--contrasts", "contrasts.txt"]
+    argv = [command]
+    # now and then one of the two required flags is left out
+    for flag, name in (("--data", "units.csv"), ("--contrasts", "contrasts.txt")):
+        if draw(st.integers(0, 9)):
+            argv += [flag, name]
     flags = {"estimator": st.sampled_from(("empirical", "logistic")),
              "ridge": st.sampled_from(CLI_RIDGES),
              "format": st.sampled_from(("text", "csv", "both"))}
