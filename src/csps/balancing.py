@@ -129,11 +129,15 @@ def _scaled_float(numerator: int, denominator: int, exponent: int) -> float:
     """``numerator * 2**exponent / denominator``, correctly rounded.
 
     Python's ``int / int`` rounds the exact quotient once, as
-    ``float(Fraction)`` does, so the two give the same float.
+    ``float(Fraction)`` does, so the two give the same float.  A quotient
+    beyond the float64 range is infinite, with its sign.
     """
-    if exponent >= 0:
-        return (numerator << exponent) / denominator
-    return numerator / (denominator << -exponent)
+    try:
+        if exponent >= 0:
+            return (numerator << exponent) / denominator
+        return numerator / (denominator << -exponent)
+    except OverflowError:
+        return math.inf if (numerator > 0) == (denominator > 0) else -math.inf
 
 
 def _fractions(ratios) -> tuple[Fraction, ...] | None:
@@ -208,6 +212,10 @@ class _Unset:
     def __repr__(self):
         return "<built on access>"
 
+    def __reduce__(self):
+        # a copy or an unpickled report refers to this module's one sentinel
+        return "_UNSET"
+
 
 _UNSET = _Unset()
 
@@ -238,12 +246,16 @@ class _OnAccess:
 def _floats(obj, name: str, ratios) -> np.ndarray | None:
     """Field ``name`` of ``obj`` as floats.
 
-    Fractions that were passed or already built are converted; otherwise the
-    floats come straight from the integer ``ratios``, without a Fraction.
+    Fractions that were passed or already built are converted through their
+    exact integer ratios; otherwise the floats come straight from the integer
+    ``ratios``, without a Fraction.  Either way a value beyond the float64
+    range is an infinity of its sign.
     """
     value = obj.__dict__[name]
+    if value is None:
+        return None
     if value is not _UNSET:
-        return None if value is None else np.array([float(v) for v in value])
+        return np.array([_scaled_float(*v.as_integer_ratio(), 0) for v in value])
     if ratios is None:
         return None
     return np.array([_scaled_float(*r) for r in ratios])

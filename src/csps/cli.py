@@ -5,8 +5,10 @@ Subcommands: ``example`` (embedded worked example, self-checking),
 ``simulate`` (replicated experiments).  Exit codes: 0 success, 1 worked
 example mismatch, 2 input error, 3 estimation or balancing failure.
 
-Defaults can come from a config file of ``key=value`` lines (``--config``);
-explicit flags override the file.  The output directory defaults to the
+Defaults can come from a config file of ``key=value`` lines (``--config``),
+whose keys are the subcommand's option names (``per_unit`` for
+``--per-unit``); any other key is an input error, and explicit flags
+override the file.  The output directory defaults to the
 ``CSPS_OUTPUT_DIR`` environment variable, then the working directory.
 """
 
@@ -65,7 +67,8 @@ INPUT_ERRORS = (
 )
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, keys) -> dict[str, str]:
+    """The ``key=value`` lines of ``path``; a key not in ``keys`` is a ParseError."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,7 +78,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ParseError(f"{path}, line {lineno}: expected key=value")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys:
+                raise ParseError(f"{path}, line {lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -337,7 +343,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _read_config_file(args.config) if args.config else {}
+        keys = set(vars(args)) - {"command", "config"}
+        config = _read_config_file(args.config, keys) if args.config else {}
         return COMMANDS[args.command](args, config)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)

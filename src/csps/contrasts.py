@@ -110,6 +110,10 @@ class Contrast:
     def __setattr__(self, name, value):
         raise AttributeError("Contrast is immutable")
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor
+        return Contrast, (self.coefficients, self.label)
+
     @property
     def num_treatments(self) -> int:
         return len(self.coefficients)
@@ -175,6 +179,9 @@ class Bifurcation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Bifurcation is immutable")
+
+    def __reduce__(self):
+        return Bifurcation, (self.positive_part, self.negative_part)
 
     @property
     def num_treatments(self) -> int:

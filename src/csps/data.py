@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -202,31 +203,19 @@ def _parse_treatment(token: str, where: str) -> int:
 def _parse_body(fh, num_fields: int, cov_idx: list[int], trt_idx: int):
     """Covariates and labels of a plain numeric CSV body, or None.
 
-    One ``np.loadtxt`` call parses every row, with a field per header
-    column, so a row with the wrong number of fields fails it.  None means
-    loadtxt refused the body or warned (a quoted field, a blank entry, an
-    empty body, ``1_000`` ...): the row parser then either accepts the body
-    or says which line is wrong.
+    One ``np.loadtxt`` call parses every row: the treatment field as an
+    integer and every other field as a covariate float, so a row with the
+    wrong number of fields fails it.  None means loadtxt refused the body or
+    warned (a quoted field, a blank entry, an empty body, ``1_000`` ...):
+    the row parser then either accepts the body or says which line is wrong.
     """
-    if trt_idx in cov_idx:
-        return None  # one field parsed both as a float and as an integer
-    kinds = ["U1"] * num_fields  # columns that are not read: any text, cut short
-    for j in cov_idx:
-        kinds[j] = "f8"
-    kinds[trt_idx] = "i8"
-    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    dtype = np.dtype([(f"f{j}", "i8" if j == trt_idx else "f8") for j in range(num_fields)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except (ValueError, Warning):
         return None
-    # csv reads a field that starts with a quote as quoted, and a quoted field
-    # may hold commas and line breaks that loadtxt split; a covariate or label
-    # that starts with one already failed above
-    for j, kind in enumerate(kinds):
-        if kind == "U1" and (body[f"f{j}"] == '"').any():
-            return None
     X = np.empty((len(body), len(cov_idx)))
     for k, j in enumerate(cov_idx):
         X[:, k] = body[f"f{j}"]
@@ -263,29 +252,25 @@ def _parse_rows(reader, path, num_fields: int, cov_idx: list[int], trt_idx: int)
     return X_rows, w_rows
 
 
-def load_dataset(
-    path,
-    treatment_column: str | None = None,
-    covariate_columns: list[str] | None = None,
-    num_treatments: int | None = None,
-) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Read a dataset from CSV.
 
-    The header names the columns.  By default the treatment column is ``"w"``
-    when present, otherwise the last column; every other column is a
-    covariate.  ``num_treatments`` overrides the inferred T (max label).
+    The header names the columns, and no two names (stripped of surrounding
+    whitespace) may be the same.  The treatment column is ``"w"`` when
+    present, otherwise the last column; every other column is a covariate.
+    T is the largest label.
 
     Every row must have one field per header column.  Covariates are
     decimals as Python's ``float`` reads them and treatments integers as
     ``int`` reads them, with surrounding whitespace allowed.  Fields may be
     quoted, blank lines and rows of blank fields are skipped, and ``#``
-    starts no comment.  Columns that are not read are not checked.  A plain
-    numeric body is parsed in one array pass; anything else, and any file
-    that cannot be read twice (a pipe), goes row by row, which also names
-    the line of the first bad entry.  Only the header and the row parser
-    are bound by ``csv.field_size_limit()``: they refuse a longer field, the
-    array pass reads it.  The file must be UTF-8 text with a header on its
-    first line.  Every refusal is a :class:`~csps.errors.CspsError`.
+    starts no comment.  A plain numeric body is parsed in one array pass;
+    anything else, and any file that cannot be read twice (a pipe), goes row
+    by row, which also names the line of the first bad entry.  Only the
+    header and the row parser are bound by ``csv.field_size_limit()``: they
+    refuse a longer field, the array pass reads it.  The file must be UTF-8
+    text with a header on its first line.  Every refusal is a
+    :class:`~csps.errors.CspsError`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -296,19 +281,13 @@ def load_dataset(
         if not header:
             raise ParseError(f"{path}, line 1: blank header line")
         header = [h.strip() for h in header]
-        if treatment_column is None:
-            treatment_column = "w" if "w" in header else header[-1]
-        if treatment_column not in header:
-            raise ParseError(f"{path}: no column named {treatment_column!r}")
-        if covariate_columns is None:
-            covariate_columns = [h for h in header if h != treatment_column]
-        missing = [c for c in covariate_columns if c not in header]
-        if missing:
-            raise ParseError(f"{path}: unknown covariate columns {missing}")
-        if not covariate_columns:
+        name, count = Counter(header).most_common(1)[0]
+        if count > 1:
+            raise ParseError(f"{path}, line 1: column {name!r} is named {count} times")
+        trt_idx = header.index("w") if "w" in header else len(header) - 1
+        cov_idx = [j for j in range(len(header)) if j != trt_idx]
+        if not cov_idx:
             raise ParseError(f"{path}: no covariate columns")
-        cov_idx = [header.index(c) for c in covariate_columns]
-        trt_idx = header.index(treatment_column)
 
         parsed = None
         if fh.seekable():  # the row parser may have to read the body again
@@ -321,13 +300,8 @@ def load_dataset(
             parsed = _parse_rows(reader, path, len(header), cov_idx, trt_idx)
 
     X, w = parsed
-    return Dataset(
-        X,
-        w,
-        num_treatments=num_treatments,
-        covariate_names=covariate_columns,
-        treatment_name=treatment_column,
-    )
+    names = [header[j] for j in cov_idx]
+    return Dataset(X, w, covariate_names=names, treatment_name=header[trt_idx])
 
 
 # rows are formatted a block at a time: only one block's Python numbers and
@@ -335,34 +309,25 @@ def load_dataset(
 _ROWS_PER_BLOCK = 2048
 
 
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _column_formatter(column):
+def _column_formatter(name: str, column, num_rows: int):
     """The function that gives ``(spec, values)`` for ``column`` in a block of rows.
 
+    ``column`` is an integer, unsigned or float array of ``num_rows``
+    entries, or a masked array of one; anything else is a ``ValueError``.
     ``spec`` is the ``%``-format that the row template applies to
-    ``values``: ``%.17g`` for a float array and ``%d`` for an integer array.
-    Where that cannot write a field, ``spec`` is ``%s`` and the fields come
-    formatted: in a block where a masked array has a masked entry (an empty
-    field), and for lists, tuples and arrays of other dtypes (bool, object),
-    which go value by value: ``None`` is an empty field, an integer is
-    written as one and anything else as a float (a bool as 0 or 1).
+    ``values``: ``%.17g`` for floats and ``%d`` for integers.  In a block
+    where a masked array has a masked entry, that entry is an empty field:
+    ``spec`` is then ``%s`` and the fields come formatted.
     """
-    if not isinstance(column, np.ndarray):
-        return lambda block: ("%s", list(map(_csv_field, column[block])))
+    if not isinstance(column, np.ndarray) or column.dtype.kind not in "fiu":
+        raise ValueError(f"column {name!r} is not an integer or float array")
+    if len(column) != num_rows:
+        raise ValueError(f"column {name!r} has the wrong length")
     values = np.ma.getdata(column)
     blank = np.ma.getmaskarray(column) if np.ma.isMaskedArray(column) else None
-    spec = {"f": "%.17g", "i": "%d", "u": "%d"}.get(values.dtype.kind)
+    spec = "%.17g" if values.dtype.kind == "f" else "%d"
 
     def fields(block: slice) -> tuple[str, list]:
-        if spec is None:
-            return "%s", list(map(_csv_field, values[block]))
         part = values[block]
         out = (part.astype(float, copy=False) if spec == "%.17g" else part).tolist()
         hidden = [] if blank is None else np.flatnonzero(blank[block]).tolist()
@@ -385,7 +350,7 @@ def _write_csv_columns(path, header: list[str], columns: list, num_rows: int) ->
     write them unquoted: the rows are formatted directly, with its ``\\r\\n``
     line ends.
     """
-    formatters = [_column_formatter(col) for col in columns]
+    formatters = [_column_formatter(*named, num_rows) for named in zip(header, columns)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, num_rows, _ROWS_PER_BLOCK):
@@ -398,20 +363,17 @@ def _write_csv_columns(path, header: list[str], columns: list, num_rows: int) ->
 def write_dataset_csv(
     dataset: Dataset,
     path,
-    extra_columns: Mapping[str, Iterable] | None = None,
+    extra_columns: Mapping[str, np.ndarray] | None = None,
 ) -> None:
     """Write the dataset (plus optional appended columns) as CSV.
 
     Covariates and float extras are written with 17 significant digits,
-    which round-trips float64 exactly; integer and bool extras as integers.
-    An extra column may be an array, a masked array (masked entries become
-    empty fields) or a sequence, where ``None`` entries become empty fields.
+    which round-trips float64 exactly, and integer extras as integers.  An
+    extra column is an integer, unsigned or float array with one entry per
+    unit, or a masked array of one (masked entries become empty fields);
+    anything else is a ``ValueError``, raised before the file is opened.
     """
-    extras = {}
-    for name, col in (extra_columns or {}).items():
-        extras[name] = col if isinstance(col, (list, tuple, np.ndarray)) else list(col)
-        if len(extras[name]) != dataset.n_units:
-            raise ValueError(f"extra column {name!r} has the wrong length")
+    extras = dict(extra_columns or {})
     _write_csv_columns(
         path,
         list(dataset.covariate_names) + [dataset.treatment_name] + list(extras),

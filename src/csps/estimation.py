@@ -151,7 +151,8 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
 
     The fit converges when the (penalised) gradient norm falls below the
     fixed :data:`TOL`; it stops unconverged after :data:`MAX_ITER` Newton
-    iterations.
+    iterations.  Features so large that the Newton system overflows float64
+    raise :class:`SingularHessian`, without a numpy warning.
 
     Parameters
     ----------
@@ -177,9 +178,19 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     pen = _penalty(ridge, F.shape[1] + 1)
 
     order = _canonical_order(F, y)
-    X = _design(F[order])
-    y = y[order]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _newton(_design(F[order]), y[order], pen, ridge)
+    except FloatingPointError as exc:
+        raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
 
+
+def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogisticModel:
+    """The Newton iterations of :func:`fit_binary_logistic`, from w = 0.
+
+    A result beyond float64, which numpy then reports as a
+    ``FloatingPointError``, rejects a trial step and fails any other stage.
+    """
     w = np.zeros(X.shape[1])
     ll_path = [_penalised_ll(X, y, w, pen)]
 
@@ -209,7 +220,10 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         current = ll_path[-1]
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
-            new_ll = _penalised_ll(X, y, candidate, pen)
+            try:
+                new_ll = _penalised_ll(X, y, candidate, pen)
+            except FloatingPointError:
+                new_ll = -math.inf
             if new_ll >= current - _acceptance_slack(current):
                 break
             step = 0.5 * step

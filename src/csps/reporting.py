@@ -119,6 +119,7 @@ def write_balance_csv(report: BalanceReport, path) -> None:
                     ]
                 )
             for r in entry.subclass_rows or ():
+                difference = r.difference
                 for k, name in enumerate(report.covariate_names):
                     writer.writerow(
                         [
@@ -131,7 +132,7 @@ def write_balance_csv(report: BalanceReport, path) -> None:
                             _full(r.weight),
                             "",
                             "",
-                            _full(r.difference_exact[k]),
+                            _full(difference[k]),
                             "",
                         ]
                     )

@@ -197,9 +197,7 @@ def run_experiment(cfg: SimulationConfig) -> ExperimentResult:
     )
 
 
-def oracle_group_means(
-    cfg: SimulationConfig, oracle_n: int = 1_000_000, seed: int | None = None
-) -> np.ndarray:
+def oracle_group_means(cfg: SimulationConfig, oracle_n: int = 1_000_000) -> np.ndarray:
     """Pooled before-balance differences from one very large draw.
 
     Bypasses the balancing pipeline entirely: draws ``oracle_n`` units from
@@ -207,9 +205,7 @@ def oracle_group_means(
     minus negative-group covariate means.  The default size keeps the Monte
     Carlo error of each entry below about 0.005.
     """
-    if seed is None:
-        seed = cfg.seed
-    rng = np.random.default_rng([seed, 0, oracle_n])
+    rng = np.random.default_rng([cfg.seed, 0, oracle_n])
     X, W = _draw(rng, int(oracle_n), cfg.coefficients)
     out = np.empty((len(cfg.targets), cfg.num_covariates))
     for j, target in enumerate(cfg.targets):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -289,6 +291,18 @@ class TestCovariateMeanDifference:
         assert getattr(changed, other).tolist() == getattr(entry, other).tolist()
         assert getattr(changed, other + "_exact") == getattr(entry, other + "_exact")
 
+    def test_differences_beyond_float64_are_infinite(self, example):
+        # float64 arithmetic would give these infinities; the Fractions stay exact
+        big = np.finfo(float).max
+        dataset = Dataset([[big, -big], [-big, big], [big, -big], [-big, big]], [1, 2, 1, 2])
+        entry = covariate_mean_difference(dataset, Contrast((1, -1)))
+        assert entry.before.tolist() == [np.inf, -np.inf]
+        assert entry.before_exact == (2 * Fraction(big), -2 * Fraction(big))
+        beyond = Fraction(10 ** 400, 3)
+        base = covariate_mean_difference(example, FIRST_CONTRAST)
+        changed = replace(base, before_exact=(beyond, -beyond, Fraction(1, 2)))
+        assert changed.before.tolist() == [np.inf, -np.inf, 0.5]
+
     def test_target_indicator_computed_once(self, monkeypatch):
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=4), 0)
         calls = count_calls(monkeypatch, balancing, "assignment_indicators")
@@ -518,6 +532,26 @@ class TestRunAlgorithm:
             entry.assignment.labels,
             subclassify(chained, indicators(TARGET_CONTRAST, example), method="exact").labels,
         )
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_keep_the_exact_values(self, example, duplicate):
+        def exact_values(report):
+            return [
+                (e.contrast, e.before_exact, e.after_exact,
+                 [r.difference_exact for r in e.subclass_rows])
+                for e in report.entries
+            ]
+
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        targets = [TARGET_CONTRAST, FIRST_CONTRAST, SECOND_CONTRAST]
+        report = run_algorithm(example, [FIRST_CONTRAST, SECOND_CONTRAST], targets, config)
+        unbuilt = duplicate(report)  # before any exact value is built
+        want = exact_values(report)
+        assert exact_values(unbuilt) == want
+        assert exact_values(duplicate(report)) == want
 
     def test_unconverged_fit_recorded_per_target(self, monkeypatch):
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)

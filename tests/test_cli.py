@@ -335,6 +335,21 @@ class TestBalance:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_unknown_config_key_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys
+    ):
+        # a misspelt key would otherwise leave its option at the default
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# defaults\nmethod = exact\nsubclasess = 1\n")
+        out = tmp_path / "balance.csv"
+        code = main(["balance", "--data", str(example_csv), "--contrasts",
+                     str(contrast_file), "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {cfg}, line 3: unknown key 'subclasess'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_text_and_csv_agree(self, example_csv, contrast_file, tmp_path, capsys):
         out = tmp_path / "balance.csv"
         code = main(
@@ -371,6 +386,27 @@ class TestBalance:
                 )
                 assert float(row["before"]) == entry.before[k]
                 assert float(row["after"]) == entry.after[k]
+
+
+    def test_mean_differences_beyond_float64(self, tmp_path, capsys):
+        big = "1.7976931348623157e308"
+        data = tmp_path / "units.csv"
+        data.write_text(f"x1,x2,w\n{big},-{big},1\n-{big},{big},2\n" + f"{big},-{big},1\n" * 2
+                        + f"-{big},{big},2\n")
+        contrasts = tmp_path / "c.txt"
+        contrasts.write_text("1 -1\n")
+        args = ["balance", "--data", str(data), "--contrasts", str(contrasts),
+                "--output-dir", str(tmp_path)]
+        assert main(args + ["--estimator", "empirical"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        row = captured.out.splitlines()[1].split()
+        assert row == ["(1,", "-1)", "3", "2", "1", "inf", "-inf", "inf", "-inf"]
+        before = [r["before"] for r in read_rows(tmp_path / "balance.csv") if r["before"]]
+        assert before == ["inf", "-inf"]
+        # the logistic fit of such covariates fails typed
+        assert main(args + ["--estimator", "logistic"]) == 3
+        assert "SingularHessian: the Newton system is beyond float64" in capsys.readouterr().err
 
 
 class TestSimulate:

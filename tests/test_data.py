@@ -63,26 +63,13 @@ class TestLoadDataset:
         with pytest.raises(EmptyFile):
             load_dataset(path)
 
-    def test_explicit_schema(self, tmp_path):
+    def test_last_column_is_the_treatment_without_w(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("arm,age,height\n2,30,1.8\n1,40,1.7\n")
-        d = load_dataset(path, treatment_column="arm")
+        path.write_text("age,height,arm\n30,1.8,2\n40,1.7,1\n")
+        d = load_dataset(path)
         assert d.covariate_names == ("age", "height")
+        assert d.treatment_name == "arm"
         assert d.treatments.tolist() == [2, 1]
-
-    def test_num_treatments_override(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("x1,w\n0,1\n1,2\n")
-        with pytest.warns(UserWarning):
-            d = load_dataset(path, num_treatments=4)
-        assert d.num_treatments == 4
-        assert d.absent_treatments == (3, 4)
-
-    def test_label_above_override_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("x1,w\n0,5\n1,1\n")
-        with pytest.raises(OutOfRangeTreatment):
-            load_dataset(path, num_treatments=3)
 
 
 class TestRoundTrip:
@@ -101,7 +88,10 @@ class TestRoundTrip:
         write_dataset_csv(
             example,
             path,
-            extra_columns={"score": [0.5] * 23 + [None], "sub": list(range(24))},
+            extra_columns={
+                "score": np.ma.masked_array(np.full(24, 0.5), mask=np.arange(24) == 23),
+                "sub": np.arange(24),
+            },
         )
         text = path.read_text().splitlines()
         assert text[0] == "x1,x2,x3,w,score,sub"
@@ -118,16 +108,15 @@ class TestRoundTrip:
                 "sub": np.ma.masked_array(
                     np.array([0, 2, 1], dtype=np.uint8), mask=[True, False, False]
                 ),
-                "flag": np.array([True, False, True]),
                 "d": np.array([-1, 0, 1], dtype=np.int8),
                 "big": np.array([2 ** 63 - 1, -(2 ** 63), 7]),
             },
         )
         assert path.read_bytes().decode().split("\r\n") == [
-            "x1,w,score,sub,flag,d,big",
-            "0.10000000000000001,1,0.25,,1,-1,9223372036854775807",
-            "-0,2,,2,0,0,-9223372036854775808",
-            "1.0000000000000001e+300,3,0.75,1,1,1,7",
+            "x1,w,score,sub,d,big",
+            "0.10000000000000001,1,0.25,,-1,9223372036854775807",
+            "-0,2,,2,0,-9223372036854775808",
+            "1.0000000000000001e+300,3,0.75,1,1,7",
             "",
         ]
 
@@ -135,20 +124,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="wrong length"):
             write_dataset_csv(example, tmp_path / "x.csv", {"short": np.zeros(3)})
 
+    @pytest.mark.parametrize(
+        "column", [[0.5, 1.5, 2.5], np.array([True, False, True])], ids=["list", "bool"]
+    )
+    def test_column_that_is_not_a_number_array_rejected(self, column, tmp_path):
+        d = Dataset([[0.1], [0.2], [0.3]], [1, 2, 1])
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="'extra' is not an integer or float array"):
+            write_dataset_csv(d, path, {"extra": column})
+        assert not path.exists()
+
 
 class TestFastIngest:
     def test_clean_file_skips_the_row_parser(self, tmp_path, monkeypatch):
         from csps import data
 
         path = tmp_path / "m.csv"
-        path.write_text("x1,note,w\n1.5,a long note,2\n-0.0,,1\n")
+        path.write_text("x1,w,x2\n1.5,2,7\n-0.0,1, 1e3 \n")
 
         def refuse(*args):
             raise AssertionError("the row parser ran on a clean file")
 
         monkeypatch.setattr(data, "_parse_rows", refuse)
-        d = load_dataset(path, covariate_columns=["x1"])
-        assert d.covariates.tolist() == [[1.5], [-0.0]]
+        d = load_dataset(path)
+        assert d.covariate_names == ("x1", "x2")
+        assert d.covariates.tolist() == [[1.5, 7.0], [-0.0, 1000.0]]
         assert math.copysign(1.0, d.covariates[1, 0]) == -1.0
         assert d.treatments.tolist() == [2, 1]
 
@@ -165,15 +165,6 @@ class TestFastIngest:
         assert d.covariates.tolist() == [[1000.0], [2.5]]
         assert d.treatments.tolist() == [1, 2]
 
-    def test_quoted_unread_field_across_lines(self, tmp_path):
-        # split at its commas and line break, the quoted field would read as
-        # two clean rows; csv reads one
-        path = tmp_path / "m.csv"
-        path.write_text('t,x,w\n"a,1,2\nb",2,1\n')
-        d = load_dataset(path, covariate_columns=["x"])
-        assert d.covariates.tolist() == [[2.0]]
-        assert d.treatments.tolist() == [1]
-
     def test_field_longer_than_the_csv_limit(self, tmp_path, monkeypatch):
         # csv.reader refuses such a field; a clean body is read without it
         from csps import data
@@ -183,11 +174,11 @@ class TestFastIngest:
 
         monkeypatch.setattr(data, "_parse_rows", refuse)
         path = tmp_path / "m.csv"
-        long_note = "n" * (csv.field_size_limit() + 1)
-        path.write_text(f"x1,note,w\n1.5,{long_note},1\n")
-        d = load_dataset(path, covariate_columns=["x1"])
-        assert d.covariates.tolist() == [[1.5]]
-        assert d.treatments.tolist() == [1]
+        long_one = "1." + "0" * csv.field_size_limit()
+        path.write_text(f"x1,w\n{long_one},1\n2,2\n")
+        d = load_dataset(path)
+        assert d.covariates.tolist() == [[1.0], [2.0]]
+        assert d.treatments.tolist() == [1, 2]
 
     def test_file_that_cannot_be_reread(self):
         # a pipe is read once: it goes to the row parser, which accepts quotes
@@ -197,13 +188,6 @@ class TestFastIngest:
             stdin='x1,w\n"1.5",1\n2,2\n',
         )
         assert out == "[[1.5], [2.0]]"
-
-    def test_treatment_column_also_a_covariate(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("w,x\n1,-0\n2,0\n")
-        d = load_dataset(path, covariate_columns=["w", "x"])
-        assert d.covariates.tolist() == [[1.0, -0.0], [2.0, 0.0]]
-        assert d.treatments.tolist() == [1, 2]
 
 
 LONG_FIELD = b"a" * (csv.field_size_limit() + 1)
@@ -218,9 +202,12 @@ LONG_FIELD = b"a" * (csv.field_size_limit() + 1)
         (b'x1,w\n"1",1\n' + LONG_FIELD + b",2\n", ParseError, "line 3: field larger"),
         (b"x1,w\n0.5,1\n0.7,99999999999999999999999\n", OutOfRangeTreatment, "int64"),
         (b"x1,w\n0.5,1\n0.7,2\xe9\n", ParseError, "not UTF-8"),
+        # read by position, one of the two columns would be lost
+        (b"x,x,w\n1,abc,1\n2,7,2\n", ParseError, "line 1: column 'x' is named 2 times"),
+        (b"x,w,w\n1,abc,1\n2,7,2\n", ParseError, "line 1: column 'w' is named 2 times"),
     ],
     ids=["blank_first_line", "long_header_field", "long_body_field",
-         "label_beyond_int64", "not_utf8"],
+         "label_beyond_int64", "not_utf8", "covariate_named_twice", "treatment_named_twice"],
 )
 def test_unreadable_input_fails_typed(content, error, message, tmp_path, capsys):
     path = tmp_path / "m.csv"

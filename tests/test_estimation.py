@@ -12,6 +12,7 @@ from csps.errors import (
     NotConverged,
     OneClassOnly,
     SeparationDetected,
+    SingularHessian,
     ZeroDenominator,
 )
 from csps.estimation import (
@@ -149,6 +150,15 @@ class TestBinaryFit:
         perm = rng.permutation(120)
         shuffled = fit_binary_logistic(X[perm], y[perm])
         assert np.array_equal(base.coefficients, shuffled.coefficients)
+
+    @pytest.mark.parametrize("magnitude", [1e160, 1.7976931348623157e308])
+    def test_design_beyond_float64_fails_typed(self, magnitude):
+        # the Hessian's or the gradient's products overflow float64; that
+        # fails the fit without a numpy warning
+        X = np.array([[1.0], [-1.0], [1.0], [0.0], [-1.0], [0.5]]) * magnitude
+        y = np.array([1, 0, 0, 1, 1, 0])
+        with pytest.raises(SingularHessian, match="beyond float64"):
+            fit_binary_logistic(X, y)
 
     def test_recovers_assignment_coefficients(self):
         # under the multinomial-logit mechanism the score of the 1-vs-2

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -229,3 +231,17 @@ class TestOracle:
         a = oracle_group_means(cfg, oracle_n=50_000)
         b = oracle_group_means(cfg, oracle_n=50_000)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+    ids=["deepcopy", "pickle"],
+)
+def test_config_copies_run_the_same_experiment(duplicate):
+    cfg = mechanism_ii(num_units=60, replications=2, seed=4)
+    copied = duplicate(cfg)
+    assert copied == cfg
+    assert copied.targets == cfg.targets and copied.balancing == cfg.balancing
+    a, b = run_experiment(cfg), run_experiment(copied)
+    assert np.array_equal(a.before, b.before, equal_nan=True)
+    assert np.array_equal(a.after, b.after, equal_nan=True)
