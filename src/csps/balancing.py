@@ -369,6 +369,27 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
     return subclass, done
 
 
+def _quantile_cuts(values: np.ndarray, num_subclasses: int) -> np.ndarray:
+    """``np.quantile(values, np.arange(1, S) / S)`` for S subclasses, bit for bit.
+
+    The cut points come from one ``np.sort`` of ``values`` (no NaN) by numpy's
+    own linear-method formulas: virtual index ``(n - 1) * q``, its floor and
+    the next index (both -1 at or past the last), and the two-sided lerp.
+    """
+    ordered = np.sort(values)
+    n = len(ordered)
+    virtual = (n - 1) * (np.arange(1, num_subclasses) / num_subclasses)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = -1
+    above[last] = -1
+    gamma = virtual - below
+    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    step = b - a
+    return np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
+
+
 def subclassify(
     scores: ScoreVector,
     d_indicator,
@@ -379,7 +400,8 @@ def subclassify(
 
     ``method="exact"`` gives one subclass per distinct score value among the
     eligible units (those with a nonzero indicator); ``method="quantile"``
-    cuts at the s/S empirical quantiles, with boundary ties going to the
+    cuts at the s/S empirical quantiles (numpy's default linear method,
+    computed from one sort of the scores), with boundary ties going to the
     lower subclass.  Subclasses missing one of the two groups are merged
     with the neighbouring subclass toward the median until every subclass
     contains both, which collapses degenerate splits instead of failing.
@@ -415,7 +437,7 @@ def subclassify(
         if S == 1:
             group = np.zeros(eligible.size, dtype=np.intp)
         else:
-            bounds = np.quantile(vals, np.arange(1, S) / S)
+            bounds = _quantile_cuts(vals, S)
             # group = number of boundaries strictly below the value, so ties
             # fall into the lower subclass
             group = np.searchsorted(bounds, vals, side="left")

@@ -83,8 +83,20 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # Fit results must not depend on unit order; pin the accumulation order
-    # by sorting rows lexicographically (identical rows are interchangeable).
+    """The row order of a fit: lexicographic in (features, label).
+
+    Fit results must not depend on unit order, so the accumulation order is
+    pinned by sorting the rows (identical rows are interchangeable).  When
+    the first feature has no ties, a stable argsort of it is that order;
+    any tie (``-0.0 == 0.0`` counts as one) or NaN in it falls back to the
+    full lexicographic sort.
+    """
+    if features.shape[1]:
+        first = features[:, 0]
+        order = np.argsort(first, kind="stable")
+        ascending = first[order]
+        if (ascending[1:] > ascending[:-1]).all():
+            return order
     keys = [labels] + [features[:, k] for k in reversed(range(features.shape[1]))]
     return np.lexsort(keys)
 
@@ -102,16 +114,19 @@ def _penalty(ridge, size: int) -> np.ndarray:
     return pen
 
 
-def _penalised_ll(X: np.ndarray, y: np.ndarray, w: np.ndarray, pen: np.ndarray) -> float:
-    """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``."""
+def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
+    """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``.
+
+    Also returns ``z = X @ w``, from which the gradient at ``w`` is computed.
+    """
     z = X @ w
     ll = float(y @ z - np.logaddexp(0.0, z).sum())
-    return ll - 0.5 * float(pen @ (w * w))
+    return ll - 0.5 * float(pen @ (w * w)), z
 
 
-def _penalised_gradient(X, y, w, pen) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of :func:`_penalised_ll` in ``w``, and the fitted probabilities."""
-    p = _sigmoid(X @ w)
+def _penalised_gradient(X, y, w, z, pen) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of :func:`_penalised_ll` at ``w`` from its ``z``, and the probabilities."""
+    p = _sigmoid(z)
     return X.T @ (y - p) - pen * w, p
 
 
@@ -127,12 +142,13 @@ def bernoulli_log_likelihood(features, labels, coefficients, ridge: float = 0.0)
     The Bernoulli log-likelihood minus the ridge penalty on non-intercept
     terms; the fit evaluates this same kernel.
     """
-    return _penalised_ll(*_objective_args(features, labels, coefficients, ridge))
+    return _penalised_ll(*_objective_args(features, labels, coefficients, ridge))[0]
 
 
 def bernoulli_gradient(features, labels, coefficients, ridge: float = 0.0) -> np.ndarray:
     """Gradient of :func:`bernoulli_log_likelihood`, the fit's own kernel."""
-    return _penalised_gradient(*_objective_args(features, labels, coefficients, ridge))[0]
+    X, y, w, pen = _objective_args(features, labels, coefficients, ridge)
+    return _penalised_gradient(X, y, w, _penalised_ll(X, y, w, pen)[1], pen)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +208,15 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
     ``FloatingPointError``, rejects a trial step and fails any other stage.
     """
     w = np.zeros(X.shape[1])
-    ll_path = [_penalised_ll(X, y, w, pen)]
+    ll, z = _penalised_ll(X, y, w, pen)
+    ll_path = [ll]
+    pen_matrix = np.diag(pen)
 
     # one pass per point w: the gradient there, then a Newton step from it
     # unless w is the optimum or the MAX_ITER-th step's result
     for iterations in range(MAX_ITER + 1):
-        g, p = _penalised_gradient(X, y, w, pen)
+        g, p = _penalised_gradient(X, y, w, z, pen)
+        del z  # not held through the Hessian's N x P temporaries, which set peak memory
         if (
             ridge == 0.0
             and iterations < MAX_ITER
@@ -207,12 +226,12 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
                 "every unit is fitted almost perfectly; the likelihood has no "
                 "finite maximiser (retry with ridge > 0)"
             )
-        grad_norm = float(np.linalg.norm(g))
+        grad_norm = math.sqrt(g.dot(g))
         converged = grad_norm < TOL
         if converged or iterations == MAX_ITER:
             break
         weights = p * (1.0 - p)
-        H = (X * weights[:, None]).T @ X + np.diag(pen)
+        H = (X * weights[:, None]).T @ X + pen_matrix
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -221,7 +240,7 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
             try:
-                new_ll = _penalised_ll(X, y, candidate, pen)
+                new_ll, z = _penalised_ll(X, y, candidate, pen)
             except FloatingPointError:
                 new_ll = -math.inf
             if new_ll >= current - _acceptance_slack(current):
@@ -231,9 +250,9 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
             raise SingularHessian(
                 "step-halving exhausted without improving the log-likelihood"
             )
-        w = candidate
+        w = candidate  # z is that of the accepted candidate
         ll_path.append(new_ll)
-        if ridge == 0.0 and float(np.linalg.norm(w)) > SEPARATION_NORM:
+        if ridge == 0.0 and math.sqrt(w.dot(w)) > SEPARATION_NORM:
             raise SeparationDetected(
                 "coefficient norm exceeded 1e6 while the likelihood keeps "
                 "improving (retry with ridge > 0)"

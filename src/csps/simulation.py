@@ -13,6 +13,7 @@ bit-identical results, and replications can be regenerated individually.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,8 @@ class SimulationConfig:
         K = len(coeffs[0])
         if K < 1 or any(len(row) != K for row in coeffs):
             raise ValueError("coefficient rows must share a common length K >= 1")
+        if not all(math.isfinite(v) for row in coeffs for v in row):
+            raise ValueError(f"coefficients must be finite, got {coeffs!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.num_units < T:
@@ -112,12 +115,23 @@ def mechanism_ii(**kwargs) -> SimulationConfig:
 
 
 def _draw(rng: np.random.Generator, n: int, coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` units: standard normal covariates and their sampled treatments.
+
+    Raises :class:`ValueError` naming the coefficients when the linear
+    predictors overflow float64.
+    """
     B = np.array(coefficients, dtype=float)
     X = rng.standard_normal((n, B.shape[1]))
-    eta = X @ B.T
-    eta -= eta.max(axis=1, keepdims=True)
-    P = np.exp(eta)
-    P /= P.sum(axis=1, keepdims=True)
+    try:
+        with np.errstate(over="raise"):
+            eta = X @ B.T
+            eta -= eta.max(axis=1, keepdims=True)
+            P = np.exp(eta)
+            P /= P.sum(axis=1, keepdims=True)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"assignment coefficients {coefficients!r} overflow float64 ({exc})"
+        ) from None
     u = rng.random(n)
     W = 1 + (u[:, None] > np.cumsum(P, axis=1)[:, :-1]).sum(axis=1)
     return X, W.astype(int)

@@ -473,6 +473,27 @@ class TestSimulate:
             ["simulate", "--mechanism", str(tmp_path / "missing.txt"), "--reps", "2"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0 0\n1 nan\n0 1\n", "coefficients must be finite"),
+            # the error names the coefficients; no numpy warning comes first
+            ("0 0 0\n1e308 1e308 1e308\n0 0 0\n", "(1e+308, 1e+308, 1e+308), (0.0, 0.0, 0.0)) "
+             "overflow float64"),
+        ],
+    )
+    def test_unusable_coefficients_are_input_errors(self, tmp_path, capsys, rows, message):
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text(rows)
+        code = main(
+            ["simulate", "--mechanism", str(coeffs), "--units", "60", "--reps", "2",
+             "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_format_selects_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CSPS_OUTPUT_DIR", str(tmp_path / "none"))
         args = ["simulate", "--mechanism", "I", "--units", "60", "--reps", "2",

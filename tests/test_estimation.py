@@ -132,6 +132,27 @@ class TestBinaryFit:
         gradient = bernoulli_gradient(POINTS_X, POINTS_Y, w, ridge=ridge)
         assert float(np.linalg.norm(gradient)) == model.final_gradient_norm
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_fit_reports_its_public_kernels(self, rng, ridge, tied):
+        # the fit computes each accepted point's gradient from the product
+        # X @ w of its log-likelihood; on rows already in the fit's canonical
+        # order the public kernels must give its last objective and gradient
+        # norm bit for bit, whether that order came from an argsort of the
+        # first feature (no ties) or the lexicographic fallback (ties)
+        X = rng.normal(size=(300, 3))
+        if tied:
+            X[:, 0] = rng.integers(-2, 3, 300)
+        y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(X @ [1.0, -0.5, 0.25])))).astype(float)
+        order = np.lexsort([y, X[:, 2], X[:, 1], X[:, 0]])
+        X, y = X[order], y[order]
+        model = fit_binary_logistic(X, y, ridge=ridge)
+        assert model.converged and model.iterations >= 3
+        w = model.coefficients
+        assert model.log_likelihood_path[-1] == bernoulli_log_likelihood(X, y, w, ridge)
+        g = bernoulli_gradient(X, y, w, ridge)
+        assert model.final_gradient_norm == math.sqrt(g.dot(g))
+
     @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1e-3])
     def test_ridge_must_be_finite_and_nonnegative(self, ridge):
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):

@@ -38,7 +38,7 @@ from csps.contrasts import (
 )
 from csps.data import Dataset, write_dataset_csv
 from csps.errors import CspsError, EmptyFile, MissingValue, ParseError, TooFewUnits
-from csps.estimation import ScoreVector, _dense_ids, empirical_csps
+from csps.estimation import ScoreVector, _canonical_order, _dense_ids, empirical_csps
 from csps.simulation import simulation_contrasts
 
 EXTREMES = (
@@ -550,6 +550,96 @@ def test_exact_scores_round_like_fractions(values):
 def test_exact_scores_must_fit_int64():
     with pytest.raises(ValueError, match="int64"):
         ScoreVector.from_ratios([1], [2 ** 63], index=[0])
+
+
+# first-feature values that tie (0.0 == -0.0) or compare with nothing (NaN)
+TIED_FIRST = (0.0, -0.0, float("nan"), 1.0, -2.5)
+
+
+@st.composite
+def fit_rows(draw):
+    """Features (M x P, P = 1..4) and 0/1 labels: tie-free, tied or repeated rows."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(("distinct", "levels", "tied", "repeated")))
+    if shape == "distinct":
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        first = draw(st.lists(finite, min_size=n, max_size=n, unique=True))
+    elif shape == "levels":
+        levels = draw(st.lists(FLOATS, min_size=1, max_size=3))
+        first = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    else:
+        first = draw(st.lists(st.sampled_from(TIED_FIRST), min_size=n, max_size=n))
+    rest = draw(st.lists(
+        st.lists(st.one_of(DISCRETE, FLOATS), min_size=k - 1, max_size=k - 1),
+        min_size=n, max_size=n,
+    ))
+    X = np.column_stack([np.array(first, dtype=float),
+                         np.array(rest, dtype=float).reshape(n, k - 1)])
+    if shape == "repeated":
+        X[:] = X[0]
+    y = np.array(draw(st.lists(st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)))
+    return X, y
+
+
+@given(fit_rows())
+@example((np.array([[0.5, -1.0]]), np.array([1.0])))
+def test_canonical_order_equals_lexsort(case):
+    X, y = case
+    ascending = np.sort(X[:, 0])
+    event("argsort" if (ascending[1:] > ascending[:-1]).all() else "lexsort")
+    keys = [y] + [X[:, k] for k in reversed(range(X.shape[1]))]
+    assert _canonical_order(X, y).tolist() == np.lexsort(keys).tolist()
+
+
+# scores within 1e-12 of 0 and of 1
+NEAR_EDGES = (0.0, 5e-324, 1e-300, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 2 ** -53, 1.0)
+
+
+@st.composite
+def quantile_cases(draw):
+    """Scores in [0, 1] (n = 1..1200), S = 2..64 subclasses and group indicators."""
+    n = draw(st.integers(1, 1200))
+    S = draw(st.integers(2, 64))
+    pool = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(NEAR_EDGES), st.floats(0.0, 1.0)), min_size=1, max_size=12
+    )))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(("ties", "uniform", "skewed-low", "skewed-high", "mixed")))
+    if shape == "ties":
+        values = rng.choice(pool, n)
+    elif shape == "uniform":
+        values = rng.random(n)
+    elif shape == "skewed-low":
+        values = rng.random(n) ** rng.uniform(2.0, 60.0)
+    elif shape == "skewed-high":
+        values = 1.0 - rng.random(n) ** rng.uniform(2.0, 60.0)
+    else:
+        values = np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.random(n))
+    d = rng.choice(np.array([-1, 0, 1]), n)
+    return values, S, d
+
+
+def numpy_quantile_cuts(values, S):
+    return np.quantile(values, np.arange(1, S) / S)
+
+
+@settings(max_examples=300)
+@given(quantile_cases())
+def test_quantile_cuts_equal_np_quantile(case):
+    values, S, d = case
+    assert balancing._quantile_cuts(values, S).tobytes() == numpy_quantile_cuts(values, S).tobytes()
+    scores = ScoreVector.from_floats(values)
+
+    def outcome(cuts):
+        with mock.patch.object(balancing, "_quantile_cuts", cuts):
+            try:
+                found = subclassify(scores, d, method="quantile", num_subclasses=S)
+            except TooFewUnits:
+                return "TooFewUnits"
+        return found.labels.tolist(), found.num_subclasses
+
+    assert outcome(balancing._quantile_cuts) == outcome(numpy_quantile_cuts)
 
 
 # ---------------------------------------------------------------------------

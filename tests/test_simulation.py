@@ -69,6 +69,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimulationConfig(coefficients=((0, 0, 0), (1, 0)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SimulationConfig(coefficients=((0, 0), (1, bad), (0, 1)))
+
 
 class TestRunExperiment:
     def test_single_replication_means_are_that_replication(self):
