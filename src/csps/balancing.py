@@ -156,35 +156,40 @@ class _GroupTotals:
     s = 0 collects the eligible units outside every subclass, so the groups
     of one sign add up to the pooled group.  ``counts[g]`` is group g's size
     and ``sums[k]`` covariate k's ``(totals, exponent)``: group g's total is
-    ``totals[g] * 2**exponent``.  ``before`` and ``after`` hold one
-    ``(numerator, denominator, exponent)`` ratio per covariate.
+    ``totals[g] * 2**exponent``.  ``before`` holds one ``(numerator,
+    denominator, exponent)`` ratio per covariate, and so does ``after`` when
+    the units were subclassified (else None).  Subclass s weighs its units
+    in the target's groups, ``counts[2s] + counts[2s + 1]``.
     """
 
-    __slots__ = ("counts", "sums", "sizes", "before", "after")
+    __slots__ = ("counts", "sums", "num_subclasses", "before", "after")
 
-    def __init__(self, counts: list[int], sums: list, sizes: list[int] | None):
+    def __init__(self, counts: list[int], sums: list, subclassified: bool):
         self.counts = counts
         self.sums = sums
-        self.sizes = sizes
+        self.num_subclasses = len(counts) // 2 - 1 if subclassified else 0
         n_pos, n_neg = sum(counts[0::2]), sum(counts[1::2])
         self.before = tuple(
             _difference(sum(totals[0::2]), n_pos, sum(totals[1::2]), n_neg, exponent)
             for totals, exponent in sums
         )
         self.after = None
-        if sizes is None:
+        if not subclassified:
             return
         # the subclass differences P_s/n+_s - N_s/n-_s weighted by
-        # size_s / n_assigned, over one common denominator n_assigned * L,
+        # (n+_s + n-_s) / n_assigned, over one common denominator n_assigned * L,
         # L the lcm of the n+_s * n-_s: the numerator is the sum over s of
         # P_s * a_s - N_s * b_s
         n_pos_s, n_neg_s = counts[2::2], counts[3::2]
         products = list(map(mul, n_pos_s, n_neg_s))
         common = math.lcm(*products)
-        scale = [size * (common // p) for size, p in zip(sizes[1:], products)]
+        scale = [
+            (p + n) * (common // product)
+            for p, n, product in zip(n_pos_s, n_neg_s, products)
+        ]
         a, b = list(map(mul, scale, n_neg_s)), list(map(mul, scale, n_pos_s))
         # with no subclass the numerator is 0 and any denominator will do
-        denominator = max(sum(sizes[1:]), 1) * common
+        denominator = max(sum(counts[2:]), 1) * common
         self.after = tuple(
             (
                 sum(map(mul, a, totals[2::2])) - sum(map(mul, b, totals[3::2])),
@@ -193,6 +198,10 @@ class _GroupTotals:
             )
             for totals, exponent in sums
         )
+
+    def weight(self, sid: int) -> Fraction:
+        counts = self.counts
+        return Fraction(counts[2 * sid] + counts[2 * sid + 1], sum(counts[2:]))
 
     def means(self, group: int) -> tuple[Fraction, ...]:
         return tuple(
@@ -297,16 +306,13 @@ class SubclassAssignment:
     group and 0 for everyone else.  After construction every subclass
     contains at least one unit from each group.  The labels are held in the
     narrowest unsigned integer type that fits them (usually one byte), since
-    reports keep them.  An assignment made by :func:`subclassify` also keeps
-    what it was made from: the bifurcation's group ``indicator`` (+1, -1 or
-    0 per unit, one byte each) and the ``scores``; otherwise both are None.
+    reports keep them.  ``scores`` is the score an assignment made by
+    :func:`subclassify` was made on, else None.
     """
 
-    __slots__ = ("labels", "num_subclasses", "method", "indicator", "scores")
+    __slots__ = ("labels", "num_subclasses", "scores")
 
-    def __init__(
-        self, labels, num_subclasses: int, method: str, indicator=None, scores=None
-    ):
+    def __init__(self, labels, num_subclasses: int, *, scores=None):
         lab = np.asarray(labels)
         if lab.size and int(lab.min()) < 0:
             raise ValueError("subclass labels must be nonnegative")
@@ -316,11 +322,6 @@ class SubclassAssignment:
         lab.setflags(write=False)
         self.labels = lab
         self.num_subclasses = int(num_subclasses)
-        self.method = method
-        if indicator is not None:
-            indicator = np.asarray(indicator).astype(np.int8)
-            indicator.setflags(write=False)
-        self.indicator = indicator
         self.scores = scores
 
     def members(self, subclass_id: int) -> np.ndarray:
@@ -407,7 +408,7 @@ def subclassify(
     contains both, which collapses degenerate splits instead of failing.
     Subclass ids are 1-based in ascending score order.
     """
-    d = np.asarray(d_indicator, dtype=int)
+    d = np.asarray(d_indicator)
     if len(d) != len(scores):
         raise ValueError("indicator length must match scores")
     eligible = np.flatnonzero(d != 0)
@@ -428,7 +429,6 @@ def subclassify(
     # group[i]: the score-ordered group of eligible unit i before merging
     if method == "exact":
         group = scores.dense_ranks(eligible)
-        tag = "exact-values"
     elif method == "quantile":
         S = int(num_subclasses)
         if S < 1:
@@ -441,7 +441,6 @@ def subclassify(
             # group = number of boundaries strictly below the value, so ties
             # fall into the lower subclass
             group = np.searchsorted(bounds, vals, side="left")
-        tag = f"quantile({S})"
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 
@@ -452,7 +451,7 @@ def subclassify(
     )
     labels = np.zeros(len(scores), dtype=np.intp)
     labels[eligible] = subclass[group] + 1
-    return SubclassAssignment(labels, num_merged, tag, indicator=d, scores=scores)
+    return SubclassAssignment(labels, num_merged, scores=scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,8 +459,9 @@ class SubclassBalanceRow:
     """Group sizes, group means, and mean difference within one subclass.
 
     ``difference`` holds the floats, computed from integer totals without a
-    Fraction; ``weight`` (the subclass's share of the assigned units) and the
-    exact means and difference are Fractions built on first access.
+    Fraction; ``weight`` (the subclass's share of the target's subclassified
+    units) and the exact means and difference are Fractions built on first
+    access.
     """
 
     subclass_id: int
@@ -474,10 +474,7 @@ class SubclassBalanceRow:
     _totals: _GroupTotals | None = field(default=None, repr=False)
 
     def _build_weight(self):
-        if self._totals is None:
-            return None
-        sizes = self._totals.sizes
-        return Fraction(sizes[self.subclass_id], sum(sizes[1:]))
+        return None if self._totals is None else self._totals.weight(self.subclass_id)
 
     def _build_mean_positive_exact(self):
         return None if self._totals is None else self._totals.means(2 * self.subclass_id)
@@ -530,12 +527,12 @@ class ContrastBalance:
 
     def _build_subclass_rows(self):
         totals = self._totals
-        if totals is None or totals.sizes is None:
+        if totals is None or totals.after is None:
             return None
         counts = totals.counts
         return tuple(
             SubclassBalanceRow(sid, counts[2 * sid], counts[2 * sid + 1], _totals=totals)
-            for sid in range(1, len(totals.sizes))
+            for sid in range(1, totals.num_subclasses + 1)
         )
 
     @property
@@ -552,7 +549,7 @@ class ContrastBalance:
 
     @property
     def num_subclasses(self) -> int:
-        return len(self.subclass_rows) if self.subclass_rows else 0
+        return 0 if self._totals is None else self._totals.num_subclasses
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,19 +575,19 @@ def covariate_mean_difference(
 
     Pooled (positive-group mean minus negative-group mean) always; when a
     subclass assignment is supplied, also the within-subclass differences and
-    their average weighted by each subclass's share of eligible units.  One
-    exact group sum per covariate serves the pooled pair and every subclass
-    pair.  An assignment made by :func:`subclassify` keeps the group
-    indicator it was made for, which then gives the target's groups; for
-    any other assignment they come from the target and the treatments.
+    their average weighted by each subclass's share of the target's units.
+    The groups always come from the target and the treatments, so subclasses
+    made for one contrast can check the balance of another; a subclass
+    lacking one of the target's groups raises :class:`~csps.errors.EmptyGroup`.
+    One exact group sum per covariate serves the pooled pair and every
+    subclass pair.  A target whose width is not the dataset's number of
+    treatments raises :class:`~csps.errors.DimensionMismatch`.
     """
+    _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
         raise ValueError("subclass labels must cover every unit of the dataset")
-    if subclasses is not None and subclasses.indicator is not None:
-        d = subclasses.indicator
-    else:
-        d = assignment_indicators(target, dataset.treatments)
-    eligible = np.flatnonzero(d)
+    d = assignment_indicators(target, dataset.treatments)
+    eligible = np.flatnonzero(d != 0)
     # group 2s holds subclass s's positive units and 2s + 1 its negative ones
     groups = (d[eligible] == -1).astype(np.intp)
     S = 0
@@ -605,15 +602,12 @@ def covariate_mean_difference(
         _exact_group_sums(dataset.covariates[eligible, k], groups, len(counts))
         for k in range(dataset.num_covariates)
     ]
-    sizes = None
-    if subclasses is not None:
-        sizes = np.bincount(subclasses.labels, minlength=S + 1).tolist()
     return ContrastBalance(
         contrast=target,
         n_positive=n_pos,
         n_negative=n_neg,
         assignment=subclasses,
-        _totals=_GroupTotals(counts, sums, sizes),
+        _totals=_GroupTotals(counts, sums, subclasses is not None),
     )
 
 

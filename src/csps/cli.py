@@ -64,6 +64,7 @@ INPUT_ERRORS = (
     OutOfRangeTreatment,
     OSError,
     ValueError,
+    MemoryError,
 )
 
 
@@ -213,12 +214,12 @@ def cmd_balance(args, config) -> int:
 
 
 def _write_per_unit_csv(dataset, report, path) -> None:
-    """Mirror the dataset plus chained score and subclass columns per target.
+    """Mirror the dataset plus indicator, score and subclass columns per target.
 
-    The columns come from the group indicators, scores and subclasses the
-    report kept.  A
-    unit in neither group of a target has no subclass, and one with an
-    undefined score no score: those fields are left blank.
+    The scores and subclasses are those the report kept; the indicators come
+    from each target and the treatments.  A unit in neither group of a target
+    has no subclass, and one with an undefined score no score: those fields
+    are left blank.
     """
     extras: dict[str, np.ndarray] = {}
     for entry in report.entries:
@@ -226,7 +227,9 @@ def _write_per_unit_csv(dataset, report, path) -> None:
             continue
         tag = entry.contrast.describe()
         labels = entry.assignment.labels
-        extras[f"d[{tag}]"] = entry.assignment.indicator
+        extras[f"d[{tag}]"] = assignment_indicators(
+            entry.contrast, dataset.treatments
+        ).astype(np.int8)
         extras[f"score[{tag}]"] = np.ma.masked_array(
             entry.scores.as_floats(), mask=~entry.scores.defined_mask
         )

@@ -13,6 +13,7 @@ double precision with a 1e-12 zero-sum tolerance.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -74,6 +75,7 @@ def _sgn(value) -> int:
     return 0
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Contrast:
     """A vector of per-treatment coefficients that sums to zero.
 
@@ -86,10 +88,11 @@ class Contrast:
         Optional short name used in reports.
     """
 
-    __slots__ = ("coefficients", "label")
+    coefficients: tuple
+    label: str | None = None
 
-    def __init__(self, coefficients: Iterable, label: str | None = None):
-        coeffs = tuple(_coerce(v) for v in coefficients)
+    def __post_init__(self):
+        coeffs = tuple(_coerce(v) for v in self.coefficients)
         if len(coeffs) < 2:
             raise TooShort(f"a contrast needs at least 2 treatments, got {len(coeffs)}")
         if not all(isinstance(v, Fraction) for v in coeffs):
@@ -105,14 +108,6 @@ class Contrast:
         elif abs(total) > ZERO_SUM_TOL:
             raise NotAContrast(f"coefficients sum to {total!r}, expected 0")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Contrast is immutable")
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor
-        return Contrast, (self.coefficients, self.label)
 
     @property
     def num_treatments(self) -> int:
@@ -133,19 +128,12 @@ class Contrast:
             return self.label
         return "(" + ", ".join(str(v) for v in self.coefficients) + ")"
 
-    def __eq__(self, other):
-        if not isinstance(other, Contrast):
-            return NotImplemented
-        return self.coefficients == other.coefficients and self.label == other.label
-
-    def __hash__(self):
-        return hash((self.coefficients, self.label))
-
     def __repr__(self):
         lab = f", label={self.label!r}" if self.label else ""
         return f"Contrast(({', '.join(str(v) for v in self.coefficients)}){lab})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Bifurcation:
     """A split of treatments into a positive and a negative group.
 
@@ -155,11 +143,12 @@ class Bifurcation:
     to one of the two groups.
     """
 
-    __slots__ = ("positive_part", "negative_part")
+    positive_part: tuple[int, ...]
+    negative_part: tuple[int, ...]
 
-    def __init__(self, positive_part: Sequence[int], negative_part: Sequence[int]):
-        pos = tuple(int(v) for v in positive_part)
-        neg = tuple(int(v) for v in negative_part)
+    def __post_init__(self):
+        pos = tuple(int(v) for v in self.positive_part)
+        neg = tuple(int(v) for v in self.negative_part)
         if len(pos) != len(neg):
             raise DimensionMismatch(
                 f"part lengths differ: {len(pos)} vs {len(neg)}"
@@ -177,12 +166,6 @@ class Bifurcation:
         object.__setattr__(self, "positive_part", pos)
         object.__setattr__(self, "negative_part", neg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Bifurcation is immutable")
-
-    def __reduce__(self):
-        return Bifurcation, (self.positive_part, self.negative_part)
-
     @property
     def num_treatments(self) -> int:
         return len(self.positive_part)
@@ -199,17 +182,6 @@ class Bifurcation:
     @property
     def negative_treatments(self) -> tuple[int, ...]:
         return tuple(t + 1 for t, v in enumerate(self.negative_part) if v == -1)
-
-    def __eq__(self, other):
-        if not isinstance(other, Bifurcation):
-            return NotImplemented
-        return (
-            self.positive_part == other.positive_part
-            and self.negative_part == other.negative_part
-        )
-
-    def __hash__(self):
-        return hash((self.positive_part, self.negative_part))
 
     def __repr__(self):
         return f"Bifurcation({self.positive_part}, {self.negative_part})"
@@ -299,8 +271,9 @@ def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
         raise OutOfRangeTreatment(
             f"treatment labels outside 1..{contrast.num_treatments}"
         )
-    signs = np.array(contrast.sign(), dtype=int)
-    return signs[w - 1] if w.size else np.zeros(0, dtype=int)
+    # label t reads entry t, so no shifted copy of the labels is made
+    signs = np.array((0, *contrast.sign()), dtype=int)
+    return signs[w]
 
 
 # ---------------------------------------------------------------------------

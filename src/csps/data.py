@@ -83,14 +83,6 @@ class Dataset:
             )
 
     @property
-    def absent_treatments(self) -> tuple[int, ...]:
-        """The labels in 1..T that no unit has, built on each access."""
-        absent = np.ones(self.num_treatments + 1, dtype=bool)
-        absent[0] = False
-        absent[self.treatments] = False
-        return tuple(np.flatnonzero(absent).tolist())
-
-    @property
     def n_units(self) -> int:
         return self.covariates.shape[0]
 

@@ -119,7 +119,6 @@ class TestSubclassify:
         d = indicators(TARGET_CONTRAST, example)
         assignment = subclassify(chained, d, method="exact")
         assert assignment.num_subclasses == 4
-        assert assignment.method == "exact-values"
         # subclasses coincide with the covariate cells
         index = build_cell_index(example)
         for _, idx in index:
@@ -170,18 +169,23 @@ class TestSubclassify:
         d = np.array([1, -1, 1, -1, 0])
         assignment = subclassify(scores, d, method="quantile", num_subclasses=2)
         assert assignment.scores is scores
-        assert assignment.indicator.tolist() == d.tolist()
-        assert not assignment.indicator.flags.writeable
-        assert SubclassAssignment([0, 1], 1, "by hand").indicator is None
+        assert SubclassAssignment([0, 1], 1).scores is None
 
     def test_indicator_outside_signs_raises(self):
         scores = ScoreVector.from_floats([0.5, 0.6, 0.7])
         with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
             subclassify(scores, np.array([1, -1, 2]))
 
+    @pytest.mark.parametrize("first", [0.5, np.nan])
+    def test_non_integer_indicator_raises(self, first):
+        # not cast to int, which would drop the first unit silently
+        scores = ScoreVector.from_floats([0.5, 0.6, 0.7, 0.8])
+        with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
+            subclassify(scores, np.array([first, 1, -1, 1]))
+
     def test_labels_beyond_num_subclasses_raise(self):
         with pytest.raises(ValueError, match="must not exceed num_subclasses"):
-            SubclassAssignment([0, 1, 3], 2, "by hand")
+            SubclassAssignment([0, 1, 3], 2)
 
     def test_undefined_eligible_score_raises(self):
         scores = ScoreVector.from_ratios([1, 0], [2, 0], index=[0, 1])
@@ -239,7 +243,7 @@ class TestCovariateMeanDifference:
             covariate_mean_difference(d, Contrast((1, -1, 0)))
 
     def test_labels_must_cover_the_dataset(self, example):
-        labels = SubclassAssignment([1] * (example.n_units - 1), 1, "by hand")
+        labels = SubclassAssignment([1] * (example.n_units - 1), 1)
         with pytest.raises(ValueError, match="cover every unit"):
             covariate_mean_difference(example, TARGET_CONTRAST, labels)
 
@@ -303,23 +307,52 @@ class TestCovariateMeanDifference:
         changed = replace(base, before_exact=(beyond, -beyond, Fraction(1, 2)))
         assert changed.before.tolist() == [np.inf, -np.inf, 0.5]
 
-    def test_target_indicator_computed_once(self, monkeypatch):
+    def test_by_hand_assignment_gives_the_pass_entry(self):
+        # the public function, with the pass's labels passed by hand, finds
+        # the same groups and the same differences
         dataset = sample_dataset(mechanism_ii(num_units=300, seed=4), 0)
-        calls = count_calls(monkeypatch, balancing, "assignment_indicators")
         targets = simulation_contrasts()
         report = run_algorithm(dataset, targets[:2], targets)
         assert all(e.error is None for e in report.entries)
-        assert len(calls) == len(targets)
-        # the public function, with an assignment made by hand, finds the
-        # groups itself
-        entry = report.entries[0]
-        by_hand = SubclassAssignment(
-            entry.assignment.labels, entry.assignment.num_subclasses, "by hand"
+        for entry in report.entries:
+            by_hand = SubclassAssignment(
+                entry.assignment.labels, entry.assignment.num_subclasses
+            )
+            again = covariate_mean_difference(dataset, entry.contrast, by_hand)
+            assert again.before.tobytes() == entry.before.tobytes()
+            assert again.after.tobytes() == entry.after.tobytes()
+
+    def test_subclasses_of_another_target_use_the_measured_groups(self, example):
+        # subclasses made for the target, measured on the second contrast:
+        # its exact subclasses do not all hold both of that contrast's groups
+        chained = chained_propensity(
+            example, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
+            estimator="empirical",
         )
-        again = covariate_mean_difference(dataset, entry.contrast, by_hand)
-        assert len(calls) == len(targets) + 1
-        assert again.before.tobytes() == entry.before.tobytes()
-        assert again.after.tobytes() == entry.after.tobytes()
+        assignment = subclassify(chained, indicators(TARGET_CONTRAST, example), method="exact")
+        by_hand = SubclassAssignment(assignment.labels, assignment.num_subclasses)
+        for subclasses in (assignment, by_hand):
+            with pytest.raises(EmptyGroup):
+                covariate_mean_difference(example, SECOND_CONTRAST, subclasses)
+
+    def test_units_outside_the_groups_do_not_weigh(self):
+        # the four treatment-3 units carry label 1 by hand; only the target's
+        # units size a subclass, so each weighs 1/2
+        X = [[0.0], [1.0], [0.0], [3.0], [5.0], [5.0], [5.0], [5.0]]
+        dataset = Dataset(X, [1, 2, 1, 2, 3, 3, 3, 3])
+        labels = SubclassAssignment([1, 1, 2, 2, 1, 1, 1, 1], 2)
+        entry = covariate_mean_difference(dataset, Contrast((1, -1, 0)), labels)
+        assert [row.weight for row in entry.subclass_rows] == [Fraction(1, 2)] * 2
+        assert [row.difference_exact for row in entry.subclass_rows] == [
+            (Fraction(-1),), (Fraction(-3),)
+        ]
+        assert entry.after_exact == (Fraction(-2),)
+        assert entry.num_subclasses == 2
+
+    @pytest.mark.parametrize("coefficients", [(1, -1), (1, -1, 0, 0)])
+    def test_target_width_must_match(self, example, coefficients):
+        with pytest.raises(DimensionMismatch):
+            covariate_mean_difference(example, Contrast(coefficients))
 
     def test_permutation_invariance(self, example, rng):
         config = AlgorithmConfig(estimator="empirical", subclass_method="exact")

@@ -494,6 +494,22 @@ class TestSimulate:
         assert err.startswith("input error:") and message in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "sizes, shape",
+        [
+            # beyond any address space, so nothing is allocated
+            (["--units", "1000000000000000", "--reps", "1"], "(1000000000000000, 3)"),
+            (["--reps", "1000000000000000"], "(1000000000000000, 4, 3)"),
+            (["--units", "30", "--reps", "1", "--oracle", "1000000000000000"],
+             "(1000000000000000, 3)"),
+        ],
+    )
+    def test_unallocatable_size_is_an_input_error(self, capsys, sizes, shape):
+        code = main(["simulate", "--mechanism", "II", "--format", "text", *sizes])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and f"shape {shape}" in err
+
     def test_format_selects_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CSPS_OUTPUT_DIR", str(tmp_path / "none"))
         args = ["simulate", "--mechanism", "I", "--units", "60", "--reps", "2",

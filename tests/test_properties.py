@@ -129,14 +129,15 @@ def reference_balance(X, d, labels=None):
     )
     if labels is None:
         return before, None, None
-    n_assigned = sum(1 for s in labels if s > 0)
+    # a subclass weighs only its units in the target's groups
+    n_assigned = sum(1 for s, v in zip(labels, d) if s > 0 and v != 0)
     rows, after = [], [Fraction(0)] * X.shape[1]
     for sid in range(1, max(labels, default=0) + 1):
         members = [i for i in range(len(d)) if labels[i] == sid]
         pos = [i for i in members if d[i] == 1]
         neg = [i for i in members if d[i] == -1]
         delta = diff(pos, neg)
-        weight = Fraction(len(members), n_assigned)
+        weight = Fraction(len(pos) + len(neg), n_assigned)
         rows.append((len(pos), len(neg), weight, means(pos), means(neg), delta))
         after = [a + weight * v for a, v in zip(after, delta)]
     return before, tuple(after), rows
@@ -258,8 +259,9 @@ def test_mean_differences_equal_fraction_reference(data_case, target, data):
     dataset = make_dataset(X, w)
     d = assignment_indicators(target, w)
     S = data.draw(st.integers(1, 4))
-    labels = [data.draw(st.integers(0, S)) if v != 0 else 0 for v in d]
-    assignment = SubclassAssignment(labels, max(labels), "drawn")
+    # units outside the target's groups may carry a label too
+    labels = [data.draw(st.integers(0, S)) for _ in d]
+    assignment = SubclassAssignment(labels, max(labels))
     try:
         want = reference_balance(X, d, labels)
     except CspsError:
@@ -275,6 +277,44 @@ def test_mean_differences_equal_fraction_reference(data_case, target, data):
          r.mean_negative_exact, r.difference_exact)
         for r in got.subclass_rows
     ] == rows
+
+
+@given(
+    datasets(min_units=2),
+    st.lists(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)), min_size=40, max_size=40),
+    st.sampled_from(("exact", "quantile")),
+    st.integers(1, 4),
+)
+def test_subclasses_made_for_one_target_measure_another(data_case, values, method, S):
+    # the subclassify assignment made for one contrast, measured on another,
+    # gives the same entry, or the same error, as its labels passed by hand
+    X, w = data_case
+    dataset = make_dataset(X, w)
+    scores = ScoreVector.from_floats(values[: len(w)])
+    contrasts = simulation_contrasts()
+    for made_for in contrasts:
+        try:
+            assignment = subclassify(
+                scores, assignment_indicators(made_for, w), method, num_subclasses=S
+            )
+        except CspsError:
+            continue
+        by_hand = SubclassAssignment(assignment.labels, assignment.num_subclasses)
+        for measured in contrasts:
+            outcomes = []
+            for subclasses in (assignment, by_hand):
+                try:
+                    entry = covariate_mean_difference(dataset, measured, subclasses)
+                except CspsError as exc:
+                    outcomes.append(type(exc))
+                    continue
+                outcomes.append((
+                    entry.n_positive, entry.n_negative, entry.before_exact,
+                    entry.after_exact, entry.num_subclasses,
+                    [(r.n_positive, r.n_negative, r.weight, r.difference_exact)
+                     for r in entry.subclass_rows],
+                ))
+            assert outcomes[0] == outcomes[1]
 
 
 @given(datasets(min_units=3))
@@ -308,7 +348,7 @@ def test_subclasses_of_identical_rows_balance_exactly(data_case, target):
     for sid, c in enumerate(both, start=1):
         labels[(cells == c) & (d != 0)] = sid
     balance = covariate_mean_difference(
-        dataset, target, SubclassAssignment(labels, len(both), "cells")
+        dataset, target, SubclassAssignment(labels, len(both))
     )
     assert all(v == 0 for row in balance.subclass_rows for v in row.difference_exact)
     assert all(v == 0 for v in balance.after_exact)
@@ -335,7 +375,7 @@ def wide_subclasses(draw):
     special = rng.random((len(d), k)) < 0.1
     X[special] = rng.choice(SPREAD, int(special.sum()))
     w = np.select([d == 1, d == -1], [1, 2], 3)
-    return make_dataset(X, w), SubclassAssignment(labels, S, "drawn")
+    return make_dataset(X, w), SubclassAssignment(labels, S)
 
 
 @settings(max_examples=40)
