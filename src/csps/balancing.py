@@ -304,16 +304,18 @@ class SubclassAssignment:
 
     ``labels[i]`` is a 1-based subclass id for units assigned to either
     group and 0 for everyone else.  After construction every subclass
-    contains at least one unit from each group.  The labels are held in the
-    narrowest unsigned integer type that fits them (usually one byte), since
-    reports keep them.  ``scores`` is the score an assignment made by
-    :func:`subclassify` was made on, else None.
+    contains at least one unit from each group.  Labels must be whole
+    numbers; they are held in the narrowest unsigned integer type that fits
+    them (usually one byte), since reports keep them.  ``scores`` is the
+    score an assignment made by :func:`subclassify` was made on, else None.
     """
 
     __slots__ = ("labels", "num_subclasses", "scores")
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         lab = np.asarray(labels)
+        if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.floor(lab))).all():
+            raise ValueError("subclass labels must be whole numbers")
         if lab.size and int(lab.min()) < 0:
             raise ValueError("subclass labels must be nonnegative")
         if int(lab.max(initial=0)) > num_subclasses:
@@ -370,16 +372,47 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
     return subclass, done
 
 
-def _quantile_cuts(values: np.ndarray, num_subclasses: int) -> np.ndarray:
-    """``np.quantile(values, np.arange(1, S) / S)`` for S subclasses, bit for bit.
+def _cut_steps(n: int, num_subclasses: int) -> np.ndarray:
+    """The s in 1..S-1 whose s/S quantile cuts group n values as all S - 1 do.
 
-    The cut points come from one ``np.sort`` of ``values`` (no NaN) by numpy's
-    own linear-method formulas: virtual index ``(n - 1) * q``, its floor and
+    1, S - 1 and the first and last s of each run of s sharing the floor of
+    the virtual index ``(n - 1) * (s / S)``, found by halving the gaps of a
+    grid of at most 2n + 2 evenly spaced s where that floor rises (it never
+    falls as s grows), so every s while S - 1 <= 2n + 1.  A run's
+    cuts lie between the same two sorted values and rise with s, so its end
+    cuts split the values as all its cuts do.
+    """
+    S = num_subclasses
+    if S < 2:
+        return np.arange(1, S)
+
+    def floor_index(s):
+        return np.floor((n - 1) * (s / S))
+
+    grid = np.append(np.arange(1, S - 1, (S - 2) // (2 * n + 1) + 1), S - 1)
+    lo, hi = grid[:-1], grid[1:]
+    steps = [grid[:1], grid[-1:]]
+    while lo.size:
+        rising = floor_index(lo) < floor_index(hi)
+        lo, hi = lo[rising], hi[rising]
+        adjacent = hi - lo == 1
+        steps += [lo[adjacent], hi[adjacent]]
+        lo, hi = lo[~adjacent], hi[~adjacent]
+        mid = lo + (hi - lo) // 2
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return np.unique(np.concatenate(steps))
+
+
+def _quantile_cuts(values: np.ndarray, num_subclasses: int) -> np.ndarray:
+    """``np.quantile(values, s / S)`` for S subclasses at the s of :func:`_cut_steps`.
+
+    Bit for bit, from one ``np.sort`` of ``values`` (no NaN) by numpy's own
+    linear-method formulas: virtual index ``(n - 1) * (s / S)``, its floor and
     the next index (both -1 at or past the last), and the two-sided lerp.
     """
     ordered = np.sort(values)
     n = len(ordered)
-    virtual = (n - 1) * (np.arange(1, num_subclasses) / num_subclasses)
+    virtual = (n - 1) * (_cut_steps(n, num_subclasses) / num_subclasses)
     below = np.floor(virtual)
     above = below + 1
     last = virtual >= n - 1
@@ -402,8 +435,9 @@ def subclassify(
     ``method="exact"`` gives one subclass per distinct score value among the
     eligible units (those with a nonzero indicator); ``method="quantile"``
     cuts at the s/S empirical quantiles (numpy's default linear method,
-    computed from one sort of the scores), with boundary ties going to the
-    lower subclass.  Subclasses missing one of the two groups are merged
+    computed from one sort of the scores, in memory that grows with the
+    eligible units, not with S), with boundary ties going to the lower
+    subclass.  Subclasses missing one of the two groups are merged
     with the neighbouring subclass toward the median until every subclass
     contains both, which collapses degenerate splits instead of failing.
     Subclass ids are 1-based in ascending score order.
@@ -431,16 +465,12 @@ def subclassify(
         group = scores.dense_ranks(eligible)
     elif method == "quantile":
         S = int(num_subclasses)
-        if S < 1:
-            raise ValueError("num_subclasses must be at least 1")
+        if not 1 <= S < 2 ** 63:
+            raise ValueError("num_subclasses must be below 2**63 and at least 1")
         vals = scores.as_floats()[eligible]
-        if S == 1:
-            group = np.zeros(eligible.size, dtype=np.intp)
-        else:
-            bounds = _quantile_cuts(vals, S)
-            # group = number of boundaries strictly below the value, so ties
-            # fall into the lower subclass
-            group = np.searchsorted(bounds, vals, side="left")
+        # group = number of cuts strictly below the value, so ties fall into
+        # the lower subclass
+        group = np.searchsorted(_quantile_cuts(vals, S), vals, side="left")
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 

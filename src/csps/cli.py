@@ -1,15 +1,15 @@
 """Command-line interface.
 
-Subcommands: ``example`` (embedded worked example, self-checking),
-``estimate`` (per-unit scores), ``balance`` (chained balancing report) and
-``simulate`` (replicated experiments).  Exit codes: 0 success, 1 worked
-example mismatch, 2 input error, 3 estimation or balancing failure.
+Subcommands: ``example`` (embedded worked example, self-checking; no
+options), ``estimate`` (per-unit scores), ``balance`` (chained balancing
+report) and ``simulate`` (replicated experiments).  Exit codes: 0 success,
+1 worked example mismatch, 2 input error (:data:`errors.INPUT_ERRORS`),
+3 estimation or balancing failure.
 
-Defaults can come from a config file of ``key=value`` lines (``--config``),
-whose keys are the subcommand's option names (``per_unit`` for
-``--per-unit``); any other key is an input error, and explicit flags
-override the file.  The output directory defaults to the
-``CSPS_OUTPUT_DIR`` environment variable, then the working directory.
+:func:`_build_parser` defines each option's type, choices and default once.
+A ``--config`` file of ``key=value`` lines, keyed by option name
+(``per_unit`` for ``--per-unit``), is read through the same types and
+choices into the subcommand's defaults, so explicit flags override it.
 """
 
 from __future__ import annotations
@@ -22,21 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import example_data
-from .balancing import AlgorithmConfig, chained_propensity, run_algorithm, subclassify
+from .balancing import AlgorithmConfig, run_algorithm
 from .contrasts import assignment_indicators, read_contrast_file
 from .data import _write_csv_columns, load_dataset, write_dataset_csv
-from .errors import (
-    AllZero,
-    CspsError,
-    DimensionMismatch,
-    EmptyFile,
-    InvalidBounds,
-    MissingValue,
-    NotAContrast,
-    OutOfRangeTreatment,
-    ParseError,
-    TooShort,
-)
+from .errors import INPUT_ERRORS, CspsError, ParseError
 from .estimation import empirical_csps, model_csps
 from .reporting import (
     format_balance_table,
@@ -52,75 +41,53 @@ from .simulation import (
     run_experiment,
 )
 
-INPUT_ERRORS = (
-    ParseError,
-    MissingValue,
-    EmptyFile,
-    NotAContrast,
-    AllZero,
-    TooShort,
-    DimensionMismatch,
-    InvalidBounds,
-    OutOfRangeTreatment,
-    OSError,
-    ValueError,
-    MemoryError,
-)
 
+def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The ``key=value`` lines of ``path`` as values of ``parser``'s options.
 
-def _read_config_file(path: str, keys) -> dict[str, str]:
-    """The ``key=value`` lines of ``path``; a key not in ``keys`` is a ParseError."""
-    values: dict[str, str] = {}
+    A key that names no option, or a value its option's type or choices
+    refuse, is a ParseError naming the line.
+    """
+    # argparse keeps no public list of a parser's options
+    options = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
+            where = f"{path}, line {lineno}"
             if not sep:
-                raise ParseError(f"{path}, line {lineno}: expected key=value")
-            key = key.strip()
-            if key not in keys:
-                raise ParseError(f"{path}, line {lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+                raise ParseError(f"{where}: expected key=value")
+            key, value = key.strip(), value.strip()
+            if key not in options:
+                raise ParseError(f"{where}: unknown key {key!r}")
+            action = options[key]
+            try:
+                value = (action.type or str)(value)
+            except ValueError:
+                raise ParseError(f"{where}: invalid {key} {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(action.choices)
+                raise ParseError(f"{where}: {key} must be one of {choices}, not {value!r}")
+            values[key] = value
     return values
 
 
-def _resolve(args, config: dict[str, str], key: str, default, cast):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _out_path(args, config, filename: str) -> Path:
-    out = _resolve(args, config, "out", None, str)
-    if out is not None:
-        return Path(out)
-    outdir = _resolve(
-        args, config, "output_dir", os.environ.get("CSPS_OUTPUT_DIR", "."), str
-    )
-    outdir = Path(outdir)
+def _out_path(args, filename: str) -> Path:
+    if args.out is not None:
+        path = Path(args.out)
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no directory {str(path.parent)!r} for --out {args.out}")
+        return path
+    outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir / filename
 
 
-def cmd_example(args, config) -> int:
-    dataset = example_data.worked_example_dataset()
-    first = empirical_csps(dataset, example_data.FIRST_CONTRAST)
-    second = empirical_csps(dataset, example_data.SECOND_CONTRAST)
-    chained = chained_propensity(
-        dataset,
-        [example_data.FIRST_CONTRAST, example_data.SECOND_CONTRAST],
-        example_data.TARGET_CONTRAST,
-        estimator="empirical",
-    )
-    d_target = assignment_indicators(
-        example_data.TARGET_CONTRAST, dataset.treatments
-    )
-    assignment = subclassify(chained, d_target, method="exact")
+def cmd_example(args) -> int:
+    dataset, first, second, chained, assignment = example_data._pipeline()
 
     print("worked example: 24 units, 3 treatments, 4 covariate cells")
     print("cell            units  score1  score2  chained  subclass")
@@ -143,17 +110,12 @@ def cmd_example(args, config) -> int:
     return 0
 
 
-def cmd_estimate(args, config) -> int:
-    data_path = _resolve(args, config, "data", None, str)
-    contrasts_path = _resolve(args, config, "contrasts", None, str)
-    if data_path is None or contrasts_path is None:
+def cmd_estimate(args) -> int:
+    if args.data is None or args.contrasts is None:
         raise ValueError("estimate: --data and --contrasts are required")
-    algo = AlgorithmConfig(
-        estimator=_resolve(args, config, "estimator", "logistic", str),
-        ridge=_resolve(args, config, "ridge", 0.0, float),
-    )
-    dataset = load_dataset(data_path)
-    contrasts = read_contrast_file(contrasts_path)
+    algo = AlgorithmConfig(estimator=args.estimator, ridge=args.ridge)
+    dataset = load_dataset(args.data)
+    contrasts = read_contrast_file(args.contrasts)
 
     columns: dict[str, np.ndarray] = {"unit": np.arange(1, dataset.n_units + 1)}
     for c in contrasts:
@@ -168,42 +130,35 @@ def cmd_estimate(args, config) -> int:
             scores.as_floats(), mask=~scores.defined_mask
         )
 
-    path = _out_path(args, config, "scores.csv")
+    path = _out_path(args, "scores.csv")
     _write_csv_columns(path, list(columns), list(columns.values()), dataset.n_units)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_balance(args, config) -> int:
-    data_path = _resolve(args, config, "data", None, str)
-    contrasts_path = _resolve(args, config, "contrasts", None, str)
-    if data_path is None or contrasts_path is None:
+def cmd_balance(args) -> int:
+    if args.data is None or args.contrasts is None:
         raise ValueError("balance: --data and --contrasts are required")
-    targets_path = _resolve(args, config, "targets", None, str)
     algo = AlgorithmConfig(
-        estimator=_resolve(args, config, "estimator", "logistic", str),
-        subclass_method=_resolve(args, config, "method", "quantile", str),
-        num_subclasses=int(_resolve(args, config, "subclasses", 5, int)),
-        ridge=_resolve(args, config, "ridge", 0.0, float),
+        estimator=args.estimator,
+        subclass_method=args.method,
+        num_subclasses=args.subclasses,
+        ridge=args.ridge,
     )
-    dataset = load_dataset(data_path)
-    balancing = read_contrast_file(contrasts_path)
-    targets = read_contrast_file(targets_path) if targets_path else balancing
+    dataset = load_dataset(args.data)
+    balancing = read_contrast_file(args.contrasts)
+    targets = read_contrast_file(args.targets) if args.targets else balancing
 
     report = run_algorithm(dataset, balancing, targets, algo)
-    fmt = _resolve(args, config, "format", "both", str)
-    if fmt not in ("text", "csv", "both"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt in ("text", "both"):
+    if args.format in ("text", "both"):
         print(format_balance_table(report))
-    if fmt in ("csv", "both"):
-        path = _out_path(args, config, "balance.csv")
+    if args.format in ("csv", "both"):
+        path = _out_path(args, "balance.csv")
         write_balance_csv(report, path)
         print(f"wrote {path}")
-    per_unit = _resolve(args, config, "per_unit", None, str)
-    if per_unit:
-        _write_per_unit_csv(dataset, report, per_unit)
-        print(f"wrote {per_unit}")
+    if args.per_unit:
+        _write_per_unit_csv(dataset, report, args.per_unit)
+        print(f"wrote {args.per_unit}")
     failed = [e for e in report.entries if e.error is not None]
     for entry in failed:
         print(
@@ -237,118 +192,121 @@ def _write_per_unit_csv(dataset, report, path) -> None:
     write_dataset_csv(dataset, path, extras)
 
 
-def _mechanism_config(args, config) -> SimulationConfig:
-    mechanism = _resolve(args, config, "mechanism", "I", str)
+def _mechanism_config(args) -> SimulationConfig:
     kwargs = dict(
-        num_units=int(_resolve(args, config, "units", 800, int)),
-        replications=int(_resolve(args, config, "reps", 100, int)),
-        seed=int(_resolve(args, config, "seed", 0, int)),
+        num_units=args.units,
+        replications=args.reps,
+        seed=args.seed,
         algorithm=AlgorithmConfig(
-            estimator=_resolve(args, config, "estimator", "logistic", str),
-            num_subclasses=int(_resolve(args, config, "subclasses", 5, int)),
-            ridge=_resolve(args, config, "ridge", 0.0, float),
+            estimator=args.estimator,
+            num_subclasses=args.subclasses,
+            ridge=args.ridge,
         ),
     )
-    if mechanism.upper() == "I":
+    if args.mechanism.upper() == "I":
         return mechanism_i(**kwargs)
-    if mechanism.upper() == "II":
+    if args.mechanism.upper() == "II":
         return mechanism_ii(**kwargs)
     # custom: text file with one row of K coefficients per treatment
     try:
-        B = np.loadtxt(mechanism, ndmin=2)
+        B = np.loadtxt(args.mechanism, ndmin=2)
     except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read coefficient file {mechanism!r}: {exc}") from exc
+        raise ParseError(f"cannot read coefficient file {args.mechanism!r}: {exc}") from exc
     return SimulationConfig(coefficients=tuple(map(tuple, B)), **kwargs)
 
 
-def cmd_simulate(args, config) -> int:
-    cfg = _mechanism_config(args, config)
-    fmt = _resolve(args, config, "format", "both", str)
-    if fmt not in ("text", "csv", "both"):
-        raise ValueError(f"unknown format {fmt!r}")
+def cmd_simulate(args) -> int:
+    cfg = _mechanism_config(args)
+    text = args.format in ("text", "both")
+    # drawn and resolved before any output, so an input error leaves none
+    oracle = oracle_group_means(cfg, oracle_n=args.oracle) if text and args.oracle else None
+    path = _out_path(args, "replications.csv") if args.format in ("csv", "both") else None
     result = run_experiment(cfg)
-    if fmt in ("text", "both"):
+    if text:
         print(format_experiment_table(result))
-        oracle_n = _resolve(args, config, "oracle", None, int)
-        if oracle_n:
-            rows = oracle_group_means(cfg, oracle_n=int(oracle_n))
-            print(f"\nlarge-sample pooled differences (n={int(oracle_n)}):")
-            for target, row in zip(cfg.targets, rows):
+        if oracle is not None:
+            print(f"\nlarge-sample pooled differences (n={args.oracle}):")
+            for target, row in zip(cfg.targets, oracle):
                 cells = "  ".join(f"{v:8.4f}" for v in row)
                 print(f"  {target.describe():<12} {cells}")
-    if fmt in ("csv", "both"):
-        path = _out_path(args, config, "replications.csv")
+    if path is not None:
         write_replications_csv(result, path)
         print(f"wrote {path}")
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``csps`` parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="csps",
         description="Contrast-specific propensity scores and chained balancing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def outputs(p, formats: bool):
         p.add_argument("--config", help="key=value defaults file")
-        p.add_argument("--output-dir", dest="output_dir", help="output directory")
+        p.add_argument("--output-dir", dest="output_dir",
+                       default=os.environ.get("CSPS_OUTPUT_DIR", "."),
+                       help="output directory (default: $CSPS_OUTPUT_DIR, else .)")
         p.add_argument("--out", help="explicit output file path")
-        p.add_argument("--format", choices=["text", "csv", "both"],
-                       help="emit the text table, the CSV, or both (default)")
+        if formats:
+            p.add_argument("--format", choices=["text", "csv", "both"], default="both",
+                           help="emit the text table, the CSV, or both (default)")
+
+    def inputs(p, contrasts: str):
+        p.add_argument("--data", help="dataset CSV")
+        p.add_argument("--contrasts", help=contrasts)
+
+    def estimation(p, subclasses: bool):
+        p.add_argument("--estimator", choices=["empirical", "logistic"], default="logistic")
+        p.add_argument("--ridge", type=float, default=0.0)
+        if subclasses:
+            p.add_argument("--subclasses", type=int, default=5)
 
     p = sub.add_parser("example", help="run the embedded worked example")
-    common(p)
+    p.set_defaults(run=cmd_example)
 
     p = sub.add_parser("estimate", help="emit per-unit group indicators and scores")
-    common(p)
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--contrasts", help="contrast file")
-    p.add_argument("--estimator", choices=["empirical", "logistic"])
-    p.add_argument("--ridge", type=float)
+    p.set_defaults(run=cmd_estimate)
+    outputs(p, formats=False)
+    inputs(p, "contrast file")
+    estimation(p, subclasses=False)
 
     p = sub.add_parser("balance", help="chained balancing and diagnostics")
-    common(p)
-    p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--contrasts", help="balancing contrast file")
+    p.set_defaults(run=cmd_balance)
+    outputs(p, formats=True)
+    inputs(p, "balancing contrast file")
     p.add_argument("--targets", help="target contrast file (default: balancing)")
-    p.add_argument("--estimator", choices=["empirical", "logistic"])
-    p.add_argument("--method", choices=["exact", "quantile"])
-    p.add_argument("--subclasses", type=int)
-    p.add_argument("--ridge", type=float)
+    estimation(p, subclasses=True)
+    p.add_argument("--method", choices=["exact", "quantile"], default="quantile")
     p.add_argument("--per-unit", dest="per_unit",
                    help="also write the dataset with score/subclass columns here")
 
     p = sub.add_parser("simulate", help="replicated simulation experiment")
-    common(p)
+    p.set_defaults(run=cmd_simulate)
+    outputs(p, formats=True)
     p.add_argument(
-        "--mechanism",
+        "--mechanism", default="I",
         help="I (randomized), II (covariate-driven), or a coefficient file",
     )
-    p.add_argument("--units", type=int)
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--estimator", choices=["empirical", "logistic"])
-    p.add_argument("--subclasses", type=int)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--oracle", type=int, help="also print an oracle of this size")
-    return parser
-
-
-COMMANDS = {
-    "example": cmd_example,
-    "estimate": cmd_estimate,
-    "balance": cmd_balance,
-    "simulate": cmd_simulate,
-}
+    p.add_argument("--units", type=int, default=800)
+    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    estimation(p, subclasses=True)
+    p.add_argument("--oracle", type=int,
+                   help="also print an oracle of this size with the text table")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        keys = set(vars(args)) - {"command", "config"}
-        config = _read_config_file(args.config, keys) if args.config else {}
-        return COMMANDS[args.command](args, config)
+        if getattr(args, "config", None):
+            command = commands[args.command]
+            command.set_defaults(**_read_config_file(args.config, command))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 Every error raised by the library derives from :class:`CspsError`, so callers
 can catch the whole family with one clause while tests pin the exact type.
+Errors in what a caller supplied derive from :class:`InputError` as well.
 """
 
 
@@ -9,23 +10,27 @@ class CspsError(Exception):
     """Base class for all csps errors."""
 
 
+class InputError(CspsError):
+    """Base class for errors in a caller's files, contrasts or labels."""
+
+
 # ---------------------------------------------------------------------------
 # contrast algebra
 
 
-class NotAContrast(CspsError):
+class NotAContrast(InputError):
     """Coefficients do not sum to zero."""
 
 
-class AllZero(CspsError):
+class AllZero(InputError):
     """Every coefficient of the (would-be) contrast is zero."""
 
 
-class TooShort(CspsError):
+class TooShort(InputError):
     """Fewer than two treatments."""
 
 
-class DimensionMismatch(CspsError):
+class DimensionMismatch(InputError):
     """Operands do not share the same number of treatments or features."""
 
 
@@ -33,11 +38,11 @@ class DegenerateBifurcation(CspsError):
     """A bifurcation lost its positive or its negative group entirely."""
 
 
-class InvalidBounds(CspsError):
+class InvalidBounds(InputError):
     """A lower boundary exceeds the matching upper boundary."""
 
 
-class OutOfRangeTreatment(CspsError):
+class OutOfRangeTreatment(InputError):
     """A treatment label lies outside 1..T."""
 
 
@@ -45,15 +50,15 @@ class OutOfRangeTreatment(CspsError):
 # data ingestion
 
 
-class ParseError(CspsError):
+class ParseError(InputError):
     """A file token could not be interpreted (non-numeric covariate, etc.)."""
 
 
-class MissingValue(CspsError):
+class MissingValue(InputError):
     """A covariate entry is blank or non-finite."""
 
 
-class EmptyFile(CspsError):
+class EmptyFile(InputError):
     """The input file contains no usable rows."""
 
 
@@ -95,3 +100,7 @@ class TooFewUnits(CspsError):
 
 class EmptyGroup(CspsError):
     """A required comparison group contains no units."""
+
+
+# the command line's exit 2; any other CspsError is a failure to estimate or balance
+INPUT_ERRORS = (InputError, OSError, ValueError, MemoryError)

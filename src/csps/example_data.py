@@ -18,7 +18,7 @@ from .balancing import (
     subclassify,
 )
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, build_cell_index
+from .data import Dataset
 from .estimation import empirical_csps
 
 __all__ = [
@@ -88,12 +88,26 @@ def worked_example_dataset() -> Dataset:
 def _per_cell(dataset: Dataset, scores) -> dict[tuple, object]:
     """Collapse a per-unit score vector to one value per covariate cell."""
     out = {}
-    for key, idx in build_cell_index(dataset):
+    for key, idx in dataset.cell_index:
         vals = {scores.values[i] for i in idx}
         if len(vals) != 1:
             raise AssertionError(f"cell {key} carries several score values: {vals}")
         out[key] = vals.pop()
     return out
+
+
+def _pipeline():
+    """The dataset, both balancing scores, the chained score and its exact subclasses."""
+    dataset = worked_example_dataset()
+    first = empirical_csps(dataset, FIRST_CONTRAST)
+    second = empirical_csps(dataset, SECOND_CONTRAST)
+    chained = chained_propensity(
+        dataset, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
+        estimator="empirical",
+    )
+    d_target = assignment_indicators(TARGET_CONTRAST, dataset.treatments)
+    assignment = subclassify(chained, d_target, method="exact")
+    return dataset, first, second, chained, assignment
 
 
 def verify_worked_example() -> list[str]:
@@ -104,10 +118,7 @@ def verify_worked_example() -> list[str]:
     one-score counterexample) reproduces the expected values exactly.
     """
     problems: list[str] = []
-    dataset = worked_example_dataset()
-
-    first = empirical_csps(dataset, FIRST_CONTRAST)
-    second = empirical_csps(dataset, SECOND_CONTRAST)
+    dataset, first, second, chained, assignment = _pipeline()
     for name, got, expected in (
         ("first score", _per_cell(dataset, first), EXPECTED_FIRST_SCORE),
         ("second score", _per_cell(dataset, second), EXPECTED_SECOND_SCORE),
@@ -116,10 +127,6 @@ def verify_worked_example() -> list[str]:
             if got.get(key) != want:
                 problems.append(f"{name} at cell {key}: got {got.get(key)}, want {want}")
 
-    chained = chained_propensity(
-        dataset, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
-        estimator="empirical",
-    )
     got_chained = _per_cell(dataset, chained)
     for key, want in EXPECTED_CHAINED_SCORE.items():
         if got_chained.get(key) != want:
@@ -127,8 +134,6 @@ def verify_worked_example() -> list[str]:
                 f"chained score at cell {key}: got {got_chained.get(key)}, want {want}"
             )
 
-    d_target = assignment_indicators(TARGET_CONTRAST, dataset.treatments)
-    assignment = subclassify(chained, d_target, method="exact")
     if assignment.num_subclasses != EXPECTED_NUM_SUBCLASSES:
         problems.append(
             f"subclass count: got {assignment.num_subclasses}, "

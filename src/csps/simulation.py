@@ -216,13 +216,16 @@ def oracle_group_means(cfg: SimulationConfig, oracle_n: int = 1_000_000) -> np.n
 
     Bypasses the balancing pipeline entirely: draws ``oracle_n`` units from
     the configured mechanism and returns, per target, the positive-group
-    minus negative-group covariate means.  The default size keeps the Monte
-    Carlo error of each entry below about 0.005.
+    minus negative-group covariate means, or NaN where the draw left one of
+    the target's groups empty.  The default size keeps the Monte Carlo error
+    of each entry below about 0.005.
     """
     rng = np.random.default_rng([cfg.seed, 0, oracle_n])
     X, W = _draw(rng, int(oracle_n), cfg.coefficients)
-    out = np.empty((len(cfg.targets), cfg.num_covariates))
+    out = np.full((len(cfg.targets), cfg.num_covariates), np.nan)
     for j, target in enumerate(cfg.targets):
         d = assignment_indicators(target, W)
-        out[j] = X[d == 1].mean(axis=0) - X[d == -1].mean(axis=0)
+        positive, negative = X[d == 1], X[d == -1]
+        if len(positive) and len(negative):
+            out[j] = positive.mean(axis=0) - negative.mean(axis=0)
     return out

@@ -143,6 +143,17 @@ class TestSubclassify:
         # ascending score order
         assert assignment.labels[0] == 1 and assignment.labels[99] == 5
 
+    def test_subclass_counts_up_to_int64(self):
+        # the cuts come from at most about 2n points, not from S - 1 of them;
+        # so many cuts put each distinct score in a group of its own
+        scores = ScoreVector.from_floats([i / 100 for i in range(100)])
+        d = np.array([1, -1] * 50)
+        assignment = subclassify(scores, d, method="quantile", num_subclasses=2 ** 63 - 1)
+        exact = subclassify(scores, d, method="exact")
+        assert assignment.labels.tolist() == exact.labels.tolist()
+        with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+            subclassify(scores, d, method="quantile", num_subclasses=2 ** 63)
+
     def test_boundary_ties_go_to_lower_subclass(self):
         # the 0.5-quantile of these scores is 0.2, so both 0.2 units stay low
         scores = ScoreVector.from_floats([0.1, 0.2, 0.2, 0.4, 0.5])
@@ -186,6 +197,15 @@ class TestSubclassify:
     def test_labels_beyond_num_subclasses_raise(self):
         with pytest.raises(ValueError, match="must not exceed num_subclasses"):
             SubclassAssignment([0, 1, 3], 2)
+
+    @pytest.mark.parametrize("labels", [[0, 0.5, 1], [0, 1.5, 2], [0, np.nan, 1]])
+    def test_labels_must_be_whole_numbers(self, labels):
+        # a cast would truncate 0.5 to 0 and 1.5 to 1
+        with pytest.raises(ValueError, match="subclass labels must be whole numbers"):
+            SubclassAssignment(labels, 2)
+
+    def test_whole_float_labels_are_kept(self):
+        assert SubclassAssignment([0.0, 1.0, 2.0], 2).labels.tolist() == [0, 1, 2]
 
     def test_undefined_eligible_score_raises(self):
         scores = ScoreVector.from_ratios([1, 0], [2, 0], index=[0, 1])

@@ -42,6 +42,23 @@ class TestExample:
         assert "1/5" in out and "5/6" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "--config", "c.txt"],
+        ["example", "--output-dir", "."],
+        ["example", "--out", "x.csv"],
+        ["example", "--format", "text"],
+        ["estimate", "--format", "csv"],
+    ],
+)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_empirical_scores_csv(self, example_csv, contrast_file, tmp_path, capsys):
         out = tmp_path / "scores.csv"
@@ -350,6 +367,30 @@ class TestBalance:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("method = bogus", "method must be one of exact, quantile, not 'bogus'"),
+            ("subclasses = 2.5", "invalid subclasses '2.5'"),
+            ("format = all", "format must be one of text, csv, both, not 'all'"),
+        ],
+    )
+    def test_bad_config_value_is_an_input_error(
+        self, example_csv, contrast_file, tmp_path, capsys, line, message
+    ):
+        # a value is checked as its flag's would be, even where a flag overrides it
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"estimator = empirical\n{line}\n")
+        out = tmp_path / "balance.csv"
+        code = main(["balance", "--data", str(example_csv), "--contrasts", str(contrast_file),
+                     "--config", str(cfg), "--method", "exact", "--subclasses", "3",
+                     "--format", "csv", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {cfg}, line 2: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_text_and_csv_agree(self, example_csv, contrast_file, tmp_path, capsys):
         out = tmp_path / "balance.csv"
         code = main(
@@ -504,11 +545,14 @@ class TestSimulate:
              "(1000000000000000, 3)"),
         ],
     )
-    def test_unallocatable_size_is_an_input_error(self, capsys, sizes, shape):
-        code = main(["simulate", "--mechanism", "II", "--format", "text", *sizes])
+    def test_unallocatable_size_is_an_input_error(self, tmp_path, capsys, sizes, shape):
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--mechanism", "II", "--out", str(out), *sizes])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("input error:") and f"shape {shape}" in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and f"shape {shape}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_format_selects_outputs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CSPS_OUTPUT_DIR", str(tmp_path / "none"))

@@ -638,9 +638,9 @@ NEAR_EDGES = (0.0, 5e-324, 1e-300, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 2 ** -53, 1.
 
 @st.composite
 def quantile_cases(draw):
-    """Scores in [0, 1] (n = 1..1200), S = 2..64 subclasses and group indicators."""
+    """Scores in [0, 1] (n = 1..1200), S = 1..64 or up to 10**5 subclasses, indicators."""
     n = draw(st.integers(1, 1200))
-    S = draw(st.integers(2, 64))
+    S = draw(st.one_of(st.integers(1, 64), st.integers(2, 10 ** 5)))
     pool = np.array(draw(st.lists(
         st.one_of(st.sampled_from(NEAR_EDGES), st.floats(0.0, 1.0)), min_size=1, max_size=12
     )))
@@ -666,9 +666,18 @@ def numpy_quantile_cuts(values, S):
 
 @settings(max_examples=300)
 @given(quantile_cases())
+# n - 1 = 49: (49 * (s / S)) falls below the whole number 49 * s / S, so the
+# floor's runs differ from exact arithmetic's
+@example((np.linspace(0.0, 1.0, 50) ** 3, 49 * 1021, np.tile([1, -1], 25)))
+@example((np.repeat([0.25, 0.5, 1.0], [3, 40, 7]), 10 ** 5, np.tile([1, -1, 0, 1, -1], 10)))
 def test_quantile_cuts_equal_np_quantile(case):
     values, S, d = case
-    assert balancing._quantile_cuts(values, S).tobytes() == numpy_quantile_cuts(values, S).tobytes()
+    # the cuts are np.quantile's at the steps used, at most 2n of them
+    steps = balancing._cut_steps(len(values), S)
+    event("every s" if len(steps) == S - 1 else "run ends")
+    assert len(steps) <= min(S - 1, 2 * len(values))
+    cuts = balancing._quantile_cuts(values, S)
+    assert cuts.tobytes() == np.quantile(values, steps / S).tobytes()
     scores = ScoreVector.from_floats(values)
 
     def outcome(cuts):
@@ -987,14 +996,24 @@ CLI_BAD_DATA = (
     b"x1,w\n\xff,1\n",
 )
 CLI_RIDGES = ("-1", "-1e-3", "0", "1e-3", "2.5", "nan", "inf", "-inf")
-# values a --config file can give that argparse's choices would refuse
+# far more subclasses than units: the quantile cut must not allocate S cuts
+CLI_MANY_SUBCLASSES = "1000000000"
+# config values, some of which the option's type or choices refuse
 CLI_CONFIG_VALUES = {
     "estimator": ("empirical", "logistic", "bogus", ""),
     "method": ("exact", "quantile", "bogus"),
-    "subclasses": ("1", "3", "64", "0", "-2", "2.5", "abc"),
+    "subclasses": ("1", "3", "64", CLI_MANY_SUBCLASSES, "0", "-2", "2.5", "abc"),
     "ridge": CLI_RIDGES + ("abc",),
     "format": ("text", "csv", "both", "bogus"),
 }
+# the values above that an option's type or choices refuse
+CLI_REFUSED = {"estimator": ("bogus", ""), "method": ("bogus",), "subclasses": ("2.5", "abc"),
+               "ridge": ("abc",), "format": ("bogus",), "units": ("2.5",), "reps": ("abc",),
+               "oracle": ("2.5",)}
+
+
+def cli_refused(config: dict) -> bool:
+    return any(v in CLI_REFUSED.get(k, ()) for k, v in config.items())
 
 
 # keys no --config file may hold: misspelt, or not an option of the subcommand
@@ -1022,7 +1041,7 @@ def cli_units(draw) -> str:
 
 @st.composite
 def cli_runs(draw):
-    """A balance or estimate run: files, argv, the effective ridge and a bad config key."""
+    """A balance or estimate run: files, argv, the effective ridge and a bad config line."""
     command = draw(st.sampled_from(("balance", "estimate")))
     # mostly runnable inputs, so that runs also get to fit and balance
     units = st.sampled_from(CLI_BAD_DATA) if draw(st.integers(0, 3)) == 0 else cli_units()
@@ -1036,11 +1055,12 @@ def cli_runs(draw):
         if draw(st.integers(0, 9)):
             argv += [flag, name]
     flags = {"estimator": st.sampled_from(("empirical", "logistic")),
-             "ridge": st.sampled_from(CLI_RIDGES),
-             "format": st.sampled_from(("text", "csv", "both"))}
+             "ridge": st.sampled_from(CLI_RIDGES)}
     if command == "balance":
         flags.update(method=st.sampled_from(("exact", "quantile")),
-                     subclasses=st.sampled_from(("1", "2", "5", "64", "0", "-3")))
+                     subclasses=st.sampled_from(("1", "2", "5", "64", CLI_MANY_SUBCLASSES,
+                                                 "0", "-3")),
+                     format=st.sampled_from(("text", "csv", "both")))
         if draw(st.booleans()):
             files["targets.txt"] = draw(st.sampled_from(CLI_CONTRASTS))
             argv += ["--targets", "targets.txt"]
@@ -1051,21 +1071,25 @@ def cli_runs(draw):
         given_flags[name] = draw(flags[name])
         argv.append(f"--{name}={given_flags[name]}")
     config = {}
-    bad_key = False
+    bad_config = False
     if draw(st.booleans()):
         names = sorted(CLI_CONFIG_VALUES)
         if command == "estimate":
-            names = ["estimator", "format", "ridge"]
+            names = ["estimator", "ridge"]
         for name in draw(st.lists(st.sampled_from(names), unique=True)):
             config[name] = draw(st.sampled_from(CLI_CONFIG_VALUES[name]))
-        bad_key = draw(st.integers(0, 4)) == 0
-        if bad_key:
-            unknown = CLI_UNKNOWN_KEYS + (("method",) if command == "estimate" else ())
+        # a refused value is an error even where a flag overrides it
+        bad_config = cli_refused(config)
+        if draw(st.integers(0, 4)) == 0:
+            bad_config = True
+            unknown = CLI_UNKNOWN_KEYS
+            if command == "estimate":
+                unknown += ("method", "format")
             config[draw(st.sampled_from(unknown))] = "1"
         files["config.txt"] = "".join(f"{k} = {v}\n" for k, v in config.items())
         argv += ["--config", "config.txt"]
     ridge = given_flags.get("ridge", config.get("ridge", "0"))
-    return files, argv, ridge, bad_key
+    return files, argv, ridge, bad_config
 
 
 @settings(max_examples=200)
@@ -1074,7 +1098,7 @@ def cli_runs(draw):
           ["balance", "--data", "units.csv", "--contrasts", "contrasts.txt",
            "--ridge=nan"], "nan", False))
 def test_cli_exits_typed(run):
-    files, argv, ridge, bad_key = run
+    files, argv, ridge, bad_config = run
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             if content is not None:
@@ -1098,5 +1122,117 @@ def test_cli_exits_typed(run):
         bad_ridge = not (float(ridge) >= 0 and np.isfinite(float(ridge)))
     except ValueError:
         bad_ridge = True
-    if bad_ridge or bad_key:
+    if bad_ridge or bad_config:
+        assert code == 2
+
+
+# coefficient files for `simulate --mechanism`: one row of K per treatment
+CLI_COEFFICIENTS = (
+    "0 0 0\n0.5 0 0\n0 0.5 0\n",
+    "0 0 0\n0.75 0.25 0.5\n0.25 0.75 0.5\n",
+    "0 0\n1 0\n0 1\n",  # K = 2
+    "0 0 0\n1 0 0\n",  # two treatments
+    "0 0 0\n1 0\n0 1 0\n",  # ragged
+    "0 0 0\nabc 0 0\n0 0 0\n",
+    "0 0 0\n1 nan 0\n0 0 1\n",
+    "0 0 0\n1e308 1e308 1e308\n0 0 0\n",  # linear predictors overflow float64
+    "",
+    None,  # missing file
+)
+# beyond any address space, so asking for it allocates nothing
+CLI_HUGE_SIZE = "1000000000000000"
+# an --out file in a directory that does not exist
+CLI_MISSING_OUT = "missing/replications.csv"
+CLI_SIMULATE_CONFIG_VALUES = {
+    "mechanism": ("I", "ii", "no-such-file.txt"),
+    "units": ("3", "40", "2", CLI_HUGE_SIZE, "2.5"),
+    "reps": ("1", "3", "0", "abc"),
+    "seed": ("0", "7", "-1"),
+    "estimator": ("empirical", "logistic", "bogus"),
+    "subclasses": ("1", "5", CLI_MANY_SUBCLASSES, "0", "abc"),
+    "ridge": ("0", "0.5", "-1", "nan"),
+    "oracle": ("0", "50", CLI_HUGE_SIZE, "2.5"),
+    "format": ("text", "csv", "both", "bogus"),
+}
+
+
+@st.composite
+def cli_simulate_runs(draw):
+    """A simulate run: files, argv and whether its config file has a bad line."""
+    files = {}
+    argv = ["simulate"]
+    mechanism = draw(st.sampled_from(("I", "II", "file", None)))
+    if mechanism == "file":
+        files["coeffs.txt"] = draw(st.sampled_from(CLI_COEFFICIENTS))
+        argv += ["--mechanism", "coeffs.txt"]
+    elif mechanism is not None:
+        argv += ["--mechanism", mechanism]
+    flags = {
+        "units": st.one_of(st.integers(3, 60).map(str), st.just(CLI_HUGE_SIZE)),
+        "reps": st.one_of(st.integers(1, 3).map(str), st.just(CLI_HUGE_SIZE)),
+        "seed": st.integers(0, 2 ** 32).map(str),
+        "estimator": st.sampled_from(("empirical", "logistic")),
+        "subclasses": st.sampled_from(("1", "3", "5", CLI_MANY_SUBCLASSES)),
+        "ridge": st.sampled_from(("0", "0.5")),
+        "oracle": st.one_of(st.integers(1, 200).map(str), st.just(CLI_HUGE_SIZE)),
+        "format": st.sampled_from(("text", "csv", "both")),
+    }
+    given = {name: draw(flags[name])
+             for name in draw(st.lists(st.sampled_from(sorted(flags)), unique=True))}
+    # keep the default 800 units x 100 replications out of the run time
+    given.setdefault("units", "30")
+    given.setdefault("reps", "1")
+    argv += [f"--{name}={value}" for name, value in given.items()]
+    bad_config = False
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(sorted(CLI_SIMULATE_CONFIG_VALUES)), unique=True))
+        config = {name: draw(st.sampled_from(CLI_SIMULATE_CONFIG_VALUES[name])) for name in names}
+        bad_config = cli_refused(config)
+        if draw(st.integers(0, 4)) == 0:
+            bad_config = True
+            config[draw(st.sampled_from(CLI_UNKNOWN_KEYS + ("method", "per_unit")))] = "1"
+        files["config.txt"] = "".join(f"{k} = {v}\n" for k, v in config.items())
+        argv += ["--config", "config.txt"]
+    # the CSV goes to the run's directory, a missing directory or under a file
+    out = draw(st.sampled_from((None, "--out", "--output-dir")))
+    if out == "--out":
+        argv += ["--out", CLI_MISSING_OUT]
+    elif out == "--output-dir":
+        files["a-file"] = ""
+        argv += ["--output-dir", "a-file"]
+    return files, argv, bad_config
+
+
+@settings(max_examples=150)
+@given(cli_simulate_runs())
+@example(({}, ["simulate", "--units=30", "--reps=1", f"--oracle={CLI_HUGE_SIZE}"], False))
+@example(({}, ["simulate", "--units=30", "--reps=1", "--out", CLI_MISSING_OUT], False))
+def test_cli_simulate_exits_typed(run):
+    files, argv, bad_config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            if content is not None:
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(content)
+        argv = [os.path.join(tmp, a) if a in files or a == CLI_MISSING_OUT else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # absent treatments only warn
+            # a drawn --output-dir comes later, so it wins
+            code = cli.main(argv[:1] + ["--output-dir", tmp] + argv[1:])
+        wrote_csv = any(os.path.exists(os.path.join(tmp, name))
+                        for name in ("replications.csv", "missing"))
+    lines = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert any(line.startswith("input error:") for line in lines)
+        # every input error is found before any output
+        assert out.getvalue() == ""
+        assert not wrote_csv
+    if code == 3:
+        assert any(line.startswith("estimation error:") for line in lines)
+    if bad_config:
         assert code == 2

@@ -231,6 +231,13 @@ class TestOracle:
         assert two_three[0] == pytest.approx(-two_three[1], abs=0.02)
         assert two_three[2] == pytest.approx(0.0, abs=0.02)
 
+    def test_empty_group_gives_nan_rows(self):
+        # one unit leaves a group of every target empty; no "Mean of empty slice"
+        rows = oracle_group_means(mechanism_ii(seed=3), oracle_n=1)
+        assert rows.shape == (4, 3) and np.isnan(rows).all()
+        rows = oracle_group_means(mechanism_ii(seed=3), oracle_n=2)
+        assert np.isnan(rows).any() and not np.isnan(rows).all()
+
     def test_oracle_deterministic(self):
         cfg = mechanism_ii(seed=3)
         a = oracle_group_means(cfg, oracle_n=50_000)
