@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -199,23 +200,6 @@ class _GroupTotals:
             for totals, exponent in sums
         )
 
-    def weight(self, sid: int) -> Fraction:
-        counts = self.counts
-        return Fraction(counts[2 * sid] + counts[2 * sid + 1], sum(counts[2:]))
-
-    def means(self, group: int) -> tuple[Fraction, ...]:
-        return tuple(
-            _scaled_fraction(totals[group], self.counts[group], exponent)
-            for totals, exponent in self.sums
-        )
-
-    def subclass_difference(self, sid: int) -> tuple:
-        pos, neg = 2 * sid, 2 * sid + 1
-        return tuple(
-            _difference(totals[pos], self.counts[pos], totals[neg], self.counts[neg], exponent)
-            for totals, exponent in self.sums
-        )
-
 
 class _Unset:
     def __repr__(self):
@@ -234,7 +218,7 @@ class _OnAccess:
 
     The value comes from the instance's ``_build_<name>()`` and is kept.  A
     value passed to the constructor (or to ``dataclasses.replace``) is kept
-    as given.
+    as given.  It backs ``ContrastBalance.before_exact`` and ``after_exact``.
     """
 
     def __set_name__(self, owner, name):
@@ -270,6 +254,21 @@ def _floats(obj, name: str, ratios) -> np.ndarray | None:
     return np.array([_scaled_float(*r) for r in ratios])
 
 
+def _subclass_count(num_subclasses) -> int:
+    """``num_subclasses`` as an int; ValueError unless a whole number in [1, 2**63)."""
+    try:
+        S = int(num_subclasses)
+        whole = S == num_subclasses
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and 1 <= S < 2 ** 63):
+        raise ValueError(
+            "num_subclasses must be below 2**63, at least 1 and a whole number, "
+            f"not {num_subclasses!r}"
+        )
+    return S
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Settings for the chained balancing routine.
@@ -294,8 +293,7 @@ class AlgorithmConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.subclass_method not in ("exact", "quantile"):
             raise ValueError(f"unknown subclass method {self.subclass_method!r}")
-        if self.num_subclasses < 1:
-            raise ValueError("num_subclasses must be at least 1")
+        _subclass_count(self.num_subclasses)
         _check_ridge(self.ridge)
 
 
@@ -440,8 +438,10 @@ def subclassify(
     subclass.  Subclasses missing one of the two groups are merged
     with the neighbouring subclass toward the median until every subclass
     contains both, which collapses degenerate splits instead of failing.
-    Subclass ids are 1-based in ascending score order.
+    Subclass ids are 1-based in ascending score order.  ``num_subclasses``
+    must be a whole number in [1, 2**63), whichever the method.
     """
+    S = _subclass_count(num_subclasses)
     d = np.asarray(d_indicator)
     if len(d) != len(scores):
         raise ValueError("indicator length must match scores")
@@ -464,9 +464,6 @@ def subclassify(
     if method == "exact":
         group = scores.dense_ranks(eligible)
     elif method == "quantile":
-        S = int(num_subclasses)
-        if not 1 <= S < 2 ** 63:
-            raise ValueError("num_subclasses must be below 2**63 and at least 1")
         vals = scores.as_floats()[eligible]
         # group = number of cuts strictly below the value, so ties fall into
         # the lower subclass
@@ -488,41 +485,20 @@ def subclassify(
 class SubclassBalanceRow:
     """Group sizes, group means, and mean difference within one subclass.
 
-    ``difference`` holds the floats, computed from integer totals without a
-    Fraction; ``weight`` (the subclass's share of the target's subclassified
-    units) and the exact means and difference are Fractions built on first
-    access.
+    ``weight`` is the subclass's share of the target's subclassified units.
+    The means and the difference are exact Fractions, and ``difference``
+    holds the difference's floats, each the correctly rounded quotient of
+    the same integers.
     """
 
     subclass_id: int
     n_positive: int
     n_negative: int
-    weight: Fraction = _OnAccess()
-    mean_positive_exact: tuple[Fraction, ...] = _OnAccess()
-    mean_negative_exact: tuple[Fraction, ...] = _OnAccess()
-    difference_exact: tuple[Fraction, ...] = _OnAccess()
-    _totals: _GroupTotals | None = field(default=None, repr=False)
-
-    def _build_weight(self):
-        return None if self._totals is None else self._totals.weight(self.subclass_id)
-
-    def _build_mean_positive_exact(self):
-        return None if self._totals is None else self._totals.means(2 * self.subclass_id)
-
-    def _build_mean_negative_exact(self):
-        return None if self._totals is None else self._totals.means(2 * self.subclass_id + 1)
-
-    def _ratios(self):
-        if self._totals is None:
-            return None
-        return self._totals.subclass_difference(self.subclass_id)
-
-    def _build_difference_exact(self):
-        return _fractions(self._ratios())
-
-    @property
-    def difference(self) -> np.ndarray:
-        return _floats(self, "difference_exact", self._ratios())
+    weight: Fraction
+    mean_positive_exact: tuple[Fraction, ...]
+    mean_negative_exact: tuple[Fraction, ...]
+    difference_exact: tuple[Fraction, ...]
+    difference: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,12 +507,13 @@ class ContrastBalance:
 
     ``before`` and ``after`` are the floats of the mean differences, each
     computed from one integer numerator over one integer denominator, so no
-    Fraction is made for them.  ``before_exact``, ``after_exact`` and
-    ``subclass_rows`` are built from the same integers on first access and
-    then kept; a value passed to the constructor or to ``dataclasses.replace``
-    is kept instead, and the floats then come from it.  ``assignment`` is
-    the subclass assignment the diagnostics were computed from, and
-    ``scores`` the score it was made on, when a pass built them.
+    Fraction is made for them.  ``before_exact`` and ``after_exact`` are
+    built from the same integers on first access and then kept; a value
+    passed to the constructor or to ``dataclasses.replace`` is kept instead,
+    and the floats then come from it.  ``subclass_rows`` is built whole from
+    the integers on its first read and then kept.  ``assignment`` is the
+    subclass assignment the diagnostics were computed from, and ``scores``
+    the score it was made on, when a pass built them.
     """
 
     contrast: Contrast
@@ -544,7 +521,6 @@ class ContrastBalance:
     n_negative: int = 0
     before_exact: tuple[Fraction, ...] | None = _OnAccess()
     after_exact: tuple[Fraction, ...] | None = _OnAccess()
-    subclass_rows: tuple[SubclassBalanceRow, ...] | None = _OnAccess()
     error: str | None = None
     assignment: SubclassAssignment | None = None
     _totals: _GroupTotals | None = field(default=None, repr=False)
@@ -555,15 +531,31 @@ class ContrastBalance:
     def _build_after_exact(self):
         return _fractions(self._totals and self._totals.after)
 
-    def _build_subclass_rows(self):
+    @cached_property
+    def subclass_rows(self) -> tuple[SubclassBalanceRow, ...] | None:
+        """One row per subclass in id order; None when not subclassified."""
         totals = self._totals
         if totals is None or totals.after is None:
             return None
-        counts = totals.counts
-        return tuple(
-            SubclassBalanceRow(sid, counts[2 * sid], counts[2 * sid + 1], _totals=totals)
-            for sid in range(1, totals.num_subclasses + 1)
-        )
+        counts, sums = totals.counts, totals.sums
+        assigned = sum(counts[2:])
+
+        def means(group):
+            return tuple(_scaled_fraction(t[group], counts[group], e) for t, e in sums)
+
+        rows = []
+        for sid in range(1, totals.num_subclasses + 1):
+            pos, neg = 2 * sid, 2 * sid + 1
+            ratios = [
+                _difference(t[pos], counts[pos], t[neg], counts[neg], e) for t, e in sums
+            ]
+            difference = np.array([_scaled_float(*r) for r in ratios])
+            difference.setflags(write=False)
+            rows.append(SubclassBalanceRow(
+                sid, counts[pos], counts[neg], Fraction(counts[pos] + counts[neg], assigned),
+                means(pos), means(neg), _fractions(ratios), difference,
+            ))
+        return tuple(rows)
 
     @property
     def before(self) -> np.ndarray | None:

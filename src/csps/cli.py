@@ -75,12 +75,17 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     return values
 
 
+def _in_a_directory(name: str, option: str) -> Path:
+    """``name`` as a path; FileNotFoundError when its directory does not exist."""
+    path = Path(name)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"no directory {str(path.parent)!r} for {option} {name}")
+    return path
+
+
 def _out_path(args, filename: str) -> Path:
     if args.out is not None:
-        path = Path(args.out)
-        if not path.parent.is_dir():
-            raise FileNotFoundError(f"no directory {str(path.parent)!r} for --out {args.out}")
-        return path
+        return _in_a_directory(args.out, "--out")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir / filename
@@ -148,12 +153,15 @@ def cmd_balance(args) -> int:
     dataset = load_dataset(args.data)
     balancing = read_contrast_file(args.contrasts)
     targets = read_contrast_file(args.targets) if args.targets else balancing
+    # resolved before any output, so an input error leaves none
+    path = _out_path(args, "balance.csv") if args.format in ("csv", "both") else None
+    if args.per_unit:
+        _in_a_directory(args.per_unit, "--per-unit")
 
     report = run_algorithm(dataset, balancing, targets, algo)
     if args.format in ("text", "both"):
         print(format_balance_table(report))
-    if args.format in ("csv", "both"):
-        path = _out_path(args, "balance.csv")
+    if path is not None:
         write_balance_csv(report, path)
         print(f"wrote {path}")
     if args.per_unit:

@@ -341,8 +341,13 @@ def parse_contrast(text: str, label: str | None = None) -> Contrast:
 
 
 def read_contrast_file(path) -> list[Contrast]:
-    """Read a contrast file; returns the contrasts in file order."""
+    """Read a contrast file; returns the contrasts in file order.
+
+    A contrast is named by :meth:`Contrast.describe`, and output columns
+    are keyed by that name, so two contrasts of one name are a ParseError.
+    """
     contrasts = []
+    lines = {}  # the line of each name
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -351,9 +356,16 @@ def read_contrast_file(path) -> list[Contrast]:
             expr, _, comment = line.partition("#")
             label = comment.strip() or None
             try:
-                contrasts.append(parse_contrast(expr, label))
+                contrast = parse_contrast(expr, label)
             except (ParseError, NotAContrast, AllZero, TooShort) as exc:
                 raise type(exc)(f"{path}, line {lineno}: {exc}") from exc
+            name = contrast.describe()
+            if name in lines:
+                raise ParseError(
+                    f"{path}, lines {lines[name]} and {lineno}: both contrasts are named {name!r}"
+                )
+            lines[name] = lineno
+            contrasts.append(contrast)
     if not contrasts:
         raise EmptyFile(f"{path}: no contrasts found")
     return contrasts

@@ -31,6 +31,12 @@ def _full(value) -> str:
     return format(float(value), ".17g")
 
 
+def _aligned(rows) -> list[str]:
+    """The rows of cells, each column right-aligned to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
+
+
 def format_balance_table(report: BalanceReport) -> str:
     """Aligned per-target table of before/after covariate mean differences.
 
@@ -60,9 +66,7 @@ def format_balance_table(report: BalanceReport) -> str:
             row += ["-"] * len(names)
         rows.append(row)
 
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
-
+    lines = _aligned(rows)
     for entry in report.entries:
         if not entry.subclass_rows:
             continue
@@ -77,65 +81,42 @@ def format_balance_table(report: BalanceReport) -> str:
     return "\n".join(lines)
 
 
+_BALANCE_COLUMNS = (
+    "target", "row_type", "subclass", "covariate", "n_positive", "n_negative",
+    "weight", "before", "after", "difference", "error",
+)
+
+
 def write_balance_csv(report: BalanceReport, path) -> None:
-    """Long-format CSV: overall rows plus one row per subclass and covariate."""
+    """Long-format CSV: overall rows plus one row per subclass and covariate.
+
+    A failed target gets one ``error`` row.  Each kind of row fills only its
+    own columns and leaves the others blank.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "target",
-                "row_type",
-                "subclass",
-                "covariate",
-                "n_positive",
-                "n_negative",
-                "weight",
-                "before",
-                "after",
-                "difference",
-                "error",
-            ]
-        )
+        writer = csv.DictWriter(fh, _BALANCE_COLUMNS, restval="")
+        writer.writeheader()
         for entry in report.entries:
             label = entry.contrast.describe()
             if entry.error is not None:
-                writer.writerow([label, "error", "", "", "", "", "", "", "", "", entry.error])
+                writer.writerow({"target": label, "row_type": "error", "error": entry.error})
                 continue
             before, after = entry.before, entry.after
             for k, name in enumerate(report.covariate_names):
-                writer.writerow(
-                    [
-                        label,
-                        "overall",
-                        "",
-                        name,
-                        entry.n_positive,
-                        entry.n_negative,
-                        "",
-                        _full(before[k]),
-                        _full(after[k]) if after is not None else "",
-                        "",
-                        "",
-                    ]
-                )
+                writer.writerow({
+                    "target": label, "row_type": "overall", "covariate": name,
+                    "n_positive": entry.n_positive, "n_negative": entry.n_negative,
+                    "before": _full(before[k]),
+                    "after": "" if after is None else _full(after[k]),
+                })
             for r in entry.subclass_rows or ():
-                difference = r.difference
-                for k, name in enumerate(report.covariate_names):
-                    writer.writerow(
-                        [
-                            label,
-                            "subclass",
-                            r.subclass_id,
-                            name,
-                            r.n_positive,
-                            r.n_negative,
-                            _full(r.weight),
-                            "",
-                            "",
-                            _full(difference[k]),
-                            "",
-                        ]
-                    )
+                for name, difference in zip(report.covariate_names, r.difference):
+                    writer.writerow({
+                        "target": label, "row_type": "subclass", "subclass": r.subclass_id,
+                        "covariate": name, "n_positive": r.n_positive,
+                        "n_negative": r.n_negative, "weight": _full(r.weight),
+                        "difference": _full(difference),
+                    })
 
 
 def format_experiment_table(result: ExperimentResult) -> str:
@@ -160,8 +141,7 @@ def format_experiment_table(result: ExperimentResult) -> str:
         row += [_fmt(v) for v in mb[j]]
         row += [_fmt(v) for v in ma[j]]
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in rows]
+    lines = _aligned(rows)
     if result.errors:
         causes = Counter(message.split(":", 1)[0] for _, _, message in result.errors)
         by_cause = ", ".join(

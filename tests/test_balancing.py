@@ -154,6 +154,23 @@ class TestSubclassify:
         with pytest.raises(ValueError, match="num_subclasses must be below 2"):
             subclassify(scores, d, method="quantile", num_subclasses=2 ** 63)
 
+    @pytest.mark.parametrize("count", [2.5, 2 ** 63, 0, np.nan, "5"])
+    def test_subclass_count_is_one_check(self, count):
+        # the config and the function refuse the same counts, before any work
+        scores = ScoreVector.from_floats([0.1, 0.2, 0.3, 0.4])
+        d = np.array([1, -1, 1, -1])
+        with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+            AlgorithmConfig(num_subclasses=count)
+        for method in ("quantile", "exact"):
+            with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+                subclassify(scores, d, method=method, num_subclasses=count)
+
+    def test_whole_float_subclass_count_is_kept(self):
+        scores = ScoreVector.from_floats([0.1, 0.2, 0.3, 0.4])
+        d = np.array([1, -1, 1, -1])
+        AlgorithmConfig(num_subclasses=2.0)
+        assert subclassify(scores, d, num_subclasses=2.0).labels.tolist() == [1, 1, 2, 2]
+
     def test_boundary_ties_go_to_lower_subclass(self):
         # the 0.5-quantile of these scores is 0.2, so both 0.2 units stay low
         scores = ScoreVector.from_floats([0.1, 0.2, 0.2, 0.4, 0.5])
@@ -314,6 +331,22 @@ class TestCovariateMeanDifference:
         other = "after" if name == "before" else "before"
         assert getattr(changed, other).tolist() == getattr(entry, other).tolist()
         assert getattr(changed, other + "_exact") == getattr(entry, other + "_exact")
+
+    def test_rows_are_built_whole_on_first_read(self, example):
+        chained = chained_propensity(
+            example, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
+            estimator="empirical",
+        )
+        assignment = subclassify(chained, indicators(TARGET_CONTRAST, example), method="exact")
+        entry = covariate_mean_difference(example, TARGET_CONTRAST, assignment)
+        assert "subclass_rows" not in vars(entry)
+        rows = entry.subclass_rows
+        assert entry.subclass_rows is rows
+        assert [r.subclass_id for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            assert row.difference.tolist() == [float(v) for v in row.difference_exact]
+            assert not row.difference.flags.writeable
+        assert covariate_mean_difference(example, TARGET_CONTRAST).subclass_rows is None
 
     def test_differences_beyond_float64_are_infinite(self, example):
         # float64 arithmetic would give these infinities; the Fractions stay exact
@@ -594,7 +627,8 @@ class TestRunAlgorithm:
         def exact_values(report):
             return [
                 (e.contrast, e.before_exact, e.after_exact,
-                 [r.difference_exact for r in e.subclass_rows])
+                 [(r.weight, r.mean_positive_exact, r.mean_negative_exact,
+                   r.difference_exact) for r in e.subclass_rows])
                 for e in report.entries
             ]
 

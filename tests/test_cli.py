@@ -208,31 +208,70 @@ def test_scores_csv_equals_row_writer(estimator, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data, settings",
+    "data, settings, golden, exit_code",
     [
-        ("golden_units", ["--estimator", "logistic", "--method", "quantile"]),
-        ("golden_cells", ["--estimator", "empirical", "--method", "exact"]),
+        ("golden_units", ["--estimator", "logistic", "--method", "quantile"],
+         "golden_units", 0),
+        ("golden_cells", ["--estimator", "empirical", "--method", "exact"],
+         "golden_cells", 0),
+        # three of the four targets fail, so the error rows are pinned too
+        ("golden_units", ["--estimator", "empirical"], "golden_units_empirical", 3),
     ],
+    ids=["golden_units-settings0", "golden_cells-settings1", "golden_units-failing"],
 )
-def test_per_unit_csv_equals_golden_file(data, settings, tmp_path, capsys):
-    """``balance --per-unit`` writes the committed file byte for byte."""
+def test_per_unit_csv_equals_golden_file(
+    data, settings, golden, exit_code, tmp_path, capsys
+):
+    """``balance`` writes the committed text table and CSV files byte for byte."""
     balancing, targets = tmp_path / "balancing.txt", tmp_path / "targets.txt"
     balancing.write_text(BALANCING)
     targets.write_text(TARGETS)
-    per_unit = tmp_path / "per_unit.csv"
+    balance_csv, per_unit = tmp_path / "balance.csv", tmp_path / "per_unit.csv"
     code = main(
         [
             "balance",
             "--data", str(DATA / f"{data}.csv"),
             "--contrasts", str(balancing),
             "--targets", str(targets),
-            "--format", "text",
+            "--out", str(balance_csv),
             "--per-unit", str(per_unit),
         ]
         + settings
     )
-    assert code == 0
-    assert per_unit.read_bytes() == (DATA / f"{data}_per_unit.csv").read_bytes()
+    assert code == exit_code
+    table = (DATA / f"{golden}_balance.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == table + f"wrote {balance_csv}\nwrote {per_unit}\n"
+    assert balance_csv.read_bytes() == (DATA / f"{golden}_balance.csv").read_bytes()
+    assert per_unit.read_bytes() == (DATA / f"{golden}_per_unit.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, contrasts, lines",
+    [
+        ("balance", "1 -1 0  # a\n1 0 -1  # a\n", "1 and 2"),
+        ("estimate", "1 -1 0\n0 1 -1\n1 -1 0\n", "1 and 3"),
+        ("balance", "1 -1 0  # (1, 0, -1)\n1 0 -1\n", "1 and 2"),
+    ],
+    ids=["balance-labels", "estimate-coefficients", "balance-label-and-coefficients"],
+)
+def test_contrasts_of_one_name_are_an_input_error(
+    command, contrasts, lines, example_csv, contrast_file, tmp_path, capsys
+):
+    # output columns are keyed by a contrast's name, so one would be lost
+    path = tmp_path / "named.txt"
+    path.write_text(contrasts)
+    out, per_unit = tmp_path / "out.csv", tmp_path / "per_unit.csv"
+    argv = [command, "--data", str(example_csv), "--out", str(out)]
+    if command == "balance":
+        argv += ["--contrasts", str(contrast_file), "--targets", str(path),
+                 "--per-unit", str(per_unit)]
+    else:
+        argv += ["--contrasts", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {path}, lines {lines}: ")
+    assert captured.out == ""
+    assert not out.exists() and not per_unit.exists()
 
 
 class TestBalance:

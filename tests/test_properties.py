@@ -975,6 +975,7 @@ CLI_CONTRASTS = (
     "1 -1 0\n0 1 -1\n",  # valid, 3 treatments
     "1/2 1/2 -1  # both-vs-3\n1 -1 0\n",
     "1 0 -1\n",
+    "1 -1 0  # a\n1 0 -1  # a\n",  # two contrasts of one name
     "1 -1\n",  # too narrow
     "1 -1 0 0\n",  # too wide
     "1 1 -1\n",  # does not sum to zero
@@ -998,6 +999,11 @@ CLI_BAD_DATA = (
 CLI_RIDGES = ("-1", "-1e-3", "0", "1e-3", "2.5", "nan", "inf", "-inf")
 # far more subclasses than units: the quantile cut must not allocate S cuts
 CLI_MANY_SUBCLASSES = "1000000000"
+# output files in a directory that does not exist
+CLI_MISSING_OUT = "missing/out.csv"
+CLI_MISSING_PER_UNIT = "missing/scored.csv"
+# 24 units that balance runs on: x1 is 0 to 3 and w 1 to 3
+CLI_RUNNABLE_UNITS = "x1,w\n" + "".join(f"{i % 4},{i % 3 + 1}\n" for i in range(24))
 # config values, some of which the option's type or choices refuse
 CLI_CONFIG_VALUES = {
     "estimator": ("empirical", "logistic", "bogus", ""),
@@ -1065,7 +1071,9 @@ def cli_runs(draw):
             files["targets.txt"] = draw(st.sampled_from(CLI_CONTRASTS))
             argv += ["--targets", "targets.txt"]
         if draw(st.booleans()):
-            argv += ["--per-unit", "scored.csv"]
+            argv += ["--per-unit", draw(st.sampled_from(("scored.csv", CLI_MISSING_PER_UNIT)))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--out", CLI_MISSING_OUT]
     given_flags = {}
     for name in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
         given_flags[name] = draw(flags[name])
@@ -1097,25 +1105,36 @@ def cli_runs(draw):
 @example(({"units.csv": "x1,w\n0,1\n1,2\n0,3\n1,1\n", "contrasts.txt": "1 -1 0\n"},
           ["balance", "--data", "units.csv", "--contrasts", "contrasts.txt",
            "--ridge=nan"], "nan", False))
+@example(({"units.csv": CLI_RUNNABLE_UNITS, "contrasts.txt": CLI_CONTRASTS[0]},
+          ["balance", "--data", "units.csv", "--contrasts", "contrasts.txt",
+           "--out", CLI_MISSING_OUT], "0", False))
+@example(({"units.csv": CLI_RUNNABLE_UNITS, "contrasts.txt": CLI_CONTRASTS[0]},
+          ["balance", "--data", "units.csv", "--contrasts", "contrasts.txt",
+           "--format=text", "--per-unit", CLI_MISSING_PER_UNIT], "0", False))
 def test_cli_exits_typed(run):
     files, argv, ridge, bad_config = run
+    outputs = ("scored.csv", CLI_MISSING_OUT, CLI_MISSING_PER_UNIT)
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             if content is not None:
                 mode = "wb" if isinstance(content, bytes) else "w"
                 with open(os.path.join(tmp, name), mode) as fh:
                     fh.write(content)
-        argv = [os.path.join(tmp, a) if a in files or a == "scored.csv" else a for a in argv]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+        argv = [os.path.join(tmp, a) if a in files or a in outputs else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # absent treatments only warn
             code = cli.main(argv + ["--output-dir", tmp])
+        wrote_missing = os.path.exists(os.path.join(tmp, "missing"))
     lines = err.getvalue().splitlines()
     event(f"exit {code}")
     assert code in (0, 2, 3)
+    assert not wrote_missing
     if code == 2:
         assert any(line.startswith("input error:") for line in lines)
+        # every input error is found before any output
+        assert out.getvalue() == ""
     if code == 3:
         assert any(line.startswith("estimation error:") for line in lines)
     try:
