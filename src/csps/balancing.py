@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset
+from .data import Dataset, _tie_free_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -639,14 +639,17 @@ class _BalancingDesign:
 
     The scores depend on the dataset and the balancing set only, so one
     design serves every target.  ``defined[j]`` marks the units where score
-    j is defined.  The logistic design is the N x J float matrix of scores;
-    the empirical one is the read-only cell of every unit's score tuple,
-    which every target's chained scores share as their index.
+    j is defined.  The logistic design is the N x J float matrix of scores
+    and its ``order`` (``_tie_free_order`` of the first score, so None on a
+    tie), which every chained fit takes its units from; the empirical one is
+    the read-only cell of every unit's score tuple, which every target's
+    chained scores share as their index.
     """
 
     contrasts: tuple[Contrast, ...]
     defined: np.ndarray
     features: np.ndarray | None = None
+    order: np.ndarray | None = None
     cells: np.ndarray | None = None
     num_cells: int = 0
 
@@ -668,7 +671,9 @@ def _balancing_design(
     defined = np.stack([sv.defined_mask for sv in base])
     if estimator == "logistic":
         features = np.column_stack([sv.as_floats() for sv in base])
-        return _BalancingDesign(balancing, defined, features=features)
+        return _BalancingDesign(
+            balancing, defined, features=features, order=_tie_free_order(features[:, 0])
+        )
     # cells of equal balancing-score tuples; a tuple with an undefined score
     # holds no eligible unit of any target that passes the checks, so its
     # cell stays undefined
@@ -692,7 +697,7 @@ def _chained_scores(design: _BalancingDesign, d: np.ndarray, ridge: float) -> Sc
         n_pos = np.bincount(design.cells[d == 1], minlength=design.num_cells)
         n_either = np.bincount(design.cells[eligible], minlength=design.num_cells)
         return ScoreVector.from_ratios(n_pos, n_either, index=design.cells)
-    return _logistic_scores(design.features, d, ridge=ridge)
+    return _logistic_scores(design.features, d, ridge, design.order)
 
 
 def chained_propensity(

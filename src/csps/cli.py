@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -121,10 +122,11 @@ def cmd_estimate(args) -> int:
     algo = AlgorithmConfig(estimator=args.estimator, ridge=args.ridge)
     dataset = load_dataset(args.data)
     contrasts = read_contrast_file(args.contrasts)
+    tags = [c.label or "-".join(str(v) for v in c.coefficients) for c in contrasts]
+    _refuse_repeats(tags, f"{args.contrasts}: two contrasts are tagged")
 
     columns: dict[str, np.ndarray] = {"unit": np.arange(1, dataset.n_units + 1)}
-    for c in contrasts:
-        tag = c.label or "-".join(str(v) for v in c.coefficients)
+    for c, tag in zip(contrasts, tags):
         d = assignment_indicators(c, dataset.treatments)
         if algo.estimator == "empirical":
             scores = empirical_csps(dataset, c)
@@ -157,6 +159,11 @@ def cmd_balance(args) -> int:
     path = _out_path(args, "balance.csv") if args.format in ("csv", "both") else None
     if args.per_unit:
         _in_a_directory(args.per_unit, "--per-unit")
+        _refuse_repeats(
+            [*dataset.covariate_names, dataset.treatment_name,
+             *(name for t in targets for name in _per_unit_names(t))],
+            f"{args.data}: --per-unit would write two columns named",
+        )
 
     report = run_algorithm(dataset, balancing, targets, algo)
     if args.format in ("text", "both"):
@@ -176,6 +183,19 @@ def cmd_balance(args) -> int:
     return 3 if failed else 0
 
 
+def _refuse_repeats(names, message: str) -> None:
+    """ParseError ``message`` and the first name of ``names`` that repeats."""
+    name, count = Counter(names).most_common(1)[0]
+    if count > 1:
+        raise ParseError(f"{message} {name!r}")
+
+
+def _per_unit_names(target) -> tuple[str, str, str]:
+    """The indicator, score and subclass columns ``--per-unit`` adds for ``target``."""
+    tag = target.describe()
+    return f"d[{tag}]", f"score[{tag}]", f"subclass[{tag}]"
+
+
 def _write_per_unit_csv(dataset, report, path) -> None:
     """Mirror the dataset plus indicator, score and subclass columns per target.
 
@@ -188,15 +208,13 @@ def _write_per_unit_csv(dataset, report, path) -> None:
     for entry in report.entries:
         if entry.error is not None:
             continue
-        tag = entry.contrast.describe()
+        d, score, subclass = _per_unit_names(entry.contrast)
         labels = entry.assignment.labels
-        extras[f"d[{tag}]"] = assignment_indicators(
-            entry.contrast, dataset.treatments
-        ).astype(np.int8)
-        extras[f"score[{tag}]"] = np.ma.masked_array(
+        extras[d] = assignment_indicators(entry.contrast, dataset.treatments).astype(np.int8)
+        extras[score] = np.ma.masked_array(
             entry.scores.as_floats(), mask=~entry.scores.defined_mask
         )
-        extras[f"subclass[{tag}]"] = np.ma.masked_array(labels, mask=labels == 0)
+        extras[subclass] = np.ma.masked_array(labels, mask=labels == 0)
     write_dataset_csv(dataset, path, extras)
 
 

@@ -13,7 +13,7 @@ double precision with a 1e-12 zero-sum tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -86,10 +86,15 @@ class Contrast:
         floats put the contrast in double-precision mode.
     label:
         Optional short name used in reports.
+
+    The read-only ``_signs`` table holds 0 and then the sign of each
+    coefficient, so that it maps a 1-based treatment label to the label's
+    group indicator.
     """
 
     coefficients: tuple
     label: str | None = None
+    _signs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(_coerce(v) for v in self.coefficients)
@@ -108,6 +113,9 @@ class Contrast:
         elif abs(total) > ZERO_SUM_TOL:
             raise NotAContrast(f"coefficients sum to {total!r}, expected 0")
         object.__setattr__(self, "coefficients", coeffs)
+        signs = np.array([0] + [_sgn(v) for v in coeffs], dtype=int)
+        signs.setflags(write=False)
+        object.__setattr__(self, "_signs", signs)
 
     @property
     def num_treatments(self) -> int:
@@ -120,7 +128,7 @@ class Contrast:
 
     def sign(self) -> tuple[int, ...]:
         """Componentwise sign vector in {-1, 0, +1}."""
-        return tuple(_sgn(v) for v in self.coefficients)
+        return tuple(self._signs[1:].tolist())
 
     def describe(self) -> str:
         """Label if present, else the coefficient tuple."""
@@ -272,8 +280,7 @@ def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
             f"treatment labels outside 1..{contrast.num_treatments}"
         )
     # label t reads entry t, so no shifted copy of the labels is made
-    signs = np.array((0, *contrast.sign()), dtype=int)
-    return signs[w]
+    return contrast._signs[w]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import Counter
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -97,6 +98,16 @@ class Dataset:
             self._cell_index = build_cell_index(self)
         return self._cell_index
 
+    @cached_property
+    def row_order(self) -> np.ndarray | None:
+        """Units in ascending order of the first covariate, built on first use.
+
+        None when two units share its value (``-0.0 == 0.0`` counts).  Every
+        logistic fit on the covariates takes its rows from this one order,
+        so they come sorted (see :func:`~csps.estimation.fit_binary_logistic`).
+        """
+        return _tie_free_order(self.covariates[:, 0])
+
     def __len__(self) -> int:
         return self.n_units
 
@@ -110,6 +121,21 @@ class Dataset:
 def _index_dtype(n: int):
     """int32 when it can index ``n`` entries (halving per-unit index arrays), else intp."""
     return np.int32 if n < 2 ** 31 else np.intp
+
+
+def _tie_free_order(column: np.ndarray) -> np.ndarray | None:
+    """The read-only ascending order of ``column``, or None on a tie or a NaN.
+
+    ``-0.0 == 0.0`` counts as a tie.  Without one, the order is the stable
+    argsort's, and any subset of it ascends strictly.
+    """
+    order = np.argsort(column, kind="stable")
+    ascending = column[order]
+    if not (ascending[1:] > ascending[:-1]).all():
+        return None
+    order = order.astype(_index_dtype(len(order)), copy=False)
+    order.setflags(write=False)
+    return order
 
 
 class CellIndex:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, _index_dtype
+from .data import Dataset, _index_dtype, _tie_free_order
 from .errors import (
     DimensionMismatch,
     NotConverged,
@@ -56,12 +56,13 @@ TOL = 1e-8  # convergence threshold on the (penalised) gradient norm
 MAX_HALVINGS = 30
 SEPARATION_RESIDUAL = 1e-6  # every unit fit this well means no finite optimum
 SEPARATION_NORM = 1e6
+_EPS = float(np.finfo(float).eps)
 
 
 def _acceptance_slack(value: float) -> float:
     # near the optimum the true gain of a Newton step can fall below the
     # float resolution of the total log-likelihood; accept within a few ulps
-    return 8.0 * np.finfo(float).eps * (1.0 + abs(value))
+    return 8.0 * _EPS * (1.0 + abs(value))
 
 
 def _sigmoid(z):
@@ -70,7 +71,11 @@ def _sigmoid(z):
 
 
 def _design(features: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(features.shape[0]), features])
+    """The intercept design: a column of ones, then ``features``."""
+    X = np.empty((features.shape[0], features.shape[1] + 1))
+    X[:, 0] = 1.0
+    X[:, 1:] = features
+    return X
 
 
 def _as_feature_matrix(features) -> np.ndarray:
@@ -92,10 +97,8 @@ def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     full lexicographic sort.
     """
     if features.shape[1]:
-        first = features[:, 0]
-        order = np.argsort(first, kind="stable")
-        ascending = first[order]
-        if (ascending[1:] > ascending[:-1]).all():
+        order = _tie_free_order(features[:, 0])
+        if order is not None:
             return order
     keys = [labels] + [features[:, k] for k in reversed(range(features.shape[1]))]
     return np.lexsort(keys)
@@ -124,10 +127,11 @@ def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
     return ll - 0.5 * float(pen @ (w * w)), z
 
 
-def _penalised_gradient(X, y, w, z, pen) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of :func:`_penalised_ll` at ``w`` from its ``z``, and the probabilities."""
+def _penalised_gradient(X, y, w, z, pen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient of :func:`_penalised_ll` at ``w`` from its ``z``; also ``p`` and ``y - p``."""
     p = _sigmoid(z)
-    return X.T @ (y - p) - pen * w, p
+    residual = y - p
+    return X.T @ residual - pen * w, p, residual
 
 
 def _objective_args(features, labels, coefficients, ridge):
@@ -170,6 +174,12 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     iterations.  Features so large that the Newton system overflows float64
     raise :class:`SingularHessian`, without a numpy warning.
 
+    The rows are summed in a canonical order (see ``_canonical_order``), so
+    the result does not depend on their order.  Rows whose first feature
+    already ascends strictly are in that order, and are fitted without a
+    sort: a caller that fits many subsets of one design sorts it once and
+    passes each subset in sorted order.
+
     Parameters
     ----------
     features:
@@ -182,21 +192,29 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         :class:`SeparationDetected`.
     """
     F = _as_feature_matrix(features)
-    y = np.asarray(labels).astype(float)
+    y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != F.shape[0]:
         raise ValueError("labels must be a vector matched to features")
     if y.size == 0:
         raise ValueError("empty dataset")
-    if np.all(y == y[0]):
-        raise OneClassOnly("labels contain a single class")
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise ValueError("labels must be boolean or 0/1")
+    if y.dtype == bool:
+        if y.all() or not y.any():
+            raise OneClassOnly("labels contain a single class")
+    else:
+        y = y.astype(float)
+        if np.all(y == y[0]):
+            raise OneClassOnly("labels contain a single class")
+        if np.any((y != 0.0) & (y != 1.0)):
+            raise ValueError("labels must be boolean or 0/1")
     pen = _penalty(ridge, F.shape[1] + 1)
 
-    order = _canonical_order(F, y)
+    # rows whose first feature ascends strictly are in canonical order already
+    if not (F.shape[1] and (F[1:, 0] > F[:-1, 0]).all()):
+        order = _canonical_order(F, y)
+        F, y = F[order], y[order]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _newton(_design(F[order]), y[order], pen, ridge)
+            return _newton(_design(F), y.astype(float, copy=False), pen, ridge)
     except FloatingPointError as exc:
         raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
 
@@ -215,17 +233,18 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
     # one pass per point w: the gradient there, then a Newton step from it
     # unless w is the optimum or the MAX_ITER-th step's result
     for iterations in range(MAX_ITER + 1):
-        g, p = _penalised_gradient(X, y, w, z, pen)
-        del z  # not held through the Hessian's N x P temporaries, which set peak memory
+        g, p, residual = _penalised_gradient(X, y, w, z, pen)
         if (
             ridge == 0.0
             and iterations < MAX_ITER
-            and np.max(np.abs(y - p)) < SEPARATION_RESIDUAL
+            and np.max(np.abs(residual)) < SEPARATION_RESIDUAL
         ):
             raise SeparationDetected(
                 "every unit is fitted almost perfectly; the likelihood has no "
                 "finite maximiser (retry with ridge > 0)"
             )
+        # not held through the Hessian's N x P temporaries, which set peak memory
+        del z, residual
         grad_norm = math.sqrt(g.dot(g))
         converged = grad_norm < TOL
         if converged or iterations == MAX_ITER:
@@ -501,16 +520,20 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     return ScoreVector.from_ratios(n_pos, n_either, index=cells.cell_of_unit)
 
 
-def _logistic_scores(features, d, ridge: float = 0.0) -> ScoreVector:
+def _logistic_scores(features, d, ridge: float, order) -> ScoreVector:
     """Fit a binary logistic model on the units with ``d != 0``, score every unit.
 
-    ``d`` holds +1/-1/0 group indicators.  Raises :class:`NotConverged` when
-    the Newton fit stops at :data:`MAX_ITER` iterations without reaching
-    :data:`TOL`.
+    ``d`` holds +1/-1/0 group indicators.  ``order`` is the tie-free
+    ascending order of the first feature (``_tie_free_order``), or None when
+    it has a tie: the fit takes its units in that order and does not sort
+    them, or without one sorts them itself.  Raises :class:`NotConverged`
+    when the Newton fit stops at :data:`MAX_ITER` iterations without
+    reaching :data:`TOL`.
     """
     F = _as_feature_matrix(features)
-    eligible = np.asarray(d) != 0
-    model = fit_binary_logistic(F[eligible], (np.asarray(d)[eligible] == 1), ridge=ridge)
+    d = np.asarray(d)
+    rows = d != 0 if order is None else order[d[order] != 0]
+    model = fit_binary_logistic(F[rows], d[rows] == 1, ridge=ridge)
     if not model.converged:
         raise NotConverged(
             f"Newton fit stopped after {model.iterations} iterations with "
@@ -527,7 +550,7 @@ def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> Scor
     """
     _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
-    return _logistic_scores(dataset.covariates, d, ridge=ridge)
+    return _logistic_scores(dataset.covariates, d, ridge, dataset.row_order)
 
 
 def csps_from_treatment_probs(probs, contrast: Contrast):

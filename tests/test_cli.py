@@ -155,6 +155,29 @@ class TestEstimate:
         assert code == 3
         assert "SeparationDetected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "contrasts, tag",
+        [
+            ("1 -1 0  # 1--1-0\n1 -1 0\n", "1--1-0"),
+            ("0 1 -1\n1/2 1/2 -1\n1 0 -1  # 1/2-1/2--1\n", "1/2-1/2--1"),
+        ],
+        ids=["label-then-coefficients", "coefficients-then-label"],
+    )
+    def test_repeated_column_tag_is_an_input_error(
+        self, example_csv, tmp_path, capsys, contrasts, tag
+    ):
+        # the columns are tagged by label, else by the joined coefficients;
+        # two contrasts of one tag would write one column pair
+        path = tmp_path / "tagged.txt"
+        path.write_text(contrasts)
+        out = tmp_path / "scores.csv"
+        argv = ["estimate", "--data", str(example_csv), "--contrasts", str(path)]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {path}: two contrasts are tagged {tag!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def reference_scores_csv(data_path, contrasts_path, estimator, path):
     """``csps estimate``'s scores.csv as the row-by-row writer made it."""
@@ -331,6 +354,32 @@ class TestBalance:
         assert first["subclass[second-vs-third]"] == ""  # not in either group
         scored = [r for r in rows if r["d[second-vs-third]"] != "0"]
         assert {r["subclass[second-vs-third]"] for r in scored} == {"1", "2", "3", "4"}
+
+    @pytest.mark.parametrize("column, name", [(0, "d[1-vs-2]"), (3, "subclass[1-vs-2]")])
+    def test_per_unit_column_clash_is_an_input_error(
+        self, example_csv, tmp_path, capsys, column, name
+    ):
+        # a dataset column named like a --per-unit column would be written
+        # twice, and the file could not be read back
+        lines = example_csv.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        header[column] = name
+        data = tmp_path / "clash.csv"
+        data.write_text(",".join(header) + "\n" + "".join(lines[1:]))
+        contrasts = tmp_path / "c.txt"
+        contrasts.write_text("1 -1 0  # 1-vs-2\n")
+        out, per_unit = tmp_path / "b.csv", tmp_path / "p.csv"
+        argv = ["balance", "--data", str(data), "--contrasts", str(contrasts),
+                "--estimator", "empirical", "--out", str(out)]
+        assert main(argv + ["--per-unit", str(per_unit)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: {data}: --per-unit would write two columns named {name!r}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists() and not per_unit.exists()
+        # without --per-unit the same names are no clash
+        assert main(argv) == 0
 
     @pytest.mark.parametrize(
         "balancing, targets, width",

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from csps import balancing, cli, data
+from csps import balancing, cli, data, estimation
 from csps.balancing import (
     AlgorithmConfig,
     SubclassAssignment,
@@ -38,8 +38,15 @@ from csps.contrasts import (
 )
 from csps.data import Dataset, write_dataset_csv
 from csps.errors import CspsError, EmptyFile, MissingValue, ParseError, TooFewUnits
-from csps.estimation import ScoreVector, _canonical_order, _dense_ids, empirical_csps
-from csps.simulation import simulation_contrasts
+from csps.estimation import (
+    ScoreVector,
+    _canonical_order,
+    _dense_ids,
+    empirical_csps,
+    fit_binary_logistic,
+    model_csps,
+)
+from csps.simulation import mechanism_ii, sample_dataset, simulation_contrasts
 
 EXTREMES = (
     0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
@@ -630,6 +637,96 @@ def test_canonical_order_equals_lexsort(case):
     event("argsort" if (ascending[1:] > ascending[:-1]).all() else "lexsort")
     keys = [y] + [X[:, k] for k in reversed(range(X.shape[1]))]
     assert _canonical_order(X, y).tolist() == np.lexsort(keys).tolist()
+
+
+@st.composite
+def shared_order_cases(draw):
+    """Units whose first covariate has no tie, a tie, or both signed zeros.
+
+    Also treatments, a contrast and a permutation of the units.
+    """
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, 3))
+    values = st.floats(-8, 8)
+    shape = draw(st.sampled_from(("distinct", "distinct", "tied", "signed zeros")))
+    if shape == "tied":
+        levels = draw(st.lists(values, min_size=1, max_size=4))
+        first = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    else:
+        sixteenths = draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n, unique=True))
+        first = [v / 16 for v in sixteenths]
+        if shape == "signed zeros":
+            first[:2] = [0.0, -0.0]
+    rest = draw(st.lists(st.lists(values, min_size=k - 1, max_size=k - 1),
+                         min_size=n, max_size=n))
+    X = np.column_stack([np.array(first), np.array(rest).reshape(n, k - 1)])
+    w = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    contrast = draw(st.sampled_from(CONTRASTS))
+    return X, w, contrast, np.array(draw(st.permutations(range(n))))
+
+
+def fit_outcome(fit):
+    """The fit's coefficient bits, iterations and log-likelihood path, or its error type."""
+    try:
+        model = fit()
+    except (CspsError, ValueError) as exc:
+        return type(exc)
+    return model.coefficients.tobytes(), model.iterations, model.log_likelihood_path
+
+
+@settings(max_examples=200)
+@given(shared_order_cases())
+@example((np.array([[0.0], [-0.0], [1.0], [2.0], [3.0]]), np.array([1, 2, 2, 1, 2]),
+          CONTRASTS[1], np.array([3, 1, 4, 0, 2])))
+def test_fits_through_a_shared_order_equal_unit_order_fits(case):
+    # model_csps fits the units of d != 0 in the order the dataset keeps;
+    # bit for bit that is the fit of those units in unit order, which sorts
+    # them itself, and when the dataset's order exists the fit sorts nothing
+    X, w, contrast, perm = case
+    dataset = make_dataset(X[perm], w[perm])
+    presorted = dataset.row_order is not None
+    event("shared order" if presorted else "tie: per-fit sort")
+    outcomes = []
+
+    def recorded(features, labels, ridge=0.0):
+        outcomes.append(fit_outcome(lambda: fit_binary_logistic(features, labels, ridge)))
+        return fit_binary_logistic(features, labels, ridge)
+
+    with mock.patch.object(estimation, "fit_binary_logistic", recorded), \
+            mock.patch.object(estimation, "_canonical_order",
+                              wraps=estimation._canonical_order) as sort, \
+            contextlib.suppress(CspsError, ValueError):
+        model_csps(dataset, contrast)
+    d = assignment_indicators(contrast, w)
+    eligible = d != 0
+    unit_order = fit_outcome(
+        lambda: fit_binary_logistic(X[eligible], (d[eligible] == 1).astype(float))
+    )
+    event("fitted" if isinstance(unit_order, tuple) else unit_order.__name__)
+    assert outcomes == [unit_order]
+    if presorted:
+        assert sort.call_count == 0
+
+
+@settings(max_examples=10)
+@given(st.lists(st.sampled_from(CONTRASTS), min_size=1, max_size=8))
+def test_one_order_per_score_design(targets):
+    # one for the covariates and one for the J balancing scores: every
+    # balancing and chained fit takes its units from one of the two
+    dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
+    order_of = data._tie_free_order
+    with contextlib.ExitStack() as stack:
+        orders = [
+            stack.enter_context(mock.patch.object(module, "_tie_free_order", wraps=order_of))
+            for module in (data, estimation, balancing)
+        ]
+        fits = stack.enter_context(mock.patch.object(
+            estimation, "fit_binary_logistic", wraps=fit_binary_logistic
+        ))
+        report = run_algorithm(dataset, simulation_contrasts()[:2], targets)
+    assert all(e.error is None for e in report.entries)
+    assert fits.call_count == 2 + len(targets)
+    assert sum(order.call_count for order in orders) == 2
 
 
 # scores within 1e-12 of 0 and of 1
