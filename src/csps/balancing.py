@@ -9,7 +9,8 @@ before and after subclassing.
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
 between them hold exactly, not merely to rounding.  The sums behind them are
-integer array reductions (:func:`_exact_group_sums`), and scores stay in the
+integer array reductions over many columns at once
+(:func:`_stacked_group_sums`), and scores stay in the
 array form of :class:`~csps.estimation.ScoreVector`; no per-unit Python
 object is made on the way.  Each difference is kept as one integer
 numerator over one integer denominator times a power of two; its float comes
@@ -23,8 +24,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,55 +70,102 @@ _LIMB_BITS = 26
 _UNITS_PER_SUM = 2 ** 26
 
 
+# A stacked sum takes at most this many values (a longer column goes alone):
+# stacking saves numpy's per-call cost on short columns, and past this length
+# it only adds temporaries.
+_VALUES_PER_CALL = 2 ** 16
+
+
 def _exact_group_sums(
     values: np.ndarray, groups: np.ndarray, num_groups: int
 ) -> tuple[list[int], int]:
     """Exact sums of float64 ``values`` per group label in ``0..num_groups-1``.
 
     Returns ``(totals, exponent)``: the sum over group ``g`` is exactly
-    ``totals[g] * 2**exponent``.  Each float is ``m * 2**(e - 53)`` with an
-    integer ``m`` below ``2**53`` in magnitude (``np.frexp``).  ``m`` is split
-    into a high limb (below ``2**27`` in magnitude) and a low 26-bit limb,
-    and each limb is summed with one ``np.bincount`` keyed by (group, ``e``).
-    Only the nonzero buckets are then combined, as Python ints.
+    ``totals[g] * 2**exponent``, and ``exponent`` is 53 below the least
+    ``np.frexp`` exponent of the values (0 with no values).  This is
+    :func:`_stacked_group_sums` of one column.
     """
-    if values.size == 0:
-        return [0] * num_groups, 0
-    # the limbs stay float64: scaling by powers of two, floor and the
-    # subtraction are exact, and no int64 copy of the mantissas is made
-    mantissa, exponent = np.frexp(values)
-    mantissa *= float(1 << (_MANTISSA_BITS - _LIMB_BITS))
-    high = np.floor(mantissa)
-    low = mantissa
-    low -= high
-    low *= float(1 << _LIMB_BITS)
-    e_min = int(exponent.min())
-    width = int(exponent.max()) - e_min + 1
-    key = groups * width
-    key += exponent
-    key -= e_min
-    buckets = None
-    nbins = num_groups * width
-    if nbins > 2 * values.size + 256:
-        # few (group, exponent) pairs occur: number only those
-        buckets, key = np.unique(key, return_inverse=True)
-        nbins = len(buckets)
-    high_sum = np.zeros(nbins, dtype=np.int64)
-    low_sum = np.zeros(nbins, dtype=np.int64)
-    for start in range(0, values.size, _UNITS_PER_SUM):
-        part = slice(start, start + _UNITS_PER_SUM)
-        for limb, limb_sum in ((high, high_sum), (low, low_sum)):
-            sums = np.bincount(key[part], weights=limb[part], minlength=nbins)
-            limb_sum += sums.astype(np.int64)
-    used = (high_sum | low_sum).nonzero()[0]
-    code = used if buckets is None else buckets[used]
-    group, shift = np.divmod(code, width)
-    totals = [0] * num_groups
-    for g, shift, h, lo in zip(
-        group.tolist(), shift.tolist(), high_sum[used].tolist(), low_sum[used].tolist()
-    ):
-        totals[g] += ((h << _LIMB_BITS) + lo) << shift
-    return totals, e_min - _MANTISSA_BITS
+    return _stacked_group_sums([(values, groups, num_groups)])[0]
+
+
+def _stacked_group_sums(columns) -> list[tuple[list[int], int]]:
+    """:func:`_exact_group_sums` of every ``(values, groups, num_groups)`` column.
+
+    Each column gets exactly the ``(totals, exponent)`` that a call on it
+    alone returns.  Columns are summed together, ``max(1, cap // length)``
+    of them per call for columns of one length, the cap being
+    ``_VALUES_PER_CALL`` values.  Each float is ``m * 2**(e - 53)`` with an
+    integer ``m`` below ``2**53`` in magnitude (``np.frexp``).  ``m`` is
+    split into a high limb (below ``2**27`` in magnitude) and a low 26-bit
+    limb, and each limb is summed with one ``np.bincount`` keyed by (column,
+    group, ``e``); a column's keys start after the previous column's and run
+    from its own least ``e``, so its integers do not depend on the other
+    columns.  Only the nonzero buckets are then combined, as Python ints.
+    """
+    results, batch, size = [], [], 0
+    for column in columns:
+        if batch and size + len(column[0]) > _VALUES_PER_CALL:
+            results += _sum_stack(batch)
+            batch, size = [], 0
+        batch.append(column)
+        size += len(column[0])
+    return results + _sum_stack(batch)
+
+
+def _sum_stack(columns) -> list[tuple[list[int], int]]:
+    """The sums of :func:`_stacked_group_sums` for columns summed in one call."""
+    first = list(accumulate([0] + [num_groups for _, _, num_groups in columns]))
+    totals = [0] * first[-1]
+    exponents = [0] * len(columns)
+    live = [c for c, (values, _, _) in enumerate(columns) if len(values)]
+    if live:
+        sizes = [len(columns[c][0]) for c in live]
+        # the limbs stay float64: scaling by powers of two, floor and the
+        # subtraction are exact, and no int64 copy of the mantissas is made
+        mantissa, exponent = np.frexp(_joined([columns[c][0] for c in live]))
+        mantissa *= float(1 << (_MANTISSA_BITS - _LIMB_BITS))
+        high = np.floor(mantissa)
+        low = mantissa
+        low -= high
+        low *= float(1 << _LIMB_BITS)
+        starts = list(accumulate([0] + sizes[:-1]))
+        e_min = np.minimum.reduceat(exponent, starts).astype(np.intp)
+        width = int((np.maximum.reduceat(exponent, starts) - e_min).max()) + 1
+        # key = (the column's first group + group) * width + e - the column's least e
+        start_key = np.array([first[c] for c in live]) * width - e_min
+        key = _joined([columns[c][1] for c in live]) * width
+        key += exponent
+        key += start_key[0] if len(live) == 1 else np.repeat(start_key, sizes)
+        del exponent  # freed early: the stack's temporaries set a pass's peak memory
+        buckets = None
+        nbins = first[-1] * width
+        if nbins > 2 * key.size + 256:
+            # few (column, group, exponent) triples occur: number only those
+            buckets, key = np.unique(key, return_inverse=True)
+            nbins = len(buckets)
+        high_sum = np.zeros(nbins, dtype=np.int64)
+        low_sum = np.zeros(nbins, dtype=np.int64)
+        for start in range(0, key.size, _UNITS_PER_SUM):
+            part = slice(start, start + _UNITS_PER_SUM)
+            for limb, limb_sum in ((high, high_sum), (low, low_sum)):
+                sums = np.bincount(key[part], weights=limb[part], minlength=nbins)
+                limb_sum += sums.astype(np.int64)
+        used = (high_sum | low_sum).nonzero()[0]
+        code = used if buckets is None else buckets[used]
+        group, shift = np.divmod(code, width)
+        for g, shift, h, lo in zip(
+            group.tolist(), shift.tolist(), high_sum[used].tolist(), low_sum[used].tolist()
+        ):
+            totals[g] += ((h << _LIMB_BITS) + lo) << shift
+        for c, e in zip(live, e_min.tolist()):
+            exponents[c] = e - _MANTISSA_BITS
+    return [(totals[first[c]:first[c + 1]], exponents[c]) for c in range(len(columns))]
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a single array as it is, without a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _scaled_fraction(numerator: int, denominator: int, exponent: int) -> Fraction:
@@ -373,15 +422,15 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
 def _cut_steps(n: int, num_subclasses: int) -> np.ndarray:
     """The s in 1..S-1 whose s/S quantile cuts group n values as all S - 1 do.
 
-    1, S - 1 and the first and last s of each run of s sharing the floor of
+    Every s while S - 1 <= 2n, which is at most 2n steps.  Beyond that, 1,
+    S - 1 and the first and last s of each run of s sharing the floor of
     the virtual index ``(n - 1) * (s / S)``, found by halving the gaps of a
-    grid of at most 2n + 2 evenly spaced s where that floor rises (it never
-    falls as s grows), so every s while S - 1 <= 2n + 1.  A run's
-    cuts lie between the same two sorted values and rise with s, so its end
-    cuts split the values as all its cuts do.
+    grid of at most 2n + 2 evenly spaced s where that floor rises (it never falls
+    as s grows).  A run's cuts lie between the same two sorted values and
+    rise with s, so its end cuts split the values as all its cuts do.
     """
     S = num_subclasses
-    if S < 2:
+    if S - 1 <= 2 * n:
         return np.arange(1, S)
 
     def floor_index(s):
@@ -600,37 +649,73 @@ def covariate_mean_difference(
     their average weighted by each subclass's share of the target's units.
     The groups always come from the target and the treatments, so subclasses
     made for one contrast can check the balance of another; a subclass
-    lacking one of the target's groups raises :class:`~csps.errors.EmptyGroup`.
-    One exact group sum per covariate serves the pooled pair and every
-    subclass pair.  A target whose width is not the dataset's number of
-    treatments raises :class:`~csps.errors.DimensionMismatch`.
+    lacking one of the target's groups raises :class:`~csps.errors.EmptyGroup`,
+    as do more subclasses than either group has units.  One exact group sum
+    per covariate serves the pooled pair and every subclass pair.  A target
+    whose width is not the dataset's number of treatments raises
+    :class:`~csps.errors.DimensionMismatch`.
     """
+    return _mean_differences(dataset, [_compared_groups(dataset, target, subclasses)])[0]
+
+
+class _Comparison(NamedTuple):
+    """A target's groups as :func:`covariate_mean_difference` checked them.
+
+    ``groups[i]`` is the group of ``eligible[i]``: 2s for subclass s's
+    positive units and 2s + 1 for its negative ones; ``counts[g]`` is the
+    size of group g.
+    """
+
+    target: Contrast
+    subclasses: SubclassAssignment | None
+    eligible: np.ndarray
+    groups: np.ndarray
+    counts: list[int]
+
+
+def _compared_groups(
+    dataset: Dataset, target: Contrast, subclasses: SubclassAssignment | None
+) -> _Comparison:
+    """The checks of :func:`covariate_mean_difference`, and the groups it sums."""
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
         raise ValueError("subclass labels must cover every unit of the dataset")
     d = assignment_indicators(target, dataset.treatments)
     eligible = np.flatnonzero(d != 0)
-    # group 2s holds subclass s's positive units and 2s + 1 its negative ones
     groups = (d[eligible] == -1).astype(np.intp)
-    S = 0
+    n_neg = int(np.count_nonzero(groups))
+    S = 0 if subclasses is None else subclasses.num_subclasses
+    # every subclass needs a unit of each group, which also bounds the
+    # group counts below by the units, whatever S is
+    if min(len(groups) - n_neg, n_neg) < max(S, 1):
+        raise EmptyGroup("a comparison group is empty")
     if subclasses is not None:
-        S = subclasses.num_subclasses
         groups += 2 * subclasses.labels[eligible].astype(np.intp)
     counts = np.bincount(groups, minlength=2 * (S + 1)).tolist()
-    n_pos, n_neg = sum(counts[0::2]), sum(counts[1::2])
-    if n_pos == 0 or n_neg == 0 or 0 in counts[2:]:
+    if 0 in counts[2:]:
         raise EmptyGroup("a comparison group is empty")
-    sums = [
-        _exact_group_sums(dataset.covariates[eligible, k], groups, len(counts))
-        for k in range(dataset.num_covariates)
+    return _Comparison(target, subclasses, eligible, groups, counts)
+
+
+def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
+    """One entry per :class:`_Comparison`, from one :func:`_stacked_group_sums`
+    over all of their (target, covariate) columns."""
+    K = dataset.num_covariates
+    sums = _stacked_group_sums([
+        (dataset.covariates[c.eligible, k], c.groups, len(c.counts))
+        for c in comparisons
+        for k in range(K)
+    ])
+    return [
+        ContrastBalance(
+            contrast=c.target,
+            n_positive=sum(c.counts[0::2]),
+            n_negative=sum(c.counts[1::2]),
+            assignment=c.subclasses,
+            _totals=_GroupTotals(c.counts, sums[i * K:(i + 1) * K], c.subclasses is not None),
+        )
+        for i, c in enumerate(comparisons)
     ]
-    return ContrastBalance(
-        contrast=target,
-        n_positive=n_pos,
-        n_negative=n_neg,
-        assignment=subclasses,
-        _totals=_GroupTotals(counts, sums, subclasses is not None),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -759,6 +844,16 @@ def run_algorithm(
         except CspsError as exc:
             failure = _error_text(exc)
     entries = []
+    # targets whose sums wait to be stacked, and their places in entries; the
+    # sums are taken once the waiting columns hold _VALUES_PER_CALL values
+    waiting, places = [], []
+
+    def take_sums():
+        for place, entry in zip(places, _mean_differences(dataset, waiting)):
+            entries[place] = entry
+        waiting.clear()
+        places.clear()
+
     for target in targets:
         if failure is not None:
             entries.append(ContrastBalance(contrast=target, error=failure))
@@ -770,9 +865,16 @@ def run_algorithm(
                 scores, d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,
             )
-            entries.append(covariate_mean_difference(dataset, target, assignment))
+            waiting.append(_compared_groups(dataset, target, assignment))
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
+            continue
+        places.append(len(entries))
+        entries.append(None)
+        held = sum(len(c.eligible) for c in waiting) * dataset.num_covariates
+        if held >= _VALUES_PER_CALL:
+            take_sums()
+    take_sums()
     return BalanceReport(
         covariate_names=dataset.covariate_names, entries=tuple(entries)
     )

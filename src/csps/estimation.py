@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .contrasts import Contrast, _coerce, assignment_indicators
 from .data import Dataset, _index_dtype, _tie_free_order
@@ -252,9 +253,12 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
         weights = p * (1.0 - p)
         H = (X * weights[:, None]).T @ X + pen_matrix
         try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian("Newton system is singular") from exc
+            # np.linalg.solve's own LAPACK gufunc, without its Python wrapper:
+            # the same bytes, and a singular H sets the invalid flag, which
+            # the fit's errstate raises
+            step = _umath_linalg.solve1(H, g, signature="dd->d")
+        except FloatingPointError:
+            raise SingularHessian("Newton system is singular") from None
         current = ll_path[-1]
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step

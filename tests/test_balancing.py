@@ -279,6 +279,16 @@ class TestCovariateMeanDifference:
         with pytest.raises(EmptyGroup):
             covariate_mean_difference(d, Contrast((1, -1, 0)))
 
+    def test_more_subclasses_than_units_is_an_empty_group(self):
+        # each subclass needs a unit of both groups; the check comes before
+        # any allocation sized by the subclass count
+        dataset = Dataset([[0.0], [1.0], [2.0], [3.0]], [1, 2, 1, 2], num_treatments=2)
+        for S in (3, 10 ** 12):
+            with pytest.raises(EmptyGroup, match="comparison group is empty"):
+                covariate_mean_difference(
+                    dataset, Contrast((1, -1)), SubclassAssignment([1, 1, 1, 1], S)
+                )
+
     def test_labels_must_cover_the_dataset(self, example):
         labels = SubclassAssignment([1] * (example.n_units - 1), 1)
         with pytest.raises(ValueError, match="cover every unit"):
@@ -443,6 +453,49 @@ class TestRunAlgorithm:
         assert entry.num_subclasses == 4
         assert entry.after_exact == (Fraction(0),) * 3
         assert entry.n_positive == 7 and entry.n_negative == 9
+
+    @pytest.mark.parametrize("cap", [1, 200, 10 ** 9])
+    def test_stacked_sums_give_each_target_its_own_entry(self, monkeypatch, cap):
+        # 60 units of treatments 1 and 2 and two covariates: a target holds
+        # 120 values, so a cap of 200 stacks two targets and 1 none; the
+        # failed target in between keeps its place
+        import warnings
+
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # treatment 3 is absent
+            dataset = Dataset(rng.normal(size=(60, 2)), np.tile([1, 2], 30), num_treatments=3)
+        targets = [
+            Contrast((1, -1, 0)), Contrast((1, 1, -2)), Contrast((-1, 1, 0)), Contrast((2, -2, 0)),
+        ]
+        config = AlgorithmConfig(num_subclasses=3)
+        expected = [
+            covariate_mean_difference(
+                dataset, target, subclassify(
+                    chained_propensity(dataset, [Contrast((1, -1, 0))], target),
+                    indicators(target, dataset), num_subclasses=3,
+                ),
+            )
+            for target in targets[::2] + targets[3:]
+        ]
+        stacked = []
+        real = balancing._mean_differences
+
+        def watched(dataset, comparisons):
+            stacked.append(len(comparisons))
+            return real(dataset, comparisons)
+
+        monkeypatch.setattr(balancing, "_VALUES_PER_CALL", cap)
+        monkeypatch.setattr(balancing, "_mean_differences", watched)
+        report = run_algorithm(dataset, [Contrast((1, -1, 0))], targets, config)
+        assert [n for n in stacked if n] == {1: [1, 1, 1], 200: [2, 1]}.get(cap, [3])
+        assert [e.error is None for e in report] == [True, False, True, True]
+        assert "OneClassOnly" in report.entries[1].error
+        for entry, alone in zip(report.entries[::2] + report.entries[3:], expected):
+            assert entry.contrast == alone.contrast
+            assert entry.before_exact == alone.before_exact
+            assert entry.after_exact == alone.after_exact
+            assert entry.assignment.labels.tolist() == alone.assignment.labels.tolist()
 
     def test_simulation_builds_no_fraction(self, monkeypatch):
         # the simulation reads only the floats, which come from integers

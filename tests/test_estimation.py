@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,27 @@ class TestBinaryFit:
         y = np.array([1, 0, 0, 1, 1, 0])
         with pytest.raises(SingularHessian, match="beyond float64"):
             fit_binary_logistic(X, y)
+
+    def test_bare_solve_equals_numpy_solve(self, rng):
+        # the fit calls np.linalg.solve's gufunc without its wrapper
+        from numpy.linalg import _umath_linalg
+
+        for size in (2, 3, 4, 5) * 50:
+            A = rng.normal(size=(size, size))
+            H = A @ A.T + size * np.eye(size)
+            g = rng.normal(size=size)
+            bare = _umath_linalg.solve1(H, g, signature="dd->d")
+            assert bare.tobytes() == np.linalg.solve(H, g).tobytes()
+
+    def test_singular_newton_system_fails_typed(self):
+        # a constant column repeats the intercept: with ridge 0 the Newton
+        # matrix is exactly singular, which fails without a numpy warning
+        X = np.column_stack([np.arange(6.0), np.full(6, 2.0)])
+        y = np.array([0, 1, 0, 1, 1, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularHessian, match="Newton system is singular"):
+                fit_binary_logistic(X, y, ridge=0.0)
 
     def test_recovers_assignment_coefficients(self):
         # under the multinomial-logit mechanism the score of the 1-vs-2

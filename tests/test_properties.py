@@ -260,6 +260,57 @@ def test_group_sums_ignore_unit_order(case, random):
     )
 
 
+CAP = balancing._VALUES_PER_CALL
+WIDE = np.array(EXTREMES + (-1.7976931348623157e308, 2.0 ** -1022, -(2.0 ** -1074)))
+
+
+@st.composite
+def stacked_columns(draw):
+    """1-5 columns with their groups: short ones drawn value by value, long
+    ones around the stacking cap from a seeded generator, at one drawn binary
+    scale with extremes mixed in; labels cover only part of the groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.one_of(
+            st.integers(0, 30), st.sampled_from((CAP // 3, CAP // 2, CAP - 1, CAP, CAP + 1))
+        ))
+        if n <= 30:
+            values = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+        else:
+            values = np.clip(rng.normal(size=n), -4.0, 4.0) * 2.0 ** draw(st.integers(-1074, 1020))
+            extreme = rng.random(n) < draw(st.sampled_from((0.0, 0.01, 1.0)))
+            values[extreme] = rng.choice(WIDE, int(extreme.sum()))
+        num_groups = draw(st.integers(1, 12))
+        labelled = draw(st.integers(1, num_groups))  # groups past this stay empty
+        columns.append((values, rng.integers(0, labelled, n).astype(np.intp), num_groups))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_columns())
+# exponents 2,097 apart: each column keeps its own least exponent
+@example([
+    (np.array([1.7976931348623157e308, -1e300, 1.7976931348623157e308]), np.array([0, 1, 0]), 2),
+    (np.array([5e-324, -5e-324, 5e-324, 1e-310]), np.array([0, 0, 2, 2]), 3),
+])
+def test_stacked_sums_equal_single_column_sums(columns):
+    stacks = []
+
+    def watched(batch):
+        stacks.append([len(values) for values, _, _ in batch])
+        return real(batch)
+
+    real = balancing._sum_stack
+    with mock.patch.object(balancing, "_sum_stack", watched):
+        stacked = balancing._stacked_group_sums(columns)
+    assert stacked == [_exact_group_sums(*column) for column in columns]
+    # a call takes as many columns as fit in the cap, and at least one
+    assert [n for sizes in stacks for n in sizes] == [len(c[0]) for c in columns]
+    assert all(len(sizes) == 1 or sum(sizes) <= CAP for sizes in stacks)
+    assert all(sum(sizes) + after[0] > CAP for sizes, after in zip(stacks, stacks[1:]))
+
+
 @given(datasets(min_units=2), st.sampled_from(CONTRASTS), st.data())
 def test_mean_differences_equal_fraction_reference(data_case, target, data):
     X, w = data_case
@@ -767,6 +818,9 @@ def numpy_quantile_cuts(values, S):
 # floor's runs differ from exact arithmetic's
 @example((np.linspace(0.0, 1.0, 50) ** 3, 49 * 1021, np.tile([1, -1], 25)))
 @example((np.repeat([0.25, 0.5, 1.0], [3, 40, 7]), 10 ** 5, np.tile([1, -1, 0, 1, -1], 10)))
+# S - 1 = 2n takes every s; S - 1 = 2n + 1 bisects a grid of every s
+@example((np.linspace(0.0, 1.0, 7) ** 2, 15, np.array([1, -1, 1, 0, -1, 1, -1])))
+@example((np.linspace(0.0, 1.0, 7) ** 2, 16, np.array([1, -1, 1, 0, -1, 1, -1])))
 def test_quantile_cuts_equal_np_quantile(case):
     values, S, d = case
     # the cuts are np.quantile's at the steps used, at most 2n of them
@@ -786,6 +840,12 @@ def test_quantile_cuts_equal_np_quantile(case):
         return found.labels.tolist(), found.num_subclasses
 
     assert outcome(balancing._quantile_cuts) == outcome(numpy_quantile_cuts)
+
+
+@given(st.integers(1, 2000), st.data())
+def test_small_subclass_counts_cut_at_every_step(n, data):
+    S = data.draw(st.integers(1, 2 * n + 1))
+    assert np.array_equal(balancing._cut_steps(n, S), np.arange(1, S))
 
 
 # ---------------------------------------------------------------------------
