@@ -10,7 +10,8 @@ Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
 between them hold exactly, not merely to rounding.  The sums behind them are
 integer array reductions over many columns at once
-(:func:`_stacked_group_sums`), and scores stay in the
+(:func:`_stacked_group_sums`), per unit or, on exact cells, per (cell,
+group) pair weighted by its units, and scores stay in the
 array form of :class:`~csps.estimation.ScoreVector`; no per-unit Python
 object is made on the way.  Each difference is kept as one integer
 numerator over one integer denominator times a power of two; its float comes
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _tie_free_order
+from .data import CellIndex, Dataset, _tie_free_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -42,6 +43,7 @@ from .errors import (
 from .estimation import (
     ScoreVector,
     _check_ridge,
+    _cell_scores,
     _check_width,
     _dense_ids,
     _logistic_scores,
@@ -89,55 +91,98 @@ def _exact_group_sums(
     return _stacked_group_sums([(values, groups, num_groups)])[0]
 
 
+class _Column(NamedTuple):
+    """One column of :func:`_stacked_group_sums`.
+
+    Its values are ``values[units]`` (all of ``values`` when ``units`` is
+    None), and ``groups[i]`` is the group of value i.  Value i counts
+    ``multiplicity[i]`` times (once when it is None): a column of cell rows
+    weighted by the units each stands for sums as the per-unit column.
+    """
+
+    values: np.ndarray
+    groups: np.ndarray
+    num_groups: int
+    units: np.ndarray | None = None
+    multiplicity: np.ndarray | None = None
+
+
 def _stacked_group_sums(columns) -> list[tuple[list[int], int]]:
-    """:func:`_exact_group_sums` of every ``(values, groups, num_groups)`` column.
+    """:func:`_exact_group_sums` of every :class:`_Column` (or tuple of its fields).
 
     Each column gets exactly the ``(totals, exponent)`` that a call on it
-    alone returns.  Columns are summed together, ``max(1, cap // length)``
-    of them per call for columns of one length, the cap being
-    ``_VALUES_PER_CALL`` values.  Each float is ``m * 2**(e - 53)`` with an
-    integer ``m`` below ``2**53`` in magnitude (``np.frexp``).  ``m`` is
-    split into a high limb (below ``2**27`` in magnitude) and a low 26-bit
-    limb, and each limb is summed with one ``np.bincount`` keyed by (column,
-    group, ``e``); a column's keys start after the previous column's and run
-    from its own least ``e``, so its integers do not depend on the other
-    columns.  Only the nonzero buckets are then combined, as Python ints.
+    alone returns, and a column with multiplicities exactly those of its
+    values each repeated that many times.  Columns are summed together,
+    ``max(1, cap // length)`` of them per call for columns of one length,
+    the cap being ``_VALUES_PER_CALL`` values.  Each float is
+    ``m * 2**(e - 53)`` with an integer ``m`` below ``2**53`` in magnitude
+    (``np.frexp``).  ``m`` is split into a high limb (below ``2**27`` in
+    magnitude) and a low 26-bit limb, and each limb, times the value's
+    multiplicity, is summed with one ``np.bincount`` keyed by (column, group,
+    ``e``); a column's keys start after the previous column's and run from
+    its own least ``e``, so its integers do not depend on the other columns.
+    Only the nonzero buckets are then combined, as Python ints.
+
+    Every partial sum stays an integer below ``2**53``, so float64 adds it
+    exactly: a call adds at most ``_UNITS_PER_SUM`` values per bincount, and
+    a column's multiplicities must add up to at most ``_UNITS_PER_SUM``.
     """
     results, batch, size = [], [], 0
     for column in columns:
-        if batch and size + len(column[0]) > _VALUES_PER_CALL:
+        length = len(column[1])  # the groups: one per value
+        if batch and size + length > _VALUES_PER_CALL:
             results += _sum_stack(batch)
             batch, size = [], 0
         batch.append(column)
-        size += len(column[0])
+        size += length
     return results + _sum_stack(batch)
 
 
 def _sum_stack(columns) -> list[tuple[list[int], int]]:
-    """The sums of :func:`_stacked_group_sums` for columns summed in one call."""
-    first = list(accumulate([0] + [num_groups for _, _, num_groups in columns]))
+    """The sums of :func:`_stacked_group_sums` for columns summed in one call.
+
+    The values are gathered straight into one buffer, which ``np.frexp``
+    turns into the mantissas and then the low limbs, and the keys are built
+    in place on the exponents, so three 8-byte arrays per value are held at
+    once: the low limbs, the high limbs and the keys.
+    """
+    columns = [_Column(*column) for column in columns]
+    first = list(accumulate([0] + [column.num_groups for column in columns]))
     totals = [0] * first[-1]
     exponents = [0] * len(columns)
-    live = [c for c, (values, _, _) in enumerate(columns) if len(values)]
+    live = [c for c, column in enumerate(columns) if len(column.groups)]
     if live:
-        sizes = [len(columns[c][0]) for c in live]
+        sizes = [len(columns[c].groups) for c in live]
+        starts = list(accumulate([0] + sizes[:-1]))
+        parts = [slice(start, start + size) for start, size in zip(starts, sizes)]
+        mantissa = np.empty(starts[-1] + sizes[-1])
+        for c, part in zip(live, parts):
+            values, units = columns[c].values, columns[c].units
+            mantissa[part] = values if units is None else values[units]
+        key = np.empty(mantissa.size, dtype=np.intp)
+        np.frexp(mantissa, out=(mantissa, key))
         # the limbs stay float64: scaling by powers of two, floor and the
         # subtraction are exact, and no int64 copy of the mantissas is made
-        mantissa, exponent = np.frexp(_joined([columns[c][0] for c in live]))
         mantissa *= float(1 << (_MANTISSA_BITS - _LIMB_BITS))
         high = np.floor(mantissa)
         low = mantissa
         low -= high
         low *= float(1 << _LIMB_BITS)
-        starts = list(accumulate([0] + sizes[:-1]))
-        e_min = np.minimum.reduceat(exponent, starts).astype(np.intp)
-        width = int((np.maximum.reduceat(exponent, starts) - e_min).max()) + 1
+        if any(columns[c].multiplicity is not None for c in live):
+            # a limb times a multiplicity stays below 2**53, so exact
+            multiplicity = np.ones(key.size)
+            for c, part in zip(live, parts):
+                if columns[c].multiplicity is not None:
+                    multiplicity[part] = columns[c].multiplicity
+            high *= multiplicity
+            low *= multiplicity
+            del multiplicity
+        e_min = np.minimum.reduceat(key, starts)
+        width = int((np.maximum.reduceat(key, starts) - e_min).max()) + 1
         # key = (the column's first group + group) * width + e - the column's least e
-        start_key = np.array([first[c] for c in live]) * width - e_min
-        key = _joined([columns[c][1] for c in live]) * width
-        key += exponent
-        key += start_key[0] if len(live) == 1 else np.repeat(start_key, sizes)
-        del exponent  # freed early: the stack's temporaries set a pass's peak memory
+        for c, part, e in zip(live, parts, e_min.tolist()):
+            key[part] += columns[c].groups * width
+            key[part] += first[c] * width - e
         buckets = None
         nbins = first[-1] * width
         if nbins > 2 * key.size + 256:
@@ -151,6 +196,7 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
             for limb, limb_sum in ((high, high_sum), (low, low_sum)):
                 sums = np.bincount(key[part], weights=limb[part], minlength=nbins)
                 limb_sum += sums.astype(np.int64)
+        del mantissa, high, low, key  # freed before the Python ints are made
         used = (high_sum | low_sum).nonzero()[0]
         code = used if buckets is None else buckets[used]
         group, shift = np.divmod(code, width)
@@ -161,11 +207,6 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
         for c, e in zip(live, e_min.tolist()):
             exponents[c] = e - _MANTISSA_BITS
     return [(totals[first[c]:first[c + 1]], exponents[c]) for c in range(len(columns))]
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays end to end; a single array as it is, without a copy."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _scaled_fraction(numerator: int, denominator: int, exponent: int) -> Fraction:
@@ -367,9 +408,18 @@ class SubclassAssignment:
             raise ValueError("subclass labels must be nonnegative")
         if int(lab.max(initial=0)) > num_subclasses:
             raise ValueError("subclass labels must not exceed num_subclasses")
-        lab = lab.astype(np.min_scalar_type(int(num_subclasses)))
-        lab.setflags(write=False)
-        self.labels = lab
+        self._set(lab.astype(np.min_scalar_type(int(num_subclasses))), num_subclasses, scores)
+
+    @classmethod
+    def _built(cls, labels: np.ndarray, num_subclasses: int, scores) -> "SubclassAssignment":
+        """An assignment over valid labels already in their narrowest type, kept without a copy."""
+        self = cls.__new__(cls)
+        self._set(labels, num_subclasses, scores)
+        return self
+
+    def _set(self, labels: np.ndarray, num_subclasses: int, scores) -> None:
+        labels.setflags(write=False)
+        self.labels = labels
         self.num_subclasses = int(num_subclasses)
         self.scores = scores
 
@@ -489,6 +539,10 @@ def subclassify(
     contains both, which collapses degenerate splits instead of failing.
     Subclass ids are 1-based in ascending score order.  ``num_subclasses``
     must be a whole number in [1, 2**63), whichever the method.
+
+    Both signs' counts per group come from one ``np.bincount``, only exact
+    scores are checked for undefined ones (float scores are all defined),
+    and the labels are built in the narrowest unsigned type that holds them.
     """
     S = _subclass_count(num_subclasses)
     d = np.asarray(d_indicator)
@@ -498,16 +552,17 @@ def subclassify(
     if eligible.size == 0:
         raise TooFewUnits("no units are assigned to either group")
     sign = d[eligible]
-    positive, negative = sign == 1, sign == -1
-    if not (positive | negative).all():
+    negative = sign == -1
+    n_neg = int(np.count_nonzero(negative))
+    n_pos = int(np.count_nonzero(sign == 1))
+    if n_pos + n_neg != len(eligible):
         raise ValueError("group indicators must be 1, -1 or 0")
-    if not (positive.any() and negative.any()):
+    if not (n_pos and n_neg):
         raise TooFewUnits("all eligible units fall in a single group")
-    if not scores.defined_mask[eligible].all():
-        raise UndefinedScores(
-            f"{int((~scores.defined_mask[eligible]).sum())} eligible units have "
-            "undefined scores"
-        )
+    if scores.is_exact:
+        undefined = len(eligible) - int(np.count_nonzero(scores.defined_mask[eligible]))
+        if undefined:
+            raise UndefinedScores(f"{undefined} eligible units have undefined scores")
 
     # group[i]: the score-ordered group of eligible unit i before merging
     if method == "exact":
@@ -520,14 +575,15 @@ def subclassify(
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 
-    num_groups = int(group.max()) + 1
-    subclass, num_merged = _merge_one_class_groups(
-        np.bincount(group[positive], minlength=num_groups).tolist(),
-        np.bincount(group[negative], minlength=num_groups).tolist(),
-    )
-    labels = np.zeros(len(scores), dtype=np.intp)
-    labels[eligible] = subclass[group] + 1
-    return SubclassAssignment(labels, num_merged, scores=scores)
+    # 2 * group + 1 for the negative units, 2 * group for the positive ones
+    key = group * np.intp(2)
+    key += negative
+    counts = np.bincount(key, minlength=2 * (int(group.max()) + 1))
+    subclass, num_merged = _merge_one_class_groups(counts[0::2].tolist(), counts[1::2].tolist())
+    label_of_group = (subclass + 1).astype(np.min_scalar_type(num_merged))
+    labels = np.zeros(len(scores), dtype=label_of_group.dtype)
+    labels[eligible] = label_of_group[group]
+    return SubclassAssignment._built(labels, num_merged, scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,43 +714,86 @@ def covariate_mean_difference(
     return _mean_differences(dataset, [_compared_groups(dataset, target, subclasses)])[0]
 
 
+class _Indicator(NamedTuple):
+    """A target's indicator ``d`` over the units, its eligible units (``d != 0``)
+    and, for each eligible unit, whether it is in the negative group."""
+
+    d: np.ndarray
+    eligible: np.ndarray
+    negative: np.ndarray
+
+
+def _indicator(dataset: Dataset, target: Contrast) -> _Indicator:
+    d = assignment_indicators(target, dataset.treatments)
+    # through a bool mask: np.flatnonzero of the int64 indicator itself is
+    # about five times slower
+    eligible = np.flatnonzero(d != 0)
+    return _Indicator(d, eligible, d[eligible] == -1)
+
+
 class _Comparison(NamedTuple):
     """A target's groups as :func:`covariate_mean_difference` checked them.
 
-    ``groups[i]`` is the group of ``eligible[i]``: 2s for subclass s's
-    positive units and 2s + 1 for its negative ones; ``counts[g]`` is the
-    size of group g.
+    The values of covariate k are ``rows[units, k]``, ``groups[i]`` is the
+    group of value i (2s for subclass s's positive units and 2s + 1 for its
+    negative ones), and value i stands for ``multiplicity[i]`` units (one
+    when None); ``counts[g]`` is the size of group g.
     """
 
     target: Contrast
     subclasses: SubclassAssignment | None
-    eligible: np.ndarray
+    rows: np.ndarray
+    units: np.ndarray
     groups: np.ndarray
+    multiplicity: np.ndarray | None
     counts: list[int]
 
 
 def _compared_groups(
-    dataset: Dataset, target: Contrast, subclasses: SubclassAssignment | None
+    dataset: Dataset,
+    target: Contrast,
+    subclasses: SubclassAssignment | None,
+    indicator: _Indicator | None = None,
+    cells: CellIndex | None = None,
 ) -> _Comparison:
-    """The checks of :func:`covariate_mean_difference`, and the groups it sums."""
+    """The checks of :func:`covariate_mean_difference`, and the groups it sums.
+
+    ``indicator`` is the target's :func:`_indicator`, found here when None.
+    Given the dataset's ``cells``, a comparison with no more (cell, group)
+    pairs than eligible units, and at most ``_UNITS_PER_SUM`` of those, sums
+    each pair's cell row once, weighted by its units; otherwise every
+    eligible unit's row is summed.  Both give the same integers.
+    """
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
         raise ValueError("subclass labels must cover every unit of the dataset")
-    d = assignment_indicators(target, dataset.treatments)
-    eligible = np.flatnonzero(d != 0)
-    groups = (d[eligible] == -1).astype(np.intp)
-    n_neg = int(np.count_nonzero(groups))
+    if indicator is None:
+        indicator = _indicator(dataset, target)
+    eligible, negative = indicator.eligible, indicator.negative
+    n_neg = int(np.count_nonzero(negative))
     S = 0 if subclasses is None else subclasses.num_subclasses
     # every subclass needs a unit of each group, which also bounds the
     # group counts below by the units, whatever S is
-    if min(len(groups) - n_neg, n_neg) < max(S, 1):
+    if min(len(eligible) - n_neg, n_neg) < max(S, 1):
         raise EmptyGroup("a comparison group is empty")
+    num_groups = 2 * (S + 1)
+    groups = negative.astype(np.intp)
     if subclasses is not None:
         groups += 2 * subclasses.labels[eligible].astype(np.intp)
-    counts = np.bincount(groups, minlength=2 * (S + 1)).tolist()
+    rows, units, multiplicity = dataset.covariates, eligible, None
+    if cells is not None and cells.num_cells * num_groups <= len(eligible) <= _UNITS_PER_SUM:
+        pair = cells.cell_of_unit[eligible] * np.intp(num_groups)
+        pair += groups
+        multiplicity = np.bincount(pair, minlength=cells.num_cells * num_groups)
+        counts = multiplicity.reshape(-1, num_groups).sum(axis=0).tolist()
+        present = np.flatnonzero(multiplicity)
+        rows, multiplicity = cells.rows, multiplicity[present]
+        units, groups = np.divmod(present, num_groups)
+    else:
+        counts = np.bincount(groups, minlength=num_groups).tolist()
     if 0 in counts[2:]:
         raise EmptyGroup("a comparison group is empty")
-    return _Comparison(target, subclasses, eligible, groups, counts)
+    return _Comparison(target, subclasses, rows, units, groups, multiplicity, counts)
 
 
 def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
@@ -702,7 +801,7 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
     over all of their (target, covariate) columns."""
     K = dataset.num_covariates
     sums = _stacked_group_sums([
-        (dataset.covariates[c.eligible, k], c.groups, len(c.counts))
+        _Column(c.rows[:, k], c.groups, len(c.counts), c.units, c.multiplicity)
         for c in comparisons
         for k in range(K)
     ])
@@ -718,21 +817,27 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
     ]
 
 
+_NO_UNITS = np.empty(0, dtype=np.intp)
+_NO_UNITS.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class _BalancingDesign:
     """The J balancing scores of one dataset, in the form the chained fit reads.
 
     The scores depend on the dataset and the balancing set only, so one
-    design serves every target.  ``defined[j]`` marks the units where score
-    j is defined.  The logistic design is the N x J float matrix of scores
-    and its ``order`` (``_tie_free_order`` of the first score, so None on a
-    tie), which every chained fit takes its units from; the empirical one is
-    the read-only cell of every unit's score tuple, which every target's
-    chained scores share as their index.
+    design serves every target.  ``undefined[j]`` lists the units where
+    score j is undefined: none for a model score, and for exact cells only
+    the units of cells without a unit of that contrast's groups.  The
+    logistic design is the N x J float matrix of scores and its ``order``
+    (``_tie_free_order`` of the first score, so None on a tie), which every
+    chained fit takes its units from; the empirical one is the read-only
+    cell of every unit's score tuple, which every target's chained scores
+    share as their index.
     """
 
     contrasts: tuple[Contrast, ...]
-    defined: np.ndarray
+    undefined: tuple[np.ndarray, ...]
     features: np.ndarray | None = None
     order: np.ndarray | None = None
     cells: np.ndarray | None = None
@@ -748,40 +853,49 @@ def _balancing_design(
         raise ValueError("at least one balancing contrast is required")
     if estimator not in ("empirical", "logistic"):
         raise ValueError(f"unknown estimator {estimator!r}")
+    if dataset.n_units == 0:
+        raise TooFewUnits("the dataset has no units")
 
     if estimator == "empirical":
         base = [empirical_csps(dataset, c) for c in balancing]
     else:
         base = [model_csps(dataset, c, ridge=ridge) for c in balancing]
-    defined = np.stack([sv.defined_mask for sv in base])
+    undefined = tuple(
+        np.flatnonzero(~sv.defined_mask) if sv.is_exact else _NO_UNITS for sv in base
+    )
     if estimator == "logistic":
         features = np.column_stack([sv.as_floats() for sv in base])
         return _BalancingDesign(
-            balancing, defined, features=features, order=_tie_free_order(features[:, 0])
+            balancing, undefined, features=features, order=_tie_free_order(features[:, 0])
         )
     # cells of equal balancing-score tuples; a tuple with an undefined score
     # holds no eligible unit of any target that passes the checks, so its
     # cell stays undefined
     cells, num_cells = _dense_ids([sv.dense_ranks() for sv in base])
     cells.setflags(write=False)
-    return _BalancingDesign(balancing, defined, cells=cells, num_cells=num_cells)
+    return _BalancingDesign(balancing, undefined, cells=cells, num_cells=num_cells)
 
 
-def _chained_scores(design: _BalancingDesign, d: np.ndarray, ridge: float) -> ScoreVector:
-    """The target's chained score from a balancing design; ``d`` is its indicator."""
-    eligible = np.flatnonzero(d != 0)
-    if not (d == 1).any() or not (d == -1).any():
+def _chained_scores(design: _BalancingDesign, indicator: _Indicator, ridge: float) -> ScoreVector:
+    """The target's chained score from a balancing design.
+
+    ``indicator`` is the target's :func:`_indicator`.  A target fails when
+    a unit of its groups is among a balancing score's undefined units, so
+    the check reads only those units.  Exact chained scores count each
+    cell's units of either sign with one bincount.
+    """
+    d, eligible, negative = indicator
+    n_neg = int(np.count_nonzero(negative))
+    if n_neg == 0 or n_neg == len(eligible):
         raise OneClassOnly("target bifurcation has an empty group")
-    undefined = ~design.defined[:, eligible].all(axis=1)
-    if undefined.any():
-        raise UndefinedScores(
-            f"balancing score {design.contrasts[int(undefined.argmax())].describe()} "
-            "is undefined on units of the target bifurcation"
-        )
+    for contrast, units in zip(design.contrasts, design.undefined):
+        if units.size and d[units].any():
+            raise UndefinedScores(
+                f"balancing score {contrast.describe()} "
+                "is undefined on units of the target bifurcation"
+            )
     if design.cells is not None:
-        n_pos = np.bincount(design.cells[d == 1], minlength=design.num_cells)
-        n_either = np.bincount(design.cells[eligible], minlength=design.num_cells)
-        return ScoreVector.from_ratios(n_pos, n_either, index=design.cells)
+        return _cell_scores(design.cells, design.num_cells, d)
     return _logistic_scores(design.features, d, ridge, design.order)
 
 
@@ -801,14 +915,14 @@ def chained_propensity(
     unit.  This is one target's share of :func:`run_algorithm`, which fits
     the balancing scores once for all of its targets.  A contrast whose width
     is not the dataset's number of treatments raises
-    :class:`~csps.errors.DimensionMismatch` before any fit.
+    :class:`~csps.errors.DimensionMismatch` before any fit, and a dataset
+    with no units :class:`~csps.errors.TooFewUnits`.
     """
     balancing = tuple(balancing)
     for contrast in (*balancing, target):
         _check_width(dataset, contrast)
     design = _balancing_design(dataset, balancing, estimator, ridge)
-    d = assignment_indicators(target, dataset.treatments)
-    return _chained_scores(design, d, ridge)
+    return _chained_scores(design, _indicator(dataset, target), ridge)
 
 
 def _error_text(exc: CspsError) -> str:
@@ -829,20 +943,27 @@ def run_algorithm(
     each entry keeps the score and the subclasses it was computed from.  A
     failure for one target (including a Newton fit that did not converge) is
     recorded in its report entry without aborting the others; a failed
-    balancing fit is recorded on every target.  A balancing or target
-    contrast whose width is not the dataset's number of treatments is an
-    input error, not a per-target failure: it raises
-    :class:`~csps.errors.DimensionMismatch` before any fit.
+    balancing fit, or a dataset with no units, is recorded on every target.
+    A balancing or target contrast whose width is not the dataset's number
+    of treatments is an input error, not a per-target failure: it raises
+    :class:`~csps.errors.DimensionMismatch` before any fit.  Each target's
+    indicator and groups are found once; with the empirical estimator its
+    covariate sums go per (cell, group) pair where that is less work than
+    per unit (see :func:`_compared_groups`).
     """
     balancing, targets = tuple(balancing), tuple(targets)
     for contrast in (*balancing, *targets):
         _check_width(dataset, contrast)
-    design = failure = None
+    design = failure = cells = None
     if targets:
         try:
             design = _balancing_design(dataset, balancing, config.estimator, config.ridge)
         except CspsError as exc:
             failure = _error_text(exc)
+        else:
+            if config.estimator == "empirical":
+                # built for the balancing scores: the sums go per (cell, group) pair
+                cells = dataset.cell_index
     entries = []
     # targets whose sums wait to be stacked, and their places in entries; the
     # sums are taken once the waiting columns hold _VALUES_PER_CALL values
@@ -859,19 +980,19 @@ def run_algorithm(
             entries.append(ContrastBalance(contrast=target, error=failure))
             continue
         try:
-            d = assignment_indicators(target, dataset.treatments)
-            scores = _chained_scores(design, d, config.ridge)
+            indicator = _indicator(dataset, target)
+            scores = _chained_scores(design, indicator, config.ridge)
             assignment = subclassify(
-                scores, d, method=config.subclass_method,
+                scores, indicator.d, method=config.subclass_method,
                 num_subclasses=config.num_subclasses,
             )
-            waiting.append(_compared_groups(dataset, target, assignment))
+            waiting.append(_compared_groups(dataset, target, assignment, indicator, cells))
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
             continue
         places.append(len(entries))
         entries.append(None)
-        held = sum(len(c.eligible) for c in waiting) * dataset.num_covariates
+        held = sum(len(c.groups) for c in waiting) * dataset.num_covariates
         if held >= _VALUES_PER_CALL:
             take_sums()
     take_sums()

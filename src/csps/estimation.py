@@ -519,9 +519,20 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
     cells = dataset.cell_index
-    n_pos = np.bincount(cells.cell_of_unit[d == 1], minlength=cells.num_cells)
-    n_either = np.bincount(cells.cell_of_unit[d != 0], minlength=cells.num_cells)
-    return ScoreVector.from_ratios(n_pos, n_either, index=cells.cell_of_unit)
+    return _cell_scores(cells.cell_of_unit, cells.num_cells, d)
+
+
+def _cell_scores(cells: np.ndarray, num_cells: int, d: np.ndarray) -> ScoreVector:
+    """Exact scores of cells: each cell's units with ``d == 1`` over those with ``d != 0``.
+
+    ``cells[i]`` is the cell of unit i and ``d`` holds +1/-1/0 indicators.
+    One ``np.bincount`` keyed ``cell * 3 + d + 1`` counts both.
+    """
+    key = cells * np.intp(3)
+    key += d
+    key += 1
+    counts = np.bincount(key, minlength=3 * num_cells).reshape(num_cells, 3)
+    return ScoreVector.from_ratios(counts[:, 2], counts[:, 0] + counts[:, 2], index=cells)
 
 
 def _logistic_scores(features, d, ridge: float, order) -> ScoreVector:

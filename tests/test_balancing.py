@@ -700,6 +700,78 @@ class TestRunAlgorithm:
         assert all(e.error.startswith("NotConverged:") for e in report.entries)
         assert all(e.scores is None for e in report.entries)
 
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_dataset_without_units_fails_typed(self, estimator):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no treatment occurs
+            dataset = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), num_treatments=3)
+        report = run_algorithm(
+            dataset, [FIRST_CONTRAST], [TARGET_CONTRAST, SECOND_CONTRAST],
+            AlgorithmConfig(estimator=estimator),
+        )
+        assert [e.error for e in report] == ["TooFewUnits: the dataset has no units"] * 2
+        with pytest.raises(TooFewUnits, match="^the dataset has no units$"):
+            chained_propensity(dataset, [FIRST_CONTRAST], TARGET_CONTRAST, estimator=estimator)
+
+    def test_undefined_balancing_cell_names_the_first_score(self):
+        # cell x=1 holds only treatment 2 and cell x=2 only treatment 3, so
+        # 1-vs-3 is undefined on the first and 1-vs-2 on the second; 2-vs-3
+        # touches both, and the error names the first in the balancing order
+        dataset = Dataset([[0.0]] * 3 + [[1.0]] * 2 + [[2.0]] * 2, [1, 2, 3, 2, 2, 3, 3])
+        one_two, one_three = Contrast((1, -1, 0)), Contrast((1, 0, -1))
+        target = Contrast((0, 1, -1))
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        for balancing_set in ([one_two, one_three], [one_three, one_two]):
+            text = (
+                f"balancing score {balancing_set[0].describe()} "
+                "is undefined on units of the target bifurcation"
+            )
+            report = run_algorithm(dataset, balancing_set, [target], config)
+            assert report.entries[0].error == f"UndefinedScores: {text}"
+            with pytest.raises(UndefinedScores) as raised:
+                chained_propensity(dataset, balancing_set, target, estimator="empirical")
+            assert str(raised.value) == text
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_empirical_sums_per_cell_only_on_few_cells(self, monkeypatch, method):
+        # binary covariates make few cells, so each target's sums go per
+        # (cell, group) pair; continuous ones make a cell per unit, and the
+        # sums go per unit; both equal covariate_mean_difference on a fresh
+        # Dataset over the same arrays, which always sums per unit.  The
+        # balancing contrast uses every treatment, so no cell is undefined
+        rng = np.random.default_rng(8)
+        balancing_set = [Contrast((1, 1, -2))]
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        for X, want in (
+            ((rng.random((2000, 3)) < 0.5).astype(float), True),
+            (rng.standard_normal((2000, 3)), False),
+        ):
+            w = rng.integers(1, 4, len(X))
+            comparisons = []
+            real = balancing._compared_groups
+
+            def watched(*args):
+                comparisons.append(real(*args))
+                return comparisons[-1]
+
+            monkeypatch.setattr(balancing, "_compared_groups", watched)
+            report = run_algorithm(Dataset(X, w), balancing_set, simulation_contrasts(), config)
+            monkeypatch.setattr(balancing, "_compared_groups", real)
+            assert [c.multiplicity is not None for c in comparisons] == [want] * 4
+            for entry in report:
+                fresh = Dataset(X, w)
+                alone = covariate_mean_difference(fresh, entry.contrast, subclassify(
+                    chained_propensity(fresh, balancing_set, entry.contrast, "empirical"),
+                    indicators(entry.contrast, fresh), method,
+                ))
+                assert entry.before_exact == alone.before_exact
+                assert entry.after_exact == alone.after_exact
+                assert entry._totals.counts == alone._totals.counts
+                assert entry._totals.sums == alone._totals.sums
+                assert entry.assignment.labels.tolist() == alone.assignment.labels.tolist()
+
     def test_per_target_errors_recorded(self):
         import warnings
 

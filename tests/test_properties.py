@@ -311,6 +311,58 @@ def test_stacked_sums_equal_single_column_sums(columns):
     assert all(sum(sizes) + after[0] > CAP for sizes, after in zip(stacks, stacks[1:]))
 
 
+@st.composite
+def weighted_columns(draw):
+    """1-3 columns of wide values, some read through a unit index, some with
+    multiplicities from 1 to 2**26 (the most a column's units may be); labels
+    cover only part of the groups."""
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 12))
+        values = np.array(
+            draw(st.lists(st.one_of(st.sampled_from(tuple(WIDE)), FLOATS), min_size=n, max_size=n)),
+            dtype=float,
+        )
+        num_groups = draw(st.integers(1, 6))
+        labelled = draw(st.integers(1, num_groups))  # groups past this stay empty
+        groups = np.array(draw(st.lists(st.integers(0, labelled - 1), min_size=n, max_size=n)),
+                          dtype=np.intp)
+        units = None
+        if n and draw(st.booleans()):
+            units = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        multiplicity = None
+        if draw(st.booleans()):
+            most = draw(st.sampled_from((3, 2 ** 10, 2 ** 26 // max(n, 1))))
+            multiplicity = np.array(draw(st.lists(st.integers(1, most), min_size=n, max_size=n)),
+                                    dtype=np.intp)
+        columns.append(balancing._Column(values, groups, num_groups, units, multiplicity))
+    return columns
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_columns())
+@example([balancing._Column(  # a bucket of 2**26 largest values: its sum is 2**52 limbs
+    np.array([1.7976931348623157e308, -5e-324]), np.array([0, 1]), 2,
+    multiplicity=np.array([2 ** 26 - 1, 1]),
+)])
+def test_weighted_sums_equal_repeated_values(columns):
+    stacked = balancing._stacked_group_sums(columns)
+    for column, (totals, exponent) in zip(columns, stacked):
+        values = column.values if column.units is None else column.values[column.units]
+        times = np.ones(len(values), dtype=np.intp) if column.multiplicity is None else (
+            column.multiplicity
+        )
+        want = [Fraction(0)] * column.num_groups
+        for v, g, m in zip(values.tolist(), column.groups.tolist(), times.tolist()):
+            want[g] += Fraction(v) * m
+        assert [Fraction(t) * Fraction(2) ** exponent for t in totals] == want
+        assert exponent == (int(np.frexp(values)[1].min()) - 53 if len(values) else 0)
+        if times.sum() <= 2 ** 16:
+            assert (totals, exponent) == _exact_group_sums(
+                np.repeat(values, times), np.repeat(column.groups, times), column.num_groups
+            )
+
+
 @given(datasets(min_units=2), st.sampled_from(CONTRASTS), st.data())
 def test_mean_differences_equal_fraction_reference(data_case, target, data):
     X, w = data_case
@@ -491,6 +543,75 @@ def test_empirical_chained_scores_equal_fraction_reference(data_case, balancing_
         return
     chained = chained_propensity(dataset, balancing_set, target, estimator="empirical")
     assert chained.values == reference_chained(base, d)
+
+
+@st.composite
+def few_cell_datasets(draw):
+    """Up to 400 units whose covariates take 1-4 of DISCRETE's values per
+    column (so 0.0 and -0.0 both occur), in few cells; each cell draws its
+    treatments from its own subset of 1..3, so some cells lack a treatment."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(1, 3))
+    levels = [np.array(draw(st.lists(DISCRETE, min_size=1, max_size=4))) for _ in range(k)]
+    X = np.column_stack([rng.choice(level, n) for level in levels])
+    cells = make_dataset(X, np.ones(n, dtype=int)).cell_index
+    allowed = [
+        np.array(draw(st.sampled_from(((1, 2, 3), (1, 2, 3), (1, 2), (1, 3), (2, 3), (3,)))))
+        for _ in range(cells.num_cells)
+    ]
+    w = np.array([rng.choice(allowed[c]) for c in cells.cell_of_unit.tolist()])
+    return X, w
+
+
+def pipeline_outcome(entry):
+    """What a report entry says: its error, or its exact values and labels."""
+    if entry.error is not None:
+        return entry.error
+    return (
+        entry.n_positive, entry.n_negative, entry.before_exact, entry.after_exact,
+        entry.assignment.labels.dtype, entry.assignment.labels.tolist(),
+        [(r.subclass_id, r.n_positive, r.n_negative, r.weight, r.mean_positive_exact,
+          r.mean_negative_exact, r.difference_exact, r.difference.tobytes())
+         for r in entry.subclass_rows],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(few_cell_datasets(), st.sampled_from(("exact", "quantile")), st.integers(1, 6))
+def test_cell_sums_equal_unit_sums(data_case, method, S):
+    # the empirical pass sums per (cell, group) pair where that is no more
+    # work than per unit; covariate_mean_difference on a fresh Dataset over
+    # the same arrays always sums per unit
+    X, w = data_case
+    balancing_set = simulation_contrasts()[:2]
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
+    paths = []
+    real = balancing._compared_groups
+
+    def watched(dataset, target, subclasses, indicator=None, cells=None):
+        comparison = real(dataset, target, subclasses, indicator, cells)
+        per_cell = cells is not None and (
+            cells.num_cells * len(comparison.counts) <= sum(comparison.counts)
+        )
+        assert (comparison.multiplicity is not None) == per_cell
+        paths.append("cell" if per_cell else "unit")
+        return comparison
+
+    with mock.patch.object(balancing, "_compared_groups", watched):
+        report = run_algorithm(make_dataset(X, w), balancing_set, CONTRASTS, config)
+        for entry in report:
+            fresh = make_dataset(X, w)
+            try:
+                scores = chained_propensity(fresh, balancing_set, entry.contrast, "empirical")
+                assignment = subclassify(scores, assignment_indicators(entry.contrast, w),
+                                         method, S)
+                alone = covariate_mean_difference(fresh, entry.contrast, assignment)
+            except CspsError as exc:
+                assert entry.error == f"{type(exc).__name__}: {exc}"
+                continue
+            assert pipeline_outcome(entry) == pipeline_outcome(alone)
+    event(f"paths: {sorted(set(paths))}")
 
 
 @given(
