@@ -344,16 +344,16 @@ def _floats(obj, name: str, ratios) -> np.ndarray | None:
     return np.array([_scaled_float(*r) for r in ratios])
 
 
-def _subclass_count(num_subclasses) -> int:
-    """``num_subclasses`` as an int; ValueError unless a whole number in [1, 2**63)."""
+def _subclass_count(num_subclasses, least: int = 1) -> int:
+    """``num_subclasses`` as an int; ValueError unless a whole number in [least, 2**63)."""
     try:
         S = int(num_subclasses)
         whole = S == num_subclasses
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not (whole and 1 <= S < 2 ** 63):
+    if not (whole and least <= S < 2 ** 63):
         raise ValueError(
-            "num_subclasses must be below 2**63, at least 1 and a whole number, "
+            f"num_subclasses must be below 2**63, at least {least} and a whole number, "
             f"not {num_subclasses!r}"
         )
     return S
@@ -394,13 +394,15 @@ class SubclassAssignment:
     group and 0 for everyone else.  After construction every subclass
     contains at least one unit from each group.  Labels must be whole
     numbers; they are held in the narrowest unsigned integer type that fits
-    them (usually one byte), since reports keep them.  ``scores`` is the
+    them (usually one byte), since reports keep them.  ``num_subclasses``
+    must be a whole number in [0, 2**63).  ``scores`` is the
     score an assignment made by :func:`subclassify` was made on, else None.
     """
 
     __slots__ = ("labels", "num_subclasses", "scores")
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
+        num_subclasses = _subclass_count(num_subclasses, least=0)
         lab = np.asarray(labels)
         if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.floor(lab))).all():
             raise ValueError("subclass labels must be whole numbers")
@@ -408,7 +410,7 @@ class SubclassAssignment:
             raise ValueError("subclass labels must be nonnegative")
         if int(lab.max(initial=0)) > num_subclasses:
             raise ValueError("subclass labels must not exceed num_subclasses")
-        self._set(lab.astype(np.min_scalar_type(int(num_subclasses))), num_subclasses, scores)
+        self._set(lab.astype(np.min_scalar_type(num_subclasses)), num_subclasses, scores)
 
     @classmethod
     def _built(cls, labels: np.ndarray, num_subclasses: int, scores) -> "SubclassAssignment":
@@ -540,9 +542,9 @@ def subclassify(
     Subclass ids are 1-based in ascending score order.  ``num_subclasses``
     must be a whole number in [1, 2**63), whichever the method.
 
-    Both signs' counts per group come from one ``np.bincount``, only exact
-    scores are checked for undefined ones (float scores are all defined),
-    and the labels are built in the narrowest unsigned type that holds them.
+    Both signs' counts per group come from one ``np.bincount``, the check
+    for undefined scores reads only the score's ``undefined_units``, and
+    the labels are built in the narrowest unsigned type that holds them.
     """
     S = _subclass_count(num_subclasses)
     d = np.asarray(d_indicator)
@@ -559,10 +561,9 @@ def subclassify(
         raise ValueError("group indicators must be 1, -1 or 0")
     if not (n_pos and n_neg):
         raise TooFewUnits("all eligible units fall in a single group")
-    if scores.is_exact:
-        undefined = len(eligible) - int(np.count_nonzero(scores.defined_mask[eligible]))
-        if undefined:
-            raise UndefinedScores(f"{undefined} eligible units have undefined scores")
+    undefined = int(np.count_nonzero(d[scores.undefined_units]))
+    if undefined:
+        raise UndefinedScores(f"{undefined} eligible units have undefined scores")
 
     # group[i]: the score-ordered group of eligible unit i before merging
     if method == "exact":
@@ -817,17 +818,13 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
     ]
 
 
-_NO_UNITS = np.empty(0, dtype=np.intp)
-_NO_UNITS.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class _BalancingDesign:
     """The J balancing scores of one dataset, in the form the chained fit reads.
 
     The scores depend on the dataset and the balancing set only, so one
-    design serves every target.  ``undefined[j]`` lists the units where
-    score j is undefined: none for a model score, and for exact cells only
+    design serves every target.  ``undefined[j]`` is score j's
+    ``undefined_units``: none for a model score, and for exact cells only
     the units of cells without a unit of that contrast's groups.  The
     logistic design is the N x J float matrix of scores and its ``order``
     (``_tie_free_order`` of the first score, so None on a tie), which every
@@ -860,9 +857,7 @@ def _balancing_design(
         base = [empirical_csps(dataset, c) for c in balancing]
     else:
         base = [model_csps(dataset, c, ridge=ridge) for c in balancing]
-    undefined = tuple(
-        np.flatnonzero(~sv.defined_mask) if sv.is_exact else _NO_UNITS for sv in base
-    )
+    undefined = tuple(sv.undefined_units for sv in base)
     if estimator == "logistic":
         features = np.column_stack([sv.as_floats() for sv in base])
         return _BalancingDesign(

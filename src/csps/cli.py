@@ -133,9 +133,7 @@ def cmd_estimate(args) -> int:
         else:
             scores = model_csps(dataset, c, ridge=algo.ridge)
         columns[f"d[{tag}]"] = d
-        columns[f"csps[{tag}]"] = np.ma.masked_array(
-            scores.as_floats(), mask=~scores.defined_mask
-        )
+        columns[f"csps[{tag}]"] = np.ma.masked_invalid(scores.as_floats())
 
     path = _out_path(args, "scores.csv")
     _write_csv_columns(path, list(columns), list(columns.values()), dataset.n_units)
@@ -211,9 +209,7 @@ def _write_per_unit_csv(dataset, report, path) -> None:
         d, score, subclass = _per_unit_names(entry.contrast)
         labels = entry.assignment.labels
         extras[d] = assignment_indicators(entry.contrast, dataset.treatments).astype(np.int8)
-        extras[score] = np.ma.masked_array(
-            entry.scores.as_floats(), mask=~entry.scores.defined_mask
-        )
+        extras[score] = np.ma.masked_invalid(entry.scores.as_floats())
         extras[subclass] = np.ma.masked_array(labels, mask=labels == 0)
     write_dataset_csv(dataset, path, extras)
 

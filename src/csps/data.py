@@ -69,7 +69,6 @@ class Dataset:
         self.num_treatments = int(num_treatments)
         self.covariate_names = covariate_names
         self.treatment_name = treatment_name
-        self._cell_index = None
         # labels lie in 1..T, so the count and the first few absent labels
         # take time bounded by N, not by T
         present = np.unique(w)
@@ -91,12 +90,10 @@ class Dataset:
     def num_covariates(self) -> int:
         return self.covariates.shape[1]
 
-    @property
+    @cached_property
     def cell_index(self) -> "CellIndex":
         """The exact-cell index of the covariate rows, built on first use."""
-        if self._cell_index is None:
-            self._cell_index = build_cell_index(self)
-        return self._cell_index
+        return build_cell_index(self)
 
     @cached_property
     def row_order(self) -> np.ndarray | None:

@@ -6,8 +6,9 @@ estimators are provided: empirical frequencies over exact covariate cells
 (kept exactly, as reduced integer numerator and denominator arrays), and
 Newton maximum likelihood for a binary logistic model of the bifurcation.
 Both return a :class:`ScoreVector`, which holds arrays rather than per-unit
-Python objects.  The Newton fit's only setting is an optional ridge penalty,
-finite and nonnegative: its iteration limit (:data:`MAX_ITER`) and
+Python objects; its ``undefined_units``, not a per-unit mask, says which
+units have no score.  The Newton fit's only setting is an optional ridge
+penalty, finite and nonnegative: its iteration limit (:data:`MAX_ITER`) and
 gradient-norm tolerance (:data:`TOL`) are fixed constants.  The penalised
 log-likelihood and its gradient are written once, as private kernels over
 the intercept design and the penalty vector; the fit calls them, and the
@@ -361,10 +362,11 @@ class ScoreVector:
     (empirical cell frequencies): reduced int64 numerator and denominator
     arrays with one entry per source of values, typically a cell, plus the
     entry of every unit; a zero denominator marks an undefined entry (a cell
-    without group members).  ``defined_mask`` is derived from these arrays
-    on access.  ``values`` spells the scores out as a tuple of floats,
-    :class:`~fractions.Fraction` objects and ``None``; it is built on first
-    access, and the pipeline never reads it.
+    without group members).  ``undefined_units``, the units whose score is
+    undefined, is derived from these arrays on access, in place of a
+    per-unit defined mask.  ``values`` spells the scores out as a tuple of
+    floats, :class:`~fractions.Fraction` objects and ``None``; it is built
+    on first access, and the pipeline never reads it.
     """
 
     __slots__ = ("_floats", "_numerators", "_denominators", "_index", "_values")
@@ -440,11 +442,15 @@ class ScoreVector:
         return self._floats is None
 
     @property
-    def defined_mask(self) -> np.ndarray:
-        """Per-unit flags, True where the score is defined (a new array)."""
-        if self._floats is not None:
-            return np.ones(self._floats.shape, dtype=bool)
-        return (self._denominators > 0)[self._index]
+    def undefined_units(self) -> np.ndarray:
+        """Ascending indices of the units whose score is undefined (a new array).
+
+        Empty without touching the unit index unless an entry has a zero
+        denominator, so always empty for float scores.
+        """
+        if self._floats is not None or self._denominators.all():
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero((self._denominators == 0)[self._index])
 
     @property
     def values(self) -> tuple:

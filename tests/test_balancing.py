@@ -224,6 +224,18 @@ class TestSubclassify:
     def test_whole_float_labels_are_kept(self):
         assert SubclassAssignment([0.0, 1.0, 2.0], 2).labels.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("count", [2.5, 2 ** 70, -1, np.nan, "2"])
+    def test_subclass_count_must_be_whole_and_below_2_63(self, count):
+        # 2.5 would be truncated to 2, and 2**70 would hold the labels as objects
+        with pytest.raises(ValueError, match=r"must be below 2\*\*63, at least 0 and"):
+            SubclassAssignment([1, 2, 1, 2], count)
+
+    def test_whole_subclass_counts_from_zero_are_kept(self):
+        assert SubclassAssignment([0, 0], 0).num_subclasses == 0
+        kept = SubclassAssignment([1, 2], 2.0)
+        assert kept.num_subclasses == 2
+        assert kept.labels.dtype == np.uint8
+
     def test_undefined_eligible_score_raises(self):
         scores = ScoreVector.from_ratios([1, 0], [2, 0], index=[0, 1])
         with pytest.raises(UndefinedScores):
@@ -595,7 +607,7 @@ class TestRunAlgorithm:
             )
             assert entry.scores.is_exact == alone.is_exact
             assert entry.scores.as_floats().tobytes() == alone.as_floats().tobytes()
-            assert np.array_equal(entry.scores.defined_mask, alone.defined_mask)
+            assert np.array_equal(entry.scores.undefined_units, alone.undefined_units)
             if estimator == "empirical":
                 assert entry.scores.values == alone.values
 

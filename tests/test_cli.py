@@ -191,9 +191,10 @@ def reference_scores_csv(data_path, contrasts_path, estimator, path):
         else:
             scores = model_csps(dataset, c)
         columns[f"d[{tag}]"] = d.tolist()
+        undefined = set(scores.undefined_units.tolist())
         columns[f"csps[{tag}]"] = [
-            format(v, ".17g") if ok else ""
-            for v, ok in zip(scores.as_floats().tolist(), scores.defined_mask.tolist())
+            "" if i in undefined else format(v, ".17g")
+            for i, v in enumerate(scores.as_floats().tolist())
         ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -258,7 +258,7 @@ class TestEmpiricalScores:
             (0.0, 0.0, 0.0): Fraction(2, 3),
         }
         assert scores.is_exact
-        assert scores.defined_mask.all()
+        assert scores.undefined_units.size == 0
 
     def test_worked_example_second_contrast(self, example):
         scores = empirical_csps(example, SECOND_CONTRAST)
@@ -276,7 +276,7 @@ class TestEmpiricalScores:
         # second cell holds only the zero-coefficient treatment
         d = Dataset([[0.0], [0.0], [1.0], [1.0]], [1, 2, 3, 3])
         scores = empirical_csps(d, Contrast((1, -1, 0)))
-        assert scores.defined_mask.tolist() == [True, True, False, False]
+        assert scores.undefined_units.tolist() == [2, 3]
         assert scores.values[2] is None
 
     def test_unit_permutation_invariance(self, example, rng):
@@ -300,7 +300,7 @@ class TestModelScores:
         for contrast in (FIRST_CONTRAST, SECOND_CONTRAST):
             fitted = model_csps(saturated, contrast)
             exact = empirical_csps(example, contrast)
-            assert fitted.defined_mask.all()
+            assert fitted.undefined_units.size == 0
             assert np.allclose(
                 fitted.as_floats(), exact.as_floats(), atol=1e-6
             )
@@ -323,7 +323,7 @@ class TestModelScores:
         with pytest.raises(NotConverged, match="after 1 iterations"):
             model_csps(dataset, Contrast((1, -1, 0)))
         monkeypatch.setattr(csps.estimation, "MAX_ITER", 25)
-        assert model_csps(dataset, Contrast((1, -1, 0))).defined_mask.all()
+        assert model_csps(dataset, Contrast((1, -1, 0))).undefined_units.size == 0
 
     def test_contrast_width_must_match(self, example):
         for contrast in (Contrast((1, -1)), Contrast((1, -1, 0, 0))):
@@ -397,7 +397,7 @@ class TestScoreVector:
         raw[0] = 0.5
         assert not sv.is_exact
         assert sv.values == (0.25, 0.75)
-        assert sv.defined_mask.tolist() == [True, True]
+        assert sv.undefined_units.tolist() == []
 
     def test_built_only_from_arrays(self):
         with pytest.raises(TypeError, match="from_floats"):
@@ -426,7 +426,7 @@ class TestScoreVector:
         sv = ScoreVector.from_ratios([2, 0, 3], [4, 0, 9], index=index)
         assert sv.is_exact
         assert sv.values == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), None)
-        assert sv.defined_mask.tolist() == [True, True, True, False]
+        assert sv.undefined_units.tolist() == [3]
         assert sv.dense_ranks([0, 1, 2]).tolist() == [0, 1, 1]
 
     def test_dense_ranks_order_exact_values(self):
@@ -438,7 +438,7 @@ class TestScoreVector:
     def test_mask_matches_none_entries(self):
         sv = ScoreVector.from_ratios([1, 0, 1], [2, 0, 3], index=[0, 1, 2])
         assert sv.values == (Fraction(1, 2), None, Fraction(1, 3))
-        assert sv.defined_mask.tolist() == [True, False, True]
+        assert sv.undefined_units.tolist() == [1]
         floats = sv.as_floats()
         assert np.isnan(floats[1])
         assert floats[2] == 1 / 3

@@ -37,7 +37,14 @@ from csps.contrasts import (
     bifurcation_span_contains,
 )
 from csps.data import Dataset, write_dataset_csv
-from csps.errors import CspsError, EmptyFile, MissingValue, ParseError, TooFewUnits
+from csps.errors import (
+    CspsError,
+    EmptyFile,
+    MissingValue,
+    ParseError,
+    TooFewUnits,
+    UndefinedScores,
+)
 from csps.estimation import (
     ScoreVector,
     _canonical_order,
@@ -521,7 +528,7 @@ def test_empirical_scores_equal_fraction_reference(data_case, contrast):
     want = reference_empirical(X, w, contrast)
     assert scores.is_exact
     assert scores.values == want
-    assert scores.defined_mask.tolist() == [v is not None for v in want]
+    assert scores.undefined_units.tolist() == [i for i, v in enumerate(want) if v is None]
 
 
 @given(
@@ -649,6 +656,52 @@ def test_exact_subclasses_of_float_scores_equal_reference(values, data):
         return
     assignment = subclassify(ScoreVector.from_floats(values), d, method="exact")
     assert assignment.labels.tolist() == reference_exact_labels(values, d)
+
+
+@st.composite
+def ratio_scores(draw, min_units=0):
+    """Exact scores over 1-6 entries, some with a zero denominator, and a drawn index."""
+    m = draw(st.integers(1, 6))
+    dens = draw(st.lists(st.one_of(st.just(0), st.integers(1, 5)), min_size=m, max_size=m))
+    nums = [draw(st.integers(0, den if den else 3)) for den in dens]
+    index = draw(st.lists(st.integers(0, m - 1), min_size=min_units, max_size=40))
+    return ScoreVector.from_ratios(nums, dens, index=np.array(index, dtype=np.intp))
+
+
+FLOAT_SCORES = st.lists(st.floats(0, 1), max_size=40).map(ScoreVector.from_floats)
+
+
+@given(st.one_of(ratio_scores(), FLOAT_SCORES))
+def test_undefined_units_are_the_none_scores(scores):
+    units = scores.undefined_units
+    assert units.dtype == np.intp
+    assert units.tolist() == [i for i, v in enumerate(scores.values) if v is None]
+    assert (np.diff(units) > 0).all()
+    if not scores.is_exact:
+        assert units.size == 0
+
+
+@given(ratio_scores(min_units=2), st.sampled_from(("exact", "quantile")), st.data())
+def test_subclassify_refuses_exactly_the_undefined_eligible_units(scores, method, data):
+    d = np.array(data.draw(indicators(len(scores))), dtype=np.int64)
+    undefined = [i for i, v in enumerate(scores.values) if v is None]
+    # the same groups with every undefined unit moved outside them
+    outside = d.copy()
+    outside[undefined] = 0
+    for target in (d, outside):
+        k = int(np.count_nonzero(target[undefined]))
+        if not ((target == 1).any() and (target == -1).any()):
+            with pytest.raises(TooFewUnits):
+                subclassify(scores, target, method, 3)
+        elif k:
+            event("undefined units in the groups")
+            with pytest.raises(UndefinedScores) as raised:
+                subclassify(scores, target, method, 3)
+            assert str(raised.value) == f"{k} eligible units have undefined scores"
+        else:
+            event("undefined units outside the groups" if undefined else "no undefined units")
+            assignment = subclassify(scores, target, method, 3)
+            assert np.array_equal(assignment.labels != 0, target != 0)
 
 
 @given(
