@@ -6,12 +6,18 @@ analysis for each target bifurcation, subclassifies on the chained score,
 and reports covariate mean differences between the target's two groups
 before and after subclassing.
 
+With exact cells every number the routine reports depends on the units
+only through their counts per (covariate cell, treatment), so
+:func:`run_algorithm` counts them once per call (:func:`_cell_table`) and
+takes the scores, the subclasses and the group sums from those counts;
+per target, the units are read only to gather their subclass labels.
+
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
 between them hold exactly, not merely to rounding.  The sums behind them are
 integer array reductions over many columns at once
 (:func:`_stacked_group_sums`), per unit or, on exact cells, per (cell,
-group) pair weighted by its units, and scores stay in the
+treatment) pair weighted by its units, and scores stay in the
 array form of :class:`~csps.estimation.ScoreVector`; no per-unit Python
 object is made on the way.  Each difference is kept as one integer
 numerator over one integer denominator times a power of two; its float comes
@@ -32,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import CellIndex, Dataset, _tie_free_order
+from .data import Dataset, _tie_free_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -47,7 +53,6 @@ from .estimation import (
     _check_width,
     _dense_ids,
     _logistic_scores,
-    empirical_csps,
     model_csps,
 )
 
@@ -502,15 +507,24 @@ def _cut_steps(n: int, num_subclasses: int) -> np.ndarray:
     return np.unique(np.concatenate(steps))
 
 
-def _quantile_cuts(values: np.ndarray, num_subclasses: int) -> np.ndarray:
+def _quantile_cuts(values: np.ndarray, num_subclasses: int, counts=None) -> np.ndarray:
     """``np.quantile(values, s / S)`` for S subclasses at the s of :func:`_cut_steps`.
 
-    Bit for bit, from one ``np.sort`` of ``values`` (no NaN) by numpy's own
+    Bit for bit, from one sort of ``values`` (no NaN) by numpy's own
     linear-method formulas: virtual index ``(n - 1) * (s / S)``, its floor and
     the next index (both -1 at or past the last), and the two-sided lerp.
+    With ``counts``, value i stands for ``counts[i] > 0`` equal values, and
+    the k-th of the n sorted values is read from the running counts.  Only
+    exact scores come with counts; they hold no -0.0, so which of two equal
+    values is read cannot change a cut.
     """
-    ordered = np.sort(values)
-    n = len(ordered)
+    if counts is None:
+        ordered = np.sort(values)
+        n = len(ordered)
+    else:
+        order = np.argsort(values)
+        ordered, ends = values[order], np.cumsum(counts[order])
+        n = int(ends[-1])
     virtual = (n - 1) * (_cut_steps(n, num_subclasses) / num_subclasses)
     below = np.floor(virtual)
     above = below + 1
@@ -518,7 +532,11 @@ def _quantile_cuts(values: np.ndarray, num_subclasses: int) -> np.ndarray:
     below[last] = -1
     above[last] = -1
     gamma = virtual - below
-    a, b = ordered[below.astype(np.intp)], ordered[above.astype(np.intp)]
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    if counts is not None:
+        # the sorted value k (-1: the last) is the first whose running count passes k
+        below, above = np.searchsorted(ends, np.stack((below, above)) % n, side="right")
+    a, b = ordered[below], ordered[above]
     step = b - a
     return np.where(gamma >= 0.5, b - step * (1 - gamma), a + step * gamma)
 
@@ -564,27 +582,47 @@ def subclassify(
     undefined = int(np.count_nonzero(d[scores.undefined_units]))
     if undefined:
         raise UndefinedScores(f"{undefined} eligible units have undefined scores")
+    label, num_merged = _subclass_rows(scores, eligible, negative, method, S)
+    labels = np.zeros(len(scores), dtype=label.dtype)
+    labels[eligible] = label
+    return SubclassAssignment._built(labels, num_merged, scores)
 
-    # group[i]: the score-ordered group of eligible unit i before merging
+
+def _subclass_rows(
+    scores: ScoreVector, rows, negative: np.ndarray, method: str, S: int, counts=None
+) -> tuple[np.ndarray, int]:
+    """The subclassing rules of :func:`subclassify`, on rows of units.
+
+    Row i is score ``rows[i]`` of ``scores`` (score i when ``rows`` is
+    None), in the negative group where ``negative[i]``, and it stands for
+    ``counts[i] > 0`` units with that score and sign (one when None).  Rows
+    of units and rows of (cell, sign) counts get the same subclasses.
+    Returns each row's 1-based subclass label, in the narrowest unsigned
+    type that holds every label, and the number of subclasses.
+    """
+    # group[i]: the score-ordered group of row i before merging
     if method == "exact":
-        group = scores.dense_ranks(eligible)
+        group = scores.dense_ranks(rows)
     elif method == "quantile":
-        vals = scores.as_floats()[eligible]
+        vals = scores.as_floats()
+        if rows is not None:
+            vals = vals[rows]
+        cuts = _quantile_cuts(vals, S) if counts is None else _quantile_cuts(vals, S, counts)
         # group = number of cuts strictly below the value, so ties fall into
         # the lower subclass
-        group = np.searchsorted(_quantile_cuts(vals, S), vals, side="left")
+        group = np.searchsorted(cuts, vals, side="left")
     else:
         raise ValueError(f"unknown subclass method {method!r}")
 
     # 2 * group + 1 for the negative units, 2 * group for the positive ones
     key = group * np.intp(2)
     key += negative
-    counts = np.bincount(key, minlength=2 * (int(group.max()) + 1))
-    subclass, num_merged = _merge_one_class_groups(counts[0::2].tolist(), counts[1::2].tolist())
+    sizes = np.bincount(key, counts, minlength=2 * (int(group.max()) + 1))
+    if counts is not None:
+        sizes = sizes.astype(np.int64)  # sums of counts below 2**53: exact
+    subclass, num_merged = _merge_one_class_groups(sizes[0::2].tolist(), sizes[1::2].tolist())
     label_of_group = (subclass + 1).astype(np.min_scalar_type(num_merged))
-    labels = np.zeros(len(scores), dtype=label_of_group.dtype)
-    labels[eligible] = label_of_group[group]
-    return SubclassAssignment._built(labels, num_merged, scores)
+    return label_of_group[group], num_merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -755,15 +793,11 @@ def _compared_groups(
     target: Contrast,
     subclasses: SubclassAssignment | None,
     indicator: _Indicator | None = None,
-    cells: CellIndex | None = None,
 ) -> _Comparison:
     """The checks of :func:`covariate_mean_difference`, and the groups it sums.
 
     ``indicator`` is the target's :func:`_indicator`, found here when None.
-    Given the dataset's ``cells``, a comparison with no more (cell, group)
-    pairs than eligible units, and at most ``_UNITS_PER_SUM`` of those, sums
-    each pair's cell row once, weighted by its units; otherwise every
-    eligible unit's row is summed.  Both give the same integers.
+    Every eligible unit's row is summed.
     """
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
@@ -781,20 +815,10 @@ def _compared_groups(
     groups = negative.astype(np.intp)
     if subclasses is not None:
         groups += 2 * subclasses.labels[eligible].astype(np.intp)
-    rows, units, multiplicity = dataset.covariates, eligible, None
-    if cells is not None and cells.num_cells * num_groups <= len(eligible) <= _UNITS_PER_SUM:
-        pair = cells.cell_of_unit[eligible] * np.intp(num_groups)
-        pair += groups
-        multiplicity = np.bincount(pair, minlength=cells.num_cells * num_groups)
-        counts = multiplicity.reshape(-1, num_groups).sum(axis=0).tolist()
-        present = np.flatnonzero(multiplicity)
-        rows, multiplicity = cells.rows, multiplicity[present]
-        units, groups = np.divmod(present, num_groups)
-    else:
-        counts = np.bincount(groups, minlength=num_groups).tolist()
+    counts = np.bincount(groups, minlength=num_groups).tolist()
     if 0 in counts[2:]:
         raise EmptyGroup("a comparison group is empty")
-    return _Comparison(target, subclasses, rows, units, groups, multiplicity, counts)
+    return _Comparison(target, subclasses, dataset.covariates, eligible, groups, None, counts)
 
 
 def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
@@ -818,25 +842,69 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
     ]
 
 
+class _CellTable(NamedTuple):
+    """A dataset's units counted by (covariate cell, treatment).
+
+    Row r is a pair with units: covariate cell ``cell[r]``, treatment label
+    ``treatment[r]`` and ``count[r] > 0`` units.  Unit i is in the pair
+    keyed ``key[i]``, and row r is keyed ``slot[r]``; keys are below
+    ``num_keys``, so a table over the keys gathered by ``key`` is a value
+    per unit.
+    """
+
+    cell: np.ndarray
+    treatment: np.ndarray
+    count: np.ndarray
+    slot: np.ndarray
+    key: np.ndarray
+    num_keys: int
+
+
+def _cell_table(dataset: Dataset) -> _CellTable:
+    """Count the units by (cell, treatment), with one key per unit and one bincount.
+
+    The key is ``cell * (T + 1) + treatment``.  Where more keys than about
+    twice the units could occur, only the present ones are numbered (by
+    ``np.unique``), so memory stays bounded by the units, not by cells x T.
+    """
+    cells = dataset.cell_index
+    width = dataset.num_treatments + 1
+    key = cells.cell_of_unit * np.intp(width)
+    key += dataset.treatments
+    num_keys = cells.num_cells * width
+    if num_keys > 2 * len(key) + 1024:
+        pairs, key, count = np.unique(key, return_inverse=True, return_counts=True)
+        num_keys = len(pairs)
+        slot = np.arange(num_keys)
+    else:
+        count = np.bincount(key, minlength=num_keys)
+        slot = pairs = np.flatnonzero(count)
+        count = count[slot]
+    cell, treatment = np.divmod(pairs, width)
+    return _CellTable(cell, treatment, count, slot, key, num_keys)
+
+
 @dataclass(frozen=True, eq=False)
 class _BalancingDesign:
     """The J balancing scores of one dataset, in the form the chained fit reads.
 
     The scores depend on the dataset and the balancing set only, so one
-    design serves every target.  ``undefined[j]`` is score j's
-    ``undefined_units``: none for a model score, and for exact cells only
-    the units of cells without a unit of that contrast's groups.  The
-    logistic design is the N x J float matrix of scores and its ``order``
-    (``_tie_free_order`` of the first score, so None on a tie), which every
-    chained fit takes its units from; the empirical one is the read-only
-    cell of every unit's score tuple, which every target's chained scores
-    share as their index.
+    design serves every target.  The logistic design is the N x J float
+    matrix of scores and its ``order`` (``_tie_free_order`` of the first
+    score, so None on a tie), which every chained fit takes its units from.
+    The empirical one is the dataset's :class:`_CellTable`, the chained cell
+    (of equal balancing-score tuples) of each of its rows, ``chain``, and of
+    each unit, ``cells``, which every target's chained scores share as their
+    read-only index; ``undefined[j]`` holds the table rows in cells without
+    a unit of balancing contrast j's groups, where score j is undefined.
     """
 
     contrasts: tuple[Contrast, ...]
-    undefined: tuple[np.ndarray, ...]
     features: np.ndarray | None = None
     order: np.ndarray | None = None
+    table: _CellTable | None = None
+    undefined: tuple[np.ndarray, ...] = ()
+    chain: np.ndarray | None = None
     cells: np.ndarray | None = None
     num_cells: int = 0
 
@@ -844,7 +912,13 @@ class _BalancingDesign:
 def _balancing_design(
     dataset: Dataset, balancing: Sequence[Contrast], estimator: str, ridge: float
 ) -> _BalancingDesign:
-    """Fit the J balancing scores once and build the chained design from them."""
+    """Fit the J balancing scores once and build the chained design from them.
+
+    The empirical design reads the units twice: once to count them by
+    (cell, treatment) and once to gather each unit's chained cell.  The
+    scores, their undefined cells and the chained cells come from the
+    counts, cell by cell.
+    """
     balancing = tuple(balancing)
     if not balancing:
         raise ValueError("at least one balancing contrast is required")
@@ -853,45 +927,127 @@ def _balancing_design(
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
 
-    if estimator == "empirical":
-        base = [empirical_csps(dataset, c) for c in balancing]
-    else:
-        base = [model_csps(dataset, c, ridge=ridge) for c in balancing]
-    undefined = tuple(sv.undefined_units for sv in base)
     if estimator == "logistic":
-        features = np.column_stack([sv.as_floats() for sv in base])
-        return _BalancingDesign(
-            balancing, undefined, features=features, order=_tie_free_order(features[:, 0])
+        features = np.column_stack(
+            [model_csps(dataset, c, ridge=ridge).as_floats() for c in balancing]
         )
+        return _BalancingDesign(
+            balancing, features=features, order=_tie_free_order(features[:, 0])
+        )
+    table = _cell_table(dataset)
+    cell_index = dataset.cell_index
+    num_cells = cell_index.num_cells
+    ranks, undefined = [], []
+    for contrast in balancing:
+        # score j of every covariate cell, as empirical_csps gives it
+        scores = _cell_scores(
+            table.cell, num_cells, assignment_indicators(contrast, table.treatment),
+            table.count, index=np.arange(num_cells),
+        )
+        ranks.append(scores.dense_ranks())
+        undefined.append(scores._with_index(table.cell).undefined_units)
     # cells of equal balancing-score tuples; a tuple with an undefined score
     # holds no eligible unit of any target that passes the checks, so its
     # cell stays undefined
-    cells, num_cells = _dense_ids([sv.dense_ranks() for sv in base])
+    chain_of_cell, num_chained = _dense_ids(ranks)
+    cells = chain_of_cell[cell_index.cell_of_unit]
     cells.setflags(write=False)
-    return _BalancingDesign(balancing, undefined, cells=cells, num_cells=num_cells)
+    return _BalancingDesign(
+        balancing, table=table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
+        cells=cells, num_cells=num_chained,
+    )
+
+
+def _both_groups(n_pos: int, n_neg: int) -> None:
+    if not (n_pos and n_neg):
+        raise OneClassOnly("target bifurcation has an empty group")
 
 
 def _chained_scores(design: _BalancingDesign, indicator: _Indicator, ridge: float) -> ScoreVector:
-    """The target's chained score from a balancing design.
+    """The target's chained score from a logistic balancing design.
 
-    ``indicator`` is the target's :func:`_indicator`.  A target fails when
-    a unit of its groups is among a balancing score's undefined units, so
-    the check reads only those units.  Exact chained scores count each
-    cell's units of either sign with one bincount.
+    ``indicator`` is the target's :func:`_indicator`.  Model scores are
+    defined on every unit, so no unit needs a check.
     """
-    d, eligible, negative = indicator
-    n_neg = int(np.count_nonzero(negative))
-    if n_neg == 0 or n_neg == len(eligible):
-        raise OneClassOnly("target bifurcation has an empty group")
-    for contrast, units in zip(design.contrasts, design.undefined):
-        if units.size and d[units].any():
+    n_neg = int(np.count_nonzero(indicator.negative))
+    _both_groups(len(indicator.eligible) - n_neg, n_neg)
+    return _logistic_scores(design.features, indicator.d, ridge, design.order)
+
+
+class _TableTarget(NamedTuple):
+    """A target's rows of an empirical design's cell table, and its chained score.
+
+    ``rows`` are the table rows in the target's groups, ``negative`` says
+    which of them are in the negative group, and ``count`` and ``chain``
+    give their units and chained cells.
+    """
+
+    scores: ScoreVector
+    rows: np.ndarray
+    negative: np.ndarray
+    count: np.ndarray
+    chain: np.ndarray
+
+
+def _table_scores(design: _BalancingDesign, target: Contrast) -> _TableTarget:
+    """The target's chained score from an empirical design, from its cell table.
+
+    A target fails when a unit of its groups lies in a cell where a
+    balancing score is undefined, so the check reads only those cells' rows.
+    The chained score counts each chained cell's units of either sign with
+    one bincount over the target's rows.
+    """
+    table = design.table
+    sign = assignment_indicators(target, table.treatment)
+    rows = np.flatnonzero(sign)
+    negative = sign[rows] == -1
+    count = table.count[rows]
+    n_neg = int(count[negative].sum())
+    _both_groups(int(count.sum()) - n_neg, n_neg)
+    for contrast, undefined in zip(design.contrasts, design.undefined):
+        if undefined.size and sign[undefined].any():
             raise UndefinedScores(
                 f"balancing score {contrast.describe()} "
                 "is undefined on units of the target bifurcation"
             )
-    if design.cells is not None:
-        return _cell_scores(design.cells, design.num_cells, d)
-    return _logistic_scores(design.features, d, ridge, design.order)
+    chain = design.chain[rows]
+    scores = _cell_scores(chain, design.num_cells, sign[rows], count, index=design.cells)
+    return _TableTarget(scores, rows, negative, count, chain)
+
+
+def _table_comparison(
+    dataset: Dataset, design: _BalancingDesign, target: Contrast, method: str, S: int
+) -> _Comparison:
+    """A target's chained score, subclasses and summed groups, from the cell table.
+
+    What :func:`chained_propensity`, :func:`subclassify` and
+    :func:`covariate_mean_difference` give, worked out on the target's table
+    rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
+    and each subclass's groups summed per row, its covariate cell's values
+    weighted by its units.  The units are read once, to gather their labels
+    from a table over the keys; a target of more than ``_UNITS_PER_SUM``
+    units, which the weighted sums cannot take, goes through
+    :func:`_compared_groups` and is summed per unit.  The checks of those
+    three functions that the chained checks leave unreachable are not
+    repeated.
+    """
+    scores, rows, negative, count, chain = _table_scores(design, target)
+    label, num_subclasses = _subclass_rows(
+        scores._with_index(chain), None, negative, method, S, count
+    )
+    table = design.table
+    label_of_key = np.zeros(table.num_keys, dtype=label.dtype)
+    label_of_key[table.slot[rows]] = label
+    assignment = SubclassAssignment._built(label_of_key[table.key], num_subclasses, scores)
+    if int(count.sum()) > _UNITS_PER_SUM:
+        return _compared_groups(dataset, target, assignment)
+    groups = 2 * label.astype(np.intp)
+    groups += negative
+    num_groups = 2 * (num_subclasses + 1)
+    counts = np.bincount(groups, count, minlength=num_groups).astype(np.int64).tolist()
+    return _Comparison(
+        target, assignment, dataset.cell_index.rows, table.cell[rows], groups, count, counts
+    )
 
 
 def chained_propensity(
@@ -917,6 +1073,8 @@ def chained_propensity(
     for contrast in (*balancing, target):
         _check_width(dataset, contrast)
     design = _balancing_design(dataset, balancing, estimator, ridge)
+    if design.table is not None:
+        return _table_scores(design, target).scores
     return _chained_scores(design, _indicator(dataset, target), ridge)
 
 
@@ -942,23 +1100,21 @@ def run_algorithm(
     A balancing or target contrast whose width is not the dataset's number
     of treatments is an input error, not a per-target failure: it raises
     :class:`~csps.errors.DimensionMismatch` before any fit.  Each target's
-    indicator and groups are found once; with the empirical estimator its
-    covariate sums go per (cell, group) pair where that is less work than
-    per unit (see :func:`_compared_groups`).
+    indicator and groups are found once.  With the empirical estimator the
+    units are counted once per call by (covariate cell, treatment), and
+    each target's score, subclasses and covariate sums come from those
+    counts; its only pass over the units gathers their subclass labels (see
+    :func:`_table_comparison`).
     """
     balancing, targets = tuple(balancing), tuple(targets)
     for contrast in (*balancing, *targets):
         _check_width(dataset, contrast)
-    design = failure = cells = None
+    design = failure = None
     if targets:
         try:
             design = _balancing_design(dataset, balancing, config.estimator, config.ridge)
         except CspsError as exc:
             failure = _error_text(exc)
-        else:
-            if config.estimator == "empirical":
-                # built for the balancing scores: the sums go per (cell, group) pair
-                cells = dataset.cell_index
     entries = []
     # targets whose sums wait to be stacked, and their places in entries; the
     # sums are taken once the waiting columns hold _VALUES_PER_CALL values
@@ -975,13 +1131,19 @@ def run_algorithm(
             entries.append(ContrastBalance(contrast=target, error=failure))
             continue
         try:
-            indicator = _indicator(dataset, target)
-            scores = _chained_scores(design, indicator, config.ridge)
-            assignment = subclassify(
-                scores, indicator.d, method=config.subclass_method,
-                num_subclasses=config.num_subclasses,
-            )
-            waiting.append(_compared_groups(dataset, target, assignment, indicator, cells))
+            if design.table is not None:
+                comparison = _table_comparison(
+                    dataset, design, target, config.subclass_method, config.num_subclasses
+                )
+            else:
+                indicator = _indicator(dataset, target)
+                scores = _chained_scores(design, indicator, config.ridge)
+                assignment = subclassify(
+                    scores, indicator.d, method=config.subclass_method,
+                    num_subclasses=config.num_subclasses,
+                )
+                comparison = _compared_groups(dataset, target, assignment, indicator)
+            waiting.append(comparison)
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
             continue

@@ -438,10 +438,6 @@ class ScoreVector:
         return len(self._floats if self._floats is not None else self._index)
 
     @property
-    def is_exact(self) -> bool:
-        return self._floats is None
-
-    @property
     def undefined_units(self) -> np.ndarray:
         """Ascending indices of the units whose score is undefined (a new array).
 
@@ -478,6 +474,12 @@ class ScoreVector:
             entry[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
         entry[den == 0] = np.nan
         return entry[self._index]
+
+    def _with_index(self, index: np.ndarray) -> "ScoreVector":
+        """The same exact entries over another index, kept without a copy."""
+        return ScoreVector._frozen(
+            numerators=self._numerators, denominators=self._denominators, index=index
+        )
 
     def dense_ranks(self, units=None) -> np.ndarray:
         """Small nonnegative ranks of the scores of ``units`` (default: all).
@@ -528,17 +530,26 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     return _cell_scores(cells.cell_of_unit, cells.num_cells, d)
 
 
-def _cell_scores(cells: np.ndarray, num_cells: int, d: np.ndarray) -> ScoreVector:
+def _cell_scores(
+    cells: np.ndarray, num_cells: int, d: np.ndarray, count=None, index=None
+) -> ScoreVector:
     """Exact scores of cells: each cell's units with ``d == 1`` over those with ``d != 0``.
 
-    ``cells[i]`` is the cell of unit i and ``d`` holds +1/-1/0 indicators.
-    One ``np.bincount`` keyed ``cell * 3 + d + 1`` counts both.
+    ``cells[i]`` is the cell of row i, ``d[i]`` its +1/-1/0 indicator and
+    ``count[i]`` the units it stands for (one when None).  One
+    ``np.bincount`` keyed ``cell * 3 + d + 1`` counts both; weighted, it
+    adds integers below 2**53, exactly.  The scores are over ``index``,
+    ``cells`` when None.
     """
     key = cells * np.intp(3)
     key += d
     key += 1
-    counts = np.bincount(key, minlength=3 * num_cells).reshape(num_cells, 3)
-    return ScoreVector.from_ratios(counts[:, 2], counts[:, 0] + counts[:, 2], index=cells)
+    counts = np.bincount(key, count, minlength=3 * num_cells).reshape(num_cells, 3)
+    if count is not None:
+        counts = counts.astype(np.int64)
+    return ScoreVector.from_ratios(
+        counts[:, 2], counts[:, 0] + counts[:, 2], index=cells if index is None else index
+    )
 
 
 def _logistic_scores(features, d, ridge: float, order) -> ScoreVector:

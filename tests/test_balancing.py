@@ -1,6 +1,8 @@
 import copy
 import pickle
 import time
+import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -67,7 +69,7 @@ class TestChainedPropensity:
             key: chained.values[idx[0]] for key, idx in build_cell_index(example)
         }
         assert per_cell == EXPECTED_CHAINED_SCORE
-        assert chained.is_exact
+        assert {type(v) for v in chained.values} == {Fraction}
 
     def test_self_chaining_reproduces_own_score(self, example):
         own = empirical_csps(example, TARGET_CONTRAST)
@@ -545,7 +547,7 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
     def test_no_targets_fit_nothing(self, example, monkeypatch, estimator):
         fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
-        cells = count_calls(monkeypatch, balancing, "empirical_csps")
+        cells = count_calls(monkeypatch, balancing, "_cell_table")
         config = AlgorithmConfig(estimator=estimator)
         assert len(run_algorithm(example, [FIRST_CONTRAST], [], config)) == 0
         assert len(run_algorithm(example, [], [], config)) == 0
@@ -559,7 +561,7 @@ class TestRunAlgorithm:
         # unchecked, a target one treatment wider than the data would be
         # balanced as the contrast of its first three coefficients
         fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
-        cells = count_calls(monkeypatch, balancing, "empirical_csps")
+        cells = count_calls(monkeypatch, balancing, "_cell_table")
         config = AlgorithmConfig(estimator=estimator)
         narrow, wide = Contrast((1, -1)), Contrast((0, 1, -1, 0))
         cases = [
@@ -605,7 +607,7 @@ class TestRunAlgorithm:
             alone = chained_propensity(
                 dataset, cfg.balancing, entry.contrast, estimator=estimator
             )
-            assert entry.scores.is_exact == alone.is_exact
+            assert [type(v) for v in entry.scores.values] == [type(v) for v in alone.values]
             assert entry.scores.as_floats().tobytes() == alone.as_floats().tobytes()
             assert np.array_equal(entry.scores.undefined_units, alone.undefined_units)
             if estimator == "empirical":
@@ -748,11 +750,12 @@ class TestRunAlgorithm:
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_empirical_sums_per_cell_only_on_few_cells(self, monkeypatch, method):
-        # binary covariates make few cells, so each target's sums go per
-        # (cell, group) pair; continuous ones make a cell per unit, and the
-        # sums go per unit; both equal covariate_mean_difference on a fresh
-        # Dataset over the same arrays, which always sums per unit.  The
-        # balancing contrast uses every treatment, so no cell is undefined
+        # each target's sums go per (cell, treatment) row of the cell table:
+        # binary covariates make few cells, so few rows; continuous ones make
+        # a cell per unit, and a row per unit; both equal
+        # covariate_mean_difference on a fresh Dataset over the same arrays,
+        # which always sums per unit.  The balancing contrast uses every
+        # treatment, so no cell is undefined
         rng = np.random.default_rng(8)
         balancing_set = [Contrast((1, 1, -2))]
         config = AlgorithmConfig(estimator="empirical", subclass_method=method)
@@ -762,16 +765,19 @@ class TestRunAlgorithm:
         ):
             w = rng.integers(1, 4, len(X))
             comparisons = []
-            real = balancing._compared_groups
+            real = balancing._table_comparison
 
             def watched(*args):
                 comparisons.append(real(*args))
                 return comparisons[-1]
 
-            monkeypatch.setattr(balancing, "_compared_groups", watched)
+            monkeypatch.setattr(balancing, "_table_comparison", watched)
             report = run_algorithm(Dataset(X, w), balancing_set, simulation_contrasts(), config)
-            monkeypatch.setattr(balancing, "_compared_groups", real)
-            assert [c.multiplicity is not None for c in comparisons] == [want] * 4
+            monkeypatch.setattr(balancing, "_table_comparison", real)
+            assert all(c.multiplicity is not None for c in comparisons)
+            few_rows = [len(c.groups) <= 8 * 3 for c in comparisons]
+            per_unit = [len(c.groups) == sum(c.counts) for c in comparisons]
+            assert (few_rows, per_unit) == (([want] * 4, [not want] * 4))
             for entry in report:
                 fresh = Dataset(X, w)
                 alone = covariate_mean_difference(fresh, entry.contrast, subclassify(
@@ -783,6 +789,36 @@ class TestRunAlgorithm:
                 assert entry._totals.counts == alone._totals.counts
                 assert entry._totals.sums == alone._totals.sums
                 assert entry.assignment.labels.tolist() == alone.assignment.labels.tolist()
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_empirical_pass_memory_is_bounded_by_the_units(self, method):
+        # a cell per unit and thousands of treatments: a cells x T count table
+        # would take 2000 times the units' bytes, and the pass counts only
+        # the (cell, treatment) pairs that hold units
+        rng = np.random.default_rng(5)
+        n, T = 300, 4000
+        X = rng.standard_normal((n, 1))
+        w = rng.integers(1, T + 1, n)
+        quarter = T // 4
+        balancing_set = [Contrast(tuple((-1) ** t for t in range(T)))]
+        targets = [
+            Contrast((1,) * (2 * quarter) + (-1,) * (2 * quarter)),
+            Contrast((1,) * quarter + (-1,) * quarter + (0,) * (2 * quarter)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # absent treatments only warn
+            dataset = Dataset(X, w, num_treatments=T)
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, balancing_set, targets, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.error for e in report] == [None, None]
+        units_bytes = X.nbytes + w.nbytes
+        assert n * T * 8 > 1000 * units_bytes
+        assert peak < 20 * units_bytes
 
     def test_per_target_errors_recorded(self):
         import warnings

@@ -526,7 +526,7 @@ def test_empirical_scores_equal_fraction_reference(data_case, contrast):
     X, w = data_case
     scores = empirical_csps(make_dataset(X, w), contrast)
     want = reference_empirical(X, w, contrast)
-    assert scores.is_exact
+    assert [type(v) for v in scores.values] == [type(v) for v in want]
     assert scores.values == want
     assert scores.undefined_units.tolist() == [i for i, v in enumerate(want) if v is None]
 
@@ -587,25 +587,23 @@ def pipeline_outcome(entry):
 @settings(max_examples=80, deadline=None)
 @given(few_cell_datasets(), st.sampled_from(("exact", "quantile")), st.integers(1, 6))
 def test_cell_sums_equal_unit_sums(data_case, method, S):
-    # the empirical pass sums per (cell, group) pair where that is no more
-    # work than per unit; covariate_mean_difference on a fresh Dataset over
-    # the same arrays always sums per unit
+    # the empirical pass sums per (cell, treatment) row of its cell table
+    # unless a target has more than _UNITS_PER_SUM units; covariate_mean_difference
+    # on a fresh Dataset over the same arrays always sums per unit
     X, w = data_case
     balancing_set = simulation_contrasts()[:2]
     config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
     paths = []
-    real = balancing._compared_groups
+    real = balancing._table_comparison
 
-    def watched(dataset, target, subclasses, indicator=None, cells=None):
-        comparison = real(dataset, target, subclasses, indicator, cells)
-        per_cell = cells is not None and (
-            cells.num_cells * len(comparison.counts) <= sum(comparison.counts)
-        )
-        assert (comparison.multiplicity is not None) == per_cell
-        paths.append("cell" if per_cell else "unit")
+    def watched(dataset, design, target, method, S):
+        comparison = real(dataset, design, target, method, S)
+        per_row = sum(comparison.counts) <= balancing._UNITS_PER_SUM
+        assert (comparison.multiplicity is not None) == per_row
+        paths.append("row" if per_row else "unit")
         return comparison
 
-    with mock.patch.object(balancing, "_compared_groups", watched):
+    with mock.patch.object(balancing, "_table_comparison", watched):
         report = run_algorithm(make_dataset(X, w), balancing_set, CONTRASTS, config)
         for entry in report:
             fresh = make_dataset(X, w)
@@ -619,6 +617,131 @@ def test_cell_sums_equal_unit_sums(data_case, method, S):
                 continue
             assert pipeline_outcome(entry) == pipeline_outcome(alone)
     event(f"paths: {sorted(set(paths))}")
+
+
+@st.composite
+def contrasts_of_width(draw, T):
+    """A contrast over T treatments with coefficients in -2..2, zeros allowed."""
+    head = draw(st.lists(st.integers(-2, 2), min_size=T - 1, max_size=T - 1))
+    coefficients = head + [-sum(head)]
+    if not any(coefficients):
+        coefficients[:2] = [1, -1]
+    return Contrast(tuple(coefficients))
+
+
+@st.composite
+def cell_table_cases(draw):
+    """Up to 60 units over T = 2-5 treatments, some never drawn, in 1 to
+    every-unit cells; 1-3 balancing contrasts and 1-4 targets over T."""
+    T = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 2))
+    layout = draw(st.sampled_from(("one cell", "few cells", "a cell per unit")))
+    if layout == "one cell":
+        X = np.full((n, k), draw(DISCRETE))
+    elif layout == "few cells":
+        levels = [np.array(draw(st.lists(DISCRETE, min_size=1, max_size=3))) for _ in range(k)]
+        X = np.column_stack([rng.choice(level, n) for level in levels])
+    else:
+        X = rng.standard_normal((n, k))
+    present = draw(st.one_of(
+        st.just(list(range(1, T + 1))),
+        st.lists(st.integers(1, T), min_size=1, max_size=T, unique=True),
+    ))
+    w = rng.choice(np.array(present), n)
+    balancing_set = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=3))
+    targets = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=4))
+    event(layout)
+    return X, w, T, balancing_set, targets
+
+
+def table_dataset(X, w, T) -> Dataset:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # absent treatments only warn
+        return Dataset(X, w, num_treatments=T)
+
+
+def score_bytes(scores):
+    ranks = scores.dense_ranks()
+    return (
+        scores.as_floats().tobytes(), scores.undefined_units.tobytes(),
+        ranks.dtype, ranks.tobytes(),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    cell_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 70),
+    st.sampled_from((None, 3)), st.randoms(use_true_random=False),
+)
+def test_cell_table_pass_equals_unit_chain(case, method, S, units_per_sum, random):
+    # every number of the empirical pass comes from its (cell, treatment)
+    # table; the public chain on a fresh Dataset works unit by unit.  S may
+    # exceed the units; a lowered _UNITS_PER_SUM sums larger targets per unit
+    X, w, T, balancing_set, targets = case
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
+    order = list(range(len(w)))
+    random.shuffle(order)
+    limit = balancing._UNITS_PER_SUM if units_per_sum is None else units_per_sum
+    with mock.patch.object(balancing, "_UNITS_PER_SUM", limit):
+        report = run_algorithm(table_dataset(X, w, T), balancing_set, targets, config)
+        moved_dataset = table_dataset(X[order], w[order], T)
+        permuted = run_algorithm(moved_dataset, balancing_set, targets, config)
+        for entry, moved in zip(report, permuted):
+            assert moved.error == entry.error
+            fresh = table_dataset(X, w, T)
+            d = assignment_indicators(entry.contrast, w)
+            if not ((d == 1).any() and (d == -1).any()):
+                assert entry.error.startswith("OneClassOnly")
+            elif any(d[empirical_csps(fresh, c).undefined_units].any() for c in balancing_set):
+                assert entry.error.startswith("UndefinedScores")
+            try:
+                scores = chained_propensity(fresh, balancing_set, entry.contrast, "empirical")
+                assignment = subclassify(scores, assignment_indicators(entry.contrast, w),
+                                         method, S)
+                alone = covariate_mean_difference(fresh, entry.contrast, assignment)
+            except CspsError as exc:
+                assert entry.error == f"{type(exc).__name__}: {exc}"
+                event(type(exc).__name__)
+                continue
+            event("subclassified, summed per " + (
+                "unit" if sum(alone._totals.counts) > limit else "(cell, treatment)"
+            ))
+            # the chained score per unit: exact cells of the balancing scores' ranks
+            ranks = np.column_stack([
+                empirical_csps(fresh, c).dense_ranks() for c in balancing_set
+            ]).astype(float)
+            by_unit = empirical_csps(table_dataset(ranks, w, T), entry.contrast)
+            assert score_bytes(entry.scores) == score_bytes(scores) == score_bytes(by_unit)
+            labels = entry.assignment.labels
+            assert (labels.dtype, labels.tobytes()) == (
+                assignment.labels.dtype, assignment.labels.tobytes()
+            )
+            assert pipeline_outcome(entry) == pipeline_outcome(alone)
+            totals = entry._totals
+            for got in (alone._totals, moved._totals):
+                assert (got.counts, got.sums, got.before, got.after) == (
+                    totals.counts, totals.sums, totals.before, totals.after
+                )
+            assert moved.assignment.labels.tobytes() == labels[order].tobytes()
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.fractions(0, 1, max_denominator=40), st.integers(1, 30)),
+             min_size=1, max_size=30),
+    st.one_of(st.integers(1, 64), st.integers(2, 10 ** 5)),
+)
+def test_counted_quantile_cuts_equal_np_quantile_of_the_units(rows, S):
+    # the cuts of values counted by rows are np.quantile's of the values repeated
+    values = np.array([float(v) for v, _ in rows])
+    counts = np.array([c for _, c in rows])
+    units = np.repeat(values, counts)
+    steps = balancing._cut_steps(len(units), S)
+    assert balancing._quantile_cuts(values, S, counts).tobytes() == (
+        np.quantile(units, steps / S).tobytes()
+    )
 
 
 @given(
@@ -677,8 +800,7 @@ def test_undefined_units_are_the_none_scores(scores):
     assert units.dtype == np.intp
     assert units.tolist() == [i for i, v in enumerate(scores.values) if v is None]
     assert (np.diff(units) > 0).all()
-    if not scores.is_exact:
-        assert units.size == 0
+    assert units.tolist() == np.flatnonzero(np.isnan(scores.as_floats())).tolist()
 
 
 @given(ratio_scores(min_units=2), st.sampled_from(("exact", "quantile")), st.data())
