@@ -6,11 +6,14 @@ analysis for each target bifurcation, subclassifies on the chained score,
 and reports covariate mean differences between the target's two groups
 before and after subclassing.
 
-With exact cells every number the routine reports depends on the units
-only through their counts per (covariate cell, treatment), so
-:func:`run_algorithm` counts them once per call (:func:`_cell_table`) and
-takes the scores, the subclasses and the group sums from those counts;
-per target, the units are read only to gather their subclass labels.
+:func:`run_algorithm` works out every target on the rows of one table, by
+one path whichever the estimator.  With exact cells every number the
+routine reports depends on the units only through their counts per
+(covariate cell, treatment), so the table holds those counts, made once per
+call (:func:`_cell_table`), and the scores, the subclasses and the group
+sums come from them; per target, the units are read only to gather their
+subclass labels.  With logistic scores each row of the table is one unit
+(:func:`_unit_table`).
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -38,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _tie_free_order
+from .data import Dataset, _index_dtype, _tie_free_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -83,19 +86,6 @@ _UNITS_PER_SUM = 2 ** 26
 _VALUES_PER_CALL = 2 ** 16
 
 
-def _exact_group_sums(
-    values: np.ndarray, groups: np.ndarray, num_groups: int
-) -> tuple[list[int], int]:
-    """Exact sums of float64 ``values`` per group label in ``0..num_groups-1``.
-
-    Returns ``(totals, exponent)``: the sum over group ``g`` is exactly
-    ``totals[g] * 2**exponent``, and ``exponent`` is 53 below the least
-    ``np.frexp`` exponent of the values (0 with no values).  This is
-    :func:`_stacked_group_sums` of one column.
-    """
-    return _stacked_group_sums([(values, groups, num_groups)])[0]
-
-
 class _Column(NamedTuple):
     """One column of :func:`_stacked_group_sums`.
 
@@ -113,11 +103,15 @@ class _Column(NamedTuple):
 
 
 def _stacked_group_sums(columns) -> list[tuple[list[int], int]]:
-    """:func:`_exact_group_sums` of every :class:`_Column` (or tuple of its fields).
+    """Exact sums of every :class:`_Column` (or tuple of its fields) per group.
 
-    Each column gets exactly the ``(totals, exponent)`` that a call on it
-    alone returns, and a column with multiplicities exactly those of its
-    values each repeated that many times.  Columns are summed together,
+    A column's float64 values, with groups labelled ``0..num_groups-1``,
+    give ``(totals, exponent)``: the sum over group ``g`` is exactly
+    ``totals[g] * 2**exponent``, and ``exponent`` is 53 below the least
+    ``np.frexp`` exponent of the values (0 with no values).  Each column
+    gets exactly the ``(totals, exponent)`` that a call on it alone
+    returns, and a column with multiplicities exactly those of its values
+    each repeated that many times.  Columns are summed together,
     ``max(1, cap // length)`` of them per call for columns of one length,
     the cap being ``_VALUES_PER_CALL`` values.  Each float is
     ``m * 2**(e - 53)`` with an integer ``m`` below ``2**53`` in magnitude
@@ -376,6 +370,8 @@ class AlgorithmConfig:
     :data:`~csps.estimation.TOL`.  The ridge must be finite and nonnegative
     whichever estimator is picked.  Subclassification defaults to quintiles;
     ``"exact"`` makes one subclass per distinct score value.
+    ``num_subclasses`` may be given as any whole number and is kept as an
+    int.
     """
 
     estimator: str = "logistic"
@@ -388,7 +384,8 @@ class AlgorithmConfig:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.subclass_method not in ("exact", "quantile"):
             raise ValueError(f"unknown subclass method {self.subclass_method!r}")
-        _subclass_count(self.num_subclasses)
+        # an int: a float count above 2**53 would never end _cut_steps' halving
+        object.__setattr__(self, "num_subclasses", _subclass_count(self.num_subclasses))
         _check_ridge(self.ridge)
 
 
@@ -753,23 +750,6 @@ def covariate_mean_difference(
     return _mean_differences(dataset, [_compared_groups(dataset, target, subclasses)])[0]
 
 
-class _Indicator(NamedTuple):
-    """A target's indicator ``d`` over the units, its eligible units (``d != 0``)
-    and, for each eligible unit, whether it is in the negative group."""
-
-    d: np.ndarray
-    eligible: np.ndarray
-    negative: np.ndarray
-
-
-def _indicator(dataset: Dataset, target: Contrast) -> _Indicator:
-    d = assignment_indicators(target, dataset.treatments)
-    # through a bool mask: np.flatnonzero of the int64 indicator itself is
-    # about five times slower
-    eligible = np.flatnonzero(d != 0)
-    return _Indicator(d, eligible, d[eligible] == -1)
-
-
 class _Comparison(NamedTuple):
     """A target's groups as :func:`covariate_mean_difference` checked them.
 
@@ -789,22 +769,18 @@ class _Comparison(NamedTuple):
 
 
 def _compared_groups(
-    dataset: Dataset,
-    target: Contrast,
-    subclasses: SubclassAssignment | None,
-    indicator: _Indicator | None = None,
+    dataset: Dataset, target: Contrast, subclasses: SubclassAssignment | None
 ) -> _Comparison:
     """The checks of :func:`covariate_mean_difference`, and the groups it sums.
 
-    ``indicator`` is the target's :func:`_indicator`, found here when None.
     Every eligible unit's row is summed.
     """
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
         raise ValueError("subclass labels must cover every unit of the dataset")
-    if indicator is None:
-        indicator = _indicator(dataset, target)
-    eligible, negative = indicator.eligible, indicator.negative
+    d = assignment_indicators(target, dataset.treatments)
+    eligible = np.flatnonzero(d != 0)
+    negative = d[eligible] == -1
     n_neg = int(np.count_nonzero(negative))
     S = 0 if subclasses is None else subclasses.num_subclasses
     # every subclass needs a unit of each group, which also bounds the
@@ -845,19 +821,21 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
 class _CellTable(NamedTuple):
     """A dataset's units counted by (covariate cell, treatment).
 
-    Row r is a pair with units: covariate cell ``cell[r]``, treatment label
-    ``treatment[r]`` and ``count[r] > 0`` units.  Unit i is in the pair
-    keyed ``key[i]``, and row r is keyed ``slot[r]``; keys are below
-    ``num_keys``, so a table over the keys gathered by ``key`` is a value
-    per unit.
+    Row r is a pair with units: covariate cell ``cell[r]``, whose covariate
+    row is ``values[cell[r]]``, treatment label ``treatment[r]`` and
+    ``count[r] > 0`` units, or one unit when ``count`` is None.  Unit i is
+    in the pair keyed ``key[i]``, and row r is keyed ``slot[r]``; keys are
+    below ``num_keys``, so a table over the keys gathered by ``key`` is a
+    value per unit.
     """
 
     cell: np.ndarray
     treatment: np.ndarray
-    count: np.ndarray
+    count: np.ndarray | None
     slot: np.ndarray
     key: np.ndarray
     num_keys: int
+    values: np.ndarray
 
 
 def _cell_table(dataset: Dataset) -> _CellTable:
@@ -881,7 +859,18 @@ def _cell_table(dataset: Dataset) -> _CellTable:
         slot = pairs = np.flatnonzero(count)
         count = count[slot]
     cell, treatment = np.divmod(pairs, width)
-    return _CellTable(cell, treatment, count, slot, key, num_keys)
+    return _CellTable(cell, treatment, count, slot, key, num_keys, cells.rows)
+
+
+def _unit_table(dataset: Dataset) -> _CellTable:
+    """The table whose row i is unit i: one read-only identity index serves
+    as its cells, slots and keys."""
+    identity = np.arange(dataset.n_units, dtype=_index_dtype(dataset.n_units))
+    identity.setflags(write=False)
+    return _CellTable(
+        identity, dataset.treatments, None, identity, identity, dataset.n_units,
+        dataset.covariates,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -889,20 +878,23 @@ class _BalancingDesign:
     """The J balancing scores of one dataset, in the form the chained fit reads.
 
     The scores depend on the dataset and the balancing set only, so one
-    design serves every target.  The logistic design is the N x J float
-    matrix of scores and its ``order`` (``_tie_free_order`` of the first
-    score, so None on a tie), which every chained fit takes its units from.
-    The empirical one is the dataset's :class:`_CellTable`, the chained cell
-    (of equal balancing-score tuples) of each of its rows, ``chain``, and of
-    each unit, ``cells``, which every target's chained scores share as their
-    read-only index; ``undefined[j]`` holds the table rows in cells without
-    a unit of balancing contrast j's groups, where score j is undefined.
+    design serves every target, whose groups are found on the rows of
+    ``table``.  The logistic design's table is :func:`_unit_table`; its
+    ``features`` are the N x J float matrix of scores and its ``order``
+    (``_tie_free_order`` of the first score, so None on a tie), which every
+    chained fit takes its units from.  The empirical design's table is
+    :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
+    of each table row is ``chain``, and of each unit ``cells``, which every
+    target's chained scores share as their read-only index;
+    ``undefined[j]`` holds the table rows in cells without a unit of
+    balancing contrast j's groups, where score j is undefined (none for the
+    logistic design, whose scores are defined on every unit).
     """
 
     contrasts: tuple[Contrast, ...]
+    table: _CellTable
     features: np.ndarray | None = None
     order: np.ndarray | None = None
-    table: _CellTable | None = None
     undefined: tuple[np.ndarray, ...] = ()
     chain: np.ndarray | None = None
     cells: np.ndarray | None = None
@@ -932,7 +924,8 @@ def _balancing_design(
             [model_csps(dataset, c, ridge=ridge).as_floats() for c in balancing]
         )
         return _BalancingDesign(
-            balancing, features=features, order=_tie_free_order(features[:, 0])
+            balancing, _unit_table(dataset), features=features,
+            order=_tie_free_order(features[:, 0]),
         )
     table = _cell_table(dataset)
     cell_index = dataset.cell_index
@@ -953,77 +946,71 @@ def _balancing_design(
     cells = chain_of_cell[cell_index.cell_of_unit]
     cells.setflags(write=False)
     return _BalancingDesign(
-        balancing, table=table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
+        balancing, table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
         cells=cells, num_cells=num_chained,
     )
 
 
-def _both_groups(n_pos: int, n_neg: int) -> None:
-    if not (n_pos and n_neg):
-        raise OneClassOnly("target bifurcation has an empty group")
-
-
-def _chained_scores(design: _BalancingDesign, indicator: _Indicator, ridge: float) -> ScoreVector:
-    """The target's chained score from a logistic balancing design.
-
-    ``indicator`` is the target's :func:`_indicator`.  Model scores are
-    defined on every unit, so no unit needs a check.
-    """
-    n_neg = int(np.count_nonzero(indicator.negative))
-    _both_groups(len(indicator.eligible) - n_neg, n_neg)
-    return _logistic_scores(design.features, indicator.d, ridge, design.order)
-
-
-class _TableTarget(NamedTuple):
-    """A target's rows of an empirical design's cell table, and its chained score.
+class _Target(NamedTuple):
+    """A target's rows of its design's table, and its chained score.
 
     ``rows`` are the table rows in the target's groups, ``negative`` says
-    which of them are in the negative group, and ``count`` and ``chain``
-    give their units and chained cells.
+    which of them are in the negative group, and ``count`` gives their
+    units (one each when None).  ``scores`` is the chained score of every
+    unit and ``row_scores`` that of every table row.
     """
 
     scores: ScoreVector
+    row_scores: ScoreVector
     rows: np.ndarray
     negative: np.ndarray
-    count: np.ndarray
-    chain: np.ndarray
+    count: np.ndarray | None
 
 
-def _table_scores(design: _BalancingDesign, target: Contrast) -> _TableTarget:
-    """The target's chained score from an empirical design, from its cell table.
+def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target:
+    """The target's groups on the design's table, and its chained score.
 
-    A target fails when a unit of its groups lies in a cell where a
-    balancing score is undefined, so the check reads only those cells' rows.
-    The chained score counts each chained cell's units of either sign with
-    one bincount over the target's rows.
+    A target fails when one of its groups is empty, or when a unit of its
+    groups lies in a cell where a balancing score is undefined, so the check
+    reads only those cells' rows.  The logistic chained score is a fit on
+    the target's units, and the empirical one counts each chained cell's
+    units of either sign with one bincount over the target's rows.
     """
     table = design.table
     sign = assignment_indicators(target, table.treatment)
-    rows = np.flatnonzero(sign)
+    # through a bool mask: np.flatnonzero of the int64 indicator itself is
+    # about five times slower
+    rows = np.flatnonzero(sign != 0)
     negative = sign[rows] == -1
-    count = table.count[rows]
-    n_neg = int(count[negative].sum())
-    _both_groups(int(count.sum()) - n_neg, n_neg)
+    count = None if table.count is None else table.count[rows]
+    n_pos, n_neg = np.bincount(negative, count, minlength=2).tolist()
+    if not (n_pos and n_neg):
+        raise OneClassOnly("target bifurcation has an empty group")
     for contrast, undefined in zip(design.contrasts, design.undefined):
         if undefined.size and sign[undefined].any():
             raise UndefinedScores(
                 f"balancing score {contrast.describe()} "
                 "is undefined on units of the target bifurcation"
             )
-    chain = design.chain[rows]
-    scores = _cell_scores(chain, design.num_cells, sign[rows], count, index=design.cells)
-    return _TableTarget(scores, rows, negative, count, chain)
+    if design.features is not None:
+        scores = row_scores = _logistic_scores(design.features, sign, ridge, design.order)
+    else:
+        scores = _cell_scores(
+            design.chain[rows], design.num_cells, sign[rows], count, index=design.cells
+        )
+        row_scores = scores._with_index(design.chain)
+    return _Target(scores, row_scores, rows, negative, count)
 
 
-def _table_comparison(
-    dataset: Dataset, design: _BalancingDesign, target: Contrast, method: str, S: int
+def _target_comparison(
+    dataset: Dataset, design: _BalancingDesign, target: Contrast, config: AlgorithmConfig
 ) -> _Comparison:
-    """A target's chained score, subclasses and summed groups, from the cell table.
+    """A target's chained score, subclasses and summed groups, from its design's table.
 
     What :func:`chained_propensity`, :func:`subclassify` and
     :func:`covariate_mean_difference` give, worked out on the target's table
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
-    and each subclass's groups summed per row, its covariate cell's values
+    and each subclass's groups summed per row, the row's covariate values
     weighted by its units.  The units are read once, to gather their labels
     from a table over the keys; a target of more than ``_UNITS_PER_SUM``
     units, which the weighted sums cannot take, goes through
@@ -1031,22 +1018,23 @@ def _table_comparison(
     three functions that the chained checks leave unreachable are not
     repeated.
     """
-    scores, rows, negative, count, chain = _table_scores(design, target)
+    scores, row_scores, rows, negative, count = _target(design, target, config.ridge)
     label, num_subclasses = _subclass_rows(
-        scores._with_index(chain), None, negative, method, S, count
+        row_scores, rows, negative, config.subclass_method, config.num_subclasses, count
     )
     table = design.table
     label_of_key = np.zeros(table.num_keys, dtype=label.dtype)
     label_of_key[table.slot[rows]] = label
     assignment = SubclassAssignment._built(label_of_key[table.key], num_subclasses, scores)
-    if int(count.sum()) > _UNITS_PER_SUM:
-        return _compared_groups(dataset, target, assignment)
     groups = 2 * label.astype(np.intp)
     groups += negative
     num_groups = 2 * (num_subclasses + 1)
+    # sums of counts below 2**53: exact
     counts = np.bincount(groups, count, minlength=num_groups).astype(np.int64).tolist()
+    if sum(counts) > _UNITS_PER_SUM:
+        return _compared_groups(dataset, target, assignment)
     return _Comparison(
-        target, assignment, dataset.cell_index.rows, table.cell[rows], groups, count, counts
+        target, assignment, table.values, table.cell[rows], groups, count, counts
     )
 
 
@@ -1072,10 +1060,7 @@ def chained_propensity(
     balancing = tuple(balancing)
     for contrast in (*balancing, target):
         _check_width(dataset, contrast)
-    design = _balancing_design(dataset, balancing, estimator, ridge)
-    if design.table is not None:
-        return _table_scores(design, target).scores
-    return _chained_scores(design, _indicator(dataset, target), ridge)
+    return _target(_balancing_design(dataset, balancing, estimator, ridge), target, ridge).scores
 
 
 def _error_text(exc: CspsError) -> str:
@@ -1099,12 +1084,14 @@ def run_algorithm(
     balancing fit, or a dataset with no units, is recorded on every target.
     A balancing or target contrast whose width is not the dataset's number
     of treatments is an input error, not a per-target failure: it raises
-    :class:`~csps.errors.DimensionMismatch` before any fit.  Each target's
-    indicator and groups are found once.  With the empirical estimator the
-    units are counted once per call by (covariate cell, treatment), and
-    each target's score, subclasses and covariate sums come from those
-    counts; its only pass over the units gathers their subclass labels (see
-    :func:`_table_comparison`).
+    :class:`~csps.errors.DimensionMismatch` before any fit.  Whichever the
+    estimator, each target is worked out by one path (see
+    :func:`_target_comparison`) on the rows of its design's table, where
+    its groups are found once: with the empirical estimator the units are
+    counted once per call by (covariate cell, treatment), so each target's
+    score, subclasses and covariate sums come from those counts and its
+    only pass over the units gathers their subclass labels; with the
+    logistic one each row of the table is one unit.
     """
     balancing, targets = tuple(balancing), tuple(targets)
     for contrast in (*balancing, *targets):
@@ -1131,19 +1118,7 @@ def run_algorithm(
             entries.append(ContrastBalance(contrast=target, error=failure))
             continue
         try:
-            if design.table is not None:
-                comparison = _table_comparison(
-                    dataset, design, target, config.subclass_method, config.num_subclasses
-                )
-            else:
-                indicator = _indicator(dataset, target)
-                scores = _chained_scores(design, indicator, config.ridge)
-                assignment = subclassify(
-                    scores, indicator.d, method=config.subclass_method,
-                    num_subclasses=config.num_subclasses,
-                )
-                comparison = _compared_groups(dataset, target, assignment, indicator)
-            waiting.append(comparison)
+            waiting.append(_target_comparison(dataset, design, target, config))
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
             continue

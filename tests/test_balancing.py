@@ -173,6 +173,30 @@ class TestSubclassify:
         AlgorithmConfig(num_subclasses=2.0)
         assert subclassify(scores, d, num_subclasses=2.0).labels.tolist() == [1, 1, 2, 2]
 
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_config_keeps_the_subclass_count_as_an_int(self, estimator):
+        # a float count above 2**53 would never end the halving of the cut
+        # steps, so the type is checked before any pass runs
+        for count in (5.0, np.int64(5), 2.0 ** 60):
+            assert type(AlgorithmConfig(num_subclasses=count).num_subclasses) is int
+        dataset = sample_dataset(mechanism_ii(num_units=200, seed=3), 0)
+        if estimator == "empirical":
+            dataset = Dataset(
+                (dataset.covariates > 0).astype(float), dataset.treatments,
+                num_treatments=3,
+            )
+        cfg = mechanism_ii()
+        outcomes = []
+        for count in (2 ** 60, 2.0 ** 60):
+            config = AlgorithmConfig(estimator=estimator, num_subclasses=count)
+            report = run_algorithm(dataset, cfg.balancing, cfg.targets, config)
+            assert all(e.error is None for e in report)
+            outcomes.append([
+                (e.assignment.labels.tobytes(), e._totals.counts, e._totals.after)
+                for e in report
+            ])
+        assert outcomes[0] == outcomes[1]
+
     def test_boundary_ties_go_to_lower_subclass(self):
         # the 0.5-quantile of these scores is 0.2, so both 0.2 units stay low
         scores = ScoreVector.from_floats([0.1, 0.2, 0.2, 0.4, 0.5])
@@ -765,15 +789,15 @@ class TestRunAlgorithm:
         ):
             w = rng.integers(1, 4, len(X))
             comparisons = []
-            real = balancing._table_comparison
+            real = balancing._target_comparison
 
             def watched(*args):
                 comparisons.append(real(*args))
                 return comparisons[-1]
 
-            monkeypatch.setattr(balancing, "_table_comparison", watched)
+            monkeypatch.setattr(balancing, "_target_comparison", watched)
             report = run_algorithm(Dataset(X, w), balancing_set, simulation_contrasts(), config)
-            monkeypatch.setattr(balancing, "_table_comparison", real)
+            monkeypatch.setattr(balancing, "_target_comparison", real)
             assert all(c.multiplicity is not None for c in comparisons)
             few_rows = [len(c.groups) <= 8 * 3 for c in comparisons]
             per_unit = [len(c.groups) == sum(c.counts) for c in comparisons]

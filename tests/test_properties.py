@@ -23,8 +23,8 @@ from csps import balancing, cli, data, estimation
 from csps.balancing import (
     AlgorithmConfig,
     SubclassAssignment,
-    _exact_group_sums,
     _merge_one_class_groups,
+    _stacked_group_sums,
     chained_propensity,
     covariate_mean_difference,
     run_algorithm,
@@ -116,7 +116,7 @@ def reference_means(values, groups, num_groups) -> dict:
 
 
 def library_means(values, groups, num_groups) -> dict:
-    totals, exponent = _exact_group_sums(values, groups, num_groups)
+    totals, exponent = _stacked_group_sums([(values, groups, num_groups)])[0]
     counts = np.bincount(groups, minlength=num_groups)
     return {
         g: Fraction(totals[g]) * Fraction(2) ** exponent / int(counts[g])
@@ -262,8 +262,8 @@ def test_group_sums_ignore_unit_order(case, random):
     values, groups, num_groups = case
     order = list(range(len(values)))
     random.shuffle(order)
-    assert _exact_group_sums(values[order], groups[order], num_groups) == _exact_group_sums(
-        values, groups, num_groups
+    assert _stacked_group_sums([(values[order], groups[order], num_groups)])[0] == (
+        _stacked_group_sums([(values, groups, num_groups)])[0]
     )
 
 
@@ -311,7 +311,10 @@ def test_stacked_sums_equal_single_column_sums(columns):
     real = balancing._sum_stack
     with mock.patch.object(balancing, "_sum_stack", watched):
         stacked = balancing._stacked_group_sums(columns)
-    assert stacked == [_exact_group_sums(*column) for column in columns]
+    assert stacked == [
+        _stacked_group_sums([(values, groups, num_groups)])[0]
+        for values, groups, num_groups in columns
+    ]
     # a call takes as many columns as fit in the cap, and at least one
     assert [n for sizes in stacks for n in sizes] == [len(c[0]) for c in columns]
     assert all(len(sizes) == 1 or sum(sizes) <= CAP for sizes in stacks)
@@ -365,9 +368,9 @@ def test_weighted_sums_equal_repeated_values(columns):
         assert [Fraction(t) * Fraction(2) ** exponent for t in totals] == want
         assert exponent == (int(np.frexp(values)[1].min()) - 53 if len(values) else 0)
         if times.sum() <= 2 ** 16:
-            assert (totals, exponent) == _exact_group_sums(
+            assert (totals, exponent) == _stacked_group_sums([(
                 np.repeat(values, times), np.repeat(column.groups, times), column.num_groups
-            )
+            )])[0]
 
 
 @given(datasets(min_units=2), st.sampled_from(CONTRASTS), st.data())
@@ -594,16 +597,16 @@ def test_cell_sums_equal_unit_sums(data_case, method, S):
     balancing_set = simulation_contrasts()[:2]
     config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
     paths = []
-    real = balancing._table_comparison
+    real = balancing._target_comparison
 
-    def watched(dataset, design, target, method, S):
-        comparison = real(dataset, design, target, method, S)
+    def watched(dataset, design, target, config):
+        comparison = real(dataset, design, target, config)
         per_row = sum(comparison.counts) <= balancing._UNITS_PER_SUM
         assert (comparison.multiplicity is not None) == per_row
         paths.append("row" if per_row else "unit")
         return comparison
 
-    with mock.patch.object(balancing, "_table_comparison", watched):
+    with mock.patch.object(balancing, "_target_comparison", watched):
         report = run_algorithm(make_dataset(X, w), balancing_set, CONTRASTS, config)
         for entry in report:
             fresh = make_dataset(X, w)
@@ -725,6 +728,76 @@ def test_cell_table_pass_equals_unit_chain(case, method, S, units_per_sum, rando
                     totals.counts, totals.sums, totals.before, totals.after
                 )
             assert moved.assignment.labels.tobytes() == labels[order].tobytes()
+
+
+@st.composite
+def unit_table_cases(draw):
+    """2-60 units of 1-3 continuous covariates over T = 2-4 treatments, some
+    never drawn; the first column tie-free, rounded (ties in it) or with
+    repeated rows (ties in every score); 1-2 balancing contrasts and 1-3
+    targets over T."""
+    T = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 60))
+    X = rng.standard_normal((n, draw(st.integers(1, 3))))
+    layout = draw(st.sampled_from(("tie-free", "rounded first column", "repeated rows")))
+    if layout == "rounded first column":
+        X[:, 0] = np.round(X[:, 0], 1)
+    elif layout == "repeated rows":
+        X = X[rng.integers(0, max(n // 3, 1), n)]
+    w = rng.integers(1, T + 1, n)
+    balancing_set = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=2))
+    targets = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=3))
+    event(layout)
+    return X, w, T, balancing_set, targets
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    unit_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 70),
+    st.sampled_from((0.0, 0.5)), st.randoms(use_true_random=False),
+)
+def test_unit_table_pass_equals_unit_chain(case, method, S, ridge, random):
+    # the logistic pass works on the table whose rows are the units; the
+    # public chain on a fresh Dataset gives every number, and so does the
+    # pass on the units permuted.  S may exceed the units
+    X, w, T, balancing_set, targets = case
+    config = AlgorithmConfig(subclass_method=method, num_subclasses=S, ridge=ridge)
+    order = list(range(len(w)))
+    random.shuffle(order)
+    report = run_algorithm(table_dataset(X, w, T), balancing_set, targets, config)
+    permuted = run_algorithm(table_dataset(X[order], w[order], T), balancing_set, targets, config)
+    for entry, moved in zip(report, permuted):
+        assert moved.error == entry.error
+        fresh = table_dataset(X, w, T)
+        try:
+            scores = chained_propensity(fresh, balancing_set, entry.contrast, "logistic", ridge)
+            assignment = subclassify(scores, assignment_indicators(entry.contrast, w), method, S)
+            alone = covariate_mean_difference(fresh, entry.contrast, assignment)
+        except CspsError as exc:
+            assert entry.error == f"{type(exc).__name__}: {exc}"
+            event(type(exc).__name__)
+            continue
+        event("subclassified")
+        # the chained score per unit: a logistic fit on the balancing scores
+        features = np.column_stack([
+            model_csps(fresh, c, ridge).as_floats() for c in balancing_set
+        ])
+        by_unit = model_csps(table_dataset(features, w, T), entry.contrast, ridge)
+        floats = entry.scores.as_floats()
+        assert floats.tobytes() == scores.as_floats().tobytes() == by_unit.as_floats().tobytes()
+        assert moved.scores.as_floats().tobytes() == floats[order].tobytes()
+        labels = entry.assignment.labels
+        assert (labels.dtype, labels.tobytes()) == (
+            assignment.labels.dtype, assignment.labels.tobytes()
+        )
+        assert moved.assignment.labels.tobytes() == labels[order].tobytes()
+        assert pipeline_outcome(entry) == pipeline_outcome(alone)
+        totals = entry._totals
+        for got in (alone._totals, moved._totals):
+            assert (got.counts, got.sums, got.before, got.after) == (
+                totals.counts, totals.sums, totals.before, totals.after
+            )
 
 
 @settings(max_examples=200)
