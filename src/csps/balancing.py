@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _index_dtype, _tie_free_order
+from .data import Dataset, _tie_free_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -864,8 +864,9 @@ def _cell_table(dataset: Dataset) -> _CellTable:
 
 def _unit_table(dataset: Dataset) -> _CellTable:
     """The table whose row i is unit i: one read-only identity index serves
-    as its cells, slots and keys."""
-    identity = np.arange(dataset.n_units, dtype=_index_dtype(dataset.n_units))
+    as its cells, slots and keys.  It is intp, so the per-target gathers
+    through ``key`` take it as it is, without casting it on every call."""
+    identity = np.arange(dataset.n_units, dtype=np.intp)
     identity.setflags(write=False)
     return _CellTable(
         identity, dataset.treatments, None, identity, identity, dataset.n_units,

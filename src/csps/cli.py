@@ -25,7 +25,7 @@ import numpy as np
 from . import example_data
 from .balancing import AlgorithmConfig, run_algorithm
 from .contrasts import assignment_indicators, read_contrast_file
-from .data import _write_csv_columns, load_dataset, write_dataset_csv
+from .data import load_dataset, write_dataset_csv
 from .errors import INPUT_ERRORS, CspsError, ParseError
 from .estimation import empirical_csps, model_csps
 from .reporting import (
@@ -84,6 +84,38 @@ def _in_a_directory(name: str, option: str) -> Path:
     return path
 
 
+def _same_file(a, b) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: equal once resolved, or,
+    where both exist, one file by ``os.path.samefile`` (a hard link counts)."""
+    if Path(a).resolve() == Path(b).resolve():
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
+
+
+def _refuse_clobbers(inputs: dict, outputs: dict) -> None:
+    """ParseError when an output path names an input file or an earlier output.
+
+    Both map an option to the path it gives; an option given no path (None)
+    is skipped.  Called before any output, so a refusal writes nothing.
+    """
+    named = [(option, path) for option, path in inputs.items() if path is not None]
+    for option, path in outputs.items():
+        if path is None:
+            continue
+        for other, earlier in named:
+            if _same_file(path, earlier):
+                raise ParseError(f"{option} {path} would overwrite {other} {earlier}")
+        named.append((option, path))
+
+
+def _out_option(args) -> str:
+    """The option that names the default output file: ``--out`` or ``--output-dir``."""
+    return "--out" if args.out is not None else "--output-dir"
+
+
 def _out_path(args, filename: str) -> Path:
     if args.out is not None:
         return _in_a_directory(args.out, "--out")
@@ -124,6 +156,11 @@ def cmd_estimate(args) -> int:
     contrasts = read_contrast_file(args.contrasts)
     tags = [c.label or "-".join(str(v) for v in c.coefficients) for c in contrasts]
     _refuse_repeats(tags, f"{args.contrasts}: two contrasts are tagged")
+    path = _out_path(args, "scores.csv")
+    _refuse_clobbers(
+        {"--data": args.data, "--contrasts": args.contrasts, "--config": args.config},
+        {_out_option(args): path},
+    )
 
     columns: dict[str, np.ndarray] = {"unit": np.arange(1, dataset.n_units + 1)}
     for c, tag in zip(contrasts, tags):
@@ -135,8 +172,9 @@ def cmd_estimate(args) -> int:
         columns[f"d[{tag}]"] = d
         columns[f"csps[{tag}]"] = np.ma.masked_invalid(scores.as_floats())
 
-    path = _out_path(args, "scores.csv")
-    _write_csv_columns(path, list(columns), list(columns.values()), dataset.n_units)
+    from .csvwriter import write_csv_columns  # loaded on first write
+
+    write_csv_columns(path, list(columns), list(columns.values()), dataset.n_units)
     print(f"wrote {path}")
     return 0
 
@@ -162,6 +200,11 @@ def cmd_balance(args) -> int:
              *(name for t in targets for name in _per_unit_names(t))],
             f"{args.data}: --per-unit would write two columns named",
         )
+    _refuse_clobbers(
+        {"--data": args.data, "--contrasts": args.contrasts, "--targets": args.targets,
+         "--config": args.config},
+        {_out_option(args): path, "--per-unit": args.per_unit or None},
+    )
 
     report = run_algorithm(dataset, balancing, targets, algo)
     if args.format in ("text", "both"):
@@ -243,6 +286,11 @@ def cmd_simulate(args) -> int:
     # drawn and resolved before any output, so an input error leaves none
     oracle = oracle_group_means(cfg, oracle_n=args.oracle) if text and args.oracle else None
     path = _out_path(args, "replications.csv") if args.format in ("csv", "both") else None
+    custom = args.mechanism.upper() not in ("I", "II")
+    _refuse_clobbers(
+        {"--mechanism": args.mechanism if custom else None, "--config": args.config},
+        {_out_option(args): path},
+    )
     result = run_experiment(cfg)
     if text:
         print(format_experiment_table(result))

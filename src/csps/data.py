@@ -319,62 +319,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(X, w, covariate_names=names, treatment_name=header[trt_idx])
 
 
-# rows are formatted a block at a time: only one block's Python numbers and
-# strings exist at once
-_ROWS_PER_BLOCK = 2048
-
-
-def _column_formatter(name: str, column, num_rows: int):
-    """The function that gives ``(spec, values)`` for ``column`` in a block of rows.
-
-    ``column`` is an integer, unsigned or float array of ``num_rows``
-    entries, or a masked array of one; anything else is a ``ValueError``.
-    ``spec`` is the ``%``-format that the row template applies to
-    ``values``: ``%.17g`` for floats and ``%d`` for integers.  In a block
-    where a masked array has a masked entry, that entry is an empty field:
-    ``spec`` is then ``%s`` and the fields come formatted.
-    """
-    if not isinstance(column, np.ndarray) or column.dtype.kind not in "fiu":
-        raise ValueError(f"column {name!r} is not an integer or float array")
-    if len(column) != num_rows:
-        raise ValueError(f"column {name!r} has the wrong length")
-    values = np.ma.getdata(column)
-    blank = np.ma.getmaskarray(column) if np.ma.isMaskedArray(column) else None
-    spec = "%.17g" if values.dtype.kind == "f" else "%d"
-
-    def fields(block: slice) -> tuple[str, list]:
-        part = values[block]
-        out = (part.astype(float, copy=False) if spec == "%.17g" else part).tolist()
-        hidden = [] if blank is None else np.flatnonzero(blank[block]).tolist()
-        if not hidden:
-            return spec, out
-        out = list(map(spec.__mod__, out))
-        for i in hidden:
-            out[i] = ""
-        return "%s", out
-
-    return fields
-
-
-def _write_csv_columns(path, header: list[str], columns: list, num_rows: int) -> None:
-    """Write a header row and ``num_rows`` rows of ``columns`` as CSV.
-
-    Each block of rows is written with one row template joined from the
-    columns' ``%``-formats (see ``_column_formatter``).  Numbers and empty
-    fields hold no delimiter, quote or line break, so ``csv.writer`` would
-    write them unquoted: the rows are formatted directly, with its ``\\r\\n``
-    line ends.
-    """
-    formatters = [_column_formatter(*named, num_rows) for named in zip(header, columns)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for start in range(0, num_rows, _ROWS_PER_BLOCK):
-            block = slice(start, start + _ROWS_PER_BLOCK)
-            specs, values = zip(*[fields(block) for fields in formatters])
-            template = ",".join(specs) + "\r\n"
-            fh.write("".join(map(template.__mod__, zip(*values))))
-
-
 def write_dataset_csv(
     dataset: Dataset,
     path,
@@ -382,14 +326,17 @@ def write_dataset_csv(
 ) -> None:
     """Write the dataset (plus optional appended columns) as CSV.
 
-    Covariates and float extras are written with 17 significant digits,
-    which round-trips float64 exactly, and integer extras as integers.  An
-    extra column is an integer, unsigned or float array with one entry per
-    unit, or a masked array of one (masked entries become empty fields);
-    anything else is a ``ValueError``, raised before the file is opened.
+    Covariates and float extras are written exactly as ``'%.17g' % v``
+    writes them (17 significant digits, which round-trip float64), and the
+    treatments and integer extras as ``'%d' % v`` does.  An extra column is
+    an integer, unsigned or float array with one entry per unit, or a
+    masked array of one (masked entries become empty fields); anything else
+    is a ``ValueError``, raised before the file is opened.
     """
+    from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
+
     extras = dict(extra_columns or {})
-    _write_csv_columns(
+    write_csv_columns(
         path,
         list(dataset.covariate_names) + [dataset.treatment_name] + list(extras),
         list(dataset.covariates.T) + [dataset.treatments] + list(extras.values()),

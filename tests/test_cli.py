@@ -1,4 +1,5 @@
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,48 @@ def test_contrasts_of_one_name_are_an_input_error(
     assert captured.err.startswith(f"input error: {path}, lines {lines}: ")
     assert captured.out == ""
     assert not out.exists() and not per_unit.exists()
+
+
+@pytest.mark.parametrize(
+    "command, outputs, clobbered",
+    [
+        ("balance", {"--per-unit": "{data}"}, "--data"),
+        ("balance", {"--per-unit": "{linked}"}, "--data"),
+        ("balance", {"--per-unit": "{sub}/../units.csv"}, "--data"),
+        ("balance", {"--out": "{contrasts}"}, "--contrasts"),
+        ("balance", {"--out": "same.csv", "--per-unit": "same.csv"}, "--out"),
+        ("balance", {"--output-dir": ".", "--per-unit": "balance.csv"}, "--output-dir"),
+        ("estimate", {"--out": "{data}"}, "--data"),
+        ("estimate", {"--out": "{linked}"}, "--data"),
+    ],
+    ids=["per_unit_is_data", "per_unit_is_a_hard_link_of_data", "per_unit_is_data_respelled",
+         "out_is_contrasts", "per_unit_is_out", "per_unit_is_output_dir_csv",
+         "estimate_out_is_data", "estimate_out_is_a_hard_link_of_data"],
+)
+def test_an_output_that_would_overwrite_a_file_is_an_input_error(
+    command, outputs, clobbered, example_csv, contrast_file, tmp_path, capsys, monkeypatch
+):
+    # writing over the dataset, a contrast file or another output of the
+    # run would lose it, so each is refused before any output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    linked = tmp_path / "linked.csv"
+    os.link(example_csv, linked)
+    names = {"data": example_csv, "linked": linked, "sub": tmp_path / "sub",
+             "contrasts": contrast_file}
+    before = {p: p.read_bytes() for p in (example_csv, contrast_file)}
+    argv = [command, "--data", str(example_csv), "--contrasts", str(contrast_file)]
+    for option, path in outputs.items():
+        argv += [option, path.format(**names)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ")
+    assert "would overwrite " + clobbered in captured.err
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "contrasts.txt", "linked.csv", "sub", "units.csv"
+    ]
 
 
 class TestBalance:
@@ -602,6 +645,18 @@ class TestSimulate:
         assert main(
             ["simulate", "--mechanism", str(tmp_path / "missing.txt"), "--reps", "2"]
         ) == 2
+
+    def test_out_naming_the_mechanism_file_is_an_input_error(self, tmp_path, capsys):
+        coefficients = tmp_path / "coeffs.txt"
+        coefficients.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        argv = ["simulate", "--mechanism", str(coefficients), "--units", "60", "--reps", "2"]
+        assert main(argv + ["--out", str(coefficients)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: --out {coefficients} would overwrite --mechanism {coefficients}\n"
+        )
+        assert captured.out == ""
+        assert coefficients.read_text() == "0 0 0\n1 0 0\n0 1 0\n"
 
     @pytest.mark.parametrize(
         "rows, message",

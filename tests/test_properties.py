@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from csps import balancing, cli, data, estimation
+from csps import balancing, cli, csvwriter, data, estimation
 from csps.balancing import (
     AlgorithmConfig,
     SubclassAssignment,
@@ -1441,34 +1441,101 @@ def test_load_dataset_returns_a_dataset_or_fails_typed(content):
     assert dataset.n_units >= 1
 
 
+# Floats where '%.17g' is hard to match: exact ties of the 18th digit
+# (1 + 2**-17 is 1.00000762939453125, written 1.0000076293945312), powers of
+# ten and their neighbours (where floor(log10) can be one off), the ends of
+# the writer's exact range, zeros, subnormals and the largest float.
+TIES = (1 + 2 ** -17, 1 + 3 * 2 ** -17, 1 + 5 * 2 ** -17, 1e3 + 2 ** -14, 1e15 + 0.25)
+POWERS_OF_TEN = tuple(
+    v for k in range(-30, 31)
+    for v in (10.0 ** k, np.nextafter(10.0 ** k, 0), np.nextafter(10.0 ** k, np.inf))
+)
+EDGE_FLOATS = TIES + POWERS_OF_TEN + (
+    1e16, 1e17, 99999999999999999.0, 1e-6, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))
+RAW_FLOATS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+)
+DYADIC_FLOATS = st.builds(  # many of them are exact ties at the 18th digit
+    lambda m, j: m * 2.0 ** -j, st.integers(1, 2 ** 20), st.integers(0, 70)
+)
+
+
+def spelled(fields: np.ndarray) -> list[str]:
+    """The text of each row of NUL-padded byte fields."""
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in fields]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(RAW_FLOATS, FLOATS, DYADIC_FLOATS, st.sampled_from(EDGE_FLOATS)),
+                max_size=40))
+@example(list(TIES))
+@example(list(POWERS_OF_TEN))
+@example(list(EDGE_FLOATS + NON_FINITE))
+def test_float_fields_equal_percent_g(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the formatter raises no numpy warning
+        got = spelled(csvwriter._float_fields(np.array(values, dtype=np.float64)))
+    assert got == ["%.17g" % v for v in values]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
+@example([-2 ** 63, 2 ** 63 - 1, 0, -1, 1, 9999, 10000, -10 ** 18])
+def test_int64_fields_equal_percent_d(values):
+    got = spelled(csvwriter._int_fields(np.array(values, dtype=np.int64), 19))
+    assert got == ["%d" % v for v in values]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(2 ** 63, 2 ** 64 - 1), max_size=40))
+@example([2 ** 63, 2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1])
+def test_uint64_fields_equal_percent_d(values):
+    got = spelled(csvwriter._int_fields(np.array(values, dtype=np.uint64), 20))
+    assert got == ["%d" % v for v in values]
+
+
 @st.composite
 def extra_columns(draw):
     """A dataset, extra columns for write_dataset_csv and the same for the reference.
 
     The reference writer gets each masked array as a list with None where
-    masked; every other column it gets as it is.
+    masked; every other column it gets as it is.  Covariates are finite;
+    float extras may also be infinite or NaN, and some are non-contiguous
+    or read-only views.
     """
     n = draw(st.sampled_from((0, 1, 2, 3, 17, 2047, 2048, 2049)))
-    pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=12)))
+    finite = st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS))
+    pool = np.array(draw(st.lists(finite, min_size=1, max_size=12)))
+    extra_pool = np.concatenate((pool, draw(st.lists(st.sampled_from(NON_FINITE), max_size=2))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     k = draw(st.integers(1, 3))
     dataset = make_dataset(pool[rng.integers(0, len(pool), (n, k))], rng.integers(1, 4, n))
-    floats = pool[rng.integers(0, len(pool), n)]
+    floats = extra_pool[rng.integers(0, len(extra_pool), n)]
     blank = rng.random(n) < 0.3
     wide = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 12345678901234567], dtype=np.int64)
     high = np.array([2 ** 64 - 1, 2 ** 63, 2 ** 63 + 2], dtype=np.uint64)
     with np.errstate(over="ignore"):
         as_float32 = floats.astype(np.float32)
+    strided = extra_pool[rng.integers(0, len(extra_pool), (n, 2))]
+    read_only = floats.copy()
+    read_only.setflags(write=False)
     columns = {
         "float64": floats,
         "float32": as_float32,
+        "float64_strided": strided[:, 1],
+        "float64_read_only": read_only,
         "int64": rng.integers(-3, 4, n),
         "int64_wide": wide[rng.integers(0, len(wide), n)],
         "int8": rng.integers(-128, 128, n).astype(np.int8),
         "uint8": rng.integers(0, 256, n).astype(np.uint8),
+        "int16_strided": rng.integers(-2 ** 15, 2 ** 15, (2, n)).astype(np.int16)[0, ::-1],
         "uint64_high": high[rng.integers(0, len(high), n)],
         "uint64_narrow": high[1:][rng.integers(0, 2, n)],
         "masked_float": np.ma.masked_array(floats, mask=blank),
+        "masked_float_strided": np.ma.masked_array(strided[:, 0], mask=blank),
         "masked_uint8": np.ma.masked_array(rng.integers(0, 6, n).astype(np.uint8), mask=blank),
     }
     names = draw(st.lists(st.sampled_from(sorted(columns)), unique=True, max_size=6))
