@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _tie_free_order
+from .data import Dataset, _canonical_order
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -343,19 +343,20 @@ def _floats(obj, name: str, ratios) -> np.ndarray | None:
     return np.array([_scaled_float(*r) for r in ratios])
 
 
-def _subclass_count(num_subclasses, least: int = 1) -> int:
-    """``num_subclasses`` as an int; ValueError unless a whole number in [least, 2**63)."""
+def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless a whole number
+    at least ``least`` (and below 2**63 when ``bounded``)."""
     try:
-        S = int(num_subclasses)
-        whole = S == num_subclasses
+        count = int(value)
+        whole = count == value
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not (whole and least <= S < 2 ** 63):
+    if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
+        bound = "below 2**63, " if bounded else ""
         raise ValueError(
-            f"num_subclasses must be below 2**63, at least {least} and a whole number, "
-            f"not {num_subclasses!r}"
+            f"{name} must be {bound}at least {least} and a whole number, not {value!r}"
         )
-    return S
+    return count
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,9 @@ class AlgorithmConfig:
         if self.subclass_method not in ("exact", "quantile"):
             raise ValueError(f"unknown subclass method {self.subclass_method!r}")
         # an int: a float count above 2**53 would never end _cut_steps' halving
-        object.__setattr__(self, "num_subclasses", _subclass_count(self.num_subclasses))
+        object.__setattr__(
+            self, "num_subclasses", _whole_count(self.num_subclasses, "num_subclasses")
+        )
         _check_ridge(self.ridge)
 
 
@@ -404,7 +407,7 @@ class SubclassAssignment:
     __slots__ = ("labels", "num_subclasses", "scores")
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
-        num_subclasses = _subclass_count(num_subclasses, least=0)
+        num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
         lab = np.asarray(labels)
         if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.floor(lab))).all():
             raise ValueError("subclass labels must be whole numbers")
@@ -561,7 +564,7 @@ def subclassify(
     for undefined scores reads only the score's ``undefined_units``, and
     the labels are built in the narrowest unsigned type that holds them.
     """
-    S = _subclass_count(num_subclasses)
+    S = _whole_count(num_subclasses, "num_subclasses")
     d = np.asarray(d_indicator)
     if len(d) != len(scores):
         raise ValueError("indicator length must match scores")
@@ -882,8 +885,8 @@ class _BalancingDesign:
     design serves every target, whose groups are found on the rows of
     ``table``.  The logistic design's table is :func:`_unit_table`; its
     ``features`` are the N x J float matrix of scores and its ``order``
-    (``_tie_free_order`` of the first score, so None on a tie), which every
-    chained fit takes its units from.  The empirical design's table is
+    (``_canonical_order`` of the scores, built on first use) the order
+    every chained fit takes its units in.  The empirical design's table is
     :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
     of each table row is ``chain``, and of each unit ``cells``, which every
     target's chained scores share as their read-only index;
@@ -895,11 +898,14 @@ class _BalancingDesign:
     contrasts: tuple[Contrast, ...]
     table: _CellTable
     features: np.ndarray | None = None
-    order: np.ndarray | None = None
     undefined: tuple[np.ndarray, ...] = ()
     chain: np.ndarray | None = None
     cells: np.ndarray | None = None
     num_cells: int = 0
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        return _canonical_order(self.features)
 
 
 def _balancing_design(
@@ -924,10 +930,7 @@ def _balancing_design(
         features = np.column_stack(
             [model_csps(dataset, c, ridge=ridge).as_floats() for c in balancing]
         )
-        return _BalancingDesign(
-            balancing, _unit_table(dataset), features=features,
-            order=_tie_free_order(features[:, 0]),
-        )
+        return _BalancingDesign(balancing, _unit_table(dataset), features=features)
     table = _cell_table(dataset)
     cell_index = dataset.cell_index
     num_cells = cell_index.num_cells

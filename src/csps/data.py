@@ -22,7 +22,8 @@ _NAMED_ABSENT = 5
 class Dataset:
     """Immutable container for N units with K covariates and a treatment label.
 
-    Treatment labels are 1-based integers in ``1..num_treatments``.  Covariates
+    Treatment labels are 1-based integers in ``1..num_treatments``; a float
+    label must be a whole number (``2.0`` is kept as ``2``).  Covariates
     must be finite; missing data is rejected at ingestion rather than handled.
     A label in 1..T that never occurs is recorded as a warning, not an error.
     """
@@ -42,8 +43,18 @@ class Dataset:
             raise ValueError("at least one covariate column is required")
         if not np.all(np.isfinite(X)):
             raise MissingValue("covariates contain NaN or infinite entries")
+        w = np.asarray(treatments)
+        if w.dtype.kind == "f":
+            # whole floats such as 2.0 are labels; 1.5, NaN and inf are not
+            whole = np.isfinite(w) & (w == np.trunc(w))
+            if not whole.all():
+                bad = float(w[~whole].flat[0])
+                raise OutOfRangeTreatment(f"treatment label {bad!r} is not a whole number")
         try:
-            w = np.array(treatments, dtype=int)
+            # a float cast to int64 does not overflow loudly, so its range is checked
+            if w.dtype.kind == "f" and not ((w >= -(2.0 ** 63)) & (w < 2.0 ** 63)).all():
+                raise OverflowError
+            w = np.array(w, dtype=int)
         except OverflowError:
             raise OutOfRangeTreatment("a treatment label lies beyond the int64 range") from None
         if w.ndim != 1 or w.shape[0] != X.shape[0]:
@@ -96,14 +107,14 @@ class Dataset:
         return build_cell_index(self)
 
     @cached_property
-    def row_order(self) -> np.ndarray | None:
-        """Units in ascending order of the first covariate, built on first use.
+    def row_order(self) -> np.ndarray:
+        """The units in lexicographic order of their covariates, built on first use.
 
-        None when two units share its value (``-0.0 == 0.0`` counts).  Every
-        logistic fit on the covariates takes its rows from this one order,
-        so they come sorted (see :func:`~csps.estimation.fit_binary_logistic`).
+        A read-only intp index.  Every logistic fit on the covariates takes
+        its units in this one order, so none of them runs a full sort (see
+        :func:`_canonical_order`).
         """
-        return _tie_free_order(self.covariates[:, 0])
+        return _canonical_order(self.covariates)
 
     def __len__(self) -> int:
         return self.n_units
@@ -120,17 +131,34 @@ def _index_dtype(n: int):
     return np.int32 if n < 2 ** 31 else np.intp
 
 
-def _tie_free_order(column: np.ndarray) -> np.ndarray | None:
-    """The read-only ascending order of ``column``, or None on a tie or a NaN.
-
-    ``-0.0 == 0.0`` counts as a tie.  Without one, the order is the stable
-    argsort's, and any subset of it ascends strictly.
+def _canonical_order(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+    """The rows' order, lexicographic in (features, label), as ``np.lexsort``
+    gives it (``-0.0 == 0.0``, NaN last, equal rows kept in place): a
+    read-only intp index.  ``labels`` are 0/1 or booleans.  Column 0 strictly
+    ascending settles it at once; rows that ascend with ties have only their
+    labels ordered, within runs of equal rows; other rows take a stable
+    argsort of column 0 when that has no tie, else the full ``np.lexsort``.
+    So a design is sorted once, and a fit on its units, in its order, takes
+    one of the first two steps.
     """
-    order = np.argsort(column, kind="stable")
-    ascending = column[order]
-    if not (ascending[1:] > ascending[:-1]).all():
-        return None
-    order = order.astype(_index_dtype(len(order)), copy=False)
+    n = len(features)
+    order = np.arange(n, dtype=np.intp)
+    if not (features.shape[1] and (features[1:, 0] > features[:-1, 0]).all()):
+        # equal[i]: rows i and i + 1 agree in every column read so far
+        equal = np.ones(max(n - 1, 0), dtype=bool)
+        for column in features.T:
+            if (equal & ~(column[1:] >= column[:-1])).any():
+                order = np.argsort(features[:, 0], kind="stable")
+                first = features[order, 0]
+                if not (first[1:] > first[:-1]).all():
+                    keys = list(features.T[::-1])
+                    order = np.lexsort(keys if labels is None else [labels, *keys])
+                break
+            equal &= column[1:] == column[:-1]
+        else:
+            if labels is not None and (equal & (labels[1:] < labels[:-1])).any():
+                run = np.concatenate(([0], np.cumsum(~equal)))
+                order = np.argsort(2 * run + labels, kind="stable")
     order.setflags(write=False)
     return order
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, _index_dtype, _tie_free_order
+from .data import Dataset, _canonical_order, _index_dtype
 from .errors import (
     DimensionMismatch,
     NotConverged,
@@ -87,23 +87,6 @@ def _as_feature_matrix(features) -> np.ndarray:
     if F.ndim != 2:
         raise ValueError("features must be a matrix (or a single column)")
     return F
-
-
-def _canonical_order(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """The row order of a fit: lexicographic in (features, label).
-
-    Fit results must not depend on unit order, so the accumulation order is
-    pinned by sorting the rows (identical rows are interchangeable).  When
-    the first feature has no ties, a stable argsort of it is that order;
-    any tie (``-0.0 == 0.0`` counts as one) or NaN in it falls back to the
-    full lexicographic sort.
-    """
-    if features.shape[1]:
-        order = _tie_free_order(features[:, 0])
-        if order is not None:
-            return order
-    keys = [labels] + [features[:, k] for k in reversed(range(features.shape[1]))]
-    return np.lexsort(keys)
 
 
 def _check_ridge(ridge) -> None:
@@ -176,11 +159,10 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     iterations.  Features so large that the Newton system overflows float64
     raise :class:`SingularHessian`, without a numpy warning.
 
-    The rows are summed in a canonical order (see ``_canonical_order``), so
-    the result does not depend on their order.  Rows whose first feature
-    already ascends strictly are in that order, and are fitted without a
-    sort: a caller that fits many subsets of one design sorts it once and
-    passes each subset in sorted order.
+    The rows are summed in one canonical order, lexicographic in (features,
+    label), so the result does not depend on their order.  Rows already in
+    feature order need at most their labels ordered within runs of equal
+    rows: a caller that fits many subsets of one design sorts it once.
 
     Parameters
     ----------
@@ -210,13 +192,12 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
             raise ValueError("labels must be boolean or 0/1")
     pen = _penalty(ridge, F.shape[1] + 1)
 
-    # rows whose first feature ascends strictly are in canonical order already
-    if not (F.shape[1] and (F[1:, 0] > F[:-1, 0]).all()):
-        order = _canonical_order(F, y)
-        F, y = F[order], y[order]
+    order = _canonical_order(F, y)
+    X, y = _design(F.take(order, axis=0)), y[order].astype(float, copy=False)
+    del order  # not held through the Newton loop, whose temporaries set peak memory
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _newton(_design(F), y.astype(float, copy=False), pen, ridge)
+            return _newton(X, y, pen, ridge)
     except FloatingPointError as exc:
         raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
 
@@ -552,20 +533,19 @@ def _cell_scores(
     )
 
 
-def _logistic_scores(features, d, ridge: float, order) -> ScoreVector:
+def _logistic_scores(features, d, ridge: float, order: np.ndarray) -> ScoreVector:
     """Fit a binary logistic model on the units with ``d != 0``, score every unit.
 
-    ``d`` holds +1/-1/0 group indicators.  ``order`` is the tie-free
-    ascending order of the first feature (``_tie_free_order``), or None when
-    it has a tie: the fit takes its units in that order and does not sort
-    them, or without one sorts them itself.  Raises :class:`NotConverged`
-    when the Newton fit stops at :data:`MAX_ITER` iterations without
-    reaching :data:`TOL`.
+    ``d`` holds +1/-1/0 group indicators.  ``order`` is the design's
+    canonical order (``_canonical_order`` of ``features``): the fit takes
+    its units in that order, so it runs no full sort of them.  Raises
+    :class:`NotConverged` when the Newton fit stops at :data:`MAX_ITER`
+    iterations without reaching :data:`TOL`.
     """
     F = _as_feature_matrix(features)
     d = np.asarray(d)
-    rows = d != 0 if order is None else order[d[order] != 0]
-    model = fit_binary_logistic(F[rows], d[rows] == 1, ridge=ridge)
+    rows = order[d[order] != 0]
+    model = fit_binary_logistic(F.take(rows, axis=0), d[rows] == 1, ridge=ridge)
     if not model.converged:
         raise NotConverged(
             f"Newton fit stopped after {model.iterations} iterations with "

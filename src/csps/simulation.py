@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balancing import AlgorithmConfig, run_algorithm
+from .balancing import AlgorithmConfig, _whole_count, run_algorithm
 from .contrasts import Contrast, assignment_indicators
 from .data import Dataset
 
@@ -78,12 +78,10 @@ class SimulationConfig:
             raise ValueError("coefficient rows must share a common length K >= 1")
         if not all(math.isfinite(v) for row in coeffs for v in row):
             raise ValueError(f"coefficients must be finite, got {coeffs!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.num_units < T:
-            raise ValueError("num_units must be at least the number of treatments")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        # ints: numpy refuses a float count or seed only when it is used
+        object.__setattr__(self, "num_units", _whole_count(self.num_units, "num_units", least=T))
+        object.__setattr__(self, "replications", _whole_count(self.replications, "replications"))
+        object.__setattr__(self, "seed", _whole_count(self.seed, "seed", least=0, bounded=False))
         if not self.balancing:
             raise ValueError("at least one balancing contrast is required")
         for c in tuple(self.balancing) + tuple(self.targets):

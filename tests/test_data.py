@@ -249,6 +249,28 @@ class TestDatasetType:
         with pytest.raises(OutOfRangeTreatment):
             Dataset([[1.0], [1.0]], [0, 1])
 
+    @pytest.mark.parametrize("labels, bad", [
+        ([1.5, 2.0, 2.9], "1.5"),
+        ([1.0, 2.0, 2.9], "2.9"),
+        ([1.0, np.nan, 2.0], "nan"),
+        (np.array([1.0, 2.0, -np.inf]), "-inf"),
+    ])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels, bad):
+        # a float label is not truncated: the first one that is not a finite
+        # whole number is named
+        with pytest.raises(OutOfRangeTreatment, match=f"treatment label {bad} is not a whole"):
+            Dataset([[0.0], [1.0], [2.0]], labels)
+
+    def test_whole_float_labels_kept_as_ints(self):
+        dataset = Dataset([[0.0], [1.0], [2.0]], np.array([1.0, 2.0, 2.0]))
+        assert dataset.treatments.dtype == int
+        assert dataset.treatments.tolist() == [1, 2, 2]
+
+    @pytest.mark.parametrize("label", [1e30, 2.0 ** 63, -1e30])
+    def test_whole_float_label_beyond_int64_rejected(self, label):
+        with pytest.raises(OutOfRangeTreatment, match="int64"):
+            Dataset([[0.0], [1.0]], np.array([1.0, label]))
+
     def test_absent_treatment_warns(self):
         with pytest.warns(UserWarning, match="never occur"):
             Dataset([[1.0], [1.0]], [1, 3])

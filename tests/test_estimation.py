@@ -138,9 +138,9 @@ class TestBinaryFit:
     def test_fit_reports_its_public_kernels(self, rng, ridge, tied):
         # the fit computes each accepted point's gradient from the product
         # X @ w of its log-likelihood; on rows already in the fit's canonical
-        # order the public kernels must give its last objective and gradient
-        # norm bit for bit, whether that order came from an argsort of the
-        # first feature (no ties) or the lexicographic fallback (ties)
+        # order the fit keeps them as they stand, and the public kernels must
+        # give its last objective and gradient norm bit for bit, whether the
+        # first feature ascends strictly (no ties) or only the rows do (ties)
         X = rng.normal(size=(300, 3))
         if tied:
             X[:, 0] = rng.integers(-2, 3, 300)

@@ -732,19 +732,27 @@ def test_cell_table_pass_equals_unit_chain(case, method, S, units_per_sum, rando
 
 @st.composite
 def unit_table_cases(draw):
-    """2-60 units of 1-3 continuous covariates over T = 2-4 treatments, some
-    never drawn; the first column tie-free, rounded (ties in it) or with
-    repeated rows (ties in every score); 1-2 balancing contrasts and 1-3
-    targets over T."""
+    """2-60 units of 1-3 covariates over T = 2-4 treatments, some never
+    drawn; the first column tie-free, rounded (ties in it), holding 0.0 and
+    -0.0 in one run, or with repeated rows (ties in every score), or every
+    column binary; 1-2 balancing contrasts and 1-3 targets over T."""
     T = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 60))
     X = rng.standard_normal((n, draw(st.integers(1, 3))))
-    layout = draw(st.sampled_from(("tie-free", "rounded first column", "repeated rows")))
+    layout = draw(st.sampled_from((
+        "tie-free", "rounded first column", "signed zeros", "repeated rows",
+        "binary covariates",
+    )))
     if layout == "rounded first column":
         X[:, 0] = np.round(X[:, 0], 1)
+    elif layout == "signed zeros":
+        X[:, 0] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        X[rng.random(n) < 0.3, 0] = 1.0
     elif layout == "repeated rows":
         X = X[rng.integers(0, max(n // 3, 1), n)]
+    elif layout == "binary covariates":
+        X = (rng.random(X.shape) < (0.3, 0.5, 0.7)[:X.shape[1]]).astype(float)
     w = rng.integers(1, T + 1, n)
     balancing_set = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=2))
     targets = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=3))
@@ -1049,14 +1057,29 @@ def fit_rows(draw):
     return X, y
 
 
-@given(fit_rows())
-@example((np.array([[0.5, -1.0]]), np.array([1.0])))
-def test_canonical_order_equals_lexsort(case):
+@given(fit_rows(), st.booleans())
+@example((np.array([[0.5, -1.0]]), np.array([1.0])), False)
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+          np.array([1.0, 0.0, 1.0, 0.0])), False)
+def test_canonical_order_equals_lexsort(case, in_feature_order):
+    # the one order of designs and fits is np.lexsort's, whichever step
+    # settles it; rows put in feature order first keep their labels out of
+    # order inside runs of equal rows, which only the labels step orders
     X, y = case
-    ascending = np.sort(X[:, 0])
-    event("argsort" if (ascending[1:] > ascending[:-1]).all() else "lexsort")
-    keys = [y] + [X[:, k] for k in reversed(range(X.shape[1]))]
-    assert _canonical_order(X, y).tolist() == np.lexsort(keys).tolist()
+    if in_feature_order:
+        rows = np.lexsort(X.T[::-1])
+        X, y = X[rows], y[rows]
+    keys = [X[:, k] for k in reversed(range(X.shape[1]))]
+    for labels in (y, y == 1, None):
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as full_sort:
+            order = _canonical_order(X, labels)
+        event("full sort" if full_sort.call_count else "no full sort")
+        expected = np.lexsort(keys if labels is None else [labels, *keys])
+        assert order.tolist() == expected.tolist()
+        assert order.dtype == np.intp and not order.flags.writeable
+        if in_feature_order and not np.isnan(X).any():
+            assert full_sort.call_count == 0
+            event("labels step" if (order != np.arange(len(y))).any() else "in order")
 
 
 @st.composite
@@ -1101,11 +1124,11 @@ def fit_outcome(fit):
 def test_fits_through_a_shared_order_equal_unit_order_fits(case):
     # model_csps fits the units of d != 0 in the order the dataset keeps;
     # bit for bit that is the fit of those units in unit order, which sorts
-    # them itself, and when the dataset's order exists the fit sorts nothing
+    # them itself, and on every shape, ties included, the fit through the
+    # dataset's order runs no full sort
     X, w, contrast, perm = case
     dataset = make_dataset(X[perm], w[perm])
-    presorted = dataset.row_order is not None
-    event("shared order" if presorted else "tie: per-fit sort")
+    dataset.row_order  # the design's one sort, made before the count below
     outcomes = []
 
     def recorded(features, labels, ridge=0.0):
@@ -1113,10 +1136,10 @@ def test_fits_through_a_shared_order_equal_unit_order_fits(case):
         return fit_binary_logistic(features, labels, ridge)
 
     with mock.patch.object(estimation, "fit_binary_logistic", recorded), \
-            mock.patch.object(estimation, "_canonical_order",
-                              wraps=estimation._canonical_order) as sort, \
+            mock.patch.object(np, "lexsort", wraps=np.lexsort) as full_sort, \
             contextlib.suppress(CspsError, ValueError):
         model_csps(dataset, contrast)
+    assert full_sort.call_count == 0
     d = assignment_indicators(contrast, w)
     eligible = d != 0
     unit_order = fit_outcome(
@@ -1124,29 +1147,45 @@ def test_fits_through_a_shared_order_equal_unit_order_fits(case):
     )
     event("fitted" if isinstance(unit_order, tuple) else unit_order.__name__)
     assert outcomes == [unit_order]
-    if presorted:
-        assert sort.call_count == 0
 
 
-@settings(max_examples=10)
-@given(st.lists(st.sampled_from(CONTRASTS), min_size=1, max_size=8))
-def test_one_order_per_score_design(targets):
-    # one for the covariates and one for the J balancing scores: every
-    # balancing and chained fit takes its units from one of the two
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from(CONTRASTS), min_size=1, max_size=8),
+       st.sampled_from(("continuous", "binary")))
+def test_one_order_per_score_design(targets, covariates):
+    # one order for the covariates and one for the J balancing scores, each
+    # the only full sort of its design: every balancing and chained fit
+    # takes its units from one of the two and sorts none of its rows
     dataset = sample_dataset(mechanism_ii(num_units=300, seed=5), 0)
-    order_of = data._tie_free_order
+    if covariates == "binary":
+        # balance_exact_80k's shape: every score design is tied
+        rng = np.random.default_rng(5)
+        X = (rng.random((300, 3)) < (0.3, 0.5, 0.7)).astype(float)
+        dataset = make_dataset(X, dataset.treatments)
+    order_of = data._canonical_order
+    calls = []
     with contextlib.ExitStack() as stack:
-        orders = [
-            stack.enter_context(mock.patch.object(module, "_tie_free_order", wraps=order_of))
-            for module in (data, estimation, balancing)
-        ]
+        full_sort = stack.enter_context(mock.patch.object(np, "lexsort", wraps=np.lexsort))
+
+        def recorded(features, labels=None):
+            sorts = full_sort.call_count
+            order = order_of(features, labels)
+            calls.append((labels is None, full_sort.call_count - sorts))
+            return order
+
+        for module in (data, estimation, balancing):
+            stack.enter_context(mock.patch.object(module, "_canonical_order", recorded))
         fits = stack.enter_context(mock.patch.object(
             estimation, "fit_binary_logistic", wraps=fit_binary_logistic
         ))
         report = run_algorithm(dataset, simulation_contrasts()[:2], targets)
     assert all(e.error is None for e in report.entries)
-    assert fits.call_count == 2 + len(targets)
-    assert sum(order.call_count for order in orders) == 2
+    designs = [sorts for is_design, sorts in calls if is_design]
+    fit_sorts = [sorts for is_design, sorts in calls if not is_design]
+    assert len(designs) == 2
+    assert fits.call_count == len(fit_sorts) == 2 + len(targets)
+    assert fit_sorts == [0] * len(fit_sorts)
+    assert designs == ([0, 0] if covariates == "continuous" else [1, 1])
 
 
 # scores within 1e-12 of 0 and of 1

@@ -57,6 +57,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             mechanism_i(num_units=2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_units", 30.5), ("replications", 1.5), ("seed", 1.5), ("seed", -1),
+        ("num_units", "30"), ("replications", np.nan),
+    ])
+    def test_counts_must_be_whole_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*a whole number"):
+            mechanism_ii(**{field: value})
+
+    def test_whole_counts_are_kept_as_ints(self):
+        cfg = mechanism_ii(num_units=30.0, replications=np.int64(2), seed=2.0 ** 70)
+        assert (cfg.num_units, cfg.replications, cfg.seed) == (30, 2, 2 ** 70)
+        assert all(type(v) is int for v in (cfg.num_units, cfg.replications, cfg.seed))
+        assert run_experiment(cfg).before.shape[0] == 2
+
     def test_contrast_length_must_match(self):
         with pytest.raises(ValueError):
             SimulationConfig(
