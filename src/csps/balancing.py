@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _canonical_order
+from .data import Dataset, _canonical_order, _is_whole, _not_whole
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -290,67 +290,42 @@ class _GroupTotals:
         )
 
 
-class _Unset:
-    def __repr__(self):
-        return "<built on access>"
+class _ExactDifferences:
+    """A ``ContrastBalance`` field of exact differences, whose default is None.
 
-    def __reduce__(self):
-        # a copy or an unpickled report refers to this module's one sentinel
-        return "_UNSET"
-
-
-_UNSET = _Unset()
-
-
-class _OnAccess:
-    """A dataclass field that, when no value is passed, is built on first read.
-
-    The value comes from the instance's ``_build_<name>()`` and is kept.  A
-    value passed to the constructor (or to ``dataclasses.replace``) is kept
-    as given.  It backs ``ContrastBalance.before_exact`` and ``after_exact``.
+    A value passed to the constructor (or to ``dataclasses.replace``) is kept
+    and returned.  Otherwise the Fractions of the entry's integer ratios
+    (``_totals.before`` or ``_totals.after``, after the field's name) are
+    built on first read and kept; an entry without them reads None.
     """
 
     def __set_name__(self, owner, name):
         self.name = name
+        self.ratios = name.removesuffix("_exact")
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return _UNSET  # the field's default
+            return None  # the field's default
         value = obj.__dict__[self.name]
-        if value is _UNSET:
-            value = obj.__dict__[self.name] = getattr(obj, "_build_" + self.name)()
+        if value is None and obj._totals is not None:
+            value = obj.__dict__[self.name] = _fractions(getattr(obj._totals, self.ratios))
         return value
 
     def __set__(self, obj, value):
         obj.__dict__[self.name] = value
 
 
-def _floats(obj, name: str, ratios) -> np.ndarray | None:
-    """Field ``name`` of ``obj`` as floats.
-
-    Fractions that were passed or already built are converted through their
-    exact integer ratios; otherwise the floats come straight from the integer
-    ``ratios``, without a Fraction.  Either way a value beyond the float64
-    range is an infinity of its sign.
-    """
-    value = obj.__dict__[name]
-    if value is None:
-        return None
-    if value is not _UNSET:
-        return np.array([_scaled_float(*v.as_integer_ratio(), 0) for v in value])
-    if ratios is None:
-        return None
-    return np.array([_scaled_float(*r) for r in ratios])
+def _floats(ratios) -> np.ndarray | None:
+    """Integer ratios as floats, each correctly rounded, without a Fraction;
+    a value beyond the float64 range is an infinity of its sign."""
+    return None if ratios is None else np.array([_scaled_float(*r) for r in ratios])
 
 
 def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
     """``value`` as an int; ValueError naming ``name`` unless a whole number
     at least ``least`` (and below 2**63 when ``bounded``)."""
-    try:
-        count = int(value)
-        whole = count == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
+    whole = _is_whole(value)
+    count = int(value) if whole else None
     if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
         bound = "below 2**63, " if bounded else ""
         raise ValueError(
@@ -409,7 +384,7 @@ class SubclassAssignment:
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
         lab = np.asarray(labels)
-        if lab.dtype.kind == "f" and not (np.isfinite(lab) & (lab == np.floor(lab))).all():
+        if _not_whole(lab):
             raise ValueError("subclass labels must be whole numbers")
         if lab.size and int(lab.min()) < 0:
             raise ValueError("subclass labels must be nonnegative")
@@ -651,10 +626,11 @@ class ContrastBalance:
 
     ``before`` and ``after`` are the floats of the mean differences, each
     computed from one integer numerator over one integer denominator, so no
-    Fraction is made for them.  ``before_exact`` and ``after_exact`` are
-    built from the same integers on first access and then kept; a value
-    passed to the constructor or to ``dataclasses.replace`` is kept instead,
-    and the floats then come from it.  ``subclass_rows`` is built whole from
+    Fraction is made for them; they always come from these integers.
+    ``before_exact`` and ``after_exact`` are built from the same integers on
+    first access and then kept; a value passed to the constructor or to
+    ``dataclasses.replace`` is kept and returned as given, and leaves the
+    floats as they are.  ``subclass_rows`` is built whole from
     the integers on its first read and then kept.  ``assignment`` is the
     subclass assignment the diagnostics were computed from, and ``scores``
     the score it was made on, when a pass built them.
@@ -663,17 +639,11 @@ class ContrastBalance:
     contrast: Contrast
     n_positive: int = 0
     n_negative: int = 0
-    before_exact: tuple[Fraction, ...] | None = _OnAccess()
-    after_exact: tuple[Fraction, ...] | None = _OnAccess()
+    before_exact: tuple[Fraction, ...] | None = _ExactDifferences()
+    after_exact: tuple[Fraction, ...] | None = _ExactDifferences()
     error: str | None = None
     assignment: SubclassAssignment | None = None
     _totals: _GroupTotals | None = field(default=None, repr=False)
-
-    def _build_before_exact(self):
-        return _fractions(self._totals and self._totals.before)
-
-    def _build_after_exact(self):
-        return _fractions(self._totals and self._totals.after)
 
     @cached_property
     def subclass_rows(self) -> tuple[SubclassBalanceRow, ...] | None:
@@ -693,7 +663,7 @@ class ContrastBalance:
             ratios = [
                 _difference(t[pos], counts[pos], t[neg], counts[neg], e) for t, e in sums
             ]
-            difference = np.array([_scaled_float(*r) for r in ratios])
+            difference = _floats(ratios)
             difference.setflags(write=False)
             rows.append(SubclassBalanceRow(
                 sid, counts[pos], counts[neg], Fraction(counts[pos] + counts[neg], assigned),
@@ -703,11 +673,11 @@ class ContrastBalance:
 
     @property
     def before(self) -> np.ndarray | None:
-        return _floats(self, "before_exact", self._totals and self._totals.before)
+        return _floats(self._totals and self._totals.before)
 
     @property
     def after(self) -> np.ndarray | None:
-        return _floats(self, "after_exact", self._totals and self._totals.after)
+        return _floats(self._totals and self._totals.after)
 
     @property
     def scores(self) -> ScoreVector | None:
@@ -1016,9 +986,10 @@ def _target_comparison(
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
     weighted by its units.  The units are read once, to gather their labels
-    from a table over the keys; a target of more than ``_UNITS_PER_SUM``
-    units, which the weighted sums cannot take, goes through
-    :func:`_compared_groups` and is summed per unit.  The checks of those
+    from a table over the keys; on a table with counts, a target of more
+    than ``_UNITS_PER_SUM`` units, which the weighted sums cannot take,
+    goes through :func:`_compared_groups` and is summed per unit (the unit
+    table's unweighted sums take any number of units).  The checks of those
     three functions that the chained checks leave unreachable are not
     repeated.
     """
@@ -1035,7 +1006,7 @@ def _target_comparison(
     num_groups = 2 * (num_subclasses + 1)
     # sums of counts below 2**53: exact
     counts = np.bincount(groups, count, minlength=num_groups).astype(np.int64).tolist()
-    if sum(counts) > _UNITS_PER_SUM:
+    if count is not None and sum(counts) > _UNITS_PER_SUM:
         return _compared_groups(dataset, target, assignment)
     return _Comparison(
         target, assignment, table.values, table.cell[rows], groups, count, counts

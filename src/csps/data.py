@@ -23,7 +23,8 @@ class Dataset:
     """Immutable container for N units with K covariates and a treatment label.
 
     Treatment labels are 1-based integers in ``1..num_treatments``; a float
-    label must be a whole number (``2.0`` is kept as ``2``).  Covariates
+    or object label must be a whole number (``2.0`` and ``Fraction(2)`` are
+    kept as ``2``, ``Fraction(3, 2)`` is refused).  Covariates
     must be finite; missing data is rejected at ingestion rather than handled.
     A label in 1..T that never occurs is recorded as a warning, not an error.
     """
@@ -44,12 +45,10 @@ class Dataset:
         if not np.all(np.isfinite(X)):
             raise MissingValue("covariates contain NaN or infinite entries")
         w = np.asarray(treatments)
-        if w.dtype.kind == "f":
-            # whole floats such as 2.0 are labels; 1.5, NaN and inf are not
-            whole = np.isfinite(w) & (w == np.trunc(w))
-            if not whole.all():
-                bad = float(w[~whole].flat[0])
-                raise OutOfRangeTreatment(f"treatment label {bad!r} is not a whole number")
+        # whole numbers such as 2.0 are labels; 1.5, NaN and inf are not
+        bad = _not_whole(w)
+        if bad:
+            raise OutOfRangeTreatment(f"treatment label {bad[0]!r} is not a whole number")
         try:
             # a float cast to int64 does not overflow loudly, so its range is checked
             if w.dtype.kind == "f" and not ((w >= -(2.0 ** 63)) & (w < 2.0 ** 63)).all():
@@ -126,9 +125,28 @@ class Dataset:
         )
 
 
-def _index_dtype(n: int):
-    """int32 when it can index ``n`` entries (halving per-unit index arrays), else intp."""
-    return np.int32 if n < 2 ** 31 else np.intp
+def _is_whole(value) -> bool:
+    try:
+        return bool(int(value) == value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _not_whole(labels: np.ndarray) -> list:
+    """The entries of a label array that are not whole numbers, in order.
+
+    Float entries must be finite and whole, and object entries (a Fraction
+    or a Decimal, say) equal to their ``int()``; integer and bool arrays
+    hold whole numbers only.
+    """
+    flat = labels.ravel()
+    if flat.dtype.kind == "f":
+        whole = np.isfinite(flat) & (flat == np.trunc(flat))
+    elif flat.dtype.kind == "O":
+        whole = np.array([_is_whole(v) for v in flat.tolist()], dtype=bool)
+    else:
+        return []
+    return flat[~whole].tolist()
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
@@ -175,7 +193,7 @@ class CellIndex:
 
     def __init__(self, rows: np.ndarray, cell_of_unit: np.ndarray):
         self.rows = rows  # (num_cells, K) covariate rows, one per cell
-        self.cell_of_unit = cell_of_unit  # (N,) int array
+        self.cell_of_unit = cell_of_unit  # (N,) intp array
 
     @property
     def num_cells(self) -> int:
@@ -216,7 +234,7 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
     rows = X[first]
     order = np.lexsort(rows.T[::-1])
-    rank = np.empty(len(order), dtype=_index_dtype(len(order)))
+    rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     cell_of_unit = rank[inverse]
     cell_of_unit.setflags(write=False)

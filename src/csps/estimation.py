@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, _canonical_order, _index_dtype
+from .data import Dataset, _canonical_order
 from .errors import (
     DimensionMismatch,
     NotConverged,
@@ -287,15 +287,16 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     """Ids ``0..n-1`` of the distinct values of ``key`` (all below ``span``), and n.
 
-    Ids ascend with the value.  A span up to about twice the key length is
-    renumbered through a lookup table, without sorting: its int32 table then
-    takes less memory than the sort temporaries of ``np.unique``, which
-    renumbers larger spans.
+    Ids ascend with the value, and are intp.  A span up to about twice the
+    key length is renumbered through a lookup table, without sorting: the
+    table then holds at most about two intp entries per key, while
+    ``np.unique``, which renumbers larger spans, holds three or more (an
+    argsort, a sorted copy and the ids).
     """
     if span > 2 * len(key) + 1024:
         distinct, ids = np.unique(key, return_inverse=True)
-        return ids.astype(_index_dtype(len(distinct)), copy=False), len(distinct)
-    table = np.zeros(span, dtype=_index_dtype(span))
+        return ids, len(distinct)
+    table = np.zeros(span, dtype=np.intp)
     table[key] = 1
     np.cumsum(table, out=table)
     ids = table[key]
@@ -484,7 +485,7 @@ class ScoreVector:
         order = sorted(
             (j for j in range(n) if dens[j]), key=lambda j: Fraction(nums[j], dens[j])
         )
-        rank = np.full(n, len(order), dtype=_index_dtype(n + 1))
+        rank = np.full(n, len(order), dtype=np.intp)
         rank[order] = np.arange(len(order))
         return rank[ids][self._index[pick]]
 

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from csps import balancing, estimation
 from csps.balancing import (
     AlgorithmConfig,
+    ContrastBalance,
     SubclassAssignment,
     chained_propensity,
     covariate_mean_difference,
@@ -241,7 +243,10 @@ class TestSubclassify:
         with pytest.raises(ValueError, match="must not exceed num_subclasses"):
             SubclassAssignment([0, 1, 3], 2)
 
-    @pytest.mark.parametrize("labels", [[0, 0.5, 1], [0, 1.5, 2], [0, np.nan, 1]])
+    @pytest.mark.parametrize("labels", [
+        [0, 0.5, 1], [0, 1.5, 2], [0, np.nan, 1],
+        [Fraction(3, 2), 1], [Decimal("0.5"), 1], np.array([1.5, 1], dtype=object),
+    ])
     def test_labels_must_be_whole_numbers(self, labels):
         # a cast would truncate 0.5 to 0 and 1.5 to 1
         with pytest.raises(ValueError, match="subclass labels must be whole numbers"):
@@ -249,6 +254,7 @@ class TestSubclassify:
 
     def test_whole_float_labels_are_kept(self):
         assert SubclassAssignment([0.0, 1.0, 2.0], 2).labels.tolist() == [0, 1, 2]
+        assert SubclassAssignment([Fraction(2), Decimal(1)], 2).labels.tolist() == [2, 1]
 
     @pytest.mark.parametrize("count", [2.5, 2 ** 70, -1, np.nan, "2"])
     def test_subclass_count_must_be_whole_and_below_2_63(self, count):
@@ -364,7 +370,9 @@ class TestCovariateMeanDifference:
                 )
 
     @pytest.mark.parametrize("name", ["before", "after"])
-    def test_replaced_fractions_win(self, example, name):
+    def test_replaced_fractions_are_kept(self, example, name):
+        # a passed tuple is returned as given; the floats always come from
+        # the pass's integers
         counter = chained_propensity(
             example, [SECOND_CONTRAST], FIRST_CONTRAST, estimator="empirical"
         )
@@ -373,9 +381,10 @@ class TestCovariateMeanDifference:
         built = getattr(entry, name + "_exact")
         nudged = (built[0] + Fraction(1, 3),) + built[1:]
         changed = replace(entry, **{name + "_exact": nudged})
-        assert getattr(changed, name + "_exact") == nudged
-        assert getattr(changed, name).tolist() == [float(v) for v in nudged]
-        assert getattr(entry, name).tolist() == [float(v) for v in built]
+        assert getattr(changed, name + "_exact") is nudged
+        floats = [float(v) for v in built]
+        assert getattr(changed, name).tolist() == floats
+        assert getattr(entry, name).tolist() == floats
         other = "after" if name == "before" else "before"
         assert getattr(changed, other).tolist() == getattr(entry, other).tolist()
         assert getattr(changed, other + "_exact") == getattr(entry, other + "_exact")
@@ -403,10 +412,13 @@ class TestCovariateMeanDifference:
         entry = covariate_mean_difference(dataset, Contrast((1, -1)))
         assert entry.before.tolist() == [np.inf, -np.inf]
         assert entry.before_exact == (2 * Fraction(big), -2 * Fraction(big))
-        beyond = Fraction(10 ** 400, 3)
-        base = covariate_mean_difference(example, FIRST_CONTRAST)
-        changed = replace(base, before_exact=(beyond, -beyond, Fraction(1, 2)))
-        assert changed.before.tolist() == [np.inf, -np.inf, 0.5]
+
+    def test_error_entry_reads_none(self):
+        entry = ContrastBalance(contrast=FIRST_CONTRAST, error="OneClassOnly: empty")
+        for _ in range(2):
+            assert entry.before_exact is None and entry.after_exact is None
+            assert entry.before is None and entry.after is None
+        assert replace(entry).before_exact is None
 
     def test_by_hand_assignment_gives_the_pass_entry(self):
         # the public function, with the pass's labels passed by hand, finds

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,10 +256,13 @@ class TestDatasetType:
         ([1.0, 2.0, 2.9], "2.9"),
         ([1.0, np.nan, 2.0], "nan"),
         (np.array([1.0, 2.0, -np.inf]), "-inf"),
+        pytest.param([Fraction(3, 2), 2, 2], r"Fraction\(3, 2\)", id="fraction"),
+        pytest.param([Decimal("1.5"), 2, 2], r"Decimal\('1.5'\)", id="decimal"),
+        pytest.param(np.array([1, 2, 2.5], dtype=object), "2.5", id="object-float"),
     ])
     def test_labels_that_are_not_whole_numbers_rejected(self, labels, bad):
-        # a float label is not truncated: the first one that is not a finite
-        # whole number is named
+        # a float or object label is not truncated: the first one that is not
+        # a finite whole number is named
         with pytest.raises(OutOfRangeTreatment, match=f"treatment label {bad} is not a whole"):
             Dataset([[0.0], [1.0], [2.0]], labels)
 
@@ -265,6 +270,9 @@ class TestDatasetType:
         dataset = Dataset([[0.0], [1.0], [2.0]], np.array([1.0, 2.0, 2.0]))
         assert dataset.treatments.dtype == int
         assert dataset.treatments.tolist() == [1, 2, 2]
+        dataset = Dataset([[0.0], [1.0]], [Fraction(2), Decimal(1)])
+        assert dataset.treatments.dtype == int
+        assert dataset.treatments.tolist() == [2, 1]
 
     @pytest.mark.parametrize("label", [1e30, 2.0 ** 63, -1e30])
     def test_whole_float_label_beyond_int64_rejected(self, label):
@@ -337,6 +345,7 @@ class TestCellIndex:
         assert index.keys == [(2.5, -1.0)]
         assert index.sizes() == [7]
         assert index.cell_of_unit.tolist() == [0] * 7
+        assert index.cell_of_unit.dtype == np.intp  # gathers take it without a cast
         assert [g.tolist() for g in index.groups] == [list(range(7))]
 
     def test_all_distinct_rows_in_value_order(self, rng):

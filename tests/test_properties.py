@@ -808,6 +808,24 @@ def test_unit_table_pass_equals_unit_chain(case, method, S, ridge, random):
             )
 
 
+@pytest.mark.parametrize("method", ["exact", "quantile"])
+def test_unit_table_sums_every_target_per_row(method):
+    # the unit table's sums are unweighted, so a target of more than
+    # _UNITS_PER_SUM units stays on the table rows: the same entries, and no
+    # per-unit comparison built again from the dataset
+    dataset = sample_dataset(mechanism_ii(num_units=300, seed=4), 0)
+    targets = simulation_contrasts()
+    config = AlgorithmConfig(subclass_method=method)
+    report = run_algorithm(dataset, targets[:2], targets, config)
+    with mock.patch.object(balancing, "_UNITS_PER_SUM", 4), mock.patch.object(
+        balancing, "_compared_groups", wraps=balancing._compared_groups
+    ) as compared:
+        lowered = run_algorithm(dataset, targets[:2], targets, config)
+    assert compared.call_count == 0
+    assert [e.error for e in report] == [None] * len(targets)
+    assert list(map(pipeline_outcome, lowered)) == list(map(pipeline_outcome, report))
+
+
 @settings(max_examples=200)
 @given(
     st.lists(st.tuples(st.fractions(0, 1, max_denominator=40), st.integers(1, 30)),
