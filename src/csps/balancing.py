@@ -568,20 +568,18 @@ def _subclass_rows(
 ) -> tuple[np.ndarray, int]:
     """The subclassing rules of :func:`subclassify`, on rows of units.
 
-    Row i is score ``rows[i]`` of ``scores`` (score i when ``rows`` is
-    None), in the negative group where ``negative[i]``, and it stands for
-    ``counts[i] > 0`` units with that score and sign (one when None).  Rows
-    of units and rows of (cell, sign) counts get the same subclasses.
-    Returns each row's 1-based subclass label, in the narrowest unsigned
-    type that holds every label, and the number of subclasses.
+    Row i is score ``rows[i]`` of ``scores``, in the negative group where
+    ``negative[i]``, and it stands for ``counts[i] > 0`` units with that
+    score and sign (one when None).  Rows of units and rows of (cell, sign)
+    counts get the same subclasses.  Returns each row's 1-based subclass
+    label, in the narrowest unsigned type that holds every label, and the
+    number of subclasses.
     """
     # group[i]: the score-ordered group of row i before merging
     if method == "exact":
         group = scores.dense_ranks(rows)
     elif method == "quantile":
-        vals = scores.as_floats()
-        if rows is not None:
-            vals = vals[rows]
+        vals = scores.as_floats()[rows]
         cuts = _quantile_cuts(vals, S) if counts is None else _quantile_cuts(vals, S, counts)
         # group = number of cuts strictly below the value, so ties fall into
         # the lower subclass
@@ -858,8 +856,8 @@ class _BalancingDesign:
     (``_canonical_order`` of the scores, built on first use) the order
     every chained fit takes its units in.  The empirical design's table is
     :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
-    of each table row is ``chain``, and of each unit ``cells``, which every
-    target's chained scores share as their read-only index;
+    of each table row is ``chain``, on which each target's chained score is
+    built, and of each unit ``cells``, the read-only index it is carried on;
     ``undefined[j]`` holds the table rows in cells without a unit of
     balancing contrast j's groups, where score j is undefined (none for the
     logistic design, whose scores are defined on every unit).
@@ -885,8 +883,9 @@ def _balancing_design(
 
     The empirical design reads the units twice: once to count them by
     (cell, treatment) and once to gather each unit's chained cell.  The
-    scores, their undefined cells and the chained cells come from the
-    counts, cell by cell.
+    scores and their undefined rows come from the counts, on the table
+    rows.  A chained cell needs equal scores only, not their order, so the
+    cells are numbered by their reduced score ratios, unsorted.
     """
     balancing = tuple(balancing)
     if not balancing:
@@ -904,19 +903,19 @@ def _balancing_design(
     table = _cell_table(dataset)
     cell_index = dataset.cell_index
     num_cells = cell_index.num_cells
-    ranks, undefined = [], []
+    ratios, undefined = [], []
     for contrast in balancing:
-        # score j of every covariate cell, as empirical_csps gives it
+        # score j of every table row, as empirical_csps gives it
         scores = _cell_scores(
             table.cell, num_cells, assignment_indicators(contrast, table.treatment),
-            table.count, index=np.arange(num_cells),
+            table.count,
         )
-        ranks.append(scores.dense_ranks())
-        undefined.append(scores._with_index(table.cell).undefined_units)
-    # cells of equal balancing-score tuples; a tuple with an undefined score
-    # holds no eligible unit of any target that passes the checks, so its
-    # cell stays undefined
-    chain_of_cell, num_chained = _dense_ids(ranks)
+        ratios += [scores._numerators, scores._denominators]
+        undefined.append(scores.undefined_units)
+    # cells of equal balancing-score tuples, equal reduced ratios ((0, 0)
+    # where undefined); a tuple with an undefined score holds no eligible
+    # unit of any target that passes the checks, so its cell stays undefined
+    chain_of_cell, num_chained = _dense_ids(ratios)
     cells = chain_of_cell[cell_index.cell_of_unit]
     cells.setflags(write=False)
     return _BalancingDesign(
@@ -948,7 +947,8 @@ def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target
     groups lies in a cell where a balancing score is undefined, so the check
     reads only those cells' rows.  The logistic chained score is a fit on
     the target's units, and the empirical one counts each chained cell's
-    units of either sign with one bincount over the target's rows.
+    units of either sign with one bincount over the target's rows, and is
+    checked over the table rows, not the units.
     """
     table = design.table
     sign = assignment_indicators(target, table.treatment)
@@ -969,10 +969,10 @@ def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target
     if design.features is not None:
         scores = row_scores = _logistic_scores(design.features, sign, ridge, design.order)
     else:
-        scores = _cell_scores(
-            design.chain[rows], design.num_cells, sign[rows], count, index=design.cells
+        row_scores = _cell_scores(
+            design.chain[rows], design.num_cells, sign[rows], count, index=design.chain
         )
-        row_scores = scores._with_index(design.chain)
+        scores = row_scores._with_index(design.cells)
     return _Target(scores, row_scores, rows, negative, count)
 
 

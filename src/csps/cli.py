@@ -125,18 +125,20 @@ def _out_path(args, filename: str) -> Path:
 
 
 def cmd_example(args) -> int:
-    dataset, first, second, chained, assignment = example_data._pipeline()
+    dataset, first, second, entry, _ = example_data._pipeline()
 
     print("worked example: 24 units, 3 treatments, 4 covariate cells")
-    print("cell            units  score1  score2  chained  subclass")
-    for key, idx in dataset.cell_index:
-        cell = "(" + ", ".join(str(int(v)) for v in key) + ")"
-        sub = {int(assignment.labels[i]) for i in idx if assignment.labels[i] > 0}
-        print(
-            f"{cell:<15} {len(idx):>5}  {str(first.values[idx[0]]):>6}  "
-            f"{str(second.values[idx[0]]):>6}  {str(chained.values[idx[0]]):>7}  "
-            f"{','.join(str(s) for s in sorted(sub)):>8}"
-        )
+    if entry.error is None:  # else the mismatches below name the failure
+        print("cell            units  score1  score2  chained  subclass")
+        labels, chained = entry.assignment.labels, entry.scores.values
+        for key, idx in dataset.cell_index:
+            cell = "(" + ", ".join(str(int(v)) for v in key) + ")"
+            sub = {int(labels[i]) for i in idx if labels[i] > 0}
+            print(
+                f"{cell:<15} {len(idx):>5}  {str(first.values[idx[0]]):>6}  "
+                f"{str(second.values[idx[0]]):>6}  {str(chained[idx[0]]):>7}  "
+                f"{','.join(str(s) for s in sorted(sub)):>8}"
+            )
 
     problems = example_data.verify_worked_example()
     if problems:

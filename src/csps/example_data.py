@@ -6,18 +6,18 @@ balances their bifurcations and, through the chained propensity score, any
 linear combination of them: within each subclass the second-vs-third group
 difference is exactly zero.  Balancing on the first-vs-second score alone
 does not balance the other direction, which the counterexample demonstrates.
+
+:func:`verify_worked_example` checks the pass behind ``csps balance``: the
+entries of :func:`~csps.balancing.run_algorithm` on exact cells and exact
+subclasses, for the target and for the counterexample.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .balancing import (
-    chained_propensity,
-    covariate_mean_difference,
-    subclassify,
-)
-from .contrasts import Contrast, assignment_indicators
+from .balancing import AlgorithmConfig, run_algorithm
+from .contrasts import Contrast
 from .data import Dataset
 from .estimation import empirical_csps
 
@@ -97,17 +97,17 @@ def _per_cell(dataset: Dataset, scores) -> dict[tuple, object]:
 
 
 def _pipeline():
-    """The dataset, both balancing scores, the chained score and its exact subclasses."""
+    """The dataset, both balancing scores, and the report entries of the
+    target and of the counterexample from :func:`run_algorithm`."""
     dataset = worked_example_dataset()
     first = empirical_csps(dataset, FIRST_CONTRAST)
     second = empirical_csps(dataset, SECOND_CONTRAST)
-    chained = chained_propensity(
-        dataset, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
-        estimator="empirical",
+    config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+    (entry,) = run_algorithm(
+        dataset, [FIRST_CONTRAST, SECOND_CONTRAST], [TARGET_CONTRAST], config
     )
-    d_target = assignment_indicators(TARGET_CONTRAST, dataset.treatments)
-    assignment = subclassify(chained, d_target, method="exact")
-    return dataset, first, second, chained, assignment
+    (counter,) = run_algorithm(dataset, [SECOND_CONTRAST], [FIRST_CONTRAST], config)
+    return dataset, first, second, entry, counter
 
 
 def verify_worked_example() -> list[str]:
@@ -115,10 +115,11 @@ def verify_worked_example() -> list[str]:
 
     An empty list means the full pipeline (both scores, the chained
     propensity, the subclass count, exact within-subclass balance, and the
-    one-score counterexample) reproduces the expected values exactly.
+    one-score counterexample) reproduces the expected values exactly.  A
+    failed report entry is a mismatch that ends the checks.
     """
     problems: list[str] = []
-    dataset, first, second, chained, assignment = _pipeline()
+    dataset, first, second, entry, counter = _pipeline()
     for name, got, expected in (
         ("first score", _per_cell(dataset, first), EXPECTED_FIRST_SCORE),
         ("second score", _per_cell(dataset, second), EXPECTED_SECOND_SCORE),
@@ -127,41 +128,36 @@ def verify_worked_example() -> list[str]:
             if got.get(key) != want:
                 problems.append(f"{name} at cell {key}: got {got.get(key)}, want {want}")
 
-    got_chained = _per_cell(dataset, chained)
+    for name, failed in (("target", entry), ("counterexample", counter)):
+        if failed.error is not None:
+            return problems + [f"{name} entry: {failed.error}"]
+
+    got_chained = _per_cell(dataset, entry.scores)
     for key, want in EXPECTED_CHAINED_SCORE.items():
         if got_chained.get(key) != want:
             problems.append(
                 f"chained score at cell {key}: got {got_chained.get(key)}, want {want}"
             )
 
-    if assignment.num_subclasses != EXPECTED_NUM_SUBCLASSES:
+    if entry.num_subclasses != EXPECTED_NUM_SUBCLASSES:
         problems.append(
-            f"subclass count: got {assignment.num_subclasses}, "
+            f"subclass count: got {entry.num_subclasses}, "
             f"want {EXPECTED_NUM_SUBCLASSES}"
         )
-    balance = covariate_mean_difference(dataset, TARGET_CONTRAST, assignment)
-    for row in balance.subclass_rows:
+    for row in entry.subclass_rows:
         if any(v != 0 for v in row.difference_exact):
             problems.append(
                 f"subclass {row.subclass_id} difference: got "
                 f"{row.difference_exact}, want all zero"
             )
-    if any(v != 0 for v in balance.after_exact):
-        problems.append(f"after-balance difference: got {balance.after_exact}")
+    if any(v != 0 for v in entry.after_exact):
+        problems.append(f"after-balance difference: got {entry.after_exact}")
 
     # counterexample: one balancing score does not balance the rest
-    counter = chained_propensity(
-        dataset, [SECOND_CONTRAST], FIRST_CONTRAST, estimator="empirical"
-    )
-    d_first = assignment_indicators(FIRST_CONTRAST, dataset.treatments)
-    counter_assignment = subclassify(counter, d_first, method="exact")
-    counter_balance = covariate_mean_difference(
-        dataset, FIRST_CONTRAST, counter_assignment
-    )
     middle = [
         row
-        for row in counter_balance.subclass_rows
-        if {counter.values[i] for i in counter_assignment.members(row.subclass_id)}
+        for row in counter.subclass_rows
+        if {counter.scores.values[i] for i in counter.assignment.members(row.subclass_id)}
         == {Fraction(1, 2)}
     ]
     want_pos, want_neg = EXPECTED_COUNTEREXAMPLE_MEANS

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csps import balancing, estimation
+from csps import balancing, estimation, example_data
 from csps.balancing import (
     AlgorithmConfig,
     ContrastBalance,
@@ -827,6 +827,33 @@ class TestRunAlgorithm:
                 assert entry.assignment.labels.tolist() == alone.assignment.labels.tolist()
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_empirical_pass_scores_only_table_rows(self, monkeypatch, method):
+        # the chained cells need equal balancing scores, not their order, so
+        # the design ranks none, and exact subclasses rank each target's
+        # score once; every exact score is built and its index checked over
+        # the cell table's rows, far fewer than the units here, and it is
+        # only carried to the units
+        rng = np.random.default_rng(4)
+        X = (rng.random((20000, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, len(X)))
+        num_rows = len(balancing._cell_table(dataset).cell)
+        targets = simulation_contrasts()
+        ranks = count_calls(monkeypatch, ScoreVector, "dense_ranks")
+        real = ScoreVector.from_ratios
+        lengths = []
+
+        def watched(numerators, denominators, index):
+            lengths.append(len(index))
+            return real(numerators, denominators, index)
+
+        monkeypatch.setattr(ScoreVector, "from_ratios", staticmethod(watched))
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        report = run_algorithm(dataset, targets[:2], targets, config)
+        assert [len(entry.scores) for entry in report] == [len(X)] * len(targets)
+        assert len(ranks) == (len(targets) if method == "exact" else 0)
+        assert num_rows <= 8 * 3 and lengths and max(lengths) <= num_rows
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_empirical_pass_memory_is_bounded_by_the_units(self, method):
         # a cell per unit and thousands of treatments: a cells x T count table
         # would take 2000 times the units' bytes, and the pass counts only
@@ -873,6 +900,16 @@ class TestRunAlgorithm:
         assert report.entries[0].error is None
         assert report.entries[1].error is not None
         assert "OneClassOnly" in report.entries[1].error
+
+
+class TestWorkedExample:
+    def test_checks_the_balance_pass_itself(self, monkeypatch):
+        # the chained scores, subclasses and differences checked are those of
+        # run_algorithm, one call for the target and one for the counterexample
+        runs = count_calls(monkeypatch, example_data, "run_algorithm")
+        means = count_calls(monkeypatch, balancing, "covariate_mean_difference")
+        assert example_data.verify_worked_example() == []
+        assert (len(runs), len(means)) == (2, 0)
 
 
 class TestTrueScoreStratification:

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csps import example_data
+from csps.balancing import BalanceReport, ContrastBalance
 from csps.cli import main
 from csps.contrasts import assignment_indicators, read_contrast_file
 from csps.data import Dataset, load_dataset, write_dataset_csv
@@ -35,12 +37,36 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+EXAMPLE_STDOUT = """\
+worked example: 24 units, 3 treatments, 4 covariate cells
+cell            units  score1  score2  chained  subclass
+(0, 0, 0)           6     2/3     1/2      1/2         3
+(0, 1, 1)           6     5/6     2/5      3/4         4
+(1, 0, 1)           6     2/3     3/4      1/3         2
+(1, 1, 1)           6     1/3     1/2      1/5         1
+
+all values reproduced exactly (including the one-score counterexample)
+"""
+
+
 class TestExample:
     def test_exits_zero_and_reproduces(self, capsys):
         assert main(["example"]) == 0
-        out = capsys.readouterr().out
-        assert "reproduced exactly" in out
-        assert "1/5" in out and "5/6" in out
+        assert capsys.readouterr().out == EXAMPLE_STDOUT
+
+    def test_failed_entry_is_a_mismatch(self, monkeypatch, capsys):
+        def failing(dataset, balancing_set, targets, config):
+            return BalanceReport(dataset.covariate_names, tuple(
+                ContrastBalance(contrast=t, error="TooFewUnits: none left") for t in targets
+            ))
+
+        monkeypatch.setattr(example_data, "run_algorithm", failing)
+        assert example_data.verify_worked_example() == ["target entry: TooFewUnits: none left"]
+        assert main(["example"]) == 1
+        assert capsys.readouterr().out == (
+            "worked example: 24 units, 3 treatments, 4 covariate cells\n\nmismatches:\n"
+            "  target entry: TooFewUnits: none left\n"
+        )
 
 
 @pytest.mark.parametrize(
