@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _canonical_order, _is_whole, _not_whole
+from .data import Dataset, _canonical_order, _not_whole, _whole_count
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -319,19 +319,6 @@ def _floats(ratios) -> np.ndarray | None:
     """Integer ratios as floats, each correctly rounded, without a Fraction;
     a value beyond the float64 range is an infinity of its sign."""
     return None if ratios is None else np.array([_scaled_float(*r) for r in ratios])
-
-
-def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless a whole number
-    at least ``least`` (and below 2**63 when ``bounded``)."""
-    whole = _is_whole(value)
-    count = int(value) if whole else None
-    if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
-        bound = "below 2**63, " if bounded else ""
-        raise ValueError(
-            f"{name} must be {bound}at least {least} and a whole number, not {value!r}"
-        )
-    return count
 
 
 @dataclass(frozen=True)
@@ -716,13 +703,33 @@ def covariate_mean_difference(
     as do more subclasses than either group has units.  One exact group sum
     per covariate serves the pooled pair and every subclass pair.  A target
     whose width is not the dataset's number of treatments raises
-    :class:`~csps.errors.DimensionMismatch`.
+    :class:`~csps.errors.DimensionMismatch`.  The per-unit reference for the
+    table sums of :func:`run_algorithm`, which does not call it.
     """
-    return _mean_differences(dataset, [_compared_groups(dataset, target, subclasses)])[0]
+    _check_width(dataset, target)
+    if subclasses is not None and len(subclasses.labels) != dataset.n_units:
+        raise ValueError("subclass labels must cover every unit of the dataset")
+    d = assignment_indicators(target, dataset.treatments)
+    eligible = np.flatnonzero(d != 0)
+    negative = d[eligible] == -1
+    n_neg = int(np.count_nonzero(negative))
+    S = 0 if subclasses is None else subclasses.num_subclasses
+    # every subclass needs a unit of each group, which also bounds the
+    # group counts below by the units, whatever S is
+    if min(len(eligible) - n_neg, n_neg) < max(S, 1):
+        raise EmptyGroup("a comparison group is empty")
+    groups = negative.astype(np.intp)
+    if subclasses is not None:
+        groups += 2 * subclasses.labels[eligible].astype(np.intp)
+    counts = np.bincount(groups, minlength=2 * (S + 1)).tolist()
+    if 0 in counts[2:]:
+        raise EmptyGroup("a comparison group is empty")
+    c = _Comparison(target, subclasses, dataset.covariates, eligible, groups, None, counts)
+    return _mean_differences(dataset, [c])[0]
 
 
 class _Comparison(NamedTuple):
-    """A target's groups as :func:`covariate_mean_difference` checked them.
+    """A target's groups and the covariate rows they sum.
 
     The values of covariate k are ``rows[units, k]``, ``groups[i]`` is the
     group of value i (2s for subclass s's positive units and 2s + 1 for its
@@ -737,35 +744,6 @@ class _Comparison(NamedTuple):
     groups: np.ndarray
     multiplicity: np.ndarray | None
     counts: list[int]
-
-
-def _compared_groups(
-    dataset: Dataset, target: Contrast, subclasses: SubclassAssignment | None
-) -> _Comparison:
-    """The checks of :func:`covariate_mean_difference`, and the groups it sums.
-
-    Every eligible unit's row is summed.
-    """
-    _check_width(dataset, target)
-    if subclasses is not None and len(subclasses.labels) != dataset.n_units:
-        raise ValueError("subclass labels must cover every unit of the dataset")
-    d = assignment_indicators(target, dataset.treatments)
-    eligible = np.flatnonzero(d != 0)
-    negative = d[eligible] == -1
-    n_neg = int(np.count_nonzero(negative))
-    S = 0 if subclasses is None else subclasses.num_subclasses
-    # every subclass needs a unit of each group, which also bounds the
-    # group counts below by the units, whatever S is
-    if min(len(eligible) - n_neg, n_neg) < max(S, 1):
-        raise EmptyGroup("a comparison group is empty")
-    num_groups = 2 * (S + 1)
-    groups = negative.astype(np.intp)
-    if subclasses is not None:
-        groups += 2 * subclasses.labels[eligible].astype(np.intp)
-    counts = np.bincount(groups, minlength=num_groups).tolist()
-    if 0 in counts[2:]:
-        raise EmptyGroup("a comparison group is empty")
-    return _Comparison(target, subclasses, dataset.covariates, eligible, groups, None, counts)
 
 
 def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
@@ -977,7 +955,7 @@ def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target
 
 
 def _target_comparison(
-    dataset: Dataset, design: _BalancingDesign, target: Contrast, config: AlgorithmConfig
+    design: _BalancingDesign, target: Contrast, config: AlgorithmConfig
 ) -> _Comparison:
     """A target's chained score, subclasses and summed groups, from its design's table.
 
@@ -986,12 +964,12 @@ def _target_comparison(
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
     weighted by its units.  The units are read once, to gather their labels
-    from a table over the keys; on a table with counts, a target of more
-    than ``_UNITS_PER_SUM`` units, which the weighted sums cannot take,
-    goes through :func:`_compared_groups` and is summed per unit (the unit
-    table's unweighted sums take any number of units).  The checks of those
-    three functions that the chained checks leave unreachable are not
-    repeated.
+    from a table over the keys.  On a table with counts, a target of more
+    than ``_UNITS_PER_SUM`` units, which the weighted sums cannot take, has
+    each of its rows repeated once per unit and summed unweighted: the same
+    (group, covariate row) values, so the same exact sums (the unit table's
+    unweighted sums take any number of units).  The checks of those three
+    functions that the chained checks leave unreachable are not repeated.
     """
     scores, row_scores, rows, negative, count = _target(design, target, config.ridge)
     label, num_subclasses = _subclass_rows(
@@ -1007,10 +985,8 @@ def _target_comparison(
     # sums of counts below 2**53: exact
     counts = np.bincount(groups, count, minlength=num_groups).astype(np.int64).tolist()
     if count is not None and sum(counts) > _UNITS_PER_SUM:
-        return _compared_groups(dataset, target, assignment)
-    return _Comparison(
-        target, assignment, table.values, table.cell[rows], groups, count, counts
-    )
+        rows, groups, count = np.repeat(rows, count), np.repeat(groups, count), None
+    return _Comparison(target, assignment, table.values, table.cell[rows], groups, count, counts)
 
 
 def chained_propensity(
@@ -1093,7 +1069,7 @@ def run_algorithm(
             entries.append(ContrastBalance(contrast=target, error=failure))
             continue
         try:
-            waiting.append(_target_comparison(dataset, design, target, config))
+            waiting.append(_target_comparison(design, target, config))
         except CspsError as exc:
             entries.append(ContrastBalance(contrast=target, error=_error_text(exc)))
             continue

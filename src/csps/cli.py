@@ -125,7 +125,7 @@ def _out_path(args, filename: str) -> Path:
 
 
 def cmd_example(args) -> int:
-    dataset, first, second, entry, _ = example_data._pipeline()
+    dataset, first, second, entry, _ = run = example_data._pipeline()
 
     print("worked example: 24 units, 3 treatments, 4 covariate cells")
     if entry.error is None:  # else the mismatches below name the failure
@@ -140,7 +140,7 @@ def cmd_example(args) -> int:
                 f"{','.join(str(s) for s in sorted(sub)):>8}"
             )
 
-    problems = example_data.verify_worked_example()
+    problems = example_data._mismatches(*run)
     if problems:
         print("\nmismatches:")
         for p in problems:

@@ -22,10 +22,11 @@ _NAMED_ABSENT = 5
 class Dataset:
     """Immutable container for N units with K covariates and a treatment label.
 
-    Treatment labels are 1-based integers in ``1..num_treatments``; a float
-    or object label must be a whole number (``2.0`` and ``Fraction(2)`` are
-    kept as ``2``, ``Fraction(3, 2)`` is refused).  Covariates
-    must be finite; missing data is rejected at ingestion rather than handled.
+    Treatment labels are 1-based integers in ``1..num_treatments``, where a
+    given ``num_treatments`` is whole and in [1, 2**63), else ValueError; a
+    float or object label or count must be whole (``2.0`` and ``Fraction(2)``
+    are kept as ``2``, ``Fraction(3, 2)`` is refused).  Covariates must be
+    finite; missing data is rejected at ingestion rather than handled.
     A label in 1..T that never occurs is recorded as a warning, not an error.
     """
 
@@ -62,6 +63,8 @@ class Dataset:
             if w.size == 0:
                 raise ValueError("num_treatments is required for an empty dataset")
             num_treatments = int(w.max())
+        else:
+            num_treatments = _whole_count(num_treatments, "num_treatments")
         if w.size and (w.min() < 1 or w.max() > num_treatments):
             raise OutOfRangeTreatment(
                 f"treatment labels must lie in 1..{num_treatments}"
@@ -76,7 +79,7 @@ class Dataset:
         w.setflags(write=False)
         self.covariates = X
         self.treatments = w
-        self.num_treatments = int(num_treatments)
+        self.num_treatments = num_treatments
         self.covariate_names = covariate_names
         self.treatment_name = treatment_name
         # labels lie in 1..T, so the count and the first few absent labels
@@ -130,6 +133,19 @@ def _is_whole(value) -> bool:
         return bool(int(value) == value)
     except (TypeError, ValueError, OverflowError):
         return False
+
+
+def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless a whole number
+    at least ``least`` (and below 2**63 when ``bounded``)."""
+    whole = _is_whole(value)
+    count = int(value) if whole else None
+    if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
+        bound = "below 2**63, " if bounded else ""
+        raise ValueError(
+            f"{name} must be {bound}at least {least} and a whole number, not {value!r}"
+        )
+    return count
 
 
 def _not_whole(labels: np.ndarray) -> list:

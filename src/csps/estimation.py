@@ -541,11 +541,14 @@ def _logistic_scores(features, d, ridge: float, order: np.ndarray) -> ScoreVecto
     canonical order (``_canonical_order`` of ``features``): the fit takes
     its units in that order, so it runs no full sort of them.  Raises
     :class:`NotConverged` when the Newton fit stops at :data:`MAX_ITER`
-    iterations without reaching :data:`TOL`.
+    iterations without reaching :data:`TOL`, and :class:`OneClassOnly` when
+    no unit is in either group.
     """
     F = _as_feature_matrix(features)
     d = np.asarray(d)
     rows = order[d[order] != 0]
+    if not rows.size:
+        raise OneClassOnly("the bifurcation has no units")
     model = fit_binary_logistic(F.take(rows, axis=0), d[rows] == 1, ridge=ridge)
     if not model.converged:
         raise NotConverged(

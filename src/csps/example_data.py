@@ -118,8 +118,12 @@ def verify_worked_example() -> list[str]:
     one-score counterexample) reproduces the expected values exactly.  A
     failed report entry is a mismatch that ends the checks.
     """
+    return _mismatches(*_pipeline())
+
+
+def _mismatches(dataset, first, second, entry, counter) -> list[str]:
+    """The mismatches of :func:`verify_worked_example` in a :func:`_pipeline` run."""
     problems: list[str] = []
-    dataset, first, second, entry, counter = _pipeline()
     for name, got, expected in (
         ("first score", _per_cell(dataset, first), EXPECTED_FIRST_SCORE),
         ("second score", _per_cell(dataset, second), EXPECTED_SECOND_SCORE),

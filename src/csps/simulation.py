@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balancing import AlgorithmConfig, _whole_count, run_algorithm
+from .balancing import AlgorithmConfig, run_algorithm
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset
+from .data import Dataset, _whole_count
 
 __all__ = [
     "SimulationConfig",

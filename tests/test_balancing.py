@@ -26,6 +26,7 @@ from csps.errors import (
     CspsError,
     DimensionMismatch,
     EmptyGroup,
+    OneClassOnly,
     TooFewUnits,
     UndefinedScores,
 )
@@ -764,6 +765,17 @@ class TestRunAlgorithm:
         assert [e.error for e in report] == ["TooFewUnits: the dataset has no units"] * 2
         with pytest.raises(TooFewUnits, match="^the dataset has no units$"):
             chained_propensity(dataset, [FIRST_CONTRAST], TARGET_CONTRAST, estimator=estimator)
+
+    def test_balancing_contrast_without_units_fails_typed(self):
+        # only treatment 2 occurs, so the logistic score of 1-vs-3 has no unit
+        # to fit on: a recorded failure on every target, not a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # treatments 1 and 3 never occur
+            dataset = Dataset([[0.5], [1.5]], [2, 2], num_treatments=3)
+        report = run_algorithm(dataset, [Contrast((1, 0, -1))], [TARGET_CONTRAST])
+        assert [e.error for e in report] == ["OneClassOnly: the bifurcation has no units"]
+        with pytest.raises(OneClassOnly, match="^the bifurcation has no units$"):
+            estimation.model_csps(dataset, Contrast((1, 0, -1)))
 
     def test_undefined_balancing_cell_names_the_first_score(self):
         # cell x=1 holds only treatment 2 and cell x=2 only treatment 3, so

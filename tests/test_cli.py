@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from csps import example_data
 from csps.balancing import BalanceReport, ContrastBalance
-from csps.cli import main
+from csps.cli import _build_parser, main
 from csps.contrasts import assignment_indicators, read_contrast_file
 from csps.data import Dataset, load_dataset, write_dataset_csv
 from csps.estimation import empirical_csps, model_csps
 from csps.example_data import worked_example_dataset
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 BALANCING = "1/3 2/3 -1  # both-vs-3\n1 -1 0  # 1-vs-2\n"
 TARGETS = BALANCING + "1 0 -1  # 1-vs-3\n0 1 -1  # 2-vs-3\n"
 
@@ -54,6 +56,20 @@ class TestExample:
         assert main(["example"]) == 0
         assert capsys.readouterr().out == EXAMPLE_STDOUT
 
+    def test_table_and_checks_read_one_pass(self, monkeypatch, capsys):
+        # one run_algorithm call for the target and one for the counterexample
+        runs = []
+        real = example_data.run_algorithm
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(example_data, "run_algorithm", counted)
+        assert main(["example"]) == 0
+        assert capsys.readouterr().out == EXAMPLE_STDOUT
+        assert len(runs) == 2
+
     def test_failed_entry_is_a_mismatch(self, monkeypatch, capsys):
         def failing(dataset, balancing_set, targets, config):
             return BalanceReport(dataset.covariate_names, tuple(
@@ -67,6 +83,38 @@ class TestExample:
             "worked example: 24 units, 3 treatments, 4 covariate cells\n\nmismatches:\n"
             "  target entry: TooFewUnits: none left\n"
         )
+
+
+def readme_options() -> dict:
+    """README's "Command line" table: each subcommand's options, and the
+    default written after an option, or None."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| subcommand | options (default) |\n|---|---|\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines():
+        name, options = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        options = re.findall(r"`(--[a-z-]+)`(?: \(([^)]*)\))?", options)
+        rows[name] = {option: default or None for option, default in options}
+    return rows
+
+
+def test_readme_option_table_matches_the_parser():
+    # every option of every subcommand, and every default written as a
+    # literal, such as (`logistic`) or (800), is the parser's
+    table = readme_options()
+    _, commands = _build_parser()
+    assert sorted(table) == sorted(commands)
+    for name, command in commands.items():
+        actions = {
+            a.option_strings[-1]: a for a in command._actions if "--help" not in a.option_strings
+        }
+        assert sorted(table[name]) == sorted(actions), name
+        for option, written in table[name].items():
+            literal = re.fullmatch(r"`([^`]+)`|(-?[0-9.]+)", written or "")
+            if literal:
+                action = actions[option]
+                value = (action.type or str)(literal[1] or literal[2])
+                assert value == action.default, (name, option, written)
 
 
 @pytest.mark.parametrize(

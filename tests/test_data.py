@@ -279,6 +279,23 @@ class TestDatasetType:
         with pytest.raises(OutOfRangeTreatment, match="int64"):
             Dataset([[0.0], [1.0]], np.array([1.0, label]))
 
+    @pytest.mark.parametrize("rows, labels, T", [
+        ([[0.0], [1.0]], [1, 2], 2.5),
+        (np.zeros((0, 1)), [], 0),
+        (np.zeros((0, 1)), [], -5),
+        ([[0.0], [1.0]], [1, 2], "3"),
+    ])
+    def test_num_treatments_not_a_whole_count_rejected(self, rows, labels, T):
+        with pytest.raises(ValueError, match=f"num_treatments must be .* not {T!r}"):
+            Dataset(rows, labels, num_treatments=T)
+
+    @pytest.mark.parametrize("T", [3, 3.0, np.int64(3)])
+    def test_whole_num_treatments_kept_as_an_int(self, T):
+        with pytest.warns(UserWarning, match=r"treatments \(3,\) never occur"):
+            dataset = Dataset([[0.0], [1.0]], [1, 2], num_treatments=T)
+        assert type(dataset.num_treatments) is int
+        assert dataset.num_treatments == 3
+
     def test_absent_treatment_warns(self):
         with pytest.warns(UserWarning, match="never occur"):
             Dataset([[1.0], [1.0]], [1, 3])

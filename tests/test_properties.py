@@ -41,6 +41,7 @@ from csps.errors import (
     CspsError,
     EmptyFile,
     MissingValue,
+    OneClassOnly,
     ParseError,
     TooFewUnits,
     UndefinedScores,
@@ -590,19 +591,22 @@ def pipeline_outcome(entry):
 @settings(max_examples=80, deadline=None)
 @given(few_cell_datasets(), st.sampled_from(("exact", "quantile")), st.integers(1, 6))
 def test_cell_sums_equal_unit_sums(data_case, method, S):
-    # the empirical pass sums per (cell, treatment) row of its cell table
-    # unless a target has more than _UNITS_PER_SUM units; covariate_mean_difference
-    # on a fresh Dataset over the same arrays always sums per unit
+    # the empirical pass sums per (cell, treatment) row of its cell table,
+    # weighted by the row's units, unless a target has more than
+    # _UNITS_PER_SUM units, whose rows are repeated once per unit;
+    # covariate_mean_difference on a fresh Dataset over the same arrays
+    # always sums per unit
     X, w = data_case
     balancing_set = simulation_contrasts()[:2]
     config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
     paths = []
     real = balancing._target_comparison
 
-    def watched(dataset, design, target, config):
-        comparison = real(dataset, design, target, config)
+    def watched(design, target, config):
+        comparison = real(design, target, config)
         per_row = sum(comparison.counts) <= balancing._UNITS_PER_SUM
         assert (comparison.multiplicity is not None) == per_row
+        assert per_row or len(comparison.groups) == sum(comparison.counts)
         paths.append("row" if per_row else "unit")
         return comparison
 
@@ -730,6 +734,56 @@ def test_cell_table_pass_equals_unit_chain(case, method, S, units_per_sum, rando
             assert moved.assignment.labels.tobytes() == labels[order].tobytes()
 
 
+def labelled(contrasts, sign=1):
+    """The contrasts, times ``sign``, labelled by place, so that an error
+    naming one reads the same whatever its coefficients."""
+    return [Contrast(tuple(sign * v for v in c.coefficients), label=f"b{j}")
+            for j, c in enumerate(contrasts)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cell_table_cases(), st.permutations(range(5)),
+    st.sampled_from(("empirical", "logistic")), st.sampled_from(("exact", "quantile")),
+    st.integers(1, 10),
+)
+def test_relabelled_treatments_leave_every_entry(case, order, estimator, method, S):
+    # treatment t renamed perm[t] + 1, with every coefficient moved along:
+    # each unit keeps its indicators, so every entry is the same, bit for bit
+    X, w, T, balancing_set, targets = case
+    perm = np.array([t for t in order if t < T])
+
+    def moved(contrast):
+        coefficients = [0] * T
+        for t, v in enumerate(contrast.coefficients):
+            coefficients[perm[t]] = v
+        return Contrast(tuple(coefficients), label=contrast.label)
+
+    balancing_set = labelled(balancing_set)
+    config = AlgorithmConfig(estimator=estimator, subclass_method=method, num_subclasses=S)
+    report = run_algorithm(table_dataset(X, w, T), balancing_set, targets, config)
+    relabelled = run_algorithm(
+        table_dataset(X, perm[w - 1] + 1, T),
+        [moved(c) for c in balancing_set], [moved(c) for c in targets], config,
+    )
+    assert list(map(pipeline_outcome, relabelled)) == list(map(pipeline_outcome, report))
+    event("relabelled" if (perm != np.arange(T)).any() else "identity")
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 10))
+def test_negated_balancing_contrasts_leave_every_entry(case, method, S):
+    # each empirical balancing score of -c is the exact complement of c's, so
+    # the chained cells, matched by reduced ratio, and every entry are the same
+    X, w, T, balancing_set, targets = case
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
+    dataset = table_dataset(X, w, T)
+    report = run_algorithm(dataset, labelled(balancing_set), targets, config)
+    negated = run_algorithm(dataset, labelled(balancing_set, -1), targets, config)
+    assert list(map(pipeline_outcome, negated)) == list(map(pipeline_outcome, report))
+    event("an entry subclassified" if any(e.error is None for e in report) else "all failed")
+
+
 @st.composite
 def unit_table_cases(draw):
     """2-60 units of 1-3 covariates over T = 2-4 treatments, some never
@@ -808,20 +862,71 @@ def test_unit_table_pass_equals_unit_chain(case, method, S, ridge, random):
             )
 
 
+@contextlib.contextmanager
+def recorded_comparisons():
+    """Record what each ``_target_comparison`` call of the pass returns."""
+    comparisons = []
+    real = balancing._target_comparison
+
+    def watched(*args):
+        comparisons.append(real(*args))
+        return comparisons[-1]
+
+    with mock.patch.object(balancing, "_target_comparison", watched):
+        yield comparisons
+
+
 @pytest.mark.parametrize("method", ["exact", "quantile"])
 def test_unit_table_sums_every_target_per_row(method):
     # the unit table's sums are unweighted, so a target of more than
-    # _UNITS_PER_SUM units stays on the table rows: the same entries, and no
-    # per-unit comparison built again from the dataset
+    # _UNITS_PER_SUM units stays on the table rows: the same entries, each
+    # summing its own rows once, and no call of the per-unit reference
     dataset = sample_dataset(mechanism_ii(num_units=300, seed=4), 0)
     targets = simulation_contrasts()
     config = AlgorithmConfig(subclass_method=method)
     report = run_algorithm(dataset, targets[:2], targets, config)
-    with mock.patch.object(balancing, "_UNITS_PER_SUM", 4), mock.patch.object(
-        balancing, "_compared_groups", wraps=balancing._compared_groups
-    ) as compared:
+    with (
+        mock.patch.object(balancing, "_UNITS_PER_SUM", 4),
+        recorded_comparisons() as comparisons,
+        mock.patch.object(balancing, "covariate_mean_difference") as reference,
+    ):
         lowered = run_algorithm(dataset, targets[:2], targets, config)
-    assert compared.call_count == 0
+    assert reference.call_count == 0
+    for c, target in zip(comparisons, targets):
+        d = assignment_indicators(target, dataset.treatments)
+        assert c.multiplicity is None
+        assert c.units.tolist() == np.flatnonzero(d).tolist()
+    assert [e.error for e in report] == [None] * len(targets)
+    assert list(map(pipeline_outcome, lowered)) == list(map(pipeline_outcome, report))
+
+
+@pytest.mark.parametrize("method", ["exact", "quantile"])
+def test_cell_table_repeats_its_rows_past_the_sum_limit(method):
+    # a cell-table target of more than _UNITS_PER_SUM units is summed from its
+    # own rows, each repeated once per unit: the same entries as the weighted
+    # sums, and the treatments are never read again to rebuild its groups
+    rng = np.random.default_rng(5)
+    X = (rng.random((300, 3)) < 0.5).astype(float)
+    w = rng.integers(1, 4, len(X))
+    dataset = make_dataset(X, w)
+    targets = simulation_contrasts()
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+    report = run_algorithm(dataset, targets[:2], targets, config)
+    read = []
+
+    def indicators_of(contrast, labels):
+        read.append(labels is dataset.treatments)
+        return assignment_indicators(contrast, labels)
+
+    with (
+        mock.patch.object(balancing, "_UNITS_PER_SUM", 3),
+        recorded_comparisons() as comparisons,
+        mock.patch.object(balancing, "assignment_indicators", indicators_of),
+    ):
+        lowered = run_algorithm(dataset, targets[:2], targets, config)
+    assert read and not any(read)
+    assert [c.multiplicity for c in comparisons] == [None] * len(targets)
+    assert [len(c.groups) for c in comparisons] == [sum(c.counts) for c in comparisons]
     assert [e.error for e in report] == [None] * len(targets)
     assert list(map(pipeline_outcome, lowered)) == list(map(pipeline_outcome, report))
 
@@ -1139,11 +1244,14 @@ def fit_outcome(fit):
 @given(shared_order_cases())
 @example((np.array([[0.0], [-0.0], [1.0], [2.0], [3.0]]), np.array([1, 2, 2, 1, 2]),
           CONTRASTS[1], np.array([3, 1, 4, 0, 2])))
+@example((np.array([[0.0], [0.0625]]), np.array([1, 1]), Contrast((0, 1, -1)),
+          np.array([0, 1])))
 def test_fits_through_a_shared_order_equal_unit_order_fits(case):
     # model_csps fits the units of d != 0 in the order the dataset keeps;
     # bit for bit that is the fit of those units in unit order, which sorts
     # them itself, and on every shape, ties included, the fit through the
-    # dataset's order runs no full sort
+    # dataset's order runs no full sort; with no such unit it fails typed
+    # and fits nothing
     X, w, contrast, perm = case
     dataset = make_dataset(X[perm], w[perm])
     dataset.row_order  # the design's one sort, made before the count below
@@ -1160,6 +1268,12 @@ def test_fits_through_a_shared_order_equal_unit_order_fits(case):
     assert full_sort.call_count == 0
     d = assignment_indicators(contrast, w)
     eligible = d != 0
+    if not eligible.any():
+        assert outcomes == []
+        with pytest.raises(OneClassOnly, match="^the bifurcation has no units$"):
+            model_csps(dataset, contrast)
+        event("no units")
+        return
     unit_order = fit_outcome(
         lambda: fit_binary_logistic(X[eligible], (d[eligible] == 1).astype(float))
     )
