@@ -11,9 +11,11 @@ one path whichever the estimator.  With exact cells every number the
 routine reports depends on the units only through their counts per
 (covariate cell, treatment), so the table holds those counts, made once per
 call (:func:`_cell_table`), and the scores, the subclasses and the group
-sums come from them; per target, the units are read only to gather their
-subclass labels.  With logistic scores each row of the table is one unit
-(:func:`_unit_table`).
+sums come from them.  Per call the units are read to count them and to
+gather each unit's chained cell, the one index every target's per-unit
+score shares; a target's subclass labels are gathered per unit only when
+they are first read.  With logistic scores each row of the table is one
+unit (:func:`_unit_table`).
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -362,11 +364,18 @@ class SubclassAssignment:
     contains at least one unit from each group.  Labels must be whole
     numbers; they are held in the narrowest unsigned integer type that fits
     them (usually one byte), since reports keep them.  ``num_subclasses``
-    must be a whole number in [0, 2**63).  ``scores`` is the
-    score an assignment made by :func:`subclassify` was made on, else None.
+    must be a whole number in [0, 2**63).  ``scores`` is the score an
+    assignment made by :func:`subclassify` or :func:`run_algorithm` was
+    made on, else None.  An assignment that :func:`run_algorithm` made on
+    exact cells with few (cell, treatment) keys, no more than the units,
+    keeps one label per key; its per-unit ``labels`` are gathered from
+    those on their first read, through each unit's key rebuilt from the
+    dataset's cell index and treatments, and then kept, so a pass whose
+    labels are never read makes no array per unit for them.  Any other
+    assignment holds its labels per unit from the start.
     """
 
-    __slots__ = ("labels", "num_subclasses", "scores")
+    __slots__ = ("_labels", "_by_key", "num_subclasses", "scores")
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
@@ -380,17 +389,43 @@ class SubclassAssignment:
         self._set(lab.astype(np.min_scalar_type(num_subclasses)), num_subclasses, scores)
 
     @classmethod
-    def _built(cls, labels: np.ndarray, num_subclasses: int, scores) -> "SubclassAssignment":
-        """An assignment over valid labels already in their narrowest type, kept without a copy."""
+    def _built(
+        cls, labels: np.ndarray, num_subclasses: int, scores, keys: tuple | None = None
+    ) -> "SubclassAssignment":
+        """An assignment over valid labels already in their narrowest type,
+        kept without a copy.  With ``keys``, the (cell of each unit,
+        treatment of each unit, width) of a count table, ``labels`` holds
+        a label per key ``cell * width + treatment``, gathered per unit on
+        the first read of :attr:`labels`."""
         self = cls.__new__(cls)
-        self._set(labels, num_subclasses, scores)
+        self._set(labels, num_subclasses, scores, keys)
         return self
 
-    def _set(self, labels: np.ndarray, num_subclasses: int, scores) -> None:
+    def _set(self, labels: np.ndarray, num_subclasses: int, scores, keys=None) -> None:
         labels.setflags(write=False)
-        self.labels = labels
+        if keys is None:
+            self._labels, self._by_key = labels, None
+        else:
+            self._labels, self._by_key = None, (labels, keys)
         self.num_subclasses = int(num_subclasses)
         self.scores = scores
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The read-only subclass label of every unit."""
+        labels = self._labels
+        if labels is None:
+            # ``_by_key`` is never cleared, so two threads reading at once
+            # each gather the same labels
+            label_of_key, keys = self._by_key
+            labels = label_of_key[_unit_keys(*keys)]
+            labels.setflags(write=False)
+            self._labels = labels
+        return labels
+
+    def __reduce__(self):
+        # a copy holds the labels per unit, not a label per key
+        return type(self)._built, (self.labels, self.num_subclasses, self.scores)
 
     def members(self, subclass_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == subclass_id)
@@ -775,7 +810,10 @@ class _CellTable(NamedTuple):
     ``count[r] > 0`` units, or one unit when ``count`` is None.  Unit i is
     in the pair keyed ``key[i]``, and row r is keyed ``slot[r]``; keys are
     below ``num_keys``, so a table over the keys gathered by ``key`` is a
-    value per unit.
+    value per unit.  ``key`` is the one array per unit, and it lives as
+    long as the pass.  Where no more keys than units can occur, ``unit_keys``
+    is (cell of each unit, treatment of each unit, width), the dataset's own
+    arrays from which :func:`_unit_keys` rebuilds ``key``, else None.
     """
 
     cell: np.ndarray
@@ -785,20 +823,29 @@ class _CellTable(NamedTuple):
     key: np.ndarray
     num_keys: int
     values: np.ndarray
+    unit_keys: tuple | None = None
+
+
+def _unit_keys(cells: np.ndarray, treatments: np.ndarray, width: int) -> np.ndarray:
+    """Each unit's (cell, treatment) key, ``cell * width + treatment``."""
+    key = cells * np.intp(width)
+    key += treatments
+    return key
 
 
 def _cell_table(dataset: Dataset) -> _CellTable:
     """Count the units by (cell, treatment), with one key per unit and one bincount.
 
-    The key is ``cell * (T + 1) + treatment``.  Where more keys than about
-    twice the units could occur, only the present ones are numbered (by
-    ``np.unique``), so memory stays bounded by the units, not by cells x T.
+    The key is :func:`_unit_keys` with width T + 1.  Where more keys than
+    about twice the units could occur, only the present ones are numbered
+    (by ``np.unique``), so memory stays bounded by the units, not by
+    cells x T.
     """
     cells = dataset.cell_index
     width = dataset.num_treatments + 1
-    key = cells.cell_of_unit * np.intp(width)
-    key += dataset.treatments
+    key = _unit_keys(cells.cell_of_unit, dataset.treatments, width)
     num_keys = cells.num_cells * width
+    unit_keys = None
     if num_keys > 2 * len(key) + 1024:
         pairs, key, count = np.unique(key, return_inverse=True, return_counts=True)
         num_keys = len(pairs)
@@ -807,8 +854,10 @@ def _cell_table(dataset: Dataset) -> _CellTable:
         count = np.bincount(key, minlength=num_keys)
         slot = pairs = np.flatnonzero(count)
         count = count[slot]
+        if num_keys <= len(key):  # a label per key takes no more room than per unit
+            unit_keys = (cells.cell_of_unit, dataset.treatments, width)
     cell, treatment = np.divmod(pairs, width)
-    return _CellTable(cell, treatment, count, slot, key, num_keys, cells.rows)
+    return _CellTable(cell, treatment, count, slot, key, num_keys, cells.rows, unit_keys)
 
 
 def _unit_table(dataset: Dataset) -> _CellTable:
@@ -926,7 +975,9 @@ def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target
     reads only those cells' rows.  The logistic chained score is a fit on
     the target's units, and the empirical one counts each chained cell's
     units of either sign with one bincount over the target's rows, and is
-    checked over the table rows, not the units.
+    checked over the table rows, not the units.  Its per-unit score has one
+    entry per chained cell, over the design's index of each unit's chained
+    cell, which every target shares.
     """
     table = design.table
     sign = assignment_indicators(target, table.treatment)
@@ -963,8 +1014,10 @@ def _target_comparison(
     :func:`covariate_mean_difference` give, worked out on the target's table
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
-    weighted by its units.  The units are read once, to gather their labels
-    from a table over the keys.  On a table with counts, a target of more
+    weighted by its units.  The labels are a table over the keys: the unit
+    table's keys are its units, so the table is the labels; through a count
+    table's rebuildable keys the assignment gathers them when first read;
+    else they are gathered here.  On a table with counts, a target of more
     than ``_UNITS_PER_SUM`` units, which the weighted sums cannot take, has
     each of its rows repeated once per unit and summed unweighted: the same
     (group, covariate row) values, so the same exact sums (the unit table's
@@ -978,7 +1031,11 @@ def _target_comparison(
     table = design.table
     label_of_key = np.zeros(table.num_keys, dtype=label.dtype)
     label_of_key[table.slot[rows]] = label
-    assignment = SubclassAssignment._built(label_of_key[table.key], num_subclasses, scores)
+    if table.unit_keys is None and table.count is not None:
+        label_of_key = label_of_key[table.key]  # the label of each unit
+    assignment = SubclassAssignment._built(
+        label_of_key, num_subclasses, scores, table.unit_keys
+    )
     groups = 2 * label.astype(np.intp)
     groups += negative
     num_groups = 2 * (num_subclasses + 1)
@@ -1040,9 +1097,9 @@ def run_algorithm(
     :func:`_target_comparison`) on the rows of its design's table, where
     its groups are found once: with the empirical estimator the units are
     counted once per call by (covariate cell, treatment), so each target's
-    score, subclasses and covariate sums come from those counts and its
-    only pass over the units gathers their subclass labels; with the
-    logistic one each row of the table is one unit.
+    score, subclasses and covariate sums come from those counts, and its
+    labels, when few keys can occur, are gathered per unit only when first
+    read; with the logistic one each row of the table is one unit.
     """
     balancing, targets = tuple(balancing), tuple(targets)
     for contrast in (*balancing, *targets):

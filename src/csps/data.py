@@ -137,8 +137,9 @@ def _is_whole(value) -> bool:
 
 def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
     """``value`` as an int; ValueError naming ``name`` unless a whole number
-    at least ``least`` (and below 2**63 when ``bounded``)."""
-    whole = _is_whole(value)
+    at least ``least`` (and below 2**63 when ``bounded``).  A bool is not a
+    count."""
+    whole = not isinstance(value, (bool, np.bool_)) and _is_whole(value)
     count = int(value) if whole else None
     if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
         bound = "below 2**63, " if bounded else ""

@@ -35,6 +35,7 @@ from .contrasts import Contrast, _coerce, assignment_indicators
 from .data import Dataset, _canonical_order
 from .errors import (
     DimensionMismatch,
+    MissingValue,
     NotConverged,
     OneClassOnly,
     SeparationDetected,
@@ -90,7 +91,12 @@ def _as_feature_matrix(features) -> np.ndarray:
 
 
 def _check_ridge(ridge) -> None:
-    if not (math.isfinite(ridge) and ridge >= 0):
+    """ValueError unless ``ridge`` is a finite, nonnegative real number (not a bool)."""
+    try:
+        valid = not isinstance(ridge, (bool, np.bool_)) and math.isfinite(ridge) and ridge >= 0
+    except TypeError:  # a str, a complex, None ...
+        valid = False
+    if not valid:
         raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
 
 
@@ -157,7 +163,9 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     The fit converges when the (penalised) gradient norm falls below the
     fixed :data:`TOL`; it stops unconverged after :data:`MAX_ITER` Newton
     iterations.  Features so large that the Newton system overflows float64
-    raise :class:`SingularHessian`, without a numpy warning.
+    raise :class:`SingularHessian`, and a NaN or infinite feature
+    :class:`~csps.errors.MissingValue`, without a numpy warning; the
+    features are checked only once the Newton system has failed.
 
     The rows are summed in one canonical order, lexicographic in (features,
     label), so the result does not depend on their order.  Rows already in
@@ -199,6 +207,8 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         with np.errstate(over="raise", invalid="raise"):
             return _newton(X, y, pen, ridge)
     except FloatingPointError as exc:
+        if not np.isfinite(X).all():
+            raise MissingValue("features contain NaN or infinite entries") from None
         raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
 
 
@@ -282,6 +292,8 @@ _EXACT_FLOAT_INT = 2 ** 53
 # overflow int64
 _KEY_LIMIT = 2 ** 62
 _INT64_MAX = np.iinfo(np.int64).max
+# below this denominator, float quotients rank exact scores exactly
+_FLOAT_RANK_LIMIT = 2 ** 26
 
 
 def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
@@ -468,14 +480,23 @@ class ScoreVector:
 
         Ranks ascend with the score and are equal exactly for equal scores;
         undefined scores share one rank above all others.  Ranks need not be
-        consecutive.  Exact scores are ranked per entry, where equal reduced
-        numerators and denominators mean equal values, and Fractions are made
-        only to order the few distinct values.
+        consecutive.  Exact scores are ranked per entry, and only the rank
+        of each unit asked for is gathered per unit.  When every denominator
+        is below 2**26, two distinct reduced ratios in [0, 1] differ by more
+        than 2**-52 and each correctly rounded quotient is off by at most
+        2**-54, so ``np.unique`` of the float quotients orders the entries
+        exactly (an undefined entry is keyed NaN, which sorts last).  A larger
+        denominator has the distinct entries ordered by their Fractions.
         """
         pick = slice(None) if units is None else units
         if self._floats is not None:
             return np.unique(self._floats[pick], return_inverse=True)[1]
         num, den = self._numerators, self._denominators
+        if int(den.max(initial=0)) < _FLOAT_RANK_LIMIT:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                key = num / den
+            key[den == 0] = np.nan  # a ratio n/0 would be infinite
+            return np.unique(key, return_inverse=True)[1][self._index[pick]]
         ids, n = _dense_ids([num, den])
         # equal ids carry equal values, so these writes agree
         nums = np.zeros(n, dtype=np.int64)

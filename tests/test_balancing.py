@@ -1,8 +1,11 @@
 import copy
 import pickle
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -169,6 +172,17 @@ class TestSubclassify:
         for method in ("quantile", "exact"):
             with pytest.raises(ValueError, match="num_subclasses must be below 2"):
                 subclassify(scores, d, method=method, num_subclasses=count)
+
+    @pytest.mark.parametrize("count", [True, np.True_])
+    def test_bool_subclass_count_is_refused(self, count):
+        scores = ScoreVector.from_floats([0.1, 0.2, 0.3, 0.4])
+        d = np.array([1, -1, 1, -1])
+        with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+            AlgorithmConfig(num_subclasses=count)
+        with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+            subclassify(scores, d, num_subclasses=count)
+        with pytest.raises(ValueError, match="num_subclasses must be below 2"):
+            SubclassAssignment([1, 1, 0, 0], count)
 
     def test_whole_float_subclass_count_is_kept(self):
         scores = ScoreVector.from_floats([0.1, 0.2, 0.3, 0.4])
@@ -577,6 +591,11 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
             AlgorithmConfig(estimator=estimator, ridge=ridge)
 
+    @pytest.mark.parametrize("ridge", [True, False, "1", None])
+    def test_ridge_must_be_a_real_number(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            AlgorithmConfig(ridge=ridge)
+
     def test_empty_targets(self, example):
         report = run_algorithm(example, [FIRST_CONTRAST], [])
         assert len(report) == 0
@@ -864,6 +883,102 @@ class TestRunAlgorithm:
         assert [len(entry.scores) for entry in report] == [len(X)] * len(targets)
         assert len(ranks) == (len(targets) if method == "exact" else 0)
         assert num_rows <= 8 * 3 and lengths and max(lengths) <= num_rows
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_labels_are_gathered_on_first_read(self, method):
+        # with few (cell, treatment) keys a report holds each target's labels
+        # per key, and gathers them per unit, one byte each, when first read
+        rng = np.random.default_rng(6)
+        n = 200_000
+        X = (rng.random((n, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, n))
+        targets = simulation_contrasts()
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        report = run_algorithm(dataset, targets[:2], targets, config)
+        tracemalloc.start()
+        try:
+            labels = [entry.assignment.labels for entry in report]
+            gathered = tracemalloc.get_traced_memory()[0]
+            again = [entry.assignment.labels for entry in report]
+            read_twice = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert gathered >= len(targets) * n
+        assert read_twice - gathered < 1024
+        assert all(a is b for a, b in zip(labels, again))
+        reference = [
+            subclassify(
+                chained_propensity(dataset, targets[:2], t, "empirical"),
+                assignment_indicators(t, dataset.treatments), method,
+            ).labels.tobytes()
+            for t in targets
+        ]
+        assert [a.tobytes() for a in labels] == reference
+
+    def test_labels_read_from_many_threads_at_once(self):
+        # the first read gathers and keeps the labels; readers racing it
+        # must each get the same labels, never a half-made state
+        rng = np.random.default_rng(8)
+        X = (rng.random((400, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, len(X)))
+        targets = simulation_contrasts()
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        want = run_algorithm(dataset, targets[:2], targets, config).entries[0]
+        want = want.assignment.labels.tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                assignment = run_algorithm(dataset, targets[:2], targets, config)
+                assignment = assignment.entries[0].assignment
+                start = threading.Barrier(8)
+
+                def read():
+                    start.wait(timeout=60)
+                    return assignment.labels
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    reads = [pool.submit(read) for _ in range(8)]
+                    got = [future.result(timeout=60).tobytes() for future in reads]
+                assert got == [want] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_pass_on_a_cell_per_unit_holds_only_chained_cells(self, method):
+        # continuous covariates: one cell per unit, so the table has about a
+        # row per unit.  Each target's score has one entry per chained cell
+        # (at most 3**J: a one-unit cell scores 0, 1 or undefined) over one
+        # index shared by every target, the labels are held per unit, and
+        # nothing of the pass stays on the dataset
+        rng = np.random.default_rng(7)
+        n = 50_000
+        dataset = Dataset(rng.standard_normal((n, 2)), rng.integers(1, 4, n))
+        dataset.cell_index
+        targets = simulation_contrasts()
+        # every unit in both balancing contrasts' groups, so no score is undefined
+        balancing_set = [targets[0], Contrast((1, -2, 1))]
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, balancing_set, targets, config)
+            held = tracemalloc.get_traced_memory()[0]
+            for entry in report:
+                entry.assignment.labels
+            read = tracemalloc.get_traced_memory()[0]
+            del report, entry
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert read - held < 1024
+        assert left < 64 * 1024
+        report = run_algorithm(dataset, balancing_set, targets, config)
+        indexes = {id(entry.scores._index) for entry in report}
+        assert len(indexes) == 1 and len(report.entries[0].scores) == n
+        for entry in report:
+            assert entry.error is None
+            assert len(entry.scores._numerators) <= 3 ** len(balancing_set)
+            assert len(entry.scores._denominators) <= 3 ** len(balancing_set)
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_empirical_pass_memory_is_bounded_by_the_units(self, method):

@@ -289,6 +289,11 @@ class TestDatasetType:
         with pytest.raises(ValueError, match=f"num_treatments must be .* not {T!r}"):
             Dataset(rows, labels, num_treatments=T)
 
+    @pytest.mark.parametrize("T", [True, np.True_])
+    def test_bool_num_treatments_rejected(self, T):
+        with pytest.raises(ValueError, match="num_treatments must be .* not"):
+            Dataset([[0.0], [1.0]], [1, 1], num_treatments=T)
+
     @pytest.mark.parametrize("T", [3, 3.0, np.int64(3)])
     def test_whole_num_treatments_kept_as_an_int(self, T):
         with pytest.warns(UserWarning, match=r"treatments \(3,\) never occur"):

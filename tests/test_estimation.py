@@ -10,6 +10,7 @@ from csps.contrasts import Contrast
 from csps.data import Dataset, build_cell_index
 from csps.errors import (
     DimensionMismatch,
+    MissingValue,
     NotConverged,
     OneClassOnly,
     SeparationDetected,
@@ -164,6 +165,23 @@ class TestBinaryFit:
             bernoulli_gradient(POINTS_X, POINTS_Y, [0.0, 0.0], ridge=ridge)
         with pytest.raises(ValueError, match="ridge"):
             model_csps(points_dataset(), Contrast((1, -1)), ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [True, False, np.True_, "1", None, 1j])
+    def test_ridge_must_be_a_real_number(self, ridge):
+        # a bool is not a penalty, and a str fails the same check, not numpy's
+        with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
+            fit_binary_logistic(POINTS_X, POINTS_Y, ridge=ridge)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_a_missing_value(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MissingValue, match="NaN or infinite"):
+                fit_binary_logistic([[bad], [1.0]], [0, 1])
+            X = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])
+            X[3, 1] = bad
+            with pytest.raises(MissingValue, match="NaN or infinite"):
+                fit_binary_logistic(X, [0, 1, 0, 1, 1, 0], ridge=0.5)
 
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(120, 2))
@@ -434,6 +452,36 @@ class TestScoreVector:
         sv = ScoreVector.from_ratios([2, 1, 0, 4, 0], [3, 3, 0, 6, 5], index=np.arange(5))
         ranks = sv.dense_ranks().tolist()
         assert ranks[4] < ranks[1] < ranks[0] == ranks[3] < ranks[2]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_dense_ranks_follow_the_fraction_order(self, rng, wide):
+        # the float-key ranks and, with a denominator of 2**26 or more, the
+        # Fraction order: ascending with the value, equal for equal values,
+        # and one rank above all for the undefined entries (0/0 and n/0)
+        num = rng.integers(0, 50, 40)
+        den = num + rng.integers(0, 50, 40)
+        num[:3], den[:3] = [0, 7, 0], [0, 0, 1]
+        if wide:
+            num[3], den[3] = 2 ** 26 - 1, 2 ** 26 + 1
+        index = rng.integers(0, 40, 200)
+        sv = ScoreVector.from_ratios(num, den, index=index)
+        ranks = sv.dense_ranks()
+        assert ranks.dtype == np.intp and len(ranks) == len(index)
+        # ranks count the distinct values of all entries, indexed or not
+        defined = sorted({Fraction(int(n), int(d)) for n, d in zip(num, den) if d})
+        want = [len(defined) if v is None else defined.index(v) for v in sv.values]
+        assert ranks.tolist() == want
+        units = rng.integers(0, 200, 30)
+        assert sv.dense_ranks(units).tolist() == [want[u] for u in units.tolist()]
+
+    def test_dense_ranks_tell_apart_near_ratios(self):
+        # neighbouring fractions of the largest float-key denominators
+        big = 2 ** 26 - 1
+        num = [big - 2, big - 1, 1, 1, big // 2, big // 2 + 1]
+        den = [big - 1, big, big, big - 1, big, big]
+        sv = ScoreVector.from_ratios(num, den, index=np.arange(6))
+        want = sorted(range(6), key=lambda j: Fraction(num[j], den[j]))
+        assert np.argsort(sv.dense_ranks()).tolist() == want
 
     def test_mask_matches_none_entries(self):
         sv = ScoreVector.from_ratios([1, 0, 1], [2, 0, 3], index=[0, 1, 2])

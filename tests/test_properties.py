@@ -734,6 +734,63 @@ def test_cell_table_pass_equals_unit_chain(case, method, S, units_per_sum, rando
             assert moved.assignment.labels.tobytes() == labels[order].tobytes()
 
 
+def per_unit_outputs(assignment):
+    """An assignment's labels and its score, unit by unit, as bytes and values."""
+    labels, scores = assignment.labels, assignment.scores
+    ranks = scores.dense_ranks()
+    return (
+        labels.dtype, labels.tobytes(), labels.flags.writeable,
+        scores.as_floats().tobytes(), scores.undefined_units.tobytes(), scores.values,
+        len(scores), ranks.dtype, ranks.tobytes(),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cell_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 12),
+    st.booleans(),
+)
+def test_pass_per_unit_outputs_equal_the_unit_chain(case, method, S, padded):
+    # a pass keeps its labels per (cell, treatment) key and its scores per
+    # chained cell; per unit they equal the public chain's on a fresh
+    # Dataset, read once or twice, on a first pass and on a second over the
+    # same Dataset.  Padded with treatments no unit has, the keys outnumber
+    # the units, and the pass gathers the labels per unit itself
+    X, w, T, balancing_set, targets = case
+    if padded:
+        def widened(c):
+            return Contrast(c.coefficients + (0,) * 2000, label=c.label)
+
+        balancing_set, targets = list(map(widened, balancing_set)), list(map(widened, targets))
+        T += 2000
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
+    dataset = table_dataset(X, w, T)
+    reports = [run_algorithm(dataset, balancing_set, targets, config) for _ in range(2)]
+    for entries in zip(*reports):
+        fresh = table_dataset(X, w, T)
+        contrast = entries[0].contrast
+        try:
+            scores = chained_propensity(fresh, balancing_set, contrast, "empirical")
+            assignment = subclassify(scores, assignment_indicators(contrast, w), method, S)
+        except CspsError as exc:
+            assert [e.error for e in entries] == [f"{type(exc).__name__}: {exc}"] * 2
+            event(type(exc).__name__)
+            continue
+        event("subclassified" + (", padded" if padded else ""))
+        # the chained score per unit: exact cells of the balancing scores' ranks
+        ranks = np.column_stack([
+            empirical_csps(fresh, c).dense_ranks() for c in balancing_set
+        ]).astype(float)
+        by_unit = empirical_csps(table_dataset(ranks, w, T), contrast)
+        assert scores.values == by_unit.values
+        want = per_unit_outputs(assignment)
+        assert want[2] is False
+        for entry in entries:
+            assert entry.error is None
+            assert per_unit_outputs(entry.assignment) == want
+            assert per_unit_outputs(entry.assignment) == want
+
+
 def labelled(contrasts, sign=1):
     """The contrasts, times ``sign``, labelled by place, so that an error
     naming one reads the same whatever its coefficients."""

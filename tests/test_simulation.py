@@ -65,6 +65,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{field} must be .*a whole number"):
             mechanism_ii(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", True), ("seed", False), ("seed", np.True_), ("num_units", True),
+    ])
+    def test_bool_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*a whole number"):
+            mechanism_ii(**{field: value})
+
     def test_whole_counts_are_kept_as_ints(self):
         cfg = mechanism_ii(num_units=30.0, replications=np.int64(2), seed=2.0 ** 70)
         assert (cfg.num_units, cfg.replications, cfg.seed) == (30, 2, 2 ** 70)
