@@ -169,33 +169,43 @@ def _not_whole(labels: np.ndarray) -> list:
 def _canonical_order(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """The rows' order, lexicographic in (features, label), as ``np.lexsort``
     gives it (``-0.0 == 0.0``, NaN last, equal rows kept in place): a
-    read-only intp index.  ``labels`` are 0/1 or booleans.  Column 0 strictly
-    ascending settles it at once; rows that ascend with ties have only their
-    labels ordered, within runs of equal rows; other rows take a stable
-    argsort of column 0 when that has no tie, else the full ``np.lexsort``.
-    So a design is sorted once, and a fit on its units, in its order, takes
-    one of the first two steps.
+    read-only intp index.  ``labels`` are 0/1 or booleans.  See
+    :func:`_reordering`, which finds it.
     """
-    n = len(features)
-    order = np.arange(n, dtype=np.intp)
-    if not (features.shape[1] and (features[1:, 0] > features[:-1, 0]).all()):
-        # equal[i]: rows i and i + 1 agree in every column read so far
-        equal = np.ones(max(n - 1, 0), dtype=bool)
-        for column in features.T:
-            if (equal & ~(column[1:] >= column[:-1])).any():
-                order = np.argsort(features[:, 0], kind="stable")
-                first = features[order, 0]
-                if not (first[1:] > first[:-1]).all():
-                    keys = list(features.T[::-1])
-                    order = np.lexsort(keys if labels is None else [labels, *keys])
-                break
-            equal &= column[1:] == column[:-1]
-        else:
-            if labels is not None and (equal & (labels[1:] < labels[:-1])).any():
-                run = np.concatenate(([0], np.cumsum(~equal)))
-                order = np.argsort(2 * run + labels, kind="stable")
+    order = _reordering(features, labels)
+    if order is None:
+        order = np.arange(len(features), dtype=np.intp)
     order.setflags(write=False)
     return order
+
+
+def _reordering(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray | None:
+    """The :func:`_canonical_order` of the rows, or None where it is the identity.
+
+    Column 0 strictly ascending settles it at once; rows that ascend with
+    ties have only their labels ordered, within runs of equal rows; other
+    rows take a stable argsort of column 0 when that has no tie, else the
+    full ``np.lexsort``.  So a design is sorted once, and a fit on its
+    units, in its order, takes one of the first two steps.
+    """
+    n = len(features)
+    if features.shape[1] and (features[1:, 0] > features[:-1, 0]).all():
+        return None
+    # equal[i]: rows i and i + 1 agree in every column read so far
+    equal = np.ones(max(n - 1, 0), dtype=bool)
+    for column in features.T:
+        if (equal & ~(column[1:] >= column[:-1])).any():
+            order = np.argsort(features[:, 0], kind="stable")
+            first = features[order, 0]
+            if not (first[1:] > first[:-1]).all():
+                keys = list(features.T[::-1])
+                order = np.lexsort(keys if labels is None else [labels, *keys])
+            return order
+        equal &= column[1:] == column[:-1]
+    if labels is not None and (equal & (labels[1:] < labels[:-1])).any():
+        run = np.concatenate(([0], np.cumsum(~equal)))
+        return np.argsort(2 * run + labels, kind="stable")
+    return None
 
 
 class CellIndex:

@@ -13,7 +13,12 @@ gradient-norm tolerance (:data:`TOL`) are fixed constants.  The penalised
 log-likelihood and its gradient are written once, as private kernels over
 the intercept design and the penalty vector; the fit calls them, and the
 public :func:`bernoulli_log_likelihood` and :func:`bernoulli_gradient` are
-thin wrappers around the same kernels, so they are the fit's own objective.
+thin wrappers around the same kernels, so they are the fit's own objective,
+and refuse the inputs the fit refuses.  The log-likelihood kernel sums
+``log(1 + e**z)`` as ``max(z, 0) + log1p(exp(-|z|))`` with numpy's
+vectorised ``exp`` and ``log1p``; against ``np.logaddexp`` that moves only
+the last bits of each log-likelihood, which the fit reads only through its
+step acceptance test, so no coefficient changes.
 
 Scores are predicted for every unit, including units outside the bifurcation:
 the score is a function of the covariates alone, and downstream chaining uses
@@ -24,6 +29,7 @@ where the estimand requires it, not here.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,7 +38,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, _canonical_order
+from .data import Dataset, _reordering
 from .errors import (
     DimensionMismatch,
     MissingValue,
@@ -112,9 +118,24 @@ def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
     """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``.
 
     Also returns ``z = X @ w``, from which the gradient at ``w`` is computed.
+    The log-partition ``sum(log(1 + e**z))`` is summed as ``sum(max(z, 0))``
+    plus ``sum(log1p(exp(-|z|)))``, with numpy's vectorised ufuncs, in one
+    buffer of ``len(z)`` floats; no element overflows.  Against
+    ``np.logaddexp(0.0, z)`` the elements differ by at most a few ulps.  A
+    NaN in ``z``, which ``exp`` and ``log1p`` pass on without numpy's invalid
+    flag, raises ``FloatingPointError`` as that flag does under the fit's
+    ``np.errstate``.
     """
     z = X @ w
-    ll = float(y @ z - np.logaddexp(0.0, z).sum())
+    buf = np.maximum(z, 0.0)
+    positive = buf.sum()
+    np.abs(z, out=buf)
+    np.negative(buf, out=buf)
+    np.exp(buf, out=buf)
+    np.log1p(buf, out=buf)
+    ll = float(y @ z - (positive + buf.sum()))
+    if math.isnan(ll):
+        raise FloatingPointError("invalid value encountered in the log-likelihood")
     return ll - 0.5 * float(pen @ (w * w)), z
 
 
@@ -125,25 +146,70 @@ def _penalised_gradient(X, y, w, z, pen) -> tuple[np.ndarray, np.ndarray, np.nda
     return X.T @ residual - pen * w, p, residual
 
 
+def _binary_labels(labels, rows: int) -> np.ndarray:
+    """``labels`` as ``rows`` bools or floats; ValueError unless each is a bool, 0 or 1."""
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != rows:
+        raise ValueError("labels must be a vector matched to features")
+    if y.dtype != bool:
+        y = y.astype(float)
+        if np.any((y != 0.0) & (y != 1.0)):
+            raise ValueError("labels must be boolean or 0/1")
+    return y
+
+
 def _objective_args(features, labels, coefficients, ridge):
-    X = _design(_as_feature_matrix(features))
+    F = _as_feature_matrix(features)
+    y = _binary_labels(labels, F.shape[0]).astype(float, copy=False)
     w = np.asarray(coefficients, dtype=float)
-    return X, np.asarray(labels, dtype=float), w, _penalty(ridge, len(w))
+    pen = _penalty(ridge, len(w))
+    if not (np.isfinite(F).all() and np.isfinite(w).all()):
+        raise MissingValue("features or coefficients contain NaN or infinite entries")
+    return _design(F), y, w, pen
+
+
+@contextmanager
+def _float64_failures(X: np.ndarray, what: str):
+    """Run under numpy's raising errstate, and type what it raises.
+
+    A ``FloatingPointError`` is a :class:`~csps.errors.MissingValue` when
+    design ``X`` holds a NaN or infinite feature, which is checked only
+    then, and otherwise :class:`SingularHessian`: ``what`` is beyond
+    float64.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        if not np.isfinite(X).all():
+            raise MissingValue("features contain NaN or infinite entries") from None
+        raise SingularHessian(f"{what} is beyond float64 ({exc})") from None
 
 
 def bernoulli_log_likelihood(features, labels, coefficients, ridge: float = 0.0) -> float:
     """The objective :func:`fit_binary_logistic` maximises, at ``coefficients``.
 
     The Bernoulli log-likelihood minus the ridge penalty on non-intercept
-    terms; the fit evaluates this same kernel.
+    terms; the fit evaluates this same kernel, so the value may differ from
+    a ``np.logaddexp`` evaluation in its last bits.  Inputs are refused as
+    the fit refuses them: a NaN or infinite feature or coefficient is a
+    :class:`~csps.errors.MissingValue`, and labels other than bools, 0 and
+    1 a ``ValueError``.  A value beyond float64 raises
+    :class:`SingularHessian`.
     """
-    return _penalised_ll(*_objective_args(features, labels, coefficients, ridge))[0]
+    X, y, w, pen = _objective_args(features, labels, coefficients, ridge)
+    with _float64_failures(X, "the objective"):
+        return _penalised_ll(X, y, w, pen)[0]
 
 
 def bernoulli_gradient(features, labels, coefficients, ridge: float = 0.0) -> np.ndarray:
-    """Gradient of :func:`bernoulli_log_likelihood`, the fit's own kernel."""
+    """Gradient of :func:`bernoulli_log_likelihood`, the fit's own kernel.
+
+    It refuses the inputs that :func:`bernoulli_log_likelihood` refuses.
+    """
     X, y, w, pen = _objective_args(features, labels, coefficients, ridge)
-    return _penalised_gradient(X, y, w, _penalised_ll(X, y, w, pen)[1], pen)[0]
+    with _float64_failures(X, "the objective"):
+        return _penalised_gradient(X, y, w, _penalised_ll(X, y, w, pen)[1], pen)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,12 +231,16 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     iterations.  Features so large that the Newton system overflows float64
     raise :class:`SingularHessian`, and a NaN or infinite feature
     :class:`~csps.errors.MissingValue`, without a numpy warning; the
-    features are checked only once the Newton system has failed.
+    features are checked only once the Newton system has failed.  Labels
+    other than bools, 0 and 1 raise ``ValueError``.  The log-likelihoods in
+    ``log_likelihood_path`` come from the ``exp``/``log1p`` kernel, so they
+    may differ from a ``np.logaddexp`` evaluation in their last bits.
 
     The rows are summed in one canonical order, lexicographic in (features,
     label), so the result does not depend on their order.  Rows already in
-    feature order need at most their labels ordered within runs of equal
-    rows: a caller that fits many subsets of one design sorts it once.
+    that order are copied into the design as they stand; rows in feature
+    order need at most their labels ordered within runs of equal rows: a
+    caller that fits many subsets of one design sorts it once.
 
     Parameters
     ----------
@@ -184,32 +254,21 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
         :class:`SeparationDetected`.
     """
     F = _as_feature_matrix(features)
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != F.shape[0]:
-        raise ValueError("labels must be a vector matched to features")
+    y = _binary_labels(labels, F.shape[0])
     if y.size == 0:
         raise ValueError("empty dataset")
-    if y.dtype == bool:
-        if y.all() or not y.any():
-            raise OneClassOnly("labels contain a single class")
-    else:
-        y = y.astype(float)
-        if np.all(y == y[0]):
-            raise OneClassOnly("labels contain a single class")
-        if np.any((y != 0.0) & (y != 1.0)):
-            raise ValueError("labels must be boolean or 0/1")
+    if y.all() or not y.any():
+        raise OneClassOnly("labels contain a single class")
     pen = _penalty(ridge, F.shape[1] + 1)
 
-    order = _canonical_order(F, y)
-    X, y = _design(F.take(order, axis=0)), y[order].astype(float, copy=False)
+    order = _reordering(F, y)
+    if order is None:  # already in canonical order: the design copies F as it stands
+        X, y = _design(F), y.astype(float, copy=False)
+    else:
+        X, y = _design(F.take(order, axis=0)), y[order].astype(float, copy=False)
     del order  # not held through the Newton loop, whose temporaries set peak memory
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _newton(X, y, pen, ridge)
-    except FloatingPointError as exc:
-        if not np.isfinite(X).all():
-            raise MissingValue("features contain NaN or infinite entries") from None
-        raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
+    with _float64_failures(X, "the Newton system"):
+        return _newton(X, y, pen, ridge)
 
 
 def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogisticModel:
@@ -335,6 +394,13 @@ def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return _renumber(key, span)
 
 
+def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 ratios ``num / den`` in lowest terms, as new arrays (0/0 stays 0/0)."""
+    divisor = np.gcd(num, den)
+    divisor[divisor == 0] = 1
+    return num // divisor, den // divisor
+
+
 def _int64_entries(values) -> np.ndarray:
     """``values`` as a new int64 array; ValueError unless all are int64 integers."""
     raw = np.asarray(values)
@@ -396,10 +462,7 @@ class ScoreVector:
         den = _int64_entries(denominators)
         if num.ndim != 1 or num.shape != den.shape:
             raise ValueError("numerators and denominators must be vectors of one length")
-        divisor = np.gcd(num, den)
-        divisor[divisor == 0] = 1
-        num //= divisor
-        den //= divisor
+        num, den = _reduced(num, den)
         valid = (den == 0) | ((den > 0) & (num >= 0) & (num <= den))
         bad = np.flatnonzero(~valid)
         if bad.size:
@@ -542,16 +605,18 @@ def _cell_scores(
     ``count[i]`` the units it stands for (one when None).  One
     ``np.bincount`` keyed ``cell * 3 + d + 1`` counts both; weighted, it
     adds integers below 2**53, exactly.  The scores are over ``index``,
-    ``cells`` when None.
+    ``cells`` when None, which they make read-only.  The counts need only
+    their gcd reduction: they are nonnegative int64 with ``num <= den``, so
+    none of :meth:`ScoreVector.from_ratios`'s checks could fail.
     """
     key = cells * np.intp(3)
     key += d
     key += 1
     counts = np.bincount(key, count, minlength=3 * num_cells).reshape(num_cells, 3)
-    if count is not None:
-        counts = counts.astype(np.int64)
-    return ScoreVector.from_ratios(
-        counts[:, 2], counts[:, 0] + counts[:, 2], index=cells if index is None else index
+    counts = counts.astype(np.int64, copy=False)
+    num, den = _reduced(counts[:, 2], counts[:, 0] + counts[:, 2])
+    return ScoreVector._frozen(
+        numerators=num, denominators=den, index=cells if index is None else index
     )
 
 

@@ -861,23 +861,23 @@ class TestRunAlgorithm:
     def test_empirical_pass_scores_only_table_rows(self, monkeypatch, method):
         # the chained cells need equal balancing scores, not their order, so
         # the design ranks none, and exact subclasses rank each target's
-        # score once; every exact score is built and its index checked over
-        # the cell table's rows, far fewer than the units here, and it is
-        # only carried to the units
+        # score once; every exact score is built over the cell table's rows,
+        # far fewer than the units here, and it is only carried to the units
         rng = np.random.default_rng(4)
         X = (rng.random((20000, 3)) < 0.5).astype(float)
         dataset = Dataset(X, rng.integers(1, 4, len(X)))
         num_rows = len(balancing._cell_table(dataset).cell)
         targets = simulation_contrasts()
         ranks = count_calls(monkeypatch, ScoreVector, "dense_ranks")
-        real = ScoreVector.from_ratios
+        real = balancing._cell_scores
         lengths = []
 
-        def watched(numerators, denominators, index):
-            lengths.append(len(index))
-            return real(numerators, denominators, index)
+        def watched(*args, **kwargs):
+            scores = real(*args, **kwargs)
+            lengths.append(len(scores))
+            return scores
 
-        monkeypatch.setattr(ScoreVector, "from_ratios", staticmethod(watched))
+        monkeypatch.setattr(balancing, "_cell_scores", watched)
         config = AlgorithmConfig(estimator="empirical", subclass_method=method)
         report = run_algorithm(dataset, targets[:2], targets, config)
         assert [len(entry.scores) for entry in report] == [len(X)] * len(targets)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -27,7 +28,7 @@ from csps.estimation import (
     model_csps,
 )
 from csps.example_data import FIRST_CONTRAST, SECOND_CONTRAST
-from csps.simulation import SimulationConfig, mechanism_ii, sample_dataset
+from csps.simulation import SimulationConfig, mechanism_ii, run_experiment, sample_dataset
 
 # ---------------------------------------------------------------------------
 # fixed 8-point single-feature fitting problem with overlapping classes
@@ -183,6 +184,44 @@ class TestBinaryFit:
             with pytest.raises(MissingValue, match="NaN or infinite"):
                 fit_binary_logistic(X, [0, 1, 0, 1, 1, 0], ridge=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
+    def test_public_kernels_refuse_non_finite_values(self, objective, bad):
+        # as the fit does, without a numpy warning or a NaN result: in a
+        # feature, and in a coefficient
+        X = np.column_stack([POINTS_X, POINTS_X ** 2])
+        bad_feature = X.copy()
+        bad_feature[3, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MissingValue, match="NaN or infinite"):
+                objective(bad_feature, POINTS_Y, [0.1, 0.2, 0.0])
+            with pytest.raises(MissingValue, match="NaN or infinite"):
+                objective(X, POINTS_Y, [0.1, bad, 0.0])
+            with pytest.raises(MissingValue, match="NaN or infinite"):
+                objective(POINTS_X, POINTS_Y, [bad, 0.0])
+
+    @pytest.mark.parametrize("labels", [[0, 7], [0.0, 0.5], [0.0, np.nan], [-1, 1]])
+    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
+    def test_public_kernels_refuse_labels_that_are_not_binary(self, objective, labels):
+        with pytest.raises(ValueError, match="labels must be boolean or 0/1"):
+            objective([[0.0], [1.0]], labels, [0.0, 0.0])
+        with pytest.raises(ValueError, match="labels must be boolean or 0/1"):
+            fit_binary_logistic([[0.0], [1.0], [2.0]], [*labels, 1])
+
+    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
+    def test_public_kernels_take_bool_labels(self, objective):
+        as_floats = objective(POINTS_X, POINTS_Y, [0.3, -0.7])
+        assert np.array_equal(objective(POINTS_X, POINTS_Y == 1, [0.3, -0.7]), as_floats)
+
+    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
+    def test_public_kernels_beyond_float64_fail_typed(self, objective):
+        # finite inputs whose X @ w overflows: typed, as in the fit, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularHessian, match="beyond float64"):
+                objective([[1e308], [-1e308]], [0, 1], [0.0, 10.0])
+
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(120, 2))
         y = rng.random(120) < 0.4
@@ -234,6 +273,31 @@ class TestBinaryFit:
         assert model.converged
         assert abs(model.coefficients[0]) < 0.05
         assert np.allclose(model.coefficients[1:], [0.75, 0.25, 0.5], atol=0.05)
+
+    def test_mechanism_ii_fits_are_unchanged(self, monkeypatch):
+        # every Newton fit of mechanism II's replications 0-9 (2 balancing
+        # and 4 chained fits each) keeps its coefficient bits and iteration
+        # count: the log-likelihood's summation changes only its last bits,
+        # far inside the step acceptance slack (the digest was recorded
+        # when the kernel summed np.logaddexp)
+        fits = []
+        real = csps.estimation.fit_binary_logistic
+
+        def recorded(*args, **kwargs):
+            model = real(*args, **kwargs)
+            fits.append(model)
+            return model
+
+        monkeypatch.setattr(csps.estimation, "fit_binary_logistic", recorded)
+        run_experiment(mechanism_ii(replications=10))
+        digest = hashlib.sha256()
+        for model in fits:
+            digest.update(model.coefficients.tobytes())
+            digest.update(str(model.iterations).encode())
+        assert (len(fits), sum(m.iterations for m in fits)) == (60, 266)
+        assert digest.hexdigest() == (
+            "08b7534fa3384cc853e49e0593339923a0d936e4e59742574940c31241d1074b"
+        )
 
 
 class TestPredictBinary:

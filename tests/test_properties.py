@@ -8,6 +8,7 @@ the data and whatever the unit order.
 import contextlib
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -36,7 +37,7 @@ from csps.contrasts import (
     assignment_indicators,
     bifurcation_span_contains,
 )
-from csps.data import Dataset, write_dataset_csv
+from csps.data import Dataset, _canonical_order, write_dataset_csv
 from csps.errors import (
     CspsError,
     EmptyFile,
@@ -48,7 +49,6 @@ from csps.errors import (
 )
 from csps.estimation import (
     ScoreVector,
-    _canonical_order,
     _dense_ids,
     empirical_csps,
     fit_binary_logistic,
@@ -1257,9 +1257,73 @@ def test_canonical_order_equals_lexsort(case, in_feature_order):
         expected = np.lexsort(keys if labels is None else [labels, *keys])
         assert order.tolist() == expected.tolist()
         assert order.dtype == np.intp and not order.flags.writeable
+        # the fit keeps its rows as they stand exactly when they are in order
+        # (rows with NaN, which no fit reaches, may be sorted into place)
+        in_order = order.tolist() == list(range(len(order)))
+        if data._reordering(X, labels) is None:
+            assert in_order
+        elif not np.isnan(X).any():
+            assert not in_order
         if in_feature_order and not np.isnan(X).any():
             assert full_sort.call_count == 0
             event("labels step" if (order != np.arange(len(y))).any() else "in order")
+
+
+# z = X @ w of the log-likelihood kernel: signed zeros, subnormals, the ends
+# of exp's range and of float64, mixed signs
+SOFTPLUS_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 36.7, -36.7, 700.0, -700.0, 745.2, -745.2,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+Z_VALUES = st.one_of(
+    st.sampled_from(SOFTPLUS_EDGES), st.floats(-800, 800),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EPS = float(np.finfo(float).eps)
+
+
+def kernel_ll(z, y):
+    """``estimation._penalised_ll`` on the one-column design z with w = 1: its
+    log-likelihood is ``y @ z - sum(log(1 + e**z))`` exactly as the fit sums it."""
+    z = np.asarray(z, dtype=float)
+    ll, product = estimation._penalised_ll(z[:, None], np.asarray(y, dtype=float),
+                                           np.ones(1), np.zeros(1))
+    assert (product == z).all()
+    return ll
+
+
+@given(st.lists(Z_VALUES, min_size=1, max_size=20))
+def test_log_partition_is_within_4_ulp_of_logaddexp(zs):
+    # per element, max(z, 0) + log1p(exp(-|z|)) is within 4 ulps of numpy's
+    # scalar np.logaddexp(0, z) (3 is the largest seen in 2.6M draws); with
+    # label 0 the kernel's log-likelihood is minus that one term
+    for z in zs:
+        reference = float(np.logaddexp(0.0, z))
+        assert abs(-kernel_ll([z], [0.0]) - reference) <= 4 * math.ulp(reference)
+
+
+@given(st.lists(st.tuples(Z_VALUES, st.sampled_from((0.0, 1.0))), min_size=1, max_size=40))
+@example([(1e308, 1.0), (1e308, 0.0)])
+@example([(-700.0, 1.0), (700.0, 0.0), (-0.0, 1.0), (5e-324, 0.0)])
+def test_log_likelihood_is_within_summation_error_of_logaddexp(pairs):
+    # summed over n units, the kernel and the np.logaddexp reference differ
+    # by the elements' ulps and the two sums' rounding, at most
+    # (n + 8) eps sum(log(1 + e**z)) + 2 eps |ll|; under the fit's errstate a
+    # sum beyond float64 fails both
+    z, y = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            partition = np.logaddexp(0.0, z).sum()
+            reference = float(y @ z - partition)
+        except FloatingPointError:
+            event("beyond float64")
+            with pytest.raises(FloatingPointError):
+                kernel_ll(z, y)
+            return
+        ll = kernel_ll(z, y)
+    bound = (len(z) + 8) * EPS * float(partition) + 2 * EPS * abs(reference)
+    assert abs(ll - reference) <= bound
 
 
 @st.composite
@@ -1351,19 +1415,24 @@ def test_one_order_per_score_design(targets, covariates):
         rng = np.random.default_rng(5)
         X = (rng.random((300, 3)) < (0.3, 0.5, 0.7)).astype(float)
         dataset = make_dataset(X, dataset.treatments)
-    order_of = data._canonical_order
     calls = []
     with contextlib.ExitStack() as stack:
         full_sort = stack.enter_context(mock.patch.object(np, "lexsort", wraps=np.lexsort))
 
-        def recorded(features, labels=None):
-            sorts = full_sort.call_count
-            order = order_of(features, labels)
-            calls.append((labels is None, full_sort.call_count - sorts))
-            return order
+        def recorder(order_of):
+            def recorded(features, labels=None):
+                sorts = full_sort.call_count
+                order = order_of(features, labels)
+                calls.append((labels is None, full_sort.call_count - sorts))
+                return order
 
-        for module in (data, estimation, balancing):
-            stack.enter_context(mock.patch.object(module, "_canonical_order", recorded))
+            return recorded
+
+        # the designs' orders, and each fit's, which is None where the rows
+        # are already in order
+        for module, real in ((data, data._canonical_order), (balancing, data._canonical_order),
+                             (estimation, data._reordering)):
+            stack.enter_context(mock.patch.object(module, real.__name__, recorder(real)))
         fits = stack.enter_context(mock.patch.object(
             estimation, "fit_binary_logistic", wraps=fit_binary_logistic
         ))
