@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _canonical_order, _not_whole, _whole_count
+from .data import Dataset, _canonical_order, _whole_count, _whole_labels
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -361,10 +361,10 @@ class SubclassAssignment:
 
     ``labels[i]`` is a 1-based subclass id for units assigned to either
     group and 0 for everyone else.  After construction every subclass
-    contains at least one unit from each group.  Labels must be whole
-    numbers; they are held in the narrowest unsigned integer type that fits
-    them (usually one byte), since reports keep them.  ``num_subclasses``
-    must be a whole number in [0, 2**63).  ``scores`` is the score an
+    contains at least one unit from each group.  Labels follow the label
+    rule of :class:`Dataset`, held in the narrowest unsigned type that fits
+    them (one byte, usually), as reports keep them; ``num_subclasses`` is
+    a whole number in [0, 2**63).  ``scores`` is the score an
     assignment made by :func:`subclassify` or :func:`run_algorithm` was
     made on, else None.  An assignment that :func:`run_algorithm` made on
     exact cells with few (cell, treatment) keys, no more than the units,
@@ -379,13 +379,10 @@ class SubclassAssignment:
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
-        lab = np.asarray(labels)
-        if _not_whole(lab):
-            raise ValueError("subclass labels must be whole numbers")
-        if lab.size and int(lab.min()) < 0:
-            raise ValueError("subclass labels must be nonnegative")
-        if int(lab.max(initial=0)) > num_subclasses:
-            raise ValueError("subclass labels must not exceed num_subclasses")
+        lab = _whole_labels(
+            labels, 0, num_subclasses, ValueError, "subclass label",
+            "whole numbers from {least}, and must not exceed num_subclasses = {most}",
+        )
         self._set(lab.astype(np.min_scalar_type(num_subclasses)), num_subclasses, scores)
 
     @classmethod
@@ -555,26 +552,23 @@ def subclassify(
     with the neighbouring subclass toward the median until every subclass
     contains both, which collapses degenerate splits instead of failing.
     Subclass ids are 1-based in ascending score order.  ``num_subclasses``
-    must be a whole number in [1, 2**63), whichever the method.
+    must be a whole number in [1, 2**63), whichever the method, and the
+    indicators -1, 0 or 1 under the label rule of :class:`Dataset`.
 
     Both signs' counts per group come from one ``np.bincount``, the check
     for undefined scores reads only the score's ``undefined_units``, and
     the labels are built in the narrowest unsigned type that holds them.
     """
     S = _whole_count(num_subclasses, "num_subclasses")
-    d = np.asarray(d_indicator)
+    d = _whole_labels(d_indicator, -1, 1, ValueError, "group indicator", "1, -1 or 0")
     if len(d) != len(scores):
         raise ValueError("indicator length must match scores")
-    eligible = np.flatnonzero(d != 0)
+    eligible = np.flatnonzero(d)
     if eligible.size == 0:
         raise TooFewUnits("no units are assigned to either group")
-    sign = d[eligible]
-    negative = sign == -1
+    negative = d[eligible] == -1
     n_neg = int(np.count_nonzero(negative))
-    n_pos = int(np.count_nonzero(sign == 1))
-    if n_pos + n_neg != len(eligible):
-        raise ValueError("group indicators must be 1, -1 or 0")
-    if not (n_pos and n_neg):
+    if not (n_neg and n_neg < len(eligible)):
         raise TooFewUnits("all eligible units fall in a single group")
     undefined = int(np.count_nonzero(d[scores.undefined_units]))
     if undefined:
@@ -1092,7 +1086,8 @@ def run_algorithm(
     balancing fit, or a dataset with no units, is recorded on every target.
     A balancing or target contrast whose width is not the dataset's number
     of treatments is an input error, not a per-target failure: it raises
-    :class:`~csps.errors.DimensionMismatch` before any fit.  Whichever the
+    :class:`~csps.errors.DimensionMismatch` (or NotAContrast, for an entry
+    that is not a :class:`Contrast`) before any fit.  Whichever the
     estimator, each target is worked out by one path (see
     :func:`_target_comparison`) on the rows of its design's table, where
     its groups are found once: with the empirical estimator the units are

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import _whole_labels
 from .errors import (
     AllZero,
     DegenerateBifurcation,
@@ -265,20 +266,14 @@ def linear_combination(terms: Iterable[tuple]) -> Contrast:
 
 def assignment_indicator(contrast: Contrast, treatment: int) -> int:
     """Group indicator for one unit: sign of the coefficient of its treatment."""
-    if not 1 <= treatment <= contrast.num_treatments:
-        raise OutOfRangeTreatment(
-            f"treatment {treatment} outside 1..{contrast.num_treatments}"
-        )
-    return _sgn(contrast.coefficients[treatment - 1])
+    return int(assignment_indicators(contrast, treatment))
 
 
 def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
-    """Vectorised :func:`assignment_indicator` over an array of labels."""
-    w = np.asarray(treatments, dtype=int)
-    if w.size and (w.min() < 1 or w.max() > contrast.num_treatments):
-        raise OutOfRangeTreatment(
-            f"treatment labels outside 1..{contrast.num_treatments}"
-        )
+    """Vectorised :func:`assignment_indicator`; labels in 1..T follow the
+    label rule of :class:`~csps.data.Dataset`, else OutOfRangeTreatment."""
+    T = contrast.num_treatments
+    w = _whole_labels(treatments, 1, T, OutOfRangeTreatment, "treatment label")
     # label t reads entry t, so no shifted copy of the labels is made
     return contrast._signs[w]
 

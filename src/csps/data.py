@@ -22,11 +22,11 @@ _NAMED_ABSENT = 5
 class Dataset:
     """Immutable container for N units with K covariates and a treatment label.
 
-    Treatment labels are 1-based integers in ``1..num_treatments``, where a
-    given ``num_treatments`` is whole and in [1, 2**63), else ValueError; a
-    float or object label or count must be whole (``2.0`` and ``Fraction(2)``
-    are kept as ``2``, ``Fraction(3, 2)`` is refused).  Covariates must be
-    finite; missing data is rejected at ingestion rather than handled.
+    Treatment labels lie in ``1..num_treatments`` and follow the label rule
+    of :func:`_whole_labels` (``2.0`` and ``Fraction(2)`` are kept as ``2``;
+    ``1.5``, ``True`` and ``"2"`` are an OutOfRangeTreatment); a given
+    ``num_treatments`` is whole and in [1, 2**63), else ValueError.
+    Covariates must be finite; missing data is rejected at ingestion.
     A label in 1..T that never occurs is recorded as a warning, not an error.
     """
 
@@ -45,30 +45,16 @@ class Dataset:
             raise ValueError("at least one covariate column is required")
         if not np.all(np.isfinite(X)):
             raise MissingValue("covariates contain NaN or infinite entries")
-        w = np.asarray(treatments)
-        # whole numbers such as 2.0 are labels; 1.5, NaN and inf are not
-        bad = _not_whole(w)
-        if bad:
-            raise OutOfRangeTreatment(f"treatment label {bad[0]!r} is not a whole number")
-        try:
-            # a float cast to int64 does not overflow loudly, so its range is checked
-            if w.dtype.kind == "f" and not ((w >= -(2.0 ** 63)) & (w < 2.0 ** 63)).all():
-                raise OverflowError
-            w = np.array(w, dtype=int)
-        except OverflowError:
-            raise OutOfRangeTreatment("a treatment label lies beyond the int64 range") from None
+        if num_treatments is not None:
+            num_treatments = _whole_count(num_treatments, "num_treatments")
+        w = _whole_labels(treatments, 1, num_treatments, OutOfRangeTreatment, "treatment label")
         if w.ndim != 1 or w.shape[0] != X.shape[0]:
             raise ValueError("treatments must be a vector with one entry per unit")
         if num_treatments is None:
             if w.size == 0:
                 raise ValueError("num_treatments is required for an empty dataset")
             num_treatments = int(w.max())
-        else:
-            num_treatments = _whole_count(num_treatments, "num_treatments")
-        if w.size and (w.min() < 1 or w.max() > num_treatments):
-            raise OutOfRangeTreatment(
-                f"treatment labels must lie in 1..{num_treatments}"
-            )
+        w = w.copy()  # the caller's int64 array passes the checker as it is
         if covariate_names is None:
             covariate_names = tuple(f"x{k + 1}" for k in range(X.shape[1]))
         else:
@@ -130,7 +116,7 @@ class Dataset:
 
 def _is_whole(value) -> bool:
     try:
-        return bool(int(value) == value)
+        return not isinstance(value, (bool, np.bool_)) and bool(int(value) == value)
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -139,9 +125,8 @@ def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
     """``value`` as an int; ValueError naming ``name`` unless a whole number
     at least ``least`` (and below 2**63 when ``bounded``).  A bool is not a
     count."""
-    whole = not isinstance(value, (bool, np.bool_)) and _is_whole(value)
-    count = int(value) if whole else None
-    if not (whole and least <= count and (count < 2 ** 63 or not bounded)):
+    count = int(value) if _is_whole(value) else None
+    if count is None or not (least <= count and (count < 2 ** 63 or not bounded)):
         bound = "below 2**63, " if bounded else ""
         raise ValueError(
             f"{name} must be {bound}at least {least} and a whole number, not {value!r}"
@@ -149,21 +134,41 @@ def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
     return count
 
 
-def _not_whole(labels: np.ndarray) -> list:
-    """The entries of a label array that are not whole numbers, in order.
+_INT64 = np.dtype(np.int64)
 
-    Float entries must be finite and whole, and object entries (a Fraction
-    or a Decimal, say) equal to their ``int()``; integer and bool arrays
-    hold whole numbers only.
+
+def _whole_labels(values, least: int, most: int | None, error, noun: str, rule=None):
+    """``values`` as an int64 array of labels in ``least..most`` (unbounded
+    above when ``most`` is None), else ``error`` naming the first bad entry.
+
+    Each entry must be a whole number that int64 holds: integer arrays pass
+    as they are, floats must be finite and whole, objects equal to their
+    ``int()``; strings and bools are not labels.  ``rule`` words the range
+    in the refusal, with ``{least}`` and ``{most}`` filled in.
     """
-    flat = labels.ravel()
-    if flat.dtype.kind == "f":
-        whole = np.isfinite(flat) & (flat == np.trunc(flat))
-    elif flat.dtype.kind == "O":
-        whole = np.array([_is_whole(v) for v in flat.tolist()], dtype=bool)
-    else:
-        return []
-    return flat[~whole].tolist()
+    w = np.asarray(values)
+    bad = None
+    if w.dtype is not _INT64:
+        flat, kind = w.ravel(), w.dtype.kind
+        if kind == "O":
+            held = np.array([_is_whole(v) and -(2 ** 63) <= int(v) < 2 ** 63
+                             for v in flat.tolist()], dtype=bool)
+        elif kind in "fiu":  # NaN and the infinities lie outside the int64 range
+            edge = np.float64(2 ** 63) if kind == "f" else 2 ** 63  # beyond float16
+            held = (flat >= -edge) & (flat < edge) & (kind != "f" or flat == np.trunc(flat))
+        else:
+            held = np.zeros(flat.shape, dtype=bool)
+        if held.all():
+            w = flat.astype(np.int64).reshape(w.shape)
+        else:
+            bad, problem = flat[~held], "is not a whole number that int64 holds"
+    if bad is None and w.size and (w.min() < least or most is not None and w.max() > most):
+        bad, problem = w[(w < least) | (most is not None and w > most)], "is out of range"
+    if bad is not None:
+        rule = rule or "whole numbers " + ("from {least}" if most is None else "in {least}..{most}")
+        raise error(f"{noun} {bad.tolist()[0]!r} {problem}: {noun}s must be "
+                    + rule.format(least=least, most=most))
+    return w
 
 
 def _canonical_order(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:

@@ -19,7 +19,8 @@ class InputError(CspsError):
 
 
 class NotAContrast(InputError):
-    """Coefficients do not sum to zero."""
+    """Coefficients do not sum to zero or are not finite, or a contrast
+    argument is not a :class:`~csps.contrasts.Contrast` at all."""
 
 
 class AllZero(InputError):

@@ -42,6 +42,7 @@ from .data import Dataset, _reordering
 from .errors import (
     DimensionMismatch,
     MissingValue,
+    NotAContrast,
     NotConverged,
     OneClassOnly,
     SeparationDetected,
@@ -575,6 +576,8 @@ class ScoreVector:
 
 
 def _check_width(dataset: Dataset, contrast: Contrast) -> None:
+    if not isinstance(contrast, Contrast):
+        raise NotAContrast(f"expected a Contrast, got {contrast!r}")
     if contrast.num_treatments != dataset.num_treatments:
         raise DimensionMismatch(
             f"contrast {contrast.describe()} has {contrast.num_treatments} "
@@ -667,8 +670,8 @@ def csps_from_treatment_probs(probs, contrast: Contrast):
         raise DimensionMismatch(
             f"expected {contrast.num_treatments} probabilities, got {len(p)}"
         )
-    if any(v < -1e-12 for v in p):
-        raise ValueError("probabilities must be nonnegative")
+    if not all(-1e-12 <= v < math.inf for v in p):
+        raise ValueError("probabilities must be finite and nonnegative")
     total = sum(p)
     if abs(float(total) - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {float(total)!r}, expected 1")

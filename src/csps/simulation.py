@@ -136,9 +136,8 @@ def _draw(rng: np.random.Generator, n: int, coefficients) -> tuple[np.ndarray, n
 
 
 def sample_dataset(cfg: SimulationConfig, replication_index: int) -> Dataset:
-    """Draw one replication's dataset from the stream ``(seed, index)``."""
-    if replication_index < 0:
-        raise ValueError("replication_index must be nonnegative")
+    """Draw one replication's dataset from the stream ``(seed, index)``, index >= 0."""
+    replication_index = _whole_count(replication_index, "replication_index", 0, bounded=False)
     rng = np.random.default_rng([cfg.seed, replication_index])
     X, W = _draw(rng, cfg.num_units, cfg.coefficients)
     return Dataset(X, W, num_treatments=cfg.num_treatments)
@@ -216,10 +215,11 @@ def oracle_group_means(cfg: SimulationConfig, oracle_n: int = 1_000_000) -> np.n
     the configured mechanism and returns, per target, the positive-group
     minus negative-group covariate means, or NaN where the draw left one of
     the target's groups empty.  The default size keeps the Monte Carlo error
-    of each entry below about 0.005.
+    of each entry below about 0.005; ``oracle_n`` = 0 gives NaN rows.
     """
+    oracle_n = _whole_count(oracle_n, "oracle_n", 0, bounded=False)
     rng = np.random.default_rng([cfg.seed, 0, oracle_n])
-    X, W = _draw(rng, int(oracle_n), cfg.coefficients)
+    X, W = _draw(rng, oracle_n, cfg.coefficients)
     out = np.full((len(cfg.targets), cfg.num_covariates), np.nan)
     for j, target in enumerate(cfg.targets):
         d = assignment_indicators(target, W)

@@ -29,6 +29,7 @@ from csps.errors import (
     CspsError,
     DimensionMismatch,
     EmptyGroup,
+    NotAContrast,
     OneClassOnly,
     TooFewUnits,
     UndefinedScores,
@@ -254,6 +255,23 @@ class TestSubclassify:
         with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
             subclassify(scores, np.array([first, 1, -1, 1]))
 
+    @pytest.mark.parametrize("d", [
+        [True, False, True, False], np.array(["1", "-1", "1", "-1"]),
+        np.array([1, -1, 1, 2 ** 63], dtype=object),
+    ])
+    def test_indicators_that_are_not_whole_numbers_raise(self, d):
+        # a bool or a string is not a group indicator, and neither is a whole
+        # number beyond int64
+        scores = ScoreVector.from_floats([0.5, 0.6, 0.7, 0.8])
+        with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
+            subclassify(scores, d)
+
+    def test_whole_float_and_object_indicators_are_kept(self):
+        scores = ScoreVector.from_floats([0.2, 0.4, 0.6, 0.8])
+        expected = subclassify(scores, np.array([1, -1, 1, -1]), "quantile", 2).labels
+        for d in ([1.0, -1.0, 1.0, -1.0], [Fraction(1), Decimal(-1), 1, -1]):
+            assert subclassify(scores, d, "quantile", 2).labels.tolist() == expected.tolist()
+
     def test_labels_beyond_num_subclasses_raise(self):
         with pytest.raises(ValueError, match="must not exceed num_subclasses"):
             SubclassAssignment([0, 1, 3], 2)
@@ -261,9 +279,11 @@ class TestSubclassify:
     @pytest.mark.parametrize("labels", [
         [0, 0.5, 1], [0, 1.5, 2], [0, np.nan, 1],
         [Fraction(3, 2), 1], [Decimal("0.5"), 1], np.array([1.5, 1], dtype=object),
+        ["0", "1"], [True, False],
     ])
     def test_labels_must_be_whole_numbers(self, labels):
-        # a cast would truncate 0.5 to 0 and 1.5 to 1
+        # a cast would truncate 0.5 to 0 and 1.5 to 1; strings used to fail
+        # inside numpy with a bare UFuncTypeError, and bools read as 1 and 0
         with pytest.raises(ValueError, match="subclass labels must be whole numbers"):
             SubclassAssignment(labels, 2)
 
@@ -633,6 +653,24 @@ class TestRunAlgorithm:
                 chained_propensity(example, balancing_set, targets[-1], estimator=estimator)
         with pytest.raises(DimensionMismatch, match=r"contrast \(1, -1\) has 2"):
             run_algorithm(example, [narrow], [], config)
+        assert fits == [] and cells == []
+
+    @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
+    def test_entry_that_is_not_a_contrast_is_an_input_error(self, example, monkeypatch, estimator):
+        # a contrast's text is not a contrast: it used to fail with a bare
+        # AttributeError from the width check
+        fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
+        cells = count_calls(monkeypatch, balancing, "_cell_table")
+        config = AlgorithmConfig(estimator=estimator)
+        for balancing_set, targets in [
+            (["1/2 1/2 -1"], [TARGET_CONTRAST]),
+            ([FIRST_CONTRAST], [TARGET_CONTRAST, (0, 1, -1)]),
+            ([FIRST_CONTRAST, None], []),
+        ]:
+            with pytest.raises(NotAContrast, match="expected a Contrast"):
+                run_algorithm(example, balancing_set, targets, config)
+        with pytest.raises(NotAContrast, match="expected a Contrast"):
+            chained_propensity(example, [FIRST_CONTRAST], "0 1 -1", estimator=estimator)
         assert fits == [] and cells == []
 
     def test_empty_balancing_set_raises_with_targets(self, example):

@@ -1,5 +1,7 @@
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from csps.contrasts import (
@@ -209,6 +211,30 @@ class TestAssignmentIndicator:
             assignment_indicator(Contrast((1, -1)), 3)
         with pytest.raises(OutOfRangeTreatment):
             assignment_indicator(Contrast((1, -1)), 0)
+
+    @pytest.mark.parametrize("label", [
+        1.5, 2.5, np.nan, np.inf, True, np.True_, "2", Fraction(3, 2), Decimal("1.5"), 2 ** 63,
+    ])
+    def test_label_that_is_not_a_whole_number_raises(self, label):
+        # 1.5 used to fail with a bare TypeError, and True read treatment 1
+        with pytest.raises(OutOfRangeTreatment, match="is not a whole number|int64"):
+            assignment_indicator(Contrast((1, 0, -1)), label)
+
+    @pytest.mark.parametrize("label", [2.0, np.int8(2), np.uint64(2), Fraction(2), Decimal(2)])
+    def test_whole_labels_of_any_type_are_read(self, label):
+        assert assignment_indicator(Contrast((1, 0, -1)), label) == 0
+
+    @pytest.mark.parametrize("labels", [
+        [2.7, 1.0], [1.0, np.nan], ["1", "2"], [True, False], np.array([1, 2.5], dtype=object),
+    ])
+    def test_vector_labels_that_are_not_whole_numbers_raise(self, labels):
+        # [2.7, 1.0] used to read 2.7 as treatment 2 and give [-1, 1]
+        with pytest.raises(OutOfRangeTreatment, match="is not a whole number"):
+            assignment_indicators(Contrast((1, -1)), labels)
+
+    def test_vector_labels_beyond_int64_raise(self):
+        with pytest.raises(OutOfRangeTreatment, match="int64"):
+            assignment_indicators(Contrast((1, -1)), np.array([1.0, 2.0 ** 63]))
 
     def test_zero_indicator_iff_zero_coefficient(self, rng):
         for _ in range(50):

@@ -259,12 +259,22 @@ class TestDatasetType:
         pytest.param([Fraction(3, 2), 2, 2], r"Fraction\(3, 2\)", id="fraction"),
         pytest.param([Decimal("1.5"), 2, 2], r"Decimal\('1.5'\)", id="decimal"),
         pytest.param(np.array([1, 2, 2.5], dtype=object), "2.5", id="object-float"),
+        pytest.param(["1", "2", "2"], "'1'", id="strings"),
+        pytest.param([True, False, True], "True", id="bools"),
+        pytest.param(np.array([1, 2, True], dtype=object), "True", id="object-bool"),
     ])
     def test_labels_that_are_not_whole_numbers_rejected(self, labels, bad):
-        # a float or object label is not truncated: the first one that is not
-        # a finite whole number is named
+        # a float or object label is not truncated, and strings and bools are
+        # not labels: the first entry that is not a finite whole number is named
         with pytest.raises(OutOfRangeTreatment, match=f"treatment label {bad} is not a whole"):
             Dataset([[0.0], [1.0], [2.0]], labels)
+
+    def test_labels_are_copied_from_the_caller(self):
+        labels = np.array([1, 2])
+        dataset = Dataset([[0.0], [1.0]], labels)
+        labels[0] = 2
+        assert dataset.treatments.tolist() == [1, 2]
+        assert labels.flags.writeable and not dataset.treatments.flags.writeable
 
     def test_whole_float_labels_kept_as_ints(self):
         dataset = Dataset([[0.0], [1.0], [2.0]], np.array([1.0, 2.0, 2.0]))
@@ -273,6 +283,14 @@ class TestDatasetType:
         dataset = Dataset([[0.0], [1.0]], [Fraction(2), Decimal(1)])
         assert dataset.treatments.dtype == int
         assert dataset.treatments.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble])
+    def test_float_labels_of_any_width_follow_the_rule(self, dtype):
+        # float16 holds no 2**63, so its int64 range is checked in float64
+        dataset = Dataset([[0.0], [1.0]], np.array([2, 1], dtype=dtype))
+        assert dataset.treatments.tolist() == [2, 1]
+        with pytest.raises(OutOfRangeTreatment, match="is not a whole number"):
+            Dataset([[0.0], [1.0]], np.array([1.5, 1], dtype=dtype))
 
     @pytest.mark.parametrize("label", [1e30, 2.0 ** 63, -1e30])
     def test_whole_float_label_beyond_int64_rejected(self, label):

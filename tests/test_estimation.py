@@ -440,6 +440,15 @@ class TestScoreFromProbabilities:
         with pytest.raises(DimensionMismatch):
             csps_from_treatment_probs((0.5, 0.5), Contrast((1, -1, 0)))
 
+    @pytest.mark.parametrize("probs", [
+        (np.nan, 1), (1, np.nan), (np.nan, np.nan), (np.inf, 1), (np.inf, -np.inf, 1),
+    ])
+    def test_non_finite_probability_raises(self, probs):
+        # a NaN passed the sign and the sum checks, and the score was NaN
+        contrast = Contrast((1, -1)) if len(probs) == 2 else Contrast((1, -1, 0))
+        with pytest.raises(ValueError, match="probabilities must be finite and nonnegative"):
+            csps_from_treatment_probs(probs, contrast)
+
     def test_agrees_with_empirical_scores_in_expectation(self):
         # three covariate cells with fixed assignment probabilities; sampled
         # cell frequencies must approach the formula value

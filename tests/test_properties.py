@@ -7,12 +7,14 @@ the data and whatever the unit order.
 
 import contextlib
 import csv
+import importlib
 import io
 import math
 import os
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -34,6 +36,7 @@ from csps.balancing import (
 from csps.contrasts import (
     Bifurcation,
     Contrast,
+    assignment_indicator,
     assignment_indicators,
     bifurcation_span_contains,
 )
@@ -43,6 +46,7 @@ from csps.errors import (
     EmptyFile,
     MissingValue,
     OneClassOnly,
+    OutOfRangeTreatment,
     ParseError,
     TooFewUnits,
     UndefinedScores,
@@ -2145,3 +2149,120 @@ def test_cli_simulate_exits_typed(run):
         assert any(line.startswith("estimation error:") for line in lines)
     if bad_config:
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the label rule
+
+
+def whole_label(value):
+    """The int that ``value`` stands for as a label, or None: a whole number
+    that int64 holds, and neither a bool nor a string."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value and -(2 ** 63) <= number < 2 ** 63 else None
+
+
+SMALL_LABELS = st.integers(-1, 4)
+LABEL_KINDS = {
+    "int": st.one_of(SMALL_LABELS, st.sampled_from(
+        (2 ** 63 - 1, -(2 ** 63), 2 ** 63, -(2 ** 63) - 1, 2 ** 70))),
+    "float": st.one_of(SMALL_LABELS.map(float), st.floats(), st.sampled_from(
+        (0.5, 2.7, 2.0 ** 63, -(2.0 ** 63), math.nan, math.inf, -math.inf))),
+    "bool": st.booleans(),
+    "str": st.sampled_from(("1", "2", "3", " 2", "1.0", "x")),
+    "exact": st.one_of(
+        SMALL_LABELS.map(Fraction), SMALL_LABELS.map(Decimal),
+        st.fractions(-4, 4, max_denominator=3), st.decimals(-4, 4),
+        st.sampled_from((Decimal("NaN"), Decimal("-Infinity"), Decimal(2 ** 63))),
+    ),
+}
+INT_DTYPES = ("int8", "int32", ">i8", "uint8", "uint64")
+
+
+@st.composite
+def label_arrays(draw):
+    """A list of labels of one or two kinds, as a list, an object array or,
+    when every entry fits, an integer array of another dtype."""
+    kinds = draw(st.lists(st.sampled_from(sorted(LABEL_KINDS)), min_size=1, max_size=2,
+                          unique=True))
+    values = draw(st.lists(st.one_of(*(LABEL_KINDS[k] for k in kinds)), min_size=1, max_size=6))
+    form = draw(st.sampled_from(("list", "object") + INT_DTYPES))
+    if form == "object":
+        labels = np.empty(len(values), dtype=object)
+        labels[:] = values
+        return labels
+    if form in INT_DTYPES and all(type(v) is int for v in values):
+        info = np.iinfo(form)
+        if all(info.min <= v <= info.max for v in values):
+            return np.array(values, dtype=form)
+    return values
+
+
+@settings(max_examples=300)
+@given(label_arrays())
+@example([2.7, 1.0])
+@example(["1", "2"])
+@example(["0", "1"])
+@example([1.5])
+def test_one_label_rule_at_every_site(labels):
+    # Dataset, SubclassAssignment, assignment_indicators and
+    # assignment_indicator accept the same entries and read them as the same
+    # ints; the rest each refuses with its own error.  The rule applies to
+    # the array numpy reads, so the oracle reads its entries.
+    entries = list(np.asarray(labels))
+    ints = [whole_label(v) for v in entries]
+    contrast = Contrast((1, 0, -1))
+    signs = {1: 1, 2: 0, 3: -1}
+    covariates = np.zeros((len(entries), 1))
+    if all(i is not None and 1 <= i <= 3 for i in ints):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # absent treatments only warn
+            assert Dataset(covariates, labels, 3).treatments.tolist() == ints
+        assert assignment_indicators(contrast, labels).tolist() == [signs[i] for i in ints]
+    else:
+        with pytest.raises(OutOfRangeTreatment):
+            Dataset(covariates, labels, 3)
+        with pytest.raises(OutOfRangeTreatment):
+            assignment_indicators(contrast, labels)
+    if all(i is not None and 0 <= i <= 3 for i in ints):
+        assert SubclassAssignment(labels, 3).labels.tolist() == ints
+    else:
+        with pytest.raises(ValueError):
+            SubclassAssignment(labels, 3)
+    for entry, i in zip(entries, ints):
+        if i is not None and 1 <= i <= 3:
+            assert assignment_indicator(contrast, entry) == signs[i]
+        else:
+            with pytest.raises(OutOfRangeTreatment):
+                assignment_indicator(contrast, entry)
+
+
+def test_drawn_examples_do_not_depend_on_loaded_modules(tmp_path, monkeypatch):
+    # Hypothesis would add the literals of a newly loaded local module to
+    # what it draws; the test configuration turns that off
+    def drawn():
+        seen = []
+
+        @settings(max_examples=100, database=None)
+        @given(st.integers())
+        def record(value):
+            seen.append(value)
+
+        record()
+        return seen
+
+    before = drawn()
+    name = "csps_label_constants"
+    literals = ", ".join(str(9_876_543 + 7 * k) for k in range(40))
+    (tmp_path / f"{name}.py").write_text(f"LITERALS = ({literals})\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    importlib.import_module(name)
+    after = drawn()
+    monkeypatch.delitem(sys.modules, name)
+    assert after == before

@@ -41,6 +41,20 @@ class TestSampleDataset:
             share = float(np.mean(d.treatments == t))
             assert share == pytest.approx(1 / 3, abs=0.01)
 
+    @pytest.mark.parametrize("index", [True, np.False_, 1.5, -1, np.nan, "1"])
+    def test_replication_index_must_be_a_whole_count(self, index):
+        # True used to draw replication 1, and 1.5 failed inside numpy
+        with pytest.raises(ValueError, match="replication_index must be at least 0 and a whole"):
+            sample_dataset(mechanism_ii(num_units=30), index)
+
+    def test_whole_replication_indices_draw_their_stream(self):
+        cfg = mechanism_ii(num_units=30, seed=2)
+        expected = sample_dataset(cfg, 3).covariates
+        for index in (3.0, np.int64(3), np.uint8(3)):
+            assert np.array_equal(sample_dataset(cfg, index).covariates, expected)
+        huge = sample_dataset(cfg, 2 ** 70)
+        assert huge.n_units == 30
+
     def test_standard_normal_covariates(self):
         cfg = mechanism_ii(num_units=100_000, seed=1)
         d = sample_dataset(cfg, 0)
@@ -258,6 +272,18 @@ class TestOracle:
         assert rows.shape == (4, 3) and np.isnan(rows).all()
         rows = oracle_group_means(mechanism_ii(seed=3), oracle_n=2)
         assert np.isnan(rows).any() and not np.isnan(rows).all()
+
+    @pytest.mark.parametrize("oracle_n", [-1, 1.5, True, np.nan])
+    def test_oracle_size_must_be_a_whole_count(self, oracle_n):
+        # -1 used to fail inside numpy with a bare ValueError
+        with pytest.raises(ValueError, match="oracle_n must be at least 0 and a whole"):
+            oracle_group_means(mechanism_ii(seed=3), oracle_n=oracle_n)
+
+    def test_oracle_of_no_units_gives_nan_rows(self):
+        assert np.isnan(oracle_group_means(mechanism_ii(seed=3), oracle_n=0)).all()
+        cfg = mechanism_ii(seed=3)
+        whole = oracle_group_means(cfg, oracle_n=2.0)
+        assert np.array_equal(whole, oracle_group_means(cfg, oracle_n=2), equal_nan=True)
 
     def test_oracle_deterministic(self):
         cfg = mechanism_ii(seed=3)
