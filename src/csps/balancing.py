@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _canonical_order, _whole_count, _whole_labels
+from .data import Dataset, _canonical_order, _check_shape, _dense_ids, _whole_count, _whole_labels
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -56,7 +56,6 @@ from .estimation import (
     _check_ridge,
     _cell_scores,
     _check_width,
-    _dense_ids,
     _logistic_scores,
     model_csps,
 )
@@ -383,6 +382,7 @@ class SubclassAssignment:
             labels, 0, num_subclasses, ValueError, "subclass label",
             "whole numbers from {least}, and must not exceed num_subclasses = {most}",
         )
+        _check_shape(lab, (None,), ValueError, "subclass labels must be a vector")
         self._set(lab.astype(np.min_scalar_type(num_subclasses)), num_subclasses, scores)
 
     @classmethod
@@ -561,8 +561,9 @@ def subclassify(
     """
     S = _whole_count(num_subclasses, "num_subclasses")
     d = _whole_labels(d_indicator, -1, 1, ValueError, "group indicator", "1, -1 or 0")
-    if len(d) != len(scores):
-        raise ValueError("indicator length must match scores")
+    _check_shape(
+        d, (len(scores),), ValueError, "group indicators must be a vector with one entry per score"
+    )
     eligible = np.flatnonzero(d)
     if eligible.size == 0:
         raise TooFewUnits("no units are assigned to either group")

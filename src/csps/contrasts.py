@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import _whole_labels
+from .data import _check_shape, _whole_labels
 from .errors import (
     AllZero,
     DegenerateBifurcation,
@@ -265,8 +265,13 @@ def linear_combination(terms: Iterable[tuple]) -> Contrast:
 
 
 def assignment_indicator(contrast: Contrast, treatment: int) -> int:
-    """Group indicator for one unit: sign of the coefficient of its treatment."""
-    return int(assignment_indicators(contrast, treatment))
+    """Group indicator for one unit: sign of the coefficient of its treatment.
+
+    ``treatment`` is one label under the label rule of
+    :class:`~csps.data.Dataset`, else OutOfRangeTreatment."""
+    d = assignment_indicators(contrast, treatment)
+    _check_shape(d, (), OutOfRangeTreatment, f"expected one treatment label, got shape {d.shape}")
+    return int(d)
 
 
 def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:

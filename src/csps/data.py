@@ -1,4 +1,10 @@
-"""Study data: covariate matrix, treatment labels, and exact-cell indexing."""
+"""Study data: covariate matrix, treatment labels, and exact-cell indexing.
+
+Labels pass one checker (:func:`_whole_labels`, with :func:`_check_shape`
+for their shape), and distinct rows of integer codes get one numbering
+(:func:`_dense_ids`), which gives the exact cells of the covariate rows
+and, in the estimators, the chained cells and the ranks of exact scores.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import csv
 import warnings
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,8 +54,9 @@ class Dataset:
         if num_treatments is not None:
             num_treatments = _whole_count(num_treatments, "num_treatments")
         w = _whole_labels(treatments, 1, num_treatments, OutOfRangeTreatment, "treatment label")
-        if w.ndim != 1 or w.shape[0] != X.shape[0]:
-            raise ValueError("treatments must be a vector with one entry per unit")
+        _check_shape(
+            w, (X.shape[0],), ValueError, "treatments must be a vector with one entry per unit"
+        )
         if num_treatments is None:
             if w.size == 0:
                 raise ValueError("num_treatments is required for an empty dataset")
@@ -171,6 +178,13 @@ def _whole_labels(values, least: int, most: int | None, error, noun: str, rule=N
     return w
 
 
+def _check_shape(labels: np.ndarray, shape: tuple, error, message: str) -> None:
+    """``error(message)`` unless ``labels`` has ``shape``, where a None length
+    allows any: labels come as one vector, or as one label (shape ``()``)."""
+    if labels.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, labels.shape)):
+        raise error(message)
+
+
 def _canonical_order(features: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """The rows' order, lexicographic in (features, label), as ``np.lexsort``
     gives it (``-0.0 == 0.0``, NaN last, equal rows kept in place): a
@@ -213,11 +227,57 @@ def _reordering(features: np.ndarray, labels: np.ndarray | None = None) -> np.nd
     return None
 
 
+# packed group keys stay below this, so one more multiply-add cannot
+# overflow int64
+_KEY_LIMIT = 2 ** 62
+
+
+def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Ids ``0..n-1`` of the distinct values of ``key`` (all below ``span``), and n.
+
+    Ids ascend with the value, and are intp.  A span up to about twice the
+    key length is renumbered through a lookup table, without sorting: the
+    table then holds at most about two intp entries per key, while
+    ``np.unique``, which renumbers larger spans, holds three or more (an
+    argsort, a sorted copy and the ids).
+    """
+    if span > 2 * len(key) + 1024:
+        distinct, ids = np.unique(key, return_inverse=True)
+        return ids, len(distinct)
+    table = np.zeros(span, dtype=np.intp)
+    table[key] = 1
+    np.cumsum(table, out=table)
+    ids = table[key]
+    ids -= 1
+    return ids, int(table[-1])
+
+
+def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
+    """Ids ``0..n-1`` of the distinct rows of equal-length nonnegative int columns.
+
+    Equal rows share an id.  The columns are packed into one int64 key, and
+    the key is renumbered before it could overflow and once at the end.
+    """
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    span = 1
+    for col in columns:
+        width = int(col.max(initial=0)) + 1
+        if span * width >= _KEY_LIMIT:
+            key, span = _renumber(key, span)
+            if span * width >= _KEY_LIMIT:
+                col, width = _renumber(col, width)
+        key = key * np.int64(width) + col
+        span *= width
+    return _renumber(key, span)
+
+
 class CellIndex:
     """Partition of units into cells of byte-identical covariate rows.
 
-    Cells are ordered canonically (ascending covariate values), so everything
-    derived from the index is invariant to the unit order in the dataset.
+    Cells are ordered canonically (ascending covariate values, first column
+    first, and ``+0.0`` before ``-0.0`` among rows of equal value), so
+    everything derived from the index is invariant to the unit order in the
+    dataset; :func:`build_cell_index` numbers them.
     ``rows[c]`` is the covariate row of cell ``c`` and ``cell_of_unit[i]`` the
     cell of unit ``i``; ``keys`` and ``groups`` spell the same partition out
     as one tuple and one index array per cell.
@@ -256,21 +316,19 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     """Group units by exact (byte-level) equality of their covariate rows.
 
     Rows that differ only in the sign of a zero are separate cells.  Cells
-    are ordered by their covariate values, first column first; cells with
-    equal values (such rows) follow the order of their bytes.
+    are ordered by their covariate values, first column first, then by the
+    signs of their zeros, ``+0.0`` first: :func:`_dense_ids` numbers the
+    rows of value codes, one per column, followed by a zero-sign code for
+    each column that holds a ``-0.0``.
     """
-    X = np.ascontiguousarray(dataset.covariates)
-    as_bytes = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
-    # np.unique orders the distinct rows by their bytes; the stable sort by
-    # value keeps that order among rows of equal value
-    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
-    rows = X[first]
-    order = np.lexsort(rows.T[::-1])
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    cell_of_unit = rank[inverse]
+    X = dataset.covariates
+    codes = [np.unique(column, return_inverse=True)[1] for column in X.T]
+    codes += [z.view(np.uint8) for z in ((X == 0) & np.signbit(X)).T if z.any()]
+    cell_of_unit, num_cells = _dense_ids(codes)
+    rows = np.empty((num_cells, X.shape[1]))
+    rows[cell_of_unit] = X  # a cell's units share their bytes, so any one gives its row
     cell_of_unit.setflags(write=False)
-    return CellIndex(rows[order], cell_of_unit)
+    return CellIndex(rows, cell_of_unit)
 
 
 def _parse_float(token: str, where: str) -> float:

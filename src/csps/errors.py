@@ -44,7 +44,8 @@ class InvalidBounds(InputError):
 
 
 class OutOfRangeTreatment(InputError):
-    """A treatment label lies outside 1..T."""
+    """A treatment label lies outside 1..T, is not a whole number, or is not
+    the one label or the vector of labels that was asked for."""
 
 
 # ---------------------------------------------------------------------------

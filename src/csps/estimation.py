@@ -32,13 +32,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .contrasts import Contrast, _coerce, assignment_indicators
-from .data import Dataset, _reordering
+from .data import Dataset, _dense_ids, _reordering
 from .errors import (
     DimensionMismatch,
     MissingValue,
@@ -47,6 +46,7 @@ from .errors import (
     OneClassOnly,
     SeparationDetected,
     SingularHessian,
+    TooFewUnits,
     ZeroDenominator,
 )
 
@@ -348,51 +348,9 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
 # below this every int64 converts to float64 exactly, so a quotient of two
 # converted ints is the correctly rounded value of the fraction
 _EXACT_FLOAT_INT = 2 ** 53
-# packed group keys stay below this, so one more multiply-add cannot
-# overflow int64
-_KEY_LIMIT = 2 ** 62
 _INT64_MAX = np.iinfo(np.int64).max
 # below this denominator, float quotients rank exact scores exactly
 _FLOAT_RANK_LIMIT = 2 ** 26
-
-
-def _renumber(key: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Ids ``0..n-1`` of the distinct values of ``key`` (all below ``span``), and n.
-
-    Ids ascend with the value, and are intp.  A span up to about twice the
-    key length is renumbered through a lookup table, without sorting: the
-    table then holds at most about two intp entries per key, while
-    ``np.unique``, which renumbers larger spans, holds three or more (an
-    argsort, a sorted copy and the ids).
-    """
-    if span > 2 * len(key) + 1024:
-        distinct, ids = np.unique(key, return_inverse=True)
-        return ids, len(distinct)
-    table = np.zeros(span, dtype=np.intp)
-    table[key] = 1
-    np.cumsum(table, out=table)
-    ids = table[key]
-    ids -= 1
-    return ids, int(table[-1])
-
-
-def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
-    """Ids ``0..n-1`` of the distinct rows of equal-length nonnegative int columns.
-
-    Equal rows share an id.  The columns are packed into one int64 key, and
-    the key is renumbered before it could overflow and once at the end.
-    """
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    span = 1
-    for col in columns:
-        width = int(col.max(initial=0)) + 1
-        if span * width >= _KEY_LIMIT:
-            key, span = _renumber(key, span)
-            if span * width >= _KEY_LIMIT:
-                col, width = _renumber(col, width)
-        key = key * np.int64(width) + col
-        span *= width
-    return _renumber(key, span)
 
 
 def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -590,9 +548,11 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
 
     Every unit in a cell receives the cell's value, an exact rational.
     Cells containing no group member at all are left undefined (masked).
+    A dataset with no units is a TooFewUnits, as in
+    :func:`~csps.balancing.run_algorithm`.
     """
     if dataset.n_units == 0:
-        raise ValueError("dataset is empty")
+        raise TooFewUnits("the dataset has no units")
     _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
     cells = dataset.cell_index

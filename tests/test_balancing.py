@@ -243,6 +243,13 @@ class TestSubclassify:
         assert assignment.scores is scores
         assert SubclassAssignment([0, 1], 1).scores is None
 
+    @pytest.mark.parametrize("d", [1, np.array(-1), [[1, -1]], [1, -1, 1]])
+    def test_indicators_must_be_a_vector_with_one_entry_per_score(self, d):
+        # a 0-d indicator used to fail with a bare TypeError from len()
+        scores = ScoreVector.from_floats([0.2, 0.4])
+        with pytest.raises(ValueError, match="group indicators must be a vector"):
+            subclassify(scores, d)
+
     def test_indicator_outside_signs_raises(self):
         scores = ScoreVector.from_floats([0.5, 0.6, 0.7])
         with pytest.raises(ValueError, match="group indicators must be 1, -1 or 0"):
@@ -286,6 +293,12 @@ class TestSubclassify:
         # inside numpy with a bare UFuncTypeError, and bools read as 1 and 0
         with pytest.raises(ValueError, match="subclass labels must be whole numbers"):
             SubclassAssignment(labels, 2)
+
+    @pytest.mark.parametrize("labels", [[[0, 1]], np.array(1), np.zeros((2, 2), dtype=int)])
+    def test_labels_must_be_a_vector(self, labels):
+        # [[0, 1]] used to be kept as a 2-D label array, and np.array(1) as 0-d
+        with pytest.raises(ValueError, match="subclass labels must be a vector"):
+            SubclassAssignment(labels, 1)
 
     def test_whole_float_labels_are_kept(self):
         assert SubclassAssignment([0.0, 1.0, 2.0], 2).labels.tolist() == [0, 1, 2]

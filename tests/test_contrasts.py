@@ -224,6 +224,12 @@ class TestAssignmentIndicator:
     def test_whole_labels_of_any_type_are_read(self, label):
         assert assignment_indicator(Contrast((1, 0, -1)), label) == 0
 
+    @pytest.mark.parametrize("label", [[1, 2], [1], np.array([[2]])])
+    def test_more_than_one_label_raises(self, label):
+        # [1, 2] used to fail with numpy's bare TypeError from int()
+        with pytest.raises(OutOfRangeTreatment, match="expected one treatment label"):
+            assignment_indicator(Contrast((1, 0, -1)), label)
+
     @pytest.mark.parametrize("labels", [
         [2.7, 1.0], [1.0, np.nan], ["1", "2"], [True, False], np.array([1, 2.5], dtype=object),
     ])

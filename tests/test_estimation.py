@@ -16,6 +16,7 @@ from csps.errors import (
     OneClassOnly,
     SeparationDetected,
     SingularHessian,
+    TooFewUnits,
     ZeroDenominator,
 )
 from csps.estimation import (
@@ -360,6 +361,14 @@ class TestEmpiricalScores:
         scores = empirical_csps(d, Contrast((1, -1, 0)))
         assert scores.undefined_units.tolist() == [2, 3]
         assert scores.values[2] is None
+
+    def test_dataset_without_units_raises(self):
+        # the same refusal as run_algorithm's, not a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # absent treatments only warn
+            d = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), num_treatments=2)
+        with pytest.raises(TooFewUnits, match="^the dataset has no units$"):
+            empirical_csps(d, Contrast((1, -1)))
 
     def test_unit_permutation_invariance(self, example, rng):
         base = empirical_csps(example, FIRST_CONTRAST)

@@ -40,7 +40,7 @@ from csps.contrasts import (
     assignment_indicators,
     bifurcation_span_contains,
 )
-from csps.data import Dataset, _canonical_order, write_dataset_csv
+from csps.data import Dataset, _canonical_order, _dense_ids, build_cell_index, write_dataset_csv
 from csps.errors import (
     CspsError,
     EmptyFile,
@@ -53,7 +53,6 @@ from csps.errors import (
 )
 from csps.estimation import (
     ScoreVector,
-    _dense_ids,
     empirical_csps,
     fit_binary_logistic,
     model_csps,
@@ -1189,6 +1188,70 @@ def test_dense_ids_group_equal_rows(rows):
         for j in range(len(rows)):
             assert (ids[i] == ids[j]) == (rows[i] == rows[j])
             assert (ids[i] < ids[j]) == (rows[i] < rows[j])
+
+
+def byte_view_cell_index(X):
+    """The cell index as a byte-level builder makes it: ``np.unique`` over
+    the rows' bytes, then a stable ``np.lexsort`` of the distinct rows by
+    value, which keeps their byte order among rows of equal value."""
+    X = np.ascontiguousarray(X)
+    as_bytes = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+    rows = X[first]
+    order = np.lexsort(rows.T[::-1])
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rows[order], rank[inverse]
+
+
+MAX_FLOAT = np.finfo(float).max
+CELL_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, MAX_FLOAT, -MAX_FLOAT,
+    1.0, -1.0, 0.5,
+)
+
+
+@st.composite
+def cell_matrices(draw):
+    """Up to 60 rows of 1-6 columns.  A column draws from a small pool of
+    CELL_VALUES (ties, both zeros, subnormals, +-1e308, +-max float), or
+    from the two zeros and 1.0, or is normal, or normal rounded to one digit
+    (ties, and -0.0 from rounding)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        form = draw(st.sampled_from(("pool", "pool", "zeros", "normal", "rounded")))
+        if form == "pool":
+            pool = draw(st.lists(st.sampled_from(CELL_VALUES), min_size=1, max_size=4))
+            columns.append(rng.choice(np.array(pool), n))
+        elif form == "zeros":
+            columns.append(rng.choice(np.array([0.0, -0.0, 1.0]), n))
+        else:
+            column = rng.normal(size=n)
+            columns.append(column if form == "normal" else np.round(column, 1))
+    return np.column_stack(columns)
+
+
+# 6 columns of 2,000 distinct codes each pack past 2**62, so the key is re-ranked mid-pack
+WIDE_CELLS = np.column_stack(
+    [np.random.default_rng(k).permutation(2000) - 1000.0 for k in range(6)]
+)
+
+
+@settings(max_examples=300)
+@given(cell_matrices())
+@example(np.empty((0, 2)))
+@example(np.array([[2.5, -0.0, 1e308]] * 7))
+@example(WIDE_CELLS)
+@example(np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]))
+def test_cell_index_equals_byte_view_builder(X):
+    cells = build_cell_index(make_dataset(X, np.ones(len(X), dtype=int)))
+    rows, cell_of_unit = byte_view_cell_index(X)
+    assert np.array_equal(cells.cell_of_unit, cell_of_unit)
+    assert cells.cell_of_unit.dtype == np.intp
+    assert not cells.cell_of_unit.flags.writeable
+    assert cells.rows.shape == rows.shape and cells.rows.tobytes() == rows.tobytes()
 
 
 @given(
