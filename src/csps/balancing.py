@@ -11,11 +11,12 @@ one path whichever the estimator.  With exact cells every number the
 routine reports depends on the units only through their counts per
 (covariate cell, treatment), so the table holds those counts, made once per
 call (:func:`_cell_table`), and the scores, the subclasses and the group
-sums come from them.  Per call the units are read to count them and to
-gather each unit's chained cell, the one index every target's per-unit
-score shares; a target's subclass labels are gathered per unit only when
-they are first read.  With logistic scores each row of the table is one
-unit (:func:`_unit_table`).
+sums come from them.  Per call the units are read to count them, through
+a key per unit dropped once they are counted, and to gather each unit's
+chained cell, the one index per unit that the pass keeps: every target's
+per-unit score and subclass labels share it.  A target keeps one label per
+chained cell, gathered per unit only when first read.  With logistic
+scores each row of the table is one unit (:func:`_unit_table`).
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -366,15 +367,16 @@ class SubclassAssignment:
     a whole number in [0, 2**63).  ``scores`` is the score an
     assignment made by :func:`subclassify` or :func:`run_algorithm` was
     made on, else None.  An assignment that :func:`run_algorithm` made on
-    exact cells with few (cell, treatment) keys, no more than the units,
-    keeps one label per key; its per-unit ``labels`` are gathered from
-    those on their first read, through each unit's key rebuilt from the
-    dataset's cell index and treatments, and then kept, so a pass whose
-    labels are never read makes no array per unit for them.  Any other
-    assignment holds its labels per unit from the start.
+    exact cells keeps one label per chained cell, since a chained cell's
+    eligible units share its score; its per-unit ``labels`` are gathered
+    from those on their first read, through the score's index of each
+    unit's chained cell, set to 0 for the units outside the target's
+    groups, and then kept, so a pass whose labels are never read makes no
+    array per unit for them.  Any other assignment holds its labels per
+    unit from the start.
     """
 
-    __slots__ = ("_labels", "_by_key", "num_subclasses", "scores")
+    __slots__ = ("_labels", "_by_cell", "num_subclasses", "scores")
 
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
@@ -387,23 +389,24 @@ class SubclassAssignment:
 
     @classmethod
     def _built(
-        cls, labels: np.ndarray, num_subclasses: int, scores, keys: tuple | None = None
+        cls, labels: np.ndarray, num_subclasses: int, scores, cells: tuple | None = None
     ) -> "SubclassAssignment":
         """An assignment over valid labels already in their narrowest type,
-        kept without a copy.  With ``keys``, the (cell of each unit,
-        treatment of each unit, width) of a count table, ``labels`` holds
-        a label per key ``cell * width + treatment``, gathered per unit on
-        the first read of :attr:`labels`."""
+        kept without a copy.  With ``cells``, the (chained cell of each
+        unit, whether each treatment label is in the target's groups,
+        treatment of each unit) of an exact-cell design, ``labels`` holds a
+        label per chained cell, gathered per unit on the first read of
+        :attr:`labels`."""
         self = cls.__new__(cls)
-        self._set(labels, num_subclasses, scores, keys)
+        self._set(labels, num_subclasses, scores, cells)
         return self
 
-    def _set(self, labels: np.ndarray, num_subclasses: int, scores, keys=None) -> None:
+    def _set(self, labels: np.ndarray, num_subclasses: int, scores, cells=None) -> None:
         labels.setflags(write=False)
-        if keys is None:
-            self._labels, self._by_key = labels, None
+        if cells is None:
+            self._labels, self._by_cell = labels, None
         else:
-            self._labels, self._by_key = None, (labels, keys)
+            self._labels, self._by_cell = None, (labels, *cells)
         self.num_subclasses = int(num_subclasses)
         self.scores = scores
 
@@ -412,16 +415,17 @@ class SubclassAssignment:
         """The read-only subclass label of every unit."""
         labels = self._labels
         if labels is None:
-            # ``_by_key`` is never cleared, so two threads reading at once
+            # ``_by_cell`` is never cleared, so two threads reading at once
             # each gather the same labels
-            label_of_key, keys = self._by_key
-            labels = label_of_key[_unit_keys(*keys)]
+            label_of_cell, cells, eligible, treatments = self._by_cell
+            labels = label_of_cell[cells]
+            labels *= eligible[treatments]
             labels.setflags(write=False)
             self._labels = labels
         return labels
 
     def __reduce__(self):
-        # a copy holds the labels per unit, not a label per key
+        # a copy holds the labels per unit, not a label per chained cell
         return type(self)._built, (self.labels, self.num_subclasses, self.scores)
 
     def members(self, subclass_id: int) -> np.ndarray:
@@ -802,69 +806,46 @@ class _CellTable(NamedTuple):
 
     Row r is a pair with units: covariate cell ``cell[r]``, whose covariate
     row is ``values[cell[r]]``, treatment label ``treatment[r]`` and
-    ``count[r] > 0`` units, or one unit when ``count`` is None.  Unit i is
-    in the pair keyed ``key[i]``, and row r is keyed ``slot[r]``; keys are
-    below ``num_keys``, so a table over the keys gathered by ``key`` is a
-    value per unit.  ``key`` is the one array per unit, and it lives as
-    long as the pass.  Where no more keys than units can occur, ``unit_keys``
-    is (cell of each unit, treatment of each unit, width), the dataset's own
-    arrays from which :func:`_unit_keys` rebuilds ``key``, else None.
+    ``count[r] > 0`` units, or one unit when ``count`` is None.  A count
+    table holds no array per unit.
     """
 
     cell: np.ndarray
     treatment: np.ndarray
     count: np.ndarray | None
-    slot: np.ndarray
-    key: np.ndarray
-    num_keys: int
     values: np.ndarray
-    unit_keys: tuple | None = None
-
-
-def _unit_keys(cells: np.ndarray, treatments: np.ndarray, width: int) -> np.ndarray:
-    """Each unit's (cell, treatment) key, ``cell * width + treatment``."""
-    key = cells * np.intp(width)
-    key += treatments
-    return key
 
 
 def _cell_table(dataset: Dataset) -> _CellTable:
     """Count the units by (cell, treatment), with one key per unit and one bincount.
 
-    The key is :func:`_unit_keys` with width T + 1.  Where more keys than
-    about twice the units could occur, only the present ones are numbered
-    (by ``np.unique``), so memory stays bounded by the units, not by
-    cells x T.
+    Unit i's key is ``cell * (T + 1) + treatment``.  Where more keys than
+    about twice the units could occur, only the present ones are found (by
+    ``np.unique``), so memory stays bounded by the units, not by cells x T.
+    The keys are dropped on return.
     """
     cells = dataset.cell_index
     width = dataset.num_treatments + 1
-    key = _unit_keys(cells.cell_of_unit, dataset.treatments, width)
+    key = cells.cell_of_unit * np.intp(width)
+    key += dataset.treatments
     num_keys = cells.num_cells * width
-    unit_keys = None
     if num_keys > 2 * len(key) + 1024:
-        pairs, key, count = np.unique(key, return_inverse=True, return_counts=True)
-        num_keys = len(pairs)
-        slot = np.arange(num_keys)
+        pairs, count = np.unique(key, return_counts=True)
     else:
         count = np.bincount(key, minlength=num_keys)
-        slot = pairs = np.flatnonzero(count)
-        count = count[slot]
-        if num_keys <= len(key):  # a label per key takes no more room than per unit
-            unit_keys = (cells.cell_of_unit, dataset.treatments, width)
+        pairs = np.flatnonzero(count)
+        count = count[pairs]
     cell, treatment = np.divmod(pairs, width)
-    return _CellTable(cell, treatment, count, slot, key, num_keys, cells.rows, unit_keys)
+    return _CellTable(cell, treatment, count, cells.rows)
 
 
 def _unit_table(dataset: Dataset) -> _CellTable:
     """The table whose row i is unit i: one read-only identity index serves
-    as its cells, slots and keys.  It is intp, so the per-target gathers
-    through ``key`` take it as it is, without casting it on every call."""
+    as its cells.  It is intp, so the per-target gathers through it take it
+    as it is, without casting it on every call."""
     identity = np.arange(dataset.n_units, dtype=np.intp)
     identity.setflags(write=False)
-    return _CellTable(
-        identity, dataset.treatments, None, identity, identity, dataset.n_units,
-        dataset.covariates,
-    )
+    return _CellTable(identity, dataset.treatments, None, dataset.covariates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -878,11 +859,14 @@ class _BalancingDesign:
     (``_canonical_order`` of the scores, built on first use) the order
     every chained fit takes its units in.  The empirical design's table is
     :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
-    of each table row is ``chain``, on which each target's chained score is
-    built, and of each unit ``cells``, the read-only index it is carried on;
-    ``undefined[j]`` holds the table rows in cells without a unit of
-    balancing contrast j's groups, where score j is undefined (none for the
-    logistic design, whose scores are defined on every unit).
+    of each table row is ``chain``, on which each target's chained score and
+    its labels per chained cell are built, and of each unit ``cells``, the
+    read-only index both are carried on, the one array per unit of the
+    design; ``treatments`` are the dataset's, from which a target's labels
+    find each unit's group when they are first read.  ``undefined[j]``
+    holds the table rows in cells without a unit of balancing contrast j's
+    groups, where score j is undefined (none for the logistic design, whose
+    scores are defined on every unit).
     """
 
     contrasts: tuple[Contrast, ...]
@@ -892,6 +876,7 @@ class _BalancingDesign:
     chain: np.ndarray | None = None
     cells: np.ndarray | None = None
     num_cells: int = 0
+    treatments: np.ndarray | None = None
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -904,10 +889,11 @@ def _balancing_design(
     """Fit the J balancing scores once and build the chained design from them.
 
     The empirical design reads the units twice: once to count them by
-    (cell, treatment) and once to gather each unit's chained cell.  The
-    scores and their undefined rows come from the counts, on the table
-    rows.  A chained cell needs equal scores only, not their order, so the
-    cells are numbered by their reduced score ratios, unsorted.
+    (cell, treatment), through a key per unit that is dropped once they are
+    counted, and once to gather each unit's chained cell.  The scores and
+    their undefined rows come from the counts, on the table rows.  A
+    chained cell needs equal scores only, not their order, so the cells are
+    numbered by their reduced score ratios, unsorted.
     """
     balancing = tuple(balancing)
     if not balancing:
@@ -942,7 +928,7 @@ def _balancing_design(
     cells.setflags(write=False)
     return _BalancingDesign(
         balancing, table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
-        cells=cells, num_cells=num_chained,
+        cells=cells, num_cells=num_chained, treatments=dataset.treatments,
     )
 
 
@@ -1009,28 +995,34 @@ def _target_comparison(
     :func:`covariate_mean_difference` give, worked out on the target's table
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
-    weighted by its units.  The labels are a table over the keys: the unit
-    table's keys are its units, so the table is the labels; through a count
-    table's rebuildable keys the assignment gathers them when first read;
-    else they are gathered here.  On a table with counts, a target of more
-    than ``_UNITS_PER_SUM`` units, which the weighted sums cannot take, has
-    each of its rows repeated once per unit and summed unweighted: the same
-    (group, covariate row) values, so the same exact sums (the unit table's
-    unweighted sums take any number of units).  The checks of those three
-    functions that the chained checks leave unreachable are not repeated.
+    weighted by its units.  The unit table's rows are its units, so a label
+    per row is the label of each unit.  On a count table the labels are
+    kept one per chained cell: a chained cell's eligible units share its
+    score, so its subclass, and the assignment gathers them per unit through
+    the score's own index when first read.  On a table with counts, a
+    target of more than ``_UNITS_PER_SUM`` units, which the weighted sums
+    cannot take, has each of its rows repeated once per unit and summed
+    unweighted: the same (group, covariate row) values, so the same exact
+    sums (the unit table's unweighted sums take any number of units).  The
+    checks of those three functions that the chained checks leave
+    unreachable are not repeated.
     """
     scores, row_scores, rows, negative, count = _target(design, target, config.ridge)
     label, num_subclasses = _subclass_rows(
         row_scores, rows, negative, config.subclass_method, config.num_subclasses, count
     )
     table = design.table
-    label_of_key = np.zeros(table.num_keys, dtype=label.dtype)
-    label_of_key[table.slot[rows]] = label
-    if table.unit_keys is None and table.count is not None:
-        label_of_key = label_of_key[table.key]  # the label of each unit
-    assignment = SubclassAssignment._built(
-        label_of_key, num_subclasses, scores, table.unit_keys
-    )
+    if design.chain is None:
+        labels = np.zeros(len(table.cell), dtype=label.dtype)
+        labels[rows] = label
+        assignment = SubclassAssignment._built(labels, num_subclasses, scores)
+    else:
+        label_of_cell = np.zeros(design.num_cells, dtype=label.dtype)
+        label_of_cell[design.chain[rows]] = label
+        assignment = SubclassAssignment._built(
+            label_of_cell, num_subclasses, scores,
+            (design.cells, target._signs != 0, design.treatments),
+        )
     groups = 2 * label.astype(np.intp)
     groups += negative
     num_groups = 2 * (num_subclasses + 1)
@@ -1094,7 +1086,7 @@ def run_algorithm(
     its groups are found once: with the empirical estimator the units are
     counted once per call by (covariate cell, treatment), so each target's
     score, subclasses and covariate sums come from those counts, and its
-    labels, when few keys can occur, are gathered per unit only when first
+    labels, kept per chained cell, are gathered per unit only when first
     read; with the logistic one each row of the table is one unit.
     """
     balancing, targets = tuple(balancing), tuple(targets)

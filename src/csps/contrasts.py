@@ -13,6 +13,7 @@ double precision with a 1e-12 zero-sum tolerance.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -50,8 +51,12 @@ ZERO_SUM_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-12
 
 
-def _coerce(value):
-    """Normalise one numeric entry: exact kinds to Fraction, floats stay float."""
+def _coerce(value, error=NotAContrast, what="coefficients"):
+    """Normalise one numeric entry: exact kinds to Fraction, floats stay float.
+
+    A string that is not a number is a ParseError; an object of any other
+    kind raises ``error``, whose text names the entries as ``what``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -65,7 +70,17 @@ def _coerce(value):
             raise ParseError(f"cannot parse coefficient {value!r}") from exc
     if isinstance(value, (float, np.floating)):
         return float(value)
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
+    raise error(f"{what} must be numbers, got {reprlib.repr(value)}")
+
+
+def _coerce_all(values, error=NotAContrast, what="coefficients") -> tuple:
+    """Every entry of ``values`` by :func:`_coerce`; ``values`` that cannot
+    be iterated (a number, say) raise ``error``."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence of numbers, got {reprlib.repr(values)}") from None
+    return tuple(_coerce(v, error, what) for v in entries)
 
 
 def _sgn(value) -> int:
@@ -84,7 +99,9 @@ class Contrast:
     ----------
     coefficients:
         One entry per treatment.  Ints, Fractions and strings are exact;
-        floats put the contrast in double-precision mode.
+        floats put the contrast in double-precision mode.  Anything that is
+        not a sequence of these is a NotAContrast (a string that is not a
+        number, a ParseError).
     label:
         Optional short name used in reports.
 
@@ -98,7 +115,7 @@ class Contrast:
     _signs: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(_coerce(v) for v in self.coefficients)
+        coeffs = _coerce_all(self.coefficients)
         if len(coeffs) < 2:
             raise TooShort(f"a contrast needs at least 2 treatments, got {len(coeffs)}")
         if not all(isinstance(v, Fraction) for v in coeffs):
@@ -214,10 +231,11 @@ def bounded_bifurcate(contrast: Contrast, lower: Sequence, upper: Sequence) -> B
     Component ``t`` keeps its sign only when ``coeff < lower[t]`` or
     ``coeff > upper[t]``; coefficients on or between the boundaries map to
     zero.  Raises :class:`DegenerateBifurcation` when the boundaries swallow
-    one whole side, and :class:`InvalidBounds` when ``lower[t] > upper[t]``.
+    one whole side, and :class:`InvalidBounds` when ``lower[t] > upper[t]``
+    or a bound is not a number.
     """
-    lo = tuple(_coerce(v) for v in lower)
-    hi = tuple(_coerce(v) for v in upper)
+    lo = _coerce_all(lower, InvalidBounds, "bounds")
+    hi = _coerce_all(upper, InvalidBounds, "bounds")
     T = contrast.num_treatments
     if len(lo) != T or len(hi) != T:
         raise DimensionMismatch(
@@ -251,15 +269,19 @@ def linear_combination(terms: Iterable[tuple]) -> Contrast:
     """Weighted sum of contrasts; the zero-sum property is preserved.
 
     ``terms`` is a sequence of ``(weight, contrast)`` pairs.  Raises
-    :class:`AllZero` when everything cancels.
+    :class:`AllZero` when everything cancels, and :class:`NotAContrast`
+    for a weight that is not a number or a contrast that is not a
+    :class:`Contrast`.
     """
-    terms = [( _coerce(w), c) for w, c in terms]
+    terms = [(_coerce(w, what="weights"), c) for w, c in terms]
     if not terms:
         raise ValueError("linear_combination needs at least one term")
-    T = terms[0][1].num_treatments
     for _, c in terms:
-        if c.num_treatments != T:
+        if not isinstance(c, Contrast):
+            raise NotAContrast(f"expected a Contrast, got {reprlib.repr(c)}")
+        if c.num_treatments != terms[0][1].num_treatments:
             raise DimensionMismatch("all contrasts must share the same length")
+    T = terms[0][1].num_treatments
     coeffs = [sum(w * c.coefficients[t] for w, c in terms) for t in range(T)]
     return Contrast(coeffs)
 

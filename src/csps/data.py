@@ -467,14 +467,20 @@ def write_dataset_csv(
     treatments and integer extras as ``'%d' % v`` does.  An extra column is
     an integer, unsigned or float array with one entry per unit, or a
     masked array of one (masked entries become empty fields); anything else
-    is a ``ValueError``, raised before the file is opened.
+    is a ``ValueError``, raised before the file is opened.  So is a column
+    name that, stripped of surrounding whitespace, names another column,
+    which :func:`load_dataset` would refuse.
     """
     from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
 
     extras = dict(extra_columns or {})
+    header = list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
+    name, count = Counter(str(h).strip() for h in header).most_common(1)[0]
+    if count > 1:
+        raise ValueError(f"column {name!r} would be named {count} times")
     write_csv_columns(
         path,
-        list(dataset.covariate_names) + [dataset.treatment_name] + list(extras),
+        header,
         list(dataset.covariates.T) + [dataset.treatments] + list(extras.values()),
         dataset.n_units,
     )

@@ -19,8 +19,9 @@ class InputError(CspsError):
 
 
 class NotAContrast(InputError):
-    """Coefficients do not sum to zero or are not finite, or a contrast
-    argument is not a :class:`~csps.contrasts.Contrast` at all."""
+    """Coefficients (or combination weights) are not a sequence of finite
+    numbers or do not sum to zero, or a contrast argument is not a
+    :class:`~csps.contrasts.Contrast` at all."""
 
 
 class AllZero(InputError):
@@ -40,7 +41,8 @@ class DegenerateBifurcation(CspsError):
 
 
 class InvalidBounds(InputError):
-    """A lower boundary exceeds the matching upper boundary."""
+    """A lower boundary exceeds the matching upper boundary, or a boundary is
+    not a number."""
 
 
 class OutOfRangeTreatment(InputError):

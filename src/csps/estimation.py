@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contrasts import Contrast, _coerce, assignment_indicators
+from .contrasts import Contrast, _coerce_all, assignment_indicators
 from .data import Dataset, _dense_ids, _reordering
 from .errors import (
     DimensionMismatch,
@@ -623,14 +623,15 @@ def csps_from_treatment_probs(probs, contrast: Contrast):
 
     Returns the probability mass on positive-coefficient treatments divided
     by the mass on all nonzero-coefficient treatments.  Exact inputs give an
-    exact rational result.
+    exact rational result.  ``probs`` must be a sequence of numbers, each
+    finite and nonnegative, else ValueError.
     """
-    p = [_coerce(v) for v in probs]
+    p = _coerce_all(probs, ValueError, "probabilities")
     if len(p) != contrast.num_treatments:
         raise DimensionMismatch(
             f"expected {contrast.num_treatments} probabilities, got {len(p)}"
         )
-    if not all(-1e-12 <= v < math.inf for v in p):
+    if not all(0 <= v < math.inf for v in p):
         raise ValueError("probabilities must be finite and nonnegative")
     total = sum(p)
     if abs(float(total) - 1.0) > 1e-9:

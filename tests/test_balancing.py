@@ -936,9 +936,30 @@ class TestRunAlgorithm:
         assert num_rows <= 8 * 3 and lengths and max(lengths) <= num_rows
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_warm_pass_holds_one_array_per_unit_at_its_peak(self, method):
+        # with the cell index built, a pass on few cells makes one 8-byte
+        # array per unit, each unit's chained cell: the key that counts the
+        # units is dropped before it, and no label is gathered per unit
+        rng = np.random.default_rng(0)
+        n = 200_000
+        X = (rng.random((n, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, n))
+        dataset.cell_index
+        targets = simulation_contrasts()
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, targets[:2], targets, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.error for e in report] == [None] * len(targets)
+        assert peak < 9 * n + 64 * 1024
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_labels_are_gathered_on_first_read(self, method):
-        # with few (cell, treatment) keys a report holds each target's labels
-        # per key, and gathers them per unit, one byte each, when first read
+        # a report holds each target's labels per chained cell, and gathers
+        # them per unit, one byte each, when first read
         rng = np.random.default_rng(6)
         n = 200_000
         X = (rng.random((n, 3)) < 0.5).astype(float)
@@ -1000,8 +1021,11 @@ class TestRunAlgorithm:
         # continuous covariates: one cell per unit, so the table has about a
         # row per unit.  Each target's score has one entry per chained cell
         # (at most 3**J: a one-unit cell scores 0, 1 or undefined) over one
-        # index shared by every target, the labels are held per unit, and
-        # nothing of the pass stays on the dataset
+        # index shared by every target; its labels are held per chained cell,
+        # so before they are read the report holds that index and less than
+        # a byte per unit besides; each target's first read gathers a byte
+        # per unit, a second read gathers nothing, and nothing of the pass
+        # stays on the dataset
         rng = np.random.default_rng(7)
         n = 50_000
         dataset = Dataset(rng.standard_normal((n, 2)), rng.integers(1, 4, n))
@@ -1014,14 +1038,21 @@ class TestRunAlgorithm:
         try:
             report = run_algorithm(dataset, balancing_set, targets, config)
             held = tracemalloc.get_traced_memory()[0]
+            index_bytes = report.entries[0].scores._index.nbytes
             for entry in report:
                 entry.assignment.labels
             read = tracemalloc.get_traced_memory()[0]
+            for entry in report:
+                entry.assignment.labels
+            read_twice = tracemalloc.get_traced_memory()[0]
             del report, entry
             left = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert read - held < 1024
+        assert index_bytes == 8 * n
+        assert held - index_bytes < n
+        assert len(targets) * n <= read - held < len(targets) * n + 1024
+        assert read_twice - read < 1024
         assert left < 64 * 1024
         report = run_algorithm(dataset, balancing_set, targets, config)
         indexes = {id(entry.scores._index) for entry in report}

@@ -84,6 +84,20 @@ class TestValidateContrast:
         with pytest.raises(AttributeError):
             c.label = "x"
 
+    @pytest.mark.parametrize("coefficients, text", [
+        (5, "coefficients must be a sequence of numbers, got 5"),
+        (np.array(1), "coefficients must be a sequence of numbers"),
+        ((1, None, -1), "coefficients must be numbers, got None"),
+        ((1, [1], -2), r"coefficients must be numbers, got \[1\]"),
+        ((1, Decimal(1), -2), "coefficients must be numbers"),
+        ([[1, -1]], "coefficients must be numbers"),
+    ], ids=["int", "0-d array", "None", "list entry", "Decimal", "nested"])
+    def test_entries_that_are_not_numbers_rejected(self, coefficients, text):
+        # each used to fail with a bare TypeError, which the command line
+        # did not take for an input error
+        with pytest.raises(NotAContrast, match=text):
+            Contrast(coefficients)
+
 
 class TestSgnBifurcate:
     def test_pooled_pair_versus_third(self):
@@ -140,6 +154,14 @@ class TestBoundedBifurcate:
         with pytest.raises(DimensionMismatch):
             bounded_bifurcate(Contrast((1, -1)), (0,), (0,))
 
+    @pytest.mark.parametrize(
+        "lower, upper", [(None, (0, 0)), ((0, 0), 0), ((0, None), (0, 0))],
+        ids=["None lower", "int upper", "None entry"],
+    )
+    def test_bounds_that_are_not_numbers_rejected(self, lower, upper):
+        with pytest.raises(InvalidBounds, match="bounds must be"):
+            bounded_bifurcate(Contrast((1, -1)), lower, upper)
+
 
 class TestOrthogonality:
     def test_one_active_two_controls_pair(self):
@@ -194,6 +216,20 @@ class TestLinearCombination:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linear_combination([(1, Contrast((1, -1))), (1, Contrast((1, 0, -1)))])
+
+    @pytest.mark.parametrize("weight", [None, [1], "1", Decimal(1)], ids=repr)
+    def test_weight_that_is_not_a_number_rejected(self, weight):
+        # None and [1] used to fail with a bare TypeError; "1" parses
+        c = Contrast((1, -1))
+        if weight == "1":
+            assert linear_combination([(weight, c)]) == c
+            return
+        with pytest.raises(NotAContrast, match="weights must be numbers"):
+            linear_combination([(weight, c)])
+
+    def test_term_that_is_not_a_contrast_rejected(self):
+        with pytest.raises(NotAContrast, match="expected a Contrast, got '1 -1'"):
+            linear_combination([(1, Contrast((1, -1))), (1, "1 -1")])
 
 
 class TestAssignmentIndicator:

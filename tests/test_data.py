@@ -137,6 +137,26 @@ class TestRoundTrip:
         assert not path.exists()
 
 
+    @pytest.mark.parametrize("name, repeated", [
+        ("x1", "x1"), ("w", "w"), (" x1 ", "x1"), ("w\t", "w"), (" extra", "extra"),
+    ], ids=["covariate", "treatment", "spaced covariate", "treatment and tab", "spaced extra"])
+    def test_extra_named_as_another_column_rejected(self, name, repeated, tmp_path):
+        # the file used to be written, and reading it back raised
+        # "ParseError: column 'x1' is named 2 times"
+        d = Dataset([[0.1], [0.2], [0.3]], [1, 2, 1])
+        path = tmp_path / "x.csv"
+        extras = {"extra": np.zeros(3), name: np.ones(3)}
+        with pytest.raises(ValueError, match=f"column {repeated!r} would be named 2 times"):
+            write_dataset_csv(d, path, extras)
+        assert not path.exists()
+
+    def test_covariate_named_as_the_treatment_rejected(self, tmp_path):
+        d = Dataset([[0.1], [0.2]], [1, 2], covariate_names=["w "])
+        with pytest.raises(ValueError, match="column 'w' would be named 2 times"):
+            write_dataset_csv(d, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestFastIngest:
     def test_clean_file_skips_the_row_parser(self, tmp_path, monkeypatch):
         from csps import data

@@ -458,6 +458,32 @@ class TestScoreFromProbabilities:
         with pytest.raises(ValueError, match="probabilities must be finite and nonnegative"):
             csps_from_treatment_probs(probs, contrast)
 
+    @pytest.mark.parametrize("probs", [
+        (0.2, 0.8, -1e-12), (0.2, 0.8, -5e-324), ("1/5", "4/5", Fraction(-1, 10**13)), (1.2, -0.2, 0),
+    ], ids=["-1e-12", "least subnormal", "exact", "-0.2"])
+    def test_negative_probability_raises(self, probs):
+        # a probability down to -1e-12 passed, and (0.2, 0.8, -1e-12) scored
+        # 1.00000000000125 on (0, 1, -1)
+        with pytest.raises(ValueError, match="probabilities must be finite and nonnegative"):
+            csps_from_treatment_probs(probs, Contrast((0, 1, -1)))
+
+    def test_negative_zero_is_a_zero_probability(self):
+        assert csps_from_treatment_probs((0.2, 0.8, -0.0), Contrast((0, 1, -1))) == 1.0
+
+    @pytest.mark.parametrize("probs, text", [
+        (0.5, "a sequence of numbers, got 0.5"),
+        (np.float64(0.5), "a sequence of numbers"),
+        ([[0.2, 0.3, 0.5]], "numbers, got"),
+        (np.array([[0.2, 0.3, 0.5]]), "numbers, got"),
+        ([0.2, 0.3, None], "numbers, got None"),
+        ([0.2, 0.3, [0.5]], "numbers, got"),
+    ], ids=["float", "numpy float", "nested list", "2-D array", "None entry", "list entry"])
+    def test_probabilities_that_are_not_numbers_raise(self, probs, text):
+        # each used to fail with a bare TypeError, which the command line
+        # did not take for an input error
+        with pytest.raises(ValueError, match="probabilities must be " + text):
+            csps_from_treatment_probs(probs, Contrast((1, -1, 0)))
+
     def test_agrees_with_empirical_scores_in_expectation(self):
         # three covariate cells with fixed assignment probabilities; sampled
         # cell frequencies must approach the formula value

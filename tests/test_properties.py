@@ -754,11 +754,12 @@ def per_unit_outputs(assignment):
     st.booleans(),
 )
 def test_pass_per_unit_outputs_equal_the_unit_chain(case, method, S, padded):
-    # a pass keeps its labels per (cell, treatment) key and its scores per
-    # chained cell; per unit they equal the public chain's on a fresh
-    # Dataset, read once or twice, on a first pass and on a second over the
-    # same Dataset.  Padded with treatments no unit has, the keys outnumber
-    # the units, and the pass gathers the labels per unit itself
+    # a pass keeps its labels and its scores per chained cell; per unit they
+    # equal the public chain's on a fresh Dataset, read once or twice, on a
+    # first pass and on a second over the same Dataset.  Padded with
+    # treatments no unit has, the (cell, treatment) pairs the units are
+    # counted by outnumber the units, and the labels are still gathered on
+    # their first read
     X, w, T, balancing_set, targets = case
     if padded:
         def widened(c):
