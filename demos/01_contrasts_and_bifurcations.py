@@ -1,18 +1,9 @@
-"""Contrast algebra walkthrough: signs, boundaries, combinations, span.
+"""Contrast algebra walkthrough: signs, bifurcations, span.
 
 Run: python demos/01_contrasts_and_bifurcations.py
 """
 
-from fractions import Fraction
-
-from csps import (
-    Contrast,
-    bifurcation_span_contains,
-    bounded_bifurcate,
-    is_orthogonal,
-    linear_combination,
-    sgn_bifurcate,
-)
+from csps import Contrast, bifurcation_span_contains, sgn_bifurcate
 
 # A contrast assigns one coefficient per treatment and sums to zero.  String
 # entries like "1/2" stay exact rationals.
@@ -21,27 +12,17 @@ control_vs_control = Contrast((0, 1, -1), label="between-controls")
 print(active_vs_controls, "exact:", active_vs_controls.is_exact)
 print(control_vs_control)
 
-# The two comparisons are orthogonal, so they carve independent directions.
-print("orthogonal:", is_orthogonal(active_vs_controls, control_vs_control))
-
 # The sign bifurcation splits treatments into the positive and negative group.
 b = sgn_bifurcate(Contrast(("1/2", "1/2", "-1")))
 print("\npositive part:", b.positive_part)
 print("negative part:", b.negative_part)
 print("positive treatments:", b.positive_treatments)
 
-# With boundaries, only coefficients strictly outside them keep their sign.
-# For the linear trend over four doses, unit boundaries keep the extremes.
-trend = Contrast((-3, -1, 1, 3), label="linear-trend")
-extremes = bounded_bifurcate(trend, lower=(-1, -1, -1, -1), upper=(1, 1, 1, 1))
-print("\nlinear trend bifurcated at unit boundaries:")
-print("  positive part:", extremes.positive_part)
-print("  negative part:", extremes.negative_part)
-
-# Contrasts combine linearly; the zero-sum property is automatic.
+# A combination of contrasts is itself a contrast: first - second/2, with
+# the coefficients worked out by hand, still sums to zero.
 first = Contrast(("1/2", "1/2", "-1"))
 second = Contrast((1, -1, 0))
-third = linear_combination([(1, first), (Fraction(-1, 2), second)])
+third = Contrast((0, 1, -1), label="first - second/2")
 print("\nfirst - second/2 =", third.coefficients)
 
 # Two independent bifurcations of three treatments span every sign vector,

@@ -7,6 +7,8 @@ balancing on one score alone does not.
 Run: python demos/02_worked_example.py
 """
 
+import numpy as np
+
 from csps import (
     assignment_indicators,
     build_cell_index,
@@ -37,9 +39,10 @@ chained = chained_propensity(
 )
 
 print("\ncell           score1  score2  chained")
-for key, idx in build_cell_index(dataset):
-    i = idx[0]
-    cell = "(" + ", ".join(str(int(v)) for v in key) + ")"
+cells = build_cell_index(dataset)
+for c, row in enumerate(cells.rows.tolist()):
+    i = np.flatnonzero(cells.cell_of_unit == c)[0]  # any unit of the cell
+    cell = "(" + ", ".join(str(int(v)) for v in row) + ")"
     print(f"{cell:<14} {str(first.values[i]):>6}  {str(second.values[i]):>6}  {str(chained.values[i]):>7}")
 
 # One subclass per distinct chained score; within each, the target's groups

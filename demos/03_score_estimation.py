@@ -3,11 +3,12 @@
 Run: python demos/03_score_estimation.py
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from csps import (
     Contrast,
-    csps_from_treatment_probs,
     empirical_csps,
     fit_binary_logistic,
     mechanism_ii,
@@ -18,10 +19,19 @@ from csps.example_data import FIRST_CONTRAST, worked_example_dataset
 
 # With known assignment probabilities the score is a one-line computation:
 # mass on the positive group over mass on both groups.
-contrast = Contrast((1, "-1/2", "-1/2"), label="active-vs-controls")
-print("score at probs (0.2, 0.3, 0.5):", csps_from_treatment_probs((0.2, 0.3, 0.5), contrast))
-print("score at probs (0.2, 0.3, 0.5), first-vs-second:",
-      csps_from_treatment_probs((0.2, 0.3, 0.5), Contrast((1, -1, 0))))
+probs = (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
+
+
+def mass_ratio(contrast):
+    signs = contrast.sign()
+    positive = sum(p for p, s in zip(probs, signs) if s > 0)
+    return positive / sum(p for p, s in zip(probs, signs) if s != 0)
+
+
+print("score at probs (1/5, 3/10, 1/2):",
+      mass_ratio(Contrast((1, "-1/2", "-1/2"), label="active-vs-controls")))
+print("score at probs (1/5, 3/10, 1/2), first-vs-second:",
+      mass_ratio(Contrast((1, -1, 0))))
 
 # On discrete data the empirical estimator is exact; a logistic model fitted
 # on the same saturated covariates reproduces it to optimizer precision.

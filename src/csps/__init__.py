@@ -20,12 +20,8 @@ from .balancing import (
 from .contrasts import (
     Bifurcation,
     Contrast,
-    assignment_indicator,
     assignment_indicators,
     bifurcation_span_contains,
-    bounded_bifurcate,
-    is_orthogonal,
-    linear_combination,
     parse_contrast,
     read_contrast_file,
     sgn_bifurcate,
@@ -34,7 +30,6 @@ from .data import CellIndex, Dataset, build_cell_index, load_dataset, write_data
 from .estimation import (
     BinaryLogisticModel,
     ScoreVector,
-    csps_from_treatment_probs,
     empirical_csps,
     fit_binary_logistic,
     model_csps,
@@ -68,20 +63,15 @@ __all__ = [
     "SimulationConfig",
     "SubclassAssignment",
     "SubclassBalanceRow",
-    "assignment_indicator",
     "assignment_indicators",
     "bifurcation_span_contains",
-    "bounded_bifurcate",
     "build_cell_index",
     "chained_propensity",
     "covariate_mean_difference",
-    "csps_from_treatment_probs",
     "default_balancing",
     "empirical_csps",
     "errors",
     "fit_binary_logistic",
-    "is_orthogonal",
-    "linear_combination",
     "load_dataset",
     "mechanism_i",
     "mechanism_ii",

@@ -428,9 +428,6 @@ class SubclassAssignment:
         # a copy holds the labels per unit, not a label per chained cell
         return type(self)._built, (self.labels, self.num_subclasses, self.scores)
 
-    def members(self, subclass_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == subclass_id)
-
 
 def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
     """Merge groups lacking a +1 or a -1 unit into a neighbour toward the median.

@@ -131,8 +131,10 @@ def cmd_example(args) -> int:
     if entry.error is None:  # else the mismatches below name the failure
         print("cell            units  score1  score2  chained  subclass")
         labels, chained = entry.assignment.labels, entry.scores.values
-        for key, idx in dataset.cell_index:
-            cell = "(" + ", ".join(str(int(v)) for v in key) + ")"
+        cells = dataset.cell_index
+        for c, row in enumerate(cells.rows.tolist()):
+            idx = np.flatnonzero(cells.cell_of_unit == c)
+            cell = "(" + ", ".join(str(int(v)) for v in row) + ")"
             sub = {int(labels[i]) for i in idx if labels[i] > 0}
             print(
                 f"{cell:<15} {len(idx):>5}  {str(first.values[idx[0]]):>6}  "

@@ -2,8 +2,10 @@
 
 A contrast assigns one coefficient per treatment, with the coefficients
 summing to zero.  Its sign pattern splits the treatments into a positive and
-a negative group (a bifurcation); a bounded variant keeps a component only
-when it falls strictly outside per-component boundaries.
+a negative group (a bifurcation), and :func:`assignment_indicators` reads
+that pattern as each unit's group.  :func:`bifurcation_span_contains` states
+the balance guarantee: balancing on a set of bifurcations balances every
+bifurcation in the span of their parts.
 
 Coefficients entered as integers, :class:`~fractions.Fraction` objects, or
 strings such as ``"1/2"`` or ``"0.25"`` are stored as exact rationals and all
@@ -16,7 +18,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .errors import (
     DegenerateBifurcation,
     DimensionMismatch,
     EmptyFile,
-    InvalidBounds,
     NotAContrast,
     OutOfRangeTreatment,
     ParseError,
@@ -37,10 +38,6 @@ __all__ = [
     "Contrast",
     "Bifurcation",
     "sgn_bifurcate",
-    "bounded_bifurcate",
-    "is_orthogonal",
-    "linear_combination",
-    "assignment_indicator",
     "assignment_indicators",
     "bifurcation_span_contains",
     "parse_contrast",
@@ -48,14 +45,13 @@ __all__ = [
 ]
 
 ZERO_SUM_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-12
 
 
-def _coerce(value, error=NotAContrast, what="coefficients"):
-    """Normalise one numeric entry: exact kinds to Fraction, floats stay float.
+def _coerce(value):
+    """Normalise one coefficient: exact kinds to Fraction, floats stay float.
 
-    A string that is not a number is a ParseError; an object of any other
-    kind raises ``error``, whose text names the entries as ``what``.
+    A string that is not a number is a ParseError, and an object of any
+    other kind a NotAContrast.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,17 +66,19 @@ def _coerce(value, error=NotAContrast, what="coefficients"):
             raise ParseError(f"cannot parse coefficient {value!r}") from exc
     if isinstance(value, (float, np.floating)):
         return float(value)
-    raise error(f"{what} must be numbers, got {reprlib.repr(value)}")
+    raise NotAContrast(f"coefficients must be numbers, got {reprlib.repr(value)}")
 
 
-def _coerce_all(values, error=NotAContrast, what="coefficients") -> tuple:
+def _coerce_all(values) -> tuple:
     """Every entry of ``values`` by :func:`_coerce`; ``values`` that cannot
-    be iterated (a number, say) raise ``error``."""
+    be iterated (a number, say) raise NotAContrast."""
     try:
         entries = iter(values)
     except TypeError:
-        raise error(f"{what} must be a sequence of numbers, got {reprlib.repr(values)}") from None
-    return tuple(_coerce(v, error, what) for v in entries)
+        raise NotAContrast(
+            f"coefficients must be a sequence of numbers, got {reprlib.repr(values)}"
+        ) from None
+    return tuple(_coerce(v) for v in entries)
 
 
 def _sgn(value) -> int:
@@ -164,25 +162,23 @@ class Bifurcation:
     """A split of treatments into a positive and a negative group.
 
     ``positive_part`` holds +1 for treatments in the positive group (0
-    elsewhere); ``negative_part`` holds -1 for the negative group.  Both
-    groups must be nonempty, because the score conditions on units assigned
-    to one of the two groups.
+    elsewhere); ``negative_part`` holds -1 for the negative group.  Each
+    part is a vector read by the label rule of :class:`~csps.data.Dataset`,
+    with entries in 0..1 and -1..0, else ValueError.  Both groups must be
+    nonempty, because the score conditions on units assigned to one of the
+    two groups.
     """
 
     positive_part: tuple[int, ...]
     negative_part: tuple[int, ...]
 
     def __post_init__(self):
-        pos = tuple(int(v) for v in self.positive_part)
-        neg = tuple(int(v) for v in self.negative_part)
+        pos = _part(self.positive_part, 0, 1, "positive")
+        neg = _part(self.negative_part, -1, 0, "negative")
         if len(pos) != len(neg):
             raise DimensionMismatch(
                 f"part lengths differ: {len(pos)} vs {len(neg)}"
             )
-        if any(v not in (0, 1) for v in pos):
-            raise ValueError("positive part entries must be 0 or +1")
-        if any(v not in (0, -1) for v in neg):
-            raise ValueError("negative part entries must be 0 or -1")
         if any(p != 0 and n != 0 for p, n in zip(pos, neg)):
             raise ValueError("a treatment cannot sit in both groups")
         if 1 not in pos or -1 not in neg:
@@ -213,6 +209,13 @@ class Bifurcation:
         return f"Bifurcation({self.positive_part}, {self.negative_part})"
 
 
+def _part(values, least: int, most: int, side: str) -> tuple[int, ...]:
+    """One part of a :class:`Bifurcation` as a tuple of ints in ``least..most``."""
+    part = _whole_labels(values, least, most, ValueError, f"{side} part value")
+    _check_shape(part, (None,), ValueError, f"the {side} part must be a vector")
+    return tuple(part.tolist())
+
+
 def sgn_bifurcate(contrast: Contrast) -> Bifurcation:
     """Split treatments by coefficient sign.
 
@@ -225,80 +228,11 @@ def sgn_bifurcate(contrast: Contrast) -> Bifurcation:
     return Bifurcation(pos, neg)
 
 
-def bounded_bifurcate(contrast: Contrast, lower: Sequence, upper: Sequence) -> Bifurcation:
-    """Split treatments whose coefficients fall strictly outside the bounds.
-
-    Component ``t`` keeps its sign only when ``coeff < lower[t]`` or
-    ``coeff > upper[t]``; coefficients on or between the boundaries map to
-    zero.  Raises :class:`DegenerateBifurcation` when the boundaries swallow
-    one whole side, and :class:`InvalidBounds` when ``lower[t] > upper[t]``
-    or a bound is not a number.
-    """
-    lo = _coerce_all(lower, InvalidBounds, "bounds")
-    hi = _coerce_all(upper, InvalidBounds, "bounds")
-    T = contrast.num_treatments
-    if len(lo) != T or len(hi) != T:
-        raise DimensionMismatch(
-            f"bounds length must equal {T}, got {len(lo)} and {len(hi)}"
-        )
-    for t, (a, b) in enumerate(zip(lo, hi), start=1):
-        if a > b:
-            raise InvalidBounds(f"lower[{t}] = {a} exceeds upper[{t}] = {b}")
-    kept = [
-        _sgn(c) if (c < a or c > b) else 0
-        for c, a, b in zip(contrast.coefficients, lo, hi)
-    ]
-    pos = tuple(1 if s > 0 else 0 for s in kept)
-    neg = tuple(-1 if s < 0 else 0 for s in kept)
-    return Bifurcation(pos, neg)
-
-
-def is_orthogonal(a: Contrast, b: Contrast) -> bool:
-    """True when the coefficient vectors have zero dot product."""
-    if a.num_treatments != b.num_treatments:
-        raise DimensionMismatch(
-            f"contrasts have {a.num_treatments} and {b.num_treatments} treatments"
-        )
-    dot = sum(x * y for x, y in zip(a.coefficients, b.coefficients))
-    if isinstance(dot, Fraction):
-        return dot == 0
-    return abs(dot) <= ORTHOGONALITY_TOL
-
-
-def linear_combination(terms: Iterable[tuple]) -> Contrast:
-    """Weighted sum of contrasts; the zero-sum property is preserved.
-
-    ``terms`` is a sequence of ``(weight, contrast)`` pairs.  Raises
-    :class:`AllZero` when everything cancels, and :class:`NotAContrast`
-    for a weight that is not a number or a contrast that is not a
-    :class:`Contrast`.
-    """
-    terms = [(_coerce(w, what="weights"), c) for w, c in terms]
-    if not terms:
-        raise ValueError("linear_combination needs at least one term")
-    for _, c in terms:
-        if not isinstance(c, Contrast):
-            raise NotAContrast(f"expected a Contrast, got {reprlib.repr(c)}")
-        if c.num_treatments != terms[0][1].num_treatments:
-            raise DimensionMismatch("all contrasts must share the same length")
-    T = terms[0][1].num_treatments
-    coeffs = [sum(w * c.coefficients[t] for w, c in terms) for t in range(T)]
-    return Contrast(coeffs)
-
-
-def assignment_indicator(contrast: Contrast, treatment: int) -> int:
-    """Group indicator for one unit: sign of the coefficient of its treatment.
-
-    ``treatment`` is one label under the label rule of
-    :class:`~csps.data.Dataset`, else OutOfRangeTreatment."""
-    d = assignment_indicators(contrast, treatment)
-    _check_shape(d, (), OutOfRangeTreatment, f"expected one treatment label, got shape {d.shape}")
-    return int(d)
-
-
 def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
-    """Vectorised :func:`assignment_indicator`; labels in 1..T follow the
-    label rule of :class:`~csps.data.Dataset`, else OutOfRangeTreatment."""
+    """Group indicator of each unit: the sign of its treatment's coefficient.
+
+    Labels in 1..T follow the label rule of :class:`~csps.data.Dataset`,
+    else OutOfRangeTreatment."""
     T = contrast.num_treatments
     w = _whole_labels(treatments, 1, T, OutOfRangeTreatment, "treatment label")
     # label t reads entry t, so no shifted copy of the labels is made

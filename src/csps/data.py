@@ -180,7 +180,7 @@ def _whole_labels(values, least: int, most: int | None, error, noun: str, rule=N
 
 def _check_shape(labels: np.ndarray, shape: tuple, error, message: str) -> None:
     """``error(message)`` unless ``labels`` has ``shape``, where a None length
-    allows any: labels come as one vector, or as one label (shape ``()``)."""
+    allows any."""
     if labels.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, labels.shape)):
         raise error(message)
 
@@ -279,8 +279,8 @@ class CellIndex:
     everything derived from the index is invariant to the unit order in the
     dataset; :func:`build_cell_index` numbers them.
     ``rows[c]`` is the covariate row of cell ``c`` and ``cell_of_unit[i]`` the
-    cell of unit ``i``; ``keys`` and ``groups`` spell the same partition out
-    as one tuple and one index array per cell.
+    cell of unit ``i``; the units of cell ``c`` are
+    ``np.flatnonzero(cell_of_unit == c)``.
     """
 
     def __init__(self, rows: np.ndarray, cell_of_unit: np.ndarray):
@@ -290,26 +290,6 @@ class CellIndex:
     @property
     def num_cells(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def keys(self) -> list[tuple]:
-        """Covariate rows as tuples, one per cell."""
-        return [tuple(row) for row in self.rows.tolist()]
-
-    @property
-    def groups(self) -> list[np.ndarray]:
-        """Ascending unit indices of each cell, aligned with ``keys``."""
-        order = np.argsort(self.cell_of_unit, kind="stable")
-        return np.split(order, np.cumsum(self.sizes()))[:-1]
-
-    def __len__(self) -> int:
-        return self.num_cells
-
-    def __iter__(self):
-        return iter(zip(self.keys, self.groups))
-
-    def sizes(self) -> list[int]:
-        return np.bincount(self.cell_of_unit, minlength=self.num_cells).tolist()
 
 
 def build_cell_index(dataset: Dataset) -> CellIndex:

@@ -19,9 +19,9 @@ class InputError(CspsError):
 
 
 class NotAContrast(InputError):
-    """Coefficients (or combination weights) are not a sequence of finite
-    numbers or do not sum to zero, or a contrast argument is not a
-    :class:`~csps.contrasts.Contrast` at all."""
+    """Coefficients are not a sequence of finite numbers or do not sum to
+    zero, or a contrast argument is not a :class:`~csps.contrasts.Contrast`
+    at all."""
 
 
 class AllZero(InputError):
@@ -38,11 +38,6 @@ class DimensionMismatch(InputError):
 
 class DegenerateBifurcation(CspsError):
     """A bifurcation lost its positive or its negative group entirely."""
-
-
-class InvalidBounds(InputError):
-    """A lower boundary exceeds the matching upper boundary, or a boundary is
-    not a number."""
 
 
 class OutOfRangeTreatment(InputError):
@@ -84,10 +79,6 @@ class SingularHessian(CspsError):
 
 class NotConverged(CspsError):
     """A Newton fit reached its iteration limit with the gradient above tolerance."""
-
-
-class ZeroDenominator(CspsError):
-    """No probability mass on the treatments the contrast actually uses."""
 
 
 # ---------------------------------------------------------------------------

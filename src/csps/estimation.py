@@ -11,10 +11,7 @@ units have no score.  The Newton fit's only setting is an optional ridge
 penalty, finite and nonnegative: its iteration limit (:data:`MAX_ITER`) and
 gradient-norm tolerance (:data:`TOL`) are fixed constants.  The penalised
 log-likelihood and its gradient are written once, as private kernels over
-the intercept design and the penalty vector; the fit calls them, and the
-public :func:`bernoulli_log_likelihood` and :func:`bernoulli_gradient` are
-thin wrappers around the same kernels, so they are the fit's own objective,
-and refuse the inputs the fit refuses.  The log-likelihood kernel sums
+the intercept design and the penalty vector.  The log-likelihood kernel sums
 ``log(1 + e**z)`` as ``max(z, 0) + log1p(exp(-|z|))`` with numpy's
 vectorised ``exp`` and ``log1p``; against ``np.logaddexp`` that moves only
 the last bits of each log-likelihood, which the fit reads only through its
@@ -36,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contrasts import Contrast, _coerce_all, assignment_indicators
+from .contrasts import Contrast, assignment_indicators
 from .data import Dataset, _dense_ids, _reordering
 from .errors import (
     DimensionMismatch,
@@ -47,7 +44,6 @@ from .errors import (
     SeparationDetected,
     SingularHessian,
     TooFewUnits,
-    ZeroDenominator,
 )
 
 __all__ = [
@@ -56,9 +52,6 @@ __all__ = [
     "fit_binary_logistic",
     "empirical_csps",
     "model_csps",
-    "csps_from_treatment_probs",
-    "bernoulli_log_likelihood",
-    "bernoulli_gradient",
 ]
 
 MAX_ITER = 100  # Newton iterations before a fit counts as not converged
@@ -159,24 +152,14 @@ def _binary_labels(labels, rows: int) -> np.ndarray:
     return y
 
 
-def _objective_args(features, labels, coefficients, ridge):
-    F = _as_feature_matrix(features)
-    y = _binary_labels(labels, F.shape[0]).astype(float, copy=False)
-    w = np.asarray(coefficients, dtype=float)
-    pen = _penalty(ridge, len(w))
-    if not (np.isfinite(F).all() and np.isfinite(w).all()):
-        raise MissingValue("features or coefficients contain NaN or infinite entries")
-    return _design(F), y, w, pen
-
-
 @contextmanager
-def _float64_failures(X: np.ndarray, what: str):
+def _float64_failures(X: np.ndarray):
     """Run under numpy's raising errstate, and type what it raises.
 
     A ``FloatingPointError`` is a :class:`~csps.errors.MissingValue` when
     design ``X`` holds a NaN or infinite feature, which is checked only
-    then, and otherwise :class:`SingularHessian`: ``what`` is beyond
-    float64.
+    then, and otherwise :class:`SingularHessian`: the Newton system is
+    beyond float64.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -184,48 +167,26 @@ def _float64_failures(X: np.ndarray, what: str):
     except FloatingPointError as exc:
         if not np.isfinite(X).all():
             raise MissingValue("features contain NaN or infinite entries") from None
-        raise SingularHessian(f"{what} is beyond float64 ({exc})") from None
-
-
-def bernoulli_log_likelihood(features, labels, coefficients, ridge: float = 0.0) -> float:
-    """The objective :func:`fit_binary_logistic` maximises, at ``coefficients``.
-
-    The Bernoulli log-likelihood minus the ridge penalty on non-intercept
-    terms; the fit evaluates this same kernel, so the value may differ from
-    a ``np.logaddexp`` evaluation in its last bits.  Inputs are refused as
-    the fit refuses them: a NaN or infinite feature or coefficient is a
-    :class:`~csps.errors.MissingValue`, and labels other than bools, 0 and
-    1 a ``ValueError``.  A value beyond float64 raises
-    :class:`SingularHessian`.
-    """
-    X, y, w, pen = _objective_args(features, labels, coefficients, ridge)
-    with _float64_failures(X, "the objective"):
-        return _penalised_ll(X, y, w, pen)[0]
-
-
-def bernoulli_gradient(features, labels, coefficients, ridge: float = 0.0) -> np.ndarray:
-    """Gradient of :func:`bernoulli_log_likelihood`, the fit's own kernel.
-
-    It refuses the inputs that :func:`bernoulli_log_likelihood` refuses.
-    """
-    X, y, w, pen = _objective_args(features, labels, coefficients, ridge)
-    with _float64_failures(X, "the objective"):
-        return _penalised_gradient(X, y, w, _penalised_ll(X, y, w, pen)[1], pen)[0]
+        raise SingularHessian(f"the Newton system is beyond float64 ({exc})") from None
 
 
 @dataclass(frozen=True, eq=False)
 class BinaryLogisticModel:
-    """Fitted binary logistic coefficients (intercept first)."""
+    """Fitted binary logistic coefficients (intercept first), and how the
+    Newton fit that found them ended: whether it converged, after how many
+    iterations, and at what gradient norm."""
 
     coefficients: np.ndarray
     converged: bool
     iterations: int
     final_gradient_norm: float
-    log_likelihood_path: tuple[float, ...]
 
 
 def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticModel:
-    """Maximise :func:`bernoulli_log_likelihood` by Newton steps with halving.
+    """Maximise the penalised Bernoulli log-likelihood by Newton steps with halving.
+
+    The objective is the log-likelihood of the labels minus half the ridge
+    times the sum of the squared non-intercept coefficients.
 
     The fit converges when the (penalised) gradient norm falls below the
     fixed :data:`TOL`; it stops unconverged after :data:`MAX_ITER` Newton
@@ -233,9 +194,7 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     raise :class:`SingularHessian`, and a NaN or infinite feature
     :class:`~csps.errors.MissingValue`, without a numpy warning; the
     features are checked only once the Newton system has failed.  Labels
-    other than bools, 0 and 1 raise ``ValueError``.  The log-likelihoods in
-    ``log_likelihood_path`` come from the ``exp``/``log1p`` kernel, so they
-    may differ from a ``np.logaddexp`` evaluation in their last bits.
+    other than bools, 0 and 1 raise ``ValueError``.
 
     The rows are summed in one canonical order, lexicographic in (features,
     label), so the result does not depend on their order.  Rows already in
@@ -268,7 +227,7 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     else:
         X, y = _design(F.take(order, axis=0)), y[order].astype(float, copy=False)
     del order  # not held through the Newton loop, whose temporaries set peak memory
-    with _float64_failures(X, "the Newton system"):
+    with _float64_failures(X):
         return _newton(X, y, pen, ridge)
 
 
@@ -280,7 +239,6 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
     """
     w = np.zeros(X.shape[1])
     ll, z = _penalised_ll(X, y, w, pen)
-    ll_path = [ll]
     pen_matrix = np.diag(pen)
 
     # one pass per point w: the gradient there, then a Newton step from it
@@ -311,22 +269,20 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
             step = _umath_linalg.solve1(H, g, signature="dd->d")
         except FloatingPointError:
             raise SingularHessian("Newton system is singular") from None
-        current = ll_path[-1]
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
             try:
                 new_ll, z = _penalised_ll(X, y, candidate, pen)
             except FloatingPointError:
                 new_ll = -math.inf
-            if new_ll >= current - _acceptance_slack(current):
+            if new_ll >= ll - _acceptance_slack(ll):
                 break
             step = 0.5 * step
         else:
             raise SingularHessian(
                 "step-halving exhausted without improving the log-likelihood"
             )
-        w = candidate  # z is that of the accepted candidate
-        ll_path.append(new_ll)
+        w, ll = candidate, new_ll  # z is that of the accepted candidate
         if ridge == 0.0 and math.sqrt(w.dot(w)) > SEPARATION_NORM:
             raise SeparationDetected(
                 "coefficient norm exceeded 1e6 while the likelihood keeps "
@@ -338,7 +294,6 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
         converged=converged,
         iterations=iterations,
         final_gradient_norm=grad_norm,
-        log_likelihood_path=tuple(ll_path),
     )
 
 
@@ -384,8 +339,10 @@ class ScoreVector:
     without group members).  ``undefined_units``, the units whose score is
     undefined, is derived from these arrays on access, in place of a
     per-unit defined mask.  ``values`` spells the scores out as a tuple of
-    floats, :class:`~fractions.Fraction` objects and ``None``; it is built
-    on first access, and the pipeline never reads it.
+    floats, :class:`~fractions.Fraction` objects and ``None``, built on
+    first access: it is the only exact read-out of the scores that
+    :attr:`~csps.balancing.ContrastBalance.scores` returns, and
+    ``csps example`` prints the worked example's cell scores from it.
     """
 
     __slots__ = ("_floats", "_numerators", "_denominators", "_index", "_values")
@@ -616,32 +573,3 @@ def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> Scor
     _check_width(dataset, contrast)
     d = assignment_indicators(contrast, dataset.treatments)
     return _logistic_scores(dataset.covariates, d, ridge, dataset.row_order)
-
-
-def csps_from_treatment_probs(probs, contrast: Contrast):
-    """Score implied by per-treatment assignment probabilities.
-
-    Returns the probability mass on positive-coefficient treatments divided
-    by the mass on all nonzero-coefficient treatments.  Exact inputs give an
-    exact rational result.  ``probs`` must be a sequence of numbers, each
-    finite and nonnegative, else ValueError.
-    """
-    p = _coerce_all(probs, ValueError, "probabilities")
-    if len(p) != contrast.num_treatments:
-        raise DimensionMismatch(
-            f"expected {contrast.num_treatments} probabilities, got {len(p)}"
-        )
-    if not all(0 <= v < math.inf for v in p):
-        raise ValueError("probabilities must be finite and nonnegative")
-    total = sum(p)
-    if abs(float(total) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {float(total)!r}, expected 1")
-    signs = contrast.sign()
-    numerator = sum(v for v, s in zip(p, signs) if s > 0)
-    denominator = sum(v for v, s in zip(p, signs) if s != 0)
-    if denominator == 0:
-        raise ZeroDenominator(
-            "no probability mass on the treatments the contrast uses"
-        )
-    result = numerator / denominator
-    return result if isinstance(result, Fraction) else float(result)

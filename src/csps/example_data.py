@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .balancing import AlgorithmConfig, run_algorithm
 from .contrasts import Contrast
 from .data import Dataset
@@ -88,11 +90,9 @@ def worked_example_dataset() -> Dataset:
 def _per_cell(dataset: Dataset, scores) -> dict[tuple, object]:
     """Collapse a per-unit score vector to one value per covariate cell."""
     out = {}
-    for key, idx in dataset.cell_index:
-        vals = {scores.values[i] for i in idx}
-        if len(vals) != 1:
-            raise AssertionError(f"cell {key} carries several score values: {vals}")
-        out[key] = vals.pop()
+    for key, value in zip(map(tuple, dataset.covariates.tolist()), scores.values):
+        if out.setdefault(key, value) != value:
+            raise AssertionError(f"cell {key} carries several score values")
     return out
 
 
@@ -161,7 +161,8 @@ def _mismatches(dataset, first, second, entry, counter) -> list[str]:
     middle = [
         row
         for row in counter.subclass_rows
-        if {counter.scores.values[i] for i in counter.assignment.members(row.subclass_id)}
+        if {counter.scores.values[i]
+            for i in np.flatnonzero(counter.assignment.labels == row.subclass_id)}
         == {Fraction(1, 2)}
     ]
     want_pos, want_neg = EXPECTED_COUNTEREXAMPLE_MEANS

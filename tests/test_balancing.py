@@ -72,8 +72,10 @@ class TestChainedPropensity:
             example, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST,
             estimator="empirical",
         )
+        cells = build_cell_index(example)
         per_cell = {
-            key: chained.values[idx[0]] for key, idx in build_cell_index(example)
+            tuple(row): chained.values[np.flatnonzero(cells.cell_of_unit == c)[0]]
+            for c, row in enumerate(cells.rows.tolist())
         }
         assert per_cell == EXPECTED_CHAINED_SCORE
         assert {type(v) for v in chained.values} == {Fraction}
@@ -130,8 +132,8 @@ class TestSubclassify:
         assert assignment.num_subclasses == 4
         # subclasses coincide with the covariate cells
         index = build_cell_index(example)
-        for _, idx in index:
-            labels = {assignment.labels[i] for i in idx if d[i] != 0}
+        for c in range(index.num_cells):
+            labels = set(assignment.labels[(index.cell_of_unit == c) & (d != 0)].tolist())
             assert len(labels) == 1
         assert (assignment.labels[d == 0] == 0).all()
 
@@ -147,7 +149,7 @@ class TestSubclassify:
         d = np.array([1, -1] * 50)
         assignment = subclassify(scores, d, method="quantile", num_subclasses=5)
         assert assignment.num_subclasses == 5
-        counts = [len(assignment.members(s)) for s in range(1, 6)]
+        counts = [int((assignment.labels == s).sum()) for s in range(1, 6)]
         assert counts == [20, 20, 20, 20, 20]
         # ascending score order
         assert assignment.labels[0] == 1 and assignment.labels[99] == 5
@@ -331,7 +333,7 @@ class TestSubclassify:
         assignment = subclassify(scores, d, method="exact")
         assert time.perf_counter() - start < 0.5
         for sid in range(1, assignment.num_subclasses + 1):
-            signs = set(d[assignment.members(sid)].tolist())
+            signs = set(d[assignment.labels == sid].tolist())
             assert signs == {1, -1}
 
 

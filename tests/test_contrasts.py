@@ -7,12 +7,8 @@ import pytest
 from csps.contrasts import (
     Bifurcation,
     Contrast,
-    assignment_indicator,
     assignment_indicators,
     bifurcation_span_contains,
-    bounded_bifurcate,
-    is_orthogonal,
-    linear_combination,
     matrix_rank,
     parse_contrast,
     read_contrast_file,
@@ -23,7 +19,6 @@ from csps.errors import (
     DegenerateBifurcation,
     DimensionMismatch,
     EmptyFile,
-    InvalidBounds,
     NotAContrast,
     OutOfRangeTreatment,
     ParseError,
@@ -98,6 +93,14 @@ class TestValidateContrast:
         with pytest.raises(NotAContrast, match=text):
             Contrast(coefficients)
 
+    @pytest.mark.parametrize("coefficients", [
+        (np.nan, -np.nan), (np.inf, -np.inf), (1, np.nan, -1),
+    ], ids=["NaN", "infinities", "NaN entry"])
+    def test_non_finite_coefficients_rejected(self, coefficients):
+        # a NaN passes neither a sign test nor a sum test of its own accord
+        with pytest.raises(NotAContrast, match="coefficients must be finite"):
+            Contrast(coefficients)
+
 
 class TestSgnBifurcate:
     def test_pooled_pair_versus_third(self):
@@ -124,129 +127,37 @@ class TestSgnBifurcate:
         assert b.positive_treatments == (1, 2)
         assert b.negative_treatments == (3,)
 
-
-class TestBoundedBifurcate:
-    def test_linear_contrast_keeps_extremes(self):
-        c = Contrast((-3, -1, 1, 3))
-        b = bounded_bifurcate(c, (-1, -1, -1, -1), (1, 1, 1, 1))
-        assert b.positive_part == (0, 0, 0, 1)
-        assert b.negative_part == (-1, 0, 0, 0)
-
-    def test_zero_bounds_reduce_to_sgn(self, rng):
+    def test_scale_keeps_the_bifurcation_and_sign_swaps_it(self, rng):
+        # the score of a contrast depends only on its bifurcation
         for _ in range(50):
-            T = int(rng.integers(2, 6))
-            c = random_contrast(rng, T=T, exact=bool(rng.integers(0, 2)))
-            zero = (0,) * T
-            assert bounded_bifurcate(c, zero, zero) == sgn_bifurcate(c)
+            c = random_contrast(rng, T=int(rng.integers(2, 6)), exact=True)
+            k = Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 20)))
+            b = sgn_bifurcate(c)
+            assert sgn_bifurcate(Contrast([k * v for v in c.coefficients])) == b
+            flipped = sgn_bifurcate(Contrast([-k * v for v in c.coefficients]))
+            assert flipped.positive_treatments == b.negative_treatments
+            assert flipped.negative_treatments == b.positive_treatments
 
-    def test_boundary_value_maps_to_zero(self):
-        # 3 is not strictly above the upper bound 3, so the positive side dies
-        c = Contrast((-3, -1, 1, 3))
-        with pytest.raises(DegenerateBifurcation):
-            bounded_bifurcate(c, (-1, -1, -1, -1), (3, 3, 3, 3))
-
-    def test_invalid_bounds(self):
-        c = Contrast((1, -1))
-        with pytest.raises(InvalidBounds):
-            bounded_bifurcate(c, (1, 0), (0, 0))
-
-    def test_bounds_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            bounded_bifurcate(Contrast((1, -1)), (0,), (0,))
-
-    @pytest.mark.parametrize(
-        "lower, upper", [(None, (0, 0)), ((0, 0), 0), ((0, None), (0, 0))],
-        ids=["None lower", "int upper", "None entry"],
-    )
-    def test_bounds_that_are_not_numbers_rejected(self, lower, upper):
-        with pytest.raises(InvalidBounds, match="bounds must be"):
-            bounded_bifurcate(Contrast((1, -1)), lower, upper)
-
-
-class TestOrthogonality:
-    def test_one_active_two_controls_pair(self):
-        a = Contrast((1, "-1/2", "-1/2"))
-        b = Contrast((0, 1, -1))
-        assert is_orthogonal(a, b)
-
-    def test_factorial_main_effects(self):
-        # first two main-effect rows of a 2x2x2 factorial layout
-        a = Contrast((-1, -1, -1, -1, 1, 1, 1, 1))
-        b = Contrast((-1, 1, -1, 1, -1, 1, -1, 1))
-        dot = sum(x * y for x, y in zip(a.coefficients, b.coefficients))
-        assert dot == 0
-        assert is_orthogonal(a, b)
-
-    def test_not_orthogonal(self):
-        assert not is_orthogonal(Contrast((1, -1, 0)), Contrast((1, 0, -1)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            is_orthogonal(Contrast((1, -1)), Contrast((1, 0, -1)))
-
-
-class TestLinearCombination:
-    def test_derived_third_contrast(self):
-        first = Contrast(("1/2", "1/2", "-1"))
-        second = Contrast((1, -1, 0))
-        combo = linear_combination([(1, first), (Fraction(-1, 2), second)])
-        assert combo.coefficients == (Fraction(0), Fraction(1), Fraction(-1))
-
-    def test_identity(self):
-        c = Contrast((1, -1))
-        d = Contrast(("1/2", "-1/2"))
-        assert linear_combination([(1, c), (0, d)]).coefficients == c.coefficients
-
-    def test_cancellation_rejected(self):
-        c = Contrast((1, -1))
-        with pytest.raises(AllZero):
-            linear_combination([(1, c), (-1, c)])
-
-    def test_bilinear_scaling_exact(self, rng):
-        for _ in range(50):
-            c = random_contrast(rng, exact=True)
-            d = random_contrast(rng, exact=True)
-            a, b, s = (Fraction(int(v), 7) for v in rng.integers(1, 20, size=3))
-            scaled_after = linear_combination(
-                [(s, linear_combination([(a, c), (b, d)]))]
-            )
-            scaled_inside = linear_combination([(s * a, c), (s * b, d)])
-            assert scaled_after.coefficients == scaled_inside.coefficients
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            linear_combination([(1, Contrast((1, -1))), (1, Contrast((1, 0, -1)))])
-
-    @pytest.mark.parametrize("weight", [None, [1], "1", Decimal(1)], ids=repr)
-    def test_weight_that_is_not_a_number_rejected(self, weight):
-        # None and [1] used to fail with a bare TypeError; "1" parses
-        c = Contrast((1, -1))
-        if weight == "1":
-            assert linear_combination([(weight, c)]) == c
-            return
-        with pytest.raises(NotAContrast, match="weights must be numbers"):
-            linear_combination([(weight, c)])
-
-    def test_term_that_is_not_a_contrast_rejected(self):
-        with pytest.raises(NotAContrast, match="expected a Contrast, got '1 -1'"):
-            linear_combination([(1, Contrast((1, -1))), (1, "1 -1")])
+    def test_negative_zero_coefficient_is_excluded(self):
+        b = sgn_bifurcate(Contrast((1.0, -1.0, -0.0)))
+        assert (b.positive_part, b.negative_part) == ((1, 0, 0), (0, -1, 0))
 
 
 class TestAssignmentIndicator:
     def test_positive_group(self):
-        assert assignment_indicator(Contrast(("1/2", "1/2", "-1")), 2) == 1
+        assert assignment_indicators(Contrast(("1/2", "1/2", "-1")), [2]).tolist() == [1]
 
     def test_negative_group(self):
-        assert assignment_indicator(Contrast(("1/2", "1/2", "-1")), 3) == -1
+        assert assignment_indicators(Contrast(("1/2", "1/2", "-1")), [3]).tolist() == [-1]
 
     def test_zero_coefficient(self):
-        assert assignment_indicator(Contrast((1, -1, 0)), 3) == 0
+        assert assignment_indicators(Contrast((1, -1, 0)), [3]).tolist() == [0]
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeTreatment):
-            assignment_indicator(Contrast((1, -1)), 3)
+            assignment_indicators(Contrast((1, -1)), [3])
         with pytest.raises(OutOfRangeTreatment):
-            assignment_indicator(Contrast((1, -1)), 0)
+            assignment_indicators(Contrast((1, -1)), [0])
 
     @pytest.mark.parametrize("label", [
         1.5, 2.5, np.nan, np.inf, True, np.True_, "2", Fraction(3, 2), Decimal("1.5"), 2 ** 63,
@@ -254,17 +165,11 @@ class TestAssignmentIndicator:
     def test_label_that_is_not_a_whole_number_raises(self, label):
         # 1.5 used to fail with a bare TypeError, and True read treatment 1
         with pytest.raises(OutOfRangeTreatment, match="is not a whole number|int64"):
-            assignment_indicator(Contrast((1, 0, -1)), label)
+            assignment_indicators(Contrast((1, 0, -1)), [label])
 
     @pytest.mark.parametrize("label", [2.0, np.int8(2), np.uint64(2), Fraction(2), Decimal(2)])
     def test_whole_labels_of_any_type_are_read(self, label):
-        assert assignment_indicator(Contrast((1, 0, -1)), label) == 0
-
-    @pytest.mark.parametrize("label", [[1, 2], [1], np.array([[2]])])
-    def test_more_than_one_label_raises(self, label):
-        # [1, 2] used to fail with numpy's bare TypeError from int()
-        with pytest.raises(OutOfRangeTreatment, match="expected one treatment label"):
-            assignment_indicator(Contrast((1, 0, -1)), label)
+        assert assignment_indicators(Contrast((1, 0, -1)), [label]).tolist() == [0]
 
     @pytest.mark.parametrize("labels", [
         [2.7, 1.0], [1.0, np.nan], ["1", "2"], [True, False], np.array([1, 2.5], dtype=object),
@@ -282,14 +187,33 @@ class TestAssignmentIndicator:
         for _ in range(50):
             c = random_contrast(rng, T=4)
             for t in range(1, 5):
-                ind = assignment_indicator(c, t)
+                (ind,) = assignment_indicators(c, [t])
                 assert (ind == 0) == (c.coefficients[t - 1] == 0)
 
     def test_vectorised_matches_scalar(self, rng):
+        # each unit's indicator is the sign of its own treatment's coefficient
         c = random_contrast(rng, T=3)
         w = rng.integers(1, 4, size=40)
-        vec = assignment_indicators(c, w)
-        assert [assignment_indicator(c, int(t)) for t in w] == vec.tolist()
+        signs = [(v > 0) - (v < 0) for v in c.coefficients]
+        assert assignment_indicators(c, w).tolist() == [signs[t - 1] for t in w]
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64, np.float32,
+    ])
+    def test_integer_labels_of_any_width_are_read(self, dtype):
+        c = Contrast((1, 0, -1))
+        got = assignment_indicators(c, np.array([3, 1, 2, 1], dtype=dtype))
+        assert got.tolist() == [-1, 1, 0, 1]
+        assert got.tolist() == assignment_indicators(c, np.array([3, 1, 2, 1])).tolist()
+
+    def test_unsigned_labels_beyond_int64_raise(self):
+        with pytest.raises(OutOfRangeTreatment, match="int64"):
+            assignment_indicators(Contrast((1, -1)), np.array([1, 2 ** 63], dtype=np.uint64))
+
+    def test_no_units_give_no_indicators(self):
+        for labels in ([], np.empty(0), np.empty(0, dtype=np.int64)):
+            got = assignment_indicators(Contrast((1, -1)), labels)
+            assert got.shape == (0,)
 
 
 class TestSpanMembership:
@@ -319,6 +243,24 @@ class TestSpanMembership:
             c = random_contrast(rng, T=3, exact=bool(rng.integers(0, 2)))
             assert bifurcation_span_contains(basis, sgn_bifurcate(c))
 
+    def test_main_effects_do_not_span_their_interaction(self):
+        # 2x2 factorial, treatments (a, b) = 11, 12, 21, 22: balancing on
+        # both main effects does not balance their interaction
+        a = sgn_bifurcate(Contrast((-1, -1, 1, 1)))
+        b = sgn_bifurcate(Contrast((-1, 1, -1, 1)))
+        ab = sgn_bifurcate(Contrast((1, -1, -1, 1)))
+        assert not bifurcation_span_contains([a, b], ab)
+        assert bifurcation_span_contains([a, b, ab], ab)
+
+    def test_factorial_effects_together_span_every_contrast(self, rng):
+        basis = [
+            sgn_bifurcate(Contrast(c))
+            for c in ((-1, -1, 1, 1), (-1, 1, -1, 1), (1, -1, -1, 1))
+        ]
+        for _ in range(100):
+            c = random_contrast(rng, T=4, exact=bool(rng.integers(0, 2)))
+            assert bifurcation_span_contains(basis, sgn_bifurcate(c))
+
     def test_rank_is_exact(self):
         # float entries are eliminated exactly too: no pivot tolerance
         assert matrix_rank([[1, 0], [1, 1e-12]]) == 2
@@ -339,6 +281,25 @@ class TestBifurcationType:
             Bifurcation((1, 0), (-1, 0))
         with pytest.raises(ValueError):
             Bifurcation((1, 2), (0, -1))
+
+    @pytest.mark.parametrize("positive, negative", [
+        ((1.5, 0), (0, -1)), ((True, False), (0, -1)), ((None, 0), (0, -1)),
+        (("1", "0"), (0, -1)), (5, 5), ((1, 0), (0, -0.5)), ((1, 0), (0, None)),
+    ], ids=repr)
+    def test_part_outside_the_label_rule_raises(self, positive, negative):
+        # (1.5, 0) used to read as (1, 0), and True as 1; None and a number
+        # that is no vector failed with a bare TypeError
+        with pytest.raises(ValueError, match="part"):
+            Bifurcation(positive, negative)
+
+    def test_equal_parts_compare_and_hash_equal(self):
+        built = Bifurcation((1, 0, 0), (0, -1, 0))
+        derived = sgn_bifurcate(Contrast((2, -2, 0)))
+        assert derived == built and hash(derived) == hash(built)
+        assert len({built, derived, sgn_bifurcate(Contrast((1, 0, -1)))}) == 2
+
+    def test_whole_float_parts_are_read(self):
+        assert Bifurcation((1.0, 0.0), (0.0, -1.0)) == Bifurcation((1, 0), (0, -1))
 
     def test_empty_side_rejected(self):
         with pytest.raises(DegenerateBifurcation):
@@ -391,3 +352,24 @@ class TestContrastFiles:
     def test_parse_contrast_empty(self):
         with pytest.raises(ParseError):
             parse_contrast("   ")
+
+    @pytest.mark.parametrize("text, coefficients", [
+        ("1 -1", (1, -1)),
+        ("+1 -1", (1, -1)),
+        ("1/2 1/2 -1", (Fraction(1, 2), Fraction(1, 2), -1)),
+        ("0.25 0.75 -1", (Fraction(1, 4), Fraction(3, 4), -1)),
+        ("1e0 -1e0", (1, -1)),
+        ("\t-3  -1 1\t3 ", (-3, -1, 1, 3)),
+    ], ids=["whole", "plus sign", "fractions", "decimals", "exponent", "whitespace"])
+    def test_parse_contrast_reads_each_number_form(self, text, coefficients):
+        c = parse_contrast(text)
+        assert c.is_exact
+        assert c.coefficients == tuple(Fraction(v) for v in coefficients)
+
+    @pytest.mark.parametrize("text, token", [
+        ("1/0 -1", "1/0"), ("nan -nan", "nan"), ("inf -inf", "inf"), ("1,-1", "1,-1"),
+        ("0x1 -1", "0x1"), ("1 - 1", "-"), ("\u00bd -\u00bd", "\u00bd"),
+    ], ids=["zero denominator", "NaN", "infinity", "comma", "hex", "bare sign", "vulgar fraction"])
+    def test_parse_contrast_refuses_tokens_that_are_not_numbers(self, text, token):
+        with pytest.raises(ParseError, match=f"cannot parse coefficient '{token}'"):
+            parse_contrast(text)

@@ -364,12 +364,12 @@ class TestCellIndex:
     def test_worked_example_cells(self, example):
         index = build_cell_index(example)
         assert index.num_cells == 4
-        assert index.sizes() == [6, 6, 6, 6]
-        assert index.keys == [
-            (0.0, 0.0, 0.0),
-            (0.0, 1.0, 1.0),
-            (1.0, 0.0, 1.0),
-            (1.0, 1.0, 1.0),
+        assert np.bincount(index.cell_of_unit).tolist() == [6, 6, 6, 6]
+        assert index.rows.tolist() == [
+            [0.0, 0.0, 0.0],
+            [0.0, 1.0, 1.0],
+            [1.0, 0.0, 1.0],
+            [1.0, 1.0, 1.0],
         ]
 
     def test_distinct_rows_give_singletons(self, rng):
@@ -377,7 +377,7 @@ class TestCellIndex:
         d = Dataset(X, rng.integers(1, 3, size=30), num_treatments=2)
         index = build_cell_index(d)
         assert index.num_cells == 30
-        assert all(s == 1 for s in index.sizes())
+        assert sorted(index.cell_of_unit.tolist()) == list(range(30))
 
     def test_empty_dataset(self):
         import warnings
@@ -392,41 +392,39 @@ class TestCellIndex:
         # cells follow the order of their bytes, which puts +0.0 before -0.0
         X = [[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]
         index = build_cell_index(Dataset(X, [1, 2, 1, 2]))
-        signs = [tuple(math.copysign(1.0, v) for v in key) for key in index.keys]
-        assert index.keys == [(0.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+        signs = [tuple(math.copysign(1.0, v) for v in row) for row in index.rows.tolist()]
+        assert index.rows.tolist() == [[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         assert signs == [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
         assert index.cell_of_unit.tolist() == [2, 1, 2, 0]
-        assert [g.tolist() for g in index.groups] == [[3], [1], [0, 2]]
 
     def test_single_cell(self):
         d = Dataset([[2.5, -1.0]] * 7, [1, 2, 1, 2, 2, 1, 1])
         index = build_cell_index(d)
         assert index.num_cells == 1
-        assert index.keys == [(2.5, -1.0)]
-        assert index.sizes() == [7]
+        assert index.rows.tolist() == [[2.5, -1.0]]
         assert index.cell_of_unit.tolist() == [0] * 7
         assert index.cell_of_unit.dtype == np.intp  # gathers take it without a cast
-        assert [g.tolist() for g in index.groups] == [list(range(7))]
 
     def test_all_distinct_rows_in_value_order(self, rng):
         X = rng.permutation(np.arange(25.0))[:, None] * np.array([[1.0, -1.0]])
         d = Dataset(X, rng.integers(1, 3, size=25), num_treatments=2)
         index = build_cell_index(d)
         assert index.num_cells == 25
-        assert index.keys == sorted(tuple(row) for row in X.tolist())
-        for c, g in enumerate(index.groups):
-            assert g.tolist() == [int(np.flatnonzero(X[:, 0] == index.keys[c][0])[0])]
+        assert index.rows.tolist() == sorted(X.tolist())
+        assert (index.rows[index.cell_of_unit] == X).all()
 
     def test_built_once_per_dataset(self, example):
         assert example.cell_index is example.cell_index
-        assert example.cell_index.keys == build_cell_index(example).keys
+        fresh = build_cell_index(example)
+        assert np.array_equal(example.cell_index.rows, fresh.rows)
+        assert np.array_equal(example.cell_index.cell_of_unit, fresh.cell_of_unit)
 
     def test_partition(self, rng):
         X = rng.integers(0, 2, size=(40, 3)).astype(float)
         d = Dataset(X, rng.integers(1, 4, size=40))
         index = build_cell_index(d)
-        assert sum(index.sizes()) == 40
-        seen = np.concatenate(index.groups)
-        assert sorted(seen.tolist()) == list(range(40))
-        for c, g in enumerate(index.groups):
-            assert (index.cell_of_unit[g] == c).all()
+        # every unit in one cell, every cell nonempty, and a cell's units share its row
+        assert index.cell_of_unit.shape == (40,)
+        sizes = np.bincount(index.cell_of_unit)
+        assert len(sizes) == index.num_cells and sizes.min() >= 1
+        assert (index.rows[index.cell_of_unit] == X).all()

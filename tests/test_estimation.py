@@ -17,13 +17,14 @@ from csps.errors import (
     SeparationDetected,
     SingularHessian,
     TooFewUnits,
-    ZeroDenominator,
 )
 from csps.estimation import (
     ScoreVector,
-    bernoulli_gradient,
-    bernoulli_log_likelihood,
-    csps_from_treatment_probs,
+    _acceptance_slack,
+    _design,
+    _penalised_gradient,
+    _penalised_ll,
+    _penalty,
     empirical_csps,
     fit_binary_logistic,
     model_csps,
@@ -46,6 +47,15 @@ ORACLE_SLOPE = 0.84816504460281017
 def points_dataset():
     """POINTS_X as one covariate; label 1 is treatment 1, label 0 treatment 2."""
     return Dataset(POINTS_X[:, None], np.where(POINTS_Y == 1, 1, 2))
+
+
+def per_cell(dataset, scores):
+    """The score of each covariate cell, keyed by the cell's row as a tuple."""
+    cells = build_cell_index(dataset)
+    return {
+        tuple(row): scores.values[np.flatnonzero(cells.cell_of_unit == c)[0]]
+        for c, row in enumerate(cells.rows.tolist())
+    }
 
 
 def gradient_ascent_oracle(x, y, grad_tol=1e-13, max_steps=2_000_000):
@@ -88,15 +98,22 @@ class TestBinaryFit:
         assert model.converged
         assert model.final_gradient_norm < 1e-8
 
-    def test_log_likelihood_nondecreasing(self, rng):
+    def test_log_likelihood_nondecreasing(self, rng, monkeypatch):
         X = rng.normal(size=(150, 2))
         z = X @ np.array([1.5, -2.0])
-        y = rng.random(150) < 1.0 / (1.0 + np.exp(-z))
-        model = fit_binary_logistic(X, y)
-        path = np.array(model.log_likelihood_path)
-        # non-decreasing up to the float resolution of the total likelihood
-        slack = 16 * np.finfo(float).eps * (1.0 + np.abs(path).max())
-        assert (np.diff(path) >= -slack).all()
+        y = (rng.random(150) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+        # rows in the fit's canonical order, so the objective sums as the fit does
+        order = np.lexsort([y, X[:, 1], X[:, 0]])
+        X, y = X[order], y[order]
+        n = fit_binary_logistic(X, y).iterations
+        path = []
+        for k in range(n + 1):
+            monkeypatch.setattr(csps.estimation, "MAX_ITER", k)
+            w = fit_binary_logistic(X, y).coefficients
+            path.append(_penalised_ll(_design(X), y, w, np.zeros(3))[0])
+        # non-decreasing up to the fit's step acceptance slack
+        assert n >= 3
+        assert all(b >= a - _acceptance_slack(a) for a, b in zip(path, path[1:]))
 
     def test_separation_detected(self, rng):
         x = np.concatenate([rng.uniform(0.1, 2.0, 40), rng.uniform(-2.0, -0.1, 40)])
@@ -112,38 +129,40 @@ class TestBinaryFit:
     def test_gradient_matches_finite_differences(self):
         # generic point and the fitted optimum, central differences, step 1e-6
         model = fit_binary_logistic(POINTS_X, POINTS_Y)
+        X, pen = _design(POINTS_X[:, None]), np.zeros(2)
         for w in (np.array([0.3, -0.7]), model.coefficients):
-            analytic = bernoulli_gradient(POINTS_X, POINTS_Y, w)
+            z = _penalised_ll(X, POINTS_Y, w, pen)[1]
+            analytic = _penalised_gradient(X, POINTS_Y, w, z, pen)[0]
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = 1e-6
                 fd = (
-                    bernoulli_log_likelihood(POINTS_X, POINTS_Y, w + e)
-                    - bernoulli_log_likelihood(POINTS_X, POINTS_Y, w - e)
+                    _penalised_ll(X, POINTS_Y, w + e, pen)[0]
+                    - _penalised_ll(X, POINTS_Y, w - e, pen)[0]
                 ) / 2e-6
                 assert analytic[j] == pytest.approx(fd, abs=1e-4)
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_public_objective_is_the_fits_own(self, ridge):
-        # POINTS_X ascends, so the fit's canonical row order is the given one
-        # and the public functions sum in the fit's order: equal bit for bit
+    def test_fit_maximises_its_penalised_objective(self, ridge):
+        # every nearby point scores lower on the objective the fit states,
+        # and the reported gradient norm is that objective's at the optimum
         model = fit_binary_logistic(POINTS_X, POINTS_Y, ridge=ridge)
-        w = model.coefficients
-        assert (
-            bernoulli_log_likelihood(POINTS_X, POINTS_Y, w, ridge=ridge)
-            == model.log_likelihood_path[-1]
-        )
-        gradient = bernoulli_gradient(POINTS_X, POINTS_Y, w, ridge=ridge)
-        assert float(np.linalg.norm(gradient)) == model.final_gradient_norm
+        X, pen, w = _design(POINTS_X[:, None]), _penalty(ridge, 2), model.coefficients
+        best, z = _penalised_ll(X, POINTS_Y, w, pen)
+        for step in ([1e-3, 0.0], [0.0, 1e-3], [1e-3, 1e-3], [1e-3, -1e-3]):
+            for sign in (1.0, -1.0):
+                assert _penalised_ll(X, POINTS_Y, w + sign * np.array(step), pen)[0] < best
+        g = _penalised_gradient(X, POINTS_Y, w, z, pen)[0]
+        assert model.final_gradient_norm == math.sqrt(g.dot(g))
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     @pytest.mark.parametrize("tied", [False, True])
-    def test_fit_reports_its_public_kernels(self, rng, ridge, tied):
+    def test_fit_reports_its_kernels(self, rng, ridge, tied):
         # the fit computes each accepted point's gradient from the product
         # X @ w of its log-likelihood; on rows already in the fit's canonical
-        # order the fit keeps them as they stand, and the public kernels must
-        # give its last objective and gradient norm bit for bit, whether the
-        # first feature ascends strictly (no ties) or only the rows do (ties)
+        # order the fit keeps them as they stand, and the kernels must give
+        # its gradient norm bit for bit, whether the first feature ascends
+        # strictly (no ties) or only the rows do (ties)
         X = rng.normal(size=(300, 3))
         if tied:
             X[:, 0] = rng.integers(-2, 3, 300)
@@ -152,19 +171,15 @@ class TestBinaryFit:
         X, y = X[order], y[order]
         model = fit_binary_logistic(X, y, ridge=ridge)
         assert model.converged and model.iterations >= 3
-        w = model.coefficients
-        assert model.log_likelihood_path[-1] == bernoulli_log_likelihood(X, y, w, ridge)
-        g = bernoulli_gradient(X, y, w, ridge)
+        design, pen = _design(X), _penalty(ridge, 4)
+        z = _penalised_ll(design, y, model.coefficients, pen)[1]
+        g = _penalised_gradient(design, y, model.coefficients, z, pen)[0]
         assert model.final_gradient_norm == math.sqrt(g.dot(g))
 
     @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf, -1e-3])
     def test_ridge_must_be_finite_and_nonnegative(self, ridge):
         with pytest.raises(ValueError, match="ridge must be finite and nonnegative"):
             fit_binary_logistic(POINTS_X, POINTS_Y, ridge=ridge)
-        with pytest.raises(ValueError, match="ridge"):
-            bernoulli_log_likelihood(POINTS_X, POINTS_Y, [0.0, 0.0], ridge=ridge)
-        with pytest.raises(ValueError, match="ridge"):
-            bernoulli_gradient(POINTS_X, POINTS_Y, [0.0, 0.0], ridge=ridge)
         with pytest.raises(ValueError, match="ridge"):
             model_csps(points_dataset(), Contrast((1, -1)), ridge=ridge)
 
@@ -185,43 +200,15 @@ class TestBinaryFit:
             with pytest.raises(MissingValue, match="NaN or infinite"):
                 fit_binary_logistic(X, [0, 1, 0, 1, 1, 0], ridge=0.5)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
-    def test_public_kernels_refuse_non_finite_values(self, objective, bad):
-        # as the fit does, without a numpy warning or a NaN result: in a
-        # feature, and in a coefficient
-        X = np.column_stack([POINTS_X, POINTS_X ** 2])
-        bad_feature = X.copy()
-        bad_feature[3, 1] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(MissingValue, match="NaN or infinite"):
-                objective(bad_feature, POINTS_Y, [0.1, 0.2, 0.0])
-            with pytest.raises(MissingValue, match="NaN or infinite"):
-                objective(X, POINTS_Y, [0.1, bad, 0.0])
-            with pytest.raises(MissingValue, match="NaN or infinite"):
-                objective(POINTS_X, POINTS_Y, [bad, 0.0])
-
     @pytest.mark.parametrize("labels", [[0, 7], [0.0, 0.5], [0.0, np.nan], [-1, 1]])
-    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
-    def test_public_kernels_refuse_labels_that_are_not_binary(self, objective, labels):
-        with pytest.raises(ValueError, match="labels must be boolean or 0/1"):
-            objective([[0.0], [1.0]], labels, [0.0, 0.0])
+    def test_fit_refuses_labels_that_are_not_binary(self, labels):
         with pytest.raises(ValueError, match="labels must be boolean or 0/1"):
             fit_binary_logistic([[0.0], [1.0], [2.0]], [*labels, 1])
 
-    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
-    def test_public_kernels_take_bool_labels(self, objective):
-        as_floats = objective(POINTS_X, POINTS_Y, [0.3, -0.7])
-        assert np.array_equal(objective(POINTS_X, POINTS_Y == 1, [0.3, -0.7]), as_floats)
-
-    @pytest.mark.parametrize("objective", [bernoulli_log_likelihood, bernoulli_gradient])
-    def test_public_kernels_beyond_float64_fail_typed(self, objective):
-        # finite inputs whose X @ w overflows: typed, as in the fit, not NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SingularHessian, match="beyond float64"):
-                objective([[1e308], [-1e308]], [0, 1], [0.0, 10.0])
+    def test_fit_takes_bool_labels(self):
+        as_floats = fit_binary_logistic(POINTS_X, POINTS_Y).coefficients
+        as_bools = fit_binary_logistic(POINTS_X, POINTS_Y == 1).coefficients
+        assert as_bools.tobytes() == as_floats.tobytes()
 
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(120, 2))
@@ -309,8 +296,6 @@ class TestPredictBinary:
         model = fit_binary_logistic(POINTS_X, POINTS_Y)
         assert model.iterations == 0 and not model.converged
         assert model.coefficients.tolist() == [0.0, 0.0]
-        # every unit predicted at 1/2
-        assert model.log_likelihood_path == pytest.approx((8 * math.log(0.5),))
         with pytest.raises(NotConverged):
             model_csps(points_dataset(), Contrast((1, -1)))
 
@@ -331,10 +316,7 @@ class TestPredictBinary:
 class TestEmpiricalScores:
     def test_worked_example_first_contrast(self, example):
         scores = empirical_csps(example, FIRST_CONTRAST)
-        per_cell = {
-            key: scores.values[idx[0]] for key, idx in build_cell_index(example)
-        }
-        assert per_cell == {
+        assert per_cell(example, scores) == {
             (1.0, 1.0, 1.0): Fraction(1, 3),
             (1.0, 0.0, 1.0): Fraction(2, 3),
             (0.0, 1.0, 1.0): Fraction(5, 6),
@@ -345,10 +327,7 @@ class TestEmpiricalScores:
 
     def test_worked_example_second_contrast(self, example):
         scores = empirical_csps(example, SECOND_CONTRAST)
-        per_cell = {
-            key: scores.values[idx[0]] for key, idx in build_cell_index(example)
-        }
-        assert per_cell == {
+        assert per_cell(example, scores) == {
             (1.0, 1.0, 1.0): Fraction(1, 2),
             (1.0, 0.0, 1.0): Fraction(3, 4),
             (0.0, 1.0, 1.0): Fraction(2, 5),
@@ -386,7 +365,7 @@ class TestModelScores:
         index = build_cell_index(example)
         dummies = np.zeros((example.n_units, index.num_cells - 1))
         for c in range(1, index.num_cells):
-            dummies[index.groups[c], c - 1] = 1.0
+            dummies[index.cell_of_unit == c, c - 1] = 1.0
         saturated = Dataset(dummies, example.treatments, num_treatments=3)
         for contrast in (FIRST_CONTRAST, SECOND_CONTRAST):
             fitted = model_csps(saturated, contrast)
@@ -432,61 +411,42 @@ class TestModelScores:
 
 
 class TestScoreFromProbabilities:
-    def test_first_treatment_probability(self):
-        c = Contrast((1, "-1/2", "-1/2"))
-        assert csps_from_treatment_probs((0.2, 0.3, 0.5), c) == pytest.approx(0.2)
-        assert csps_from_treatment_probs(("1/5", "3/10", "1/2"), c) == Fraction(1, 5)
+    @pytest.mark.parametrize("coefficients, score", [
+        ((1, "-1/2", "-1/2"), Fraction(1, 5)),
+        ((1, -1, 0), Fraction(2, 5)),
+        ((0, 1, -1), Fraction(3, 8)),
+        (("1/2", "1/2", -1), Fraction(1, 2)),
+        ((-1, 1, 0), Fraction(3, 5)),
+        ((1, 0, -1), Fraction(2, 7)),
+    ], ids=["first treatment", "restrict and renormalise", "last two", "pooled pair",
+            "reversed", "skip the middle"])
+    def test_score_is_the_mass_on_the_positive_group(self, coefficients, score):
+        # one cell holding treatments 1, 2, 3 in the ratio 2 : 3 : 5; units
+        # of a zero-coefficient treatment count in neither group
+        d = Dataset([[0.0]] * 10, [1, 1, 2, 2, 2, 3, 3, 3, 3, 3], num_treatments=3)
+        scores = empirical_csps(d, Contrast(coefficients))
+        assert set(scores.values) == {score}
 
-    def test_restrict_and_renormalise(self):
-        c = Contrast((1, -1, 0))
-        assert csps_from_treatment_probs((0.2, 0.3, 0.5), c) == pytest.approx(0.4)
+    def test_opposite_contrasts_give_complementary_scores(self, example):
+        # negating a contrast swaps its groups: the scores sum to 1 exactly
+        for contrast in (FIRST_CONTRAST, SECOND_CONTRAST, Contrast((0, 1, -1))):
+            flipped = Contrast([-v for v in contrast.coefficients])
+            here = empirical_csps(example, contrast).values
+            there = empirical_csps(example, flipped).values
+            assert all(a + b == 1 for a, b in zip(here, there))
 
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            csps_from_treatment_probs((0, 0, 1), Contrast((1, -1, 0)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            csps_from_treatment_probs((0.5, 0.5), Contrast((1, -1, 0)))
-
-    @pytest.mark.parametrize("probs", [
-        (np.nan, 1), (1, np.nan), (np.nan, np.nan), (np.inf, 1), (np.inf, -np.inf, 1),
-    ])
-    def test_non_finite_probability_raises(self, probs):
-        # a NaN passed the sign and the sum checks, and the score was NaN
-        contrast = Contrast((1, -1)) if len(probs) == 2 else Contrast((1, -1, 0))
-        with pytest.raises(ValueError, match="probabilities must be finite and nonnegative"):
-            csps_from_treatment_probs(probs, contrast)
-
-    @pytest.mark.parametrize("probs", [
-        (0.2, 0.8, -1e-12), (0.2, 0.8, -5e-324), ("1/5", "4/5", Fraction(-1, 10**13)), (1.2, -0.2, 0),
-    ], ids=["-1e-12", "least subnormal", "exact", "-0.2"])
-    def test_negative_probability_raises(self, probs):
-        # a probability down to -1e-12 passed, and (0.2, 0.8, -1e-12) scored
-        # 1.00000000000125 on (0, 1, -1)
-        with pytest.raises(ValueError, match="probabilities must be finite and nonnegative"):
-            csps_from_treatment_probs(probs, Contrast((0, 1, -1)))
-
-    def test_negative_zero_is_a_zero_probability(self):
-        assert csps_from_treatment_probs((0.2, 0.8, -0.0), Contrast((0, 1, -1))) == 1.0
-
-    @pytest.mark.parametrize("probs, text", [
-        (0.5, "a sequence of numbers, got 0.5"),
-        (np.float64(0.5), "a sequence of numbers"),
-        ([[0.2, 0.3, 0.5]], "numbers, got"),
-        (np.array([[0.2, 0.3, 0.5]]), "numbers, got"),
-        ([0.2, 0.3, None], "numbers, got None"),
-        ([0.2, 0.3, [0.5]], "numbers, got"),
-    ], ids=["float", "numpy float", "nested list", "2-D array", "None entry", "list entry"])
-    def test_probabilities_that_are_not_numbers_raise(self, probs, text):
-        # each used to fail with a bare TypeError, which the command line
-        # did not take for an input error
-        with pytest.raises(ValueError, match="probabilities must be " + text):
-            csps_from_treatment_probs(probs, Contrast((1, -1, 0)))
+    @pytest.mark.parametrize("estimator", [empirical_csps, model_csps])
+    def test_scores_do_not_depend_on_the_contrast_scale(self, example, estimator):
+        # a score is that of the contrast's bifurcation, so a positive
+        # multiple of the contrast gives the same scores, bit for bit
+        for contrast in (FIRST_CONTRAST, SECOND_CONTRAST):
+            scaled = Contrast([7 * v for v in contrast.coefficients])
+            assert estimator(example, scaled).values == estimator(example, contrast).values
 
     def test_agrees_with_empirical_scores_in_expectation(self):
         # three covariate cells with fixed assignment probabilities; sampled
-        # cell frequencies must approach the formula value
+        # cell frequencies must approach the true score, the mass on the
+        # positive group over the mass on both groups
         rng = np.random.default_rng(99)
         cell_probs = {
             (0.0, 0.0): (0.2, 0.3, 0.5),
@@ -501,11 +461,9 @@ class TestScoreFromProbabilities:
             labels += list(rng.choice([1, 2, 3], size=n_per_cell, p=probs))
         dataset = Dataset(rows, labels, num_treatments=3)
         scores = empirical_csps(dataset, contrast)
-        index = build_cell_index(dataset)
-        for key, idx in index:
-            want = csps_from_treatment_probs(cell_probs[key], contrast)
-            got = float(scores.values[idx[0]])
-            assert got == pytest.approx(want, abs=0.01)
+        for key, got in per_cell(dataset, scores).items():
+            p1, p2, _ = cell_probs[key]
+            assert float(got) == pytest.approx(p1 / (p1 + p2), abs=0.01)
 
 
 class TestScoreVector:
