@@ -885,6 +885,11 @@ def _balancing_design(
 ) -> _BalancingDesign:
     """Fit the J balancing scores once and build the chained design from them.
 
+    One score is fitted per bifurcation: a repeated, rescaled or negated
+    contrast has the score s or 1 - s of an earlier one, so only the first
+    contrast of each sign pattern, up to a sign flip, is kept, in its own
+    orientation, and the design's texts name it.
+
     The empirical design reads the units twice: once to count them by
     (cell, treatment), through a key per unit that is dropped once they are
     counted, and once to gather each unit's chained cell.  The scores and
@@ -899,6 +904,12 @@ def _balancing_design(
         raise ValueError(f"unknown estimator {estimator!r}")
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
+    kept = {}  # by sign pattern, one byte a treatment
+    for contrast in balancing:
+        signs = contrast._signs.astype(np.int8)
+        if (-signs).tobytes() not in kept:
+            kept.setdefault(signs.tobytes(), contrast)
+    balancing = tuple(kept.values())
 
     if estimator == "logistic":
         features = np.column_stack(

@@ -200,8 +200,7 @@ def cmd_balance(args) -> int:
     if args.per_unit:
         _in_a_directory(args.per_unit, "--per-unit")
         _refuse_repeats(
-            [*dataset.covariate_names, dataset.treatment_name,
-             *(name for t in targets for name in _per_unit_names(t))],
+            [*dataset.covariate_names, *(name for t in targets for name in _per_unit_names(t))],
             f"{args.data}: --per-unit would write two columns named",
         )
     _refuse_clobbers(
@@ -244,10 +243,11 @@ def _per_unit_names(target) -> tuple[str, str, str]:
 def _write_per_unit_csv(dataset, report, path) -> None:
     """Mirror the dataset plus indicator, score and subclass columns per target.
 
-    The scores and subclasses are those the report kept; the indicators come
-    from each target and the treatments.  A unit in neither group of a target
-    has no subclass, and one with an undefined score no score: those fields
-    are left blank.
+    The treatments are the column ``w``, whatever the input named it.  The
+    scores and subclasses are those the report kept; the indicators come from
+    each target and the treatments.  A unit in neither group of a target has
+    no subclass, and one with an undefined score no score: those fields are
+    left blank.
     """
     extras: dict[str, np.ndarray] = {}
     for entry in report.entries:

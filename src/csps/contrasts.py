@@ -15,6 +15,7 @@ double precision with a 1e-12 zero-sum tolerance.
 
 from __future__ import annotations
 
+import re
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,23 +48,29 @@ __all__ = [
 ZERO_SUM_TOL = 1e-12
 
 
+# an ASCII p/q rational (q not 0) or decimal: what Fraction reads, less its
+# digit separators and non-ASCII digits.  No two parts can match the same
+# digits, so a long token is matched in linear time.
+_NUMBER = re.compile(
+    r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+)
+
+
 def _coerce(value):
     """Normalise one coefficient: exact kinds to Fraction, floats stay float.
 
-    A string that is not a number is a ParseError, and an object of any
-    other kind a NotAContrast.
+    A string that is not an ASCII decimal or ``p/q`` rational (``1_0`` and
+    ``١`` are not) is a ParseError, and a bool or an object of any other
+    kind a NotAContrast.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return Fraction(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse coefficient {value!r}") from exc
+        if not _NUMBER.fullmatch(value.strip()):
+            raise ParseError(f"cannot parse coefficient {value!r}")
+        return Fraction(value.strip())
     if isinstance(value, (float, np.floating)):
         return float(value)
     raise NotAContrast(f"coefficients must be numbers, got {reprlib.repr(value)}")
@@ -98,8 +105,8 @@ class Contrast:
     coefficients:
         One entry per treatment.  Ints, Fractions and strings are exact;
         floats put the contrast in double-precision mode.  Anything that is
-        not a sequence of these is a NotAContrast (a string that is not a
-        number, a ParseError).
+        not a sequence of these (a bool, say) is a NotAContrast (a string
+        that is not an ASCII decimal or ``p/q`` rational, a ParseError).
     label:
         Optional short name used in reports.
 
@@ -231,10 +238,11 @@ def sgn_bifurcate(contrast: Contrast) -> Bifurcation:
 def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
     """Group indicator of each unit: the sign of its treatment's coefficient.
 
-    Labels in 1..T follow the label rule of :class:`~csps.data.Dataset`,
-    else OutOfRangeTreatment."""
+    Labels in 1..T follow the label rule of :class:`~csps.data.Dataset`
+    and form a vector, else OutOfRangeTreatment."""
     T = contrast.num_treatments
     w = _whole_labels(treatments, 1, T, OutOfRangeTreatment, "treatment label")
+    _check_shape(w, (None,), OutOfRangeTreatment, "treatment labels must be a vector")
     # label t reads entry t, so no shifted copy of the labels is made
     return contrast._signs[w]
 

@@ -34,6 +34,7 @@ class Dataset:
     ``num_treatments`` is whole and in [1, 2**63), else ValueError.
     Covariates must be finite; missing data is rejected at ingestion.
     A label in 1..T that never occurs is recorded as a warning, not an error.
+    In a CSV file the treatments are the column ``w`` (see :func:`load_dataset`).
     """
 
     def __init__(
@@ -42,7 +43,6 @@ class Dataset:
         treatments,
         num_treatments: int | None = None,
         covariate_names: Iterable[str] | None = None,
-        treatment_name: str = "w",
     ):
         X = np.array(covariates, dtype=float)
         if X.ndim != 2:
@@ -74,7 +74,6 @@ class Dataset:
         self.treatments = w
         self.num_treatments = num_treatments
         self.covariate_names = covariate_names
-        self.treatment_name = treatment_name
         # labels lie in 1..T, so the count and the first few absent labels
         # take time bounded by N, not by T
         present = np.unique(w)
@@ -387,9 +386,9 @@ def load_dataset(path) -> Dataset:
     """Read a dataset from CSV.
 
     The header names the columns, and no two names (stripped of surrounding
-    whitespace) may be the same.  The treatment column is ``"w"`` when
-    present, otherwise the last column; every other column is a covariate.
-    T is the largest label.
+    whitespace) may be the same.  The treatment column is ``"w"``, the name
+    :func:`write_dataset_csv` gives it, when present, otherwise the last
+    column; every other column is a covariate.  T is the largest label.
 
     Every row must have one field per header column.  Covariates are
     decimals as Python's ``float`` reads them and treatments integers as
@@ -432,7 +431,7 @@ def load_dataset(path) -> Dataset:
 
     X, w = parsed
     names = [header[j] for j in cov_idx]
-    return Dataset(X, w, covariate_names=names, treatment_name=header[trt_idx])
+    return Dataset(X, w, covariate_names=names)
 
 
 def write_dataset_csv(
@@ -440,7 +439,7 @@ def write_dataset_csv(
     path,
     extra_columns: Mapping[str, np.ndarray] | None = None,
 ) -> None:
-    """Write the dataset (plus optional appended columns) as CSV.
+    """Write the dataset as CSV, its treatments as the column ``w``, then any extras.
 
     Covariates and float extras are written exactly as ``'%.17g' % v``
     writes them (17 significant digits, which round-trip float64), and the
@@ -448,16 +447,19 @@ def write_dataset_csv(
     an integer, unsigned or float array with one entry per unit, or a
     masked array of one (masked entries become empty fields); anything else
     is a ``ValueError``, raised before the file is opened.  So is a column
-    name that, stripped of surrounding whitespace, names another column,
-    which :func:`load_dataset` would refuse.
+    name with surrounding whitespace, which :func:`load_dataset` strips, or
+    one that, stripped, names another column, which it would refuse.
     """
     from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
 
     extras = dict(extra_columns or {})
-    header = list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
-    name, count = Counter(str(h).strip() for h in header).most_common(1)[0]
+    header = [str(h) for h in (*dataset.covariate_names, "w", *extras)]
+    name, count = Counter(h.strip() for h in header).most_common(1)[0]
     if count > 1:
         raise ValueError(f"column {name!r} would be named {count} times")
+    padded = next((h for h in header if h != h.strip()), None)
+    if padded is not None:
+        raise ValueError(f"column {padded!r} would be read back as {padded.strip()!r}")
     write_csv_columns(
         path,
         header,

@@ -13,6 +13,7 @@ from csps.contrasts import assignment_indicators, read_contrast_file
 from csps.data import Dataset, load_dataset, write_dataset_csv
 from csps.estimation import empirical_csps, model_csps
 from csps.example_data import worked_example_dataset
+from csps.simulation import mechanism_ii, sample_dataset
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -115,6 +116,19 @@ def test_readme_option_table_matches_the_parser():
                 action = actions[option]
                 value = (action.type or str)(literal[1] or literal[2])
                 assert value == action.default, (name, option, written)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # README's "Library quick start" block, on a sample of mechanism II, so
+    # the block cannot name what the package does not export
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library quick start\n\n```python\n")[1].split("```\n")[0]
+    dataset = sample_dataset(mechanism_ii(), 0)
+    namespace = {"covariate_rows": dataset.covariates, "treatment_labels": dataset.treatments}
+    exec(block, namespace)
+    report = namespace["report"]
+    assert report.error is None
+    assert capsys.readouterr().out == f"{report.before} {report.after}\n"
 
 
 @pytest.mark.parametrize(
@@ -473,12 +487,12 @@ class TestBalance:
         scored = [r for r in rows if r["d[second-vs-third]"] != "0"]
         assert {r["subclass[second-vs-third]"] for r in scored} == {"1", "2", "3", "4"}
 
-    @pytest.mark.parametrize("column, name", [(0, "d[1-vs-2]"), (3, "subclass[1-vs-2]")])
+    @pytest.mark.parametrize("column, name", [(0, "d[1-vs-2]"), (2, "subclass[1-vs-2]")])
     def test_per_unit_column_clash_is_an_input_error(
         self, example_csv, tmp_path, capsys, column, name
     ):
-        # a dataset column named like a --per-unit column would be written
-        # twice, and the file could not be read back
+        # a covariate named like a --per-unit column would be written twice,
+        # and the file could not be read back
         lines = example_csv.read_text().splitlines(keepends=True)
         header = lines[0].rstrip("\r\n").split(",")
         header[column] = name
@@ -498,6 +512,25 @@ class TestBalance:
         assert not out.exists() and not per_unit.exists()
         # without --per-unit the same names are no clash
         assert main(argv) == 0
+
+    def test_treatment_column_named_like_a_per_unit_column_is_served(
+        self, example_csv, tmp_path
+    ):
+        # the last column is the treatment whatever its name, and the
+        # per-unit file calls it w, so it reads back with the same treatments
+        lines = example_csv.read_text().splitlines(keepends=True)
+        data = tmp_path / "units.csv"
+        data.write_text("x1,x2,x3,subclass[1-vs-2]\n" + "".join(lines[1:]))
+        contrasts = tmp_path / "c.txt"
+        contrasts.write_text("1 -1 0  # 1-vs-2\n")
+        per_unit = tmp_path / "p.csv"
+        assert main(["balance", "--data", str(data), "--contrasts", str(contrasts),
+                     "--estimator", "empirical", "--format", "text",
+                     "--per-unit", str(per_unit)]) == 0
+        header = per_unit.read_text().splitlines()[0]
+        assert header == "x1,x2,x3,w,d[1-vs-2],score[1-vs-2],subclass[1-vs-2]"
+        rows = read_rows(per_unit)
+        assert [int(r["w"]) for r in rows] == load_dataset(data).treatments.tolist()
 
     @pytest.mark.parametrize(
         "balancing, targets, width",

@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -92,6 +93,12 @@ class TestValidateContrast:
         # did not take for an input error
         with pytest.raises(NotAContrast, match=text):
             Contrast(coefficients)
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy bool"])
+    def test_bool_coefficient_rejected(self, flag):
+        # (True, -1) used to read as (1, -1); the label rule refuses bools too
+        with pytest.raises(NotAContrast, match="coefficients must be numbers, got"):
+            Contrast((flag, -1))
 
     @pytest.mark.parametrize("coefficients", [
         (np.nan, -np.nan), (np.inf, -np.inf), (1, np.nan, -1),
@@ -209,6 +216,13 @@ class TestAssignmentIndicator:
     def test_unsigned_labels_beyond_int64_raise(self):
         with pytest.raises(OutOfRangeTreatment, match="int64"):
             assignment_indicators(Contrast((1, -1)), np.array([1, 2 ** 63], dtype=np.uint64))
+
+    @pytest.mark.parametrize("labels", [np.array([[1, 2]]), 2, np.array(2)],
+                             ids=["2-D", "bare label", "0-d array"])
+    def test_labels_that_are_not_a_vector_raise(self, labels):
+        # a 2-D array gave 2-D indicators and a bare label a numpy scalar
+        with pytest.raises(OutOfRangeTreatment, match="treatment labels must be a vector"):
+            assignment_indicators(Contrast((1, -1)), labels)
 
     def test_no_units_give_no_indicators(self):
         for labels in ([], np.empty(0), np.empty(0, dtype=np.int64)):
@@ -369,7 +383,17 @@ class TestContrastFiles:
     @pytest.mark.parametrize("text, token", [
         ("1/0 -1", "1/0"), ("nan -nan", "nan"), ("inf -inf", "inf"), ("1,-1", "1,-1"),
         ("0x1 -1", "0x1"), ("1 - 1", "-"), ("\u00bd -\u00bd", "\u00bd"),
-    ], ids=["zero denominator", "NaN", "infinity", "comma", "hex", "bare sign", "vulgar fraction"])
+        ("1_0 -10", "1_0"), ("\u0661 -1", "\u0661"),
+    ], ids=["zero denominator", "NaN", "infinity", "comma", "hex", "bare sign", "vulgar fraction",
+            "digit separator", "non-ASCII digit"])
     def test_parse_contrast_refuses_tokens_that_are_not_numbers(self, text, token):
         with pytest.raises(ParseError, match=f"cannot parse coefficient '{token}'"):
             parse_contrast(text)
+
+    def test_long_token_is_refused_in_linear_time(self):
+        # a pattern whose digit runs could split two ways takes quadratic
+        # time on a long run before a bad byte: seconds at 20,000 digits
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_contrast("1" * 20000 + "x -1")
+        assert time.perf_counter() - start < 1.0

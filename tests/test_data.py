@@ -70,8 +70,13 @@ class TestLoadDataset:
         path.write_text("age,height,arm\n30,1.8,2\n40,1.7,1\n")
         d = load_dataset(path)
         assert d.covariate_names == ("age", "height")
-        assert d.treatment_name == "arm"
         assert d.treatments.tolist() == [2, 1]
+        # written back, the treatments are the column w, wherever extras follow
+        write_dataset_csv(d, path, {"arm": np.array([0.5, 1.5])})
+        assert path.read_text().splitlines()[0] == "age,height,w,arm"
+        again = load_dataset(path)
+        assert again.covariate_names == ("age", "height", "arm")
+        assert again.treatments.tolist() == [2, 1]
 
 
 class TestRoundTrip:

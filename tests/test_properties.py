@@ -794,6 +794,14 @@ def test_pass_per_unit_outputs_equal_the_unit_chain(case, method, S, padded):
             assert per_unit_outputs(entry.assignment) == want
 
 
+def one_per_bifurcation(contrasts):
+    """The first contrast of each sign pattern, up to a sign flip, in order."""
+    kept = {}
+    for c in contrasts:
+        kept.setdefault(frozenset((c.sign(), tuple(-s for s in c.sign()))), c)
+    return list(kept.values())
+
+
 def labelled(contrasts, sign=1):
     """The contrasts, times ``sign``, labelled by place, so that an error
     naming one reads the same whatever its coefficients."""
@@ -874,6 +882,38 @@ def unit_table_cases(draw):
     return X, w, T, balancing_set, targets
 
 
+@pytest.mark.parametrize("estimator", ["empirical", "logistic"])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(cell_table_cases(), unit_table_cases()), st.sampled_from(("exact", "quantile")),
+    st.integers(1, 10), st.sampled_from((0.0, 0.5)),
+    st.sampled_from((1, 2, Fraction(1, 3), -1, -2)), st.data(),
+)
+def test_repeated_balancing_bifurcations_leave_every_entry(
+    estimator, case, method, S, ridge, factor, data
+):
+    # a balancing contrast repeated, rescaled or negated has the score s or
+    # 1 - s of the one it copies, so one score is fitted per bifurcation:
+    # appending the copy changes no entry, error texts and score bytes included
+    X, w, T, balancing_set, targets = case
+    balancing_set = labelled(balancing_set)
+    copied = data.draw(st.sampled_from(balancing_set))
+    copy = Contrast(tuple(factor * v for v in copied.coefficients), label="copy")
+    config = AlgorithmConfig(
+        estimator=estimator, subclass_method=method, num_subclasses=S, ridge=ridge
+    )
+    dataset = table_dataset(X, w, T)
+
+    def outcomes(balancing_set):
+        report = run_algorithm(dataset, balancing_set, targets, config)
+        return [(pipeline_outcome(e), e.error or score_bytes(e.scores)) for e in report]
+
+    want = outcomes(balancing_set)
+    assert outcomes(balancing_set + [copy]) == want
+    fitted = any(not isinstance(scores, str) for _, scores in want)
+    event("an entry subclassified" if fitted else "all failed")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     unit_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 70),
@@ -901,9 +941,10 @@ def test_unit_table_pass_equals_unit_chain(case, method, S, ridge, random):
             event(type(exc).__name__)
             continue
         event("subclassified")
-        # the chained score per unit: a logistic fit on the balancing scores
+        # the chained score per unit: a logistic fit on the balancing scores,
+        # one per bifurcation
         features = np.column_stack([
-            model_csps(fresh, c, ridge).as_floats() for c in balancing_set
+            model_csps(fresh, c, ridge).as_floats() for c in one_per_bifurcation(balancing_set)
         ])
         by_unit = model_csps(table_dataset(features, w, T), entry.contrast, ridge)
         floats = entry.scores.as_floats()
@@ -1635,9 +1676,7 @@ def reference_load_dataset(path):
 
     if not X_rows:
         raise EmptyFile(f"{path}: no data rows")
-    return Dataset(
-        X_rows, w_rows, covariate_names=covariate_columns, treatment_name=treatment_column
-    )
+    return Dataset(X_rows, w_rows, covariate_names=covariate_columns)
 
 
 def reference_csv_field(value) -> str:
@@ -1655,9 +1694,7 @@ def reference_write_dataset_csv(dataset, path, extra_columns=None) -> None:
         extras[name] = col if isinstance(col, (list, tuple)) else list(col)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            list(dataset.covariate_names) + [dataset.treatment_name] + list(extras)
-        )
+        writer.writerow(list(dataset.covariate_names) + ["w"] + list(extras))
         for i in range(dataset.n_units):
             writer.writerow(
                 [format(float(v), ".17g") for v in dataset.covariates[i]]
@@ -1737,7 +1774,7 @@ def load_outcome(load, path):
             outcome = (
                 "loaded", d.covariates.shape, d.covariates.tobytes(),
                 d.treatments.dtype, d.treatments.tobytes(),
-                d.covariate_names, d.treatment_name, d.num_treatments,
+                d.covariate_names, d.num_treatments,
             )
     return outcome, [(w.category, str(w.message)) for w in caught]
 
@@ -1922,6 +1959,142 @@ def test_write_dataset_csv_equals_field_writer(case):
         reference_write_dataset_csv(dataset, want, reference)
         with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
             assert fh_got.read() == fh_want.read()
+
+
+# Column names a CSV must carry through: commas, quotes, line breaks, blanks,
+# and, unless a letter and a number enclose the pieces, surrounding
+# whitespace and names that repeat or clash with the treatments' column w.
+NAME_PIECES = st.lists(
+    st.sampled_from(("x", "a", ",", '"', "\n", "\r", " ", "w", "d[b]", "")), max_size=3
+).map("".join)
+COLUMN_NAMES = st.one_of(NAME_PIECES, st.builds("a{}{}".format, NAME_PIECES, st.integers(0, 99)))
+
+
+@st.composite
+def round_trip_cases(draw):
+    """A Dataset of 1-8 units and 1-3 covariates, and 0-3 extra columns, all
+    named by COLUMN_NAMES; the covariates hold -0.0 and edge floats, and the
+    extras are int, uint or float arrays, some of them masked."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.array(draw(st.lists(st.one_of(FLOATS, st.sampled_from(EDGE_FLOATS)),
+                                  min_size=1, max_size=6)))
+    k = draw(st.integers(1, 3))
+    names = draw(st.lists(COLUMN_NAMES, min_size=k, max_size=k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # absent treatments only warn
+        dataset = Dataset(pool[rng.integers(0, len(pool), (n, k))], rng.integers(1, 4, n),
+                          covariate_names=names)
+    kinds = {
+        "int64": np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7]),
+        "int8": np.array([-128, 127, 0], dtype=np.int8),
+        "uint64": np.array([2 ** 64 - 1, 2 ** 63, 0], dtype=np.uint64),
+        "float64": pool,
+        "float32": np.array([0.1, -0.0, 3e38], dtype=np.float32),
+    }
+    extras = {}
+    for name in draw(st.lists(COLUMN_NAMES, max_size=3)):
+        values = kinds[draw(st.sampled_from(sorted(kinds)))]
+        column = values[rng.integers(0, len(values), n)]
+        if draw(st.booleans()):
+            column = np.ma.masked_array(column, mask=rng.random(n) < 0.3)
+        extras[name] = column
+    return dataset, extras
+
+
+def assert_reads_back(dataset, extras, path):
+    """``load_dataset`` reads ``path`` back to ``dataset``'s treatments, and
+    to its covariates and ``extras`` as covariates, names and float64 bytes;
+    it may refuse a file with a masked entry, and then only as MissingValue."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # absent treatments only warn
+            loaded = data.load_dataset(path)
+    except MissingValue:
+        assert any(np.ma.is_masked(column) for column in extras.values())
+        event("masked entry refused")
+        return
+    assert loaded.treatments.tolist() == dataset.treatments.tolist()
+    assert loaded.covariate_names == dataset.covariate_names + tuple(extras)
+    columns = [dataset.covariates] + [np.ma.getdata(c).astype(np.float64) for c in extras.values()]
+    assert loaded.covariates.tobytes() == np.column_stack(columns).tobytes()
+    event("read back")
+
+
+@settings(max_examples=200)
+@given(round_trip_cases())
+@example((Dataset([[0.5], [1.5], [2.5]], [1, 2, 3], covariate_names=["x1\n"]),
+          {"score": np.array([0.25, 0.5, 0.75])}))  # read back as "x1"
+def test_written_datasets_read_back(case):
+    # a file the writer writes reads back to the same treatments, names and
+    # float64 bytes, or the writer refuses it before it opens the file
+    dataset, extras = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "units.csv")
+        try:
+            write_dataset_csv(dataset, path, extras)
+        except ValueError:
+            assert not os.path.exists(path)
+            event("refused")
+            return
+        assert_reads_back(dataset, extras, path)
+
+
+@st.composite
+def treatment_last_files(draw):
+    """The text of a CSV of 6-40 units whose last column, not named w,
+    holds treatments 1..3, and those treatments."""
+    n = draw(st.integers(6, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 3))
+    names = draw(st.lists(st.sampled_from(("x1", "x2", "a,b", 'q"', "", "d[b]")),
+                          min_size=k, max_size=k, unique=True))
+    names.append(draw(st.sampled_from(("t", "arm", "", "subclass[b]", "score[b]", "x1"))))
+    X = rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        X = np.round(X)  # few cells, and ties in the scores
+    w = rng.integers(1, 4, n)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(names)
+    writer.writerows([*map(repr, row), int(t)] for row, t in zip(X.tolist(), w))
+    return text.getvalue(), w
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    treatment_last_files(),
+    st.lists(st.sampled_from(("1 1 -2  # b", "1 -1 0  # c", "0 1 -1")), min_size=1,
+             unique=True),
+    st.sampled_from(("empirical", "logistic")), st.sampled_from(("exact", "quantile")),
+)
+@example(("x1,x2,t\n" + "".join(f"{i % 5 / 4},{i % 3 / 2},{i % 3 + 1}\n" for i in range(30)),
+          np.arange(30) % 3 + 1), ["1 1 -2  # b"], "logistic", "quantile")
+def test_per_unit_files_read_back(case, targets, estimator, method):
+    # whatever the input calls its treatments, a --per-unit file reads back
+    # to the same treatments, or the command refuses before writing it
+    text, w = case
+    with tempfile.TemporaryDirectory() as tmp:
+        units, contrasts, per_unit = (os.path.join(tmp, f) for f in ("u.csv", "c.txt", "p.csv"))
+        with open(units, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(contrasts, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(targets) + "\n")
+        argv = ["balance", "--data", units, "--contrasts", contrasts, "--estimator", estimator,
+                "--method", method, "--format", "text", "--per-unit", per_unit]
+        with mock.patch.object(cli, "write_dataset_csv", wraps=data.write_dataset_csv) as write, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # absent treatments only warn
+            code = cli.main(argv)
+        event(f"exit {code}")
+        if code == 2:  # a name used twice, in the input or in the per-unit file
+            assert not os.path.exists(per_unit)
+            return
+        assert code in (0, 3)
+        (dataset, _, extras), _ = write.call_args
+        assert dataset.treatments.tolist() == w.tolist()
+        assert_reads_back(dataset, extras, per_unit)
 
 
 # ---------------------------------------------------------------------------
