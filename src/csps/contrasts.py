@@ -52,24 +52,58 @@ ZERO_SUM_TOL = 1e-12
 # digit separators and non-ASCII digits.  No two parts can match the same
 # digits, so a long token is matched in linear time.
 _NUMBER = re.compile(
-    r"[-+]?(?:[0-9]+/0*[1-9][0-9]*|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+    r"[-+]?(?:(?P<p>[0-9]+)/(?P<q>0*[1-9][0-9]*)"
+    r"|(?:(?P<whole>[0-9]+)(?:\.(?P<part>[0-9]*))?|\.(?P<tail>[0-9]+))"
+    r"(?:[eE](?P<exp>[-+]?[0-9]+))?)"
 )
+# Python's default limit on the digits of an int read from or written as
+# text: a coefficient's numerator and denominator stay within it, so that
+# every parsed contrast can be described
+_MAX_DIGITS = 4300
+
+
+def _too_long(number: re.Match) -> bool:
+    """Whether a token ``_NUMBER`` matched needs more than ``_MAX_DIGITS`` digits.
+
+    It is decided on the text, before ``Fraction`` reads the digits or
+    builds ``10**exponent``.  A ``p/q`` needs the digits of ``p`` and of
+    ``q``.  A decimal is its digits times ``10**shift``: it needs its digits
+    and its exponent as written, its significant digits plus a positive
+    shift (its numerator), and one more than a negative shift's size (its
+    denominator, at most).
+    """
+    if number["q"] is not None:
+        return max(len(number["p"]), len(number["q"])) > _MAX_DIGITS
+    places = number["part"] or number["tail"] or ""
+    digits = (number["whole"] or "") + places
+    exponent = number["exp"] or "0"
+    if max(len(digits), len(exponent)) > _MAX_DIGITS:
+        return True
+    shift = int(exponent) - len(places)
+    return len(digits.lstrip("0")) + shift > _MAX_DIGITS or -shift >= _MAX_DIGITS
 
 
 def _coerce(value):
     """Normalise one coefficient: exact kinds to Fraction, floats stay float.
 
     A string that is not an ASCII decimal or ``p/q`` rational (``1_0`` and
-    ``١`` are not) is a ParseError, and a bool or an object of any other
-    kind a NotAContrast.
+    ``١`` are not), or one too long to read or describe exactly (more than
+    4300 digits written, or in its numerator or denominator: ``1e4300``; see
+    :func:`_too_long`), is a ParseError, and a bool or an object of any
+    other kind a NotAContrast.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, str):
-        if not _NUMBER.fullmatch(value.strip()):
-            raise ParseError(f"cannot parse coefficient {value!r}")
+        number = _NUMBER.fullmatch(value.strip())
+        if not number:
+            raise ParseError(f"cannot parse coefficient {reprlib.repr(value)}")
+        if _too_long(number):
+            raise ParseError(
+                f"coefficient {reprlib.repr(value)} needs more than {_MAX_DIGITS} digits"
+            )
         return Fraction(value.strip())
     if isinstance(value, (float, np.floating)):
         return float(value)
@@ -132,7 +166,11 @@ class Contrast:
         total = sum(coeffs)
         if isinstance(total, Fraction):
             if total != 0:
-                raise NotAContrast(f"coefficients sum to {total}, expected 0")
+                try:
+                    text = str(total)
+                except ValueError:  # past Python's limit on an int's digits
+                    text = f"a number of more than {_MAX_DIGITS} digits"
+                raise NotAContrast(f"coefficients sum to {text}, expected 0")
         elif abs(total) > ZERO_SUM_TOL:
             raise NotAContrast(f"coefficients sum to {total!r}, expected 0")
         object.__setattr__(self, "coefficients", coeffs)

@@ -202,8 +202,9 @@ def _reordering(features: np.ndarray, labels: np.ndarray | None = None) -> np.nd
 
     Column 0 strictly ascending settles it at once; rows that ascend with
     ties have only their labels ordered, within runs of equal rows; other
-    rows take a stable argsort of column 0 when that has no tie, else the
-    full ``np.lexsort``.  So a design is sorted once, and a fit on its
+    rows take an argsort of column 0 when that has no tie (any sort then
+    gives the one permutation, so it need not be stable), else the full
+    ``np.lexsort``.  So a design is sorted once, and a fit on its
     units, in its order, takes one of the first two steps.
     """
     n = len(features)
@@ -213,7 +214,7 @@ def _reordering(features: np.ndarray, labels: np.ndarray | None = None) -> np.nd
     equal = np.ones(max(n - 1, 0), dtype=bool)
     for column in features.T:
         if (equal & ~(column[1:] >= column[:-1])).any():
-            order = np.argsort(features[:, 0], kind="stable")
+            order = np.argsort(features[:, 0])
             first = features[order, 0]
             if not (first[1:] > first[:-1]).all():
                 keys = list(features.T[::-1])
@@ -446,12 +447,15 @@ def write_dataset_csv(
     treatments and integer extras as ``'%d' % v`` does.  An extra column is
     an integer, unsigned or float array with one entry per unit, or a
     masked array of one (masked entries become empty fields); anything else
-    is a ``ValueError``, raised before the file is opened.  So is a column
-    name with surrounding whitespace, which :func:`load_dataset` strips, or
-    one that, stripped, names another column, which it would refuse.
+    is a ``ValueError``, raised before the file is opened.  So is a dataset
+    of no units, whose header-only file :func:`load_dataset` would refuse,
+    a column name with surrounding whitespace, which it strips, or one
+    that, stripped, names another column, which it would refuse.
     """
     from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
 
+    if not dataset.n_units:
+        raise ValueError("a dataset of no units would be read back as an empty file")
     extras = dict(extra_columns or {})
     header = [str(h) for h in (*dataset.covariate_names, "w", *extras)]
     name, count = Counter(h.strip() for h in header).most_common(1)[0]

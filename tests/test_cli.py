@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,15 @@ class TestEstimate:
         )
         assert code == 2
         assert "sum" in capsys.readouterr().err
+
+    def test_contrast_too_long_to_describe_exits_two(self, example_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 -1 0\n1e3000000 0 -1e3000000\n")
+        start = time.perf_counter()
+        code = main(["estimate", "--data", str(example_csv), "--contrasts", str(bad)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_missing_data_file_exits_two(self, contrast_file, tmp_path):
         code = main(

@@ -397,3 +397,32 @@ class TestContrastFiles:
         with pytest.raises(ParseError):
             parse_contrast("1" * 20000 + "x -1")
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", [
+        "1e4300 -1e4300", "1e-4300 -1e-4300", "1" * 5000 + " -1", "1/" + "3" * 4301 + " -1",
+        "1e" + "0" * 5000 + "1 -10", "0e3000000 1 -1",
+    ], ids=["numerator", "denominator", "digits", "p/q digits", "exponent digits", "zero"])
+    def test_parse_contrast_refuses_numbers_too_long_to_describe(self, text):
+        # Python reads and writes ints of at most 4300 digits; past that a
+        # parsed contrast could not be described, or even built
+        with pytest.raises(ParseError, match="needs more than 4300 digits"):
+            parse_contrast(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e4299 -1e4299", "1e-4299 -1e-4299", "1" * 4300 + " -" + "1" * 4300,
+        "0." + "0" * 4290 + "1e4300 -1e9",
+    ], ids=["numerator", "denominator", "digits", "leading zeros"])
+    def test_parse_contrast_describes_numbers_at_the_digit_limit(self, text):
+        assert parse_contrast(text).describe()
+
+    def test_huge_exponent_is_refused_before_its_power_is_built(self):
+        # 10**3000000 alone took about 2 s
+        start = time.perf_counter()
+        for text in ("1e3000000 -1e3000000", "1" * 1000000 + " -1"):
+            with pytest.raises(ParseError):
+                parse_contrast(text)
+        assert time.perf_counter() - start < 0.5
+
+    def test_sum_too_long_to_write_is_refused_typed(self):
+        with pytest.raises(NotAContrast, match="a number of more than 4300 digits"):
+            parse_contrast("1e-4299 -1e4299")

@@ -161,6 +161,14 @@ class TestRoundTrip:
             write_dataset_csv(d, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_dataset_of_no_units_rejected(self, tmp_path):
+        # the header-only file it wrote, load_dataset refused as EmptyFile
+        with pytest.warns(UserWarning, match="never occur"):
+            d = Dataset(np.empty((0, 1)), np.empty(0, dtype=int), num_treatments=2)
+        with pytest.raises(ValueError, match="no units"):
+            write_dataset_csv(d, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFastIngest:
     def test_clean_file_skips_the_row_parser(self, tmp_path, monkeypatch):

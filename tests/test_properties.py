@@ -1345,8 +1345,21 @@ def fit_rows(draw):
     return X, y
 
 
+def long_rows(n: int, tied: bool):
+    """``n`` shuffled rows and 0/1 labels: a distinct first column, or one of
+    three levels.  numpy picks its sort by size, and these are long enough
+    for the sorts short draws never reach."""
+    rng = np.random.default_rng(n)
+    first = rng.integers(0, 3, n) if tied else rng.permutation(n)
+    X = np.column_stack([first.astype(float), rng.normal(size=n)])
+    return X, rng.integers(0, 2, n).astype(float)
+
+
 @given(fit_rows(), st.booleans())
 @example((np.array([[0.5, -1.0]]), np.array([1.0])), False)
+@example(long_rows(2500, tied=False), False)
+@example(long_rows(2500, tied=True), False)
+@example(long_rows(2048, tied=True), True)
 @example((np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
           np.array([1.0, 0.0, 1.0, 0.0])), False)
 def test_canonical_order_equals_lexsort(case, in_feature_order):
@@ -1865,8 +1878,13 @@ DYADIC_FLOATS = st.builds(  # many of them are exact ties at the 18th digit
 
 
 def spelled(fields: np.ndarray) -> list[str]:
-    """The text of each row of NUL-padded byte fields."""
-    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in fields]
+    """The text of each field of a ``(words, n)`` word array, NULs deleted."""
+    return [column.tobytes().translate(None, b"\0").decode("ascii") for column in fields.T]
+
+
+# a point after each of the 17 digits, where the digits read before and
+# after it meet
+POINTS = tuple(float(f"1.2345678901234567e{k}") for k in range(17))
 
 
 @settings(max_examples=300)
@@ -1875,27 +1893,62 @@ def spelled(fields: np.ndarray) -> list[str]:
 @example(list(TIES))
 @example(list(POWERS_OF_TEN))
 @example(list(EDGE_FLOATS + NON_FINITE))
+@example(list(POINTS) + [-v for v in POINTS])
+@example([0.00012345678901234567, -0.00012345678901234567, 0.0001, 1e-5,
+          -9.9999999999999991e-06, 1.0000000000000001e-05, -0.0])
 def test_float_fields_equal_percent_g(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the formatter raises no numpy warning
-        got = spelled(csvwriter._float_fields(np.array(values, dtype=np.float64)))
+        got = spelled(csvwriter._float_words(np.array(values, dtype=np.float64)))
     assert got == ["%.17g" % v for v in values]
+
+
+def int_fields(values: np.ndarray) -> list[str]:
+    """The fields of an integer column, as wide as its largest magnitude needs."""
+    return spelled(csvwriter._int_words(values, csvwriter._int_groups(values)))
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=40))
 @example([-2 ** 63, 2 ** 63 - 1, 0, -1, 1, 9999, 10000, -10 ** 18])
+@example([0, -1, 9999, -9999])  # one base-10000 digit of an int64's five
+@example([10000, -99999999, 0])
+@example([10 ** 8, -(10 ** 12 - 1), 7])
+@example([10 ** 12, -(10 ** 16 - 1), -3])
 def test_int64_fields_equal_percent_d(values):
-    got = spelled(csvwriter._int_fields(np.array(values, dtype=np.int64), 19))
+    got = int_fields(np.array(values, dtype=np.int64))
     assert got == ["%d" % v for v in values]
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(2 ** 63, 2 ** 64 - 1), max_size=40))
 @example([2 ** 63, 2 ** 64 - 1, 10 ** 19, 10 ** 19 - 1])
+@example([0, 1, 9999])  # one base-10000 digit of a uint64's five
+@example([10 ** 16 - 1, 10 ** 8])
 def test_uint64_fields_equal_percent_d(values):
-    got = spelled(csvwriter._int_fields(np.array(values, dtype=np.uint64), 20))
+    got = int_fields(np.array(values, dtype=np.uint64))
     assert got == ["%d" % v for v in values]
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1), st.booleans()), max_size=40))
+@example([(-2 ** 63, True), (5, False), (-7, False)])  # the widest value is masked
+@example([(2 ** 63 - 1, True), (10 ** 12, True), (0, False)])
+@example([(123456, True), (-1, True)])
+def test_masked_int_columns_equal_percent_d(entries):
+    values = np.array([v for v, _ in entries], dtype=np.int64)
+    mask = np.array([m for _, m in entries], dtype=bool)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ints.csv")
+        csvwriter.write_csv_columns(
+            path, ["x", "y"], [np.ma.masked_array(values, mask=mask), values], len(values)
+        )
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\r\n")
+    want = [b"x,y"] + [
+        ("%s,%d" % ("" if m else "%d" % v, v)).encode() for v, m in entries
+    ] + [b""]
+    assert lines == want
 
 
 @st.composite
@@ -1955,6 +2008,11 @@ def test_write_dataset_csv_equals_field_writer(case):
     dataset, extras, reference = case
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        if not dataset.n_units:  # load_dataset would refuse the header-only file
+            with pytest.raises(ValueError, match="no units"):
+                write_dataset_csv(dataset, got, extras)
+            assert not os.path.exists(got)
+            return
         write_dataset_csv(dataset, got, extras)
         reference_write_dataset_csv(dataset, want, reference)
         with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
