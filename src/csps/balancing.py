@@ -291,6 +291,11 @@ class _GroupTotals:
             for totals, exponent in sums
         )
 
+    def row_ratios(self, sid: int) -> list[tuple[int, int, int]]:
+        """Subclass ``sid``'s difference per covariate, as integer ratios."""
+        pos, neg, counts = 2 * sid, 2 * sid + 1, self.counts
+        return [_difference(t[pos], counts[pos], t[neg], counts[neg], e) for t, e in self.sums]
+
 
 class _ExactDifferences:
     """A ``ContrastBalance`` field of exact differences, whose default is None.
@@ -323,6 +328,11 @@ def _floats(ratios) -> np.ndarray | None:
     return None if ratios is None else np.array([_scaled_float(*r) for r in ratios])
 
 
+# the names AlgorithmConfig takes, in the order the command line lists them
+ESTIMATORS = ("empirical", "logistic")
+SUBCLASS_METHODS = ("exact", "quantile")
+
+
 @dataclass(frozen=True)
 class AlgorithmConfig:
     """Settings for the chained balancing routine.
@@ -336,7 +346,10 @@ class AlgorithmConfig:
     whichever estimator is picked.  Subclassification defaults to quintiles;
     ``"exact"`` makes one subclass per distinct score value.
     ``num_subclasses`` may be given as any whole number and is kept as an
-    int.
+    int.  It is the one definition of these settings: :data:`ESTIMATORS` and
+    :data:`SUBCLASS_METHODS` name them, its fields are their defaults, and
+    :func:`chained_propensity`, :func:`subclassify` and the command line
+    read both and check through it.
     """
 
     estimator: str = "logistic"
@@ -345,9 +358,9 @@ class AlgorithmConfig:
     ridge: float = 0.0
 
     def __post_init__(self):
-        if self.estimator not in ("empirical", "logistic"):
+        if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.subclass_method not in ("exact", "quantile"):
+        if self.subclass_method not in SUBCLASS_METHODS:
             raise ValueError(f"unknown subclass method {self.subclass_method!r}")
         # an int: a float count above 2**53 would never end _cut_steps' halving
         object.__setattr__(
@@ -539,8 +552,8 @@ def _quantile_cuts(values: np.ndarray, num_subclasses: int, counts=None) -> np.n
 def subclassify(
     scores: ScoreVector,
     d_indicator,
-    method: str = "quantile",
-    num_subclasses: int = 5,
+    method: str = AlgorithmConfig.subclass_method,
+    num_subclasses: int = AlgorithmConfig.num_subclasses,
 ) -> SubclassAssignment:
     """Partition the bifurcation's units into subclasses of similar score.
 
@@ -552,15 +565,15 @@ def subclassify(
     subclass.  Subclasses missing one of the two groups are merged
     with the neighbouring subclass toward the median until every subclass
     contains both, which collapses degenerate splits instead of failing.
-    Subclass ids are 1-based in ascending score order.  ``num_subclasses``
-    must be a whole number in [1, 2**63), whichever the method, and the
-    indicators -1, 0 or 1 under the label rule of :class:`Dataset`.
+    Subclass ids are 1-based in ascending score order.  ``method`` and
+    ``num_subclasses`` are checked by :class:`AlgorithmConfig`, first, and
+    the indicators are -1, 0 or 1 under the label rule of :class:`Dataset`.
 
     Both signs' counts per group come from one ``np.bincount``, the check
     for undefined scores reads only the score's ``undefined_units``, and
     the labels are built in the narrowest unsigned type that holds them.
     """
-    S = _whole_count(num_subclasses, "num_subclasses")
+    config = AlgorithmConfig(subclass_method=method, num_subclasses=num_subclasses)
     d = _whole_labels(d_indicator, -1, 1, ValueError, "group indicator", "1, -1 or 0")
     _check_shape(
         d, (len(scores),), ValueError, "group indicators must be a vector with one entry per score"
@@ -575,14 +588,14 @@ def subclassify(
     undefined = int(np.count_nonzero(d[scores.undefined_units]))
     if undefined:
         raise UndefinedScores(f"{undefined} eligible units have undefined scores")
-    label, num_merged = _subclass_rows(scores, eligible, negative, method, S)
+    label, num_merged = _subclass_rows(scores, eligible, negative, config)
     labels = np.zeros(len(scores), dtype=label.dtype)
     labels[eligible] = label
     return SubclassAssignment._built(labels, num_merged, scores)
 
 
 def _subclass_rows(
-    scores: ScoreVector, rows, negative: np.ndarray, method: str, S: int, counts=None
+    scores: ScoreVector, rows, negative: np.ndarray, config: AlgorithmConfig, counts=None
 ) -> tuple[np.ndarray, int]:
     """The subclassing rules of :func:`subclassify`, on rows of units.
 
@@ -594,16 +607,14 @@ def _subclass_rows(
     number of subclasses.
     """
     # group[i]: the score-ordered group of row i before merging
-    if method == "exact":
+    if config.subclass_method == "exact":
         group = scores.dense_ranks(rows)
-    elif method == "quantile":
-        vals = scores.as_floats()[rows]
+    else:
+        vals, S = scores.as_floats()[rows], config.num_subclasses
         cuts = _quantile_cuts(vals, S) if counts is None else _quantile_cuts(vals, S, counts)
         # group = number of cuts strictly below the value, so ties fall into
         # the lower subclass
         group = np.searchsorted(cuts, vals, side="left")
-    else:
-        raise ValueError(f"unknown subclass method {method!r}")
 
     # 2 * group + 1 for the negative units, 2 * group for the positive ones
     key = group * np.intp(2)
@@ -623,17 +634,36 @@ class SubclassBalanceRow:
     ``weight`` is the subclass's share of the target's subclassified units.
     The means and the difference are exact Fractions, and ``difference``
     holds the difference's floats, each the correctly rounded quotient of
-    the same integers.
+    the same integers.  The sizes and ``difference`` are built with the
+    row; the four Fractions are built from the entry's integers on first
+    read and then kept.
     """
 
     subclass_id: int
     n_positive: int
     n_negative: int
-    weight: Fraction
-    mean_positive_exact: tuple[Fraction, ...]
-    mean_negative_exact: tuple[Fraction, ...]
-    difference_exact: tuple[Fraction, ...]
     difference: np.ndarray
+    _totals: _GroupTotals = field(repr=False)
+
+    def _means(self, group: int) -> tuple[Fraction, ...]:
+        count = self._totals.counts[group]
+        return tuple(_scaled_fraction(t[group], count, e) for t, e in self._totals.sums)
+
+    @cached_property
+    def weight(self) -> Fraction:
+        return Fraction(self.n_positive + self.n_negative, sum(self._totals.counts[2:]))
+
+    @cached_property
+    def mean_positive_exact(self) -> tuple[Fraction, ...]:
+        return self._means(2 * self.subclass_id)
+
+    @cached_property
+    def mean_negative_exact(self) -> tuple[Fraction, ...]:
+        return self._means(2 * self.subclass_id + 1)
+
+    @cached_property
+    def difference_exact(self) -> tuple[Fraction, ...]:
+        return _fractions(self._totals.row_ratios(self.subclass_id))
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,8 +676,9 @@ class ContrastBalance:
     ``before_exact`` and ``after_exact`` are built from the same integers on
     first access and then kept; a value passed to the constructor or to
     ``dataclasses.replace`` is kept and returned as given, and leaves the
-    floats as they are.  ``subclass_rows`` is built whole from
-    the integers on its first read and then kept.  ``assignment`` is the
+    floats as they are.  ``subclass_rows`` is built from the integers on
+    its first read and then kept, each row's Fractions on their own first
+    read.  ``assignment`` is the
     subclass assignment the diagnostics were computed from, and ``scores``
     the score it was made on, when a pass built them.
     """
@@ -667,24 +698,12 @@ class ContrastBalance:
         totals = self._totals
         if totals is None or totals.after is None:
             return None
-        counts, sums = totals.counts, totals.sums
-        assigned = sum(counts[2:])
-
-        def means(group):
-            return tuple(_scaled_fraction(t[group], counts[group], e) for t, e in sums)
-
         rows = []
         for sid in range(1, totals.num_subclasses + 1):
-            pos, neg = 2 * sid, 2 * sid + 1
-            ratios = [
-                _difference(t[pos], counts[pos], t[neg], counts[neg], e) for t, e in sums
-            ]
-            difference = _floats(ratios)
+            difference = _floats(totals.row_ratios(sid))
             difference.setflags(write=False)
-            rows.append(SubclassBalanceRow(
-                sid, counts[pos], counts[neg], Fraction(counts[pos] + counts[neg], assigned),
-                means(pos), means(neg), _fractions(ratios), difference,
-            ))
+            counts = totals.counts[2 * sid:2 * sid + 2]
+            rows.append(SubclassBalanceRow(sid, *counts, difference, totals))
         return tuple(rows)
 
     @property
@@ -881,7 +900,7 @@ class _BalancingDesign:
 
 
 def _balancing_design(
-    dataset: Dataset, balancing: Sequence[Contrast], estimator: str, ridge: float
+    dataset: Dataset, balancing: tuple[Contrast, ...], config: AlgorithmConfig
 ) -> _BalancingDesign:
     """Fit the J balancing scores once and build the chained design from them.
 
@@ -897,11 +916,6 @@ def _balancing_design(
     chained cell needs equal scores only, not their order, so the cells are
     numbered by their reduced score ratios, unsorted.
     """
-    balancing = tuple(balancing)
-    if not balancing:
-        raise ValueError("at least one balancing contrast is required")
-    if estimator not in ("empirical", "logistic"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
     kept = {}  # by sign pattern, one byte a treatment
@@ -911,9 +925,9 @@ def _balancing_design(
             kept.setdefault(signs.tobytes(), contrast)
     balancing = tuple(kept.values())
 
-    if estimator == "logistic":
+    if config.estimator == "logistic":
         features = np.column_stack(
-            [model_csps(dataset, c, ridge=ridge).as_floats() for c in balancing]
+            [model_csps(dataset, c, ridge=config.ridge).as_floats() for c in balancing]
         )
         return _BalancingDesign(balancing, _unit_table(dataset), features=features)
     table = _cell_table(dataset)
@@ -956,7 +970,7 @@ class _Target(NamedTuple):
     count: np.ndarray | None
 
 
-def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target:
+def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig) -> _Target:
     """The target's groups on the design's table, and its chained score.
 
     A target fails when one of its groups is empty, or when a unit of its
@@ -984,8 +998,8 @@ def _target(design: _BalancingDesign, target: Contrast, ridge: float) -> _Target
                 f"balancing score {contrast.describe()} "
                 "is undefined on units of the target bifurcation"
             )
-    if design.features is not None:
-        scores = row_scores = _logistic_scores(design.features, sign, ridge, design.order)
+    if config.estimator == "logistic":
+        scores = row_scores = _logistic_scores(design.features, sign, config.ridge, design.order)
     else:
         row_scores = _cell_scores(
             design.chain[rows], design.num_cells, sign[rows], count, index=design.chain
@@ -1015,12 +1029,10 @@ def _target_comparison(
     checks of those three functions that the chained checks leave
     unreachable are not repeated.
     """
-    scores, row_scores, rows, negative, count = _target(design, target, config.ridge)
-    label, num_subclasses = _subclass_rows(
-        row_scores, rows, negative, config.subclass_method, config.num_subclasses, count
-    )
+    scores, row_scores, rows, negative, count = _target(design, target, config)
+    label, num_subclasses = _subclass_rows(row_scores, rows, negative, config, count)
     table = design.table
-    if design.chain is None:
+    if config.estimator == "logistic":
         labels = np.zeros(len(table.cell), dtype=label.dtype)
         labels[rows] = label
         assignment = SubclassAssignment._built(labels, num_subclasses, scores)
@@ -1045,8 +1057,8 @@ def chained_propensity(
     dataset: Dataset,
     balancing: Sequence[Contrast],
     target: Contrast,
-    estimator: str = "logistic",
-    ridge: float = 0.0,
+    estimator: str = AlgorithmConfig.estimator,
+    ridge: float = AlgorithmConfig.ridge,
 ) -> ScoreVector:
     """Propensity score for the target fitted on the J balancing scores.
 
@@ -1054,16 +1066,25 @@ def chained_propensity(
     probability of the target's positive group given those J scores, using
     exact cells of the score tuple (``estimator="empirical"``) or a binary
     logistic fit (``estimator="logistic"``).  Scores are predicted for every
-    unit.  This is one target's share of :func:`run_algorithm`, which fits
-    the balancing scores once for all of its targets.  A contrast whose width
-    is not the dataset's number of treatments raises
-    :class:`~csps.errors.DimensionMismatch` before any fit, and a dataset
-    with no units :class:`~csps.errors.TooFewUnits`.
+    unit.  It is :func:`run_algorithm`'s score stage for one target.  A
+    contrast whose width is not the dataset's number of treatments raises
+    :class:`~csps.errors.DimensionMismatch` before any fit, ``estimator``
+    and ``ridge`` are then checked by :class:`AlgorithmConfig`, and a
+    dataset with no units raises :class:`~csps.errors.TooFewUnits`.
     """
-    balancing = tuple(balancing)
-    for contrast in (*balancing, target):
+    balancing, (target,) = _checked_contrasts(dataset, balancing, [target])
+    config = AlgorithmConfig(estimator=estimator, ridge=ridge)
+    return _target(_balancing_design(dataset, balancing, config), target, config).scores
+
+
+def _checked_contrasts(dataset: Dataset, balancing, targets) -> tuple[tuple, tuple]:
+    """The contrasts as tuples, after the input checks a pass makes before any fit."""
+    balancing, targets = tuple(balancing), tuple(targets)
+    for contrast in (*balancing, *targets):
         _check_width(dataset, contrast)
-    return _target(_balancing_design(dataset, balancing, estimator, ridge), target, ridge).scores
+    if targets and not balancing:
+        raise ValueError("at least one balancing contrast is required")
+    return balancing, targets
 
 
 def _error_text(exc: CspsError) -> str:
@@ -1088,22 +1109,16 @@ def run_algorithm(
     A balancing or target contrast whose width is not the dataset's number
     of treatments is an input error, not a per-target failure: it raises
     :class:`~csps.errors.DimensionMismatch` (or NotAContrast, for an entry
-    that is not a :class:`Contrast`) before any fit.  Whichever the
-    estimator, each target is worked out by one path (see
-    :func:`_target_comparison`) on the rows of its design's table, where
-    its groups are found once: with the empirical estimator the units are
-    counted once per call by (covariate cell, treatment), so each target's
-    score, subclasses and covariate sums come from those counts, and its
-    labels, kept per chained cell, are gathered per unit only when first
-    read; with the logistic one each row of the table is one unit.
+    that is not a :class:`Contrast`) before any fit, and targets with no
+    balancing contrast a ValueError.  Whichever the estimator, each target
+    is worked out by one path, :func:`_target_comparison`, on the rows of
+    its design's table (see the module docstring).
     """
-    balancing, targets = tuple(balancing), tuple(targets)
-    for contrast in (*balancing, *targets):
-        _check_width(dataset, contrast)
+    balancing, targets = _checked_contrasts(dataset, balancing, targets)
     design = failure = None
     if targets:
         try:
-            design = _balancing_design(dataset, balancing, config.estimator, config.ridge)
+            design = _balancing_design(dataset, balancing, config)
         except CspsError as exc:
             failure = _error_text(exc)
     entries = []

@@ -6,10 +6,11 @@ report) and ``simulate`` (replicated experiments).  Exit codes: 0 success,
 1 worked example mismatch, 2 input error (:data:`errors.INPUT_ERRORS`),
 3 estimation or balancing failure.
 
-:func:`_build_parser` defines each option's type, choices and default once.
-A ``--config`` file of ``key=value`` lines, keyed by option name
-(``per_unit`` for ``--per-unit``), is read through the same types and
-choices into the subcommand's defaults, so explicit flags override it.
+:func:`_build_parser` defines each option once, and reads the algorithm's
+and the simulation's choices and defaults from their config classes.  A
+``--config`` file of ``key=value`` lines, keyed by option name (``per_unit``
+for ``--per-unit``), is read through the same types and choices into the
+subcommand's defaults, so explicit flags override it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import example_data
-from .balancing import AlgorithmConfig, run_algorithm
+from .balancing import ESTIMATORS, SUBCLASS_METHODS, AlgorithmConfig, _error_text, run_algorithm
 from .contrasts import assignment_indicators, read_contrast_file
 from .data import load_dataset, write_dataset_csv
 from .errors import INPUT_ERRORS, CspsError, ParseError
@@ -332,10 +333,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--contrasts", help=contrasts)
 
     def estimation(p, subclasses: bool):
-        p.add_argument("--estimator", choices=["empirical", "logistic"], default="logistic")
-        p.add_argument("--ridge", type=float, default=0.0)
+        p.add_argument("--estimator", choices=ESTIMATORS, default=AlgorithmConfig.estimator)
+        p.add_argument("--ridge", type=float, default=AlgorithmConfig.ridge)
         if subclasses:
-            p.add_argument("--subclasses", type=int, default=5)
+            p.add_argument("--subclasses", type=int, default=AlgorithmConfig.num_subclasses)
 
     p = sub.add_parser("example", help="run the embedded worked example")
     p.set_defaults(run=cmd_example)
@@ -352,7 +353,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     inputs(p, "balancing contrast file")
     p.add_argument("--targets", help="target contrast file (default: balancing)")
     estimation(p, subclasses=True)
-    p.add_argument("--method", choices=["exact", "quantile"], default="quantile")
+    p.add_argument("--method", choices=SUBCLASS_METHODS, default=AlgorithmConfig.subclass_method)
     p.add_argument("--per-unit", dest="per_unit",
                    help="also write the dataset with score/subclass columns here")
 
@@ -363,9 +364,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--mechanism", default="I",
         help="I (randomized), II (covariate-driven), or a coefficient file",
     )
-    p.add_argument("--units", type=int, default=800)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--units", type=int, default=SimulationConfig.num_units)
+    p.add_argument("--reps", type=int, default=SimulationConfig.replications)
+    p.add_argument("--seed", type=int, default=SimulationConfig.seed)
     estimation(p, subclasses=True)
     p.add_argument("--oracle", type=int,
                    help="also print an oracle of this size with the text table")
@@ -385,7 +386,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CspsError as exc:
-        print(f"estimation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"estimation error: {_error_text(exc)}", file=sys.stderr)
         return 3
 
 

@@ -60,6 +60,8 @@ _NUMBER = re.compile(
 # text: a coefficient's numerator and denominator stay within it, so that
 # every parsed contrast can be described
 _MAX_DIGITS = 4300
+# an exact coefficient's numerator's magnitude and its denominator stay below this
+_DIGITS_BOUND = 10 ** _MAX_DIGITS
 
 
 def _too_long(number: re.Match) -> bool:
@@ -157,9 +159,17 @@ class Contrast:
         coeffs = _coerce_all(self.coefficients)
         if len(coeffs) < 2:
             raise TooShort(f"a contrast needs at least 2 treatments, got {len(coeffs)}")
+        for i, v in enumerate(coeffs):
+            # compared as ints: str() of so long an int raises a bare ValueError
+            if isinstance(v, Fraction) and max(abs(v.numerator), v.denominator) >= _DIGITS_BOUND:
+                raise NotAContrast(f"coefficient {i + 1} needs more than {_MAX_DIGITS} digits")
         if not all(isinstance(v, Fraction) for v in coeffs):
-            coeffs = tuple(float(v) for v in coeffs)
-            if not all(np.isfinite(v) for v in coeffs):
+            try:
+                coeffs = tuple(float(v) for v in coeffs)
+                finite = all(np.isfinite(v) for v in coeffs)
+            except OverflowError:  # an exact coefficient beyond the float range
+                finite = False
+            if not finite:
                 raise NotAContrast("coefficients must be finite")
         if all(v == 0 for v in coeffs):
             raise AllZero("all coefficients are zero")

@@ -202,25 +202,30 @@ def _reordering(features: np.ndarray, labels: np.ndarray | None = None) -> np.nd
 
     Column 0 strictly ascending settles it at once; rows that ascend with
     ties have only their labels ordered, within runs of equal rows; other
-    rows take an argsort of column 0 when that has no tie (any sort then
-    gives the one permutation, so it need not be stable), else the full
-    ``np.lexsort``.  So a design is sorted once, and a fit on its
-    units, in its order, takes one of the first two steps.
+    rows take an argsort of column 0 when that may have no tie (any sort
+    then gives the one permutation, so it need not be stable), else the
+    full ``np.lexsort``.  Column 0 is known to tie when two adjacent rows
+    tie there, or when the rows descend past it, among rows that tie in
+    it; those rows go straight to ``np.lexsort``.  So a design is sorted
+    once, and a fit on its units, in its order, takes one of the first two
+    steps.
     """
     n = len(features)
     if features.shape[1] and (features[1:, 0] > features[:-1, 0]).all():
         return None
     # equal[i]: rows i and i + 1 agree in every column read so far
     equal = np.ones(max(n - 1, 0), dtype=bool)
-    for column in features.T:
+    for k, column in enumerate(features.T):
+        ties = column[1:] == column[:-1]
         if (equal & ~(column[1:] >= column[:-1])).any():
-            order = np.argsort(features[:, 0])
-            first = features[order, 0]
-            if not (first[1:] > first[:-1]).all():
-                keys = list(features.T[::-1])
-                order = np.lexsort(keys if labels is None else [labels, *keys])
-            return order
-        equal &= column[1:] == column[:-1]
+            if k == 0 and not ties.any():
+                order = np.argsort(column)
+                first = column[order]
+                if (first[1:] > first[:-1]).all():
+                    return order
+            keys = list(features.T[::-1])
+            return np.lexsort(keys if labels is None else [labels, *keys])
+        equal &= ties
     if labels is not None and (equal & (labels[1:] < labels[:-1])).any():
         run = np.concatenate(([0], np.cumsum(~equal)))
         return np.argsort(2 * run + labels, kind="stable")

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import sys
 import threading
@@ -120,6 +121,36 @@ class TestChainedPropensity:
         with pytest.raises(ValueError):
             chained_propensity(example, [], TARGET_CONTRAST)
 
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf, "abc", True])
+    def test_ridge_is_checked_as_the_config_checks_it(self, example, ridge):
+        # the empirical estimator fits no ridge, and used to take any value
+        with pytest.raises(ValueError) as refused:
+            AlgorithmConfig(estimator="empirical", ridge=ridge)
+        with pytest.raises(ValueError) as raised:
+            chained_propensity(
+                example, [FIRST_CONTRAST, SECOND_CONTRAST], TARGET_CONTRAST, "empirical",
+                ridge=ridge,
+            )
+        assert str(raised.value) == str(refused.value)
+
+    def test_estimator_is_checked_as_the_config_checks_it(self, example):
+        with pytest.raises(ValueError, match="^unknown estimator 'bogus'$"):
+            chained_propensity(example, [FIRST_CONTRAST], TARGET_CONTRAST, "bogus")
+
+    def test_defaults_are_the_config_fields(self):
+        # one definition of each setting: the per-step functions read it
+        config = AlgorithmConfig()
+        chain = inspect.signature(chained_propensity).parameters
+        assert (chain["estimator"].default, chain["ridge"].default) == (
+            config.estimator, config.ridge
+        )
+        steps = inspect.signature(subclassify).parameters
+        assert (steps["method"].default, steps["num_subclasses"].default) == (
+            config.subclass_method, config.num_subclasses
+        )
+        assert balancing.ESTIMATORS == ("empirical", "logistic")
+        assert balancing.SUBCLASS_METHODS == ("exact", "quantile")
+
 
 class TestSubclassify:
     def test_worked_example_exact_values(self, example):
@@ -237,6 +268,14 @@ class TestSubclassify:
             subclassify(scores, np.array([1, 1]))
         with pytest.raises(TooFewUnits):
             subclassify(scores, np.array([0, 0]))
+
+    @pytest.mark.parametrize("d", [[0, 0], [1, 1], [-1, 0]])
+    def test_unknown_method_is_named_whatever_the_groups(self, d):
+        # the method is checked first, as AlgorithmConfig checks it, not after
+        # the groups
+        scores = ScoreVector.from_floats([0.5, 0.6])
+        with pytest.raises(ValueError, match="^unknown subclass method 'bogus'$"):
+            subclassify(scores, np.array(d), "bogus")
 
     def test_keeps_what_it_was_made_from(self):
         scores = ScoreVector.from_floats([0.2, 0.4, 0.6, 0.8, 0.5])
@@ -609,6 +648,13 @@ class TestRunAlgorithm:
         report = run_algorithm(dataset, simulation_contrasts()[:2], simulation_contrasts()[:1])
         with pytest.raises(AssertionError, match="a Fraction was built"):
             report.entries[0].after_exact
+        # a subclass row's sizes and floats are built with it, its Fractions
+        # only when read
+        rows = report.entries[0].subclass_rows
+        assert sum(r.n_positive + r.n_negative for r in rows) > 0
+        assert all(np.isfinite(r.difference).all() for r in rows)
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            rows[0].difference_exact
 
     def test_balancing_shrinks_differences_on_average(self):
         cfg = mechanism_ii(num_units=800, seed=5)

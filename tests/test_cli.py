@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 from csps import example_data
-from csps.balancing import BalanceReport, ContrastBalance
+from csps.balancing import (
+    ESTIMATORS,
+    SUBCLASS_METHODS,
+    AlgorithmConfig,
+    BalanceReport,
+    ContrastBalance,
+    _error_text,
+)
 from csps.cli import _build_parser, main
-from csps.contrasts import assignment_indicators, read_contrast_file
+from csps.contrasts import Contrast, assignment_indicators, read_contrast_file
 from csps.data import Dataset, load_dataset, write_dataset_csv
+from csps.errors import SeparationDetected
 from csps.estimation import empirical_csps, model_csps
 from csps.example_data import worked_example_dataset
-from csps.simulation import mechanism_ii, sample_dataset
+from csps.simulation import SimulationConfig, mechanism_ii, sample_dataset
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -117,6 +125,30 @@ def test_readme_option_table_matches_the_parser():
                 action = actions[option]
                 value = (action.type or str)(literal[1] or literal[2])
                 assert value == action.default, (name, option, written)
+
+
+def test_parser_reads_its_choices_and_defaults_from_the_configs():
+    # the algorithm's and the simulation's settings are defined once, by
+    # their config classes
+    algorithm = AlgorithmConfig()
+    want = {
+        "--estimator": (ESTIMATORS, algorithm.estimator),
+        "--ridge": (None, algorithm.ridge),
+        "--subclasses": (None, algorithm.num_subclasses),
+        "--method": (SUBCLASS_METHODS, algorithm.subclass_method),
+        "--units": (None, SimulationConfig.num_units),
+        "--reps": (None, SimulationConfig.replications),
+        "--seed": (None, SimulationConfig.seed),
+    }
+    _, commands = _build_parser()
+    seen = set()
+    for command in commands.values():
+        for action in command._actions:
+            option = action.option_strings[-1] if action.option_strings else None
+            if option in want:
+                assert (action.choices, action.default) == want[option], option
+                seen.add(option)
+    assert seen == set(want)
 
 
 def test_readme_quick_start_runs_as_written(capsys):
@@ -253,6 +285,20 @@ class TestEstimate:
         )
         assert code == 3
         assert "SeparationDetected" in capsys.readouterr().err
+
+    def test_raised_failure_is_printed_as_a_report_records_it(self, tmp_path, capsys):
+        # one error-text format: a failure that ends a command reads as the
+        # error of a report entry
+        data = tmp_path / "sep.csv"
+        data.write_text("x1,w\n" + "".join(f"{v},{1 + (v < 0)}\n" for v in (-2, -1, 1, 2)))
+        contrasts = tmp_path / "c.txt"
+        contrasts.write_text("1 -1\n")
+        with pytest.raises(SeparationDetected) as raised:
+            model_csps(load_dataset(data), Contrast((1, -1)))
+        argv = ["estimate", "--data", str(data), "--contrasts", str(contrasts),
+                "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"estimation error: {_error_text(raised.value)}\n"
 
     @pytest.mark.parametrize(
         "contrasts, tag",

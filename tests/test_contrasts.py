@@ -415,6 +415,29 @@ class TestContrastFiles:
     def test_parse_contrast_describes_numbers_at_the_digit_limit(self, text):
         assert parse_contrast(text).describe()
 
+    @pytest.mark.parametrize("coefficients", [
+        (10 ** 5000, -(10 ** 5000)), (10 ** 4300, -(10 ** 4300)),
+        (Fraction(1, 10 ** 5000), Fraction(-1, 10 ** 5000)),
+        (Fraction(1, 10 ** 4300), Fraction(-1, 10 ** 4300)),
+        (1, Fraction(-(10 ** 4300), 3), Fraction(10 ** 4300, 3) - 1),
+    ], ids=["int", "int at the bound", "fraction", "fraction at the bound", "third"])
+    def test_exact_coefficients_too_long_to_describe_are_refused(self, coefficients):
+        # str() of an int past 4300 digits raises a bare ValueError, which
+        # describe() and repr() used to pass on
+        with pytest.raises(NotAContrast, match="coefficient [0-9] needs more than 4300 digits"):
+            Contrast(coefficients)
+
+    def test_exact_coefficients_below_the_digit_limit_describe(self):
+        for big in (10 ** 4299, Fraction(1, 10 ** 4299), Fraction(10 ** 4300 - 1, 7)):
+            c = Contrast((big, -big))
+            assert c.describe() == f"({big}, {-big})"
+            assert repr(c) == f"Contrast(({big}, {-big}))"
+
+    def test_exact_coefficient_beyond_floats_is_refused_typed(self):
+        # one float puts the contrast in float mode, where 10**400 overflows
+        with pytest.raises(NotAContrast, match="coefficients must be finite"):
+            Contrast((10 ** 400, -(10 ** 400), 0.0))
+
     def test_huge_exponent_is_refused_before_its_power_is_built(self):
         # 10**3000000 alone took about 2 s
         start = time.perf_counter()

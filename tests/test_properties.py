@@ -914,6 +914,36 @@ def test_repeated_balancing_bifurcations_leave_every_entry(
     event("an entry subclassified" if fitted else "all failed")
 
 
+@pytest.mark.parametrize("estimator", ["empirical", "logistic"])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(cell_table_cases(), unit_table_cases()), st.sampled_from(("exact", "quantile")),
+    st.integers(1, 10), st.sampled_from((0.0, 0.5)),
+    st.sampled_from((2, 3, Fraction(1, 3), Fraction(7, 2), 0.5)),
+)
+def test_rescaled_target_leaves_its_entry(estimator, case, method, S, ridge, factor):
+    # a target and a positive multiple of it, such as (0, 1, -1) and
+    # (0, 2, -2), name the same two groups, so the pass treats them as one
+    # target: their entries agree apart from the contrast itself, error
+    # texts, labels, score bytes and exact differences included
+    X, w, T, balancing_set, targets = case
+    balancing_set = labelled(balancing_set)
+    rescaled = [Contrast(tuple(factor * v for v in t.coefficients)) for t in targets]
+    config = AlgorithmConfig(
+        estimator=estimator, subclass_method=method, num_subclasses=S, ridge=ridge
+    )
+    dataset = table_dataset(X, w, T)
+
+    def outcomes(targets):
+        report = run_algorithm(dataset, balancing_set, targets, config)
+        return [(pipeline_outcome(e), e.error or score_bytes(e.scores)) for e in report]
+
+    want = outcomes(targets)
+    assert outcomes(rescaled) == want
+    fitted = any(not isinstance(scores, str) for _, scores in want)
+    event("an entry subclassified" if fitted else "all failed")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     unit_table_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 70),
@@ -1388,6 +1418,24 @@ def test_canonical_order_equals_lexsort(case, in_feature_order):
         if in_feature_order and not np.isnan(X).any():
             assert full_sort.call_count == 0
             event("labels step" if (order != np.arange(len(y))).any() else "in order")
+
+
+@pytest.mark.parametrize("layout", ["shuffled", "ascending in column 0"])
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_tied_first_column_goes_straight_to_lexsort(layout, with_labels):
+    # binary rows tie in column 0: adjacent rows agree there, and rows that
+    # ascend in it descend past it only where they tie in it; so no argsort
+    # of column 0 is made only to be thrown away
+    rng = np.random.default_rng(5)
+    X = (rng.random((3000, 3)) < (0.3, 0.5, 0.7)).astype(float)
+    if layout == "ascending in column 0":
+        X = X[np.argsort(X[:, 0], kind="stable")]
+    labels = (rng.random(len(X)) < 0.5).astype(float) if with_labels else None
+    keys = list(X.T[::-1])
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        order = _canonical_order(X, labels)
+    assert argsort.call_count == 0
+    assert order.tolist() == np.lexsort(keys if labels is None else [labels, *keys]).tolist()
 
 
 # z = X @ w of the log-likelihood kernel: signed zeros, subnormals, the ends

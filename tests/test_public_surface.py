@@ -17,7 +17,7 @@ PIPELINE = {
     "read_contrast_file", "run_algorithm", "run_experiment", "sample_dataset",
     "simulation_contrasts", "write_dataset_csv",
 }
-# rule 2: the independent per-unit references the properties compare the pass against
+# rule 2: the pass's stages run on units, which the properties compare the pass against
 REFERENCES = {"chained_propensity", "subclassify", "covariate_mean_difference"}
 # rule 3: how the balance guarantee is stated
 GUARANTEE = {"Bifurcation", "sgn_bifurcate", "bifurcation_span_contains"}
