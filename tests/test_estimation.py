@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import csps.estimation
+from csps.balancing import AlgorithmConfig
 from csps.contrasts import Contrast
 from csps.data import Dataset, build_cell_index
 from csps.errors import (
@@ -71,6 +73,40 @@ def gradient_ascent_oracle(x, y, grad_tol=1e-13, max_steps=2_000_000):
             break
         w = w + step * g
     return w
+
+
+def fit_digest(fits) -> str:
+    """sha256 of each fit's coefficient bytes, iterations, convergence and gradient norm."""
+    digest = hashlib.sha256()
+    for model in fits:
+        digest.update(model.coefficients.tobytes())
+        digest.update(
+            f"{model.iterations} {model.converged} {model.final_gradient_norm!r};".encode()
+        )
+    return digest.hexdigest()
+
+
+def halving_problem(seed):
+    """20-199 rows of two normal features, labels from slopes of scale about 4."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 200))
+    X = rng.normal(size=(n, 2))
+    slopes = rng.normal(scale=4.0, size=2)
+    return X, rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ slopes)))
+
+
+# (seed, ridge) of halving_problem fits that halve a step; the last stops
+# at MAX_ITER, halving in every iteration
+HALVING_FITS = [
+    (12, 0.0), (44, 0.0), (71, 0.0), (174, 0.0), (10, 1e-3), (174, 1e-3), (10, 1e-2),
+]
+# recorded before the Newton loop moved into two reused vectors
+HALVING_FITS_ENDS = [
+    (12, True), (9, True), (9, True), (10, True), (10, True), (10, True), (100, False),
+]
+HALVING_FITS_DIGEST = "34e24db4a0d417f9e7b33753861ef387376b574f5ef954bf08e92c85c0ad14e9"
+# the fits of mechanism II's replications 0-9 with AlgorithmConfig(ridge=1e-4)
+RIDGE_FITS_DIGEST = "8fa4d2fd78dfacf45c243529532278378dd12d189f10d669947ee9d79b6a3de4"
 
 
 class TestBinaryFit:
@@ -286,6 +322,59 @@ class TestBinaryFit:
         assert digest.hexdigest() == (
             "08b7534fa3384cc853e49e0593339923a0d936e4e59742574940c31241d1074b"
         )
+
+    def test_mechanism_ii_ridge_fits_are_unchanged(self, monkeypatch):
+        # the same fits with a ridge, so the penalty terms the loop skips at
+        # ridge 0 are pinned too
+        fits = []
+        real = csps.estimation.fit_binary_logistic
+
+        def recorded(*args, **kwargs):
+            model = real(*args, **kwargs)
+            fits.append(model)
+            return model
+
+        monkeypatch.setattr(csps.estimation, "fit_binary_logistic", recorded)
+        run_experiment(mechanism_ii(replications=10, algorithm=AlgorithmConfig(ridge=1e-4)))
+        assert len(fits) == 60
+        assert fit_digest(fits) == RIDGE_FITS_DIGEST
+
+    def test_halving_fits_are_unchanged(self, monkeypatch):
+        # fits that reject trial steps and halve them, the last of which
+        # still halves when it stops at MAX_ITER; the log-likelihood is
+        # evaluated once more than the iterations, plus once per halving
+        evaluations = []
+        real = csps.estimation._penalised_ll
+
+        def counted(*args, **kwargs):
+            evaluations.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csps.estimation, "_penalised_ll", counted)
+        fits, halvings = [], []
+        for seed, ridge in HALVING_FITS:
+            evaluations.clear()
+            fits.append(fit_binary_logistic(*halving_problem(seed), ridge=ridge))
+            halvings.append(len(evaluations) - 1 - fits[-1].iterations)
+        assert min(halvings) > 0
+        assert [(m.iterations, m.converged) for m in fits] == HALVING_FITS_ENDS
+        assert fit_digest(fits) == HALVING_FITS_DIGEST
+
+    def test_fit_peak_memory_per_row(self):
+        # the loop holds the design, the labels and two vectors of the rows,
+        # and builds the weighted design once per iteration without keeping it
+        n = 80_000
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(n, 3))
+        y = rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ [0.5, -0.25, 1.0])))
+        tracemalloc.start()
+        try:
+            model = fit_binary_logistic(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.converged
+        assert peak / n <= 92
 
 
 class TestPredictBinary:

@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import pickle
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import csps.estimation
 from csps.balancing import AlgorithmConfig, run_algorithm
@@ -11,6 +13,7 @@ from csps.contrasts import Contrast
 from csps.reporting import format_experiment_table
 from csps.simulation import (
     SimulationConfig,
+    _draw,
     mechanism_i,
     mechanism_ii,
     oracle_group_means,
@@ -20,7 +23,55 @@ from csps.simulation import (
 )
 
 
+def draw_oracle(rng, n, coefficients):
+    """``simulation._draw`` by its row formulas: a row max, a row softmax and
+    a count of the cumulative thresholds that each unit's uniform passes."""
+    B = np.array(coefficients, dtype=float)
+    X = rng.standard_normal((n, B.shape[1]))
+    eta = X @ B.T
+    eta -= eta.max(axis=1, keepdims=True)
+    P = np.exp(eta)
+    P /= P.sum(axis=1, keepdims=True)
+    u = rng.random(n)
+    W = 1 + (u[:, None] > np.cumsum(P, axis=1)[:, :-1]).sum(axis=1)
+    return X, W.astype(int)
+
+
+# recorded when _draw reduced its rows with eta.max, np.cumsum and a row sum
+DRAWS_DIGEST = "93346a3d50090546e9382ee55e9a2d6ad7c454fbe758d6fb0a40549f24d3b195"
+
+
 class TestSampleDataset:
+    def test_draws_are_unchanged(self):
+        digest = hashlib.sha256()
+        for mechanism in (mechanism_i, mechanism_ii):
+            for seed in (0, 7):
+                cfg = mechanism(seed=seed)
+                for r in range(3):
+                    dataset = sample_dataset(cfg, r)
+                    digest.update(dataset.covariates.tobytes())
+                    digest.update(dataset.treatments.tobytes())
+        assert digest.hexdigest() == DRAWS_DIGEST
+
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda T: st.integers(1, 4).flatmap(
+                lambda K: st.lists(
+                    st.lists(st.floats(-30, 30), min_size=K, max_size=K),
+                    min_size=T, max_size=T,
+                )
+            )
+        ),
+        st.integers(0, 60),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    def test_draw_matches_the_row_formulas(self, coefficients, n, seed):
+        # from 8 columns on numpy sums a row pairwise, so the row total is
+        # the one reduction that must stay a row reduction
+        X, W = _draw(np.random.default_rng(seed), n, coefficients)
+        X_want, W_want = draw_oracle(np.random.default_rng(seed), n, coefficients)
+        assert X.tobytes() == X_want.tobytes()
+        assert W.dtype == W_want.dtype and W.tobytes() == W_want.tobytes()
     def test_deterministic_per_stream(self):
         cfg = mechanism_ii(num_units=500, seed=7)
         a = sample_dataset(cfg, 3)
