@@ -14,6 +14,12 @@ class InputError(CspsError):
     """Base class for errors in a caller's files, contrasts or labels."""
 
 
+class InvalidArgument(InputError, ValueError):
+    """An argument of the wrong shape, type or range, such as labels that
+    are not 0/1 or a negative ridge; also a ``ValueError``, which callers
+    may catch as before."""
+
+
 # ---------------------------------------------------------------------------
 # contrast algebra
 

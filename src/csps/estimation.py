@@ -15,7 +15,13 @@ the intercept design and the penalty vector.  The log-likelihood kernel sums
 ``log(1 + e**z)`` as ``max(z, 0) + log1p(exp(-|z|))`` with numpy's
 vectorised ``exp`` and ``log1p``; against ``np.logaddexp`` that moves only
 the last bits of each log-likelihood, which the fit reads only through its
-step acceptance test, so no coefficient changes.
+step acceptance test, so no coefficient changes.  The kernels write into
+output buffers when given them: the Newton loop does its per-row work in
+two vectors made once per fit, and passes no penalty at ridge 0, where
+every penalty term is zero.  A prediction whose linear predictor is beyond
+float64 is the limit score, 0 or 1, without a numpy warning.  An argument
+of the wrong shape, type or range raises
+:class:`~csps.errors.InvalidArgument`, which is also a ``ValueError``.
 
 Scores are predicted for every unit, including units outside the bifurcation:
 the score is a function of the covariates alone, and downstream chaining uses
@@ -37,6 +43,7 @@ from .contrasts import Contrast, assignment_indicators
 from .data import Dataset, _dense_ids, _reordering
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     MissingValue,
     NotAContrast,
     NotConverged,
@@ -68,9 +75,13 @@ def _acceptance_slack(value: float) -> float:
     return 8.0 * _EPS * (1.0 + abs(value))
 
 
-def _sigmoid(z):
-    # tanh form is overflow-safe for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``0.5 * (1 + tanh(z / 2))``, overflow-safe for large ``|z|``, into ``out``
+    (a new array when None; ``out`` may be ``z`` itself)."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 def _design(features: np.ndarray) -> np.ndarray:
@@ -86,18 +97,18 @@ def _as_feature_matrix(features) -> np.ndarray:
     if F.ndim == 1:
         F = F[:, None]
     if F.ndim != 2:
-        raise ValueError("features must be a matrix (or a single column)")
+        raise InvalidArgument("features must be a matrix (or a single column)")
     return F
 
 
 def _check_ridge(ridge) -> None:
-    """ValueError unless ``ridge`` is a finite, nonnegative real number (not a bool)."""
+    """InvalidArgument unless ``ridge`` is a finite, nonnegative real number (not a bool)."""
     try:
         valid = not isinstance(ridge, (bool, np.bool_)) and math.isfinite(ridge) and ridge >= 0
     except TypeError:  # a str, a complex, None ...
         valid = False
     if not valid:
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge!r}")
+        raise InvalidArgument(f"ridge must be finite and nonnegative, got {ridge!r}")
 
 
 def _penalty(ridge, size: int) -> np.ndarray:
@@ -108,7 +119,7 @@ def _penalty(ridge, size: int) -> np.ndarray:
     return pen
 
 
-def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
+def _penalised_ll(X, y, w, pen, z=None, buf=None) -> tuple[float, np.ndarray]:
     """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``.
 
     Also returns ``z = X @ w``, from which the gradient at ``w`` is computed.
@@ -119,9 +130,14 @@ def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
     NaN in ``z``, which ``exp`` and ``log1p`` pass on without numpy's invalid
     flag, raises ``FloatingPointError`` as that flag does under the fit's
     ``np.errstate``.
+
+    ``z`` and ``buf``, when given, are vectors of ``len(y)`` floats that
+    receive ``X @ w`` and the log-partition's scratch; otherwise both are
+    new.  A ``pen`` of None is no penalty, without the terms that a zero
+    penalty adds as zeros.
     """
-    z = X @ w
-    buf = np.maximum(z, 0.0)
+    z = np.matmul(X, w, out=z)
+    buf = np.maximum(z, 0.0, out=buf)
     positive = buf.sum()
     np.abs(z, out=buf)
     np.negative(buf, out=buf)
@@ -130,25 +146,36 @@ def _penalised_ll(X, y, w, pen) -> tuple[float, np.ndarray]:
     ll = float(y @ z - (positive + buf.sum()))
     if math.isnan(ll):
         raise FloatingPointError("invalid value encountered in the log-likelihood")
-    return ll - 0.5 * float(pen @ (w * w)), z
+    if pen is not None:
+        ll -= 0.5 * float(pen @ (w * w))
+    return ll, z
 
 
-def _penalised_gradient(X, y, w, z, pen) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient of :func:`_penalised_ll` at ``w`` from its ``z``; also ``p`` and ``y - p``."""
-    p = _sigmoid(z)
-    residual = y - p
-    return X.T @ residual - pen * w, p, residual
+def _penalised_gradient(X, y, w, z, pen, p=None, residual=None):
+    """Gradient of :func:`_penalised_ll` at ``w`` from its ``z``; also ``p`` and ``y - p``.
+
+    ``p`` and ``residual``, when given, are vectors of ``len(y)`` floats
+    that receive the probabilities and the residual; ``residual`` may be
+    ``z`` itself, which is read first.  A ``pen`` of None is no penalty, as
+    in :func:`_penalised_ll`.
+    """
+    p = _sigmoid(z, out=p)
+    residual = np.subtract(y, p, out=residual)
+    g = X.T @ residual
+    if pen is not None:
+        g -= pen * w
+    return g, p, residual
 
 
 def _binary_labels(labels, rows: int) -> np.ndarray:
-    """``labels`` as ``rows`` bools or floats; ValueError unless each is a bool, 0 or 1."""
+    """``labels`` as ``rows`` bools or floats; InvalidArgument unless each is a bool, 0 or 1."""
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != rows:
-        raise ValueError("labels must be a vector matched to features")
+        raise InvalidArgument("labels must be a vector matched to features")
     if y.dtype != bool:
         y = y.astype(float)
         if np.any((y != 0.0) & (y != 1.0)):
-            raise ValueError("labels must be boolean or 0/1")
+            raise InvalidArgument("labels must be boolean or 0/1")
     return y
 
 
@@ -194,7 +221,8 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     raise :class:`SingularHessian`, and a NaN or infinite feature
     :class:`~csps.errors.MissingValue`, without a numpy warning; the
     features are checked only once the Newton system has failed.  Labels
-    other than bools, 0 and 1 raise ``ValueError``.
+    other than bools, 0 and 1 raise :class:`~csps.errors.InvalidArgument`,
+    a ``ValueError``.
 
     The rows are summed in one canonical order, lexicographic in (features,
     label), so the result does not depend on their order.  Rows already in
@@ -216,7 +244,7 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     F = _as_feature_matrix(features)
     y = _binary_labels(labels, F.shape[0])
     if y.size == 0:
-        raise ValueError("empty dataset")
+        raise InvalidArgument("empty dataset")
     if y.all() or not y.any():
         raise OneClassOnly("labels contain a single class")
     pen = _penalty(ridge, F.shape[1] + 1)
@@ -236,31 +264,40 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
 
     A result beyond float64, which numpy then reports as a
     ``FloatingPointError``, rejects a trial step and fails any other stage.
+
+    The per-row work runs in two vectors of ``len(y)`` floats, made once per
+    fit.  ``z`` holds the linear predictor, then the residual ``y - p``,
+    then the Hessian weights ``p * (1 - p)``, then the next trial's
+    predictor; ``p`` holds the probabilities, then the log-likelihood's
+    scratch.  The weighted design is built once per iteration and not kept.
+    At ridge 0 the kernels skip the penalty terms, which would add zeros.
     """
     w = np.zeros(X.shape[1])
-    ll, z = _penalised_ll(X, y, w, pen)
+    z, p = np.empty(len(y)), np.empty(len(y))
+    kernel_pen = pen if ridge else None
+    ll = _penalised_ll(X, y, w, kernel_pen, z, p)[0]
     pen_matrix = np.diag(pen)
 
     # one pass per point w: the gradient there, then a Newton step from it
     # unless w is the optimum or the MAX_ITER-th step's result
     for iterations in range(MAX_ITER + 1):
-        g, p, residual = _penalised_gradient(X, y, w, z, pen)
+        g, _, residual = _penalised_gradient(X, y, w, z, kernel_pen, p, z)
         if (
             ridge == 0.0
             and iterations < MAX_ITER
-            and np.max(np.abs(residual)) < SEPARATION_RESIDUAL
+            and residual.max() < SEPARATION_RESIDUAL
+            and residual.min() > -SEPARATION_RESIDUAL
         ):
             raise SeparationDetected(
                 "every unit is fitted almost perfectly; the likelihood has no "
                 "finite maximiser (retry with ridge > 0)"
             )
-        # not held through the Hessian's N x P temporaries, which set peak memory
-        del z, residual
         grad_norm = math.sqrt(g.dot(g))
         converged = grad_norm < TOL
         if converged or iterations == MAX_ITER:
             break
-        weights = p * (1.0 - p)
+        weights = np.subtract(1.0, p, out=z)
+        np.multiply(p, weights, out=weights)
         H = (X * weights[:, None]).T @ X + pen_matrix
         try:
             # np.linalg.solve's own LAPACK gufunc, without its Python wrapper:
@@ -272,7 +309,7 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
             try:
-                new_ll, z = _penalised_ll(X, y, candidate, pen)
+                new_ll = _penalised_ll(X, y, candidate, kernel_pen, z, p)[0]
             except FloatingPointError:
                 new_ll = -math.inf
             if new_ll >= ll - _acceptance_slack(ll):
@@ -282,7 +319,7 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
             raise SingularHessian(
                 "step-halving exhausted without improving the log-likelihood"
             )
-        w, ll = candidate, new_ll  # z is that of the accepted candidate
+        w, ll = candidate, new_ll  # z holds that of the accepted candidate
         if ridge == 0.0 and math.sqrt(w.dot(w)) > SEPARATION_NORM:
             raise SeparationDetected(
                 "coefficient norm exceeded 1e6 while the likelihood keeps "
@@ -316,12 +353,12 @@ def _reduced(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _int64_entries(values) -> np.ndarray:
-    """``values`` as a new int64 array; ValueError unless all are int64 integers."""
+    """``values`` as a new int64 array; InvalidArgument unless all are int64 integers."""
     raw = np.asarray(values)
     if raw.size and (
         raw.dtype.kind not in "biu" or (raw.dtype.kind == "u" and raw.max() > _INT64_MAX)
     ):
-        raise ValueError(
+        raise InvalidArgument(
             "exact scores need integer numerators and denominators that fit in int64"
         )
     return raw.astype(np.int64)
@@ -355,10 +392,10 @@ class ScoreVector:
         """Float scores, all defined, from an array (copied)."""
         floats = np.array(scores, dtype=float)
         if floats.ndim != 1:
-            raise ValueError("scores must be a vector")
+            raise InvalidArgument("scores must be a vector")
         bad = np.flatnonzero(~((floats >= 0) & (floats <= 1)))
         if bad.size:
-            raise ValueError(
+            raise InvalidArgument(
                 f"score {float(floats[bad[0]])!r} of unit {int(bad[0])} outside [0, 1]"
             )
         return cls._frozen(floats=floats)
@@ -371,24 +408,24 @@ class ScoreVector:
         cell, so the fractions are reduced per entry rather than per unit.  A
         zero denominator marks an undefined score.  ``index`` holds integers
         in ``[0, len(numerators))``; a read-only one is kept without a copy.
-        Anything else raises :class:`ValueError`, never a truncated or
-        wrapped value.
+        Anything else raises :class:`~csps.errors.InvalidArgument`, a
+        ``ValueError``, never a truncated or wrapped value.
         """
         num = _int64_entries(numerators)
         den = _int64_entries(denominators)
         if num.ndim != 1 or num.shape != den.shape:
-            raise ValueError("numerators and denominators must be vectors of one length")
+            raise InvalidArgument("numerators and denominators must be vectors of one length")
         num, den = _reduced(num, den)
         valid = (den == 0) | ((den > 0) & (num >= 0) & (num <= den))
         bad = np.flatnonzero(~valid)
         if bad.size:
             j = int(bad[0])
-            raise ValueError(f"score {num[j]}/{den[j]} outside [0, 1]")
+            raise InvalidArgument(f"score {num[j]}/{den[j]} outside [0, 1]")
         index = np.asarray(index)
         if index.ndim != 1 or index.dtype.kind not in "iu" or (
             index.size and (index.min() < 0 or index.max() >= len(num))
         ):
-            raise ValueError(f"index must be a vector of integers in [0, {len(num)})")
+            raise InvalidArgument(f"index must be a vector of integers in [0, {len(num)})")
         if index.flags.writeable:
             index = index.copy()
         return cls._frozen(numerators=num, denominators=den, index=index)
@@ -561,7 +598,10 @@ def _logistic_scores(features, d, ridge: float, order: np.ndarray) -> ScoreVecto
             f"Newton fit stopped after {model.iterations} iterations with "
             f"gradient norm {model.final_gradient_norm:.3g} (tol {TOL:g})"
         )
-    return ScoreVector.from_floats(_sigmoid(_design(F) @ model.coefficients))
+    # a linear predictor beyond float64 is infinite, and its score the limit 0 or 1
+    with np.errstate(over="ignore"):
+        z = _design(F) @ model.coefficients
+    return ScoreVector.from_floats(_sigmoid(z, out=z))
 
 
 def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> ScoreVector:

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import csps.estimation
-from csps.balancing import AlgorithmConfig
+from csps.balancing import AlgorithmConfig, run_algorithm
 from csps.contrasts import Contrast
 from csps.data import Dataset, build_cell_index
 from csps.errors import (
+    CspsError,
     DimensionMismatch,
+    InvalidArgument,
     MissingValue,
     NotConverged,
     OneClassOnly,
@@ -401,6 +403,27 @@ class TestPredictBinary:
         got = model_csps(points_dataset(), Contrast((1, -1))).as_floats()
         assert np.allclose(got, want, rtol=0, atol=1e-6)
 
+    def test_saturated_prediction_is_the_limit_without_a_warning(self):
+        # a unit outside the bifurcation so far out that its linear predictor
+        # overflows float64 scores the limit, 0 or 1, without numpy's
+        # overflow warning; every other unit keeps its score (the digest was
+        # recorded when the prediction still warned)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 2))
+        logit = 2.0 * X[:, 0] - 2.0 * X[:, 1]
+        w = np.where(rng.random(200) < 1.0 / (1.0 + np.exp(-logit)), 1, 2)
+        dataset = Dataset(np.vstack([X, [1e308, 1e308]]), np.append(w, 3))
+        contrast = Contrast((1, -1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = model_csps(dataset, contrast).as_floats()
+            report = run_algorithm(dataset, [contrast], [contrast])
+        assert scores[-1] in (0.0, 1.0)
+        assert hashlib.sha256(scores[:-1].tobytes()).hexdigest() == (
+            "2ecb9b3e729ee1a6a1a26a82453f7ad032c587ff93819f7df48345baa64ec66b"
+        )
+        assert [entry.error for entry in report] == [None]
+
 
 class TestEmpiricalScores:
     def test_worked_example_first_contrast(self, example):
@@ -645,3 +668,28 @@ class TestScoreVector:
         floats = sv.as_floats()
         assert np.isnan(floats[1])
         assert floats[2] == 1 / 3
+
+
+# each argument check of the estimation module, and the start of its message
+ARGUMENT_CHECKS = {
+    "features": (lambda: fit_binary_logistic(np.zeros((2, 2, 2)), [0, 1]), "features must be"),
+    "ridge": (lambda: fit_binary_logistic(POINTS_X, POINTS_Y, ridge=-1.0), "ridge must be"),
+    "label_shape": (lambda: fit_binary_logistic([[0.0], [1.0]], [0, 1, 1]), "labels must be a"),
+    "label_values": (lambda: fit_binary_logistic([[0.0], [1.0]], [0, 7]), "labels must be b"),
+    "no_rows": (lambda: fit_binary_logistic(np.empty((0, 1)), np.empty(0)), "empty dataset"),
+    "ratio_type": (lambda: ScoreVector.from_ratios([0.5], [1], [0]), "exact scores need"),
+    "score_shape": (lambda: ScoreVector.from_floats([[0.5]]), "scores must be"),
+    "score_range": (lambda: ScoreVector.from_floats([1.5]), "score 1.5 of unit 0"),
+    "ratio_shape": (lambda: ScoreVector.from_ratios([1, 1], [2], [0]), "numerators and"),
+    "ratio_range": (lambda: ScoreVector.from_ratios([3], [2], [0]), "score 3/2 outside"),
+    "index": (lambda: ScoreVector.from_ratios([1], [2], [1]), "index must be"),
+}
+
+
+@pytest.mark.parametrize("check", ARGUMENT_CHECKS)
+def test_argument_errors_are_typed_and_still_value_errors(check):
+    # a caller may catch the family as a CspsError, or as the ValueError it was
+    call, message = ARGUMENT_CHECKS[check]
+    with pytest.raises(InvalidArgument, match=f"^{message}") as caught:
+        call()
+    assert isinstance(caught.value, CspsError) and isinstance(caught.value, ValueError)
