@@ -48,6 +48,7 @@ from .data import Dataset, _canonical_order, _check_shape, _dense_ids, _whole_co
 from .errors import (
     CspsError,
     EmptyGroup,
+    InvalidArgument,
     OneClassOnly,
     TooFewUnits,
     UndefinedScores,
@@ -80,6 +81,9 @@ _LIMB_BITS = 26
 # float64 bincount over at most this many units adds integers below 2**53,
 # which it does exactly.
 _UNITS_PER_SUM = 2 ** 26
+# Eight limb sums below this in magnitude, each shifted left by at most 7
+# bits, add up in int64 exactly (see _windows).
+_WINDOW_LIMB_SUM = 2 ** 55
 
 
 # A stacked sum takes at most this many values (a longer column goes alone):
@@ -122,7 +126,9 @@ def _stacked_group_sums(columns) -> list[tuple[list[int], int]]:
     multiplicity, is summed with one ``np.bincount`` keyed by (column, group,
     ``e``); a column's keys start after the previous column's and run from
     its own least ``e``, so its integers do not depend on the other columns.
-    Only the nonzero buckets are then combined, as Python ints.
+    Only the nonzero buckets are then combined: first in int64, each group's
+    buckets in windows of 8 consecutive exponents (:func:`_windows`), then
+    the windows as Python ints.
 
     Every partial sum stays an integer below ``2**53``, so float64 adds it
     exactly: a call adds at most ``_UNITS_PER_SUM`` values per bincount, and
@@ -145,7 +151,9 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
     The values are gathered straight into one buffer, which ``np.frexp``
     turns into the mantissas and then the low limbs, and the keys are built
     in place on the exponents, so three 8-byte arrays per value are held at
-    once: the low limbs, the high limbs and the keys.
+    once: the low limbs, the high limbs and the keys.  Those are freed
+    before the used buckets are merged by window and the Python ints are
+    made, one ``totals[g] += ((high << 26) + low) << shift`` per window.
     """
     columns = [_Column(*column) for column in columns]
     first = list(accumulate([0] + [column.num_groups for column in columns]))
@@ -199,15 +207,56 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
                 limb_sum += sums.astype(np.int64)
         del mantissa, high, low, key  # freed before the Python ints are made
         used = (high_sum | low_sum).nonzero()[0]
-        code = used if buckets is None else buckets[used]
-        group, shift = np.divmod(code, width)
+        group, shift, high_sum, low_sum = _windows(
+            used if buckets is None else buckets[used], width,
+            high_sum[used], low_sum[used], first[-1],
+        )
         for g, shift, h, lo in zip(
-            group.tolist(), shift.tolist(), high_sum[used].tolist(), low_sum[used].tolist()
+            group.tolist(), shift.tolist(), high_sum.tolist(), low_sum.tolist()
         ):
             totals[g] += ((h << _LIMB_BITS) + lo) << shift
         for c, e in zip(live, e_min.tolist()):
             exponents[c] = e - _MANTISSA_BITS
     return [(totals[first[c]:first[c + 1]], exponents[c]) for c in range(len(columns))]
+
+
+def _windows(code, width: int, high, low, num_groups: int):
+    """The used buckets of :func:`_sum_stack`, merged by window of 8 exponents.
+
+    Bucket i is (group, exponent offset s) ``divmod(code[i], width)``, with
+    the int64 limb sums ``high[i]`` and ``low[i]``; the codes ascend.
+    Returns the group, offset and limb sums of each window: the buckets of
+    one group whose s share ``s >> 3`` make one window at offset
+    ``8 * (s >> 3)``, whose limb sums are the buckets' own, each shifted
+    left by ``s & 7``, added by ``np.add.reduceat`` over the sorted codes.
+    Limb sums below 2**55 in magnitude keep that exact in int64, since
+    ``2**55 * (2**8 - 1) < 2**63``, and a column of at most 2**28 values,
+    or with multiplicities, has none larger (a high limb is below 2**27 in
+    magnitude, a low one nonnegative and below 2**26).  The bound is
+    checked all the same, and a limb sum that reaches it leaves every
+    bucket its own window.  So do buckets that do not outnumber the
+    groups, as on exact-cell count tables with one or two exponents per
+    group, where merging cannot save what its numpy calls cost.
+    """
+    group, shift = np.divmod(code, width)
+    if len(code) <= num_groups or not (
+        -_WINDOW_LIMB_SUM < np.minimum.reduce(high)
+        and max(np.maximum.reduce(high), np.maximum.reduce(low)) < _WINDOW_LIMB_SUM
+    ):
+        return group, shift, high, low
+    offset = shift & 7
+    window = code - offset  # group * width + 8 * (s >> 3)
+    opens = np.empty(len(window), dtype=bool)  # whether bucket i opens a window
+    opens[0] = True
+    np.not_equal(window[1:], window[:-1], out=opens[1:])
+    starts = np.flatnonzero(opens)
+    shift -= offset
+    return (
+        group[starts],
+        shift[starts],
+        np.add.reduceat(high << offset, starts),
+        np.add.reduceat(low << offset, starts),
+    )
 
 
 def _scaled_fraction(numerator: int, denominator: int, exponent: int) -> Fraction:
@@ -359,9 +408,9 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise InvalidArgument(f"unknown estimator {self.estimator!r}")
         if self.subclass_method not in SUBCLASS_METHODS:
-            raise ValueError(f"unknown subclass method {self.subclass_method!r}")
+            raise InvalidArgument(f"unknown subclass method {self.subclass_method!r}")
         # an int: a float count above 2**53 would never end _cut_steps' halving
         object.__setattr__(
             self, "num_subclasses", _whole_count(self.num_subclasses, "num_subclasses")
@@ -394,10 +443,10 @@ class SubclassAssignment:
     def __init__(self, labels, num_subclasses: int, *, scores=None):
         num_subclasses = _whole_count(num_subclasses, "num_subclasses", least=0)
         lab = _whole_labels(
-            labels, 0, num_subclasses, ValueError, "subclass label",
+            labels, 0, num_subclasses, InvalidArgument, "subclass label",
             "whole numbers from {least}, and must not exceed num_subclasses = {most}",
         )
-        _check_shape(lab, (None,), ValueError, "subclass labels must be a vector")
+        _check_shape(lab, (None,), InvalidArgument, "subclass labels must be a vector")
         self._set(lab.astype(np.min_scalar_type(num_subclasses)), num_subclasses, scores)
 
     @classmethod
@@ -456,7 +505,7 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
     resumes at the merge point makes the same merges as rescanning.
     """
     groups = [g for g in range(len(positive)) if positive[g] or negative[g]]
-    subclass = np.zeros(len(positive), dtype=np.intp)
+    subclass = [0] * len(positive)
     left = len(groups)  # groups (merged or not) still apart
     done = 0  # subclasses closed, each with both signs
     members = []  # groups merged into the current one
@@ -466,7 +515,8 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
         pos += positive[g]
         neg += negative[g]
         if pos and neg:
-            subclass[members] = done
+            for m in members:
+                subclass[m] = done
             done += 1
             members, pos, neg = [], 0, 0
         elif left == 1:
@@ -475,13 +525,14 @@ def _merge_one_class_groups(positive, negative) -> tuple[np.ndarray, int]:
             )
         elif done >= (left - 1) / 2:
             # into the previous subclass, which keeps both signs
-            subclass[members] = done - 1
+            for m in members:
+                subclass[m] = done - 1
             members, pos, neg = [], 0, 0
             left -= 1
         else:
             # into the next group: carry on accumulating
             left -= 1
-    return subclass, done
+    return np.array(subclass, dtype=np.intp), done
 
 
 def _cut_steps(n: int, num_subclasses: int) -> np.ndarray:
@@ -574,9 +625,10 @@ def subclassify(
     the labels are built in the narrowest unsigned type that holds them.
     """
     config = AlgorithmConfig(subclass_method=method, num_subclasses=num_subclasses)
-    d = _whole_labels(d_indicator, -1, 1, ValueError, "group indicator", "1, -1 or 0")
+    d = _whole_labels(d_indicator, -1, 1, InvalidArgument, "group indicator", "1, -1 or 0")
     _check_shape(
-        d, (len(scores),), ValueError, "group indicators must be a vector with one entry per score"
+        d, (len(scores),), InvalidArgument,
+        "group indicators must be a vector with one entry per score",
     )
     eligible = np.flatnonzero(d)
     if eligible.size == 0:
@@ -604,13 +656,16 @@ def _subclass_rows(
     score and sign (one when None).  Rows of units and rows of (cell, sign)
     counts get the same subclasses.  Returns each row's 1-based subclass
     label, in the narrowest unsigned type that holds every label, and the
-    number of subclasses.
+    number of subclasses.  The quantile cuts read float scores in place,
+    gathering only the rows' scores; exact scores are rounded per unit by
+    :meth:`~csps.estimation.ScoreVector.as_floats` first.
     """
     # group[i]: the score-ordered group of row i before merging
     if config.subclass_method == "exact":
         group = scores.dense_ranks(rows)
     else:
-        vals, S = scores.as_floats()[rows], config.num_subclasses
+        floats = scores.as_floats() if scores._floats is None else scores._floats
+        vals, S = floats[rows], config.num_subclasses
         cuts = _quantile_cuts(vals, S) if counts is None else _quantile_cuts(vals, S, counts)
         # group = number of cuts strictly below the value, so ties fall into
         # the lower subclass
@@ -758,7 +813,7 @@ def covariate_mean_difference(
     """
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
-        raise ValueError("subclass labels must cover every unit of the dataset")
+        raise InvalidArgument("subclass labels must cover every unit of the dataset")
     d = assignment_indicators(target, dataset.treatments)
     eligible = np.flatnonzero(d != 0)
     negative = d[eligible] == -1
@@ -927,7 +982,7 @@ def _balancing_design(
 
     if config.estimator == "logistic":
         features = np.column_stack(
-            [model_csps(dataset, c, ridge=config.ridge).as_floats() for c in balancing]
+            [model_csps(dataset, c, ridge=config.ridge)._floats for c in balancing]
         )
         return _BalancingDesign(balancing, _unit_table(dataset), features=features)
     table = _cell_table(dataset)
@@ -1083,7 +1138,7 @@ def _checked_contrasts(dataset: Dataset, balancing, targets) -> tuple[tuple, tup
     for contrast in (*balancing, *targets):
         _check_width(dataset, contrast)
     if targets and not balancing:
-        raise ValueError("at least one balancing contrast is required")
+        raise InvalidArgument("at least one balancing contrast is required")
     return balancing, targets
 
 
@@ -1110,7 +1165,8 @@ def run_algorithm(
     of treatments is an input error, not a per-target failure: it raises
     :class:`~csps.errors.DimensionMismatch` (or NotAContrast, for an entry
     that is not a :class:`Contrast`) before any fit, and targets with no
-    balancing contrast a ValueError.  Whichever the estimator, each target
+    balancing contrast an :class:`~csps.errors.InvalidArgument`, which is
+    also a ``ValueError``.  Whichever the estimator, each target
     is worked out by one path, :func:`_target_comparison`, on the rows of
     its design's table (see the module docstring).
     """

@@ -9,6 +9,7 @@ and, in the estimators, the chained cells and the ranks of exact scores.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from collections import Counter
 from functools import cached_property
@@ -336,21 +337,48 @@ def _parse_treatment(token: str, where: str) -> int:
         raise ParseError(f"non-integer treatment {token!r} at {where}") from exc
 
 
-def _parse_body(fh, num_fields: int, cov_idx: list[int], trt_idx: int):
+# the suffixes of the files that np.loadtxt decompresses when given their path
+_COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _body_path(path) -> str | None:
+    """The path from which ``np.loadtxt`` reads the file at ``path`` as it is, or None.
+
+    Given a path, loadtxt reads the file in chunks in C; given an open file,
+    it iterates its lines in Python.  Only a path that ``os.fspath`` turns
+    into a str qualifies (not a bytes path or a file descriptor, whose
+    ``open`` loadtxt cannot repeat), and not one with a suffix loadtxt
+    decompresses.  It is made absolute, so loadtxt never takes it for a URL.
+    """
+    try:
+        path = os.fspath(path)
+    except TypeError:
+        return None
+    if not isinstance(path, str) or path.endswith(_COMPRESSED):
+        return None
+    return os.path.abspath(path)
+
+
+def _parse_body(source, skiprows: int, num_fields: int, cov_idx: list[int], trt_idx: int):
     """Covariates and labels of a plain numeric CSV body, or None.
 
-    One ``np.loadtxt`` call parses every row: the treatment field as an
-    integer and every other field as a covariate float, so a row with the
-    wrong number of fields fails it.  None means loadtxt refused the body or
-    warned (a quoted field, a blank entry, an empty body, ``1_000`` ...):
-    the row parser then either accepts the body or says which line is wrong.
+    ``source`` is an open file at the body's first line, or a path whose
+    first ``skiprows`` lines are the header.  One ``np.loadtxt`` call parses
+    every row: the treatment field as an integer and every other field as a
+    covariate float, so a row with the wrong number of fields fails it.
+    None means loadtxt refused the body or warned (a quoted field, a blank
+    entry, an empty body, ``1_000`` ...), or could not read the path: the
+    row parser then either accepts the body or says which line is wrong.
     """
     dtype = np.dtype([(f"f{j}", "i8" if j == trt_idx else "f8") for j in range(num_fields)])
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            body = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-    except (ValueError, Warning):
+            body = np.loadtxt(
+                source, delimiter=",", comments=None, ndmin=1, dtype=dtype,
+                skiprows=skiprows, encoding="utf-8",
+            )
+    except (ValueError, OSError, Warning):
         return None
     X = np.empty((len(body), len(cov_idx)))
     for k, j in enumerate(cov_idx):
@@ -400,9 +428,12 @@ def load_dataset(path) -> Dataset:
     decimals as Python's ``float`` reads them and treatments integers as
     ``int`` reads them, with surrounding whitespace allowed.  Fields may be
     quoted, blank lines and rows of blank fields are skipped, and ``#``
-    starts no comment.  A plain numeric body is parsed in one array pass;
-    anything else, and any file that cannot be read twice (a pipe), goes row
-    by row, which also names the line of the first bad entry.  Only the
+    starts no comment.  A plain numeric body is parsed in one array pass,
+    by ``np.loadtxt`` from the path when ``os.fspath`` gives a str (it
+    skips the header's lines, ``csv.reader``'s count of them, and reads the
+    file in chunks in C), else from the open file; anything else, and any
+    file that cannot be read twice (a pipe), goes row by row, which also
+    names the line of the first bad entry.  Only the
     header and the row parser are bound by ``csv.field_size_limit()``: they
     refuse a longer field, the array pass reads it.  The file must be UTF-8
     text with a header on its first line.  Every refusal is a
@@ -427,7 +458,11 @@ def load_dataset(path) -> Dataset:
 
         parsed = None
         if fh.seekable():  # the row parser may have to read the body again
-            parsed = _parse_body(fh, len(header), cov_idx, trt_idx)
+            body_path = _body_path(path)
+            if body_path is None:
+                parsed = _parse_body(fh, 0, len(header), cov_idx, trt_idx)
+            else:
+                parsed = _parse_body(body_path, reader.line_num, len(header), cov_idx, trt_idx)
             if parsed is None:
                 fh.seek(0)
                 reader = csv.reader(fh)
@@ -437,6 +472,8 @@ def load_dataset(path) -> Dataset:
 
     X, w = parsed
     names = [header[j] for j in cov_idx]
+    # a file read only up to its header still holds its read-ahead buffers
+    del fh, reader
     return Dataset(X, w, covariate_names=names)
 
 

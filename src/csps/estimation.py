@@ -15,12 +15,15 @@ the intercept design and the penalty vector.  The log-likelihood kernel sums
 ``log(1 + e**z)`` as ``max(z, 0) + log1p(exp(-|z|))`` with numpy's
 vectorised ``exp`` and ``log1p``; against ``np.logaddexp`` that moves only
 the last bits of each log-likelihood, which the fit reads only through its
-step acceptance test, so no coefficient changes.  The kernels write into
-output buffers when given them: the Newton loop does its per-row work in
-two vectors made once per fit, and passes no penalty at ridge 0, where
-every penalty term is zero.  A prediction whose linear predictor is beyond
-float64 is the limit score, 0 or 1, without a numpy warning.  An argument
-of the wrong shape, type or range raises
+step acceptance test, so no coefficient changes.  That test allows for the
+rounding of the two sums whose difference the log-likelihood is, not only
+of the difference, so a fit that has converged in all but rounding stops
+at :data:`TOL` instead of halving its steps until :data:`MAX_ITER`.  The
+kernels write into output buffers when given them: the Newton loop does
+its per-row work in two vectors made once per fit, and passes no penalty
+at ridge 0, where every penalty term is zero.  A prediction whose linear
+predictor is beyond float64 is the limit score, 0 or 1, without a numpy
+warning.  An argument of the wrong shape, type or range raises
 :class:`~csps.errors.InvalidArgument`, which is also a ``ValueError``.
 
 Scores are predicted for every unit, including units outside the bifurcation:
@@ -69,10 +72,20 @@ SEPARATION_NORM = 1e6
 _EPS = float(np.finfo(float).eps)
 
 
-def _acceptance_slack(value: float) -> float:
-    # near the optimum the true gain of a Newton step can fall below the
-    # float resolution of the total log-likelihood; accept within a few ulps
-    return 8.0 * _EPS * (1.0 + abs(value))
+def _acceptance_slack(value: float, partition: float = 0.0) -> float:
+    """How far a trial step's log-likelihood may fall below ``value`` and be taken.
+
+    ``value`` is the log-likelihood of the current point, ``y @ z -
+    partition``, with ``partition`` its log-partition (0 when not known: the
+    slack of the total alone).  Near the optimum the true gain of a Newton
+    step falls below the rounding of those two sums, which can be far larger
+    than their difference.  So the slack is a few ulps of ``1 + |value| +
+    partition``, which bounds both: ``y @ z`` is at most the log-partition,
+    and when negative at most ``|value|`` in magnitude.  Each term is scaled
+    before they are added, so the slack is finite whatever the sums are,
+    and never below the slack of the total alone.
+    """
+    return 8.0 * _EPS * (1.0 + abs(value)) + 8.0 * _EPS * partition
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -119,7 +132,7 @@ def _penalty(ridge, size: int) -> np.ndarray:
     return pen
 
 
-def _penalised_ll(X, y, w, pen, z=None, buf=None) -> tuple[float, np.ndarray]:
+def _penalised_ll(X, y, w, pen, z=None, buf=None, partition=None) -> tuple[float, np.ndarray]:
     """Bernoulli log-likelihood of design ``X``, minus the penalty ``pen @ (w * w) / 2``.
 
     Also returns ``z = X @ w``, from which the gradient at ``w`` is computed.
@@ -133,8 +146,10 @@ def _penalised_ll(X, y, w, pen, z=None, buf=None) -> tuple[float, np.ndarray]:
 
     ``z`` and ``buf``, when given, are vectors of ``len(y)`` floats that
     receive ``X @ w`` and the log-partition's scratch; otherwise both are
-    new.  A ``pen`` of None is no penalty, without the terms that a zero
-    penalty adds as zeros.
+    new.  ``partition``, when given, is a list whose first item receives the
+    log-partition, whose rounding :func:`_acceptance_slack` allows for.
+    A ``pen`` of None is no penalty, without the terms that a zero penalty
+    adds as zeros.
     """
     z = np.matmul(X, w, out=z)
     buf = np.maximum(z, 0.0, out=buf)
@@ -143,9 +158,12 @@ def _penalised_ll(X, y, w, pen, z=None, buf=None) -> tuple[float, np.ndarray]:
     np.negative(buf, out=buf)
     np.exp(buf, out=buf)
     np.log1p(buf, out=buf)
-    ll = float(y @ z - (positive + buf.sum()))
+    log_partition = positive + buf.sum()
+    ll = float(y @ z - log_partition)
     if math.isnan(ll):
         raise FloatingPointError("invalid value encountered in the log-likelihood")
+    if partition is not None:
+        partition[0] = float(log_partition)
     if pen is not None:
         ll -= 0.5 * float(pen @ (w * w))
     return ll, z
@@ -245,7 +263,7 @@ def fit_binary_logistic(features, labels, ridge: float = 0.0) -> BinaryLogisticM
     y = _binary_labels(labels, F.shape[0])
     if y.size == 0:
         raise InvalidArgument("empty dataset")
-    if y.all() or not y.any():
+    if np.count_nonzero(y) in (0, y.size):
         raise OneClassOnly("labels contain a single class")
     pen = _penalty(ridge, F.shape[1] + 1)
 
@@ -275,7 +293,9 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
     w = np.zeros(X.shape[1])
     z, p = np.empty(len(y)), np.empty(len(y))
     kernel_pen = pen if ridge else None
-    ll = _penalised_ll(X, y, w, kernel_pen, z, p)[0]
+    partition = [0.0]  # the log-partition of the point last evaluated
+    ll = _penalised_ll(X, y, w, kernel_pen, z, p, partition)[0]
+    slack = _acceptance_slack(ll, partition[0])
     pen_matrix = np.diag(pen)
 
     # one pass per point w: the gradient there, then a Newton step from it
@@ -309,17 +329,18 @@ def _newton(X: np.ndarray, y: np.ndarray, pen: np.ndarray, ridge) -> BinaryLogis
         for _ in range(MAX_HALVINGS + 1):
             candidate = w + step
             try:
-                new_ll = _penalised_ll(X, y, candidate, kernel_pen, z, p)[0]
+                new_ll = _penalised_ll(X, y, candidate, kernel_pen, z, p, partition)[0]
             except FloatingPointError:
                 new_ll = -math.inf
-            if new_ll >= ll - _acceptance_slack(ll):
+            if new_ll >= ll - slack:
                 break
             step = 0.5 * step
         else:
             raise SingularHessian(
                 "step-halving exhausted without improving the log-likelihood"
             )
-        w, ll = candidate, new_ll  # z holds that of the accepted candidate
+        # z and partition hold those of the accepted candidate
+        w, ll, slack = candidate, new_ll, _acceptance_slack(new_ll, partition[0])
         if ridge == 0.0 and math.sqrt(w.dot(w)) > SEPARATION_NORM:
             raise SeparationDetected(
                 "coefficient norm exceeded 1e6 while the likelihood keeps "
@@ -585,7 +606,11 @@ def _logistic_scores(features, d, ridge: float, order: np.ndarray) -> ScoreVecto
     its units in that order, so it runs no full sort of them.  Raises
     :class:`NotConverged` when the Newton fit stops at :data:`MAX_ITER`
     iterations without reaching :data:`TOL`, and :class:`OneClassOnly` when
-    no unit is in either group.
+    no unit is in either group.  The sigmoid is taken in place on the
+    predictions, and that array becomes the score as it is, without a copy,
+    once its least and greatest entries show it lies in [0, 1];
+    :meth:`ScoreVector.from_floats` refuses anything else, a NaN included,
+    with its own text.
     """
     F = _as_feature_matrix(features)
     d = np.asarray(d)
@@ -601,7 +626,10 @@ def _logistic_scores(features, d, ridge: float, order: np.ndarray) -> ScoreVecto
     # a linear predictor beyond float64 is infinite, and its score the limit 0 or 1
     with np.errstate(over="ignore"):
         z = _design(F) @ model.coefficients
-    return ScoreVector.from_floats(_sigmoid(z, out=z))
+    scores = _sigmoid(z, out=z)
+    if np.minimum.reduce(scores) >= 0.0 and np.maximum.reduce(scores) <= 1.0:
+        return ScoreVector._frozen(floats=scores)
+    return ScoreVector.from_floats(scores)
 
 
 def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> ScoreVector:

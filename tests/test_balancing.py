@@ -30,6 +30,7 @@ from csps.errors import (
     CspsError,
     DimensionMismatch,
     EmptyGroup,
+    InvalidArgument,
     NotAContrast,
     OneClassOnly,
     TooFewUnits,
@@ -1207,3 +1208,36 @@ class TestTrueScoreStratification:
         for row in balance.subclass_rows:
             assert np.abs(row.difference).max() < 0.02
         assert np.abs(balance.after).max() < 0.02
+
+
+# each argument check of the balancing module, called as a caller would
+# trip it, and the refusal's text
+ARGUMENT_REFUSALS = {
+    "estimator name": (lambda ds: AlgorithmConfig(estimator="bogus"), "unknown estimator"),
+    "subclass method name": (
+        lambda ds: AlgorithmConfig(subclass_method="bogus"), "unknown subclass method"
+    ),
+    "labels of another length": (
+        lambda ds: covariate_mean_difference(ds, TARGET_CONTRAST, SubclassAssignment([1], 1)),
+        "cover every unit",
+    ),
+    "no balancing contrast": (
+        lambda ds: run_algorithm(ds, [], [TARGET_CONTRAST]), "at least one balancing contrast"
+    ),
+    "subclass label value": (lambda ds: SubclassAssignment([2], 1), "must not exceed"),
+    "subclass label shape": (lambda ds: SubclassAssignment([[0, 1]], 1), "must be a vector"),
+    "indicator value": (
+        lambda ds: subclassify(ScoreVector.from_floats([0.2, 0.4]), [1, 2]), "1, -1 or 0"
+    ),
+    "indicator shape": (
+        lambda ds: subclassify(ScoreVector.from_floats([0.2, 0.4]), [1]), "one entry per score"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ARGUMENT_REFUSALS)
+def test_argument_refusals_are_typed_value_errors(site, example):
+    call, message = ARGUMENT_REFUSALS[site]
+    with pytest.raises(InvalidArgument, match=message) as refused:
+        call(example)
+    assert isinstance(refused.value, CspsError) and isinstance(refused.value, ValueError)

@@ -187,6 +187,62 @@ class TestFastIngest:
         assert math.copysign(1.0, d.covariates[1, 0]) == -1.0
         assert d.treatments.tolist() == [2, 1]
 
+    @pytest.mark.parametrize("text", [
+        "x1,w,x2\r\n1.5,2,7\r\n-0.0,1, 1e3 \r\n",
+        '"x\n1",w,x2\n1.5,2,7\n-0.0,1, 1e3 \n',
+        '"x\r\n1",w,x2\r\n1.5,2,7\r\n-0.0,1, 1e3 \r\n',
+        "\ufeffx1,w,x2\n1.5,2,7\n-0.0,1, 1e3 \n",
+    ], ids=["crlf", "quoted line break", "quoted crlf", "byte order mark"])
+    def test_body_read_from_the_path_equals_the_row_parser(self, text, tmp_path, monkeypatch):
+        from csps import data
+
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with monkeypatch.context() as patched:
+            patched.setattr(data, "_parse_body", lambda *args: None)
+            by_rows = load_dataset(path)
+        sources = []
+        real = data._parse_body
+
+        def watched(source, *args):
+            sources.append(source)
+            return real(source, *args)
+
+        def refuse(*args):
+            raise AssertionError("the row parser ran on a clean file")
+
+        monkeypatch.setattr(data, "_parse_body", watched)
+        monkeypatch.setattr(data, "_parse_rows", refuse)
+        by_path = load_dataset(path)
+        assert sources == [os.path.abspath(path)]
+        assert by_path.covariate_names == by_rows.covariate_names
+        assert by_path.covariates.tobytes() == by_rows.covariates.tobytes()
+        assert by_path.treatments.tolist() == by_rows.treatments.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("how", ["bytes path", "file descriptor", "compressed suffix"])
+    def test_other_sources_are_read_through_the_open_file(self, how, tmp_path, monkeypatch):
+        # np.loadtxt would iterate a bytes path as ints, cannot reopen a file
+        # descriptor, and decompresses a path ending in .gz
+        from csps import data
+
+        path = tmp_path / ("m.csv.gz" if how == "compressed suffix" else "m.csv")
+        path.write_text("x1,w\n1.5,2\n-2,1\n")
+        source = {"bytes path": os.fsencode(path), "compressed suffix": path}.get(how)
+        if source is None:
+            source = os.open(path, os.O_RDONLY)  # load_dataset's open() closes it
+        sources = []
+        real = data._parse_body
+
+        def watched(source, *args):
+            sources.append(source)
+            return real(source, *args)
+
+        monkeypatch.setattr(data, "_parse_body", watched)
+        d = load_dataset(source)
+        assert len(sources) == 1 and not isinstance(sources[0], (str, bytes))
+        assert d.covariates.tolist() == [[1.5], [-2.0]]
+        assert d.treatments.tolist() == [2, 1]
+
     def test_row_parser_names_the_bad_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("x1,w\n1,1\n\n2,2\n3,x\n")

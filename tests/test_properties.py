@@ -376,6 +376,118 @@ def test_weighted_sums_equal_repeated_values(columns):
             )])[0]
 
 
+def fraction_sums(column) -> list[Fraction]:
+    """The exact per-group sums of a :class:`balancing._Column`, value by value."""
+    values = column.values if column.units is None else column.values[column.units]
+    times = [1] * len(values) if column.multiplicity is None else column.multiplicity.tolist()
+    sums = [Fraction(0)] * column.num_groups
+    for v, g, m in zip(values.tolist(), column.groups.tolist(), times):
+        sums[g] += Fraction(v) * m
+    return sums
+
+
+def unmerged(code, width, high, low, num_groups):
+    """``balancing._windows`` with every bucket left its own window."""
+    group, shift = np.divmod(code, width)
+    return group, shift, high, low
+
+
+@st.composite
+def spanning_columns(draw):
+    """1-3 columns whose every group holds values over 9 to 40 consecutive
+    exponents, with full 53-bit mantissas of either sign, so a group's
+    buckets fill two to five 8-exponent windows; WIDE values mixed in, some
+    columns read through a unit index, some weighted by multiplicities
+    adding up to at most 2**26."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        num_groups = draw(st.integers(1, 5))
+        per_group = draw(st.integers(2, 12))
+        span = draw(st.integers(9, 40))
+        least = draw(st.integers(-1074, 1024 - span))
+        n = num_groups * per_group
+        exponents = least + rng.integers(0, span, n)
+        exponents[0::per_group], exponents[1::per_group] = least, least + span - 1
+        values = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice((-1.0, 1.0), n), exponents)
+        wide = rng.random(n) < draw(st.sampled_from((0.0, 0.0, 0.1)))
+        values[wide] = rng.choice(WIDE, int(wide.sum()))
+        groups = np.repeat(np.arange(num_groups, dtype=np.intp), per_group)
+        units = rng.permutation(n) if draw(st.booleans()) else None
+        multiplicity = None
+        if draw(st.booleans()):
+            most = draw(st.sampled_from((3, 2 ** 26 // n)))
+            multiplicity = rng.integers(1, most + 1, n).astype(np.intp)
+        columns.append(balancing._Column(values, groups, num_groups, units, multiplicity))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_columns())
+# one group of 2**26 units whose mantissas are all ones over 8 consecutive
+# exponents: each limb sum is near 2**50, and one window takes all 8; the
+# second ends at -1.7976931348623157e308
+@example([balancing._Column(
+    np.ldexp(1.0 - 2.0 ** -53, np.arange(-7, 1)), np.zeros(8, dtype=np.intp), 1,
+    multiplicity=np.full(8, 2 ** 23),
+)])
+@example([balancing._Column(
+    -np.ldexp(1.0 - 2.0 ** -53, np.arange(1017, 1025)), np.zeros(8, dtype=np.intp), 2,
+    multiplicity=np.full(8, 2 ** 23),
+)])
+def test_window_merged_sums_equal_fraction_sums(columns):
+    merged = balancing._stacked_group_sums(columns)
+    with mock.patch.object(balancing, "_windows", unmerged):
+        apart = balancing._stacked_group_sums(columns)
+    assert merged == apart
+    for column, (totals, exponent) in zip(columns, merged):
+        assert [Fraction(t) * Fraction(2) ** exponent for t in totals] == fraction_sums(column)
+    assert merged == [balancing._stacked_group_sums([column])[0] for column in columns]
+
+
+def test_window_merge_takes_a_bucket_per_8_exponents():
+    # a group of values at 40 consecutive exponents, one per exponent: 40
+    # buckets make 5 windows, and the sums are those of the buckets apart
+    k = np.arange(40)
+    values = np.ldexp(np.where(k % 2, -1.0, 1.0) * (0.75 + 3 * 2.0 ** -53), k)
+    column = (values, np.zeros(40, dtype=np.intp), 1)
+    sizes = []
+    real = balancing._windows
+
+    def watched(code, width, high, low, num_groups):
+        group, shift, high, low = real(code, width, high, low, num_groups)
+        sizes.append((len(code), len(group)))
+        return group, shift, high, low
+
+    with mock.patch.object(balancing, "_windows", watched):
+        merged = balancing._stacked_group_sums([column])
+    assert sizes == [(40, 5)]
+    with mock.patch.object(balancing, "_windows", unmerged):
+        assert balancing._stacked_group_sums([column]) == merged
+
+
+@pytest.mark.parametrize("limb_sum, windows", [
+    (2 ** 55 - 1, 2), (-(2 ** 55 - 1), 2), (2 ** 55, 9), (-(2 ** 55), 9),
+])
+def test_window_merge_is_exact_up_to_limb_sums_of_2_55(limb_sum, windows):
+    # eight buckets of group 0 at offsets 0-7, one window, and one bucket of
+    # group 1; limb sums of 2**55 or more in magnitude are not merged
+    width = 10
+    code = np.array([0, 1, 2, 3, 4, 5, 6, 7, width + 9])
+    high = np.full(9, limb_sum, dtype=np.int64)
+    low = np.full(9, abs(limb_sum), dtype=np.int64)
+
+    def combined(group, shift, high, low):
+        totals = [0, 0]
+        for g, s, h, lo in zip(group.tolist(), shift.tolist(), high.tolist(), low.tolist()):
+            totals[g] += ((h << balancing._LIMB_BITS) + lo) << s
+        return totals
+
+    out = balancing._windows(code, width, high, low, 2)
+    assert len(out[0]) == windows
+    assert combined(*out) == combined(*unmerged(code, width, high, low, 2))
+
+
 @given(datasets(min_units=2), st.sampled_from(CONTRASTS), st.data())
 def test_mean_differences_equal_fraction_reference(data_case, target, data):
     X, w = data_case
