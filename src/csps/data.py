@@ -346,8 +346,8 @@ def _body_path(path) -> str | None:
 
     Given a path, loadtxt reads the file in chunks in C; given an open file,
     it iterates its lines in Python.  Only a path that ``os.fspath`` turns
-    into a str qualifies (not a bytes path or a file descriptor, whose
-    ``open`` loadtxt cannot repeat), and not one with a suffix loadtxt
+    into a str qualifies: not a bytes path, which loadtxt would iterate as
+    ints, nor a file descriptor, nor a name with a suffix that loadtxt
     decompresses.  It is made absolute, so loadtxt never takes it for a URL.
     """
     try:

@@ -114,8 +114,8 @@ def overshoot_problem(seed):
 HALVING_FITS = [
     (75, 0.0), (328, 0.0), (174, 1e-3), (391, 1e-3), (75, 1e-2), (265, 1e-2), (328, 1e-2),
 ]
-# recorded at the parent of the rounding-aware step acceptance, which took
-# the same steps
+# the same as under the step acceptance that allowed for the rounding of
+# the total log-likelihood alone: these fits take the same steps under both
 HALVING_FITS_ENDS = [
     (12, True), (18, True), (19, True), (17, True), (12, True), (14, True), (17, True),
 ]
