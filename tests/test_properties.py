@@ -11,6 +11,7 @@ import importlib
 import io
 import math
 import os
+import pickle
 import sys
 import tempfile
 import warnings
@@ -919,6 +920,110 @@ def labelled(contrasts, sign=1):
     naming one reads the same whatever its coefficients."""
     return [Contrast(tuple(sign * v for v in c.coefficients), label=f"b{j}")
             for j, c in enumerate(contrasts)]
+
+
+@st.composite
+def discrete_pass_cases(draw):
+    """1-200 units over T = 3-4 treatments, 1-3 covariates of 2-3 values
+    each; each cell draws its treatments from its own subset of 1..T, so
+    balancing scores are often undefined on a cell.  1-2 balancing
+    bifurcations, 1-4 targets, and a unit sample for ``dense_ranks(units)``."""
+    T = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 200))
+    levels = [
+        np.array(draw(st.lists(DISCRETE, min_size=2, max_size=3, unique_by=float.hex)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    X = np.column_stack([rng.choice(level, n) for level in levels])
+    cells = table_dataset(X, np.ones(n, dtype=int), T).cell_index
+    allowed = [
+        draw(st.lists(st.integers(1, T), min_size=1, max_size=T, unique=True))
+        for _ in range(cells.num_cells)
+    ]
+    w = np.array([rng.choice(allowed[c]) for c in cells.cell_of_unit.tolist()])
+    balancing_set = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=2))
+    targets = draw(st.lists(contrasts_of_width(T), min_size=1, max_size=4))
+    units = rng.integers(0, n, draw(st.integers(0, 2 * n)))
+    return X, w, T, balancing_set, targets, units
+
+
+def oracle_chained_scores(dataset, balancing_set, d) -> list:
+    """Unit by unit: the share of positive units among the eligible units
+    whose tuple of balancing scores is the unit's, None where there are none."""
+    keys = list(zip(*(
+        empirical_csps(dataset, c).values for c in one_per_bifurcation(balancing_set)
+    )))
+    positive, eligible = {}, {}
+    for key, sign in zip(keys, d.tolist()):
+        positive[key] = positive.get(key, 0) + (sign == 1)
+        eligible[key] = eligible.get(key, 0) + (sign != 0)
+    return [Fraction(positive[k], eligible[k]) if eligible[k] else None for k in keys]
+
+
+def score_reads(scores, units):
+    """Every per-unit read of a score, as values and bytes."""
+    ranks, picked = scores.dense_ranks(), scores.dense_ranks(units)
+    return (
+        len(scores), scores.values, scores.as_floats().tobytes(),
+        scores.undefined_units.dtype, scores.undefined_units.tobytes(),
+        ranks.dtype, ranks.tobytes(), picked.dtype, picked.tobytes(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    discrete_pass_cases(), st.sampled_from(("exact", "quantile")), st.integers(1, 8),
+)
+@example(
+    # cell 0.0 holds only treatment 3, where (1, -1, 0) is undefined: the
+    # first target needs it and fails; the second, (1, 0, -1), does not
+    case=(
+        np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [1.0]]), np.array([3, 3, 1, 2, 1, 3]), 3,
+        [Contrast((1, -1, 0))], [Contrast((1, 0, -1)), Contrast((0, 1, -1))],
+        np.array([5, 0, 2, 2]),
+    ),
+    method="exact", S=5,
+)
+def test_pass_per_unit_reads_equal_the_oracle(case, method, S):
+    # each target's per-unit reads, from a pass's score and labels, against
+    # scores built unit by unit from the tuples of balancing scores; and the
+    # same reads after a pickle round trip
+    X, w, T, balancing_set, targets, units = case
+    config = AlgorithmConfig(estimator="empirical", subclass_method=method, num_subclasses=S)
+    dataset = table_dataset(X, w, T)
+    undefined = any(empirical_csps(dataset, c).undefined_units.size for c in balancing_set)
+    for entry in run_algorithm(dataset, balancing_set, targets, config):
+        if entry.error is not None:
+            event(entry.error.split(":")[0])
+            continue
+        event("subclassified" + (", a balancing score undefined" if undefined else ""))
+        d = assignment_indicators(entry.contrast, w)
+        oracle = oracle_chained_scores(dataset, balancing_set, d)
+        want = ScoreVector.from_ratios(
+            [0 if v is None else v.numerator for v in oracle],
+            [0 if v is None else v.denominator for v in oracle],
+            np.arange(len(w)),
+        )
+        assert entry.scores.values == tuple(oracle)
+        assert entry.scores.as_floats().tobytes() == want.as_floats().tobytes()
+        ranks = entry.scores.dense_ranks()
+        assert np.array_equal(np.unique(ranks, return_inverse=True)[1], want.dense_ranks())
+        assert np.array_equal(entry.scores.dense_ranks(units), ranks[units])
+        assert np.array_equal(entry.scores.undefined_units, want.undefined_units)
+        assert len(entry.scores) == len(w)
+        labels = subclassify(want, d, method, S).labels
+        got = entry.assignment.labels
+        assert (got.dtype, got.tobytes(), got.flags.writeable) == (
+            labels.dtype, labels.tobytes(), False
+        )
+        reads = score_reads(entry.scores, units)
+        assert score_reads(pickle.loads(pickle.dumps(entry.scores)), units) == reads
+        copy = pickle.loads(pickle.dumps(entry.assignment))
+        assert (copy.labels.dtype, copy.labels.tobytes(), copy.num_subclasses) == (
+            got.dtype, got.tobytes(), entry.assignment.num_subclasses
+        )
+        assert score_reads(copy.scores, units) == reads
 
 
 @settings(max_examples=40, deadline=None)
