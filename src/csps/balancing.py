@@ -11,12 +11,13 @@ one path whichever the estimator.  With exact cells every number the
 routine reports depends on the units only through their counts per
 (covariate cell, treatment), so the table holds those counts, made once per
 call (:func:`_cell_table`), and the scores, the subclasses and the group
-sums come from them.  Per call the units are read to count them, through
-a key per unit dropped once they are counted, and to gather each unit's
-chained cell, the one index per unit that the pass keeps: every target's
-per-unit score and subclass labels share it.  A target keeps one label per
-chained cell, gathered per unit only when first read.  With logistic
-scores each row of the table is one unit (:func:`_unit_table`).
+sums come from them.  Per call the units are read once, to count them,
+through a key per unit dropped once they are counted; the pass keeps no
+array per unit of its own.  Every target's per-unit score and subclass
+labels are read through the dataset's covariate cell of each unit and the
+chained cell of each covariate cell, which they share.  A target keeps one
+label per chained cell, gathered per unit only when first read.  With
+logistic scores each row of the table is one unit (:func:`_unit_table`).
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -431,11 +432,12 @@ class SubclassAssignment:
     made on, else None.  An assignment that :func:`run_algorithm` made on
     exact cells keeps one label per chained cell, since a chained cell's
     eligible units share its score; its per-unit ``labels`` are gathered
-    from those on their first read, through the score's index of each
-    unit's chained cell, set to 0 for the units outside the target's
-    groups, and then kept, so a pass whose labels are never read makes no
-    array per unit for them.  Any other assignment holds its labels per
-    unit from the start.
+    from those on their first read, first per covariate cell through the
+    chained cell of each, then per unit through the dataset's covariate
+    cell of each unit, set to 0 for the units outside the target's groups,
+    and then kept, so a pass whose labels are never read makes no array
+    per unit or per covariate cell for them.  Any other assignment holds
+    its labels per unit from the start.
     """
 
     __slots__ = ("_labels", "_by_cell", "num_subclasses", "scores")
@@ -455,10 +457,10 @@ class SubclassAssignment:
     ) -> "SubclassAssignment":
         """An assignment over valid labels already in their narrowest type,
         kept without a copy.  With ``cells``, the (chained cell of each
-        unit, whether each treatment label is in the target's groups,
-        treatment of each unit) of an exact-cell design, ``labels`` holds a
-        label per chained cell, gathered per unit on the first read of
-        :attr:`labels`."""
+        covariate cell, covariate cell of each unit, whether each treatment
+        label is in the target's groups, treatment of each unit) of an
+        exact-cell design, ``labels`` holds a label per chained cell,
+        gathered per unit on the first read of :attr:`labels`."""
         self = cls.__new__(cls)
         self._set(labels, num_subclasses, scores, cells)
         return self
@@ -479,8 +481,8 @@ class SubclassAssignment:
         if labels is None:
             # ``_by_cell`` is never cleared, so two threads reading at once
             # each gather the same labels
-            label_of_cell, cells, eligible, treatments = self._by_cell
-            labels = label_of_cell[cells]
+            label_of_chained, chain_of_cell, cell_of_unit, eligible, treatments = self._by_cell
+            labels = label_of_chained[chain_of_cell][cell_of_unit]
             labels *= eligible[treatments]
             labels.setflags(write=False)
             self._labels = labels
@@ -877,11 +879,12 @@ class _CellTable(NamedTuple):
 
     Row r is a pair with units: covariate cell ``cell[r]``, whose covariate
     row is ``values[cell[r]]``, treatment label ``treatment[r]`` and
-    ``count[r] > 0`` units, or one unit when ``count`` is None.  A count
-    table holds no array per unit.
+    ``count[r] > 0`` units, or one unit when ``count`` is None.  With
+    ``cell`` None, row r is unit r, whose covariate row is ``values[r]``.
+    A count table holds no array per unit.
     """
 
-    cell: np.ndarray
+    cell: np.ndarray | None
     treatment: np.ndarray
     count: np.ndarray | None
     values: np.ndarray
@@ -911,12 +914,9 @@ def _cell_table(dataset: Dataset) -> _CellTable:
 
 
 def _unit_table(dataset: Dataset) -> _CellTable:
-    """The table whose row i is unit i: one read-only identity index serves
-    as its cells.  It is intp, so the per-target gathers through it take it
-    as it is, without casting it on every call."""
-    identity = np.arange(dataset.n_units, dtype=np.intp)
-    identity.setflags(write=False)
-    return _CellTable(identity, dataset.treatments, None, dataset.covariates)
+    """The table whose row i is unit i, with no index of cells: a target's
+    rows are its units."""
+    return _CellTable(None, dataset.treatments, None, dataset.covariates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -931,13 +931,14 @@ class _BalancingDesign:
     every chained fit takes its units in.  The empirical design's table is
     :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
     of each table row is ``chain``, on which each target's chained score and
-    its labels per chained cell are built, and of each unit ``cells``, the
-    read-only index both are carried on, the one array per unit of the
-    design; ``treatments`` are the dataset's, from which a target's labels
-    find each unit's group when they are first read.  ``undefined[j]``
-    holds the table rows in cells without a unit of balancing contrast j's
-    groups, where score j is undefined (none for the logistic design, whose
-    scores are defined on every unit).
+    its labels per chained cell are built, and of each covariate cell
+    ``chain_of_cell`` (read-only).  Both are carried to the units through
+    ``cell_of_unit``, the dataset's own read-only index, so the design
+    holds no array per unit; ``treatments`` are the dataset's, from which a
+    target's labels find each unit's group when they are first read.
+    ``undefined[j]`` holds the table rows in cells without a unit of
+    balancing contrast j's groups, where score j is undefined (none for the
+    logistic design, whose scores are defined on every unit).
     """
 
     contrasts: tuple[Contrast, ...]
@@ -945,7 +946,8 @@ class _BalancingDesign:
     features: np.ndarray | None = None
     undefined: tuple[np.ndarray, ...] = ()
     chain: np.ndarray | None = None
-    cells: np.ndarray | None = None
+    chain_of_cell: np.ndarray | None = None
+    cell_of_unit: np.ndarray | None = None
     num_cells: int = 0
     treatments: np.ndarray | None = None
 
@@ -964,12 +966,12 @@ def _balancing_design(
     contrast of each sign pattern, up to a sign flip, is kept, in its own
     orientation, and the design's texts name it.
 
-    The empirical design reads the units twice: once to count them by
-    (cell, treatment), through a key per unit that is dropped once they are
-    counted, and once to gather each unit's chained cell.  The scores and
-    their undefined rows come from the counts, on the table rows.  A
-    chained cell needs equal scores only, not their order, so the cells are
-    numbered by their reduced score ratios, unsorted.
+    The empirical design reads the units once, to count them by (cell,
+    treatment), through a key per unit that is dropped once they are
+    counted.  The scores and their undefined rows come from the counts, on
+    the table rows, and each covariate cell's chained cell from the scores.
+    A chained cell needs equal scores only, not their order, so the cells
+    are numbered by their reduced score ratios, unsorted.
     """
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
@@ -1001,11 +1003,11 @@ def _balancing_design(
     # where undefined); a tuple with an undefined score holds no eligible
     # unit of any target that passes the checks, so its cell stays undefined
     chain_of_cell, num_chained = _dense_ids(ratios)
-    cells = chain_of_cell[cell_index.cell_of_unit]
-    cells.setflags(write=False)
+    chain_of_cell.setflags(write=False)
     return _BalancingDesign(
         balancing, table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
-        cells=cells, num_cells=num_chained, treatments=dataset.treatments,
+        chain_of_cell=chain_of_cell, cell_of_unit=cell_index.cell_of_unit,
+        num_cells=num_chained, treatments=dataset.treatments,
     )
 
 
@@ -1034,8 +1036,9 @@ def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig)
     the target's units, and the empirical one counts each chained cell's
     units of either sign with one bincount over the target's rows, and is
     checked over the table rows, not the units.  Its per-unit score has one
-    entry per chained cell, over the design's index of each unit's chained
-    cell, which every target shares.
+    entry per chained cell, read through the dataset's covariate cell of
+    each unit and the design's chained cell of each covariate cell, which
+    every target shares.
     """
     table = design.table
     sign = assignment_indicators(target, table.treatment)
@@ -1059,7 +1062,7 @@ def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig)
         row_scores = _cell_scores(
             design.chain[rows], design.num_cells, sign[rows], count, index=design.chain
         )
-        scores = row_scores._with_index(design.cells)
+        scores = row_scores._with_index(design.cell_of_unit, design.chain_of_cell)
     return _Target(scores, row_scores, rows, negative, count)
 
 
@@ -1073,30 +1076,30 @@ def _target_comparison(
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
     weighted by its units.  The unit table's rows are its units, so a label
-    per row is the label of each unit.  On a count table the labels are
-    kept one per chained cell: a chained cell's eligible units share its
-    score, so its subclass, and the assignment gathers them per unit through
-    the score's own index when first read.  On a table with counts, a
-    target of more than ``_UNITS_PER_SUM`` units, which the weighted sums
-    cannot take, has each of its rows repeated once per unit and summed
-    unweighted: the same (group, covariate row) values, so the same exact
-    sums (the unit table's unweighted sums take any number of units).  The
-    checks of those three functions that the chained checks leave
-    unreachable are not repeated.
+    per row is the label of each unit, and the rows index the covariates
+    directly.  On a count table the labels are kept one per chained cell: a
+    chained cell's eligible units share its score, so its subclass, and the
+    assignment gathers them per unit, through the two maps its score reads,
+    when first read.  On a table with counts, a target of more than
+    ``_UNITS_PER_SUM`` units, which the weighted sums cannot take, has each
+    of its rows repeated once per unit and summed unweighted: the same
+    (group, covariate row) values, so the same exact sums (the unit table's
+    unweighted sums take any number of units).  The checks of those three
+    functions that the chained checks leave unreachable are not repeated.
     """
     scores, row_scores, rows, negative, count = _target(design, target, config)
     label, num_subclasses = _subclass_rows(row_scores, rows, negative, config, count)
     table = design.table
     if config.estimator == "logistic":
-        labels = np.zeros(len(table.cell), dtype=label.dtype)
+        labels = np.zeros(len(table.treatment), dtype=label.dtype)
         labels[rows] = label
         assignment = SubclassAssignment._built(labels, num_subclasses, scores)
     else:
-        label_of_cell = np.zeros(design.num_cells, dtype=label.dtype)
-        label_of_cell[design.chain[rows]] = label
+        label_of_chained = np.zeros(design.num_cells, dtype=label.dtype)
+        label_of_chained[design.chain[rows]] = label
         assignment = SubclassAssignment._built(
-            label_of_cell, num_subclasses, scores,
-            (design.cells, target._signs != 0, design.treatments),
+            label_of_chained, num_subclasses, scores,
+            (design.chain_of_cell, design.cell_of_unit, target._signs != 0, design.treatments),
         )
     groups = 2 * label.astype(np.intp)
     groups += negative
@@ -1105,7 +1108,8 @@ def _target_comparison(
     counts = np.bincount(groups, count, minlength=num_groups).astype(np.int64).tolist()
     if count is not None and sum(counts) > _UNITS_PER_SUM:
         rows, groups, count = np.repeat(rows, count), np.repeat(groups, count), None
-    return _Comparison(target, assignment, table.values, table.cell[rows], groups, count, counts)
+    units = rows if table.cell is None else table.cell[rows]
+    return _Comparison(target, assignment, table.values, units, groups, count, counts)
 
 
 def chained_propensity(

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyFile, MissingValue, OutOfRangeTreatment, ParseError
+from .errors import EmptyFile, InvalidArgument, MissingValue, OutOfRangeTreatment, ParseError
 
 __all__ = ["Dataset", "CellIndex", "load_dataset", "build_cell_index", "write_dataset_csv"]
 
@@ -32,7 +32,10 @@ class Dataset:
     Treatment labels lie in ``1..num_treatments`` and follow the label rule
     of :func:`_whole_labels` (``2.0`` and ``Fraction(2)`` are kept as ``2``;
     ``1.5``, ``True`` and ``"2"`` are an OutOfRangeTreatment); a given
-    ``num_treatments`` is whole and in [1, 2**63), else ValueError.
+    ``num_treatments`` is whole and in [1, 2**63).  A malformed argument
+    (covariates not 2-D or without a column, treatments not one per unit,
+    a bad ``num_treatments`` or name count) raises
+    :class:`~csps.errors.InvalidArgument`, which is also a ``ValueError``.
     Covariates must be finite; missing data is rejected at ingestion.
     A label in 1..T that never occurs is recorded as a warning, not an error.
     In a CSV file the treatments are the column ``w`` (see :func:`load_dataset`).
@@ -47,20 +50,21 @@ class Dataset:
     ):
         X = np.array(covariates, dtype=float)
         if X.ndim != 2:
-            raise ValueError(f"covariates must be 2-D, got ndim={X.ndim}")
+            raise InvalidArgument(f"covariates must be 2-D, got ndim={X.ndim}")
         if X.shape[1] < 1:
-            raise ValueError("at least one covariate column is required")
+            raise InvalidArgument("at least one covariate column is required")
         if not np.all(np.isfinite(X)):
             raise MissingValue("covariates contain NaN or infinite entries")
         if num_treatments is not None:
             num_treatments = _whole_count(num_treatments, "num_treatments")
         w = _whole_labels(treatments, 1, num_treatments, OutOfRangeTreatment, "treatment label")
         _check_shape(
-            w, (X.shape[0],), ValueError, "treatments must be a vector with one entry per unit"
+            w, (X.shape[0],), InvalidArgument,
+            "treatments must be a vector with one entry per unit",
         )
         if num_treatments is None:
             if w.size == 0:
-                raise ValueError("num_treatments is required for an empty dataset")
+                raise InvalidArgument("num_treatments is required for an empty dataset")
             num_treatments = int(w.max())
         w = w.copy()  # the caller's int64 array passes the checker as it is
         if covariate_names is None:
@@ -68,7 +72,7 @@ class Dataset:
         else:
             covariate_names = tuple(str(n) for n in covariate_names)
             if len(covariate_names) != X.shape[1]:
-                raise ValueError("covariate_names length must match columns")
+                raise InvalidArgument("covariate_names length must match columns")
         X.setflags(write=False)
         w.setflags(write=False)
         self.covariates = X
@@ -129,13 +133,13 @@ def _is_whole(value) -> bool:
 
 
 def _whole_count(value, name: str, least: int = 1, bounded: bool = True) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless a whole number
+    """``value`` as an int; InvalidArgument naming ``name`` unless a whole number
     at least ``least`` (and below 2**63 when ``bounded``).  A bool is not a
     count."""
     count = int(value) if _is_whole(value) else None
     if count is None or not (least <= count and (count < 2 ** 63 or not bounded)):
         bound = "below 2**63, " if bounded else ""
-        raise ValueError(
+        raise InvalidArgument(
             f"{name} must be {bound}at least {least} and a whole number, not {value!r}"
         )
     return count
@@ -489,23 +493,24 @@ def write_dataset_csv(
     treatments and integer extras as ``'%d' % v`` does.  An extra column is
     an integer, unsigned or float array with one entry per unit, or a
     masked array of one (masked entries become empty fields); anything else
-    is a ``ValueError``, raised before the file is opened.  So is a dataset
-    of no units, whose header-only file :func:`load_dataset` would refuse,
-    a column name with surrounding whitespace, which it strips, or one
-    that, stripped, names another column, which it would refuse.
+    is an :class:`~csps.errors.InvalidArgument`, a ``ValueError``, raised
+    before the file is opened.  So is a dataset of no units, whose
+    header-only file :func:`load_dataset` would refuse, a column name with
+    surrounding whitespace, which it strips, or one that, stripped, names
+    another column, which it would refuse.
     """
     from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
 
     if not dataset.n_units:
-        raise ValueError("a dataset of no units would be read back as an empty file")
+        raise InvalidArgument("a dataset of no units would be read back as an empty file")
     extras = dict(extra_columns or {})
     header = [str(h) for h in (*dataset.covariate_names, "w", *extras)]
     name, count = Counter(h.strip() for h in header).most_common(1)[0]
     if count > 1:
-        raise ValueError(f"column {name!r} would be named {count} times")
+        raise InvalidArgument(f"column {name!r} would be named {count} times")
     padded = next((h for h in header if h != h.strip()), None)
     if padded is not None:
-        raise ValueError(f"column {padded!r} would be read back as {padded.strip()!r}")
+        raise InvalidArgument(f"column {padded!r} would be read back as {padded.strip()!r}")
     write_csv_columns(
         path,
         header,

@@ -394,8 +394,12 @@ class ScoreVector:
     (empirical cell frequencies): reduced int64 numerator and denominator
     arrays with one entry per source of values, typically a cell, plus the
     entry of every unit; a zero denominator marks an undefined entry (a cell
-    without group members).  ``undefined_units``, the units whose score is
-    undefined, is derived from these arrays on access, in place of a
+    without group members).  A score that
+    :func:`~csps.balancing.run_algorithm` made on exact cells has one entry
+    per chained cell and reads it through two maps, the dataset's covariate
+    cell of each unit and the entry of each covariate cell, so it holds no
+    array per unit of its own.  ``undefined_units``, the units whose score
+    is undefined, is derived from these arrays on access, in place of a
     per-unit defined mask.  ``values`` spells the scores out as a tuple of
     floats, :class:`~fractions.Fraction` objects and ``None``, built on
     first access: it is the only exact read-out of the scores that
@@ -403,7 +407,9 @@ class ScoreVector:
     ``csps example`` prints the worked example's cell scores from it.
     """
 
-    __slots__ = ("_floats", "_numerators", "_denominators", "_index", "_values")
+    __slots__ = (
+        "_floats", "_numerators", "_denominators", "_index", "_entry_of_cell", "_values"
+    )
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build scores with ScoreVector.from_floats or .from_ratios")
@@ -462,11 +468,17 @@ class ScoreVector:
         self._numerators = numerators
         self._denominators = denominators
         self._index = index
+        self._entry_of_cell = None
         self._values = None
         return self
 
     def __len__(self) -> int:
         return len(self._floats if self._floats is not None else self._index)
+
+    def _per_cell(self, entries: np.ndarray) -> np.ndarray:
+        """Values per entry as values per index target: ``entries`` itself,
+        or gathered once over the cells through ``_entry_of_cell``."""
+        return entries if self._entry_of_cell is None else entries[self._entry_of_cell]
 
     @property
     def undefined_units(self) -> np.ndarray:
@@ -477,7 +489,7 @@ class ScoreVector:
         """
         if self._floats is not None or self._denominators.all():
             return np.empty(0, dtype=np.intp)
-        return np.flatnonzero((self._denominators == 0)[self._index])
+        return np.flatnonzero(self._per_cell(self._denominators == 0)[self._index])
 
     @property
     def values(self) -> tuple:
@@ -490,6 +502,8 @@ class ScoreVector:
                     Fraction(n, d) if d else None
                     for n, d in zip(self._numerators.tolist(), self._denominators.tolist())
                 ]
+                if self._entry_of_cell is not None:
+                    entries = [entries[j] for j in self._entry_of_cell.tolist()]
                 self._values = tuple(entries[j] for j in self._index.tolist())
         return self._values
 
@@ -504,13 +518,17 @@ class ScoreVector:
         if wide.size:
             entry[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
         entry[den == 0] = np.nan
-        return entry[self._index]
+        return self._per_cell(entry)[self._index]
 
-    def _with_index(self, index: np.ndarray) -> "ScoreVector":
-        """The same exact entries over another index, kept without a copy."""
-        return ScoreVector._frozen(
+    def _with_index(self, index: np.ndarray, entry_of_cell: np.ndarray) -> "ScoreVector":
+        """The same exact entries over another index, through ``entry_of_cell``:
+        unit i's entry is ``entry_of_cell[index[i]]``.  Both are read-only
+        and kept without a copy."""
+        scores = ScoreVector._frozen(
             numerators=self._numerators, denominators=self._denominators, index=index
         )
+        scores._entry_of_cell = entry_of_cell
+        return scores
 
     def dense_ranks(self, units=None) -> np.ndarray:
         """Small nonnegative ranks of the scores of ``units`` (default: all).
@@ -533,19 +551,21 @@ class ScoreVector:
             with np.errstate(divide="ignore", invalid="ignore"):
                 key = num / den
             key[den == 0] = np.nan  # a ratio n/0 would be infinite
-            return np.unique(key, return_inverse=True)[1][self._index[pick]]
-        ids, n = _dense_ids([num, den])
-        # equal ids carry equal values, so these writes agree
-        nums = np.zeros(n, dtype=np.int64)
-        dens = np.zeros(n, dtype=np.int64)
-        nums[ids], dens[ids] = num, den
-        nums, dens = nums.tolist(), dens.tolist()
-        order = sorted(
-            (j for j in range(n) if dens[j]), key=lambda j: Fraction(nums[j], dens[j])
-        )
-        rank = np.full(n, len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        return rank[ids][self._index[pick]]
+            rank = np.unique(key, return_inverse=True)[1]
+        else:
+            ids, n = _dense_ids([num, den])
+            # equal ids carry equal values, so these writes agree
+            nums = np.zeros(n, dtype=np.int64)
+            dens = np.zeros(n, dtype=np.int64)
+            nums[ids], dens[ids] = num, den
+            nums, dens = nums.tolist(), dens.tolist()
+            order = sorted(
+                (j for j in range(n) if dens[j]), key=lambda j: Fraction(nums[j], dens[j])
+            )
+            rank_of_id = np.full(n, len(order), dtype=np.intp)
+            rank_of_id[order] = np.arange(len(order))
+            rank = rank_of_id[ids]
+        return self._per_cell(rank)[self._index[pick]]
 
 
 def _check_width(dataset: Dataset, contrast: Contrast) -> None:

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +26,53 @@ if not callable(getattr(providers, "_get_local_constants", None)):
         "property examples would again depend on the collected test files"
     )
 providers._get_local_constants = lambda: Constants()
+
+
+def _openblas_getters() -> tuple[str, str]:
+    """The core type and thread count that numpy's bundled OpenBLAS reports,
+    each "unknown" where the library or its getter is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            blas = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            core = blas.scipy_openblas_get_corename64_
+            threads = blas.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        core.argtypes, core.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return core().decode(), str(threads())
+    return "unknown", "unknown"
+
+
+def _numeric_environment() -> list[str]:
+    """numpy's SIMD levels, the OpenBLAS kernel and the variables that pick them."""
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
+    enabled = [name for name in umath.__cpu_dispatch__ if features.get(name)]
+    core, threads = _openblas_getters()
+    variables = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    return [
+        f"numpy {np.__version__}: SIMD baseline {' '.join(umath.__cpu_baseline__) or 'none'}, "
+        f"dispatch targets enabled {' '.join(enabled) or 'none'}",
+        f"OpenBLAS core {core}, {threads} threads",
+        ", ".join(f"{name}={os.environ.get(name, 'unset')}" for name in variables),
+    ]
+
+
+# The bits of the logistic path depend on numpy's SIMD level and on the BLAS
+# kernel, so a failure of a machine-pinned test is read against these lines:
+# in the header, or at the end of a quiet (-q) run, which has no header.
+def pytest_report_header(config):
+    return _numeric_environment()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:
+        terminalreporter.section("numeric environment")
+        for line in _numeric_environment():
+            terminalreporter.write_line(line)
 
 
 @pytest.fixture

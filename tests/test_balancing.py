@@ -44,6 +44,7 @@ from csps.example_data import (
     TARGET_CONTRAST,
 )
 from csps.simulation import (
+    default_balancing,
     mechanism_ii,
     run_experiment,
     sample_dataset,
@@ -1069,16 +1070,17 @@ class TestRunAlgorithm:
     def test_pass_on_a_cell_per_unit_holds_only_chained_cells(self, method):
         # continuous covariates: one cell per unit, so the table has about a
         # row per unit.  Each target's score has one entry per chained cell
-        # (at most 3**J: a one-unit cell scores 0, 1 or undefined) over one
-        # index shared by every target; its labels are held per chained cell,
-        # so before they are read the report holds that index and less than
-        # a byte per unit besides; each target's first read gathers a byte
-        # per unit, a second read gathers nothing, and nothing of the pass
-        # stays on the dataset
+        # (at most 3**J: a one-unit cell scores 0, 1 or undefined), read
+        # through the dataset's cell of each unit and the chained cell of
+        # each cell, which every target shares; its labels are held per
+        # chained cell, so before they are read the report holds that map
+        # and less than a byte per unit besides; each target's first read
+        # gathers a byte per unit, a second read gathers nothing, and
+        # nothing of the pass stays on the dataset
         rng = np.random.default_rng(7)
         n = 50_000
         dataset = Dataset(rng.standard_normal((n, 2)), rng.integers(1, 4, n))
-        dataset.cell_index
+        cell_of_unit = dataset.cell_index.cell_of_unit
         targets = simulation_contrasts()
         # every unit in both balancing contrasts' groups, so no score is undefined
         balancing_set = [targets[0], Contrast((1, -2, 1))]
@@ -1087,7 +1089,7 @@ class TestRunAlgorithm:
         try:
             report = run_algorithm(dataset, balancing_set, targets, config)
             held = tracemalloc.get_traced_memory()[0]
-            index_bytes = report.entries[0].scores._index.nbytes
+            map_bytes = report.entries[0].scores._entry_of_cell.nbytes
             for entry in report:
                 entry.assignment.labels
             read = tracemalloc.get_traced_memory()[0]
@@ -1098,18 +1100,43 @@ class TestRunAlgorithm:
             left = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert index_bytes == 8 * n
-        assert held - index_bytes < n
+        assert map_bytes == 8 * n
+        assert held - map_bytes < n
         assert len(targets) * n <= read - held < len(targets) * n + 1024
         assert read_twice - read < 1024
         assert left < 64 * 1024
         report = run_algorithm(dataset, balancing_set, targets, config)
-        indexes = {id(entry.scores._index) for entry in report}
-        assert len(indexes) == 1 and len(report.entries[0].scores) == n
+        chain_of_cell = report.entries[0].scores._entry_of_cell
+        assert len(report.entries[0].scores) == n and not chain_of_cell.flags.writeable
         for entry in report:
             assert entry.error is None
+            assert entry.scores._index is cell_of_unit
+            assert entry.scores._entry_of_cell is chain_of_cell
             assert len(entry.scores._numerators) <= 3 ** len(balancing_set)
             assert len(entry.scores._denominators) <= 3 ** len(balancing_set)
+
+    def test_warm_pass_on_few_cells_holds_no_array_per_unit(self):
+        # 80k units in 8 cells: once the dataset's cell index is built, a
+        # pass reads the units only through the key per unit that counts
+        # them, which is dropped before it returns; what the report keeps
+        # is per cell and per chained cell
+        rng = np.random.default_rng(11)
+        n = 80_000
+        X = (rng.random((n, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, n), num_treatments=3)
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        balancing_set, targets = default_balancing(), simulation_contrasts()
+        run_algorithm(dataset, balancing_set, targets, config)
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, balancing_set, targets, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.cell_index.num_cells == 8
+        assert all(entry.error is None for entry in report)
+        assert held < 64 * 1024
+        assert peak <= 8 * n + 64 * 1024
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_empirical_pass_memory_is_bounded_by_the_units(self, method):

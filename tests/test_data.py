@@ -12,7 +12,14 @@ import pytest
 import csps
 from csps.cli import main
 from csps.data import Dataset, build_cell_index, load_dataset, write_dataset_csv
-from csps.errors import EmptyFile, MissingValue, OutOfRangeTreatment, ParseError
+from csps.errors import (
+    CspsError,
+    EmptyFile,
+    InvalidArgument,
+    MissingValue,
+    OutOfRangeTreatment,
+    ParseError,
+)
 
 
 def write_example_csv(dataset, path):
@@ -497,3 +504,54 @@ class TestCellIndex:
         sizes = np.bincount(index.cell_of_unit)
         assert len(sizes) == index.num_cells and sizes.min() >= 1
         assert (index.rows[index.cell_of_unit] == X).all()
+
+
+# each argument check of the data module, called as a caller would trip it,
+# and the start of its message
+ARGUMENT_CHECKS = {
+    "covariate rank": (lambda path: Dataset(np.zeros(3), [1, 2, 1]), "covariates must be 2-D"),
+    "no covariate": (lambda path: Dataset(np.zeros((3, 0)), [1, 2, 1]), "at least one"),
+    "treatment shape": (lambda path: Dataset(np.zeros((3, 1)), [1, 2]), "treatments must be"),
+    "no units, no T": (lambda path: Dataset(np.zeros((0, 1)), []), "num_treatments is required"),
+    "name count": (
+        lambda path: Dataset(np.zeros((2, 1)), [1, 2], covariate_names=["a", "b"]),
+        "covariate_names length",
+    ),
+    "T not whole": (
+        lambda path: Dataset(np.zeros((2, 1)), [1, 2], num_treatments=0), "num_treatments must"
+    ),
+    "no units written": (
+        lambda path: write_dataset_csv(Dataset(np.zeros((0, 1)), [], num_treatments=2), path),
+        "a dataset of no units",
+    ),
+    "name repeated": (
+        lambda path: write_dataset_csv(
+            Dataset(np.zeros((2, 1)), [1, 2]), path, {"x1": np.zeros(2)}
+        ),
+        "column 'x1' would be named 2 times",
+    ),
+    "name padded": (
+        lambda path: write_dataset_csv(
+            Dataset(np.zeros((2, 1)), [1, 2]), path, {" y": np.zeros(2)}
+        ),
+        "column ' y' would be read back",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:treatments .* never occur")
+@pytest.mark.parametrize("check", ARGUMENT_CHECKS)
+def test_argument_errors_are_typed_and_still_value_errors(check, tmp_path):
+    # a caller may catch the family as a CspsError, or as the ValueError it was
+    call, message = ARGUMENT_CHECKS[check]
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidArgument, match=f"^{message}") as caught:
+        call(path)
+    assert isinstance(caught.value, CspsError) and isinstance(caught.value, ValueError)
+    assert not path.exists()
+
+
+def test_argument_error_of_a_command_is_an_input_error(capsys):
+    # too few units for the treatments: a count check, exit code 2
+    assert main(["simulate", "--mechanism", "I", "--units", "2", "--reps", "1"]) == 2
+    assert capsys.readouterr().err.startswith("input error: num_units must be")
