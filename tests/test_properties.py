@@ -1103,6 +1103,40 @@ def unit_table_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(cell_table_cases(), unit_table_cases()), st.sampled_from(("exact", "quantile")),
+    st.integers(1, 8),
+)
+def test_pass_labels_count_the_reported_subclasses(estimator, case, method, S):
+    # on either estimator, a pass's per-unit labels are 0 exactly on the
+    # units outside the target's groups, and subclass s holds as many units
+    # of either sign as its row reports; a second read returns the same
+    # array, and the labels and the score's floats keep their bytes through
+    # a pickle round trip
+    X, w, T, balancing_set, targets = case
+    config = AlgorithmConfig(estimator=estimator, subclass_method=method, num_subclasses=S)
+    for entry in run_algorithm(table_dataset(X, w, T), balancing_set, targets, config):
+        if entry.error is not None:
+            event(entry.error.split(":")[0])
+            continue
+        event("subclassified")
+        d = assignment_indicators(entry.contrast, w)
+        labels = entry.assignment.labels
+        assert np.array_equal(labels == 0, d == 0)
+        assert len(entry.subclass_rows) == entry.assignment.num_subclasses
+        for s, row in enumerate(entry.subclass_rows, start=1):
+            assert row.subclass_id == s
+            assert np.count_nonzero(labels[d == 1] == s) == row.n_positive
+            assert np.count_nonzero(labels[d == -1] == s) == row.n_negative
+        assert entry.assignment.labels is labels
+        copy = pickle.loads(pickle.dumps(entry.assignment))
+        assert (copy.labels.dtype, copy.labels.tobytes()) == (labels.dtype, labels.tobytes())
+        floats = pickle.loads(pickle.dumps(entry.scores)).as_floats()
+        assert floats.tobytes() == entry.scores.as_floats().tobytes()
+
+
+@pytest.mark.parametrize("estimator", ["empirical", "logistic"])
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(cell_table_cases(), unit_table_cases()), st.sampled_from(("exact", "quantile")),
     st.integers(1, 10), st.sampled_from((0.0, 0.5)),
     st.sampled_from((1, 2, Fraction(1, 3), -1, -2)), st.data(),
 )
