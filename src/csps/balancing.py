@@ -13,11 +13,12 @@ routine reports depends on the units only through their counts per
 call (:func:`_cell_table`), and the scores, the subclasses and the group
 sums come from them.  Per call the units are read once, to count them,
 through a key per unit dropped once they are counted; the pass keeps no
-array per unit of its own.  Every target's per-unit score and subclass
-labels are read through the dataset's covariate cell of each unit and the
-chained cell of each covariate cell, which they share.  A target keeps one
-label per chained cell, gathered per unit only when first read.  With
-logistic scores each row of the table is one unit (:func:`_unit_table`).
+array per unit of its own.  A target keeps one subclass label per entry
+of its score, built by one path on either table, and both are read per
+unit by the score's one gather from entries to units: on exact cells,
+through the dataset's covariate cell of each unit and the chained cell of
+each covariate cell, which every target shares, and for the labels only
+when first read.  With logistic scores each row of the table is one unit (:func:`_unit_table`).
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -430,14 +431,13 @@ class SubclassAssignment:
     a whole number in [0, 2**63).  ``scores`` is the score an
     assignment made by :func:`subclassify` or :func:`run_algorithm` was
     made on, else None.  An assignment that :func:`run_algorithm` made on
-    exact cells keeps one label per chained cell, since a chained cell's
-    eligible units share its score; its per-unit ``labels`` are gathered
-    from those on their first read, first per covariate cell through the
-    chained cell of each, then per unit through the dataset's covariate
-    cell of each unit, set to 0 for the units outside the target's groups,
-    and then kept, so a pass whose labels are never read makes no array
-    per unit or per covariate cell for them.  Any other assignment holds
-    its labels per unit from the start.
+    exact cells keeps one label per entry of its score, a chained cell,
+    whose eligible units share its score; its per-unit ``labels`` are
+    gathered from those through the score's own maps on their first read,
+    set to 0 for the units outside the target's groups, and then kept, so
+    a pass whose labels are never read makes no array per unit or per
+    covariate cell for them.  Any other assignment holds its labels per
+    unit from the start.
     """
 
     __slots__ = ("_labels", "_by_cell", "num_subclasses", "scores")
@@ -453,24 +453,23 @@ class SubclassAssignment:
 
     @classmethod
     def _built(
-        cls, labels: np.ndarray, num_subclasses: int, scores, cells: tuple | None = None
+        cls, labels: np.ndarray, num_subclasses: int, scores, signs=None, treatments=None
     ) -> "SubclassAssignment":
         """An assignment over valid labels already in their narrowest type,
-        kept without a copy.  With ``cells``, the (chained cell of each
-        covariate cell, covariate cell of each unit, whether each treatment
-        label is in the target's groups, treatment of each unit) of an
-        exact-cell design, ``labels`` holds a label per chained cell,
-        gathered per unit on the first read of :attr:`labels`."""
+        kept without a copy.  With ``treatments``, each unit's, ``labels``
+        holds a label per entry of ``scores``, gathered per unit on the first
+        read of :attr:`labels` and kept where the target's ``signs`` of the
+        unit's treatment are nonzero."""
         self = cls.__new__(cls)
-        self._set(labels, num_subclasses, scores, cells)
+        self._set(labels, num_subclasses, scores, signs, treatments)
         return self
 
-    def _set(self, labels: np.ndarray, num_subclasses: int, scores, cells=None) -> None:
+    def _set(self, labels, num_subclasses: int, scores, signs=None, treatments=None) -> None:
         labels.setflags(write=False)
-        if cells is None:
+        if treatments is None:
             self._labels, self._by_cell = labels, None
         else:
-            self._labels, self._by_cell = None, (labels, *cells)
+            self._labels, self._by_cell = None, (labels, signs, treatments)
         self.num_subclasses = int(num_subclasses)
         self.scores = scores
 
@@ -481,9 +480,9 @@ class SubclassAssignment:
         if labels is None:
             # ``_by_cell`` is never cleared, so two threads reading at once
             # each gather the same labels
-            label_of_chained, chain_of_cell, cell_of_unit, eligible, treatments = self._by_cell
-            labels = label_of_chained[chain_of_cell][cell_of_unit]
-            labels *= eligible[treatments]
+            label_of_entry, signs, treatments = self._by_cell
+            labels = self.scores._per_unit(label_of_entry)
+            labels *= (signs != 0)[treatments]
             labels.setflags(write=False)
             self._labels = labels
         return labels
@@ -935,7 +934,9 @@ class _BalancingDesign:
     ``chain_of_cell`` (read-only).  Both are carried to the units through
     ``cell_of_unit``, the dataset's own read-only index, so the design
     holds no array per unit; ``treatments`` are the dataset's, from which a
-    target's labels find each unit's group when they are first read.
+    target's labels find each unit's group when they are first read.  A
+    target's score has ``num_entries`` entries: the chained cells, or the
+    units on the unit table.
     ``undefined[j]`` holds the table rows in cells without a unit of
     balancing contrast j's groups, where score j is undefined (none for the
     logistic design, whose scores are defined on every unit).
@@ -948,7 +949,7 @@ class _BalancingDesign:
     chain: np.ndarray | None = None
     chain_of_cell: np.ndarray | None = None
     cell_of_unit: np.ndarray | None = None
-    num_cells: int = 0
+    num_entries: int = 0
     treatments: np.ndarray | None = None
 
     @cached_property
@@ -986,7 +987,9 @@ def _balancing_design(
         features = np.column_stack(
             [model_csps(dataset, c, ridge=config.ridge)._floats for c in balancing]
         )
-        return _BalancingDesign(balancing, _unit_table(dataset), features=features)
+        return _BalancingDesign(
+            balancing, _unit_table(dataset), features=features, num_entries=len(features)
+        )
     table = _cell_table(dataset)
     cell_index = dataset.cell_index
     num_cells = cell_index.num_cells
@@ -1007,7 +1010,7 @@ def _balancing_design(
     return _BalancingDesign(
         balancing, table, undefined=tuple(undefined), chain=chain_of_cell[table.cell],
         chain_of_cell=chain_of_cell, cell_of_unit=cell_index.cell_of_unit,
-        num_cells=num_chained, treatments=dataset.treatments,
+        num_entries=num_chained, treatments=dataset.treatments,
     )
 
 
@@ -1035,10 +1038,10 @@ def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig)
     reads only those cells' rows.  The logistic chained score is a fit on
     the target's units, and the empirical one counts each chained cell's
     units of either sign with one bincount over the target's rows, and is
-    checked over the table rows, not the units.  Its per-unit score has one
-    entry per chained cell, read through the dataset's covariate cell of
-    each unit and the design's chained cell of each covariate cell, which
-    every target shares.
+    checked over the table rows, not the units.  Its per-unit score has the
+    same entries, one per chained cell, read through the dataset's covariate
+    cell of each unit and the design's chained cell of each covariate cell,
+    which every target shares.
     """
     table = design.table
     sign = assignment_indicators(target, table.treatment)
@@ -1060,9 +1063,12 @@ def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig)
         scores = row_scores = _logistic_scores(design.features, sign, config.ridge, design.order)
     else:
         row_scores = _cell_scores(
-            design.chain[rows], design.num_cells, sign[rows], count, index=design.chain
+            design.chain[rows], design.num_entries, sign[rows], count, index=design.chain
         )
-        scores = row_scores._with_index(design.cell_of_unit, design.chain_of_cell)
+        scores = ScoreVector._frozen(
+            numerators=row_scores._numerators, denominators=row_scores._denominators,
+            index=design.cell_of_unit, entry_of_cell=design.chain_of_cell,
+        )
     return _Target(scores, row_scores, rows, negative, count)
 
 
@@ -1075,12 +1081,12 @@ def _target_comparison(
     :func:`covariate_mean_difference` give, worked out on the target's table
     rows: the subclasses by :func:`_subclass_rows` with the rows' counts,
     and each subclass's groups summed per row, the row's covariate values
-    weighted by its units.  The unit table's rows are its units, so a label
-    per row is the label of each unit, and the rows index the covariates
-    directly.  On a count table the labels are kept one per chained cell: a
-    chained cell's eligible units share its score, so its subclass, and the
-    assignment gathers them per unit, through the two maps its score reads,
-    when first read.  On a table with counts, a target of more than
+    weighted by its units.  Either table's labels are kept one per entry of
+    the target's score: on the unit table the entries are the units, which
+    the rows index directly, so the labels are per unit; on a count table
+    they are the chained cells, whose eligible units share a score, so a
+    subclass, and the assignment gathers them per unit through its score's
+    maps when first read.  On a table with counts, a target of more than
     ``_UNITS_PER_SUM`` units, which the weighted sums cannot take, has each
     of its rows repeated once per unit and summed unweighted: the same
     (group, covariate row) values, so the same exact sums (the unit table's
@@ -1090,17 +1096,11 @@ def _target_comparison(
     scores, row_scores, rows, negative, count = _target(design, target, config)
     label, num_subclasses = _subclass_rows(row_scores, rows, negative, config, count)
     table = design.table
-    if config.estimator == "logistic":
-        labels = np.zeros(len(table.treatment), dtype=label.dtype)
-        labels[rows] = label
-        assignment = SubclassAssignment._built(labels, num_subclasses, scores)
-    else:
-        label_of_chained = np.zeros(design.num_cells, dtype=label.dtype)
-        label_of_chained[design.chain[rows]] = label
-        assignment = SubclassAssignment._built(
-            label_of_chained, num_subclasses, scores,
-            (design.chain_of_cell, design.cell_of_unit, target._signs != 0, design.treatments),
-        )
+    label_of_entry = np.zeros(design.num_entries, dtype=label.dtype)
+    label_of_entry[rows if design.chain is None else design.chain[rows]] = label
+    assignment = SubclassAssignment._built(
+        label_of_entry, num_subclasses, scores, target._signs, design.treatments
+    )
     groups = 2 * label.astype(np.intp)
     groups += negative
     num_groups = 2 * (num_subclasses + 1)

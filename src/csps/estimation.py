@@ -398,9 +398,11 @@ class ScoreVector:
     :func:`~csps.balancing.run_algorithm` made on exact cells has one entry
     per chained cell and reads it through two maps, the dataset's covariate
     cell of each unit and the entry of each covariate cell, so it holds no
-    array per unit of its own.  ``undefined_units``, the units whose score
-    is undefined, is derived from these arrays on access, in place of a
-    per-unit defined mask.  ``values`` spells the scores out as a tuple of
+    array per unit of its own.  Every per-unit read, a pass's subclass
+    labels' too, takes the one gather from entries to units, ``_per_unit``.
+    ``undefined_units``, the units whose score is undefined, is derived
+    from these arrays on access, in place of a per-unit defined mask.
+    ``values`` spells the scores out as a tuple of
     floats, :class:`~fractions.Fraction` objects and ``None``, built on
     first access: it is the only exact read-out of the scores that
     :attr:`~csps.balancing.ContrastBalance.scores` returns, and
@@ -458,9 +460,13 @@ class ScoreVector:
         return cls._frozen(numerators=num, denominators=den, index=index)
 
     @classmethod
-    def _frozen(cls, floats=None, numerators=None, denominators=None, index=None):
-        """An instance over these arrays, which it makes read-only."""
-        for array in (floats, numerators, denominators, index):
+    def _frozen(
+        cls, floats=None, numerators=None, denominators=None, index=None, entry_of_cell=None
+    ):
+        """An instance over these arrays, which it makes read-only and keeps
+        without a copy.  With ``entry_of_cell``, unit i's entry is
+        ``entry_of_cell[index[i]]``, else ``index[i]``."""
+        for array in (floats, numerators, denominators, index, entry_of_cell):
             if array is not None:
                 array.setflags(write=False)
         self = cls.__new__(cls)
@@ -468,17 +474,22 @@ class ScoreVector:
         self._numerators = numerators
         self._denominators = denominators
         self._index = index
-        self._entry_of_cell = None
+        self._entry_of_cell = entry_of_cell
         self._values = None
         return self
 
     def __len__(self) -> int:
         return len(self._floats if self._floats is not None else self._index)
 
-    def _per_cell(self, entries: np.ndarray) -> np.ndarray:
-        """Values per entry as values per index target: ``entries`` itself,
-        or gathered once over the cells through ``_entry_of_cell``."""
-        return entries if self._entry_of_cell is None else entries[self._entry_of_cell]
+    def _per_unit(self, entries: np.ndarray, units=None) -> np.ndarray:
+        """Values per entry as values of ``units`` (default: all).  Float
+        scores' entries are the units; exact ones are gathered as a new array,
+        through ``_entry_of_cell`` when set and then through the index."""
+        if self._floats is not None:
+            return entries if units is None else entries[units]
+        if self._entry_of_cell is not None:
+            entries = entries[self._entry_of_cell]
+        return entries[self._index if units is None else self._index[units]]
 
     @property
     def undefined_units(self) -> np.ndarray:
@@ -489,22 +500,20 @@ class ScoreVector:
         """
         if self._floats is not None or self._denominators.all():
             return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(self._per_cell(self._denominators == 0)[self._index])
+        return np.flatnonzero(self._per_unit(self._denominators == 0))
 
     @property
     def values(self) -> tuple:
         """Per-unit scores: floats or Fractions, ``None`` where undefined."""
         if self._values is None:
-            if self._floats is not None:
-                self._values = tuple(self._floats.tolist())
-            else:
-                entries = [
+            entries = self._floats
+            if entries is None:
+                entries = np.empty(len(self._numerators), dtype=object)
+                entries[:] = [
                     Fraction(n, d) if d else None
                     for n, d in zip(self._numerators.tolist(), self._denominators.tolist())
                 ]
-                if self._entry_of_cell is not None:
-                    entries = [entries[j] for j in self._entry_of_cell.tolist()]
-                self._values = tuple(entries[j] for j in self._index.tolist())
+            self._values = tuple(self._per_unit(entries).tolist())
         return self._values
 
     def as_floats(self) -> np.ndarray:
@@ -518,17 +527,7 @@ class ScoreVector:
         if wide.size:
             entry[wide] = [n / d for n, d in zip(num[wide].tolist(), den[wide].tolist())]
         entry[den == 0] = np.nan
-        return self._per_cell(entry)[self._index]
-
-    def _with_index(self, index: np.ndarray, entry_of_cell: np.ndarray) -> "ScoreVector":
-        """The same exact entries over another index, through ``entry_of_cell``:
-        unit i's entry is ``entry_of_cell[index[i]]``.  Both are read-only
-        and kept without a copy."""
-        scores = ScoreVector._frozen(
-            numerators=self._numerators, denominators=self._denominators, index=index
-        )
-        scores._entry_of_cell = entry_of_cell
-        return scores
+        return self._per_unit(entry)
 
     def dense_ranks(self, units=None) -> np.ndarray:
         """Small nonnegative ranks of the scores of ``units`` (default: all).
@@ -543,9 +542,8 @@ class ScoreVector:
         exactly (an undefined entry is keyed NaN, which sorts last).  A larger
         denominator has the distinct entries ordered by their Fractions.
         """
-        pick = slice(None) if units is None else units
         if self._floats is not None:
-            return np.unique(self._floats[pick], return_inverse=True)[1]
+            return np.unique(self._per_unit(self._floats, units), return_inverse=True)[1]
         num, den = self._numerators, self._denominators
         if int(den.max(initial=0)) < _FLOAT_RANK_LIMIT:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -565,7 +563,7 @@ class ScoreVector:
             rank_of_id = np.full(n, len(order), dtype=np.intp)
             rank_of_id[order] = np.arange(len(order))
             rank = rank_of_id[ids]
-        return self._per_cell(rank)[self._index[pick]]
+        return self._per_unit(rank, units)
 
 
 def _check_width(dataset: Dataset, contrast: Contrast) -> None:
