@@ -27,7 +27,7 @@ from . import example_data
 from .balancing import ESTIMATORS, SUBCLASS_METHODS, AlgorithmConfig, _error_text, run_algorithm
 from .contrasts import assignment_indicators, read_contrast_file
 from .data import load_dataset, write_dataset_csv
-from .errors import INPUT_ERRORS, CspsError, ParseError
+from .errors import INPUT_ERRORS, CspsError, InvalidArgument, ParseError
 from .estimation import empirical_csps, model_csps
 from .reporting import (
     format_balance_table,
@@ -155,7 +155,7 @@ def cmd_example(args) -> int:
 
 def cmd_estimate(args) -> int:
     if args.data is None or args.contrasts is None:
-        raise ValueError("estimate: --data and --contrasts are required")
+        raise InvalidArgument("estimate: --data and --contrasts are required")
     algo = AlgorithmConfig(estimator=args.estimator, ridge=args.ridge)
     dataset = load_dataset(args.data)
     contrasts = read_contrast_file(args.contrasts)
@@ -186,7 +186,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_balance(args) -> int:
     if args.data is None or args.contrasts is None:
-        raise ValueError("balance: --data and --contrasts are required")
+        raise InvalidArgument("balance: --data and --contrasts are required")
     algo = AlgorithmConfig(
         estimator=args.estimator,
         subclass_method=args.method,

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateBifurcation,
     DimensionMismatch,
     EmptyFile,
+    InvalidArgument,
     NotAContrast,
     OutOfRangeTreatment,
     ParseError,
@@ -219,7 +220,8 @@ class Bifurcation:
     ``positive_part`` holds +1 for treatments in the positive group (0
     elsewhere); ``negative_part`` holds -1 for the negative group.  Each
     part is a vector read by the label rule of :class:`~csps.data.Dataset`,
-    with entries in 0..1 and -1..0, else ValueError.  Both groups must be
+    with entries in 0..1 and -1..0, else :class:`~csps.errors.InvalidArgument`,
+    also a ``ValueError``, as is a treatment in both.  Both groups must be
     nonempty, because the score conditions on units assigned to one of the
     two groups.
     """
@@ -235,7 +237,7 @@ class Bifurcation:
                 f"part lengths differ: {len(pos)} vs {len(neg)}"
             )
         if any(p != 0 and n != 0 for p, n in zip(pos, neg)):
-            raise ValueError("a treatment cannot sit in both groups")
+            raise InvalidArgument("a treatment cannot sit in both groups")
         if 1 not in pos or -1 not in neg:
             raise DegenerateBifurcation(
                 "bifurcation must keep at least one positive and one negative treatment"
@@ -266,8 +268,8 @@ class Bifurcation:
 
 def _part(values, least: int, most: int, side: str) -> tuple[int, ...]:
     """One part of a :class:`Bifurcation` as a tuple of ints in ``least..most``."""
-    part = _whole_labels(values, least, most, ValueError, f"{side} part value")
-    _check_shape(part, (None,), ValueError, f"the {side} part must be a vector")
+    part = _whole_labels(values, least, most, InvalidArgument, f"{side} part value")
+    _check_shape(part, (None,), InvalidArgument, f"the {side} part must be a vector")
     return tuple(part.tolist())
 
 

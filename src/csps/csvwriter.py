@@ -19,6 +19,8 @@ import io
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 # rows are formatted a block at a time: only one block's word matrix exists
 # at once
 _ROWS_PER_BLOCK = 2048
@@ -274,8 +276,9 @@ def write_csv_columns(path, header: list[str], columns: list, num_rows: int) -> 
     """Write a header row and ``num_rows`` rows of ``columns`` as CSV.
 
     Each column is an integer, unsigned or float array of ``num_rows``
-    entries, or a masked array of one; anything else is a ``ValueError``,
-    raised before the file is opened.  Floats are written exactly as
+    entries, or a masked array of one; anything else is an
+    :class:`~csps.errors.InvalidArgument`, a ``ValueError``, raised before
+    the file is opened.  Floats are written exactly as
     ``'%.17g' % v`` writes them (so float64 round-trips), integers as
     ``'%d' % v`` does, and masked entries as empty fields.  Numbers and
     empty fields hold no delimiter, quote or line break, so ``csv.writer``
@@ -295,9 +298,9 @@ def write_csv_columns(path, header: list[str], columns: list, num_rows: int) -> 
     width = 0
     for name, column in zip(header, columns):
         if not isinstance(column, np.ndarray) or column.dtype.kind not in "fiu":
-            raise ValueError(f"column {name!r} is not an integer or float array")
+            raise InvalidArgument(f"column {name!r} is not an integer or float array")
         if len(column) != num_rows:
-            raise ValueError(f"column {name!r} has the wrong length")
+            raise InvalidArgument(f"column {name!r} has the wrong length")
         blank = np.ma.getmaskarray(column) if np.ma.isMaskedArray(column) else None
         values = np.ma.getdata(column)
         if values.dtype.kind == "f":

@@ -103,5 +103,6 @@ class EmptyGroup(CspsError):
     """A required comparison group contains no units."""
 
 
-# the command line's exit 2; any other CspsError is a failure to estimate or balance
+# the command line's exit 2; any other CspsError is a failure to estimate or
+# balance.  ValueError stays: open() refuses a path with a NUL byte as one
 INPUT_ERRORS = (InputError, OSError, ValueError, MemoryError)

@@ -14,6 +14,7 @@ bit-identical results, and replications can be regenerated individually.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .balancing import AlgorithmConfig, run_algorithm
 from .contrasts import Contrast, assignment_indicators
 from .data import Dataset, _whole_count
+from .errors import InvalidArgument, NotAContrast
 
 __all__ = [
     "SimulationConfig",
@@ -56,7 +58,13 @@ class SimulationConfig:
 
     ``coefficients`` holds one row per treatment (T rows of K entries); the
     assignment probability of treatment t at covariates x is proportional to
-    ``exp(coefficients[t] @ x)``.
+    ``exp(coefficients[t] @ x)``.  Malformed input is refused as a typed
+    error: coefficients that are not rows of finite numbers, counts that are
+    not whole, or contrasts of another width raise
+    :class:`~csps.errors.InvalidArgument`, also a ``ValueError``, and a
+    ``balancing`` or ``targets`` that is not a sequence of
+    :class:`~csps.contrasts.Contrast` raises
+    :class:`~csps.errors.NotAContrast`.
     """
 
     coefficients: tuple[tuple[float, ...], ...]
@@ -68,25 +76,36 @@ class SimulationConfig:
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
 
     def __post_init__(self):
-        coeffs = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+        try:
+            coeffs = tuple(tuple(float(v) for v in row) for row in self.coefficients)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidArgument(
+                f"coefficients must be rows of numbers, got {reprlib.repr(self.coefficients)}"
+            ) from None
         object.__setattr__(self, "coefficients", coeffs)
         T = len(coeffs)
         if T < 2:
-            raise ValueError("at least two treatments are required")
+            raise InvalidArgument("at least two treatments are required")
         K = len(coeffs[0])
         if K < 1 or any(len(row) != K for row in coeffs):
-            raise ValueError("coefficient rows must share a common length K >= 1")
+            raise InvalidArgument("coefficient rows must share a common length K >= 1")
         if not all(math.isfinite(v) for row in coeffs for v in row):
-            raise ValueError(f"coefficients must be finite, got {coeffs!r}")
+            raise InvalidArgument(f"coefficients must be finite, got {coeffs!r}")
         # ints: numpy refuses a float count or seed only when it is used
         object.__setattr__(self, "num_units", _whole_count(self.num_units, "num_units", least=T))
         object.__setattr__(self, "replications", _whole_count(self.replications, "replications"))
         object.__setattr__(self, "seed", _whole_count(self.seed, "seed", least=0, bounded=False))
-        if not self.balancing:
-            raise ValueError("at least one balancing contrast is required")
-        for c in tuple(self.balancing) + tuple(self.targets):
+        try:
+            balancing, targets = tuple(self.balancing), tuple(self.targets)
+        except TypeError:
+            raise NotAContrast("balancing and targets must be sequences of Contrasts") from None
+        if not balancing:
+            raise InvalidArgument("at least one balancing contrast is required")
+        for c in balancing + targets:
+            if not isinstance(c, Contrast):
+                raise NotAContrast(f"expected a Contrast, got {c!r}")
             if c.num_treatments != T:
-                raise ValueError(
+                raise InvalidArgument(
                     f"contrast {c.describe()} has {c.num_treatments} treatments, "
                     f"the mechanism has {T}"
                 )
@@ -124,8 +143,8 @@ def _draw(rng: np.random.Generator, n: int, coefficients) -> tuple[np.ndarray, n
     ``P.sum(axis=1)``: numpy sums 8 or more columns pairwise, which a running
     sum would not match.
 
-    Raises :class:`ValueError` naming the coefficients when the linear
-    predictors overflow float64.
+    Raises :class:`~csps.errors.InvalidArgument` naming the coefficients
+    when the linear predictors overflow float64.
     """
     B = np.array(coefficients, dtype=float)
     X = rng.standard_normal((n, B.shape[1]))
@@ -139,7 +158,7 @@ def _draw(rng: np.random.Generator, n: int, coefficients) -> tuple[np.ndarray, n
             P = np.exp(eta, out=eta)
             P /= P.sum(axis=1, keepdims=True)
     except FloatingPointError as exc:
-        raise ValueError(
+        raise InvalidArgument(
             f"assignment coefficients {coefficients!r} overflow float64 ({exc})"
         ) from None
     u = rng.random(n)

@@ -19,7 +19,7 @@ from csps.balancing import (
 from csps.cli import _build_parser, main
 from csps.contrasts import Contrast, assignment_indicators, read_contrast_file
 from csps.data import Dataset, load_dataset, write_dataset_csv
-from csps.errors import SeparationDetected
+from csps.errors import InvalidArgument, SeparationDetected
 from csps.estimation import empirical_csps, model_csps
 from csps.example_data import worked_example_dataset
 from csps.simulation import SimulationConfig, mechanism_ii, sample_dataset
@@ -743,6 +743,23 @@ class TestBalance:
         # the logistic fit of such covariates fails typed
         assert main(args + ["--estimator", "logistic"]) == 3
         assert "SingularHessian: the Newton system is beyond float64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "balance"])
+def test_missing_flag_is_an_invalid_argument(command):
+    # a bare ValueError before; main exits 2 on either
+    args = _build_parser()[0].parse_args([command])
+    with pytest.raises(InvalidArgument, match=f"{command}: --data and --contrasts are required"):
+        args.run(args)
+
+
+def test_null_byte_in_a_config_path_is_an_input_error(tmp_path, capsys):
+    # open() refuses a path with a NUL byte as a bare ValueError, which is why
+    # errors.INPUT_ERRORS keeps ValueError
+    config = tmp_path / "run.cfg"
+    config.write_text("data=a\0b.csv\ncontrasts=c.txt\n")
+    assert main(["balance", "--config", str(config)]) == 2
+    assert "embedded null byte" in capsys.readouterr().err
 
 
 class TestSimulate:

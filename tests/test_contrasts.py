@@ -20,6 +20,7 @@ from csps.errors import (
     DegenerateBifurcation,
     DimensionMismatch,
     EmptyFile,
+    InvalidArgument,
     NotAContrast,
     OutOfRangeTreatment,
     ParseError,
@@ -304,6 +305,16 @@ class TestBifurcationType:
         # (1.5, 0) used to read as (1, 0), and True as 1; None and a number
         # that is no vector failed with a bare TypeError
         with pytest.raises(ValueError, match="part"):
+            Bifurcation(positive, negative)
+
+    @pytest.mark.parametrize("positive, negative, message", [
+        ((1, 0), (-1, 0), "cannot sit in both groups"),
+        ((1.5, 0), (0, -1), "positive part value"),
+        ((1, 0), 0, "the negative part must be a vector"),
+    ], ids=["both groups", "label rule", "shape"])
+    def test_malformed_bifurcation_is_an_invalid_argument(self, positive, negative, message):
+        # each was a bare ValueError
+        with pytest.raises(InvalidArgument, match=message):
             Bifurcation(positive, negative)
 
     def test_equal_parts_compare_and_hash_equal(self):

@@ -11,6 +11,7 @@ import pytest
 
 import csps
 from csps.cli import main
+from csps.csvwriter import write_csv_columns
 from csps.data import Dataset, build_cell_index, load_dataset, write_dataset_csv
 from csps.errors import (
     CspsError,
@@ -167,6 +168,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="column 'w' would be named 2 times"):
             write_dataset_csv(d, tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("column, message", [
+        (np.array(["a", "b", "c"]), "is not an integer or float array"),
+        (np.zeros(2), "has the wrong length"),
+        ([0.5, 1.5, 2.5], "is not an integer or float array"),
+    ], ids=["str dtype", "length", "list"])
+    def test_bad_extra_column_is_an_invalid_argument(self, column, message, tmp_path):
+        # both writers refused these with a bare ValueError
+        d = Dataset([[0.1], [0.2], [0.3]], [1, 2, 1])
+        path = tmp_path / "x.csv"
+        with pytest.raises(InvalidArgument, match=f"column 'extra' {message}"):
+            write_dataset_csv(d, path, {"extra": column})
+        with pytest.raises(InvalidArgument, match=f"column 'extra' {message}"):
+            write_csv_columns(path, ["extra"], [column], 3)
+        assert not path.exists()
 
     def test_dataset_of_no_units_rejected(self, tmp_path):
         # the header-only file it wrote, load_dataset refused as EmptyFile

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import csps.estimation
 from csps.balancing import AlgorithmConfig, run_algorithm
 from csps.contrasts import Contrast
+from csps.errors import InvalidArgument, NotAContrast
 from csps.reporting import format_experiment_table
 from csps.simulation import (
     SimulationConfig,
@@ -159,6 +160,45 @@ class TestConfigValidation:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             SimulationConfig(coefficients=((0, 0), (1, bad), (0, 1)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"coefficients": ((0, 0),)}, "at least two treatments"),
+        ({"coefficients": ((0, 0, 0), (1, 0))}, "common length"),
+        ({"coefficients": ((0, 0), (1, np.nan))}, "coefficients must be finite"),
+        ({"coefficients": ((0, 0, 0),) * 3, "balancing": ()}, "at least one balancing"),
+        (
+            {"coefficients": ((0, 0), (1, 0)), "targets": (Contrast((1, -1, 0)),)},
+            "has 3 treatments, the mechanism has 2",
+        ),
+        ({"coefficients": ((None, 1), (1, 1))}, "rows of numbers"),
+        ({"coefficients": (("a", 1), (1, 1))}, "rows of numbers"),
+        ({"coefficients": 5}, "rows of numbers"),
+    ], ids=[
+        "one treatment", "ragged", "not finite", "no balancing", "contrast width",
+        "None", "text", "not rows",
+    ])
+    def test_malformed_config_is_an_invalid_argument(self, kwargs, message):
+        # each was a bare ValueError or TypeError
+        with pytest.raises(InvalidArgument, match=message):
+            SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"balancing": ("x",)}, "expected a Contrast, got 'x'"),
+        ({"targets": ("x",)}, "expected a Contrast, got 'x'"),
+        ({"balancing": 5}, "must be sequences of Contrasts"),
+        ({"targets": None}, "must be sequences of Contrasts"),
+        ({"balancing": np.array([1, 2])}, "expected a Contrast, got np.int64"),
+    ], ids=["balancing entry", "target entry", "balancing", "targets", "array"])
+    def test_contrasts_that_are_no_contrasts_are_refused(self, kwargs, message):
+        # a bare AttributeError, TypeError or (the truth of an array)
+        # ValueError before, where run_algorithm gives NotAContrast
+        with pytest.raises(NotAContrast, match=message):
+            SimulationConfig(coefficients=((0, 0, 0),) * 3, **kwargs)
+
+    def test_overflowing_predictors_are_an_invalid_argument(self):
+        cfg = SimulationConfig(coefficients=((0, 0, 0), (1e308, 1e308, 1e308), (0, 0, 0)))
+        with pytest.raises(InvalidArgument, match="overflow float64"):
+            sample_dataset(cfg, 0)
 
 
 class TestRunExperiment:
