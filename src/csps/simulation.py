@@ -52,6 +52,27 @@ def default_balancing() -> tuple[Contrast, ...]:
     return simulation_contrasts()[:2]
 
 
+# float() reads text and bools, and iteration splits text into characters
+# or bytes, so neither is a coefficient nor text a row of them
+_TEXT = (str, bytes, bytearray, memoryview)
+_NOT_COEFFICIENTS = (*_TEXT, bool, np.bool_)
+
+
+def _coefficient_rows(coefficients) -> tuple[tuple[float, ...], ...] | None:
+    """The coefficients as rows of floats, each read by ``float()``, or None
+    unless they are rows of numbers.  Text at either level is not, nor is a
+    bool entry, as :class:`~csps.contrasts.Contrast` refuses bools."""
+    try:
+        if isinstance(coefficients, _TEXT):
+            return None
+        rows = [None if isinstance(row, _TEXT) else tuple(row) for row in coefficients]
+        if any(row is None or any(isinstance(v, _NOT_COEFFICIENTS) for v in row) for row in rows):
+            return None
+        return tuple(tuple(float(v) for v in row) for row in rows)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Design of one simulation experiment.
@@ -59,8 +80,9 @@ class SimulationConfig:
     ``coefficients`` holds one row per treatment (T rows of K entries); the
     assignment probability of treatment t at covariates x is proportional to
     ``exp(coefficients[t] @ x)``.  Malformed input is refused as a typed
-    error: coefficients that are not rows of finite numbers, counts that are
-    not whole, or contrasts of another width raise
+    error: coefficients that are not rows of finite numbers (text and bools
+    are not numbers, as in :class:`~csps.contrasts.Contrast`), counts that
+    are not whole, or contrasts of another width raise
     :class:`~csps.errors.InvalidArgument`, also a ``ValueError``, and a
     ``balancing`` or ``targets`` that is not a sequence of
     :class:`~csps.contrasts.Contrast` raises
@@ -76,12 +98,11 @@ class SimulationConfig:
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
 
     def __post_init__(self):
-        try:
-            coeffs = tuple(tuple(float(v) for v in row) for row in self.coefficients)
-        except (TypeError, ValueError, OverflowError):
+        coeffs = _coefficient_rows(self.coefficients)
+        if coeffs is None:
             raise InvalidArgument(
                 f"coefficients must be rows of numbers, got {reprlib.repr(self.coefficients)}"
-            ) from None
+            )
         object.__setattr__(self, "coefficients", coeffs)
         T = len(coeffs)
         if T < 2:

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import pickle
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,6 +183,37 @@ class TestConfigValidation:
         # each was a bare ValueError or TypeError
         with pytest.raises(InvalidArgument, match=message):
             SimulationConfig(**kwargs)
+
+    @pytest.mark.parametrize("coefficients", [
+        "12",
+        b"12",
+        (("1e3", "0"), (True, " 2 ")),
+        (("1", "0"), ("0", "1")),
+        ((0, 0), "12"),
+        ((0, 0), b"12"),
+        ((0, 0), bytearray(b"12")),
+        ((0, 1), (True, 0)),
+        ((0, 1), (np.True_, 0)),
+        np.array([[0, 1], [1, 0]], dtype=bool),
+        np.array([["0", "1"], ["1", "0"]]),
+    ], ids=[
+        "str", "bytes", "text and bools", "text rows", "str row", "bytes row",
+        "bytearray row", "bool", "numpy bool", "bool array", "str array",
+    ])
+    def test_text_and_bools_are_not_coefficients(self, coefficients):
+        # float() reads "12", b"12" and True, and a text row iterates into
+        # characters or bytes: "12" was read as ((1.0,), (2.0,))
+        with pytest.raises(InvalidArgument, match="rows of numbers"):
+            SimulationConfig(coefficients=coefficients)
+
+    def test_numbers_of_any_kind_are_coefficients(self):
+        cfg = SimulationConfig(coefficients=(
+            (np.float32(0.5), Fraction(1, 4), np.int64(1)), (Decimal("2.5"), 0, -1.0),
+        ), balancing=(Contrast((1, -1)),), targets=(Contrast((1, -1)),))
+        assert cfg.coefficients == ((0.5, 0.25, 1.0), (2.5, 0.0, -1.0))
+        array = SimulationConfig(coefficients=np.zeros((3, 2))).coefficients
+        assert array == ((0.0, 0.0),) * 3
+        assert all(type(v) is float for row in cfg.coefficients + array for v in row)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"balancing": ("x",)}, "expected a Contrast, got 'x'"),
