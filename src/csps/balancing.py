@@ -9,11 +9,11 @@ before and after subclassing.
 :func:`run_algorithm` works out every target on the rows of one table, by
 one path whichever the estimator.  With exact cells every number the
 routine reports depends on the units only through their counts per
-(covariate cell, treatment), so the table holds those counts, made once per
-call (:func:`_cell_table`), and the scores, the subclasses and the group
-sums come from them.  Per call the units are read once, to count them,
-through a key per unit dropped once they are counted; the pass keeps no
-array per unit of its own.  A target keeps one subclass label per entry
+(covariate cell, treatment), so the table holds those counts, which the
+dataset's cell index keeps, made once with it (:func:`_cell_table`), and
+the scores, the subclasses and the group sums come from them.  A pass on
+a built index reads no array per unit and makes none of its own.  A
+target keeps one subclass label per entry
 of its score, built by one path on either table, and both are read per
 unit by the score's one gather from entries to units: on exact cells,
 through the dataset's covariate cell of each unit and the chained cell of
@@ -890,26 +890,11 @@ class _CellTable(NamedTuple):
 
 
 def _cell_table(dataset: Dataset) -> _CellTable:
-    """Count the units by (cell, treatment), with one key per unit and one bincount.
-
-    Unit i's key is ``cell * (T + 1) + treatment``.  Where more keys than
-    about twice the units could occur, only the present ones are found (by
-    ``np.unique``), so memory stays bounded by the units, not by cells x T.
-    The keys are dropped on return.
-    """
+    """The units counted by (cell, treatment) that the dataset's cell index
+    keeps (see :func:`~csps.data.build_cell_index`): read, not recounted, so
+    a pass on a built index reads no array per unit."""
     cells = dataset.cell_index
-    width = dataset.num_treatments + 1
-    key = cells.cell_of_unit * np.intp(width)
-    key += dataset.treatments
-    num_keys = cells.num_cells * width
-    if num_keys > 2 * len(key) + 1024:
-        pairs, count = np.unique(key, return_counts=True)
-    else:
-        count = np.bincount(key, minlength=num_keys)
-        pairs = np.flatnonzero(count)
-        count = count[pairs]
-    cell, treatment = np.divmod(pairs, width)
-    return _CellTable(cell, treatment, count, cells.rows)
+    return _CellTable(*cells._pairs, cells.rows)
 
 
 def _unit_table(dataset: Dataset) -> _CellTable:
@@ -928,10 +913,12 @@ class _BalancingDesign:
     ``features`` are the N x J float matrix of scores and its ``order``
     (``_canonical_order`` of the scores, built on first use) the order
     every chained fit takes its units in.  The empirical design's table is
-    :func:`_cell_table`; the chained cell (of equal balancing-score tuples)
-    of each table row is ``chain``, on which each target's chained score and
-    its labels per chained cell are built, and of each covariate cell
-    ``chain_of_cell`` (read-only).  Both are carried to the units through
+    :func:`_cell_table`, the read-only counts that the dataset's cell index
+    keeps and every design on that dataset shares; the chained cell (of
+    equal balancing-score tuples) of each table row is ``chain``, on which
+    each target's chained score and its labels per chained cell are built,
+    and of each covariate cell ``chain_of_cell`` (read-only).  Both are
+    carried to the units through
     ``cell_of_unit``, the dataset's own read-only index, so the design
     holds no array per unit; ``treatments`` are the dataset's, from which a
     target's labels find each unit's group when they are first read.  A
@@ -967,10 +954,10 @@ def _balancing_design(
     contrast of each sign pattern, up to a sign flip, is kept, in its own
     orientation, and the design's texts name it.
 
-    The empirical design reads the units once, to count them by (cell,
-    treatment), through a key per unit that is dropped once they are
-    counted.  The scores and their undefined rows come from the counts, on
-    the table rows, and each covariate cell's chained cell from the scores.
+    The empirical design reads the units' counts by (cell, treatment) that
+    the dataset's cell index keeps, not the units.  The scores and their
+    undefined rows come from the counts, on the table rows, and each
+    covariate cell's chained cell from the scores.
     A chained cell needs equal scores only, not their order, so the cells
     are numbered by their reduced score ratios, unsorted.
     """

@@ -13,7 +13,7 @@ import os
 import warnings
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -281,6 +281,16 @@ def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return _renumber(key, span)
 
 
+class _PairCounts(NamedTuple):
+    """A dataset's units counted by (covariate cell, treatment): row r is the
+    pair of cell ``cell[r]`` and label ``treatment[r]``, which ``count[r] > 0``
+    units share.  Rows ascend by cell, then label; the arrays are read-only."""
+
+    cell: np.ndarray
+    treatment: np.ndarray
+    count: np.ndarray
+
+
 class CellIndex:
     """Partition of units into cells of byte-identical covariate rows.
 
@@ -290,8 +300,13 @@ class CellIndex:
     dataset; :func:`build_cell_index` numbers them.
     ``rows[c]`` is the covariate row of cell ``c`` and ``cell_of_unit[i]`` the
     cell of unit ``i``; the units of cell ``c`` are
-    ``np.flatnonzero(cell_of_unit == c)``.
+    ``np.flatnonzero(cell_of_unit == c)``.  An index that
+    :func:`build_cell_index` made also keeps the units counted by (cell,
+    treatment), from which the exact-cell estimators work, so that they read
+    no array per unit once the index is built.
     """
+
+    _pairs: _PairCounts | None = None  # set by build_cell_index
 
     def __init__(self, rows: np.ndarray, cell_of_unit: np.ndarray):
         self.rows = rows  # (num_cells, K) covariate rows, one per cell
@@ -310,15 +325,53 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     signs of their zeros, ``+0.0`` first: :func:`_dense_ids` numbers the
     rows of value codes, one per column, followed by a zero-sign code for
     each column that holds a ``-0.0``.
+
+    The same call counts the units by (cell, treatment)
+    (:func:`_count_pairs`) and the index keeps the counts, so the units are
+    counted once per index, not once per exact-cell pass.  The counts hold
+    three 8-byte entries per pair with units, so at most 24 bytes per unit,
+    next to the index's own 8 bytes per unit and 8K bytes per cell.
     """
     X = dataset.covariates
     codes = [np.unique(column, return_inverse=True)[1] for column in X.T]
     codes += [z.view(np.uint8) for z in ((X == 0) & np.signbit(X)).T if z.any()]
     cell_of_unit, num_cells = _dense_ids(codes)
+    del codes
     rows = np.empty((num_cells, X.shape[1]))
     rows[cell_of_unit] = X  # a cell's units share their bytes, so any one gives its row
     cell_of_unit.setflags(write=False)
-    return CellIndex(rows, cell_of_unit)
+    index = CellIndex(rows, cell_of_unit)
+    index._pairs = _count_pairs(
+        cell_of_unit, num_cells, dataset.treatments, dataset.num_treatments
+    )
+    return index
+
+
+def _count_pairs(
+    cell_of_unit: np.ndarray, num_cells: int, treatments: np.ndarray, num_treatments: int
+) -> _PairCounts:
+    """Count the units by (cell, treatment), with one key per unit and one bincount.
+
+    Unit i's key is ``cell * (T + 1) + treatment``.  Where more keys than
+    about twice the units could occur, only the present ones are found (by
+    ``np.unique``), so memory stays bounded by the units, not by cells x T.
+    The keys are dropped on return.
+    """
+    width = num_treatments + 1
+    key = cell_of_unit * np.intp(width)
+    key += treatments
+    num_keys = num_cells * width
+    if num_keys > 2 * len(key) + 1024:
+        pairs, count = np.unique(key, return_counts=True)
+    else:
+        count = np.bincount(key, minlength=num_keys)
+        pairs = np.flatnonzero(count)
+        count = count[pairs]
+    del key
+    counts = _PairCounts(*np.divmod(pairs, width), count)
+    for array in counts:
+        array.setflags(write=False)
+    return counts
 
 
 def _parse_float(token: str, where: str) -> float:

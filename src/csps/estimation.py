@@ -582,14 +582,18 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     Every unit in a cell receives the cell's value, an exact rational.
     Cells containing no group member at all are left undefined (masked).
     A dataset with no units is a TooFewUnits, as in
-    :func:`~csps.balancing.run_algorithm`.
+    :func:`~csps.balancing.run_algorithm`.  The units are counted over the
+    (cell, treatment) pairs that the dataset's cell index keeps, each
+    weighted by its units, so once the index is built a call makes no
+    array per unit: the score reads its cells through the index.
     """
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
     _check_width(dataset, contrast)
-    d = assignment_indicators(contrast, dataset.treatments)
     cells = dataset.cell_index
-    return _cell_scores(cells.cell_of_unit, cells.num_cells, d)
+    table = cells._pairs
+    d = assignment_indicators(contrast, table.treatment)
+    return _cell_scores(table.cell, cells.num_cells, d, table.count, index=cells.cell_of_unit)
 
 
 def _cell_scores(

@@ -1139,6 +1139,46 @@ class TestRunAlgorithm:
         assert peak <= 8 * n + 64 * 1024
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
+    def test_warm_exact_cell_calls_make_no_array_per_unit(self, method):
+        # 80k units in 8 cells: the cell index keeps the units counted by
+        # (cell, treatment), so once it is built neither a pass nor
+        # empirical_csps reads the units; a key or an indicator per unit
+        # would take 640 kB
+        rng = np.random.default_rng(11)
+        n = 80_000
+        X = (rng.random((n, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, n), num_treatments=3)
+        dataset.cell_index
+        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
+        balancing_set, targets = default_balancing(), simulation_contrasts()
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, balancing_set, targets, config)
+            pass_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            scores = [empirical_csps(dataset, target) for target in targets]
+            scores_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.cell_index.num_cells == 8
+        assert all(entry.error is None for entry in report)
+        assert all(len(s) == n for s in scores)
+        assert pass_peak < 64 * 1024
+        assert scores_peak < 64 * 1024
+
+    @pytest.mark.parametrize("run", [
+        lambda d: run_algorithm(d, default_balancing(), simulation_contrasts()),
+        lambda d: chained_propensity(d, default_balancing(), simulation_contrasts()[0]),
+        lambda d: estimation.model_csps(d, simulation_contrasts()[0]),
+    ], ids=["run_algorithm", "chained_propensity", "model_csps"])
+    def test_logistic_calls_build_no_cell_index(self, run):
+        # the index and its counts serve the exact-cell path only, so the
+        # logistic path pays nothing for them
+        dataset = sample_dataset(mechanism_ii(num_units=400), 0)
+        run(dataset)
+        assert "cell_index" not in vars(dataset)
+
+    @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_empirical_pass_memory_is_bounded_by_the_units(self, method):
         # a cell per unit and thousands of treatments: a cells x T count table
         # would take 2000 times the units' bytes, and the pass counts only

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -510,6 +511,35 @@ class TestCellIndex:
         fresh = build_cell_index(example)
         assert np.array_equal(example.cell_index.rows, fresh.rows)
         assert np.array_equal(example.cell_index.cell_of_unit, fresh.cell_of_unit)
+
+    def test_index_keeps_its_units_counted_by_cell_and_treatment(self, example):
+        pairs = example.cell_index._pairs
+        assert pairs.cell.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert pairs.treatment.tolist() == [1, 2, 3] * 4
+        assert pairs.count.tolist() == [
+            int(((example.cell_index.cell_of_unit == c) & (example.treatments == t)).sum())
+            for c, t in zip(pairs.cell.tolist(), pairs.treatment.tolist())
+        ]
+        assert not any(array.flags.writeable for array in pairs)
+
+    def test_index_on_a_cell_per_unit_holds_48_bytes_per_unit(self):
+        # K = 2 and a cell per unit: the index holds each cell's row (16
+        # bytes), each unit's cell (8) and the counts by (cell, treatment),
+        # here three 8-byte entries per unit (24); counting them raises the
+        # build's peak no higher than building the cells alone takes it, 73
+        # bytes per unit
+        rng = np.random.default_rng(7)
+        n = 50_000
+        dataset = Dataset(rng.standard_normal((n, 2)), rng.integers(1, 4, n))
+        tracemalloc.start()
+        try:
+            index = dataset.cell_index
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert index.num_cells == len(index._pairs.count) == n
+        assert held <= 48 * n + 16 * 1024
+        assert peak <= 73 * n + 16 * 1024
 
     def test_partition(self, rng):
         X = rng.integers(0, 2, size=(40, 3)).astype(float)

@@ -650,6 +650,83 @@ def test_empirical_scores_equal_fraction_reference(data_case, contrast):
     assert scores.undefined_units.tolist() == [i for i, v in enumerate(want) if v is None]
 
 
+@st.composite
+def counted_cases(draw):
+    """1-40 units of DISCRETE covariates (so 0.0 and -0.0 both occur) over T
+    treatments, some never drawn, and a contrast over T.  T is 2-5, where
+    cells x (T + 1) stays below 2N + 1024 and the units' keys are counted
+    by np.bincount, or 1200-1300, past that bound, where np.unique counts
+    them; the wide contrast's few nonzero coefficients fall mostly on drawn
+    treatments."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 2))
+    X = np.array(draw(st.lists(DISCRETE, min_size=n * k, max_size=n * k))).reshape(n, k)
+    T = draw(st.one_of(st.integers(2, 5), st.integers(1200, 1300)))
+    present = draw(st.lists(st.integers(1, T), min_size=1, max_size=min(T, 6), unique=True))
+    w = np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)))
+    if T <= 5:
+        contrast = draw(contrasts_of_width(T))
+    else:
+        where = list(dict.fromkeys(draw(st.lists(
+            st.one_of(st.sampled_from(present), st.integers(1, T)), min_size=2, max_size=4,
+        ))))
+        if len(where) == 1:
+            where.append(where[0] % T + 1)
+        head = draw(st.lists(st.integers(-2, 2), min_size=len(where) - 1, max_size=len(where) - 1))
+        values = head + [-sum(head)] if any(head) else [1, -1] + [0] * (len(where) - 2)
+        coefficients = [0] * T
+        for t, v in zip(where, values):
+            coefficients[t - 1] = v
+        contrast = Contrast(tuple(coefficients))
+    return X, w, T, contrast
+
+
+def counted_oracle(dataset, contrast):
+    """The (cell, treatment) pairs with units and their counts, by np.unique
+    of the per-unit pairs, and the exact-cell scores counted per unit."""
+    cells = dataset.cell_index
+    pairs, counts = np.unique(
+        np.column_stack([cells.cell_of_unit, dataset.treatments]), axis=0, return_counts=True
+    )
+    d = assignment_indicators(contrast, dataset.treatments)
+    scores = estimation._cell_scores(cells.cell_of_unit, cells.num_cells, d)
+    return pairs[:, 0], pairs[:, 1], counts, scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_cases(), st.randoms(use_true_random=False))
+def test_kept_counts_and_empirical_scores_equal_the_per_unit_oracle(case, random):
+    # the cell index counts its units by (cell, treatment) once, and
+    # empirical_csps counts over those pairs, weighted by their units: both
+    # must agree with counting every unit, whatever the unit order
+    X, w, T, contrast = case
+    order = list(range(len(w)))
+    random.shuffle(order)
+    results = []
+    for units in (np.arange(len(w)), np.array(order)):
+        dataset = table_dataset(X[units], w[units], T)
+        pairs = dataset.cell_index._pairs
+        cell, treatment, count, want = counted_oracle(dataset, contrast)
+        assert pairs.cell.tolist() == cell.tolist()
+        assert pairs.treatment.tolist() == treatment.tolist()
+        assert pairs.count.tolist() == count.tolist()
+        assert not any(array.flags.writeable for array in pairs)
+        scores = empirical_csps(dataset, contrast)
+        assert scores._numerators.tolist() == want._numerators.tolist()
+        assert scores._denominators.tolist() == want._denominators.tolist()
+        assert [type(v) for v in scores.values] == [type(v) for v in want.values]
+        assert scores.values == want.values
+        assert scores.undefined_units.tolist() == want.undefined_units.tolist()
+        results.append(scores)
+    assert results[1].values == tuple(results[0].values[i] for i in order)
+    wide = dataset.cell_index.num_cells * (T + 1) > 2 * len(w) + 1024
+    assert wide == (T > 5)
+    event("counted by np.unique" if wide else "counted by np.bincount")
+    event("a single unit" if len(w) == 1 else "units")
+    event("absent treatments" if len(set(w.tolist())) < T else "every treatment")
+    event("-0.0" if np.signbit(X[X == 0]).any() else "no -0.0")
+
+
 @given(
     datasets(values=DISCRETE),
     st.lists(st.sampled_from(CONTRASTS), min_size=1, max_size=3),
