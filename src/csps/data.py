@@ -336,7 +336,7 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     codes = [np.unique(column, return_inverse=True)[1] for column in X.T]
     codes += [z.view(np.uint8) for z in ((X == 0) & np.signbit(X)).T if z.any()]
     cell_of_unit, num_cells = _dense_ids(codes)
-    del codes
+    del codes  # else counting the units below peaks above the cells' build
     rows = np.empty((num_cells, X.shape[1]))
     rows[cell_of_unit] = X  # a cell's units share their bytes, so any one gives its row
     cell_of_unit.setflags(write=False)
@@ -367,7 +367,6 @@ def _count_pairs(
         count = np.bincount(key, minlength=num_keys)
         pairs = np.flatnonzero(count)
         count = count[pairs]
-    del key
     counts = _PairCounts(*np.divmod(pairs, width), count)
     for array in counts:
         array.setflags(write=False)

@@ -512,16 +512,6 @@ class TestCellIndex:
         assert np.array_equal(example.cell_index.rows, fresh.rows)
         assert np.array_equal(example.cell_index.cell_of_unit, fresh.cell_of_unit)
 
-    def test_index_keeps_its_units_counted_by_cell_and_treatment(self, example):
-        pairs = example.cell_index._pairs
-        assert pairs.cell.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
-        assert pairs.treatment.tolist() == [1, 2, 3] * 4
-        assert pairs.count.tolist() == [
-            int(((example.cell_index.cell_of_unit == c) & (example.treatments == t)).sum())
-            for c, t in zip(pairs.cell.tolist(), pairs.treatment.tolist())
-        ]
-        assert not any(array.flags.writeable for array in pairs)
-
     def test_index_on_a_cell_per_unit_holds_48_bytes_per_unit(self):
         # K = 2 and a cell per unit: the index holds each cell's row (16
         # bytes), each unit's cell (8) and the counts by (cell, treatment),
