@@ -9,16 +9,18 @@ before and after subclassing.
 :func:`run_algorithm` works out every target on the rows of one table, by
 one path whichever the estimator.  With exact cells every number the
 routine reports depends on the units only through their counts per
-(covariate cell, treatment), so the table holds those counts, which the
-dataset's cell index keeps, made once with it (:func:`_cell_table`), and
-the scores, the subclasses and the group sums come from them.  A pass on
-a built index reads no array per unit and makes none of its own.  A
-target keeps one subclass label per entry
-of its score, built by one path on either table, and both are read per
-unit by the score's one gather from entries to units: on exact cells,
-through the dataset's covariate cell of each unit and the chained cell of
-each covariate cell, which every target shares, and for the labels only
-when first read.  With logistic scores each row of the table is one unit (:func:`_unit_table`).
+(covariate cell, treatment), so the table is the count table that the
+dataset's cell index keeps, made once with it
+(:func:`~csps.data.build_cell_index`): the balancing scores are
+:func:`~csps.estimation.empirical_csps`'s, and the chained scores, the
+subclasses and the group sums come from the same counts.  A pass on a
+built index reads no array per unit and makes none of its own.  A target
+keeps one subclass label per entry of its score, built by one path on
+either table, and both are read per unit by the score's one gather from
+entries to units: on exact cells, through the dataset's covariate cell of
+each unit and the chained cell of each covariate cell, which every target
+shares, and for the labels only when first read.  With logistic scores
+the table is of the same type, and each of its rows is one unit.
 
 Group means are exact rationals (float64 covariates are dyadic rationals),
 so reported differences are invariant to the unit order and identities
@@ -46,7 +48,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _canonical_order, _check_shape, _dense_ids, _whole_count, _whole_labels
+from .data import (
+    Dataset, _canonical_order, _CellTable, _check_shape, _dense_ids, _whole_count, _whole_labels,
+)
 from .errors import (
     CspsError,
     EmptyGroup,
@@ -61,6 +65,7 @@ from .estimation import (
     _cell_scores,
     _check_width,
     _logistic_scores,
+    empirical_csps,
     model_csps,
 )
 
@@ -873,57 +878,26 @@ def _mean_differences(dataset: Dataset, comparisons) -> list[ContrastBalance]:
     ]
 
 
-class _CellTable(NamedTuple):
-    """A dataset's units counted by (covariate cell, treatment).
-
-    Row r is a pair with units: covariate cell ``cell[r]``, whose covariate
-    row is ``values[cell[r]]``, treatment label ``treatment[r]`` and
-    ``count[r] > 0`` units, or one unit when ``count`` is None.  With
-    ``cell`` None, row r is unit r, whose covariate row is ``values[r]``.
-    A count table holds no array per unit.
-    """
-
-    cell: np.ndarray | None
-    treatment: np.ndarray
-    count: np.ndarray | None
-    values: np.ndarray
-
-
-def _cell_table(dataset: Dataset) -> _CellTable:
-    """The units counted by (cell, treatment) that the dataset's cell index
-    keeps (see :func:`~csps.data.build_cell_index`): read, not recounted, so
-    a pass on a built index reads no array per unit."""
-    cells = dataset.cell_index
-    return _CellTable(*cells._pairs, cells.rows)
-
-
-def _unit_table(dataset: Dataset) -> _CellTable:
-    """The table whose row i is unit i, with no index of cells: a target's
-    rows are its units."""
-    return _CellTable(None, dataset.treatments, None, dataset.covariates)
-
-
 @dataclass(frozen=True, eq=False)
 class _BalancingDesign:
     """The J balancing scores of one dataset, in the form the chained fit reads.
 
     The scores depend on the dataset and the balancing set only, so one
     design serves every target, whose groups are found on the rows of
-    ``table``.  The logistic design's table is :func:`_unit_table`; its
-    ``features`` are the N x J float matrix of scores and its ``order``
-    (``_canonical_order`` of the scores, built on first use) the order
-    every chained fit takes its units in.  The empirical design's table is
-    :func:`_cell_table`, the read-only counts that the dataset's cell index
-    keeps and every design on that dataset shares; the chained cell (of
-    equal balancing-score tuples) of each table row is ``chain``, on which
-    each target's chained score and its labels per chained cell are built,
-    and of each covariate cell ``chain_of_cell`` (read-only).  Both are
-    carried to the units through
-    ``cell_of_unit``, the dataset's own read-only index, so the design
-    holds no array per unit; ``treatments`` are the dataset's, from which a
-    target's labels find each unit's group when they are first read.  A
-    target's score has ``num_entries`` entries: the chained cells, or the
-    units on the unit table.
+    ``table``.  The logistic design's table is the unit table, with no
+    cells or counts; its ``features`` are the N x J float matrix of scores
+    and its ``order`` (``_canonical_order`` of the scores, built on first
+    use) the order every chained fit takes its units in.  The empirical
+    design's table is the read-only count table that the dataset's cell
+    index keeps and every design on that dataset shares; the chained cell
+    (of equal balancing-score tuples) of each table row is ``chain``, on
+    which each target's chained score and its labels per chained cell are
+    built, and of each covariate cell ``chain_of_cell`` (read-only).  Both
+    are carried to the units through ``cell_of_unit``, the dataset's own
+    read-only index, so the design holds no array per unit; ``treatments``
+    are the dataset's, from which a target's labels find each unit's group
+    when they are first read.  A target's score has ``num_entries``
+    entries: the chained cells, or the units on the unit table.
     ``undefined[j]`` holds the table rows in cells without a unit of
     balancing contrast j's groups, where score j is undefined (none for the
     logistic design, whose scores are defined on every unit).
@@ -955,11 +929,14 @@ def _balancing_design(
     orientation, and the design's texts name it.
 
     The empirical design reads the units' counts by (cell, treatment) that
-    the dataset's cell index keeps, not the units.  The scores and their
-    undefined rows come from the counts, on the table rows, and each
-    covariate cell's chained cell from the scores.
-    A chained cell needs equal scores only, not their order, so the cells
-    are numbered by their reduced score ratios, unsorted.
+    the dataset's cell index keeps, not the units.  Its scores are
+    :func:`~csps.estimation.empirical_csps`'s, one entry per covariate
+    cell, as the logistic design's are :func:`~csps.estimation.model_csps`'s;
+    each score's undefined table rows are read from its denominators per
+    cell, and only when one is zero, and each covariate cell's chained cell
+    comes from the scores.  A chained cell needs equal scores only, not
+    their order, so the cells are numbered by their reduced score ratios,
+    unsorted.
     """
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
@@ -974,21 +951,22 @@ def _balancing_design(
         features = np.column_stack(
             [model_csps(dataset, c, ridge=config.ridge)._floats for c in balancing]
         )
-        return _BalancingDesign(
-            balancing, _unit_table(dataset), features=features, num_entries=len(features)
-        )
-    table = _cell_table(dataset)
+        # the unit table: row i is unit i
+        table = _CellTable(None, dataset.treatments, None, dataset.covariates)
+        return _BalancingDesign(balancing, table, features=features, num_entries=len(features))
     cell_index = dataset.cell_index
-    num_cells = cell_index.num_cells
+    table = cell_index._table
     ratios, undefined = [], []
     for contrast in balancing:
-        # score j of every table row, as empirical_csps gives it
-        scores = _cell_scores(
-            table.cell, num_cells, assignment_indicators(contrast, table.treatment),
-            table.count,
+        scores = empirical_csps(dataset, contrast)
+        denominators = scores._denominators
+        ratios += [scores._numerators, denominators]
+        # the table rows in cells where the score is undefined, gathered
+        # only when some cell's is
+        undefined.append(
+            np.flatnonzero(denominators[table.cell] == 0)
+            if not denominators.all() else np.empty(0, dtype=np.intp)
         )
-        ratios += [scores._numerators, scores._denominators]
-        undefined.append(scores.undefined_units)
     # cells of equal balancing-score tuples, equal reduced ratios ((0, 0)
     # where undefined); a tuple with an undefined score holds no eligible
     # unit of any target that passes the checks, so its cell stays undefined

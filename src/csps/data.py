@@ -281,14 +281,21 @@ def _dense_ids(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, int]:
     return _renumber(key, span)
 
 
-class _PairCounts(NamedTuple):
-    """A dataset's units counted by (covariate cell, treatment): row r is the
-    pair of cell ``cell[r]`` and label ``treatment[r]``, which ``count[r] > 0``
-    units share.  Rows ascend by cell, then label; the arrays are read-only."""
+class _CellTable(NamedTuple):
+    """The rows a balancing pass works on: units counted by (covariate cell,
+    treatment), or the units themselves.
 
-    cell: np.ndarray
+    Row r of a count table is covariate cell ``cell[r]``, whose row is
+    ``values[cell[r]]``, with ``count[r] > 0`` units of label
+    ``treatment[r]``; rows ascend by cell, then label, and every array is
+    read-only.  With ``cell`` and ``count`` None, row r is unit r, whose
+    covariate row is ``values[r]``.
+    """
+
+    cell: np.ndarray | None
     treatment: np.ndarray
-    count: np.ndarray
+    count: np.ndarray | None
+    values: np.ndarray
 
 
 class CellIndex:
@@ -297,19 +304,19 @@ class CellIndex:
     Cells are ordered canonically (ascending covariate values, first column
     first, and ``+0.0`` before ``-0.0`` among rows of equal value), so
     everything derived from the index is invariant to the unit order in the
-    dataset; :func:`build_cell_index` numbers them.
-    ``rows[c]`` is the covariate row of cell ``c`` and ``cell_of_unit[i]`` the
-    cell of unit ``i``; the units of cell ``c`` are
-    ``np.flatnonzero(cell_of_unit == c)``.  An index that
-    :func:`build_cell_index` made also keeps the units counted by (cell,
-    treatment), from which the exact-cell estimators work, so that they read
-    no array per unit once the index is built.
+    dataset; :func:`build_cell_index` numbers them and is the one maker of
+    an index.  ``rows[c]`` is the covariate row of cell ``c`` and
+    ``cell_of_unit[i]`` the cell of unit ``i``, both read-only; the units of
+    cell ``c`` are ``np.flatnonzero(cell_of_unit == c)``.  The index also
+    keeps the units counted by (cell, treatment), as the count table
+    ``_table`` whose ``values`` are ``rows``, from which the exact-cell
+    estimators work, so that they read no array per unit once the index is
+    built.
     """
 
-    _pairs: _PairCounts | None = None  # set by build_cell_index
-
-    def __init__(self, rows: np.ndarray, cell_of_unit: np.ndarray):
-        self.rows = rows  # (num_cells, K) covariate rows, one per cell
+    def __init__(self, table: _CellTable, cell_of_unit: np.ndarray):
+        self._table = table
+        self.rows = table.values  # (num_cells, K) covariate rows, one per cell
         self.cell_of_unit = cell_of_unit  # (N,) intp array
 
     @property
@@ -327,10 +334,11 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     each column that holds a ``-0.0``.
 
     The same call counts the units by (cell, treatment)
-    (:func:`_count_pairs`) and the index keeps the counts, so the units are
-    counted once per index, not once per exact-cell pass.  The counts hold
-    three 8-byte entries per pair with units, so at most 24 bytes per unit,
-    next to the index's own 8 bytes per unit and 8K bytes per cell.
+    (:func:`_count_pairs`) into the index's count table, whose values are
+    the cells' rows, so the units are counted once per index, not once per
+    exact-cell pass.  The counts hold three 8-byte entries per pair with
+    units, so at most 24 bytes per unit, next to the index's own 8 bytes per
+    unit and 8K bytes per cell.  Every array of the index is read-only.
     """
     X = dataset.covariates
     codes = [np.unique(column, return_inverse=True)[1] for column in X.T]
@@ -339,23 +347,25 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     del codes  # else counting the units below peaks above the cells' build
     rows = np.empty((num_cells, X.shape[1]))
     rows[cell_of_unit] = X  # a cell's units share their bytes, so any one gives its row
-    cell_of_unit.setflags(write=False)
-    index = CellIndex(rows, cell_of_unit)
-    index._pairs = _count_pairs(
-        cell_of_unit, num_cells, dataset.treatments, dataset.num_treatments
+    table = _CellTable(
+        *_count_pairs(cell_of_unit, num_cells, dataset.treatments, dataset.num_treatments),
+        rows,
     )
-    return index
+    for array in (*table, cell_of_unit):
+        array.setflags(write=False)
+    return CellIndex(table, cell_of_unit)
 
 
 def _count_pairs(
     cell_of_unit: np.ndarray, num_cells: int, treatments: np.ndarray, num_treatments: int
-) -> _PairCounts:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Count the units by (cell, treatment), with one key per unit and one bincount.
 
     Unit i's key is ``cell * (T + 1) + treatment``.  Where more keys than
     about twice the units could occur, only the present ones are found (by
     ``np.unique``), so memory stays bounded by the units, not by cells x T.
-    The keys are dropped on return.
+    The keys are dropped on return, and the pairs with units, ascending, are
+    returned as their cells, labels and counts.
     """
     width = num_treatments + 1
     key = cell_of_unit * np.intp(width)
@@ -367,10 +377,7 @@ def _count_pairs(
         count = np.bincount(key, minlength=num_keys)
         pairs = np.flatnonzero(count)
         count = count[pairs]
-    counts = _PairCounts(*np.divmod(pairs, width), count)
-    for array in counts:
-        array.setflags(write=False)
-    return counts
+    return (*np.divmod(pairs, width), count)
 
 
 def _parse_float(token: str, where: str) -> float:

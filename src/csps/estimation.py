@@ -583,15 +583,17 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     Cells containing no group member at all are left undefined (masked).
     A dataset with no units is a TooFewUnits, as in
     :func:`~csps.balancing.run_algorithm`.  The units are counted over the
-    (cell, treatment) pairs that the dataset's cell index keeps, each
-    weighted by its units, so once the index is built a call makes no
-    array per unit: the score reads its cells through the index.
+    rows of the count table that the dataset's cell index keeps, one per
+    (cell, treatment) pair, each weighted by its units, so once the index
+    is built a call makes no array per unit: the score has one entry per
+    covariate cell and reads it through the index.  It gives the balancing
+    scores of an exact-cell :func:`~csps.balancing.run_algorithm` pass.
     """
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
     _check_width(dataset, contrast)
     cells = dataset.cell_index
-    table = cells._pairs
+    table = cells._table
     d = assignment_indicators(contrast, table.treatment)
     return _cell_scores(table.cell, cells.num_cells, d, table.count, index=cells.cell_of_unit)
 

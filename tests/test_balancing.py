@@ -686,7 +686,7 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("estimator", ["logistic", "empirical"])
     def test_no_targets_fit_nothing(self, example, monkeypatch, estimator):
         fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
-        cells = count_calls(monkeypatch, balancing, "_cell_table")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
         config = AlgorithmConfig(estimator=estimator)
         assert len(run_algorithm(example, [FIRST_CONTRAST], [], config)) == 0
         assert len(run_algorithm(example, [], [], config)) == 0
@@ -700,7 +700,7 @@ class TestRunAlgorithm:
         # unchecked, a target one treatment wider than the data would be
         # balanced as the contrast of its first three coefficients
         fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
-        cells = count_calls(monkeypatch, balancing, "_cell_table")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
         config = AlgorithmConfig(estimator=estimator)
         narrow, wide = Contrast((1, -1)), Contrast((0, 1, -1, 0))
         cases = [
@@ -723,7 +723,7 @@ class TestRunAlgorithm:
         # a contrast's text is not a contrast: it used to fail with a bare
         # AttributeError from the width check
         fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
-        cells = count_calls(monkeypatch, balancing, "_cell_table")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
         config = AlgorithmConfig(estimator=estimator)
         for balancing_set, targets in [
             (["1/2 1/2 -1"], [TARGET_CONTRAST]),
@@ -962,28 +962,30 @@ class TestRunAlgorithm:
     def test_empirical_pass_scores_only_table_rows(self, monkeypatch, method):
         # the chained cells need equal balancing scores, not their order, so
         # the design ranks none, and exact subclasses rank each target's
-        # score once; every exact score is built over the cell table's rows,
-        # far fewer than the units here, and it is only carried to the units
+        # score once; every exact score counts the cell table's rows, far
+        # fewer than the units here, and it is only carried to the units
         rng = np.random.default_rng(4)
         X = (rng.random((20000, 3)) < 0.5).astype(float)
         dataset = Dataset(X, rng.integers(1, 4, len(X)))
-        num_rows = len(balancing._cell_table(dataset).cell)
+        num_rows = len(dataset.cell_index._table.cell)
         targets = simulation_contrasts()
         ranks = count_calls(monkeypatch, ScoreVector, "dense_ranks")
-        real = balancing._cell_scores
-        lengths = []
+        real = estimation._cell_scores
+        counted = []  # the rows each exact score counts: its cells per row
 
-        def watched(*args, **kwargs):
-            scores = real(*args, **kwargs)
-            lengths.append(len(scores))
-            return scores
+        def watched(cells, *args, **kwargs):
+            counted.append(len(cells))
+            return real(cells, *args, **kwargs)
 
+        # the balancing scores are empirical_csps's, the chained ones the pass's own
+        monkeypatch.setattr(estimation, "_cell_scores", watched)
         monkeypatch.setattr(balancing, "_cell_scores", watched)
         config = AlgorithmConfig(estimator="empirical", subclass_method=method)
         report = run_algorithm(dataset, targets[:2], targets, config)
         assert [len(entry.scores) for entry in report] == [len(X)] * len(targets)
         assert len(ranks) == (len(targets) if method == "exact" else 0)
-        assert num_rows <= 8 * 3 and lengths and max(lengths) <= num_rows
+        assert len(counted) == 2 + len(targets)
+        assert num_rows <= 8 * 3 and max(counted) <= num_rows
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_warm_pass_holds_one_array_per_unit_at_its_peak(self, method):

@@ -527,7 +527,7 @@ class TestCellIndex:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert index.num_cells == len(index._pairs.count) == n
+        assert index.num_cells == len(index._table.count) == n
         assert held <= 48 * n + 16 * 1024
         assert peak <= 73 * n + 16 * 1024
 

@@ -705,7 +705,7 @@ def test_kept_counts_and_empirical_scores_equal_the_per_unit_oracle(case, random
     results = []
     for units in (np.arange(len(w)), np.array(order)):
         dataset = table_dataset(X[units], w[units], T)
-        pairs = dataset.cell_index._pairs
+        pairs = dataset.cell_index._table
         cell, treatment, count, want = counted_oracle(dataset, contrast)
         assert pairs.cell.tolist() == cell.tolist()
         assert pairs.treatment.tolist() == treatment.tolist()
