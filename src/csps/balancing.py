@@ -425,6 +425,12 @@ class AlgorithmConfig:
         _check_ridge(self.ridge)
 
 
+def _check_config(config) -> None:
+    """InvalidArgument unless ``config`` is an :class:`AlgorithmConfig`."""
+    if not isinstance(config, AlgorithmConfig):
+        raise InvalidArgument(f"config must be an AlgorithmConfig, not {config!r}")
+
+
 class SubclassAssignment:
     """Subclass labels for the units of one bifurcation.
 
@@ -1135,10 +1141,12 @@ def run_algorithm(
     :class:`~csps.errors.DimensionMismatch` (or NotAContrast, for an entry
     that is not a :class:`Contrast`) before any fit, and targets with no
     balancing contrast an :class:`~csps.errors.InvalidArgument`, which is
-    also a ``ValueError``.  Whichever the estimator, each target
+    also a ``ValueError``, as is a ``config`` that is not an
+    :class:`AlgorithmConfig`.  Whichever the estimator, each target
     is worked out by one path, :func:`_target_comparison`, on the rows of
     its design's table (see the module docstring).
     """
+    _check_config(config)
     balancing, targets = _checked_contrasts(dataset, balancing, targets)
     design = failure = None
     if targets:

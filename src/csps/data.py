@@ -34,7 +34,9 @@ class Dataset:
     ``1.5``, ``True`` and ``"2"`` are an OutOfRangeTreatment); a given
     ``num_treatments`` is whole and in [1, 2**63).  A malformed argument
     (covariates not 2-D or without a column, treatments not one per unit,
-    a bad ``num_treatments`` or name count) raises
+    a bad ``num_treatments``, names that are not an iterable or of another
+    count, covariates that are not real numbers: a complex value, text that
+    ``float`` cannot read, rows of unequal length) raises
     :class:`~csps.errors.InvalidArgument`, which is also a ``ValueError``.
     Covariates must be finite; missing data is rejected at ingestion.
     A label in 1..T that never occurs is recorded as a warning, not an error.
@@ -48,7 +50,7 @@ class Dataset:
         num_treatments: int | None = None,
         covariate_names: Iterable[str] | None = None,
     ):
-        X = np.array(covariates, dtype=float)
+        X = _real_matrix(covariates)
         if X.ndim != 2:
             raise InvalidArgument(f"covariates must be 2-D, got ndim={X.ndim}")
         if X.shape[1] < 1:
@@ -70,7 +72,12 @@ class Dataset:
         if covariate_names is None:
             covariate_names = tuple(f"x{k + 1}" for k in range(X.shape[1]))
         else:
-            covariate_names = tuple(str(n) for n in covariate_names)
+            try:
+                covariate_names = tuple(str(n) for n in covariate_names)
+            except TypeError:
+                raise InvalidArgument(
+                    f"covariate_names must be an iterable of names, not {covariate_names!r}"
+                ) from None
             if len(covariate_names) != X.shape[1]:
                 raise InvalidArgument("covariate_names length must match columns")
         X.setflags(write=False)
@@ -123,6 +130,20 @@ class Dataset:
             f"Dataset(n_units={self.n_units}, num_covariates={self.num_covariates}, "
             f"num_treatments={self.num_treatments})"
         )
+
+
+def _real_matrix(covariates) -> np.ndarray:
+    """``covariates`` as a new float64 array, as ``np.array(..., dtype=float)``
+    reads them; InvalidArgument where it cannot, or would drop an imaginary
+    part (a complex value, even one whose imaginary part is 0, is not read)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            return np.array(covariates, dtype=float)
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning) as exc:
+        raise InvalidArgument(
+            f"covariates must be real numbers that float64 holds ({exc})"
+        ) from None
 
 
 def _is_whole(value) -> bool:
@@ -407,11 +428,11 @@ _COMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 def _body_path(path) -> str | None:
     """The path from which ``np.loadtxt`` reads the file at ``path`` as it is, or None.
 
-    Given a path, loadtxt reads the file in chunks in C; given an open file,
-    it iterates its lines in Python.  Only a path that ``os.fspath`` turns
-    into a str qualifies: not a bytes path, which loadtxt would iterate as
-    ints, nor a file descriptor, nor a name with a suffix that loadtxt
-    decompresses.  It is made absolute, so loadtxt never takes it for a URL.
+    Given a path, loadtxt reads the file in chunks in C.  Only a path that
+    ``os.fspath`` turns into a str qualifies: not a bytes path, which
+    loadtxt would iterate as ints, nor a file descriptor, nor a name with a
+    suffix that loadtxt decompresses.  It is made absolute, so loadtxt never
+    takes it for a URL.
     """
     try:
         path = os.fspath(path)
@@ -422,13 +443,13 @@ def _body_path(path) -> str | None:
     return os.path.abspath(path)
 
 
-def _parse_body(source, skiprows: int, num_fields: int, cov_idx: list[int], trt_idx: int):
+def _parse_body(path: str, skiprows: int, num_fields: int, cov_idx: list[int], trt_idx: int):
     """Covariates and labels of a plain numeric CSV body, or None.
 
-    ``source`` is an open file at the body's first line, or a path whose
-    first ``skiprows`` lines are the header.  One ``np.loadtxt`` call parses
-    every row: the treatment field as an integer and every other field as a
-    covariate float, so a row with the wrong number of fields fails it.
+    ``path`` names a file whose first ``skiprows`` lines are the header
+    (see :func:`_body_path`).  One ``np.loadtxt`` call parses every row:
+    the treatment field as an integer and every other field as a covariate
+    float, so a row with the wrong number of fields fails it.
     None means loadtxt refused the body or warned (a quoted field, a blank
     entry, an empty body, ``1_000`` ...), or could not read the path: the
     row parser then either accepts the body or says which line is wrong.
@@ -438,7 +459,7 @@ def _parse_body(source, skiprows: int, num_fields: int, cov_idx: list[int], trt_
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             body = np.loadtxt(
-                source, delimiter=",", comments=None, ndmin=1, dtype=dtype,
+                path, delimiter=",", comments=None, ndmin=1, dtype=dtype,
                 skiprows=skiprows, encoding="utf-8",
             )
     except (ValueError, OSError, Warning):
@@ -492,11 +513,12 @@ def load_dataset(path) -> Dataset:
     ``int`` reads them, with surrounding whitespace allowed.  Fields may be
     quoted, blank lines and rows of blank fields are skipped, and ``#``
     starts no comment.  A plain numeric body is parsed in one array pass,
-    by ``np.loadtxt`` from the path when ``os.fspath`` gives a str (it
-    skips the header's lines, ``csv.reader``'s count of them, and reads the
-    file in chunks in C), else from the open file; anything else, and any
-    file that cannot be read twice (a pipe), goes row by row, which also
-    names the line of the first bad entry.  Only the
+    by ``np.loadtxt`` from the path, when ``os.fspath`` gives a str and the
+    file can be read twice (not a pipe): it skips the header's lines,
+    ``csv.reader``'s count of them, and reads the file in chunks in C.  Any
+    other source (a bytes path, a file descriptor, a compressed suffix), and
+    any body that pass refuses, goes row by row from the open file, which
+    also names the line of the first bad entry.  Only the
     header and the row parser are bound by ``csv.field_size_limit()``: they
     refuse a longer field, the array pass reads it.  The file must be UTF-8
     text with a header on its first line.  Every refusal is a
@@ -519,17 +541,12 @@ def load_dataset(path) -> Dataset:
         if not cov_idx:
             raise ParseError(f"{path}: no covariate columns")
 
+        # loadtxt reads the file again from its path, so the reader still
+        # stands after the header when it refuses the body
         parsed = None
-        if fh.seekable():  # the row parser may have to read the body again
-            body_path = _body_path(path)
-            if body_path is None:
-                parsed = _parse_body(fh, 0, len(header), cov_idx, trt_idx)
-            else:
-                parsed = _parse_body(body_path, reader.line_num, len(header), cov_idx, trt_idx)
-            if parsed is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
+        body_path = _body_path(path)
+        if body_path is not None and fh.seekable():
+            parsed = _parse_body(body_path, reader.line_num, len(header), cov_idx, trt_idx)
         if parsed is None:
             parsed = _parse_rows(reader, path, len(header), cov_idx, trt_idx)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .balancing import AlgorithmConfig, run_algorithm
+from .balancing import AlgorithmConfig, _check_config, run_algorithm
 from .contrasts import Contrast, assignment_indicators
 from .data import Dataset, _whole_count
 from .errors import InvalidArgument, NotAContrast
@@ -82,7 +82,8 @@ class SimulationConfig:
     ``exp(coefficients[t] @ x)``.  Malformed input is refused as a typed
     error: coefficients that are not rows of finite numbers (text and bools
     are not numbers, as in :class:`~csps.contrasts.Contrast`), counts that
-    are not whole, or contrasts of another width raise
+    are not whole, contrasts of another width, or an ``algorithm`` that is
+    not an :class:`~csps.balancing.AlgorithmConfig` raise
     :class:`~csps.errors.InvalidArgument`, also a ``ValueError``, and a
     ``balancing`` or ``targets`` that is not a sequence of
     :class:`~csps.contrasts.Contrast` raises
@@ -130,6 +131,7 @@ class SimulationConfig:
                     f"contrast {c.describe()} has {c.num_treatments} treatments, "
                     f"the mechanism has {T}"
                 )
+        _check_config(self.algorithm)
 
     @property
     def num_treatments(self) -> int:

@@ -736,6 +736,15 @@ class TestRunAlgorithm:
             chained_propensity(example, [FIRST_CONTRAST], "0 1 -1", estimator=estimator)
         assert fits == [] and cells == []
 
+    @pytest.mark.parametrize("config", [None, {"estimator": "empirical"}], ids=["None", "dict"])
+    def test_config_that_is_not_a_config_is_an_input_error(self, example, monkeypatch, config):
+        # each was a bare AttributeError, raised on the config's first read
+        fits = count_calls(monkeypatch, estimation, "fit_binary_logistic")
+        cells = count_calls(monkeypatch, balancing, "empirical_csps")
+        with pytest.raises(InvalidArgument, match="config must be an AlgorithmConfig"):
+            run_algorithm(example, [FIRST_CONTRAST], [TARGET_CONTRAST], config)
+        assert fits == [] and cells == []
+
     def test_empty_balancing_set_raises_with_targets(self, example):
         with pytest.raises(ValueError, match="balancing contrast"):
             run_algorithm(example, [], [TARGET_CONTRAST])
@@ -988,27 +997,6 @@ class TestRunAlgorithm:
         assert num_rows <= 8 * 3 and max(counted) <= num_rows
 
     @pytest.mark.parametrize("method", ["exact", "quantile"])
-    def test_warm_pass_holds_one_array_per_unit_at_its_peak(self, method):
-        # with the cell index built, a pass on few cells makes one 8-byte
-        # array per unit, each unit's chained cell: the key that counts the
-        # units is dropped before it, and no label is gathered per unit
-        rng = np.random.default_rng(0)
-        n = 200_000
-        X = (rng.random((n, 3)) < 0.5).astype(float)
-        dataset = Dataset(X, rng.integers(1, 4, n))
-        dataset.cell_index
-        targets = simulation_contrasts()
-        config = AlgorithmConfig(estimator="empirical", subclass_method=method)
-        tracemalloc.start()
-        try:
-            report = run_algorithm(dataset, targets[:2], targets, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [e.error for e in report] == [None] * len(targets)
-        assert peak < 9 * n + 64 * 1024
-
-    @pytest.mark.parametrize("method", ["exact", "quantile"])
     def test_labels_are_gathered_on_first_read(self, method):
         # a report holds each target's labels per chained cell, and gathers
         # them per unit, one byte each, when first read
@@ -1117,37 +1105,16 @@ class TestRunAlgorithm:
             assert len(entry.scores._numerators) <= 3 ** len(balancing_set)
             assert len(entry.scores._denominators) <= 3 ** len(balancing_set)
 
-    def test_warm_pass_on_few_cells_holds_no_array_per_unit(self):
-        # 80k units in 8 cells: once the dataset's cell index is built, a
-        # pass reads the units only through the key per unit that counts
-        # them, which is dropped before it returns; what the report keeps
-        # is per cell and per chained cell
-        rng = np.random.default_rng(11)
-        n = 80_000
-        X = (rng.random((n, 3)) < 0.5).astype(float)
-        dataset = Dataset(X, rng.integers(1, 4, n), num_treatments=3)
-        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
-        balancing_set, targets = default_balancing(), simulation_contrasts()
-        run_algorithm(dataset, balancing_set, targets, config)
-        tracemalloc.start()
-        try:
-            report = run_algorithm(dataset, balancing_set, targets, config)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert dataset.cell_index.num_cells == 8
-        assert all(entry.error is None for entry in report)
-        assert held < 64 * 1024
-        assert peak <= 8 * n + 64 * 1024
-
-    @pytest.mark.parametrize("method", ["exact", "quantile"])
-    def test_warm_exact_cell_calls_make_no_array_per_unit(self, method):
-        # 80k units in 8 cells: the cell index keeps the units counted by
+    @pytest.mark.parametrize("method, n", [
+        ("exact", 80_000), ("quantile", 80_000), ("exact", 200_000), ("quantile", 200_000),
+    ], ids=["exact", "quantile", "exact-200k", "quantile-200k"])
+    def test_warm_exact_cell_calls_make_no_array_per_unit(self, method, n):
+        # n units in 8 cells: the cell index keeps the units counted by
         # (cell, treatment), so once it is built neither a pass nor
-        # empirical_csps reads the units; a key or an indicator per unit
-        # would take 640 kB
+        # empirical_csps reads the units, and what the report keeps is per
+        # cell and per chained cell; a key or an indicator per unit would
+        # take 8n bytes, 640 kB at 80k
         rng = np.random.default_rng(11)
-        n = 80_000
         X = (rng.random((n, 3)) < 0.5).astype(float)
         dataset = Dataset(X, rng.integers(1, 4, n), num_treatments=3)
         dataset.cell_index
@@ -1156,7 +1123,7 @@ class TestRunAlgorithm:
         tracemalloc.start()
         try:
             report = run_algorithm(dataset, balancing_set, targets, config)
-            pass_peak = tracemalloc.get_traced_memory()[1]
+            held, pass_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             scores = [empirical_csps(dataset, target) for target in targets]
             scores_peak = tracemalloc.get_traced_memory()[1]
@@ -1165,6 +1132,7 @@ class TestRunAlgorithm:
         assert dataset.cell_index.num_cells == 8
         assert all(entry.error is None for entry in report)
         assert all(len(s) == n for s in scores)
+        assert held < 64 * 1024
         assert pass_peak < 64 * 1024
         assert scores_peak < 64 * 1024
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import csps
+from csps import AlgorithmConfig, default_balancing, run_algorithm, simulation_contrasts
 from csps.cli import main
 from csps.csvwriter import write_csv_columns
 from csps.data import Dataset, build_cell_index, load_dataset, write_dataset_csv
@@ -246,7 +247,8 @@ class TestFastIngest:
     @pytest.mark.parametrize("how", ["bytes path", "file descriptor", "compressed suffix"])
     def test_other_sources_are_read_through_the_open_file(self, how, tmp_path, monkeypatch):
         # np.loadtxt would iterate a bytes path as ints, cannot reopen a file
-        # descriptor, and decompresses a path ending in .gz
+        # descriptor, and decompresses a path ending in .gz: the row parser
+        # reads the open file, and the array pass never runs
         from csps import data
 
         path = tmp_path / ("m.csv.gz" if how == "compressed suffix" else "m.csv")
@@ -254,16 +256,20 @@ class TestFastIngest:
         source = {"bytes path": os.fsencode(path), "compressed suffix": path}.get(how)
         if source is None:
             source = os.open(path, os.O_RDONLY)  # load_dataset's open() closes it
-        sources = []
-        real = data._parse_body
+        parsed = []
+        real = data._parse_rows
 
-        def watched(source, *args):
-            sources.append(source)
-            return real(source, *args)
+        def watched(*args):
+            parsed.append(args[0])
+            return real(*args)
 
-        monkeypatch.setattr(data, "_parse_body", watched)
+        def refuse(*args):
+            raise AssertionError("the array pass ran on a source it cannot read")
+
+        monkeypatch.setattr(data, "_parse_rows", watched)
+        monkeypatch.setattr(data, "_parse_body", refuse)
         d = load_dataset(source)
-        assert len(sources) == 1 and not isinstance(sources[0], (str, bytes))
+        assert len(parsed) == 1
         assert d.covariates.tolist() == [[1.5], [-2.0]]
         assert d.treatments.tolist() == [2, 1]
 
@@ -452,6 +458,17 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             example.covariates[0, 0] = 9.0
 
+    @pytest.mark.parametrize("rows", [
+        [["1.5"], [" 2 "]],
+        [[b"1.5"], [b"2"]],
+        [[Fraction(3, 2)], [Decimal(2)]],
+        np.array([[1.5], [2]], dtype=object),
+        np.array([[3], [4]], dtype=np.float16) / 2,
+    ], ids=["text", "bytes", "fraction and decimal", "objects", "float16"])
+    def test_covariates_that_float_reads_are_kept(self, rows):
+        # complex values are refused (see ARGUMENT_CHECKS), not what float() reads
+        assert Dataset(rows, [1, 2]).covariates.tolist() == [[1.5], [2.0]]
+
 
 class TestCellIndex:
     def test_worked_example_cells(self, example):
@@ -541,6 +558,23 @@ class TestCellIndex:
         assert len(sizes) == index.num_cells and sizes.min() >= 1
         assert (index.rows[index.cell_of_unit] == X).all()
 
+    def test_rows_are_read_only(self, rng):
+        # the rows are the values the exact-cell sums read: a write into the
+        # cached index would change every later pass on the same dataset
+        X = rng.integers(0, 2, size=(400, 3)).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, size=400))
+        balancing_set, targets = default_balancing(), simulation_contrasts()
+        config = AlgorithmConfig(estimator="empirical")
+        first = run_algorithm(dataset, balancing_set, targets, config)
+        index = dataset.cell_index
+        with pytest.raises(ValueError, match="read-only"):
+            index.rows[0, 0] = 1e6
+        assert not any(a.flags.writeable for a in (*index._table, index.cell_of_unit))
+        second = run_algorithm(dataset, balancing_set, targets, config)
+        assert [e.error for e in first] == [None] * len(targets)
+        assert [e.before_exact for e in second] == [e.before_exact for e in first]
+        assert [e.after_exact for e in second] == [e.after_exact for e in first]
+
 
 # each argument check of the data module, called as a caller would trip it,
 # and the start of its message
@@ -552,6 +586,19 @@ ARGUMENT_CHECKS = {
     "name count": (
         lambda path: Dataset(np.zeros((2, 1)), [1, 2], covariate_names=["a", "b"]),
         "covariate_names length",
+    ),
+    "complex covariates": (
+        lambda path: Dataset(np.array([[1 + 2j], [3 - 1j]]), [1, 2]), "covariates must be real"
+    ),
+    "complex and real covariates": (
+        lambda path: Dataset([[1 + 2j], [2]], [1, 2]), "covariates must be real"
+    ),
+    "text covariates": (
+        lambda path: Dataset([["1.5"], ["x"]], [1, 2]), "covariates must be real"
+    ),
+    "names not iterable": (
+        lambda path: Dataset(np.zeros((2, 1)), [1, 2], covariate_names=5),
+        "covariate_names must be an iterable",
     ),
     "T not whole": (
         lambda path: Dataset(np.zeros((2, 1)), [1, 2], num_treatments=0), "num_treatments must"

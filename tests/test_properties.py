@@ -710,6 +710,8 @@ def test_kept_counts_and_empirical_scores_equal_the_per_unit_oracle(case, random
         assert pairs.cell.tolist() == cell.tolist()
         assert pairs.treatment.tolist() == treatment.tolist()
         assert pairs.count.tolist() == count.tolist()
+        # the cells' rows are the table's values, read-only with the counts
+        assert pairs.values is dataset.cell_index.rows
         assert not any(array.flags.writeable for array in pairs)
         scores = empirical_csps(dataset, contrast)
         assert scores._numerators.tolist() == want._numerators.tolist()

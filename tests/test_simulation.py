@@ -175,12 +175,17 @@ class TestConfigValidation:
         ({"coefficients": ((None, 1), (1, 1))}, "rows of numbers"),
         ({"coefficients": (("a", 1), (1, 1))}, "rows of numbers"),
         ({"coefficients": 5}, "rows of numbers"),
+        (
+            {"coefficients": ((0, 0), (1, 0), (0, 1)), "algorithm": {"estimator": "empirical"}},
+            "config must be an AlgorithmConfig",
+        ),
     ], ids=[
         "one treatment", "ragged", "not finite", "no balancing", "contrast width",
-        "None", "text", "not rows",
+        "None", "text", "not rows", "algorithm not a config",
     ])
     def test_malformed_config_is_an_invalid_argument(self, kwargs, message):
-        # each was a bare ValueError or TypeError
+        # each was a bare ValueError or TypeError, or was accepted and failed
+        # run_experiment with a bare AttributeError (an algorithm not a config)
         with pytest.raises(InvalidArgument, match=message):
             SimulationConfig(**kwargs)
 
