@@ -1105,6 +1105,29 @@ class TestRunAlgorithm:
             assert len(entry.scores._numerators) <= 3 ** len(balancing_set)
             assert len(entry.scores._denominators) <= 3 ** len(balancing_set)
 
+    def test_warm_pass_on_few_cells_holds_no_array_per_unit(self):
+        # 80k units in 8 cells: the first pass builds the dataset's cell
+        # index, which counts the units by (cell, treatment), so a second
+        # pass reads no unit, and what its report keeps is per cell and per
+        # chained cell
+        rng = np.random.default_rng(11)
+        n = 80_000
+        X = (rng.random((n, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, n), num_treatments=3)
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        balancing_set, targets = default_balancing(), simulation_contrasts()
+        run_algorithm(dataset, balancing_set, targets, config)
+        tracemalloc.start()
+        try:
+            report = run_algorithm(dataset, balancing_set, targets, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.cell_index.num_cells == 8
+        assert all(entry.error is None for entry in report)
+        assert held < 64 * 1024
+        assert peak <= 8 * n + 64 * 1024
+
     @pytest.mark.parametrize("method, n", [
         ("exact", 80_000), ("quantile", 80_000), ("exact", 200_000), ("quantile", 200_000),
     ], ids=["exact", "quantile", "exact-200k", "quantile-200k"])
