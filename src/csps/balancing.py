@@ -47,9 +47,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .contrasts import Contrast, assignment_indicators
+from .contrasts import Contrast
 from .data import (
-    Dataset, _canonical_order, _CellTable, _check_shape, _dense_ids, _whole_count, _whole_labels,
+    Dataset, _canonical_order, _CellTable, _check_dataset, _check_shape, _dense_ids, _whole_count,
+    _whole_labels,
 )
 from .errors import (
     CspsError,
@@ -156,9 +157,12 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
     """The sums of :func:`_stacked_group_sums` for columns summed in one call.
 
     The values are gathered straight into one buffer, which ``np.frexp``
-    turns into the mantissas and then the low limbs, and the keys are built
-    in place on the exponents, so three 8-byte arrays per value are held at
-    once: the low limbs, the high limbs and the keys.  Those are freed
+    turns into the mantissas and then the low limbs.  The keys are built on
+    the exponents before the limbs are split, for every column at once: one
+    ``np.concatenate`` of the groups and one ``np.repeat`` of the columns'
+    offsets, and the multiplicities are one ``np.concatenate``.  So three
+    8-byte arrays per value are held at once: the low limbs, the high limbs
+    and the keys (four while multiplicities are applied).  Those are freed
     before the used buckets are merged by window and the Python ints are
     made, one ``totals[g] += ((high << 26) + low) << shift`` per window.
     """
@@ -177,6 +181,14 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
             mantissa[part] = values if units is None else values[units]
         key = np.empty(mantissa.size, dtype=np.intp)
         np.frexp(mantissa, out=(mantissa, key))
+        e_min = np.minimum.reduceat(key, starts)
+        width = int((np.maximum.reduceat(key, starts) - e_min).max()) + 1
+        # key = (the column's first group + group) * width + e - the column's least e
+        groups = np.concatenate([columns[c].groups for c in live], dtype=np.intp)
+        groups *= width
+        key += groups
+        del groups
+        key += np.repeat(np.array([first[c] for c in live]) * width - e_min, sizes)
         # the limbs stay float64: scaling by powers of two, floor and the
         # subtraction are exact, and no int64 copy of the mantissas is made
         mantissa *= float(1 << (_MANTISSA_BITS - _LIMB_BITS))
@@ -186,19 +198,13 @@ def _sum_stack(columns) -> list[tuple[list[int], int]]:
         low *= float(1 << _LIMB_BITS)
         if any(columns[c].multiplicity is not None for c in live):
             # a limb times a multiplicity stays below 2**53, so exact
-            multiplicity = np.ones(key.size)
-            for c, part in zip(live, parts):
-                if columns[c].multiplicity is not None:
-                    multiplicity[part] = columns[c].multiplicity
+            multiplicity = np.concatenate([
+                np.ones(size) if columns[c].multiplicity is None else columns[c].multiplicity
+                for c, size in zip(live, sizes)
+            ], dtype=float)
             high *= multiplicity
             low *= multiplicity
             del multiplicity
-        e_min = np.minimum.reduceat(key, starts)
-        width = int((np.maximum.reduceat(key, starts) - e_min).max()) + 1
-        # key = (the column's first group + group) * width + e - the column's least e
-        for c, part, e in zip(live, parts, e_min.tolist()):
-            key[part] += columns[c].groups * width
-            key[part] += first[c] * width - e
         buckets = None
         nbins = first[-1] * width
         if nbins > 2 * key.size + 256:
@@ -826,7 +832,7 @@ def covariate_mean_difference(
     _check_width(dataset, target)
     if subclasses is not None and len(subclasses.labels) != dataset.n_units:
         raise InvalidArgument("subclass labels must cover every unit of the dataset")
-    d = assignment_indicators(target, dataset.treatments)
+    d = target._signs[dataset.treatments]
     eligible = np.flatnonzero(d != 0)
     negative = d[eligible] == -1
     n_neg = int(np.count_nonzero(negative))
@@ -1015,7 +1021,8 @@ def _target(design: _BalancingDesign, target: Contrast, config: AlgorithmConfig)
     which every target shares.
     """
     table = design.table
-    sign = assignment_indicators(target, table.treatment)
+    # the dataset's labels, checked in 1..T when it was built: no re-check
+    sign = target._signs[table.treatment]
     # through a bool mask: np.flatnonzero of the int64 indicator itself is
     # about five times slower
     rows = np.flatnonzero(sign != 0)
@@ -1100,7 +1107,9 @@ def chained_propensity(
     contrast whose width is not the dataset's number of treatments raises
     :class:`~csps.errors.DimensionMismatch` before any fit, ``estimator``
     and ``ridge`` are then checked by :class:`AlgorithmConfig`, and a
-    dataset with no units raises :class:`~csps.errors.TooFewUnits`.
+    dataset with no units raises :class:`~csps.errors.TooFewUnits`.  A
+    ``dataset`` that is not a :class:`~csps.data.Dataset`, or ``balancing``
+    that is not a sequence, is an :class:`~csps.errors.InvalidArgument`.
     """
     balancing, (target,) = _checked_contrasts(dataset, balancing, [target])
     config = AlgorithmConfig(estimator=estimator, ridge=ridge)
@@ -1109,7 +1118,13 @@ def chained_propensity(
 
 def _checked_contrasts(dataset: Dataset, balancing, targets) -> tuple[tuple, tuple]:
     """The contrasts as tuples, after the input checks a pass makes before any fit."""
-    balancing, targets = tuple(balancing), tuple(targets)
+    _check_dataset(dataset)
+    try:
+        balancing, targets = tuple(balancing), tuple(targets)
+    except TypeError:  # None, or one Contrast in place of a sequence of them
+        raise InvalidArgument(
+            "balancing and targets must each be a sequence of contrasts"
+        ) from None
     for contrast in (*balancing, *targets):
         _check_width(dataset, contrast)
     if targets and not balancing:
@@ -1142,7 +1157,9 @@ def run_algorithm(
     that is not a :class:`Contrast`) before any fit, and targets with no
     balancing contrast an :class:`~csps.errors.InvalidArgument`, which is
     also a ``ValueError``, as is a ``config`` that is not an
-    :class:`AlgorithmConfig`.  Whichever the estimator, each target
+    :class:`AlgorithmConfig`, a ``dataset`` that is not a
+    :class:`~csps.data.Dataset`, or ``balancing`` or ``targets`` that is
+    not a sequence (None, or one Contrast).  Whichever the estimator, each target
     is worked out by one path, :func:`_target_comparison`, on the rows of
     its design's table (see the module docstring).
     """

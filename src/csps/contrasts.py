@@ -289,7 +289,11 @@ def assignment_indicators(contrast: Contrast, treatments) -> np.ndarray:
     """Group indicator of each unit: the sign of its treatment's coefficient.
 
     Labels in 1..T follow the label rule of :class:`~csps.data.Dataset`
-    and form a vector, else OutOfRangeTreatment."""
+    and form a vector, else OutOfRangeTreatment.  This checks labels from
+    outside; the library's own estimators and balancing pass gather a
+    :class:`~csps.data.Dataset`'s labels, which it checked when it was
+    built, as ``contrast._signs[labels]`` without a re-check, once the
+    contrast's width is checked to be the dataset's number of treatments."""
     T = contrast.num_treatments
     w = _whole_labels(treatments, 1, T, OutOfRangeTreatment, "treatment label")
     _check_shape(w, (None,), OutOfRangeTreatment, "treatment labels must be a vector")

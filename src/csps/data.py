@@ -9,6 +9,7 @@ and, in the estimators, the chained cells and the ranks of exact scores.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import warnings
 from collections import Counter
@@ -35,12 +36,15 @@ class Dataset:
     ``num_treatments`` is whole and in [1, 2**63).  A malformed argument
     (covariates not 2-D or without a column, treatments not one per unit,
     a bad ``num_treatments``, names that are not an iterable or of another
-    count, covariates that are not real numbers: a complex value, text that
-    ``float`` cannot read, rows of unequal length) raises
-    :class:`~csps.errors.InvalidArgument`, which is also a ``ValueError``.
-    Covariates must be finite; missing data is rejected at ingestion.
-    A label in 1..T that never occurs is recorded as a warning, not an error.
-    In a CSV file the treatments are the column ``w`` (see :func:`load_dataset`).
+    count, names given as one string, bytes or mapping, covariates that are
+    not real numbers: a complex value, text that ``float`` cannot read, rows
+    of unequal length) raises :class:`~csps.errors.InvalidArgument`, which
+    is also a ``ValueError``.  Covariates must be finite; missing data is
+    rejected at ingestion.  A label in 1..T that never occurs is recorded as
+    a warning, not an error.  The labels are checked here once: the
+    estimators and the balancing pass read a dataset's ``treatments`` as
+    labels in 1..T without checking them again.  In a CSV file the
+    treatments are the column ``w`` (see :func:`load_dataset`).
     """
 
     def __init__(
@@ -71,6 +75,11 @@ class Dataset:
         w = w.copy()  # the caller's int64 array passes the checker as it is
         if covariate_names is None:
             covariate_names = tuple(f"x{k + 1}" for k in range(X.shape[1]))
+        elif isinstance(covariate_names, (str, bytes, bytearray, Mapping)):
+            # iterated, these would give characters, byte values or keys
+            raise InvalidArgument(
+                f"covariate_names must be an iterable of names, not {covariate_names!r}"
+            )
         else:
             try:
                 covariate_names = tuple(str(n) for n in covariate_names)
@@ -87,8 +96,13 @@ class Dataset:
         self.num_treatments = num_treatments
         self.covariate_names = covariate_names
         # labels lie in 1..T, so the count and the first few absent labels
-        # take time bounded by N, not by T
-        present = np.unique(w)
+        # take time bounded by N, not by T: a count per label up to about
+        # twice the units, as _renumber and _count_pairs bound their tables,
+        # else np.unique
+        if num_treatments <= 2 * w.size + 1024:
+            present = np.flatnonzero(np.bincount(w, minlength=num_treatments + 1))
+        else:
+            present = np.unique(w)
         num_absent = self.num_treatments - len(present)
         if num_absent:
             first = np.arange(1, min(self.num_treatments, len(present) + _NAMED_ABSENT) + 1)
@@ -345,6 +359,26 @@ class CellIndex:
         return self.rows.shape[0]
 
 
+def _check_dataset(dataset) -> None:
+    """InvalidArgument unless ``dataset`` is a :class:`Dataset`, whose labels are checked."""
+    if not isinstance(dataset, Dataset):
+        raise InvalidArgument(f"expected a Dataset, got {type(dataset).__name__}")
+
+
+def _check_path(path) -> None:
+    """InvalidArgument unless ``open`` takes ``path`` as a path (a str, bytes
+    or ``os.PathLike``) or a file descriptor (an integer from 0; a bool is
+    neither), so a bad one is refused before anything is opened."""
+    if isinstance(path, (str, bytes, os.PathLike)):
+        return
+    try:
+        descriptor = not isinstance(path, (bool, np.bool_)) and operator.index(path) >= 0
+    except TypeError:  # not an integer, or an array of more than one
+        descriptor = False
+    if not descriptor:
+        raise InvalidArgument(f"path must be a file path or a descriptor from 0, not {path!r}")
+
+
 def build_cell_index(dataset: Dataset) -> CellIndex:
     """Group units by exact (byte-level) equality of their covariate rows.
 
@@ -360,7 +394,9 @@ def build_cell_index(dataset: Dataset) -> CellIndex:
     exact-cell pass.  The counts hold three 8-byte entries per pair with
     units, so at most 24 bytes per unit, next to the index's own 8 bytes per
     unit and 8K bytes per cell.  Every array of the index is read-only.
+    Anything but a :class:`Dataset` is an :class:`~csps.errors.InvalidArgument`.
     """
+    _check_dataset(dataset)
     X = dataset.covariates
     codes = [np.unique(column, return_inverse=True)[1] for column in X.T]
     codes += [z.view(np.uint8) for z in ((X == 0) & np.signbit(X)).T if z.any()]
@@ -522,8 +558,11 @@ def load_dataset(path) -> Dataset:
     header and the row parser are bound by ``csv.field_size_limit()``: they
     refuse a longer field, the array pass reads it.  The file must be UTF-8
     text with a header on its first line.  Every refusal is a
-    :class:`~csps.errors.CspsError`.
+    :class:`~csps.errors.CspsError`; a ``path`` that is neither a path nor a
+    file descriptor from 0 (None, -1, a bool) is an
+    :class:`~csps.errors.InvalidArgument`, raised before anything is opened.
     """
+    _check_path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -573,10 +612,14 @@ def write_dataset_csv(
     before the file is opened.  So is a dataset of no units, whose
     header-only file :func:`load_dataset` would refuse, a column name with
     surrounding whitespace, which it strips, or one that, stripped, names
-    another column, which it would refuse.
+    another column, which it would refuse, a ``dataset`` that is not a
+    :class:`Dataset`, or a ``path`` that is neither a path nor a file
+    descriptor from 0 (as in :func:`load_dataset`).
     """
     from .csvwriter import write_csv_columns  # loaded on first write, not by ``import csps``
 
+    _check_dataset(dataset)
+    _check_path(path)
     if not dataset.n_units:
         raise InvalidArgument("a dataset of no units would be read back as an empty file")
     extras = dict(extra_columns or {})

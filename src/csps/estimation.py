@@ -42,8 +42,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .contrasts import Contrast, assignment_indicators
-from .data import Dataset, _dense_ids, _reordering
+from .contrasts import Contrast
+from .data import Dataset, _check_dataset, _dense_ids, _reordering
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -567,6 +567,11 @@ class ScoreVector:
 
 
 def _check_width(dataset: Dataset, contrast: Contrast) -> None:
+    """InvalidArgument unless ``dataset`` is a Dataset, NotAContrast unless
+    ``contrast`` is a Contrast, and DimensionMismatch unless their numbers of
+    treatments agree: after it, ``contrast._signs[dataset.treatments]``
+    gathers the indicators with no label check."""
+    _check_dataset(dataset)
     if not isinstance(contrast, Contrast):
         raise NotAContrast(f"expected a Contrast, got {contrast!r}")
     if contrast.num_treatments != dataset.num_treatments:
@@ -589,12 +594,12 @@ def empirical_csps(dataset: Dataset, contrast: Contrast) -> ScoreVector:
     covariate cell and reads it through the index.  It gives the balancing
     scores of an exact-cell :func:`~csps.balancing.run_algorithm` pass.
     """
+    _check_width(dataset, contrast)
     if dataset.n_units == 0:
         raise TooFewUnits("the dataset has no units")
-    _check_width(dataset, contrast)
     cells = dataset.cell_index
     table = cells._table
-    d = assignment_indicators(contrast, table.treatment)
+    d = contrast._signs[table.treatment]
     return _cell_scores(table.cell, cells.num_cells, d, table.count, index=cells.cell_of_unit)
 
 
@@ -663,5 +668,5 @@ def model_csps(dataset: Dataset, contrast: Contrast, ridge: float = 0.0) -> Scor
     for all units, so the result is always fully defined.
     """
     _check_width(dataset, contrast)
-    d = assignment_indicators(contrast, dataset.treatments)
+    d = contrast._signs[dataset.treatments]
     return _logistic_scores(dataset.covariates, d, ridge, dataset.row_order)

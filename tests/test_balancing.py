@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csps import balancing, estimation, example_data
+from csps import balancing, contrasts, data, estimation, example_data
 from csps.balancing import (
     AlgorithmConfig,
     ContrastBalance,
@@ -1158,6 +1158,28 @@ class TestRunAlgorithm:
         assert held < 64 * 1024
         assert pass_peak < 64 * 1024
         assert scores_peak < 64 * 1024
+
+    def test_warm_exact_cell_pass_checks_no_labels(self, monkeypatch):
+        # the dataset checked its labels when it was built, and the pass
+        # checks each contrast's width, so a pass on a built cell index
+        # gathers every indicator without checking a label again
+        rng = np.random.default_rng(11)
+        X = (rng.random((400, 3)) < 0.5).astype(float)
+        dataset = Dataset(X, rng.integers(1, 4, 400), num_treatments=3)
+        dataset.cell_index
+        checks, real = [], data._whole_labels
+
+        def checked(*args, **kwargs):
+            checks.append(args)
+            return real(*args, **kwargs)
+
+        for module in (data, contrasts, balancing, estimation):
+            if hasattr(module, "_whole_labels"):
+                monkeypatch.setattr(module, "_whole_labels", checked)
+        config = AlgorithmConfig(estimator="empirical", subclass_method="exact")
+        report = run_algorithm(dataset, default_balancing(), simulation_contrasts(), config)
+        assert all(entry.error is None for entry in report)
+        assert checks == []
 
     @pytest.mark.parametrize("run", [
         lambda d: run_algorithm(d, default_balancing(), simulation_contrasts()),

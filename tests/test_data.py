@@ -454,6 +454,22 @@ class TestDatasetType:
             "treatments (2, 3, 4, 5, 6) never occur in the data (999998 absent in all)"
         )
 
+    @pytest.mark.parametrize("T, total, sorts", [
+        (1024, " (1021 absent in all)", False),
+        (2 ** 40, f" ({2 ** 40 - 3} absent in all)", True),
+    ], ids=["counted", "sorted"])
+    def test_absent_labels_are_named_alike_by_both_lookups(self, T, total, sorts, monkeypatch):
+        # up to about twice the units, the present labels are counted; past
+        # that they are found by np.unique, so memory stays bounded by N
+        sorted_calls, real = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: sorted_calls.append(a) or real(*a, **k))
+        with pytest.warns(UserWarning, match="never occur") as caught:
+            Dataset(np.zeros((4, 1)), [1, 3, 3, 7], num_treatments=T)
+        assert [str(w.message) for w in caught] == [
+            f"treatments (2, 4, 5, 6, 8) never occur in the data{total}"
+        ]
+        assert bool(sorted_calls) == sorts
+
     def test_arrays_read_only(self, example):
         with pytest.raises(ValueError):
             example.covariates[0, 0] = 9.0

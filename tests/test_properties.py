@@ -1361,6 +1361,17 @@ def test_unit_table_sums_every_target_per_row(method):
     assert list(map(pipeline_outcome, lowered)) == list(map(pipeline_outcome, report))
 
 
+class WatchedLabels:
+    """Labels that record each time numpy reads them as an array."""
+
+    def __init__(self, labels: np.ndarray):
+        self.labels, self.reads = labels, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return self.labels if dtype is None else self.labels.astype(dtype)
+
+
 @pytest.mark.parametrize("method", ["exact", "quantile"])
 def test_cell_table_repeats_its_rows_past_the_sum_limit(method):
     # a cell-table target of more than _UNITS_PER_SUM units is summed from its
@@ -1373,23 +1384,20 @@ def test_cell_table_repeats_its_rows_past_the_sum_limit(method):
     targets = simulation_contrasts()
     config = AlgorithmConfig(estimator="empirical", subclass_method=method)
     report = run_algorithm(dataset, targets[:2], targets, config)
-    read = []
-
-    def indicators_of(contrast, labels):
-        read.append(labels is dataset.treatments)
-        return assignment_indicators(contrast, labels)
-
+    watched = WatchedLabels(dataset.treatments)
     with (
         mock.patch.object(balancing, "_UNITS_PER_SUM", 3),
         recorded_comparisons() as comparisons,
-        mock.patch.object(balancing, "assignment_indicators", indicators_of),
+        mock.patch.object(dataset, "treatments", watched),
     ):
         lowered = run_algorithm(dataset, targets[:2], targets, config)
-    assert read and not any(read)
+    assert watched.reads == 0
     assert [c.multiplicity for c in comparisons] == [None] * len(targets)
     assert [len(c.groups) for c in comparisons] == [sum(c.counts) for c in comparisons]
     assert [e.error for e in report] == [None] * len(targets)
     assert list(map(pipeline_outcome, lowered)) == list(map(pipeline_outcome, report))
+    # the per-unit labels, read on demand, are what reads the treatments
+    assert watched.reads > 0
 
 
 @settings(max_examples=200)
